@@ -50,12 +50,10 @@ from .kalman import (
     RiccatiSequence,
     matrix_error_update,
     matrix_gain,
-    predict,
     riccati_sequence,
     run_filter,
     spectral_error_update,
     spectral_gain,
-    update,
 )
 from .polynomials import Polynomial, lagrange_interpolate, reduce_mod_minimal
 from .spectral import (
@@ -111,7 +109,6 @@ __all__ = [
     "matrix_gain",
     "minimal_polynomial",
     "observe",
-    "predict",
     "propagate_covariance",
     "reduce_mod_minimal",
     "relative_error_metric",
@@ -127,7 +124,6 @@ __all__ = [
     "sqrt_filter",
     "step_state",
     "trajectory_to_csv",
-    "update",
     "validate_shift",
     "whiten",
     "zero_estimate",

@@ -32,7 +32,7 @@ def _ensure_outdir(path: str) -> Path:
 
 def _cmd_heatmap(args) -> int:
     config = _load_config(args.config)
-    result = run_heatmap(config, workers=args.workers)
+    result = run_heatmap(config)
     out = _ensure_outdir(args.out)
     for which in ("kalman", "inverse"):
         write_heatmap_csv(result, which, out / f"heatmap_{which}.csv")
@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     heatmap.add_argument("--config", help="JSON config (defaults to the reference setup)")
     heatmap.add_argument("--out", required=True, help="output directory")
     heatmap.add_argument("--svg", action="store_true", help="also render SVG heatmaps")
-    heatmap.add_argument("--workers", type=int, default=None, help="override worker count (GK_THREADS)")
     heatmap.set_defaults(func=_cmd_heatmap)
 
     trace = sub.add_parser("trace", help="energy and single-vertex trace at the trace point")

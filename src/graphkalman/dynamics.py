@@ -8,7 +8,6 @@ polynomial).
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -251,19 +250,23 @@ def simulate(sys: DynamicalSystem, seed) -> Trajectory:
     return Trajectory(states=states, observations=observations, seed=ss)
 
 
+def write_text(target, text: str) -> None:
+    """Write ``text`` to a path, or to a stream with a ``write`` method."""
+    if isinstance(target, (str, Path)):
+        Path(target).write_text(text)
+    else:
+        target.write(text)
+
+
 def trajectory_to_csv(trajectory: Trajectory, target) -> None:
     """Write rows (k, vertex, x, z); the k=0 rows carry no observation."""
     lines = ["k,vertex,x,z"]
     n = trajectory.states.shape[1]
     for vertex in range(1, n + 1):
-        lines.append(f"0,{vertex},{trajectory.states[0, vertex - 1]!r},")
+        lines.append(f"0,{vertex},{float(trajectory.states[0, vertex - 1])!r},")
     for k in range(1, trajectory.horizon + 1):
         for vertex in range(1, n + 1):
-            x = trajectory.states[k, vertex - 1]
-            z = trajectory.observations[k - 1, vertex - 1]
+            x = float(trajectory.states[k, vertex - 1])
+            z = float(trajectory.observations[k - 1, vertex - 1])
             lines.append(f"{k},{vertex},{x!r},{z!r}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
+    write_text(target, "\n".join(lines) + "\n")

@@ -2,23 +2,23 @@
 
 The experiment runs the time-invariant system on the unweighted cycle with
 the Laplacian shift, comparing the Kalman filter against static inverse
-filtering.  Per-cell work is seeded independently of execution order, so
-results are reproducible bit-for-bit for a fixed configuration.
+filtering.  The Kalman filter runs in the eigenbasis of the shift (see
+``kalman``); the dense matrix recursion is only the oracle in ``verify``.
+Cells run one after another in a plain loop, with no worker pool, and each
+trial is seeded from its cell and trial index alone, so results are
+reproducible bit-for-bit for a fixed configuration.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .baselines import inverse_estimate
-from .dynamics import DynamicalSystem, Trajectory, simulate
+from .dynamics import DynamicalSystem, Trajectory, simulate, write_text
 from .errors import DegenerateTrajectoryError
 from .graphs import build_shift, cycle_graph
 from .kalman import riccati_sequence, run_filter
@@ -247,17 +247,7 @@ def _mean_sem(values: list[float]) -> tuple[float, float]:
     return mean, sem
 
 
-def default_workers() -> int:
-    env = os.environ.get("GK_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"GK_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
-
-
-def run_heatmap(config: ExperimentConfig, workers: int | None = None) -> HeatmapResult:
+def run_heatmap(config: ExperimentConfig) -> HeatmapResult:
     """Average both estimators' metrics over independent trials per grid cell.
 
     Cells whose trajectories are all degenerate (zero state energy, e.g.
@@ -272,25 +262,13 @@ def run_heatmap(config: ExperimentConfig, workers: int | None = None) -> Heatmap
     n_trials = np.zeros((ns, nt), dtype=int)
     flagged = np.zeros((ns, nt), dtype=bool)
 
-    cells = [(i, j) for i in range(ns) for j in range(nt)]
-    if workers is None:
-        workers = default_workers()
-
-    def work(cell):
-        i, j = cell
-        return cell, _run_cell(config, context, i, j)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(cell) for cell in cells]
-
-    for (i, j), (kalman_metrics, inverse_metrics, degenerate) in outcomes:
-        kalman[i, j], kalman_sem[i, j] = _mean_sem(kalman_metrics)
-        inverse[i, j], inverse_sem[i, j] = _mean_sem(inverse_metrics)
-        n_trials[i, j] = len(kalman_metrics)
-        flagged[i, j] = degenerate > 0
+    for i in range(ns):
+        for j in range(nt):
+            kalman_metrics, inverse_metrics, degenerate = _run_cell(config, context, i, j)
+            kalman[i, j], kalman_sem[i, j] = _mean_sem(kalman_metrics)
+            inverse[i, j], inverse_sem[i, j] = _mean_sem(inverse_metrics)
+            n_trials[i, j] = len(kalman_metrics)
+            flagged[i, j] = degenerate > 0
 
     return HeatmapResult(
         sigma_grid=config.sigma_grid,
@@ -318,20 +296,21 @@ class TraceResult:
     vertex_inverse: np.ndarray
 
 
+def _trace_run(config: ExperimentConfig, trial: int) -> tuple[DynamicalSystem, Trajectory]:
+    """The trace point's system and its simulated trajectory."""
+    sys = _cell_system(config, _experiment_context(config), config.trace.sigma, config.trace.sigma_tilde)
+    seed = np.random.SeedSequence(config.seed, spawn_key=(_TRACE_KEY, trial))
+    return sys, simulate(sys, seed)
+
+
 def trace_trajectory(config: ExperimentConfig, trial: int = 0) -> Trajectory:
     """The raw trajectory underlying the trace at (sigma*, sigma_tilde*)."""
-    context = _experiment_context(config)
-    sys = _cell_system(config, context, config.trace.sigma, config.trace.sigma_tilde)
-    seed = np.random.SeedSequence(config.seed, spawn_key=(_TRACE_KEY, trial))
-    return simulate(sys, seed)
+    return _trace_run(config, trial)[1]
 
 
 def run_trace(config: ExperimentConfig, trial: int = 0) -> TraceResult:
     """One simulation at the trace point with both reconstructions tabulated per step."""
-    context = _experiment_context(config)
-    sys = _cell_system(config, context, config.trace.sigma, config.trace.sigma_tilde)
-    seed = np.random.SeedSequence(config.seed, spawn_key=(_TRACE_KEY, trial))
-    trajectory = simulate(sys, seed)
+    sys, trajectory = _trace_run(config, trial)
     truths = trajectory.states[1:]
     states = run_filter(sys, trajectory.observations, p0=Polynomial.zero())
     kalman_estimates = np.array([state.estimate for state in states[1:]])
@@ -351,13 +330,6 @@ def run_trace(config: ExperimentConfig, trial: int = 0) -> TraceResult:
     )
 
 
-def _write_text(target, text: str) -> None:
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
-
-
 def _format(value: float) -> str:
     return repr(float(value))
 
@@ -372,7 +344,7 @@ def write_heatmap_csv(result: HeatmapResult, which: str, target) -> None:
                 f"{_format(sigma)},{_format(sigma_tilde)},{_format(values[i, j])},"
                 f"{int(result.n_trials[i, j])},{int(result.flagged[i, j])}"
             )
-    _write_text(target, "\n".join(lines) + "\n")
+    write_text(target, "\n".join(lines) + "\n")
 
 
 def write_trace_csvs(result: TraceResult, outdir) -> tuple[Path, Path]:
@@ -447,4 +419,4 @@ def write_heatmap_svg(result: HeatmapResult, which: str, target) -> None:
                 f'<text x="{x + 3}" y="{y + cell * 0.6:.0f}" fill="#444444">{label}</text>'
             )
     parts.append("</svg>")
-    _write_text(target, "\n".join(parts) + "\n")
+    write_text(target, "\n".join(parts) + "\n")

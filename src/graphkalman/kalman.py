@@ -1,63 +1,49 @@
-"""Graph Kalman filter in spectral and matrix form.
+"""Graph Kalman filter in the eigenbasis of the shift.
 
-The gain and error covariance stay polynomials of the graph shift, so each
-step reduces to independent scalar updates at the distinct eigenvalues:
+On a symmetric shift the gain and error covariance stay polynomials of the
+shift, so each step reduces to independent scalar updates at the distinct
+eigenvalues:
 
     predicted  pe = a^2 p_prev + sigma^2
     gain       gamma = pe * b / (b^2 pe + sigma_tilde^2)
     updated    pi = sigma_tilde^2 * pe / (b^2 pe + sigma_tilde^2)
 
-The dense matrix Riccati recursion is kept as a cross-checking path.
+The recursion and the filter are carried on these frequency responses.
+Filtering moves the observations into the eigenbasis once, updates every
+frequency on its own and moves the estimates back once; gain and error
+polynomials are interpolated only when asked for.  The dense matrix Riccati
+step below drives ``verify.matrix_riccati_path``, the oracle that the
+spectral path is checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .dynamics import DynamicalSystem
+from .dynamics import DynamicalSystem, write_text
 from .errors import (
     NotPositiveSemidefiniteError,
     NumericalFailureError,
     SingularGainError,
 )
-from .filters import apply_filter, eval_filter
-from .polynomials import Polynomial, lagrange_interpolate, reduce_mod_minimal
+from .polynomials import Polynomial, lagrange_interpolate
 from .spectral import DistinctSpectrum
 
-DUAL_FORM_TOL = 1e-9
 INNOVATION_CONDITION_LIMIT = 1e14
 
 
 @dataclass(frozen=True, eq=False)
 class KalmanState:
-    """Estimate and error covariance after step k (gain is None at k=0)."""
+    """Estimate after step k with the error and gain responses at the
+    distinct eigenvalues (the gain is None at k=0)."""
 
     step: int
     estimate: np.ndarray
-    error_poly: Polynomial
-    gain_poly: Polynomial | None
-    error_matrix: np.ndarray | None = None
-    gain_matrix: np.ndarray | None = None
-
-
-def predict(sys: DynamicalSystem, xhat_prev: np.ndarray, k: int) -> np.ndarray:
-    """Prediction step: a_k(S) applied to the previous estimate."""
-    return apply_filter(sys.state_poly(k), sys.shift, xhat_prev)
-
-
-def update(
-    sys: DynamicalSystem,
-    xhat_pred: np.ndarray,
-    z: np.ndarray,
-    gain: Polynomial,
-    k: int,
-) -> np.ndarray:
-    """Gain step: correct the prediction by the filtered innovation."""
-    innovation = z - apply_filter(sys.observation_poly(k), sys.shift, xhat_pred)
-    return xhat_pred + apply_filter(gain, sys.shift, innovation)
+    error_response: np.ndarray
+    gain_response: np.ndarray | None
 
 
 def _scalar_riccati(
@@ -82,6 +68,24 @@ def _scalar_riccati(
     return gains, np.zeros_like(predicted)
 
 
+def _response(poly: Polynomial, mu: np.ndarray) -> np.ndarray:
+    return np.atleast_1d(poly(mu))
+
+
+def _riccati_step(
+    p_values: np.ndarray,
+    state_poly: Polynomial,
+    observation_poly: Polynomial,
+    sigma: float,
+    sigma_tilde: float,
+    mu: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and updated error responses at ``mu`` from the previous error responses."""
+    return _scalar_riccati(
+        p_values, _response(state_poly, mu), _response(observation_poly, mu), sigma, sigma_tilde
+    )
+
+
 def spectral_gain(
     p_prev: Polynomial,
     state_poly: Polynomial,
@@ -92,13 +96,7 @@ def spectral_gain(
 ) -> Polynomial:
     """Gain polynomial interpolated from the per-eigenvalue scalar gains."""
     mu = spectrum.representatives
-    gains, _ = _scalar_riccati(
-        np.atleast_1d(p_prev(mu)),
-        np.atleast_1d(state_poly(mu)),
-        np.atleast_1d(observation_poly(mu)),
-        sigma,
-        sigma_tilde,
-    )
+    gains, _ = _riccati_step(_response(p_prev, mu), state_poly, observation_poly, sigma, sigma_tilde, mu)
     return lagrange_interpolate(mu, gains)
 
 
@@ -112,13 +110,7 @@ def spectral_error_update(
 ) -> Polynomial:
     """Updated error covariance polynomial interpolated from scalar updates."""
     mu = spectrum.representatives
-    _, errors = _scalar_riccati(
-        np.atleast_1d(p_prev(mu)),
-        np.atleast_1d(state_poly(mu)),
-        np.atleast_1d(observation_poly(mu)),
-        sigma,
-        sigma_tilde,
-    )
+    _, errors = _riccati_step(_response(p_prev, mu), state_poly, observation_poly, sigma, sigma_tilde, mu)
     return lagrange_interpolate(mu, errors)
 
 
@@ -173,17 +165,29 @@ def matrix_error_update(
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSequence:
-    """Gain and error polynomials for steps 1..m (p_0 included, reduced)."""
+    """Gain and error responses at the distinct eigenvalues ``nodes``.
 
-    initial_error: Polynomial
-    gains: tuple[Polynomial, ...]
-    error_polys: tuple[Polynomial, ...]
-    gain_matrices: tuple[np.ndarray, ...] | None = None
-    error_matrices: tuple[np.ndarray, ...] | None = None
+    ``initial_response`` holds p_0 at the nodes; row k-1 of
+    ``gain_responses`` and ``error_responses`` holds step k.  ``gains`` and
+    ``error_polys`` interpolate those rows on first access.
+    """
+
+    nodes: np.ndarray
+    initial_response: np.ndarray
+    gain_responses: np.ndarray
+    error_responses: np.ndarray
+
+    @cached_property
+    def gains(self) -> tuple[Polynomial, ...]:
+        return tuple(lagrange_interpolate(self.nodes, row) for row in self.gain_responses)
+
+    @cached_property
+    def error_polys(self) -> tuple[Polynomial, ...]:
+        return tuple(lagrange_interpolate(self.nodes, row) for row in self.error_responses)
 
 
 def _validate_initial_error(p0: Polynomial, spectrum: DistinctSpectrum) -> np.ndarray:
-    values = np.atleast_1d(p0(spectrum.representatives))
+    values = _response(p0, spectrum.representatives)
     tol = 1e-10 * max(float(np.max(values)), 0.0)
     if np.min(values) < -tol:
         raise NotPositiveSemidefiniteError(
@@ -196,14 +200,11 @@ def riccati_sequence(
     sys: DynamicalSystem,
     p0: Polynomial | None = None,
     steps: int | None = None,
-    matrix_check: bool = False,
 ) -> RiccatiSequence:
     """Run the error/gain recursion for ``steps`` steps (default: the horizon).
 
-    The recursion is carried on the per-eigenvalue values; the returned
-    polynomials interpolate them at the distinct eigenvalues.  With
-    ``matrix_check`` the dense Riccati recursion runs alongside and any
-    disagreement beyond the dual-form tolerance raises.
+    Each step is one scalar update per distinct eigenvalue; the responses
+    of all steps come back as ``(steps, d)`` arrays.
     """
     if p0 is None:
         p0 = sys.initial_covariance
@@ -212,61 +213,27 @@ def riccati_sequence(
     if not 0 <= steps <= sys.horizon:
         raise ValueError(f"steps {steps} out of range 0..{sys.horizon}")
     mu = sys.spectrum.representatives
-    p_values = _validate_initial_error(p0, sys.spectrum)
-    p0_reduced = reduce_mod_minimal(p0, sys.minimal_poly)
-
-    gains: list[Polynomial] = []
-    errors: list[Polynomial] = []
-    gain_matrices: list[np.ndarray] = []
-    error_matrices: list[np.ndarray] = []
-    p_matrix = eval_filter(p0_reduced, sys.decomposition).matrix if matrix_check else None
-
+    initial = _validate_initial_error(p0, sys.spectrum)
+    gains = np.empty((steps, mu.size))
+    errors = np.empty((steps, mu.size))
+    p_values = initial
     for k in range(1, steps + 1):
-        a = sys.state_poly(k)
-        b = sys.observation_poly(k)
-        sigma = sys.state_sigma(k)
-        sigma_tilde = sys.observation_sigma(k)
         try:
-            gain_values, error_values = _scalar_riccati(
+            gains[k - 1], p_values = _riccati_step(
                 p_values,
-                np.atleast_1d(a(mu)),
-                np.atleast_1d(b(mu)),
-                sigma,
-                sigma_tilde,
+                sys.state_poly(k),
+                sys.observation_poly(k),
+                sys.state_sigma(k),
+                sys.observation_sigma(k),
+                mu,
             )
         except SingularGainError as exc:
             raise SingularGainError(f"step {k}: {exc}") from exc
-        gain_poly = lagrange_interpolate(mu, gain_values)
-        error_poly = lagrange_interpolate(mu, error_values)
-        gains.append(gain_poly)
-        errors.append(error_poly)
-
-        if matrix_check:
-            a_mat = eval_filter(a, sys.decomposition).matrix
-            b_mat = eval_filter(b, sys.decomposition).matrix
-            try:
-                k_mat = matrix_gain(p_matrix, a_mat, b_mat, sigma, sigma_tilde)
-                p_matrix = matrix_error_update(p_matrix, a_mat, b_mat, sigma, sigma_tilde, gain=k_mat)
-            except NumericalFailureError as exc:
-                raise NumericalFailureError(f"step {k}: {exc}") from exc
-            gain_matrices.append(k_mat)
-            error_matrices.append(p_matrix)
-            for label, poly, dense in (("gain", gain_poly, k_mat), ("error covariance", error_poly, p_matrix)):
-                spectral_mat = eval_filter(poly, sys.decomposition).matrix
-                gap = np.linalg.norm(spectral_mat - dense) / max(1.0, np.linalg.norm(dense))
-                if gap > DUAL_FORM_TOL:
-                    raise NumericalFailureError(
-                        f"step {k}: spectral and matrix {label} disagree (relative gap {gap:.3e})"
-                    )
-
-        p_values = error_values
-
+        errors[k - 1] = p_values
+    for values in (initial, gains, errors):
+        values.flags.writeable = False
     return RiccatiSequence(
-        initial_error=p0_reduced,
-        gains=tuple(gains),
-        error_polys=tuple(errors),
-        gain_matrices=tuple(gain_matrices) if matrix_check else None,
-        error_matrices=tuple(error_matrices) if matrix_check else None,
+        nodes=mu, initial_response=initial, gain_responses=gains, error_responses=errors
     )
 
 
@@ -275,10 +242,18 @@ def run_filter(
     observations,
     xhat0: np.ndarray | None = None,
     p0: Polynomial | None = None,
-    matrix_check: bool = False,
     riccati: RiccatiSequence | None = None,
 ) -> list[KalmanState]:
     """Filter a full observation sequence; returns states for k = 0..M.
+
+    The filter runs in the eigenbasis U of the shift.  The observations are
+    moved there once (z~ = U^T z), every step updates each frequency on its
+    own with the expanded state, observation and gain responses a, b, g,
+
+        x~ <- a x~ + g (z~ - b a x~),
+
+    and the estimates are moved back once.  The dense matrix recursion is
+    not run here; ``verify.matrix_riccati_path`` keeps it as the oracle.
 
     Defaults follow the stationary initialization: zero initial estimate
     with the system's initial covariance as p_0.  A precomputed
@@ -288,66 +263,58 @@ def run_filter(
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
         obs = obs.reshape(0, sys.n) if obs.size == 0 else obs.reshape(1, -1)
-    if obs.size and obs.shape[1] != sys.n:
+    if obs.shape[1] != sys.n:
         raise ValueError(f"observations have {obs.shape[1]} entries per step, expected {sys.n}")
     m = obs.shape[0]
     if m > sys.horizon:
         raise ValueError(f"{m} observations exceed the system horizon {sys.horizon}")
-    if p0 is None:
-        p0 = sys.initial_covariance
     if riccati is None:
-        riccati = riccati_sequence(sys, p0=p0, steps=m, matrix_check=matrix_check)
-    elif len(riccati.gains) < m:
+        riccati = riccati_sequence(sys, p0=p0, steps=m)
+    elif riccati.gain_responses.shape[0] < m:
         raise ValueError("precomputed riccati sequence is shorter than the observations")
 
+    mu = sys.spectrum.representatives
+    expand = sys.spectrum.expand
+    u = sys.decomposition.eigenvectors
     xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
-    initial_matrix = (
-        eval_filter(riccati.initial_error, sys.decomposition).matrix
-        if riccati.error_matrices is not None
-        else None
-    )
-    states = [
-        KalmanState(
-            step=0,
-            estimate=xhat,
-            error_poly=riccati.initial_error,
-            gain_poly=None,
-            error_matrix=initial_matrix,
-        )
-    ]
+    x_tilde = xhat @ u
+    z_tilde = obs @ u
+    rotated = np.empty_like(z_tilde)
     for k in range(1, m + 1):
-        predicted = predict(sys, xhat, k)
-        xhat = update(sys, predicted, obs[k - 1], riccati.gains[k - 1], k)
+        a = expand(_response(sys.state_poly(k), mu))
+        b = expand(_response(sys.observation_poly(k), mu))
+        predicted = a * x_tilde
+        x_tilde = predicted + expand(riccati.gain_responses[k - 1]) * (z_tilde[k - 1] - b * predicted)
+        rotated[k - 1] = x_tilde
+    estimates = rotated @ u.T
+
+    states = [KalmanState(step=0, estimate=xhat, error_response=riccati.initial_response, gain_response=None)]
+    for k in range(1, m + 1):
         states.append(
             KalmanState(
                 step=k,
-                estimate=xhat,
-                error_poly=riccati.error_polys[k - 1],
-                gain_poly=riccati.gains[k - 1],
-                error_matrix=None if riccati.error_matrices is None else riccati.error_matrices[k - 1],
-                gain_matrix=None if riccati.gain_matrices is None else riccati.gain_matrices[k - 1],
+                estimate=estimates[k - 1],
+                error_response=riccati.error_responses[k - 1],
+                gain_response=riccati.gain_responses[k - 1],
             )
         )
     return states
 
 
-def filter_spectrum_to_csv(states: list[KalmanState], decomposition, target) -> None:
+def filter_spectrum_to_csv(states: list[KalmanState], sys: DynamicalSystem, target) -> None:
     """Write rows (k, eigenindex, lambda, p_k, g_k); k=0 rows carry no gain."""
-    lam = decomposition.eigenvalues
+    lam = sys.decomposition.eigenvalues
+    expand = sys.spectrum.expand
     lines = ["k,eigenindex,lambda,p,g"]
     for state in states:
-        p_values = np.atleast_1d(state.error_poly(lam))
-        g_values = None if state.gain_poly is None else np.atleast_1d(state.gain_poly(lam))
+        p_values = expand(state.error_response)
+        g_values = None if state.gain_response is None else expand(state.gain_response)
         for idx in range(lam.size):
             g_text = "" if g_values is None else repr(float(g_values[idx]))
             lines.append(
-                f"{state.step},{idx + 1},{lam[idx]!r},{float(p_values[idx])!r},{g_text}"
+                f"{state.step},{idx + 1},{float(lam[idx])!r},{float(p_values[idx])!r},{g_text}"
             )
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
+    write_text(target, "\n".join(lines) + "\n")
 
 
 def filter_estimates_to_csv(states: list[KalmanState], target) -> None:
@@ -356,8 +323,4 @@ def filter_estimates_to_csv(states: list[KalmanState], target) -> None:
     for state in states:
         for vertex in range(1, state.estimate.size + 1):
             lines.append(f"{state.step},{vertex},{float(state.estimate[vertex - 1])!r}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
+    write_text(target, "\n".join(lines) + "\n")

@@ -22,10 +22,10 @@ from .baselines import (
     zero_estimate,
 )
 from .dynamics import DynamicalSystem, covariance_sequence, simulate
-from .experiment import ExperimentConfig, TraceSpec, run_heatmap, write_heatmap_csv
+from .experiment import ExperimentConfig, run_heatmap, write_heatmap_csv
 from .filters import apply_filter, eval_filter, is_polynomial_filter
 from .graphs import Graph, build_shift, cycle_graph, validate_shift
-from .polynomials import Polynomial, lagrange_interpolate, reduce_mod_minimal
+from .polynomials import Polynomial, reduce_mod_minimal
 from .seeding import child_sequence, generator
 from .spectral import distinct_eigenvalues, eigendecompose, minimal_polynomial
 from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filter, whiten
@@ -465,7 +465,7 @@ def _gain_optimality(rng, delta: float = 1e-3) -> tuple[bool, str]:
         sys = random_system(rng, n_max=10, steps=10)
         riccati = kalman_mod.riccati_sequence(sys)
         mu = sys.spectrum.representatives
-        p_values = np.atleast_1d(riccati.initial_error(mu))
+        p_values = riccati.initial_response
         for k in range(1, sys.horizon + 1):
             a = np.atleast_1d(sys.state_poly(k)(mu))
             b = np.atleast_1d(sys.observation_poly(k)(mu))

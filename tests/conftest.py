@@ -1,22 +1,10 @@
-"""Shared fixtures: cycle-graph spectral setups and the full default heatmap.
-
-The default-configuration heatmap is expensive (21x21 cells, 30 trials,
-100 steps), so it is computed once per session and shared between the
-experiment tests and the acceptance suite.
-"""
+"""Shared fixtures: cycle-graph spectral setups."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from graphkalman import (
-    ExperimentConfig,
-    build_shift,
-    cycle_graph,
-    distinct_eigenvalues,
-    eigendecompose,
-)
-from graphkalman.experiment import run_heatmap
+from graphkalman import build_shift, cycle_graph, distinct_eigenvalues, eigendecompose
 
 
 def cycle_laplacian_eigenvalues(n: int) -> np.ndarray:
@@ -42,12 +30,3 @@ def c30():
     spectrum = distinct_eigenvalues(decomposition)
     return graph, shift, decomposition, spectrum
 
-
-@pytest.fixture(scope="session")
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
-@pytest.fixture(scope="session")
-def default_heatmap(default_config):
-    return run_heatmap(default_config)

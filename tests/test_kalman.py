@@ -13,13 +13,11 @@ from graphkalman import (
     eval_filter,
     matrix_error_update,
     matrix_gain,
-    predict,
     riccati_sequence,
     run_filter,
     simulate,
     spectral_error_update,
     spectral_gain,
-    update,
 )
 from graphkalman import kalman as kalman_mod
 from graphkalman.kalman import filter_estimates_to_csv, filter_spectrum_to_csv
@@ -35,46 +33,86 @@ def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30, allow_zero=
     )
 
 
+def _dense_filter(sys, observations, p0, xhat0=None):
+    """Dense Kalman estimates driven by the gains of verify.matrix_riccati_path."""
+    gains, _ = matrix_riccati_path(sys, p0, len(observations))
+    x = np.zeros(sys.n) if xhat0 is None else xhat0
+    out = []
+    for k, (gain, z) in enumerate(zip(gains, observations), start=1):
+        a = eval_filter(sys.state_poly(k), sys.decomposition).matrix
+        b = eval_filter(sys.observation_poly(k), sys.decomposition).matrix
+        predicted = a @ x
+        x = predicted + gain @ (z - b @ predicted)
+        out.append(x)
+    return np.array(out)
+
+
+def _estimates(states):
+    return np.array([state.estimate for state in states[1:]])
+
+
+def _dense_response_matrix(sys, responses):
+    u = sys.decomposition.eigenvectors
+    return (u * sys.spectrum.expand(responses)) @ u.T
+
+
+def _worst_step_gap(estimates, reference):
+    gaps = np.linalg.norm(estimates - reference, axis=1) / np.linalg.norm(reference, axis=1)
+    return float(np.max(gaps))
+
+
 class TestPredictUpdate:
+    """The predict (a x~) and update (+ g (z~ - b a x~)) halves of run_filter's step."""
+
     def test_zero_estimate_predicts_zero(self):
-        sys = _paper_like_system()
-        np.testing.assert_array_equal(predict(sys, np.zeros(30), 1), np.zeros(30))
+        sys = _paper_like_system(horizon=3)
+        states = run_filter(sys, np.zeros((3, 30)), p0=Polynomial.zero())
+        np.testing.assert_array_equal(_estimates(states), np.zeros((3, 30)))
 
     def test_identity_dynamics_keeps_estimate(self):
+        # a = b = 1 and z = xhat: the innovation vanishes at every step
         shift = build_shift(cycle_graph(5), "laplacian")
         sys = DynamicalSystem.from_constant(shift, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 4)
         x = generator(60).standard_normal(5)
-        np.testing.assert_array_equal(predict(sys, x, 2), x)
+        states = run_filter(sys, np.tile(x, (4, 1)), xhat0=x)
+        np.testing.assert_allclose(_estimates(states), np.tile(x, (4, 1)), atol=1e-12)
 
     def test_predict_matches_dense_oracle(self):
-        sys = _paper_like_system()
-        x = generator(61).standard_normal(30)
-        dense = (sys.shift.matrix / 4.0) @ x
-        np.testing.assert_allclose(predict(sys, x, 3), dense, atol=1e-12)
+        # b = 0 makes every gain vanish, so the estimate is the prediction alone
+        sys = DynamicalSystem.from_constant(
+            build_shift(cycle_graph(30), "laplacian"), Polynomial((0.0, 0.25)), Polynomial.zero(), 0.3, 0.5, 2
+        )
+        x0 = generator(61).standard_normal(30)
+        states = run_filter(sys, generator(62).standard_normal((2, 30)), xhat0=x0)
+        dense = (sys.shift.matrix / 4.0) @ x0
+        np.testing.assert_allclose(states[1].estimate, dense, atol=1e-12)
+        np.testing.assert_allclose(states[2].estimate, (sys.shift.matrix / 4.0) @ dense, atol=1e-12)
 
     def test_update_zero_gain_keeps_prediction(self):
-        sys = _paper_like_system()
-        pred = generator(62).standard_normal(30)
-        z = generator(63).standard_normal(30)
-        np.testing.assert_array_equal(update(sys, pred, z, Polynomial.zero(), 1), pred)
+        # no process noise and a certain start: the predicted variance and the gain are zero
+        sys = _paper_like_system(horizon=1, sigma=0.0, allow_zero=True)
+        x0 = generator(63).standard_normal(30)
+        states = run_filter(sys, generator(64).standard_normal((1, 30)), xhat0=x0, p0=Polynomial.zero())
+        np.testing.assert_array_equal(states[1].gain_response, 0.0)
+        np.testing.assert_allclose(states[1].estimate, (sys.shift.matrix / 4.0) @ x0, atol=1e-12)
 
     def test_update_unit_gain_unit_observation_returns_observation(self):
+        # b = 1 with zero observation noise gives the unit gain
         shift = build_shift(cycle_graph(5), "laplacian")
-        sys = DynamicalSystem.from_constant(shift, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 4)
-        pred = generator(64).standard_normal(5)
-        z = generator(65).standard_normal(5)
-        np.testing.assert_allclose(update(sys, pred, z, Polynomial.one(), 1), z, atol=1e-12)
+        sys = DynamicalSystem.from_constant(
+            shift, Polynomial.one(), Polynomial.one(), 1.0, 0.0, 4, allow_zero_noise=True
+        )
+        z = generator(65).standard_normal((4, 5))
+        states = run_filter(sys, z, xhat0=generator(66).standard_normal(5))
+        np.testing.assert_allclose(_estimates(states), z, atol=1e-12)
 
     def test_update_matches_dense_oracle(self):
-        sys = _paper_like_system()
-        riccati = riccati_sequence(sys, p0=Polynomial.zero(), steps=5)
-        pred = generator(66).standard_normal(30)
-        z = generator(67).standard_normal(30)
-        gain = riccati.gains[4]
-        dense_gain = eval_filter(gain, sys.decomposition).matrix
-        dense_obs = eval_filter(sys.observation_poly(5), sys.decomposition).matrix
-        expected = pred + dense_gain @ (z - dense_obs @ pred)
-        np.testing.assert_allclose(update(sys, pred, z, gain, 5), expected, atol=1e-9)
+        sys = _paper_like_system(horizon=5)
+        x0 = generator(67).standard_normal(30)
+        z = generator(68).standard_normal((5, 30))
+        states = run_filter(sys, z, xhat0=x0, p0=Polynomial.zero())
+        expected = _dense_filter(sys, z, Polynomial.zero(), xhat0=x0)
+        assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
 
 class TestSpectralRecursion:
@@ -162,7 +200,9 @@ class TestRunFilter:
         assert len(states) == 1
         assert states[0].step == 0
         np.testing.assert_array_equal(states[0].estimate, np.zeros(30))
-        assert states[0].gain_poly is None
+        assert states[0].gain_response is None
+        h0 = eval_filter(sys.initial_covariance, sys.decomposition).matrix
+        np.testing.assert_array_equal(_dense_response_matrix(sys, states[0].error_response), h0)
 
     def test_noiseless_consistent_system_tracks_exactly(self):
         # invertible unit observation with zero noise: the estimate locks
@@ -177,15 +217,28 @@ class TestRunFilter:
             error = np.linalg.norm(states[k].estimate - trajectory.states[k])
             assert error <= 1e-9 * max(1.0, np.linalg.norm(trajectory.states[k]))
 
-    def test_matrix_check_populates_caches(self):
+    def test_random_system_matches_dense_filter(self):
         sys = random_system(generator(69), n_max=8, steps=10)
         trajectory = simulate(sys, 7)
-        states = run_filter(sys, trajectory.observations, matrix_check=True)
-        assert states[0].error_matrix is not None
-        for state in states[1:]:
-            assert state.error_matrix is not None and state.gain_matrix is not None
-            spectral = eval_filter(state.error_poly, sys.decomposition).matrix
-            assert np.linalg.norm(spectral - state.error_matrix) <= 1e-9 * max(1.0, np.linalg.norm(state.error_matrix))
+        states = run_filter(sys, trajectory.observations)
+        dense_gains, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 10)
+        for state, gain, error in zip(states[1:], dense_gains, dense_errors):
+            spectral_error = _dense_response_matrix(sys, state.error_response)
+            spectral_gain_matrix = _dense_response_matrix(sys, state.gain_response)
+            assert np.linalg.norm(spectral_error - error) <= 1e-9 * max(1.0, np.linalg.norm(error))
+            assert np.linalg.norm(spectral_gain_matrix - gain) <= 1e-9 * max(1.0, np.linalg.norm(gain))
+        expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
+        assert _worst_step_gap(_estimates(states), expected) <= 1e-10
+
+    def test_cycle120_matches_dense_filter(self):
+        # degree-60 monomial gains applied by Horner overflowed to NaN here
+        sys = _paper_like_system(horizon=100, n=120)
+        trajectory = simulate(sys, 120)
+        states = run_filter(sys, trajectory.observations, p0=Polynomial.zero())
+        estimates = _estimates(states)
+        assert np.all(np.isfinite(estimates))
+        expected = _dense_filter(sys, trajectory.observations, Polynomial.zero())
+        assert _worst_step_gap(estimates, expected) <= 1e-10
 
     def test_precomputed_riccati_reused(self):
         sys = _paper_like_system(horizon=10)
@@ -205,10 +258,13 @@ class TestRunFilter:
         # p_0 defaults to the state covariance polynomial so the initial
         # error is stationary
         sys = random_system(generator(70), n_max=8, steps=5, zero_initial=False)
-        states = run_filter(sys, np.zeros((0, sys.n)))
-        assert states[0].error_poly == kalman_mod.reduce_mod_minimal(
-            sys.initial_covariance, sys.minimal_poly
-        )
+        trajectory = simulate(sys, 70)
+        states = run_filter(sys, trajectory.observations)
+        h0 = eval_filter(sys.initial_covariance, sys.decomposition).matrix
+        initial = _dense_response_matrix(sys, states[0].error_response)
+        np.testing.assert_allclose(initial, h0, atol=1e-12)
+        expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
+        assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
     def test_step_error_is_labelled(self, c4):
         _, shift, _, _ = c4
@@ -229,8 +285,13 @@ class TestDualFormMutation:
             return gains, -errors  # sign error in the error-update numerator
 
         monkeypatch.setattr(kalman_mod, "_scalar_riccati", flipped)
-        with pytest.raises(NumericalFailureError, match="disagree"):
-            riccati_sequence(sys, matrix_check=True)
+        riccati = riccati_sequence(sys)
+        _, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 10)
+        gaps = [
+            np.linalg.norm(_dense_response_matrix(sys, response) - dense) / max(1.0, np.linalg.norm(dense))
+            for response, dense in zip(riccati.error_responses, dense_errors)
+        ]
+        assert max(gaps) > 1e-9
 
     def test_sign_error_fails_verify_invariant(self, monkeypatch):
         from graphkalman.verify import run_checks
@@ -253,11 +314,16 @@ class TestCsvExports:
         trajectory = simulate(sys, 5)
         states = run_filter(sys, trajectory.observations)
         buffer = io.StringIO()
-        filter_spectrum_to_csv(states, sys.decomposition, buffer)
+        filter_spectrum_to_csv(states, sys, buffer)
         lines = buffer.getvalue().strip().split("\n")
         assert lines[0] == "k,eigenindex,lambda,p,g"
         assert len(lines) == 1 + 30 * 3  # k = 0..2
         assert lines[1].endswith(",")  # no gain at k=0
+        rows = [line.split(",") for line in lines[1 + 30 * 2:]]
+        np.testing.assert_array_equal([float(row[2]) for row in rows], sys.decomposition.eigenvalues)
+        _, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 2)
+        u = sys.decomposition.eigenvectors
+        np.testing.assert_allclose([float(row[3]) for row in rows], np.diag(u.T @ dense_errors[1] @ u), atol=1e-12)
 
     def test_estimates_table(self):
         sys = _paper_like_system(horizon=2)
