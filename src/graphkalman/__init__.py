@@ -43,7 +43,7 @@ from .experiment import (
     run_heatmap,
     run_trace,
 )
-from .filters import FilterMatrix, MembershipResult, apply_filter, eval_filter, is_polynomial_filter
+from .filters import MembershipResult, apply_filter, eval_filter, is_polynomial_filter
 from .graphs import Graph, GraphShift, build_shift, cycle_graph, validate_shift
 from .kalman import (
     KalmanState,
@@ -72,7 +72,6 @@ __all__ = [
     "DistinctSpectrum",
     "DynamicalSystem",
     "ExperimentConfig",
-    "FilterMatrix",
     "Graph",
     "GraphKalmanError",
     "GraphShift",

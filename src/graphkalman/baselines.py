@@ -65,24 +65,20 @@ def spectral_loewner_less(
 ) -> LoewnerComparison:
     """Loewner comparison of two polynomial filters by per-eigenvalue values."""
     mu = spectrum.representatives
-    left_values = np.atleast_1d(left_poly(mu))
-    right_values = np.atleast_1d(right_poly(mu))
+    left_values = left_poly(mu)
+    right_values = right_poly(mu)
     if tol is None:
         tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(spectrum.expand(right_values)))
     min_eigenvalue = float(np.min(right_values - left_values))
     return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=float(tol), verdict=_verdict(min_eigenvalue, tol))
 
 
-def _pinv_responses(
-    observation_poly: Polynomial, eigenvalues: np.ndarray, pinv_tol: float | None
-) -> np.ndarray:
-    responses = np.atleast_1d(observation_poly(eigenvalues))
+def _passing(responses: np.ndarray, pinv_tol: float | None) -> np.ndarray:
+    """Where the pseudo-inverse inverts: |response| above ``pinv_tol``
+    (default ``PINV_TOL_SCALE * max|response|``)."""
     if pinv_tol is None:
         pinv_tol = PINV_TOL_SCALE * float(np.max(np.abs(responses)))
-    inverted = np.zeros_like(responses)
-    passing = np.abs(responses) > pinv_tol
-    inverted[passing] = 1.0 / responses[passing]
-    return inverted
+    return np.abs(responses) > pinv_tol
 
 
 def inverse_estimate(
@@ -92,15 +88,18 @@ def inverse_estimate(
     pinv_tol: float | None = None,
 ) -> np.ndarray:
     """Static inverse-filtering estimate: invert the observation responses,
-    zeroing frequencies where the response magnitude is below ``pinv_tol``."""
+    zeroing frequencies where the response magnitude is below ``pinv_tol``.
+
+    ``z`` is one observation (n,) or a batch of columns (n, m).
+    """
     z = np.asarray(z, dtype=float)
     if z.shape[0] != decomposition.n:
         raise ValueError(f"observation length {z.shape[0]} does not match graph order {decomposition.n}")
-    inverted = _pinv_responses(observation_poly, decomposition.eigenvalues, pinv_tol)
-    u = decomposition.eigenvectors
-    if z.ndim == 1:
-        return u @ (inverted * (u.T @ z))
-    return u @ (inverted[:, None] * (u.T @ z))
+    responses = observation_poly(decomposition.eigenvalues)
+    passing = _passing(responses, pinv_tol)
+    inverted = np.zeros_like(responses)
+    inverted[passing] = 1.0 / responses[passing]
+    return decomposition.apply(inverted, z)
 
 
 def inverse_error_covariance(
@@ -111,10 +110,8 @@ def inverse_error_covariance(
 ) -> Polynomial:
     """Error covariance polynomial of inverse filtering for an all-pass observation."""
     mu = spectrum.representatives
-    responses = np.atleast_1d(observation_poly(mu))
-    if pinv_tol is None:
-        pinv_tol = PINV_TOL_SCALE * float(np.max(np.abs(responses)))
-    if np.any(np.abs(responses) <= pinv_tol):
+    responses = observation_poly(mu)
+    if not np.all(_passing(responses, pinv_tol)):
         raise NotAllPassError(
             "observation filter vanishes at a distinct eigenvalue; inverse error covariance undefined"
         )

@@ -2,6 +2,13 @@
 
 States evolve as x_k = a_k(S) x_{k-1} + sigma_k e_k and are observed through
 z_k = b_k(S) x_k + sigma_tilde_k e~_k with independent standard white noises.
+A ``DynamicalSystem`` evaluates a_k and b_k once, at the distinct
+eigenvalues, into read-only (T, d) response arrays (T = 1 when time-invariant,
+else the horizon), which the covariance and Kalman recursions read.  Only
+``step_state`` and ``observe`` apply the polynomials themselves, by Horner,
+with no decomposition; ``simulate`` draws a nonzero initial state with
+``stationary.sample``, which colours noise in the eigenbasis.
+
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
 as one scalar update per distinct eigenvalue, ``covariance_sequence``
@@ -43,7 +50,8 @@ class DynamicalSystem:
     """Per-step polynomials and noise levels over a fixed graph shift.
 
     Time-invariant systems store a single polynomial/noise entry; per-step
-    accessors serve both layouts.
+    accessors serve both layouts, and ``response_row(k)`` is the entry that
+    holds step k.
     """
 
     shift: GraphShift
@@ -148,25 +156,39 @@ class DynamicalSystem:
     def initial_model(self) -> StationaryModel:
         return StationaryModel(self.initial_covariance, self.decomposition, self.spectrum)
 
-    def _check_step(self, k: int) -> None:
+    @cached_property
+    def state_responses(self) -> np.ndarray:
+        """a_k at the distinct eigenvalues, shape (T, d); step k is row ``response_row(k)``."""
+        return self._responses(self.state_polys)
+
+    @cached_property
+    def observation_responses(self) -> np.ndarray:
+        """b_k at the distinct eigenvalues, shape (T, d); step k is row ``response_row(k)``."""
+        return self._responses(self.observation_polys)
+
+    def _responses(self, polys: tuple[Polynomial, ...]) -> np.ndarray:
+        mu = self.spectrum.representatives
+        values = np.array([poly(mu) for poly in polys]).reshape(len(polys), mu.size)
+        values.flags.writeable = False
+        return values
+
+    def response_row(self, k: int) -> int:
+        """Index of step k in the per-step tuples and response arrays."""
         if not 1 <= k <= self.horizon:
             raise ValueError(f"step {k} out of range 1..{self.horizon}")
+        return 0 if self.time_invariant else k - 1
 
     def state_poly(self, k: int) -> Polynomial:
-        self._check_step(k)
-        return self.state_polys[0 if self.time_invariant else k - 1]
+        return self.state_polys[self.response_row(k)]
 
     def observation_poly(self, k: int) -> Polynomial:
-        self._check_step(k)
-        return self.observation_polys[0 if self.time_invariant else k - 1]
+        return self.observation_polys[self.response_row(k)]
 
     def state_sigma(self, k: int) -> float:
-        self._check_step(k)
-        return self.state_noise[0 if self.time_invariant else k - 1]
+        return self.state_noise[self.response_row(k)]
 
     def observation_sigma(self, k: int) -> float:
-        self._check_step(k)
-        return self.observation_noise[0 if self.time_invariant else k - 1]
+        return self.observation_noise[self.response_row(k)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +218,6 @@ def step_state(
     sys: DynamicalSystem, x_prev: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One state transition: a_k(S) x_{k-1} + sigma_k * fresh white noise."""
-    sys._check_step(k)
     filtered = apply_filter(sys.state_poly(k), sys.shift, x_prev)
     return filtered + sys.state_sigma(k) * rng.standard_normal(sys.n)
 
@@ -205,7 +226,6 @@ def observe(
     sys: DynamicalSystem, x: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One observation: b_k(S) x_k + sigma_tilde_k * fresh white noise."""
-    sys._check_step(k)
     filtered = apply_filter(sys.observation_poly(k), sys.shift, x)
     return filtered + sys.observation_sigma(k) * rng.standard_normal(sys.n)
 
@@ -227,11 +247,10 @@ def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.nd
         upto = sys.horizon
     if not 0 <= upto <= sys.horizon:
         raise ValueError(f"upto {upto} out of range 0..{sys.horizon}")
-    mu = sys.spectrum.representatives
-    out = np.empty((upto + 1, mu.size))
-    out[0] = sys.initial_covariance(mu)
+    out = np.empty((upto + 1, sys.spectrum.count))
+    out[0] = sys.initial_model.group_variances
     for k in range(1, upto + 1):
-        out[k] = sys.state_poly(k)(mu) ** 2 * out[k - 1] + sys.state_sigma(k) ** 2
+        out[k] = sys.state_responses[sys.response_row(k)] ** 2 * out[k - 1] + sys.state_sigma(k) ** 2
     return out
 
 

@@ -1,7 +1,6 @@
 """Polynomial graph filters: spectral evaluation, spatial application, membership test."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -13,27 +12,14 @@ from .spectral import DistinctSpectrum, SpectralDecomposition
 MEMBERSHIP_TOL_SCALE = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class FilterMatrix:
-    """Dense filter matrix H = U diag(h(lambda)) U^T with its source polynomial."""
-
-    matrix: np.ndarray
-    poly: Polynomial
-    decomposition: SpectralDecomposition
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=float)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-
-def eval_filter(poly: Polynomial, decomposition: SpectralDecomposition) -> FilterMatrix:
-    """Assemble the dense filter matrix from frequency responses h(lambda(n))."""
+def eval_filter(poly: Polynomial, decomposition: SpectralDecomposition) -> np.ndarray:
+    """Dense filter matrix H = U diag(h(lambda)) U^T, symmetrised and read-only."""
     responses = poly(decomposition.eigenvalues)
     u = decomposition.eigenvectors
     matrix = (u * responses) @ u.T
     matrix = 0.5 * (matrix + matrix.T)
-    return FilterMatrix(matrix=matrix, poly=poly, decomposition=decomposition)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def apply_filter(poly: Polynomial, shift: GraphShift, x: np.ndarray) -> np.ndarray:

@@ -8,10 +8,12 @@ eigenvalues:
     gain       gamma = pe * b / (b^2 pe + sigma_tilde^2)
     updated    pi = sigma_tilde^2 * pe / (b^2 pe + sigma_tilde^2)
 
-The recursion and the filter are carried on these frequency responses.
-Filtering moves the observations into the eigenbasis once, updates every
-frequency on its own and moves the estimates back once; gain and error
-polynomials are interpolated only when asked for.  The dense matrix Riccati
+The recursion and the filter are carried on these frequency responses and
+read a and b as rows of the system's response arrays, evaluated once per
+system.  Filtering moves the observations into the eigenbasis once, updates
+every frequency on its own and moves the estimates back once; gain and error
+polynomials are interpolated only when asked for (``NumericalFailureError``
+where an interpolant cannot keep its node values).  The dense matrix Riccati
 step below drives ``verify.matrix_riccati_path``, the oracle that the
 spectral path is checked against.
 """
@@ -24,13 +26,10 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import DynamicalSystem, write_text
-from .errors import (
-    NotPositiveSemidefiniteError,
-    NumericalFailureError,
-    SingularGainError,
-)
+from .errors import NumericalFailureError, SingularGainError
 from .polynomials import Polynomial, lagrange_interpolate
 from .spectral import DistinctSpectrum
+from .stationary import require_psd
 
 INNOVATION_CONDITION_LIMIT = 1e14
 
@@ -68,24 +67,6 @@ def _scalar_riccati(
     return gains, np.zeros_like(predicted)
 
 
-def _response(poly: Polynomial, mu: np.ndarray) -> np.ndarray:
-    return np.atleast_1d(poly(mu))
-
-
-def _riccati_step(
-    p_values: np.ndarray,
-    state_poly: Polynomial,
-    observation_poly: Polynomial,
-    sigma: float,
-    sigma_tilde: float,
-    mu: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and updated error responses at ``mu`` from the previous error responses."""
-    return _scalar_riccati(
-        p_values, _response(state_poly, mu), _response(observation_poly, mu), sigma, sigma_tilde
-    )
-
-
 def spectral_gain(
     p_prev: Polynomial,
     state_poly: Polynomial,
@@ -96,7 +77,7 @@ def spectral_gain(
 ) -> Polynomial:
     """Gain polynomial interpolated from the per-eigenvalue scalar gains."""
     mu = spectrum.representatives
-    gains, _ = _riccati_step(_response(p_prev, mu), state_poly, observation_poly, sigma, sigma_tilde, mu)
+    gains, _ = _scalar_riccati(p_prev(mu), state_poly(mu), observation_poly(mu), sigma, sigma_tilde)
     return lagrange_interpolate(mu, gains)
 
 
@@ -110,12 +91,8 @@ def spectral_error_update(
 ) -> Polynomial:
     """Updated error covariance polynomial interpolated from scalar updates."""
     mu = spectrum.representatives
-    _, errors = _riccati_step(_response(p_prev, mu), state_poly, observation_poly, sigma, sigma_tilde, mu)
+    _, errors = _scalar_riccati(p_prev(mu), state_poly(mu), observation_poly(mu), sigma, sigma_tilde)
     return lagrange_interpolate(mu, errors)
-
-
-def _as_matrix(operand) -> np.ndarray:
-    return np.asarray(getattr(operand, "matrix", operand), dtype=float)
 
 
 def _predicted_covariance(p_prev: np.ndarray, a: np.ndarray, sigma: float) -> np.ndarray:
@@ -137,9 +114,9 @@ def _innovation_solve(predicted: np.ndarray, b: np.ndarray, sigma_tilde: float) 
 
 def matrix_gain(p_prev, state_matrix, observation_matrix, sigma: float, sigma_tilde: float) -> np.ndarray:
     """Dense Kalman gain via a symmetric positive-definite solve."""
-    p = _as_matrix(p_prev)
-    a = _as_matrix(state_matrix)
-    b = _as_matrix(observation_matrix)
+    p = np.asarray(p_prev, dtype=float)
+    a = np.asarray(state_matrix, dtype=float)
+    b = np.asarray(observation_matrix, dtype=float)
     predicted = _predicted_covariance(p, a, sigma)
     return _innovation_solve(predicted, b, sigma_tilde)
 
@@ -153,9 +130,9 @@ def matrix_error_update(
     gain: np.ndarray | None = None,
 ) -> np.ndarray:
     """Dense error covariance update P = (I - K B)(A P A^T + sigma^2 I)."""
-    p = _as_matrix(p_prev)
-    a = _as_matrix(state_matrix)
-    b = _as_matrix(observation_matrix)
+    p = np.asarray(p_prev, dtype=float)
+    a = np.asarray(state_matrix, dtype=float)
+    b = np.asarray(observation_matrix, dtype=float)
     predicted = _predicted_covariance(p, a, sigma)
     if gain is None:
         gain = _innovation_solve(predicted, b, sigma_tilde)
@@ -186,16 +163,6 @@ class RiccatiSequence:
         return tuple(lagrange_interpolate(self.nodes, row) for row in self.error_responses)
 
 
-def _validate_initial_error(p0: Polynomial, spectrum: DistinctSpectrum) -> np.ndarray:
-    values = _response(p0, spectrum.representatives)
-    tol = 1e-10 * max(float(np.max(values)), 0.0)
-    if np.min(values) < -tol:
-        raise NotPositiveSemidefiniteError(
-            f"initial error covariance has negative frequency variance {float(np.min(values)):g}"
-        )
-    return values
-
-
 def riccati_sequence(
     sys: DynamicalSystem,
     p0: Polynomial | None = None,
@@ -213,19 +180,19 @@ def riccati_sequence(
     if not 0 <= steps <= sys.horizon:
         raise ValueError(f"steps {steps} out of range 0..{sys.horizon}")
     mu = sys.spectrum.representatives
-    initial = _validate_initial_error(p0, sys.spectrum)
+    initial = require_psd(p0(mu), "initial error covariance")
     gains = np.empty((steps, mu.size))
     errors = np.empty((steps, mu.size))
     p_values = initial
     for k in range(1, steps + 1):
+        row = sys.response_row(k)
         try:
-            gains[k - 1], p_values = _riccati_step(
+            gains[k - 1], p_values = _scalar_riccati(
                 p_values,
-                sys.state_poly(k),
-                sys.observation_poly(k),
+                sys.state_responses[row],
+                sys.observation_responses[row],
                 sys.state_sigma(k),
                 sys.observation_sigma(k),
-                mu,
             )
         except SingularGainError as exc:
             raise SingularGainError(f"step {k}: {exc}") from exc
@@ -273,18 +240,18 @@ def run_filter(
     elif riccati.gain_responses.shape[0] < m:
         raise ValueError("precomputed riccati sequence is shorter than the observations")
 
-    mu = sys.spectrum.representatives
     expand = sys.spectrum.expand
+    a, b = expand(sys.state_responses), expand(sys.observation_responses)
+    g = expand(riccati.gain_responses[:m])
     u = sys.decomposition.eigenvectors
     xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
     x_tilde = xhat @ u
     z_tilde = obs @ u
     rotated = np.empty_like(z_tilde)
     for k in range(1, m + 1):
-        a = expand(_response(sys.state_poly(k), mu))
-        b = expand(_response(sys.observation_poly(k), mu))
-        predicted = a * x_tilde
-        x_tilde = predicted + expand(riccati.gain_responses[k - 1]) * (z_tilde[k - 1] - b * predicted)
+        row = sys.response_row(k)
+        predicted = a[row] * x_tilde
+        x_tilde = predicted + g[k - 1] * (z_tilde[k - 1] - b[row] * predicted)
         rotated[k - 1] = x_tilde
     estimates = rotated @ u.T
 

@@ -9,6 +9,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .errors import NumericalFailureError
+
 
 def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
     # canonical form: drop exact trailing zeros, keep at least the constant term
@@ -174,16 +176,19 @@ def _interpolation_operator(node_bytes: bytes, count: int) -> tuple[np.ndarray, 
     return hi, lo
 
 
-def _two_prod(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
-    # Dekker splitting; exact product error without FMA
-    product = a * b
-    splitter = 134217729.0  # 2**27 + 1
-    a_big = splitter * a
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Dekker's split: a = a_hi + a_lo, each half exactly representable in 26 bits
+    a_big = 134217729.0 * a  # 2**27 + 1
     a_hi = a_big - (a_big - a)
-    a_lo = a - a_hi
-    b_big = splitter * b
-    b_hi = b_big - (b_big - b)
-    b_lo = b - b_hi
+    return a_hi, a - a_hi
+
+
+def _two_prod(a: np.ndarray, b, b_split) -> tuple[np.ndarray, np.ndarray]:
+    # exact product error without FMA; ``b_split`` is ``_split(b)``, made once
+    # by callers that multiply by the same ``b`` many times
+    product = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = b_split
     err = ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return product, err
 
@@ -200,16 +205,18 @@ def _compensated_horner(coeffs: Sequence[float], tail: Sequence[float], x: np.nd
     parts, accumulated in a second polynomial (Graillat, Langlois & Louvet,
     "Compensated Horner scheme", 2005): about as accurate as Horner run in
     twice the working precision."""
+    x_split = _split(x)
     s = np.full_like(x, coeffs[-1])
     c = np.full_like(x, tail[-1])
     for a, a_lo in zip(coeffs[-2::-1], tail[-2::-1]):
-        product, prod_err = _two_prod(s, x)
+        product, prod_err = _two_prod(s, x, x_split)
         s, sum_err = _two_sum(product, a)
         c = c * x + (prod_err + sum_err + a_lo)
     return s + c
 
 
 TRIM_ULPS = 64
+NODE_RESIDUAL_TOL = 1e-7
 
 
 def _negligible_terms(hi: np.ndarray, lo: np.ndarray, radius: float, floor: float) -> int:
@@ -227,9 +234,10 @@ def lagrange_interpolate(nodes, values) -> Polynomial:
     Applies the exact Lagrange-basis operator (barycentric weights and node
     polynomial deflation) with compensated accumulation.  The result carries
     the double-double coefficients: ``coeffs`` holds the high parts and
-    ``tail`` the low parts, so evaluation is compensated and reproduces the
-    node values to max_j |g(x_j) - y_j| <= 1e-7 * max|y| (near the float64
-    representation floor on well-separated nodes).
+    ``tail`` the low parts, so evaluation is compensated.  The result
+    reproduces the node values to max_j |g(x_j) - y_j| <= 1e-7 * max|y|
+    (``NODE_RESIDUAL_TOL``; near the float64 representation floor on
+    well-separated nodes), and this is checked before it is returned.
 
     Trailing terms are dropped while their summed size on the nodes,
     sum |c_l| * R**l with R = max(1, max|x_j|), stays within
@@ -238,12 +246,16 @@ def lagrange_interpolate(nodes, values) -> Polynomial:
     values themselves.
 
     Raises:
-        ValueError: if two nodes coincide.
+        ValueError: if two nodes coincide or an input is not finite.
+        NumericalFailureError: if the interpolant misses its node values by
+            more than that (also when its coefficients overflow float64).
     """
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
     y = np.atleast_1d(np.asarray(values, dtype=float))
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("nodes and values must be one-dimensional and equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("nodes and values must be finite")
     d = x.size
     if d == 0:
         raise ValueError("need at least one interpolation node")
@@ -253,15 +265,28 @@ def lagrange_interpolate(nodes, values) -> Polynomial:
     if np.any(diff[~np.eye(d, dtype=bool)] == 0.0):
         raise ValueError("interpolation nodes must be pairwise distinct")
 
-    hi, lo = _interpolation_operator(x.tobytes(), d)
-    products, prod_errs = _two_prod(hi, y)
-    lo_terms = lo * y
-    acc = np.zeros(d)
-    comp = np.zeros(d)
-    for j in range(d):
-        acc, sum_err = _two_sum(acc, products[:, j])
-        comp += prod_errs[:, j] + sum_err + lo_terms[:, j]
-    coeffs, tail = _two_sum(acc, comp)
-    floor = TRIM_ULPS * np.finfo(float).eps * float(np.max(np.abs(y)))
-    keep = d - _negligible_terms(coeffs, tail, max(1.0, float(np.max(np.abs(x)))), floor)
-    return Polynomial(tuple(coeffs[:keep]), tail=tuple(tail[:keep]))
+    try:
+        hi, lo = _interpolation_operator(x.tobytes(), d)
+    except OverflowError as exc:
+        raise NumericalFailureError(f"interpolation operator on {d} nodes overflows float64") from exc
+    scale = float(np.max(np.abs(y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        products, prod_errs = _two_prod(hi, y, _split(y))
+        lo_terms = lo * y
+        acc = np.zeros(d)
+        comp = np.zeros(d)
+        for j in range(d):
+            acc, sum_err = _two_sum(acc, products[:, j])
+            comp += prod_errs[:, j] + sum_err + lo_terms[:, j]
+        coeffs, tail = _two_sum(acc, comp)
+        floor = TRIM_ULPS * np.finfo(float).eps * scale
+        keep = d - _negligible_terms(coeffs, tail, max(1.0, float(np.max(np.abs(x)))), floor)
+        coeffs, tail = coeffs[:keep], tail[:keep]
+        # non-finite coefficients give a non-finite residual
+        residual = float(np.max(np.abs(_compensated_horner(coeffs, tail, x) - y)))
+    if not residual <= NODE_RESIDUAL_TOL * scale:
+        raise NumericalFailureError(
+            f"interpolant on {d} nodes misses its node values by {residual:.3g}"
+            f" (allowed {NODE_RESIDUAL_TOL:g} * max|y| = {NODE_RESIDUAL_TOL * scale:.3g})"
+        )
+    return Polynomial(tuple(coeffs), tail=tuple(tail))

@@ -34,6 +34,13 @@ class SpectralDecomposition:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
+    def apply(self, responses: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """U diag(responses) U^T x, with one response per eigenindex, for a
+        signal of shape (n,) or a batch of columns of shape (n, m)."""
+        u = self.eigenvectors
+        column = np.asarray(responses).reshape((-1,) + (1,) * (np.ndim(x) - 1))
+        return u @ (column * (u.T @ x))
+
 
 def eigendecompose(shift: GraphShift) -> SpectralDecomposition:
     """Orthogonal eigendecomposition of a symmetric graph shift."""
@@ -82,8 +89,9 @@ class DistinctSpectrum:
         return sums / self.multiplicities
 
     def expand(self, group_values: np.ndarray) -> np.ndarray:
-        """Broadcast per-group values back to per-eigenindex order."""
-        return np.asarray(group_values, dtype=float)[self.group_index]
+        """Broadcast per-group values back to per-eigenindex order along the
+        last axis, so a (T, d) array of responses becomes (T, n)."""
+        return np.asarray(group_values, dtype=float)[..., self.group_index]
 
 
 def default_grouping_tol(decomposition: SpectralDecomposition) -> float:

@@ -1,9 +1,11 @@
 """Stationary graph signals: covariance polynomials, coloring, whitening, fitting.
 
 A zero-mean random signal is stationary when its covariance matrix is a
-polynomial of the graph shift.  Such signals are generated by driving the
-square-root filter with white noise, and mapped back to white noise by
-inverting the nonzero frequency responses.
+polynomial of the graph shift.  A ``StationaryModel`` evaluates that
+polynomial once, at the distinct eigenvalues (``group_variances``).
+``sample`` colours white noise e in the eigenbasis, U diag(sqrt(h)) U^T e,
+and ``whiten`` inverts the nonzero responses there; ``sqrt_filter``
+interpolates the square-root responses only when the polynomial is asked for.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotPositiveSemidefiniteError
-from .filters import apply_filter, eval_filter
+from .filters import eval_filter
 from .polynomials import Polynomial, lagrange_interpolate
 from .spectral import DistinctSpectrum, SpectralDecomposition, distinct_eigenvalues
 
@@ -40,40 +42,28 @@ class StationaryModel:
         return cls(covariance_poly, decomposition, spectrum)
 
     @cached_property
-    def frequency_variances(self) -> np.ndarray:
-        """Raw variances h(lambda(n)), one per eigenindex."""
-        values = np.atleast_1d(self.covariance_poly(self.decomposition.eigenvalues))
-        values.flags.writeable = False
-        return values
-
-    @cached_property
     def group_variances(self) -> np.ndarray:
         """Raw variances at the distinct-eigenvalue representatives."""
-        values = np.atleast_1d(self.covariance_poly(self.spectrum.representatives))
+        values = self.covariance_poly(self.spectrum.representatives)
         values.flags.writeable = False
         return values
-
-    @property
-    def psd_tol(self) -> float:
-        return PSD_TOL_SCALE * max(float(np.max(self.group_variances)), 0.0)
-
-    @property
-    def is_psd(self) -> bool:
-        return bool(np.min(self.group_variances) >= -self.psd_tol)
 
     def clamped_group_variances(self) -> np.ndarray:
         """Group variances with tiny negative values clamped to zero.
 
         Raises:
-            NotPositiveSemidefiniteError: if a variance is below -psd_tol.
+            NotPositiveSemidefiniteError: as ``require_psd``.
         """
-        values = self.group_variances
-        if np.min(values) < -self.psd_tol:
-            worst = float(np.min(values))
-            raise NotPositiveSemidefiniteError(
-                f"covariance polynomial has negative frequency variance {worst:g}"
-            )
-        return np.maximum(values, 0.0)
+        return np.maximum(require_psd(self.group_variances, "covariance polynomial"), 0.0)
+
+
+def require_psd(values: np.ndarray, what: str) -> np.ndarray:
+    """Return frequency variances ``values`` unchanged unless one is below
+    ``-PSD_TOL_SCALE * max(values)``; then raise NotPositiveSemidefiniteError."""
+    worst = float(np.min(values))
+    if worst < -PSD_TOL_SCALE * max(float(np.max(values)), 0.0):
+        raise NotPositiveSemidefiniteError(f"{what} has negative frequency variance {worst:g}")
+    return values
 
 
 def sqrt_filter(model: StationaryModel) -> Polynomial:
@@ -85,15 +75,16 @@ def sqrt_filter(model: StationaryModel) -> Polynomial:
 def sample(
     model: StationaryModel, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
-    """Draw stationary signals by coloring standard white noise.
+    """Draw stationary signals by coloring standard white noise e in the
+    eigenbasis: U diag(sqrt(h(lambda))) U^T e.
 
     Returns shape (n,) for ``size=None``, else (n, size).
     """
-    g = sqrt_filter(model)
     n = model.decomposition.n
     shape = (n,) if size is None else (n, size)
     noise = rng.standard_normal(shape)
-    return apply_filter(g, model.decomposition.shift, noise)
+    scale = model.spectrum.expand(np.sqrt(model.clamped_group_variances()))
+    return model.decomposition.apply(scale, noise)
 
 
 def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> np.ndarray:
@@ -136,6 +127,6 @@ def fit_covariance_poly(
     diagonal = np.einsum("in,ij,jn->n", u, c, u)
     group_values = spectrum.group_means(diagonal)
     poly = lagrange_interpolate(spectrum.representatives, group_values)
-    fitted = eval_filter(poly, decomposition).matrix
+    fitted = eval_filter(poly, decomposition)
     residual = np.linalg.norm(c - fitted) / max(1.0, np.linalg.norm(c))
     return poly, float(residual)

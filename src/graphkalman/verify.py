@@ -131,12 +131,12 @@ def random_system(
 
 def matrix_riccati_path(sys: DynamicalSystem, p0: Polynomial, steps: int):
     """Dense-recursion gains and error covariances, independent of the spectral path."""
-    p = eval_filter(reduce_mod_minimal(p0, sys.minimal_poly), sys.decomposition).matrix
+    p = eval_filter(reduce_mod_minimal(p0, sys.minimal_poly), sys.decomposition)
     gains = []
     errors = []
     for k in range(1, steps + 1):
-        a = eval_filter(sys.state_poly(k), sys.decomposition).matrix
-        b = eval_filter(sys.observation_poly(k), sys.decomposition).matrix
+        a = eval_filter(sys.state_poly(k), sys.decomposition)
+        b = eval_filter(sys.observation_poly(k), sys.decomposition)
         gain = kalman_mod.matrix_gain(p, a, b, sys.state_sigma(k), sys.observation_sigma(k))
         p = kalman_mod.matrix_error_update(
             p, a, b, sys.state_sigma(k), sys.observation_sigma(k), gain=gain
@@ -153,15 +153,15 @@ def joint_error_covariances(sys: DynamicalSystem, riccati, steps: int):
     dense linear propagation of the joint covariance, with xhat_0 = 0.
     """
     n = sys.n
-    h0 = eval_filter(reduce_mod_minimal(sys.initial_covariance, sys.minimal_poly), sys.decomposition).matrix
+    h0 = eval_filter(reduce_mod_minimal(sys.initial_covariance, sys.minimal_poly), sys.decomposition)
     joint = np.zeros((2 * n, 2 * n))
     joint[:n, :n] = h0
     eye = np.eye(n)
     out = []
     for k in range(1, steps + 1):
-        a = eval_filter(sys.state_poly(k), sys.decomposition).matrix
-        b = eval_filter(sys.observation_poly(k), sys.decomposition).matrix
-        gain = eval_filter(riccati.gains[k - 1], sys.decomposition).matrix
+        a = eval_filter(sys.state_poly(k), sys.decomposition)
+        b = eval_filter(sys.observation_poly(k), sys.decomposition)
+        gain = eval_filter(riccati.gains[k - 1], sys.decomposition)
         sigma = sys.state_sigma(k)
         sigma_tilde = sys.observation_sigma(k)
         kb = gain @ b
@@ -281,9 +281,9 @@ def check_poly_filter() -> list[CheckResult]:
         p_s = minimal_polynomial(spectrum)
         f = random_polynomial(rng, 6)
         g = random_polynomial(rng, 6)
-        ef, eg = eval_filter(f, decomp).matrix, eval_filter(g, decomp).matrix
-        sum_gap = np.linalg.norm(eval_filter(f + g, decomp).matrix - (ef + eg))
-        prod = eval_filter(f * g, decomp).matrix
+        ef, eg = eval_filter(f, decomp), eval_filter(g, decomp)
+        sum_gap = np.linalg.norm(eval_filter(f + g, decomp) - (ef + eg))
+        prod = eval_filter(f * g, decomp)
         prod_gap = np.linalg.norm(prod - ef @ eg)
         scale = max(1.0, np.linalg.norm(ef) + np.linalg.norm(eg), np.linalg.norm(prod))
         worst_hom = max(worst_hom, float(sum_gap / scale), float(prod_gap / scale))
@@ -295,16 +295,16 @@ def check_poly_filter() -> list[CheckResult]:
         high = random_polynomial(rng, 12)
         reduced = reduce_mod_minimal(high, p_s)
         red_gap = np.linalg.norm(
-            eval_filter(high, decomp).matrix - eval_filter(reduced, decomp).matrix
+            eval_filter(high, decomp) - eval_filter(reduced, decomp)
         )
-        worst_reduce = max(worst_reduce, float(red_gap / max(1.0, np.linalg.norm(eval_filter(high, decomp).matrix))))
+        worst_reduce = max(worst_reduce, float(red_gap / max(1.0, np.linalg.norm(eval_filter(high, decomp)))))
     for _ in range(100):
         shift = random_shift(rng, int(rng.integers(4, 11)))
         decomp = eigendecompose(shift)
         h = random_polynomial(rng, 6)
         x = rng.standard_normal(shift.n)
         spatial = apply_filter(h, shift, x)
-        spectral = eval_filter(h, decomp).matrix @ x
+        spectral = eval_filter(h, decomp) @ x
         worst_spatial = max(
             worst_spatial,
             float(np.linalg.norm(spatial - spectral) / max(1e-30, np.linalg.norm(spectral))),
@@ -359,9 +359,9 @@ def check_stationary() -> list[CheckResult]:
         h = random_psd_poly(rng)
         model = StationaryModel(h, decomp, spectrum)
         q = random_polynomial(rng, 3)
-        hs = eval_filter(h, decomp).matrix
-        qs = eval_filter(q, decomp).matrix
-        closure_gap = np.linalg.norm(qs @ hs @ qs - eval_filter(q * q * h, decomp).matrix)
+        hs = eval_filter(h, decomp)
+        qs = eval_filter(q, decomp)
+        closure_gap = np.linalg.norm(qs @ hs @ qs - eval_filter(q * q * h, decomp))
         worst_closure = max(worst_closure, float(closure_gap))
         x = sample(model, rng)
         noise = whiten(x, model, rng)
@@ -385,12 +385,12 @@ def check_dynamics() -> list[CheckResult]:
     for _ in range(10):
         sys = random_system(rng, n_max=10, steps=20)
         hs = covariance_sequence(sys)
-        cov = eval_filter(hs[0], sys.decomposition).matrix
+        cov = eval_filter(hs[0], sys.decomposition)
         for k in range(1, 21):
-            a = eval_filter(sys.state_poly(k), sys.decomposition).matrix
+            a = eval_filter(sys.state_poly(k), sys.decomposition)
             cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
             cov = 0.5 * (cov + cov.T)
-            gap = np.linalg.norm(cov - eval_filter(hs[k], sys.decomposition).matrix)
+            gap = np.linalg.norm(cov - eval_filter(hs[k], sys.decomposition))
             worst_cov = max(worst_cov, float(gap))
     stream_ok = True
     sys = random_system(generator(506), n_max=8, steps=12, zero_initial=False)
@@ -422,8 +422,8 @@ def check_kalman() -> list[CheckResult]:
         riccati = kalman_mod.riccati_sequence(sys)
         dense_gains, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, sys.horizon)
         for k in range(sys.horizon):
-            p_spec = eval_filter(riccati.error_polys[k], sys.decomposition).matrix
-            g_spec = eval_filter(riccati.gains[k], sys.decomposition).matrix
+            p_spec = eval_filter(riccati.error_polys[k], sys.decomposition)
+            g_spec = eval_filter(riccati.gains[k], sys.decomposition)
             p_gap = np.linalg.norm(p_spec - dense_errors[k]) / max(1.0, np.linalg.norm(dense_errors[k]))
             g_gap = np.linalg.norm(g_spec - dense_gains[k]) / max(1.0, np.linalg.norm(dense_gains[k]))
             worst_dual = max(worst_dual, float(p_gap), float(g_gap))
@@ -441,7 +441,7 @@ def check_kalman() -> list[CheckResult]:
         joint = joint_error_covariances(sys, riccati, sys.horizon)
         for k, (err_cov, est_cov) in enumerate(joint, start=1):
             gap = np.linalg.norm(
-                err_cov - eval_filter(riccati.error_polys[k - 1], sys.decomposition).matrix
+                err_cov - eval_filter(riccati.error_polys[k - 1], sys.decomposition)
             )
             worst_stationarity = max(worst_stationarity, float(gap))
             _, residual = fit_covariance_poly(est_cov, sys.decomposition, sys.spectrum)
@@ -493,9 +493,9 @@ def _mse_identity(rng, trials: int = 10_000) -> tuple[bool, str]:
     x = sample(sys.initial_model, rng, size=trials)
     xhat = np.zeros((n, trials))
     for k in range(1, sys.horizon + 1):
-        a = eval_filter(sys.state_poly(k), sys.decomposition).matrix
-        b = eval_filter(sys.observation_poly(k), sys.decomposition).matrix
-        gain = eval_filter(riccati.gains[k - 1], sys.decomposition).matrix
+        a = eval_filter(sys.state_poly(k), sys.decomposition)
+        b = eval_filter(sys.observation_poly(k), sys.decomposition)
+        gain = eval_filter(riccati.gains[k - 1], sys.decomposition)
         x = a @ x + sys.state_sigma(k) * rng.standard_normal((n, trials))
         z = b @ x + sys.observation_sigma(k) * rng.standard_normal((n, trials))
         pred = a @ xhat
@@ -525,9 +525,9 @@ def check_baselines() -> list[CheckResult]:
             p_poly = riccati.error_polys[k - 1]
             inv_poly = inverse_error_covariance(sys.observation_poly(k), sys.observation_sigma(k), sys.spectrum)
             h_poly = hs[k]
-            p_mat = eval_filter(p_poly, sys.decomposition).matrix
+            p_mat = eval_filter(p_poly, sys.decomposition)
             for right_poly, tracker in ((inv_poly, "inverse"), (h_poly, "zero")):
-                right_mat = eval_filter(right_poly, sys.decomposition).matrix
+                right_mat = eval_filter(right_poly, sys.decomposition)
                 matrix_cmp = loewner_less(p_mat, right_mat)
                 spectral_cmp = spectral_loewner_less(p_poly, right_poly, sys.spectrum)
                 scalar_strict = bool(

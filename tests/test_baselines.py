@@ -137,9 +137,9 @@ class TestLoewner:
         )
         riccati = riccati_sequence(sys, p0=Polynomial.zero())
         inverse_poly = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, sys.spectrum)
-        inverse_matrix = eval_filter(inverse_poly, sys.decomposition).matrix
+        inverse_matrix = eval_filter(inverse_poly, sys.decomposition)
         for k in range(1, 26):
-            p_matrix = eval_filter(riccati.error_polys[k - 1], sys.decomposition).matrix
+            p_matrix = eval_filter(riccati.error_polys[k - 1], sys.decomposition)
             assert loewner_less(p_matrix, inverse_matrix).verdict == "strict"
 
     def test_matrix_and_spectral_verdicts_agree(self):
@@ -152,8 +152,8 @@ class TestLoewner:
                 left = riccati.error_polys[k - 1]
                 right = hs[k]
                 matrix_cmp = loewner_less(
-                    eval_filter(left, sys.decomposition).matrix,
-                    eval_filter(right, sys.decomposition).matrix,
+                    eval_filter(left, sys.decomposition),
+                    eval_filter(right, sys.decomposition),
                 )
                 spectral_cmp = spectral_loewner_less(left, right, sys.spectrum)
                 assert matrix_cmp.verdict == spectral_cmp.verdict

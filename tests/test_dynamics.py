@@ -107,7 +107,7 @@ class TestObserve:
     def test_observation_matrix_is_half_adjacency(self, c30):
         # b(t) = 1 - t/2 on the cycle Laplacian realizes W/2
         graph, shift, decomposition, _ = c30
-        b_matrix = eval_filter(Polynomial((1.0, -0.5)), decomposition).matrix
+        b_matrix = eval_filter(Polynomial((1.0, -0.5)), decomposition)
         np.testing.assert_allclose(b_matrix, graph.weight_matrix / 2.0, atol=1e-12)
 
     def test_dense_oracle(self, c30):
@@ -147,11 +147,11 @@ class TestCovarianceRecursion:
         for _ in range(8):
             sys = random_system(rng, n_max=10, steps=20)
             hs = covariance_sequence(sys)
-            cov = eval_filter(hs[0], sys.decomposition).matrix
+            cov = eval_filter(hs[0], sys.decomposition)
             for k in range(1, sys.horizon + 1):
-                a = eval_filter(sys.state_poly(k), sys.decomposition).matrix
+                a = eval_filter(sys.state_poly(k), sys.decomposition)
                 cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
-                gap = np.linalg.norm(cov - eval_filter(hs[k], sys.decomposition).matrix)
+                gap = np.linalg.norm(cov - eval_filter(hs[k], sys.decomposition))
                 assert gap <= 1e-8
 
 

@@ -20,25 +20,26 @@ from graphkalman.verify import random_polynomial, random_shift
 class TestEvalFilter:
     def test_constant_one_gives_identity(self, c4):
         _, _, decomposition, _ = c4
-        h = eval_filter(Polynomial.one(), decomposition).matrix
+        h = eval_filter(Polynomial.one(), decomposition)
         np.testing.assert_allclose(h, np.eye(4), atol=1e-12)
 
     def test_identity_polynomial_returns_shift(self, c4):
         _, shift, decomposition, _ = c4
-        h = eval_filter(Polynomial.identity(), decomposition).matrix
+        h = eval_filter(Polynomial.identity(), decomposition)
         np.testing.assert_allclose(h, shift.matrix, atol=1e-12)
 
     def test_quarter_laplacian_state_matrix(self, c30):
         _, shift, decomposition, _ = c30
-        a = eval_filter(Polynomial((0.0, 0.25)), decomposition).matrix
+        a = eval_filter(Polynomial((0.0, 0.25)), decomposition)
         np.testing.assert_allclose(a, shift.matrix / 4.0, atol=1e-12)
 
     def test_result_symmetric(self):
         rng = generator(31)
         shift = random_shift(rng, 9)
         decomposition = eigendecompose(shift)
-        h = eval_filter(random_polynomial(rng, 5), decomposition).matrix
+        h = eval_filter(random_polynomial(rng, 5), decomposition)
         np.testing.assert_array_equal(h, h.T)
+        assert isinstance(h, np.ndarray) and not h.flags.writeable
 
 
 class TestApplyFilter:
@@ -79,7 +80,7 @@ class TestApplyFilter:
             h = random_polynomial(rng, 6)
             x = rng.standard_normal(shift.n)
             spatial = apply_filter(h, shift, x)
-            spectral = eval_filter(h, decomposition).matrix @ x
+            spectral = eval_filter(h, decomposition) @ x
             assert np.linalg.norm(spatial - spectral) <= 1e-9 * max(1e-30, np.linalg.norm(spectral))
 
 
@@ -90,10 +91,10 @@ class TestAlgebraHomomorphism:
             shift = random_shift(rng, int(rng.integers(4, 11)))
             decomposition = eigendecompose(shift)
             f, g = random_polynomial(rng, 6), random_polynomial(rng, 6)
-            ef = eval_filter(f, decomposition).matrix
-            eg = eval_filter(g, decomposition).matrix
-            esum = eval_filter(f + g, decomposition).matrix
-            eprod = eval_filter(f * g, decomposition).matrix
+            ef = eval_filter(f, decomposition)
+            eg = eval_filter(g, decomposition)
+            esum = eval_filter(f + g, decomposition)
+            eprod = eval_filter(f * g, decomposition)
             scale = max(1.0, np.linalg.norm(ef), np.linalg.norm(eg), np.linalg.norm(eprod))
             assert np.linalg.norm(esum - (ef + eg)) <= 1e-8 * scale
             assert np.linalg.norm(eprod - ef @ eg) <= 1e-8 * scale
@@ -103,7 +104,7 @@ class TestAlgebraHomomorphism:
         for _ in range(10):
             shift = random_shift(rng, int(rng.integers(4, 11)))
             decomposition = eigendecompose(shift)
-            h = eval_filter(random_polynomial(rng, 6), decomposition).matrix
+            h = eval_filter(random_polynomial(rng, 6), decomposition)
             bound = 1e-8 * max(1e-30, np.linalg.norm(h) * np.linalg.norm(shift.matrix))
             assert np.linalg.norm(h @ shift.matrix - shift.matrix @ h) <= bound
 
@@ -115,8 +116,8 @@ class TestAlgebraHomomorphism:
             spectrum = distinct_eigenvalues(decomposition)
             p_s = minimal_polynomial(spectrum)
             f = random_polynomial(rng, 12)
-            full = eval_filter(f, decomposition).matrix
-            reduced = eval_filter(reduce_mod_minimal(f, p_s), decomposition).matrix
+            full = eval_filter(f, decomposition)
+            reduced = eval_filter(reduce_mod_minimal(f, p_s), decomposition)
             assert np.linalg.norm(full - reduced) <= 1e-7 * max(1.0, np.linalg.norm(full))
 
 
@@ -127,7 +128,7 @@ class TestMembership:
         rng = generator(36)
         for _ in range(10):
             h = random_polynomial(rng, 6)
-            result = is_polynomial_filter(eval_filter(h, decomposition).matrix, decomposition, spectrum)
+            result = is_polynomial_filter(eval_filter(h, decomposition), decomposition, spectrum)
             assert result.is_member
             expected = reduce_mod_minimal(h, p_s)
             np.testing.assert_allclose(result.witness.coeffs, expected.coeffs, atol=1e-7)
@@ -160,7 +161,7 @@ class TestMembership:
     def test_witness_reproduces_matrix(self, c30):
         _, _, decomposition, spectrum = c30
         h = Polynomial((0.3, -0.2, 0.05))
-        matrix = eval_filter(h, decomposition).matrix
+        matrix = eval_filter(h, decomposition)
         result = is_polynomial_filter(matrix, decomposition, spectrum)
-        rebuilt = eval_filter(result.witness, decomposition).matrix
+        rebuilt = eval_filter(result.witness, decomposition)
         assert np.linalg.norm(rebuilt - matrix) <= 1e-8 * max(1.0, np.linalg.norm(matrix))

@@ -20,6 +20,7 @@ from graphkalman import (
     spectral_gain,
 )
 from graphkalman import kalman as kalman_mod
+from graphkalman.dynamics import covariance_responses
 from graphkalman.kalman import filter_estimates_to_csv, filter_spectrum_to_csv
 from graphkalman.seeding import generator
 from graphkalman.verify import matrix_riccati_path, random_system
@@ -39,8 +40,8 @@ def _dense_filter(sys, observations, p0, xhat0=None):
     x = np.zeros(sys.n) if xhat0 is None else xhat0
     out = []
     for k, (gain, z) in enumerate(zip(gains, observations), start=1):
-        a = eval_filter(sys.state_poly(k), sys.decomposition).matrix
-        b = eval_filter(sys.observation_poly(k), sys.decomposition).matrix
+        a = eval_filter(sys.state_poly(k), sys.decomposition)
+        b = eval_filter(sys.observation_poly(k), sys.decomposition)
         predicted = a @ x
         x = predicted + gain @ (z - b @ predicted)
         out.append(x)
@@ -187,8 +188,8 @@ class TestMatrixRecursion:
         riccati = riccati_sequence(sys, p0=Polynomial.zero())
         dense_gains, dense_errors = matrix_riccati_path(sys, Polynomial.zero(), 20)
         for k in range(20):
-            p_spec = eval_filter(riccati.error_polys[k], sys.decomposition).matrix
-            g_spec = eval_filter(riccati.gains[k], sys.decomposition).matrix
+            p_spec = eval_filter(riccati.error_polys[k], sys.decomposition)
+            g_spec = eval_filter(riccati.gains[k], sys.decomposition)
             assert np.linalg.norm(p_spec - dense_errors[k]) <= 1e-9 * max(1.0, np.linalg.norm(dense_errors[k]))
             assert np.linalg.norm(g_spec - dense_gains[k]) <= 1e-9 * max(1.0, np.linalg.norm(dense_gains[k]))
 
@@ -201,7 +202,7 @@ class TestRunFilter:
         assert states[0].step == 0
         np.testing.assert_array_equal(states[0].estimate, np.zeros(30))
         assert states[0].gain_response is None
-        h0 = eval_filter(sys.initial_covariance, sys.decomposition).matrix
+        h0 = eval_filter(sys.initial_covariance, sys.decomposition)
         np.testing.assert_array_equal(_dense_response_matrix(sys, states[0].error_response), h0)
 
     def test_noiseless_consistent_system_tracks_exactly(self):
@@ -260,7 +261,7 @@ class TestRunFilter:
         sys = random_system(generator(70), n_max=8, steps=5, zero_initial=False)
         trajectory = simulate(sys, 70)
         states = run_filter(sys, trajectory.observations)
-        h0 = eval_filter(sys.initial_covariance, sys.decomposition).matrix
+        h0 = eval_filter(sys.initial_covariance, sys.decomposition)
         initial = _dense_response_matrix(sys, states[0].error_response)
         np.testing.assert_allclose(initial, h0, atol=1e-12)
         expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
@@ -273,6 +274,60 @@ class TestRunFilter:
         )
         with pytest.raises(SingularGainError, match="step 1"):
             run_filter(sys, np.zeros((4, 4)))
+
+
+class TestInterpolatedGains:
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_gains_keep_their_node_values(self, n):
+        riccati = riccati_sequence(_paper_like_system(horizon=100, n=n), p0=Polynomial.zero())
+        for gain, row in zip(riccati.gains, riccati.gain_responses):
+            assert np.max(np.abs(gain(riccati.nodes) - row)) <= 1e-7 * np.max(np.abs(row))
+
+    def test_gains_on_cycle120_raise(self):
+        # 61 nodes on [0, 4]: the double-double monomial interpolants miss
+        # their node values by about 1e12 relative
+        riccati = riccati_sequence(_paper_like_system(horizon=100, n=120), p0=Polynomial.zero())
+        with pytest.raises(NumericalFailureError, match="node values"):
+            riccati.gains
+
+
+class TestTimeVarying:
+    def test_responses_filter_and_covariance_match_dense(self):
+        shift = build_shift(cycle_graph(10), "laplacian")
+        steps = range(1, 6)
+        sys = DynamicalSystem.from_sequences(
+            shift,
+            state_polys=[Polynomial((0.5, 0.1 * k)) for k in steps],
+            observation_polys=[Polynomial((1.0, -0.2 * k)) for k in steps],
+            sigmas=[0.2 * k for k in steps],
+            sigma_tildes=[1.2 - 0.2 * k for k in steps],
+            initial_covariance=Polynomial((0.5, 0.1)),
+        )
+        assert sys.state_responses.shape == sys.observation_responses.shape == (5, sys.spectrum.count)
+        assert not sys.state_responses.flags.writeable
+
+        riccati = riccati_sequence(sys)
+        dense_gains, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 5)
+        for gain, error, dense_gain, dense_error in zip(
+            riccati.gain_responses, riccati.error_responses, dense_gains, dense_errors
+        ):
+            gain_gap = np.linalg.norm(_dense_response_matrix(sys, gain) - dense_gain)
+            error_gap = np.linalg.norm(_dense_response_matrix(sys, error) - dense_error)
+            assert gain_gap <= 1e-9 * max(1.0, np.linalg.norm(dense_gain))
+            assert error_gap <= 1e-9 * max(1.0, np.linalg.norm(dense_error))
+
+        trajectory = simulate(sys, 72)
+        states = run_filter(sys, trajectory.observations)
+        expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
+        assert _worst_step_gap(_estimates(states), expected) <= 1e-10
+
+        cov = eval_filter(sys.initial_covariance, sys.decomposition)
+        for k, response in enumerate(covariance_responses(sys)):
+            if k:
+                a = eval_filter(sys.state_poly(k), sys.decomposition)
+                cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
+            gap = np.linalg.norm(_dense_response_matrix(sys, response) - cov)
+            assert gap <= 1e-10 * np.linalg.norm(cov)
 
 
 class TestDualFormMutation:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphkalman import Polynomial, lagrange_interpolate, reduce_mod_minimal
+from graphkalman import NumericalFailureError, Polynomial, lagrange_interpolate, reduce_mod_minimal
 
 
 class TestCanonicalForm:
@@ -96,6 +98,12 @@ class TestLagrangeInterpolation:
         with pytest.raises(ValueError, match="distinct"):
             lagrange_interpolate([1.0, 1.0], [0.0, 1.0])
 
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            lagrange_interpolate([0.0, 1.0], [0.0, np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            lagrange_interpolate([0.0, np.inf], [0.0, 1.0])
+
     def test_residual_bound_on_random_nodes(self):
         # documented contract: max_j |g(x_j) - y_j| <= 1e-7 * max|y|
         rng = np.random.default_rng(7)
@@ -117,6 +125,20 @@ class TestLagrangeInterpolation:
         values = rng.uniform(0.0, 1.0, spectrum.count)
         g = lagrange_interpolate(spectrum.representatives, values)
         assert np.max(np.abs(g(spectrum.representatives) - values)) <= 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.data())
+    def test_node_contract_or_numerical_failure(self, data):
+        # distinct nodes may lie arbitrarily close together, where no float64
+        # interpolant keeps the node values; then the failure must be named
+        d = data.draw(st.integers(2, 20))
+        nodes = np.array(data.draw(st.lists(st.floats(0.0, 4.0), min_size=d, max_size=d, unique=True)))
+        values = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+        try:
+            g = lagrange_interpolate(nodes, values)
+        except NumericalFailureError:
+            return
+        assert np.max(np.abs(g(nodes) - values)) <= 1e-7 * np.max(np.abs(values))
 
     def test_matches_small_vandermonde_solve(self):
         # oracle: direct Vandermonde solve is stable at tiny degree

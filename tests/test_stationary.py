@@ -57,8 +57,8 @@ class TestSqrtFilter:
             spectrum = distinct_eigenvalues(decomposition)
             h = random_psd_poly(rng)
             g = sqrt_filter(_model(h, decomposition, spectrum))
-            gs = eval_filter(g, decomposition).matrix
-            hs = eval_filter(h, decomposition).matrix
+            gs = eval_filter(g, decomposition)
+            hs = eval_filter(h, decomposition)
             assert np.linalg.norm(gs @ gs - hs) <= 1e-6 * max(1e-30, np.linalg.norm(hs))
 
 
@@ -80,6 +80,18 @@ class TestSample:
         assert sample(model, generator(3)).shape == (4,)
         assert sample(model, generator(3), size=7).shape == (4, 7)
 
+    def test_matches_eigenbasis_colouring_on_cycle60(self):
+        # C_60 is where colouring by Horner on an interpolated sqrt filter's
+        # monomial coefficients breaks down (about 70 relative)
+        decomposition = eigendecompose(build_shift(cycle_graph(60), "laplacian"))
+        h = Polynomial((1.0, -0.5)) ** 2 + 0.01
+        model = _model(h, decomposition, distinct_eigenvalues(decomposition))
+        draws = sample(model, generator(60), size=100)
+        noise = generator(60).standard_normal((60, 100))
+        u = decomposition.eigenvectors
+        expected = u @ (np.sqrt(h(decomposition.eigenvalues))[:, None] * (u.T @ noise))
+        assert np.linalg.norm(draws - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_empirical_covariance_on_cycle30(self, c30):
         # Monte-Carlo oracle: 200000 colored draws, z-scores from the exact
         # Gaussian moment formula.  The 465 distinct entries are compared at
@@ -93,7 +105,7 @@ class TestSample:
         trials = 200_000
         draws = sample(model, generator(45020), size=trials)
         empirical = draws @ draws.T / trials
-        exact = eval_filter(h, decomposition).matrix
+        exact = eval_filter(h, decomposition)
         variances = np.diag(exact)
         stderr = np.sqrt((np.outer(variances, variances) + exact**2) / trials)
         distinct = np.triu_indices(decomposition.n)
@@ -153,7 +165,7 @@ class TestFitCovariancePoly:
     def test_exact_member_recovered(self, c4):
         _, _, decomposition, spectrum = c4
         h = Polynomial((0.5, 0.25, 0.1))
-        poly, residual = fit_covariance_poly(eval_filter(h, decomposition).matrix, decomposition, spectrum)
+        poly, residual = fit_covariance_poly(eval_filter(h, decomposition), decomposition, spectrum)
         assert residual <= 1e-10
         # recovered polynomial agrees with h as a filter
         np.testing.assert_allclose(
@@ -195,9 +207,9 @@ class TestClosureAndInvariance:
             decomposition = eigendecompose(shift)
             h = random_psd_poly(rng)
             q = random_polynomial(rng, 3)
-            hs = eval_filter(h, decomposition).matrix
-            qs = eval_filter(q, decomposition).matrix
-            target = eval_filter(q * q * h, decomposition).matrix
+            hs = eval_filter(h, decomposition)
+            qs = eval_filter(q, decomposition)
+            target = eval_filter(q * q * h, decomposition)
             assert np.linalg.norm(qs @ hs @ qs - target) <= 1e-8
 
     def test_covariance_commutes_with_shift(self):
@@ -205,5 +217,5 @@ class TestClosureAndInvariance:
         for _ in range(10):
             shift = random_shift(rng, int(rng.integers(4, 11)))
             decomposition = eigendecompose(shift)
-            hs = eval_filter(random_psd_poly(rng), decomposition).matrix
+            hs = eval_filter(random_psd_poly(rng), decomposition)
             assert np.linalg.norm(shift.matrix @ hs - hs @ shift.matrix) <= 1e-8
