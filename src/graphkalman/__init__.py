@@ -18,9 +18,8 @@ from .baselines import (
 from .dynamics import (
     DynamicalSystem,
     Trajectory,
-    covariance_sequence,
+    covariance_responses,
     observe,
-    propagate_covariance,
     simulate,
     step_state,
     trajectory_to_csv,
@@ -52,8 +51,6 @@ from .kalman import (
     matrix_gain,
     riccati_sequence,
     run_filter,
-    spectral_error_update,
-    spectral_gain,
 )
 from .polynomials import Polynomial, lagrange_interpolate, reduce_mod_minimal
 from .spectral import (
@@ -93,7 +90,7 @@ __all__ = [
     "Trajectory",
     "apply_filter",
     "build_shift",
-    "covariance_sequence",
+    "covariance_responses",
     "cycle_graph",
     "distinct_eigenvalues",
     "eigendecompose",
@@ -108,7 +105,6 @@ __all__ = [
     "matrix_gain",
     "minimal_polynomial",
     "observe",
-    "propagate_covariance",
     "reduce_mod_minimal",
     "relative_error_metric",
     "riccati_sequence",
@@ -117,8 +113,6 @@ __all__ = [
     "run_trace",
     "sample",
     "simulate",
-    "spectral_error_update",
-    "spectral_gain",
     "spectral_loewner_less",
     "sqrt_filter",
     "step_state",

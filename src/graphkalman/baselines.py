@@ -1,8 +1,11 @@
 """Baseline estimators and Loewner-order comparisons.
 
 Static inverse filtering inverts the observation filter frequency-wise
-(Moore-Penrose style: near-zero responses are zeroed); the zero estimator
-returns the signal mean and inherits the state covariance as its error.
+(Moore-Penrose style: blind frequencies, as ``filters.passband`` decides,
+are zeroed); the zero estimator returns the signal mean and inherits the
+state covariance as its error.  Error covariances come back as responses at
+the distinct eigenvalues, shape (d,), and ``spectral_loewner_less`` compares
+two such arrays; only the user's observation polynomial is a monomial input.
 """
 from __future__ import annotations
 
@@ -12,10 +15,10 @@ import numpy as np
 
 from .dynamics import DynamicalSystem, covariance_responses
 from .errors import NotAllPassError
-from .polynomials import Polynomial, lagrange_interpolate
+from .filters import passband
+from .polynomials import Polynomial
 from .spectral import DistinctSpectrum, SpectralDecomposition
 
-PINV_TOL_SCALE = 1e-10
 LOEWNER_TOL_SCALE = 1e-12
 
 VERDICT_STRICT = "strict"
@@ -58,27 +61,21 @@ def loewner_less(left: np.ndarray, right: np.ndarray, tol: float | None = None) 
 
 
 def spectral_loewner_less(
-    left_poly: Polynomial,
-    right_poly: Polynomial,
+    left: np.ndarray,
+    right: np.ndarray,
     spectrum: DistinctSpectrum,
     tol: float | None = None,
 ) -> LoewnerComparison:
-    """Loewner comparison of two polynomial filters by per-eigenvalue values."""
-    mu = spectrum.representatives
-    left_values = left_poly(mu)
-    right_values = right_poly(mu)
+    """Loewner comparison of two filters from their responses at the distinct eigenvalues."""
+    left = np.asarray(left, dtype=float)
+    right = np.asarray(right, dtype=float)
+    for name, values in (("left", left), ("right", right)):
+        if values.shape != (spectrum.count,):
+            raise ValueError(f"{name} responses have shape {values.shape}, expected ({spectrum.count},)")
     if tol is None:
-        tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(spectrum.expand(right_values)))
-    min_eigenvalue = float(np.min(right_values - left_values))
+        tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(spectrum.expand(right)))
+    min_eigenvalue = float(np.min(right - left))
     return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=float(tol), verdict=_verdict(min_eigenvalue, tol))
-
-
-def _passing(responses: np.ndarray, pinv_tol: float | None) -> np.ndarray:
-    """Where the pseudo-inverse inverts: |response| above ``pinv_tol``
-    (default ``PINV_TOL_SCALE * max|response|``)."""
-    if pinv_tol is None:
-        pinv_tol = PINV_TOL_SCALE * float(np.max(np.abs(responses)))
-    return np.abs(responses) > pinv_tol
 
 
 def inverse_estimate(
@@ -88,7 +85,7 @@ def inverse_estimate(
     pinv_tol: float | None = None,
 ) -> np.ndarray:
     """Static inverse-filtering estimate: invert the observation responses,
-    zeroing frequencies where the response magnitude is below ``pinv_tol``.
+    zeroing the blind frequencies (``passband`` with ``pinv_tol``).
 
     ``z`` is one observation (n,) or a batch of columns (n, m).
     """
@@ -96,7 +93,7 @@ def inverse_estimate(
     if z.shape[0] != decomposition.n:
         raise ValueError(f"observation length {z.shape[0]} does not match graph order {decomposition.n}")
     responses = observation_poly(decomposition.eigenvalues)
-    passing = _passing(responses, pinv_tol)
+    passing = passband(responses, pinv_tol)
     inverted = np.zeros_like(responses)
     inverted[passing] = 1.0 / responses[passing]
     return decomposition.apply(inverted, z)
@@ -107,18 +104,18 @@ def inverse_error_covariance(
     sigma_tilde: float,
     spectrum: DistinctSpectrum,
     pinv_tol: float | None = None,
-) -> Polynomial:
-    """Error covariance polynomial of inverse filtering for an all-pass observation."""
-    mu = spectrum.representatives
-    responses = observation_poly(mu)
-    if not np.all(_passing(responses, pinv_tol)):
+) -> np.ndarray:
+    """Error covariance of inverse filtering for an all-pass observation:
+    sigma_tilde^2 / b(mu)^2 at the distinct eigenvalues mu, shape (d,)."""
+    responses = observation_poly(spectrum.representatives)
+    if not np.all(passband(responses, pinv_tol)):
         raise NotAllPassError(
             "observation filter vanishes at a distinct eigenvalue; inverse error covariance undefined"
         )
-    return lagrange_interpolate(mu, sigma_tilde**2 / responses**2)
+    return sigma_tilde**2 / responses**2
 
 
-def zero_estimate(sys: DynamicalSystem, k: int) -> tuple[np.ndarray, Polynomial]:
-    """The zero-signal estimator and its error covariance (the state covariance h_k)."""
-    h_k = covariance_responses(sys, upto=k)[k]
-    return np.zeros(sys.n), lagrange_interpolate(sys.spectrum.representatives, h_k)
+def zero_estimate(sys: DynamicalSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zero-signal estimator and its error covariance, the state
+    covariance h_k at the distinct eigenvalues."""
+    return np.zeros(sys.n), covariance_responses(sys, upto=k)[k]

@@ -11,9 +11,9 @@ with no decomposition; ``simulate`` draws a nonzero initial state with
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
-as one scalar update per distinct eigenvalue, ``covariance_sequence``
-interpolates each h_k from its values there, and ``propagate_covariance`` is
-the same step on polynomials, reduced modulo the minimal polynomial p_S.
+as one scalar update per distinct eigenvalue and returns the responses; no
+covariance is turned back into monomial coefficients here.  The user's a_k,
+b_k and h_0 are the only polynomials, and they are inputs.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import GraphShift
-from .polynomials import Polynomial, lagrange_interpolate, reduce_mod_minimal
+from .polynomials import Polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
 from .spectral import (
     DistinctSpectrum,
@@ -230,13 +230,6 @@ def observe(
     return filtered + sys.observation_sigma(k) * rng.standard_normal(sys.n)
 
 
-def propagate_covariance(
-    h_prev: Polynomial, state_poly: Polynomial, sigma: float, minimal_poly: Polynomial
-) -> Polynomial:
-    """Covariance polynomial recursion h_k = a_k^2 h_{k-1} + sigma_k^2 (mod p_S)."""
-    return reduce_mod_minimal(state_poly * state_poly * h_prev + sigma**2, minimal_poly)
-
-
 def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.ndarray:
     """State covariances h_0..h_upto at the distinct eigenvalues, one row per step.
 
@@ -252,16 +245,6 @@ def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.nd
     for k in range(1, upto + 1):
         out[k] = sys.state_responses[sys.response_row(k)] ** 2 * out[k - 1] + sys.state_sigma(k) ** 2
     return out
-
-
-def covariance_sequence(sys: DynamicalSystem, upto: int | None = None) -> list[Polynomial]:
-    """State covariance polynomials h_0..h_upto (default: the full horizon).
-
-    Each h_k interpolates its ``covariance_responses`` row, so h_0 is the
-    initial covariance reduced modulo p_S.
-    """
-    mu = sys.spectrum.representatives
-    return [lagrange_interpolate(mu, row) for row in covariance_responses(sys, upto)]
 
 
 def simulate(sys: DynamicalSystem, seed) -> Trajectory:

@@ -79,9 +79,7 @@ class ExperimentConfig:
             "n", "m", "trials", "a", "b", "sigma_grid", "sigma_tilde_grid",
             "seed", "clip", "trace",
         }
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown_keys(payload, known, "config")
         kwargs: dict = {}
         for key in ("n", "m", "trials", "seed"):
             if key in payload:
@@ -98,6 +96,7 @@ class ExperimentConfig:
             kwargs["sigma_tilde_grid"] = _resolve_grid(payload["sigma_tilde_grid"])
         if "trace" in payload:
             spec = payload["trace"]
+            _reject_unknown_keys(spec, {"sigma", "sigma_tilde", "vertex"}, "trace")
             kwargs["trace"] = TraceSpec(
                 sigma=float(spec.get("sigma", 0.3)),
                 sigma_tilde=float(spec.get("sigma_tilde", 0.5)),
@@ -130,6 +129,12 @@ class ExperimentConfig:
                 "vertex": self.trace.vertex,
             },
         }
+
+
+def _reject_unknown_keys(payload: dict, known: set[str], what: str) -> None:
+    unknown = set(payload) - known
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _resolve_grid(spec) -> tuple[float, ...]:

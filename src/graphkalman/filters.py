@@ -10,6 +10,7 @@ from .polynomials import Polynomial, lagrange_interpolate
 from .spectral import DistinctSpectrum, SpectralDecomposition
 
 MEMBERSHIP_TOL_SCALE = 1e-6
+BLIND_TOL_SCALE = 1e-10
 
 
 def eval_filter(poly: Polynomial, decomposition: SpectralDecomposition) -> np.ndarray:
@@ -38,6 +39,15 @@ def apply_filter(poly: Polynomial, shift: GraphShift, x: np.ndarray) -> np.ndarr
     for c in coeffs[-2::-1]:
         acc = s @ acc + c * x
     return acc
+
+
+def passband(responses: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Where a filter passes: |response| above ``tol`` (default
+    ``BLIND_TOL_SCALE * max|response|``); the other frequencies are blind."""
+    responses = np.abs(responses)
+    if tol is None:
+        tol = BLIND_TOL_SCALE * float(np.max(responses))
+    return responses > tol
 
 
 class MembershipResult(NamedTuple):

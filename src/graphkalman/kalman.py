@@ -10,12 +10,15 @@ eigenvalues:
 
 The recursion and the filter are carried on these frequency responses and
 read a and b as rows of the system's response arrays, evaluated once per
-system.  Filtering moves the observations into the eigenbasis once, updates
-every frequency on its own and moves the estimates back once; gain and error
-polynomials are interpolated only when asked for (``NumericalFailureError``
-where an interpolant cannot keep its node values).  The dense matrix Riccati
-step below drives ``verify.matrix_riccati_path``, the oracle that the
-spectral path is checked against.
+system.  ``riccati_sequence`` returns the gain and error responses as
+(steps, d) arrays; filtering moves the observations into the eigenbasis
+once, updates every frequency on its own and moves the estimates back once.
+The one edge back to monomials is ``RiccatiSequence.gains``, interpolated
+on request (``NumericalFailureError`` where an interpolant cannot keep its
+node values).  With zero observation noise a frequency is blind where
+``filters.passband`` says so.  The dense matrix Riccati step below drives
+``verify.matrix_riccati_path``, the oracle that the spectral path is
+checked against.
 """
 from __future__ import annotations
 
@@ -27,8 +30,8 @@ import scipy.linalg
 
 from .dynamics import DynamicalSystem, write_text
 from .errors import NumericalFailureError, SingularGainError
+from .filters import passband
 from .polynomials import Polynomial, lagrange_interpolate
-from .spectral import DistinctSpectrum
 from .stationary import require_psd
 
 INNOVATION_CONDITION_LIMIT = 1e14
@@ -57,7 +60,7 @@ def _scalar_riccati(
     if sigma_tilde > 0:
         denom = b_values**2 * predicted + sigma_tilde**2
         return predicted * b_values / denom, sigma_tilde**2 * predicted / denom
-    blind = b_values == 0.0
+    blind = ~passband(b_values)
     if np.any(blind & (predicted > 0.0)):
         raise SingularGainError(
             "zero observation noise with a vanishing observation response at an uncertain frequency"
@@ -65,34 +68,6 @@ def _scalar_riccati(
     safe = np.where(blind, 1.0, b_values)
     gains = np.where(blind, 0.0, 1.0 / safe)
     return gains, np.zeros_like(predicted)
-
-
-def spectral_gain(
-    p_prev: Polynomial,
-    state_poly: Polynomial,
-    observation_poly: Polynomial,
-    sigma: float,
-    sigma_tilde: float,
-    spectrum: DistinctSpectrum,
-) -> Polynomial:
-    """Gain polynomial interpolated from the per-eigenvalue scalar gains."""
-    mu = spectrum.representatives
-    gains, _ = _scalar_riccati(p_prev(mu), state_poly(mu), observation_poly(mu), sigma, sigma_tilde)
-    return lagrange_interpolate(mu, gains)
-
-
-def spectral_error_update(
-    p_prev: Polynomial,
-    state_poly: Polynomial,
-    observation_poly: Polynomial,
-    sigma: float,
-    sigma_tilde: float,
-    spectrum: DistinctSpectrum,
-) -> Polynomial:
-    """Updated error covariance polynomial interpolated from scalar updates."""
-    mu = spectrum.representatives
-    _, errors = _scalar_riccati(p_prev(mu), state_poly(mu), observation_poly(mu), sigma, sigma_tilde)
-    return lagrange_interpolate(mu, errors)
 
 
 def _predicted_covariance(p_prev: np.ndarray, a: np.ndarray, sigma: float) -> np.ndarray:
@@ -145,8 +120,8 @@ class RiccatiSequence:
     """Gain and error responses at the distinct eigenvalues ``nodes``.
 
     ``initial_response`` holds p_0 at the nodes; row k-1 of
-    ``gain_responses`` and ``error_responses`` holds step k.  ``gains`` and
-    ``error_polys`` interpolate those rows on first access.
+    ``gain_responses`` and ``error_responses`` holds step k.  ``gains``
+    interpolates the gain rows on first access.
     """
 
     nodes: np.ndarray
@@ -157,10 +132,6 @@ class RiccatiSequence:
     @cached_property
     def gains(self) -> tuple[Polynomial, ...]:
         return tuple(lagrange_interpolate(self.nodes, row) for row in self.gain_responses)
-
-    @cached_property
-    def error_polys(self) -> tuple[Polynomial, ...]:
-        return tuple(lagrange_interpolate(self.nodes, row) for row in self.error_responses)
 
 
 def riccati_sequence(

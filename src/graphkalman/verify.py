@@ -1,8 +1,10 @@
 """Invariant suite: every module's documented properties, runnable from the CLI.
 
 Each check runs a deterministic sweep at the documented tolerance and
-reports pass/fail with the worst observed value.  The random-sweep
-generators here are also reused by the test suite.
+reports pass/fail with the worst observed value.  Covariance, gain and
+baseline results are compared as responses at the distinct eigenvalues;
+``response_matrix`` builds their dense form for the matrix-side checks.
+The random-sweep generators here are also reused by the test suite.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .baselines import (
     spectral_loewner_less,
     zero_estimate,
 )
-from .dynamics import DynamicalSystem, covariance_sequence, simulate
+from .dynamics import DynamicalSystem, covariance_responses, simulate
 from .experiment import ExperimentConfig, run_heatmap, write_heatmap_csv
 from .filters import apply_filter, eval_filter, is_polynomial_filter
 from .graphs import Graph, build_shift, cycle_graph, validate_shift
@@ -129,6 +131,11 @@ def random_system(
     )
 
 
+def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
+    """Dense U diag(r) U^T of responses r at the system's distinct eigenvalues."""
+    return sys.decomposition.apply(sys.spectrum.expand(responses), np.eye(sys.n))
+
+
 def matrix_riccati_path(sys: DynamicalSystem, p0: Polynomial, steps: int):
     """Dense-recursion gains and error covariances, independent of the spectral path."""
     p = eval_filter(reduce_mod_minimal(p0, sys.minimal_poly), sys.decomposition)
@@ -161,7 +168,7 @@ def joint_error_covariances(sys: DynamicalSystem, riccati, steps: int):
     for k in range(1, steps + 1):
         a = eval_filter(sys.state_poly(k), sys.decomposition)
         b = eval_filter(sys.observation_poly(k), sys.decomposition)
-        gain = eval_filter(riccati.gains[k - 1], sys.decomposition)
+        gain = response_matrix(sys, riccati.gain_responses[k - 1])
         sigma = sys.state_sigma(k)
         sigma_tilde = sys.observation_sigma(k)
         kb = gain @ b
@@ -384,13 +391,13 @@ def check_dynamics() -> list[CheckResult]:
     worst_cov = 0.0
     for _ in range(10):
         sys = random_system(rng, n_max=10, steps=20)
-        hs = covariance_sequence(sys)
-        cov = eval_filter(hs[0], sys.decomposition)
+        hs = covariance_responses(sys)
+        cov = response_matrix(sys, hs[0])
         for k in range(1, 21):
             a = eval_filter(sys.state_poly(k), sys.decomposition)
             cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
             cov = 0.5 * (cov + cov.T)
-            gap = np.linalg.norm(cov - eval_filter(hs[k], sys.decomposition))
+            gap = np.linalg.norm(cov - response_matrix(sys, hs[k]))
             worst_cov = max(worst_cov, float(gap))
     stream_ok = True
     sys = random_system(generator(506), n_max=8, steps=12, zero_initial=False)
@@ -422,8 +429,8 @@ def check_kalman() -> list[CheckResult]:
         riccati = kalman_mod.riccati_sequence(sys)
         dense_gains, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, sys.horizon)
         for k in range(sys.horizon):
-            p_spec = eval_filter(riccati.error_polys[k], sys.decomposition)
-            g_spec = eval_filter(riccati.gains[k], sys.decomposition)
+            p_spec = response_matrix(sys, riccati.error_responses[k])
+            g_spec = response_matrix(sys, riccati.gain_responses[k])
             p_gap = np.linalg.norm(p_spec - dense_errors[k]) / max(1.0, np.linalg.norm(dense_errors[k]))
             g_gap = np.linalg.norm(g_spec - dense_gains[k]) / max(1.0, np.linalg.norm(dense_gains[k]))
             worst_dual = max(worst_dual, float(p_gap), float(g_gap))
@@ -440,9 +447,7 @@ def check_kalman() -> list[CheckResult]:
         riccati = kalman_mod.riccati_sequence(sys)
         joint = joint_error_covariances(sys, riccati, sys.horizon)
         for k, (err_cov, est_cov) in enumerate(joint, start=1):
-            gap = np.linalg.norm(
-                err_cov - eval_filter(riccati.error_polys[k - 1], sys.decomposition)
-            )
+            gap = np.linalg.norm(err_cov - response_matrix(sys, riccati.error_responses[k - 1]))
             worst_stationarity = max(worst_stationarity, float(gap))
             _, residual = fit_covariance_poly(est_cov, sys.decomposition, sys.spectrum)
             worst_fit = max(worst_fit, float(residual))
@@ -464,24 +469,23 @@ def _gain_optimality(rng, delta: float = 1e-3) -> tuple[bool, str]:
     for _ in range(5):
         sys = random_system(rng, n_max=10, steps=10)
         riccati = kalman_mod.riccati_sequence(sys)
-        mu = sys.spectrum.representatives
         p_values = riccati.initial_response
         for k in range(1, sys.horizon + 1):
-            a = np.atleast_1d(sys.state_poly(k)(mu))
-            b = np.atleast_1d(sys.observation_poly(k)(mu))
+            a = sys.state_responses[sys.response_row(k)]
+            b = sys.observation_responses[sys.response_row(k)]
             sigma, sigma_tilde = sys.state_sigma(k), sys.observation_sigma(k)
             predicted = a**2 * p_values + sigma**2
-            gains = np.atleast_1d(riccati.gains[k - 1](mu))
+            gains = riccati.gain_responses[k - 1]
 
             def freq_mse(gamma, j):
                 return (1 - gamma * b[j]) ** 2 * predicted[j] + gamma**2 * sigma_tilde**2
 
-            for j in range(mu.size):
+            for j in range(gains.size):
                 base = freq_mse(gains[j], j)
                 for sign in (+1.0, -1.0):
                     decrease = base - freq_mse(gains[j] + sign * delta, j)
                     worst = max(worst, float(decrease))
-            p_values = np.atleast_1d(riccati.error_polys[k - 1](mu))
+            p_values = riccati.error_responses[k - 1]
     ok = worst <= 1e-12
     return ok, f"largest one-step MSE decrease under perturbation {worst:.3e}"
 
@@ -495,7 +499,7 @@ def _mse_identity(rng, trials: int = 10_000) -> tuple[bool, str]:
     for k in range(1, sys.horizon + 1):
         a = eval_filter(sys.state_poly(k), sys.decomposition)
         b = eval_filter(sys.observation_poly(k), sys.decomposition)
-        gain = eval_filter(riccati.gains[k - 1], sys.decomposition)
+        gain = response_matrix(sys, riccati.gain_responses[k - 1])
         x = a @ x + sys.state_sigma(k) * rng.standard_normal((n, trials))
         z = b @ x + sys.observation_sigma(k) * rng.standard_normal((n, trials))
         pred = a @ xhat
@@ -503,9 +507,7 @@ def _mse_identity(rng, trials: int = 10_000) -> tuple[bool, str]:
     squared_errors = np.sum((xhat - x) ** 2, axis=0)
     empirical = float(np.mean(squared_errors))
     stderr = float(np.std(squared_errors, ddof=1) / math.sqrt(trials))
-    predicted = float(
-        np.sum(np.atleast_1d(riccati.error_polys[-1](sys.decomposition.eigenvalues)))
-    )
+    predicted = float(np.sum(sys.spectrum.expand(riccati.error_responses[-1])))
     gap = abs(empirical - predicted)
     return gap <= 3 * stderr, f"|empirical - trace| = {gap:.4f} vs 3 SE = {3 * stderr:.4f}"
 
@@ -519,20 +521,15 @@ def check_baselines() -> list[CheckResult]:
     for _ in range(50):
         sys = random_system(rng, n_max=12, steps=20, all_pass=True)
         riccati = kalman_mod.riccati_sequence(sys)
-        mu = sys.spectrum.representatives
-        hs = covariance_sequence(sys)
+        hs = covariance_responses(sys)
         for k in range(1, sys.horizon + 1):
-            p_poly = riccati.error_polys[k - 1]
-            inv_poly = inverse_error_covariance(sys.observation_poly(k), sys.observation_sigma(k), sys.spectrum)
-            h_poly = hs[k]
-            p_mat = eval_filter(p_poly, sys.decomposition)
-            for right_poly, tracker in ((inv_poly, "inverse"), (h_poly, "zero")):
-                right_mat = eval_filter(right_poly, sys.decomposition)
-                matrix_cmp = loewner_less(p_mat, right_mat)
-                spectral_cmp = spectral_loewner_less(p_poly, right_poly, sys.spectrum)
-                scalar_strict = bool(
-                    np.all(np.atleast_1d(right_poly(mu)) - np.atleast_1d(p_poly(mu)) > spectral_cmp.tol)
-                )
+            p = riccati.error_responses[k - 1]
+            inverse = inverse_error_covariance(sys.observation_poly(k), sys.observation_sigma(k), sys.spectrum)
+            p_mat = response_matrix(sys, p)
+            for right, tracker in ((inverse, "inverse"), (hs[k], "zero")):
+                matrix_cmp = loewner_less(p_mat, response_matrix(sys, right))
+                spectral_cmp = spectral_loewner_less(p, right, sys.spectrum)
+                scalar_strict = bool(np.all(right - p > spectral_cmp.tol))
                 if matrix_cmp.verdict != VERDICT_STRICT:
                     if tracker == "inverse":
                         inverse_ok = False

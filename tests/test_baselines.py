@@ -6,9 +6,8 @@ from graphkalman import (
     NotAllPassError,
     Polynomial,
     build_shift,
-    covariance_sequence,
+    covariance_responses,
     cycle_graph,
-    eval_filter,
     inverse_error_covariance,
     inverse_estimate,
     loewner_less,
@@ -17,7 +16,7 @@ from graphkalman import (
     zero_estimate,
 )
 from graphkalman.seeding import generator
-from graphkalman.verify import random_system
+from graphkalman.verify import random_system, response_matrix
 
 
 class TestInverseEstimate:
@@ -62,20 +61,21 @@ class TestInverseEstimate:
 class TestInverseErrorCovariance:
     def test_unit_observation(self, c4):
         _, _, _, spectrum = c4
-        poly = inverse_error_covariance(Polynomial.one(), 0.7, spectrum)
-        np.testing.assert_allclose(poly.coeffs, (0.49,), atol=1e-12)
+        responses = inverse_error_covariance(Polynomial.one(), 0.7, spectrum)
+        assert responses.shape == (spectrum.count,)
+        np.testing.assert_allclose(responses, 0.49, atol=1e-12)
 
     def test_constant_two(self, c4):
         _, _, _, spectrum = c4
-        poly = inverse_error_covariance(Polynomial.constant(2.0), 1.0, spectrum)
-        np.testing.assert_allclose(poly.coeffs, (0.25,), atol=1e-12)
+        responses = inverse_error_covariance(Polynomial.constant(2.0), 1.0, spectrum)
+        np.testing.assert_allclose(responses, 0.25, atol=1e-12)
 
     def test_values_on_cycle30(self, c30):
         _, _, _, spectrum = c30
-        poly = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, spectrum)
+        responses = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, spectrum)
         mu = spectrum.representatives
         expected = 0.25 / (1.0 - mu / 2.0) ** 2
-        np.testing.assert_allclose(np.atleast_1d(poly(mu)), expected, rtol=1e-9)
+        np.testing.assert_allclose(responses, expected, rtol=1e-9)
 
     def test_not_all_pass_rejected(self, c4):
         _, _, _, spectrum = c4
@@ -95,7 +95,7 @@ class TestZeroEstimate:
             shift, Polynomial((0.0, 0.25)), Polynomial.one(), 0.4, 1.0, 3
         )
         _, h1 = zero_estimate(sys, 1)
-        np.testing.assert_allclose(h1.coeffs, (0.16,), atol=1e-12)
+        np.testing.assert_allclose(h1, 0.16, atol=1e-12)
 
     def test_hundred_step_geometric_sum_oracle(self, c30):
         _, shift, _, _ = c30
@@ -106,7 +106,7 @@ class TestZeroEstimate:
         lam = sys.decomposition.eigenvalues
         ratios = (lam / 4.0) ** 2
         expected = 0.09 * np.array([np.sum(r ** np.arange(100)) for r in ratios])
-        np.testing.assert_allclose(np.atleast_1d(h100(lam)), expected, rtol=1e-8)
+        np.testing.assert_allclose(sys.spectrum.expand(h100), expected, rtol=1e-8)
 
 
 class TestLoewner:
@@ -136,10 +136,10 @@ class TestLoewner:
             shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 25
         )
         riccati = riccati_sequence(sys, p0=Polynomial.zero())
-        inverse_poly = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, sys.spectrum)
-        inverse_matrix = eval_filter(inverse_poly, sys.decomposition)
+        inverse = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, sys.spectrum)
+        inverse_matrix = response_matrix(sys, inverse)
         for k in range(1, 26):
-            p_matrix = eval_filter(riccati.error_polys[k - 1], sys.decomposition)
+            p_matrix = response_matrix(sys, riccati.error_responses[k - 1])
             assert loewner_less(p_matrix, inverse_matrix).verdict == "strict"
 
     def test_matrix_and_spectral_verdicts_agree(self):
@@ -147,13 +147,53 @@ class TestLoewner:
         for _ in range(10):
             sys = random_system(rng, n_max=10, steps=8, all_pass=True)
             riccati = riccati_sequence(sys)
-            hs = covariance_sequence(sys)
+            hs = covariance_responses(sys)
             for k in (1, sys.horizon):
-                left = riccati.error_polys[k - 1]
+                left = riccati.error_responses[k - 1]
                 right = hs[k]
-                matrix_cmp = loewner_less(
-                    eval_filter(left, sys.decomposition),
-                    eval_filter(right, sys.decomposition),
-                )
+                matrix_cmp = loewner_less(response_matrix(sys, left), response_matrix(sys, right))
                 spectral_cmp = spectral_loewner_less(left, right, sys.spectrum)
                 assert matrix_cmp.verdict == spectral_cmp.verdict
+
+    def test_spectral_operands_must_be_responses(self, c4):
+        _, _, _, spectrum = c4
+        with pytest.raises(ValueError, match="shape"):
+            spectral_loewner_less(np.zeros(spectrum.count), np.zeros(spectrum.count + 1), spectrum)
+        with pytest.raises(ValueError, match="shape"):
+            spectral_loewner_less(np.zeros((1, spectrum.count)), np.zeros(spectrum.count), spectrum)
+
+
+class TestCycle120Responses:
+    """On C_120 the 61 distinct eigenvalues defeat monomial interpolation; the
+    responses still meet their closed forms."""
+
+    @pytest.fixture(scope="class")
+    def sys(self):
+        shift = build_shift(cycle_graph(120), "laplacian")
+        return DynamicalSystem.from_constant(
+            shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
+        )
+
+    @staticmethod
+    def _geometric_sum(sys, k):
+        ratios = (sys.spectrum.representatives / 4.0) ** 2
+        return 0.09 * np.array([np.sum(r ** np.arange(k)) for r in ratios])
+
+    def test_zero_estimate_meets_geometric_sum(self, sys):
+        estimate, h100 = zero_estimate(sys, 100)
+        np.testing.assert_array_equal(estimate, np.zeros(120))
+        assert np.all(np.isfinite(h100))
+        np.testing.assert_allclose(h100, self._geometric_sum(sys, 100), rtol=1e-12)
+
+    def test_covariance_responses_meet_geometric_sum(self, sys):
+        hs = covariance_responses(sys)
+        assert hs.shape == (101, sys.spectrum.count) and np.all(np.isfinite(hs))
+        for k in (1, 10, 100):
+            np.testing.assert_allclose(hs[k], self._geometric_sum(sys, k), rtol=1e-12)
+
+    def test_inverse_error_covariance_meets_closed_form(self, sys):
+        b = Polynomial((1.0, -0.2))
+        responses = inverse_error_covariance(b, 0.5, sys.spectrum)
+        mu = sys.spectrum.representatives
+        assert np.all(np.isfinite(responses))
+        np.testing.assert_allclose(responses, 0.25 / (1.0 - 0.2 * mu) ** 2, rtol=1e-12)

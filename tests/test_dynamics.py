@@ -7,18 +7,16 @@ from graphkalman import (
     DynamicalSystem,
     Polynomial,
     build_shift,
-    covariance_sequence,
+    covariance_responses,
     cycle_graph,
     eval_filter,
     observe,
-    propagate_covariance,
     simulate,
     step_state,
     trajectory_to_csv,
 )
 from graphkalman.seeding import child_sequence, generator
-from graphkalman.spectral import minimal_polynomial
-from graphkalman.verify import random_system
+from graphkalman.verify import random_system, response_matrix
 
 
 def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None, allow_zero=False):
@@ -122,36 +120,39 @@ class TestObserve:
 
 
 class TestCovarianceRecursion:
-    def test_first_step_from_zero(self, c4):
-        _, _, _, spectrum = c4
-        p_s = minimal_polynomial(spectrum)
-        h1 = propagate_covariance(Polynomial.zero(), Polynomial((0.2, 0.4)), 1.0, p_s)
-        np.testing.assert_allclose(h1.coeffs, (1.0,), atol=1e-12)
+    def test_first_step_from_zero(self):
+        sys = _cycle_system(4, Polynomial((0.2, 0.4)), Polynomial.one(), 1.0, 1.0, 1)
+        h1 = covariance_responses(sys)[1]
+        np.testing.assert_allclose(h1, 1.0, atol=1e-12)
 
-    def test_zero_dynamics_keeps_noise_floor(self, c4):
-        _, _, _, spectrum = c4
-        p_s = minimal_polynomial(spectrum)
-        h = propagate_covariance(Polynomial((0.7,)), Polynomial.zero(), 0.5, p_s)
-        np.testing.assert_allclose(h.coeffs, (0.25,), atol=1e-12)
+    def test_zero_dynamics_keeps_noise_floor(self):
+        sys = _cycle_system(4, Polynomial.zero(), Polynomial.one(), 0.5, 1.0, 1, h0=Polynomial((0.7,)))
+        h = covariance_responses(sys)[1]
+        np.testing.assert_allclose(h, 0.25, atol=1e-12)
 
-    def test_three_step_geometric_sum_oracle(self, c4):
-        _, _, _, spectrum = c4
+    def test_three_step_geometric_sum_oracle(self):
         sys = _cycle_system(4, Polynomial((0.0, 0.25)), Polynomial.one(), 0.3, 0.5, 3)
-        hs = covariance_sequence(sys)
+        hs = covariance_responses(sys)
         lam = np.array([0.0, 2.0, 4.0])
         expected = 0.09 * (1.0 + (lam / 4.0) ** 2 + (lam / 4.0) ** 4)
-        np.testing.assert_allclose(np.atleast_1d(hs[3](lam)), expected, atol=1e-12)
+        np.testing.assert_allclose(hs[3], expected, atol=1e-12)
+
+    def test_upto_range_checked(self):
+        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
+        assert covariance_responses(sys, upto=2).shape == (3, 3)
+        with pytest.raises(ValueError):
+            covariance_responses(sys, upto=4)
 
     def test_matrix_propagation_agreement(self):
         rng = generator(58)
         for _ in range(8):
             sys = random_system(rng, n_max=10, steps=20)
-            hs = covariance_sequence(sys)
-            cov = eval_filter(hs[0], sys.decomposition)
+            hs = covariance_responses(sys)
+            cov = response_matrix(sys, hs[0])
             for k in range(1, sys.horizon + 1):
                 a = eval_filter(sys.state_poly(k), sys.decomposition)
                 cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
-                gap = np.linalg.norm(cov - eval_filter(hs[k], sys.decomposition))
+                gap = np.linalg.norm(cov - response_matrix(sys, hs[k]))
                 assert gap <= 1e-8
 
 
@@ -196,8 +197,7 @@ class TestSimulate:
         sys = DynamicalSystem.from_constant(
             shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
         )
-        hs = covariance_sequence(sys)
-        lam = sys.decomposition.eigenvalues
+        hs = covariance_responses(sys)
         trials = 30
         energies = []
         for t in range(trials):
@@ -205,7 +205,7 @@ class TestSimulate:
             energies.append([np.sum(trajectory.states[k] ** 2) for k in (10, 50, 100)])
         energies = np.array(energies)
         for column, k in enumerate((10, 50, 100)):
-            expected = float(np.sum(np.atleast_1d(hs[k](lam))))
+            expected = float(np.sum(sys.spectrum.expand(hs[k])))
             observed = energies[:, column]
             stderr = np.std(observed, ddof=1) / np.sqrt(trials)
             assert abs(np.mean(observed) - expected) <= 3.0 * stderr

@@ -64,6 +64,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"n": 12, "workers": 2})
 
+    def test_unknown_trace_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown trace keys: \['sigma_tlde', 'vertx'\]"):
+            ExperimentConfig.from_dict({"trace": {"vertx": 3, "sigma_tlde": 0.9}})
+
     def test_range_grid_resolved(self):
         config = ExperimentConfig.from_dict({"sigma_grid": {"start": 0.0, "stop": 0.3, "step": 0.1}})
         assert config.sigma_grid == (0.0, 0.1, 0.2, 0.3)

@@ -16,14 +16,12 @@ from graphkalman import (
     riccati_sequence,
     run_filter,
     simulate,
-    spectral_error_update,
-    spectral_gain,
 )
 from graphkalman import kalman as kalman_mod
 from graphkalman.dynamics import covariance_responses
 from graphkalman.kalman import filter_estimates_to_csv, filter_spectrum_to_csv
 from graphkalman.seeding import generator
-from graphkalman.verify import matrix_riccati_path, random_system
+from graphkalman.verify import matrix_riccati_path, random_system, response_matrix
 
 
 def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30, allow_zero=False):
@@ -50,11 +48,6 @@ def _dense_filter(sys, observations, p0, xhat0=None):
 
 def _estimates(states):
     return np.array([state.estimate for state in states[1:]])
-
-
-def _dense_response_matrix(sys, responses):
-    u = sys.decomposition.eigenvectors
-    return (u * sys.spectrum.expand(responses)) @ u.T
 
 
 def _worst_step_gap(estimates, reference):
@@ -116,49 +109,60 @@ class TestPredictUpdate:
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
 
+def _one_step(c4, p_prev, state_poly, observation_poly, sigma, sigma_tilde):
+    """Gain and updated error responses of one Riccati step on C_4 from p_prev."""
+    _, shift, decomposition, spectrum = c4
+    sys = DynamicalSystem.from_constant(
+        shift, state_poly, observation_poly, sigma, sigma_tilde, 1,
+        decomposition=decomposition, spectrum=spectrum, allow_zero_noise=True,
+    )
+    riccati = riccati_sequence(sys, p0=p_prev)
+    return riccati.gain_responses[0], riccati.error_responses[0]
+
+
 class TestSpectralRecursion:
     def test_unit_system_gain_is_half(self, c4):
-        _, _, _, spectrum = c4
-        g = spectral_gain(Polynomial.zero(), Polynomial((0.3, -0.2)), Polynomial.one(), 1.0, 1.0, spectrum)
-        np.testing.assert_allclose(g.coeffs, (0.5,), atol=1e-12)
+        g, _ = _one_step(c4, Polynomial.zero(), Polynomial((0.3, -0.2)), Polynomial.one(), 1.0, 1.0)
+        np.testing.assert_allclose(g, 0.5, atol=1e-12)
 
     def test_blind_observation_zero_gain(self, c4):
-        _, _, _, spectrum = c4
-        g = spectral_gain(Polynomial.one(), Polynomial.one(), Polynomial.zero(), 1.0, 1.0, spectrum)
-        assert g.is_zero
+        g, _ = _one_step(c4, Polynomial.one(), Polynomial.one(), Polynomial.zero(), 1.0, 1.0)
+        np.testing.assert_array_equal(g, 0.0)
 
     def test_large_observation_noise_shrinks_gain(self, c4):
-        _, _, _, spectrum = c4
-        g = spectral_gain(Polynomial.zero(), Polynomial.one(), Polynomial.one(), 1.0, 1e3, spectrum)
-        np.testing.assert_allclose(g.coeffs, (1.0 / (1.0 + 1e6),), rtol=1e-12)
+        g, _ = _one_step(c4, Polynomial.zero(), Polynomial.one(), Polynomial.one(), 1.0, 1e3)
+        np.testing.assert_allclose(g, 1.0 / (1.0 + 1e6), rtol=1e-12)
 
     def test_unit_system_error_is_half(self, c4):
-        _, _, _, spectrum = c4
-        p = spectral_error_update(Polynomial.zero(), Polynomial.one(), Polynomial.one(), 1.0, 1.0, spectrum)
-        np.testing.assert_allclose(p.coeffs, (0.5,), atol=1e-12)
+        _, p = _one_step(c4, Polynomial.zero(), Polynomial.one(), Polynomial.one(), 1.0, 1.0)
+        np.testing.assert_allclose(p, 0.5, atol=1e-12)
 
     def test_perfect_observation_error_vanishes(self, c4):
-        _, _, _, spectrum = c4
-        p = spectral_error_update(Polynomial.one(), Polynomial.one(), Polynomial.one(), 1.0, 0.0, spectrum)
-        assert p.is_zero
+        _, p = _one_step(c4, Polynomial.one(), Polynomial.one(), Polynomial.one(), 1.0, 0.0)
+        np.testing.assert_array_equal(p, 0.0)
 
     def test_zero_dynamics_error_ignores_previous(self, c4):
-        _, _, _, spectrum = c4
-        kwargs = dict(state_poly=Polynomial.zero(), observation_poly=Polynomial((0.5, 0.1)), sigma=0.7, sigma_tilde=0.9)
-        p_a = spectral_error_update(Polynomial.zero(), kwargs["state_poly"], kwargs["observation_poly"], kwargs["sigma"], kwargs["sigma_tilde"], spectrum)
-        p_b = spectral_error_update(Polynomial.constant(5.0), kwargs["state_poly"], kwargs["observation_poly"], kwargs["sigma"], kwargs["sigma_tilde"], spectrum)
-        np.testing.assert_allclose(p_a.coeffs, p_b.coeffs, atol=1e-12)
-        mu = spectrum.representatives
-        b = np.atleast_1d(kwargs["observation_poly"](mu))
-        expected = 0.9**2 * 0.7**2 / (0.7**2 * b**2 + 0.9**2)
-        np.testing.assert_allclose(np.atleast_1d(p_a(mu)), expected, atol=1e-12)
+        b = Polynomial((0.5, 0.1))
+        _, p_a = _one_step(c4, Polynomial.zero(), Polynomial.zero(), b, 0.7, 0.9)
+        _, p_b = _one_step(c4, Polynomial.constant(5.0), Polynomial.zero(), b, 0.7, 0.9)
+        np.testing.assert_allclose(p_a, p_b, atol=1e-12)
+        b_values = b(c4[3].representatives)
+        expected = 0.9**2 * 0.7**2 / (0.7**2 * b_values**2 + 0.9**2)
+        np.testing.assert_allclose(p_a, expected, atol=1e-12)
 
     def test_singular_gain_raised_at_blind_uncertain_frequency(self, c4):
-        _, _, _, spectrum = c4
         # 1 - t/2 vanishes at eigenvalue 2; with positive predicted variance
         # and zero observation noise the gain is undefined there
         with pytest.raises(SingularGainError):
-            spectral_gain(Polynomial.zero(), Polynomial.one(), Polynomial((1.0, -0.5)), 0.3, 0.0, spectrum)
+            _one_step(c4, Polynomial.zero(), Polynomial.one(), Polynomial((1.0, -0.5)), 0.3, 0.0)
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_near_blind_frequency_raises(self, n):
+        # the computed eigenvalue next to 2 leaves 1 - t/2 at 2.2e-16, not 0;
+        # relative to max|b| that frequency is blind all the same
+        sys = _paper_like_system(horizon=5, sigma_tilde=0.0, n=n, allow_zero=True)
+        with pytest.raises(SingularGainError, match="step 1"):
+            riccati_sequence(sys, p0=Polynomial.zero())
 
 
 class TestMatrixRecursion:
@@ -188,8 +192,8 @@ class TestMatrixRecursion:
         riccati = riccati_sequence(sys, p0=Polynomial.zero())
         dense_gains, dense_errors = matrix_riccati_path(sys, Polynomial.zero(), 20)
         for k in range(20):
-            p_spec = eval_filter(riccati.error_polys[k], sys.decomposition)
-            g_spec = eval_filter(riccati.gains[k], sys.decomposition)
+            p_spec = response_matrix(sys, riccati.error_responses[k])
+            g_spec = response_matrix(sys, riccati.gain_responses[k])
             assert np.linalg.norm(p_spec - dense_errors[k]) <= 1e-9 * max(1.0, np.linalg.norm(dense_errors[k]))
             assert np.linalg.norm(g_spec - dense_gains[k]) <= 1e-9 * max(1.0, np.linalg.norm(dense_gains[k]))
 
@@ -203,7 +207,7 @@ class TestRunFilter:
         np.testing.assert_array_equal(states[0].estimate, np.zeros(30))
         assert states[0].gain_response is None
         h0 = eval_filter(sys.initial_covariance, sys.decomposition)
-        np.testing.assert_array_equal(_dense_response_matrix(sys, states[0].error_response), h0)
+        np.testing.assert_array_equal(response_matrix(sys, states[0].error_response), h0)
 
     def test_noiseless_consistent_system_tracks_exactly(self):
         # invertible unit observation with zero noise: the estimate locks
@@ -224,8 +228,8 @@ class TestRunFilter:
         states = run_filter(sys, trajectory.observations)
         dense_gains, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 10)
         for state, gain, error in zip(states[1:], dense_gains, dense_errors):
-            spectral_error = _dense_response_matrix(sys, state.error_response)
-            spectral_gain_matrix = _dense_response_matrix(sys, state.gain_response)
+            spectral_error = response_matrix(sys, state.error_response)
+            spectral_gain_matrix = response_matrix(sys, state.gain_response)
             assert np.linalg.norm(spectral_error - error) <= 1e-9 * max(1.0, np.linalg.norm(error))
             assert np.linalg.norm(spectral_gain_matrix - gain) <= 1e-9 * max(1.0, np.linalg.norm(gain))
         expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
@@ -262,7 +266,7 @@ class TestRunFilter:
         trajectory = simulate(sys, 70)
         states = run_filter(sys, trajectory.observations)
         h0 = eval_filter(sys.initial_covariance, sys.decomposition)
-        initial = _dense_response_matrix(sys, states[0].error_response)
+        initial = response_matrix(sys, states[0].error_response)
         np.testing.assert_allclose(initial, h0, atol=1e-12)
         expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
@@ -311,8 +315,8 @@ class TestTimeVarying:
         for gain, error, dense_gain, dense_error in zip(
             riccati.gain_responses, riccati.error_responses, dense_gains, dense_errors
         ):
-            gain_gap = np.linalg.norm(_dense_response_matrix(sys, gain) - dense_gain)
-            error_gap = np.linalg.norm(_dense_response_matrix(sys, error) - dense_error)
+            gain_gap = np.linalg.norm(response_matrix(sys, gain) - dense_gain)
+            error_gap = np.linalg.norm(response_matrix(sys, error) - dense_error)
             assert gain_gap <= 1e-9 * max(1.0, np.linalg.norm(dense_gain))
             assert error_gap <= 1e-9 * max(1.0, np.linalg.norm(dense_error))
 
@@ -326,7 +330,7 @@ class TestTimeVarying:
             if k:
                 a = eval_filter(sys.state_poly(k), sys.decomposition)
                 cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
-            gap = np.linalg.norm(_dense_response_matrix(sys, response) - cov)
+            gap = np.linalg.norm(response_matrix(sys, response) - cov)
             assert gap <= 1e-10 * np.linalg.norm(cov)
 
 
@@ -343,7 +347,7 @@ class TestDualFormMutation:
         riccati = riccati_sequence(sys)
         _, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 10)
         gaps = [
-            np.linalg.norm(_dense_response_matrix(sys, response) - dense) / max(1.0, np.linalg.norm(dense))
+            np.linalg.norm(response_matrix(sys, response) - dense) / max(1.0, np.linalg.norm(dense))
             for response, dense in zip(riccati.error_responses, dense_errors)
         ]
         assert max(gaps) > 1e-9

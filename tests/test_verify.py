@@ -1,0 +1,10 @@
+"""The invariant suite's response-based modules pass on their own sweeps."""
+from __future__ import annotations
+
+from graphkalman.verify import format_report, run_checks
+
+
+def test_dynamics_kalman_and_baselines_invariants_pass():
+    results = run_checks(["dynamics", "kalman", "baselines"])
+    assert len(results) == 11
+    assert all(result.passed for result in results), format_report(results)
