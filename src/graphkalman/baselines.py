@@ -82,10 +82,9 @@ def inverse_estimate(
     observation_poly: Polynomial,
     z: np.ndarray,
     decomposition: SpectralDecomposition,
-    pinv_tol: float | None = None,
 ) -> np.ndarray:
     """Static inverse-filtering estimate: invert the observation responses,
-    zeroing the blind frequencies (``passband`` with ``pinv_tol``).
+    zeroing the blind frequencies (``passband``).
 
     ``z`` is one observation (n,) or a batch of columns (n, m).
     """
@@ -93,7 +92,7 @@ def inverse_estimate(
     if z.shape[0] != decomposition.n:
         raise ValueError(f"observation length {z.shape[0]} does not match graph order {decomposition.n}")
     responses = observation_poly(decomposition.eigenvalues)
-    passing = passband(responses, pinv_tol)
+    passing = passband(responses)
     inverted = np.zeros_like(responses)
     inverted[passing] = 1.0 / responses[passing]
     return decomposition.apply(inverted, z)
@@ -103,12 +102,11 @@ def inverse_error_covariance(
     observation_poly: Polynomial,
     sigma_tilde: float,
     spectrum: DistinctSpectrum,
-    pinv_tol: float | None = None,
 ) -> np.ndarray:
     """Error covariance of inverse filtering for an all-pass observation:
     sigma_tilde^2 / b(mu)^2 at the distinct eigenvalues mu, shape (d,)."""
     responses = observation_poly(spectrum.representatives)
-    if not np.all(passband(responses, pinv_tol)):
+    if not np.all(passband(responses)):
         raise NotAllPassError(
             "observation filter vanishes at a distinct eigenvalue; inverse error covariance undefined"
         )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import inverse_estimate
 from .dynamics import DynamicalSystem, Trajectory, simulate, write_text
-from .errors import DegenerateTrajectoryError
+from .errors import DegenerateTrajectoryError, SingularGainError
 from .graphs import build_shift, cycle_graph
 from .kalman import riccati_sequence, run_filter
 from .polynomials import Polynomial
@@ -226,10 +226,15 @@ def _trial_metrics(config, sys, riccati, seed) -> tuple[float, float]:
 
 
 def _run_cell(config, context, i: int, j: int):
+    """Both estimators' metrics over the cell's trials, and whether the cell
+    is flagged: a degenerate trial, or no Kalman gain (``SingularGainError``)."""
     sys = _cell_system(config, context, config.sigma_grid[i], config.sigma_tilde_grid[j])
-    riccati = riccati_sequence(sys, p0=Polynomial.zero())
     kalman_metrics: list[float] = []
     inverse_metrics: list[float] = []
+    try:
+        riccati = riccati_sequence(sys, p0=Polynomial.zero())
+    except SingularGainError:
+        return kalman_metrics, inverse_metrics, True
     degenerate = 0
     for trial in range(config.trials):
         seed = np.random.SeedSequence(config.seed, spawn_key=(_HEATMAP_KEY, i, j, trial))
@@ -240,7 +245,7 @@ def _run_cell(config, context, i: int, j: int):
             continue
         kalman_metrics.append(km)
         inverse_metrics.append(im)
-    return kalman_metrics, inverse_metrics, degenerate
+    return kalman_metrics, inverse_metrics, degenerate > 0
 
 
 def _mean_sem(values: list[float]) -> tuple[float, float]:
@@ -255,8 +260,10 @@ def _mean_sem(values: list[float]) -> tuple[float, float]:
 def run_heatmap(config: ExperimentConfig) -> HeatmapResult:
     """Average both estimators' metrics over independent trials per grid cell.
 
-    Cells whose trajectories are all degenerate (zero state energy, e.g.
-    sigma = 0 with a zero initial state) are flagged rather than failing.
+    Cells with a degenerate trajectory (zero state energy, e.g. sigma = 0
+    with a zero initial state) or without a Kalman gain (zero observation
+    noise at a blind frequency) are flagged rather than failing; a cell with
+    no trial left stays NaN.
     """
     context = _experiment_context(config)
     ns, nt = len(config.sigma_grid), len(config.sigma_tilde_grid)
@@ -269,11 +276,10 @@ def run_heatmap(config: ExperimentConfig) -> HeatmapResult:
 
     for i in range(ns):
         for j in range(nt):
-            kalman_metrics, inverse_metrics, degenerate = _run_cell(config, context, i, j)
+            kalman_metrics, inverse_metrics, flagged[i, j] = _run_cell(config, context, i, j)
             kalman[i, j], kalman_sem[i, j] = _mean_sem(kalman_metrics)
             inverse[i, j], inverse_sem[i, j] = _mean_sem(inverse_metrics)
             n_trials[i, j] = len(kalman_metrics)
-            flagged[i, j] = degenerate > 0
 
     return HeatmapResult(
         sigma_grid=config.sigma_grid,

@@ -41,13 +41,11 @@ def apply_filter(poly: Polynomial, shift: GraphShift, x: np.ndarray) -> np.ndarr
     return acc
 
 
-def passband(responses: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Where a filter passes: |response| above ``tol`` (default
-    ``BLIND_TOL_SCALE * max|response|``); the other frequencies are blind."""
+def passband(responses: np.ndarray) -> np.ndarray:
+    """Where a filter passes: |response| above ``BLIND_TOL_SCALE`` times the
+    largest |response| of its row; the other frequencies are blind."""
     responses = np.abs(responses)
-    if tol is None:
-        tol = BLIND_TOL_SCALE * float(np.max(responses))
-    return responses > tol
+    return responses > BLIND_TOL_SCALE * np.max(responses, axis=-1, keepdims=True)
 
 
 class MembershipResult(NamedTuple):

@@ -15,10 +15,11 @@ system.  ``riccati_sequence`` returns the gain and error responses as
 once, updates every frequency on its own and moves the estimates back once.
 The one edge back to monomials is ``RiccatiSequence.gains``, interpolated
 on request (``NumericalFailureError`` where an interpolant cannot keep its
-node values).  With zero observation noise a frequency is blind where
-``filters.passband`` says so.  The dense matrix Riccati step below drives
-``verify.matrix_riccati_path``, the oracle that the spectral path is
-checked against.
+node values).  A frequency is blind, with gain 0, where
+``filters.passband`` says so; with zero observation noise an uncertain
+blind frequency raises ``SingularGainError``.  The dense matrix Riccati
+step below drives ``verify.matrix_riccati_path``, the oracle that the
+spectral path is checked against.
 """
 from __future__ import annotations
 
@@ -55,12 +56,13 @@ def _scalar_riccati(
     sigma: float,
     sigma_tilde: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-eigenvalue gain and updated error variance."""
+    """Per-eigenvalue gain and updated error variance; ``b_values`` is zero
+    at the blind frequencies."""
     predicted = a_values**2 * p_values + sigma**2
     if sigma_tilde > 0:
         denom = b_values**2 * predicted + sigma_tilde**2
         return predicted * b_values / denom, sigma_tilde**2 * predicted / denom
-    blind = ~passband(b_values)
+    blind = b_values == 0.0
     if np.any(blind & (predicted > 0.0)):
         raise SingularGainError(
             "zero observation noise with a vanishing observation response at an uncertain frequency"
@@ -142,7 +144,10 @@ def riccati_sequence(
     """Run the error/gain recursion for ``steps`` steps (default: the horizon).
 
     Each step is one scalar update per distinct eigenvalue; the responses
-    of all steps come back as ``(steps, d)`` arrays.
+    of all steps come back as ``(steps, d)`` arrays.  The observation
+    response is zeroed where ``passband`` calls a frequency blind, so the
+    gain there is 0 and, with zero observation noise at an uncertain
+    frequency, ``SingularGainError`` is raised.
     """
     if p0 is None:
         p0 = sys.initial_covariance
@@ -152,6 +157,8 @@ def riccati_sequence(
         raise ValueError(f"steps {steps} out of range 0..{sys.horizon}")
     mu = sys.spectrum.representatives
     initial = require_psd(p0(mu), "initial error covariance")
+    observation = sys.observation_responses
+    observation = np.where(passband(observation), observation, 0.0)
     gains = np.empty((steps, mu.size))
     errors = np.empty((steps, mu.size))
     p_values = initial
@@ -161,7 +168,7 @@ def riccati_sequence(
             gains[k - 1], p_values = _scalar_riccati(
                 p_values,
                 sys.state_responses[row],
-                sys.observation_responses[row],
+                observation[row],
                 sys.state_sigma(k),
                 sys.observation_sigma(k),
             )

@@ -45,6 +45,15 @@ class TestHeatmap:
     def test_exact_inversion_column_reads_the_metric_floor(self, tiny_heatmap):
         assert tiny_heatmap.kalman[1, 0] == METRIC_FLOOR
 
+    def test_cell_without_a_gain_is_flagged_and_the_rest_filled(self):
+        # on C_12 the observation response 1 - t/2 is blind at eigenvalue 2,
+        # so sigma_tilde = 0 has no Kalman gain; only that cell is left out
+        result = run_heatmap(ExperimentConfig(n=12, m=20, trials=5, seed=1, sigma_grid=(0.3,), sigma_tilde_grid=(0.0, 0.5)))
+        np.testing.assert_array_equal(result.flagged, [[True, False]])
+        np.testing.assert_array_equal(result.n_trials, [[0, 5]])
+        assert np.isnan(result.kalman[0, 0]) and np.isnan(result.inverse[0, 0])
+        assert np.isfinite(result.kalman[0, 1]) and np.isfinite(result.inverse[0, 1])
+
 
 class TestTrace:
     def test_trace_tabulates_the_trace_trajectory(self):

@@ -164,6 +164,17 @@ class TestSpectralRecursion:
         with pytest.raises(SingularGainError, match="step 1"):
             riccati_sequence(sys, p0=Polynomial.zero())
 
+    def test_near_blind_frequency_gets_zero_gain_at_tiny_noise(self):
+        # b(mu) = 2.2e-16 with sigma_tilde = 1e-17 would give a 4.5e15 gain;
+        # the frequency is blind, so its gain is 0 and its error only propagates
+        sys = _paper_like_system(horizon=5, sigma_tilde=1e-17, n=12)
+        riccati = riccati_sequence(sys, p0=Polynomial.zero())
+        blind = np.abs(sys.observation_responses[0]) < 1e-15
+        assert np.count_nonzero(blind) == 1
+        np.testing.assert_array_equal(riccati.gain_responses[:, blind], 0.0)
+        assert np.all(np.abs(riccati.gain_responses) <= 1.0 / np.min(np.abs(sys.observation_responses[0][~blind])))
+        np.testing.assert_allclose(riccati.error_responses[0, blind], 0.3**2, rtol=1e-15)
+
 
 class TestMatrixRecursion:
     def test_unit_substitution(self):
