@@ -19,9 +19,7 @@ from .dynamics import (
     DynamicalSystem,
     Trajectory,
     covariance_responses,
-    observe,
     simulate,
-    step_state,
     trajectory_to_csv,
 )
 from .errors import (
@@ -104,7 +102,6 @@ __all__ = [
     "matrix_error_update",
     "matrix_gain",
     "minimal_polynomial",
-    "observe",
     "reduce_mod_minimal",
     "relative_error_metric",
     "riccati_sequence",
@@ -115,7 +112,6 @@ __all__ = [
     "simulate",
     "spectral_loewner_less",
     "sqrt_filter",
-    "step_state",
     "trajectory_to_csv",
     "validate_shift",
     "whiten",

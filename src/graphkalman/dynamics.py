@@ -4,10 +4,14 @@ States evolve as x_k = a_k(S) x_{k-1} + sigma_k e_k and are observed through
 z_k = b_k(S) x_k + sigma_tilde_k e~_k with independent standard white noises.
 A ``DynamicalSystem`` evaluates a_k and b_k once, at the distinct
 eigenvalues, into read-only (T, d) response arrays (T = 1 when time-invariant,
-else the horizon), which the covariance and Kalman recursions read.  Only
-``step_state`` and ``observe`` apply the polynomials themselves, by Horner,
-with no decomposition; ``simulate`` draws a nonzero initial state with
-``stationary.sample``, which colours noise in the eigenbasis.
+else the horizon), which the simulation, covariance and Kalman recursions
+read; none of them applies a polynomial to a vertex signal.
+
+``simulate`` draws one vertex-space white-noise block of shape (2M + 1, n)
+per trajectory from a single stream: row 0 drives the initial state, row
+2k-1 the process noise and row 2k the observation noise of step k.  The
+block is rotated into the eigenbasis once, every frequency runs its own
+scalar recursion, and states and observations are rotated back once.
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
@@ -34,8 +38,7 @@ from .spectral import (
     eigendecompose,
     minimal_polynomial,
 )
-from .stationary import StationaryModel, sample
-from .filters import apply_filter
+from .stationary import StationaryModel
 
 
 def _as_tuple(value, length: int, name: str) -> tuple:
@@ -178,6 +181,12 @@ class DynamicalSystem:
             raise ValueError(f"step {k} out of range 1..{self.horizon}")
         return 0 if self.time_invariant else k - 1
 
+    def step_rows(self, steps: int) -> np.ndarray:
+        """Response rows of steps 1..steps, range-checked like ``response_row``."""
+        if steps:
+            self.response_row(steps)
+        return np.zeros(steps, dtype=int) if self.time_invariant else np.arange(steps)
+
     def state_poly(self, k: int) -> Polynomial:
         return self.state_polys[self.response_row(k)]
 
@@ -214,22 +223,6 @@ class Trajectory:
         return self.observations.shape[0]
 
 
-def step_state(
-    sys: DynamicalSystem, x_prev: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One state transition: a_k(S) x_{k-1} + sigma_k * fresh white noise."""
-    filtered = apply_filter(sys.state_poly(k), sys.shift, x_prev)
-    return filtered + sys.state_sigma(k) * rng.standard_normal(sys.n)
-
-
-def observe(
-    sys: DynamicalSystem, x: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One observation: b_k(S) x_k + sigma_tilde_k * fresh white noise."""
-    filtered = apply_filter(sys.observation_poly(k), sys.shift, x)
-    return filtered + sys.observation_sigma(k) * rng.standard_normal(sys.n)
-
-
 def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.ndarray:
     """State covariances h_0..h_upto at the distinct eigenvalues, one row per step.
 
@@ -250,22 +243,31 @@ def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.nd
 def simulate(sys: DynamicalSystem, seed) -> Trajectory:
     """Full trajectory, deterministic given the seed.
 
-    Noise streams are disjoint per step: child key 0 drives the initial
-    state, key 2k-1 the k-th process noise, key 2k the k-th observation
-    noise.
+    One stream, child key 0 of the seed, draws a vertex-space standard
+    white-noise block E of shape (2M + 1, n): row 0 drives the initial
+    state, row 2k-1 the process noise and row 2k the observation noise of
+    step k.  In the eigenbasis U (E~ = E U) each frequency runs
+
+        x~_0 = sqrt(h_0) e~_0,   x~_k = a_k x~_{k-1} + sigma_k e~_{2k-1},
+        z~_k = b_k x~_k + sigma_tilde_k e~_{2k},
+
+    and states and observations are rotated back once (x = U x~).
     """
     ss = as_seed_sequence(seed)
     n, m = sys.n, sys.horizon
-    states = np.zeros((m + 1, n))
-    observations = np.zeros((m, n))
-    if not sys.initial_covariance.is_zero:
-        states[0] = sample(sys.initial_model, generator(child_sequence(ss, 0)))
-    x = states[0]
-    for k in range(1, m + 1):
-        x = step_state(sys, x, k, generator(child_sequence(ss, 2 * k - 1)))
-        states[k] = x
-        observations[k - 1] = observe(sys, x, k, generator(child_sequence(ss, 2 * k)))
-    return Trajectory(states=states, observations=observations, seed=ss)
+    u = sys.decomposition.eigenvectors
+    e_tilde = generator(child_sequence(ss, 0)).standard_normal((2 * m + 1, n)) @ u
+    rows = sys.step_rows(m)
+    expand = sys.spectrum.expand
+    a = expand(sys.state_responses)[rows]
+    drive = np.asarray(sys.state_noise)[rows, None] * e_tilde[1::2]
+    x_tilde = np.empty((m + 1, n))
+    x_tilde[0] = expand(np.sqrt(sys.initial_model.clamped_group_variances())) * e_tilde[0]
+    for k in range(m):
+        x_tilde[k + 1] = a[k] * x_tilde[k] + drive[k]
+    z_tilde = expand(sys.observation_responses)[rows] * x_tilde[1:]
+    z_tilde += np.asarray(sys.observation_noise)[rows, None] * e_tilde[2::2]
+    return Trajectory(states=x_tilde @ u.T, observations=z_tilde @ u.T, seed=ss)
 
 
 def write_text(target, text: str) -> None:

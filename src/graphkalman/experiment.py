@@ -2,11 +2,14 @@
 
 The experiment runs the time-invariant system on the unweighted cycle with
 the Laplacian shift, comparing the Kalman filter against static inverse
-filtering.  The Kalman filter runs in the eigenbasis of the shift (see
-``kalman``); the dense matrix recursion is only the oracle in ``verify``.
-Cells run one after another in a plain loop, with no worker pool, and each
-trial is seeded from its cell and trial index alone, so results are
-reproducible bit-for-bit for a fixed configuration.
+filtering.  Each trial is one ``simulate`` call, which draws the trial's
+whole noise block from one stream and runs the state and observation
+recursions in the eigenbasis (see ``dynamics``), and one ``run_filter``
+call, which runs the Kalman filter there too (see ``kalman``); the dense
+matrix recursion is only the oracle in ``verify``.  Cells run one after
+another in a plain loop, with no worker pool, and each trial is seeded from
+its cell and trial index alone, so results are reproducible bit-for-bit for
+a fixed configuration.
 """
 from __future__ import annotations
 

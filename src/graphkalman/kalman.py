@@ -192,13 +192,16 @@ def run_filter(
     """Filter a full observation sequence; returns states for k = 0..M.
 
     The filter runs in the eigenbasis U of the shift.  The observations are
-    moved there once (z~ = U^T z), every step updates each frequency on its
-    own with the expanded state, observation and gain responses a, b, g,
+    moved there once (z~ = U^T z), and with the expanded state, observation
+    and gain responses a_k, b_k, g_k every step updates each frequency on
+    its own,
 
-        x~ <- a x~ + g (z~ - b a x~),
+        x~ <- a_k x~ + g_k (z~_k - b_k a_k x~) = carry_k x~ + drive_k,
 
-    and the estimates are moved back once.  The dense matrix recursion is
-    not run here; ``verify.matrix_riccati_path`` keeps it as the oracle.
+    where carry_k = a_k (1 - g_k b_k) and drive_k = g_k z~_k are formed for
+    all steps before the loop.  The estimates are moved back once.  The
+    dense matrix recursion is not run here; ``verify.matrix_riccati_path``
+    keeps it as the oracle.
 
     Defaults follow the stationary initialization: zero initial estimate
     with the system's initial covariance as p_0.  A precomputed
@@ -219,18 +222,17 @@ def run_filter(
         raise ValueError("precomputed riccati sequence is shorter than the observations")
 
     expand = sys.spectrum.expand
-    a, b = expand(sys.state_responses), expand(sys.observation_responses)
+    rows = sys.step_rows(m)
     g = expand(riccati.gain_responses[:m])
+    carry = expand(sys.state_responses)[rows] * (1.0 - g * expand(sys.observation_responses)[rows])
     u = sys.decomposition.eigenvectors
     xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
+    drive = g * (obs @ u)
     x_tilde = xhat @ u
-    z_tilde = obs @ u
-    rotated = np.empty_like(z_tilde)
-    for k in range(1, m + 1):
-        row = sys.response_row(k)
-        predicted = a[row] * x_tilde
-        x_tilde = predicted + g[k - 1] * (z_tilde[k - 1] - b[row] * predicted)
-        rotated[k - 1] = x_tilde
+    rotated = np.empty_like(drive)
+    for k in range(m):
+        x_tilde = carry[k] * x_tilde + drive[k]
+        rotated[k] = x_tilde
     estimates = rotated @ u.T
 
     states = [KalmanState(step=0, estimate=xhat, error_response=riccati.initial_response, gain_response=None)]

@@ -100,8 +100,10 @@ def random_system(
     steps: int = 50,
     all_pass: bool = False,
     zero_initial: bool | None = None,
+    time_varying: bool = False,
 ) -> DynamicalSystem:
-    """Random time-invariant system with mildly stable dynamics.
+    """Random system with mildly stable dynamics, time-invariant unless
+    ``time_varying`` asks for fresh polynomials and noise levels per step.
 
     The state response magnitude is capped near 1 so 50-step error
     covariances stay within floating-point range.
@@ -110,20 +112,35 @@ def random_system(
     shift = random_shift(rng, n)
     decomposition = eigendecompose(shift)
     spectrum = distinct_eigenvalues(decomposition)
-    a = _scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.05)))
-    if all_pass:
-        b = _all_pass_poly(rng, spectrum.representatives, 3)
-    else:
-        b = _scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.5)))
+    count = steps if time_varying else 1
+    state_polys, observation_polys = [], []
+    for _ in range(count):
+        state_polys.append(_scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.05))))
+        if all_pass:
+            observation_polys.append(_all_pass_poly(rng, spectrum.representatives, 3))
+        else:
+            observation_polys.append(_scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.5))))
     if zero_initial is None:
         zero_initial = bool(rng.random() < 0.5)
     h0 = Polynomial.zero() if zero_initial else random_psd_poly(rng)
+    sigmas = [float(rng.uniform(0.1, 2.0)) for _ in range(2 * count)]
+    if time_varying:
+        return DynamicalSystem.from_sequences(
+            shift,
+            state_polys,
+            observation_polys,
+            sigmas[::2],
+            sigmas[1::2],
+            initial_covariance=h0,
+            decomposition=decomposition,
+            spectrum=spectrum,
+        )
     return DynamicalSystem.from_constant(
         shift,
-        a,
-        b,
-        sigma=float(rng.uniform(0.1, 2.0)),
-        sigma_tilde=float(rng.uniform(0.1, 2.0)),
+        state_polys[0],
+        observation_polys[0],
+        sigma=sigmas[0],
+        sigma_tilde=sigmas[1],
         horizon=steps,
         initial_covariance=h0,
         decomposition=decomposition,
@@ -386,6 +403,25 @@ def check_stationary() -> list[CheckResult]:
     ]
 
 
+def _relative_gap(value: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.linalg.norm(value - expected) / max(np.linalg.norm(expected), np.finfo(float).tiny))
+
+
+def simulation_step_gaps(sys: DynamicalSystem, trajectory) -> list[float]:
+    """Relative gap of x_0 to U diag(sqrt h_0) U^T e_0 and of every step to the
+    vertex-space recursion from the previous simulated state, both driven by
+    the rows of the re-drawn noise block."""
+    noise = generator(child_sequence(trajectory.seed, 0)).standard_normal((2 * sys.horizon + 1, sys.n))
+    scale = sys.spectrum.expand(np.sqrt(sys.initial_model.clamped_group_variances()))
+    gaps = [_relative_gap(trajectory.states[0], sys.decomposition.apply(scale, noise[0]))]
+    for k in range(1, sys.horizon + 1):
+        state = apply_filter(sys.state_poly(k), sys.shift, trajectory.states[k - 1])
+        gaps.append(_relative_gap(trajectory.states[k], state + sys.state_sigma(k) * noise[2 * k - 1]))
+        read = apply_filter(sys.observation_poly(k), sys.shift, trajectory.states[k])
+        gaps.append(_relative_gap(trajectory.observations[k - 1], read + sys.observation_sigma(k) * noise[2 * k]))
+    return gaps
+
+
 def check_dynamics() -> list[CheckResult]:
     rng = generator(505)
     worst_cov = 0.0
@@ -399,24 +435,12 @@ def check_dynamics() -> list[CheckResult]:
             cov = 0.5 * (cov + cov.T)
             gap = np.linalg.norm(cov - response_matrix(sys, hs[k]))
             worst_cov = max(worst_cov, float(gap))
-    stream_ok = True
     sys = random_system(generator(506), n_max=8, steps=12, zero_initial=False)
     trajectory = simulate(sys, 987)
-    x0 = sample(sys.initial_model, generator(child_sequence(trajectory.seed, 0)))
-    if not np.array_equal(trajectory.states[0], x0):
-        stream_ok = False
-    for k in range(1, sys.horizon + 1):
-        e = generator(child_sequence(trajectory.seed, 2 * k - 1)).standard_normal(sys.n)
-        expected = apply_filter(sys.state_poly(k), sys.shift, trajectory.states[k - 1])
-        if not np.array_equal(trajectory.states[k], expected + sys.state_sigma(k) * e):
-            stream_ok = False
-        e_obs = generator(child_sequence(trajectory.seed, 2 * k)).standard_normal(sys.n)
-        expected_obs = apply_filter(sys.observation_poly(k), sys.shift, trajectory.states[k])
-        if not np.array_equal(trajectory.observations[k - 1], expected_obs + sys.observation_sigma(k) * e_obs):
-            stream_ok = False
+    worst_stream = max(simulation_step_gaps(sys, trajectory))
     return [
         CheckResult("dynamics", "covariance-recursion-matches-matrix", worst_cov <= 1e-8, f"worst gap {worst_cov:.3e}"),
-        CheckResult("dynamics", "noise-stream-accounting", stream_ok, "per-step noise re-derivable from child seeds"),
+        CheckResult("dynamics", "noise-stream-accounting", worst_stream <= 1e-12, f"noise block re-derived from the seed; worst relative step gap {worst_stream:.3e}"),
     ]
 
 

@@ -6,17 +6,16 @@ import pytest
 from graphkalman import (
     DynamicalSystem,
     Polynomial,
+    apply_filter,
     build_shift,
     covariance_responses,
     cycle_graph,
     eval_filter,
-    observe,
     simulate,
-    step_state,
     trajectory_to_csv,
 )
-from graphkalman.seeding import child_sequence, generator
-from graphkalman.verify import random_system, response_matrix
+from graphkalman.seeding import as_seed_sequence, child_sequence, generator
+from graphkalman.verify import random_system, response_matrix, simulation_step_gaps
 
 
 def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None, allow_zero=False):
@@ -25,6 +24,30 @@ def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None, allow_zero=Fals
         shift, a, b, sigma, sigma_tilde, horizon,
         initial_covariance=h0, allow_zero_noise=allow_zero,
     )
+
+
+def _noise_block(sys, seed):
+    """The trajectory's white-noise block re-drawn from its seed: row 0 for
+    x_0, row 2k-1 for the process and row 2k for the observation noise of step k."""
+    return generator(child_sequence(as_seed_sequence(seed), 0)).standard_normal((2 * sys.horizon + 1, sys.n))
+
+
+def _dense_trajectory(sys, seed):
+    """States and observations of the vertex-space recursion (Horner on the
+    shift) driven by the rows of the re-drawn noise block."""
+    noise = _noise_block(sys, seed)
+    states = [response_matrix(sys, np.sqrt(sys.initial_model.clamped_group_variances())) @ noise[0]]
+    observations = []
+    for k in range(1, sys.horizon + 1):
+        x = apply_filter(sys.state_poly(k), sys.shift, states[-1]) + sys.state_sigma(k) * noise[2 * k - 1]
+        states.append(x)
+        observations.append(apply_filter(sys.observation_poly(k), sys.shift, x) + sys.observation_sigma(k) * noise[2 * k])
+    return np.array(states), np.array(observations).reshape(sys.horizon, sys.n)
+
+
+def _worst_relative_gap(values, expected):
+    gaps = np.linalg.norm(values - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
+    return float(np.max(gaps))
 
 
 class TestConstruction:
@@ -62,45 +85,54 @@ class TestConstruction:
 
 
 class TestStepState:
+    """State transitions of ``simulate``, against the re-drawn noise rows."""
+
     def test_zero_dynamics_is_pure_noise(self):
-        sys = _cycle_system(4, Polynomial.zero(), Polynomial.one(), 1.0, 1.0, 3)
-        rng = generator(50)
-        expected = generator(50).standard_normal(4)
-        x = step_state(sys, np.array([5.0, -1.0, 2.0, 0.0]), 1, rng)
-        np.testing.assert_array_equal(x, expected)
+        sys = _cycle_system(4, Polynomial.zero(), Polynomial.one(), 1.0, 1.0, 3, h0=Polynomial.one())
+        noise = _noise_block(sys, 50)
+        trajectory = simulate(sys, 50)
+        np.testing.assert_allclose(trajectory.states[1:], noise[1::2], rtol=0.0, atol=1e-14)
 
     def test_identity_dynamics_zero_noise_keeps_state(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 3, allow_zero=True)
-        x_prev = np.array([1.0, 2.0, 3.0, 4.0])
-        x = step_state(sys, x_prev, 1, generator(51))
-        np.testing.assert_array_equal(x, x_prev)
+        sys = _cycle_system(
+            4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 3, h0=Polynomial((1.0, 0.5)), allow_zero=True
+        )
+        trajectory = simulate(sys, 51)
+        assert np.linalg.norm(trajectory.states[0]) > 0.0
+        np.testing.assert_array_equal(trajectory.states, np.tile(trajectory.states[0], (4, 1)))
 
     def test_dense_oracle_on_cycle30(self, c30):
         _, shift, _, _ = c30
         sys = DynamicalSystem.from_constant(
             shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
         )
-        x_prev = generator(52).standard_normal(30)
-        x = step_state(sys, x_prev, 1, generator(53))
-        dense = (shift.matrix / 4.0) @ x_prev + 0.3 * generator(53).standard_normal(30)
-        np.testing.assert_allclose(x, dense, atol=1e-12)
+        noise = _noise_block(sys, 53)
+        trajectory = simulate(sys, 53)
+        dense = trajectory.states[:-1] @ (shift.matrix / 4.0).T + 0.3 * noise[1::2]
+        np.testing.assert_allclose(trajectory.states[1:], dense, rtol=0.0, atol=1e-12)
 
     def test_out_of_range_step(self):
         sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
         with pytest.raises(ValueError):
-            step_state(sys, np.zeros(4), 4, generator(0))
+            sys.response_row(4)
+        with pytest.raises(ValueError):
+            sys.step_rows(4)
+        assert sys.step_rows(3).tolist() == [0, 0, 0]
 
 
 class TestObserve:
+    """Observations of ``simulate``, against the re-drawn noise rows."""
+
     def test_identity_observation_zero_noise(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 3, allow_zero=True)
-        x = np.array([1.0, -1.0, 0.5, 2.0])
-        np.testing.assert_array_equal(observe(sys, x, 1, generator(54)), x)
+        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 0.0, 3, allow_zero=True)
+        trajectory = simulate(sys, 54)
+        np.testing.assert_allclose(trajectory.observations, trajectory.states[1:], rtol=0.0, atol=1e-14)
 
     def test_zero_observation_is_pure_noise(self):
         sys = _cycle_system(4, Polynomial.one(), Polynomial.zero(), 1.0, 2.0, 3)
-        z = observe(sys, np.ones(4), 1, generator(55))
-        np.testing.assert_array_equal(z, 2.0 * generator(55).standard_normal(4))
+        noise = _noise_block(sys, 55)
+        trajectory = simulate(sys, 55)
+        np.testing.assert_allclose(trajectory.observations, 2.0 * noise[2::2], rtol=0.0, atol=1e-14)
 
     def test_observation_matrix_is_half_adjacency(self, c30):
         # b(t) = 1 - t/2 on the cycle Laplacian realizes W/2
@@ -113,10 +145,10 @@ class TestObserve:
         sys = DynamicalSystem.from_constant(
             shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
         )
-        x = generator(56).standard_normal(30)
-        z = observe(sys, x, 2, generator(57))
-        dense = (graph.weight_matrix / 2.0) @ x + 0.5 * generator(57).standard_normal(30)
-        np.testing.assert_allclose(z, dense, atol=1e-12)
+        noise = _noise_block(sys, 57)
+        trajectory = simulate(sys, 57)
+        dense = trajectory.states[1:] @ (graph.weight_matrix / 2.0).T + 0.5 * noise[2::2]
+        np.testing.assert_allclose(trajectory.observations, dense, rtol=0.0, atol=1e-12)
 
 
 class TestCovarianceRecursion:
@@ -177,19 +209,26 @@ class TestSimulate:
         np.testing.assert_array_equal(t1.observations, t2.observations)
 
     def test_noise_streams_rederivable(self):
+        # one block per trajectory; rounding happens in the eigenbasis, so
+        # each step matches its vertex-space form to 1e-12, not bit for bit
         sys = random_system(generator(59), n_max=8, steps=10, zero_initial=False)
         trajectory = simulate(sys, 4242)
-        from graphkalman import apply_filter, sample
+        assert max(simulation_step_gaps(sys, trajectory)) <= 1e-12
 
-        x0 = sample(sys.initial_model, generator(child_sequence(trajectory.seed, 0)))
-        np.testing.assert_array_equal(trajectory.states[0], x0)
-        for k in range(1, sys.horizon + 1):
-            e = generator(child_sequence(trajectory.seed, 2 * k - 1)).standard_normal(sys.n)
-            drift = apply_filter(sys.state_poly(k), sys.shift, trajectory.states[k - 1])
-            np.testing.assert_array_equal(trajectory.states[k], drift + sys.state_sigma(k) * e)
-            e_obs = generator(child_sequence(trajectory.seed, 2 * k)).standard_normal(sys.n)
-            read = apply_filter(sys.observation_poly(k), sys.shift, trajectory.states[k])
-            np.testing.assert_array_equal(trajectory.observations[k - 1], read + sys.observation_sigma(k) * e_obs)
+    def test_cycle120_matches_dense_recursion(self):
+        sys = _cycle_system(120, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100)
+        trajectory = simulate(sys, 120)
+        states, observations = _dense_trajectory(sys, 120)
+        assert _worst_relative_gap(trajectory.states[1:], states[1:]) <= 1e-12
+        assert _worst_relative_gap(trajectory.observations, observations) <= 1e-12
+
+    def test_time_varying_system_matches_dense_recursion(self):
+        sys = random_system(generator(61), n_max=8, steps=10, zero_initial=False, time_varying=True)
+        assert not sys.time_invariant and not sys.initial_covariance.is_zero
+        trajectory = simulate(sys, 61)
+        states, observations = _dense_trajectory(sys, 61)
+        assert _worst_relative_gap(trajectory.states, states) <= 1e-12
+        assert _worst_relative_gap(trajectory.observations, observations) <= 1e-12
 
     def test_per_step_state_energy_tracks_covariance_trace(self, c30):
         # Monte-Carlo over 30 trials at the default configuration

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphkalman import Graph, InvalidShiftError, build_shift, cycle_graph, validate_shift
 
@@ -149,6 +151,24 @@ class TestJson:
         g = Graph.from_edges(5, [(1, 2, 0.5), (2, 3), (4, 5, 2.0)])
         restored = Graph.from_json(g.to_json())
         assert restored == g
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        # any order, orientation and nonnegative finite weight survives JSON exactly
+        n = data.draw(st.integers(2, 12), label="n")
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+        weights = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
+        items = []
+        for i, j in chosen:
+            if data.draw(st.booleans(), label="reversed"):
+                i, j = j, i
+            items.append((i, j, data.draw(weights, label="weight")))
+        g = Graph.from_edges(n, items)
+        restored = Graph.from_json(g.to_json())
+        assert restored == g
+        assert restored.to_json() == g.to_json()
 
     def test_format_shape(self):
         g = cycle_graph(3)
