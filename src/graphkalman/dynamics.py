@@ -181,12 +181,6 @@ class DynamicalSystem:
             raise ValueError(f"step {k} out of range 1..{self.horizon}")
         return 0 if self.time_invariant else k - 1
 
-    def step_rows(self, steps: int) -> np.ndarray:
-        """Response rows of steps 1..steps, range-checked like ``response_row``."""
-        if steps:
-            self.response_row(steps)
-        return np.zeros(steps, dtype=int) if self.time_invariant else np.arange(steps)
-
     def state_poly(self, k: int) -> Polynomial:
         return self.state_polys[self.response_row(k)]
 
@@ -257,16 +251,15 @@ def simulate(sys: DynamicalSystem, seed) -> Trajectory:
     n, m = sys.n, sys.horizon
     u = sys.decomposition.eigenvectors
     e_tilde = generator(child_sequence(ss, 0)).standard_normal((2 * m + 1, n)) @ u
-    rows = sys.step_rows(m)
     expand = sys.spectrum.expand
-    a = expand(sys.state_responses)[rows]
-    drive = np.asarray(sys.state_noise)[rows, None] * e_tilde[1::2]
+    a = np.broadcast_to(expand(sys.state_responses[:m]), (m, n))
+    drive = np.asarray(sys.state_noise)[:m, None] * e_tilde[1::2]
     x_tilde = np.empty((m + 1, n))
     x_tilde[0] = expand(np.sqrt(sys.initial_model.clamped_group_variances())) * e_tilde[0]
     for k in range(m):
         x_tilde[k + 1] = a[k] * x_tilde[k] + drive[k]
-    z_tilde = expand(sys.observation_responses)[rows] * x_tilde[1:]
-    z_tilde += np.asarray(sys.observation_noise)[rows, None] * e_tilde[2::2]
+    z_tilde = expand(sys.observation_responses[:m]) * x_tilde[1:]
+    z_tilde += np.asarray(sys.observation_noise)[:m, None] * e_tilde[2::2]
     return Trajectory(states=x_tilde @ u.T, observations=z_tilde @ u.T, seed=ss)
 
 

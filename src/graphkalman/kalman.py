@@ -222,9 +222,8 @@ def run_filter(
         raise ValueError("precomputed riccati sequence is shorter than the observations")
 
     expand = sys.spectrum.expand
-    rows = sys.step_rows(m)
     g = expand(riccati.gain_responses[:m])
-    carry = expand(sys.state_responses)[rows] * (1.0 - g * expand(sys.observation_responses)[rows])
+    carry = expand(sys.state_responses[:m]) * (1.0 - g * expand(sys.observation_responses[:m]))
     u = sys.decomposition.eigenvectors
     xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
     drive = g * (obs @ u)

@@ -100,10 +100,8 @@ def random_system(
     steps: int = 50,
     all_pass: bool = False,
     zero_initial: bool | None = None,
-    time_varying: bool = False,
 ) -> DynamicalSystem:
-    """Random system with mildly stable dynamics, time-invariant unless
-    ``time_varying`` asks for fresh polynomials and noise levels per step.
+    """Random time-invariant system with mildly stable dynamics.
 
     The state response magnitude is capped near 1 so 50-step error
     covariances stay within floating-point range.
@@ -112,35 +110,20 @@ def random_system(
     shift = random_shift(rng, n)
     decomposition = eigendecompose(shift)
     spectrum = distinct_eigenvalues(decomposition)
-    count = steps if time_varying else 1
-    state_polys, observation_polys = [], []
-    for _ in range(count):
-        state_polys.append(_scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.05))))
-        if all_pass:
-            observation_polys.append(_all_pass_poly(rng, spectrum.representatives, 3))
-        else:
-            observation_polys.append(_scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.5))))
+    a = _scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.05)))
+    if all_pass:
+        b = _all_pass_poly(rng, spectrum.representatives, 3)
+    else:
+        b = _scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.5)))
     if zero_initial is None:
         zero_initial = bool(rng.random() < 0.5)
     h0 = Polynomial.zero() if zero_initial else random_psd_poly(rng)
-    sigmas = [float(rng.uniform(0.1, 2.0)) for _ in range(2 * count)]
-    if time_varying:
-        return DynamicalSystem.from_sequences(
-            shift,
-            state_polys,
-            observation_polys,
-            sigmas[::2],
-            sigmas[1::2],
-            initial_covariance=h0,
-            decomposition=decomposition,
-            spectrum=spectrum,
-        )
     return DynamicalSystem.from_constant(
         shift,
-        state_polys[0],
-        observation_polys[0],
-        sigma=sigmas[0],
-        sigma_tilde=sigmas[1],
+        a,
+        b,
+        sigma=float(rng.uniform(0.1, 2.0)),
+        sigma_tilde=float(rng.uniform(0.1, 2.0)),
         horizon=steps,
         initial_covariance=h0,
         decomposition=decomposition,

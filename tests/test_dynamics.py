@@ -115,9 +115,6 @@ class TestStepState:
         sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
         with pytest.raises(ValueError):
             sys.response_row(4)
-        with pytest.raises(ValueError):
-            sys.step_rows(4)
-        assert sys.step_rows(3).tolist() == [0, 0, 0]
 
 
 class TestObserve:
@@ -223,8 +220,17 @@ class TestSimulate:
         assert _worst_relative_gap(trajectory.observations, observations) <= 1e-12
 
     def test_time_varying_system_matches_dense_recursion(self):
-        sys = random_system(generator(61), n_max=8, steps=10, zero_initial=False, time_varying=True)
-        assert not sys.time_invariant and not sys.initial_covariance.is_zero
+        shift = build_shift(cycle_graph(10), "laplacian")
+        steps = range(1, 11)
+        sys = DynamicalSystem.from_sequences(
+            shift,
+            state_polys=[Polynomial((0.9 - 0.05 * k, 0.02 * k)) for k in steps],
+            observation_polys=[Polynomial((1.0, -0.1 * k)) for k in steps],
+            sigmas=[0.1 * k for k in steps],
+            sigma_tildes=[1.2 - 0.1 * k for k in steps],
+            initial_covariance=Polynomial((0.5, 0.1)),
+        )
+        assert not sys.time_invariant
         trajectory = simulate(sys, 61)
         states, observations = _dense_trajectory(sys, 61)
         assert _worst_relative_gap(trajectory.states, states) <= 1e-12
