@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,8 +65,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError("n must be >= 3 for a cycle graph")
-        if self.m < 0:
-            raise ValueError("m must be >= 0")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for name, grid in (("sigma_grid", self.sigma_grid), ("sigma_tilde_grid", self.sigma_tilde_grid)):
@@ -73,6 +74,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
             if any(v < 0 or not np.isfinite(v) for v in grid):
                 raise ValueError(f"{name} values must be finite and >= 0")
+        if not (math.isfinite(self.clip) and self.clip > METRIC_FLOOR):
+            raise ValueError(f"clip must be finite and > {METRIC_FLOOR}")
         if not 1 <= self.trace.vertex <= self.n:
             raise ValueError(f"trace vertex {self.trace.vertex} out of range 1..{self.n}")
 
@@ -86,7 +89,7 @@ class ExperimentConfig:
         kwargs: dict = {}
         for key in ("n", "m", "trials", "seed"):
             if key in payload:
-                kwargs[key] = int(payload[key])
+                kwargs[key] = _integral(payload[key], key)
         if "clip" in payload:
             kwargs["clip"] = float(payload["clip"])
         if "a" in payload:
@@ -103,7 +106,7 @@ class ExperimentConfig:
             kwargs["trace"] = TraceSpec(
                 sigma=float(spec.get("sigma", 0.3)),
                 sigma_tilde=float(spec.get("sigma_tilde", 0.5)),
-                vertex=int(spec.get("vertex", 8)),
+                vertex=_integral(spec.get("vertex", 8), "trace vertex"),
             )
         return ExperimentConfig(**kwargs)
 
@@ -132,6 +135,14 @@ class ExperimentConfig:
                 "vertex": self.trace.vertex,
             },
         }
+
+
+def _integral(value, name: str) -> int:
+    # a JSON config may spell an integer 12.0, but 12.7 must not become 12
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _reject_unknown_keys(payload: dict, known: set[str], what: str) -> None:

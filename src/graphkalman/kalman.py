@@ -19,7 +19,7 @@ node values).  A frequency is blind, with gain 0, where
 ``filters.passband`` says so; with zero observation noise an uncertain
 blind frequency raises ``SingularGainError``.  The dense matrix Riccati
 step below drives ``verify.matrix_riccati_path``, the oracle that the
-spectral path is checked against.
+spectral path is checked against; it uses numpy only.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import DynamicalSystem, write_text
 from .errors import NumericalFailureError, SingularGainError
@@ -78,6 +77,8 @@ def _predicted_covariance(p_prev: np.ndarray, a: np.ndarray, sigma: float) -> np
 
 
 def _innovation_solve(predicted: np.ndarray, b: np.ndarray, sigma_tilde: float) -> np.ndarray:
+    """Gain P B^T S^-1 with S = B P B^T + sigma_tilde^2 I: one dense solve
+    after the SPD and condition check on S."""
     innovation = b @ predicted @ b.T + sigma_tilde**2 * np.eye(b.shape[0])
     innovation = 0.5 * (innovation + innovation.T)
     eigenvalues = np.linalg.eigvalsh(innovation)
@@ -85,12 +86,11 @@ def _innovation_solve(predicted: np.ndarray, b: np.ndarray, sigma_tilde: float) 
         raise NumericalFailureError(
             f"innovation matrix numerically singular (condition beyond {INNOVATION_CONDITION_LIMIT:g})"
         )
-    factor = scipy.linalg.cho_factor(innovation)
-    return scipy.linalg.cho_solve(factor, b @ predicted).T
+    return np.linalg.solve(innovation, b @ predicted).T
 
 
 def matrix_gain(p_prev, state_matrix, observation_matrix, sigma: float, sigma_tilde: float) -> np.ndarray:
-    """Dense Kalman gain via a symmetric positive-definite solve."""
+    """Dense Kalman gain: one dense solve after the SPD and condition check."""
     p = np.asarray(p_prev, dtype=float)
     a = np.asarray(state_matrix, dtype=float)
     b = np.asarray(observation_matrix, dtype=float)

@@ -95,8 +95,9 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        return Polynomial(tuple(npoly.polymul(self.coeffs, other.coeffs)))
+        # the convolution sums in operand order; a fixed order makes p*q == q*p
+        first, second = sorted((self.coeffs, _coerce(other).coeffs))
+        return Polynomial(tuple(npoly.polymul(first, second)))
 
     __rmul__ = __mul__
 

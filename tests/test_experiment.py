@@ -77,6 +77,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"unknown trace keys: \['sigma_tlde', 'vertx'\]"):
             ExperimentConfig.from_dict({"trace": {"vertx": 3, "sigma_tlde": 0.9}})
 
+    def test_empty_horizon_rejected(self):
+        # an empty horizon leaves run_heatmap no estimates to stack
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            ExperimentConfig(n=12, m=0, trials=3)
+
+    def test_nan_clip_rejected(self):
+        # min(x, nan) is x, so a nan clip would be silently ignored
+        with pytest.raises(ValueError, match="clip must be finite"):
+            ExperimentConfig.from_dict({"n": 12, "trials": 3, "clip": float("nan")})
+
+    def test_clip_at_or_below_metric_floor_rejected(self):
+        # a clip below the metric floor would be written into every cell
+        for clip in (-20.0, METRIC_FLOOR):
+            with pytest.raises(ValueError, match="clip must be finite"):
+                ExperimentConfig(n=12, trials=3, clip=clip)
+
+    def test_non_integral_counts_rejected(self):
+        for key in ("n", "m", "trials", "seed"):
+            with pytest.raises(ValueError, match=f"{key} must be an integer, got 12.7"):
+                ExperimentConfig.from_dict({key: 12.7})
+        with pytest.raises(ValueError, match="trace vertex must be an integer"):
+            ExperimentConfig.from_dict({"trace": {"vertex": 8.5}})
+        assert ExperimentConfig.from_dict({"n": 12.0}).n == 12
+
     def test_range_grid_resolved(self):
         config = ExperimentConfig.from_dict({"sigma_grid": {"start": 0.0, "stop": 0.3, "step": 0.1}})
         assert config.sigma_grid == (0.0, 0.1, 0.2, 0.3)

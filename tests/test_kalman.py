@@ -194,6 +194,23 @@ class TestMatrixRecursion:
         p = matrix_error_update(p_prev, a, np.zeros((5, 5)), 0.7, 1.2)
         np.testing.assert_allclose(p, a @ p_prev @ a.T + 0.49 * np.eye(5), atol=1e-10)
 
+    def test_gain_and_update_match_explicit_inverse(self):
+        # non-commuting A, B and P_prev, so no eigenbasis shortcut applies
+        rng = generator(70)
+        a = rng.standard_normal((6, 6))
+        a = 0.5 * (a + a.T)
+        b = rng.standard_normal((6, 6))
+        root = rng.standard_normal((6, 6))
+        p_prev = root @ root.T + 0.1 * np.eye(6)
+        sigma, sigma_tilde = 0.7, 0.4
+        predicted = a @ p_prev @ a.T + sigma**2 * np.eye(6)
+        expected_gain = predicted @ b.T @ np.linalg.inv(b @ predicted @ b.T + sigma_tilde**2 * np.eye(6))
+        expected_error = (np.eye(6) - expected_gain @ b) @ predicted
+        gain = matrix_gain(p_prev, a, b, sigma, sigma_tilde)
+        error = matrix_error_update(p_prev, a, b, sigma, sigma_tilde)
+        assert np.linalg.norm(gain - expected_gain) <= 1e-10 * np.linalg.norm(expected_gain)
+        assert np.linalg.norm(error - expected_error) <= 1e-10 * np.linalg.norm(expected_error)
+
     def test_singular_innovation_rejected(self):
         with pytest.raises(NumericalFailureError):
             matrix_gain(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)), 0.0, 0.0)

@@ -55,6 +55,30 @@ class TestArithmetic:
         assert f(2.0) == 5.0
         np.testing.assert_array_equal(f(np.array([0.0, 1.0, 3.0])), [1.0, 2.0, 10.0])
 
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+        st.floats(-2.0, 4.0),
+        st.integers(0, 3),
+        st.integers(1, 3),
+    )
+    def test_operations_commute_with_evaluation(self, p_coeffs, q_coeffs, t, k, zeros):
+        p, q = Polynomial.from_coeffs(p_coeffs), Polynomial.from_coeffs(q_coeffs)
+        pt, qt = p(t), q(t)
+        # rounding scale: the same polynomials with |coefficients| at |t|
+        ap = float(np.polynomial.polynomial.polyval(abs(t), np.abs(p.coeffs)))
+        aq = float(np.polynomial.polynomial.polyval(abs(t), np.abs(q.coeffs)))
+        ulps = 64 * np.finfo(float).eps
+        assert abs((p + q)(t) - (pt + qt)) <= ulps * (ap + aq)
+        assert abs((p - q)(t) - (pt - qt)) <= ulps * (ap + aq)
+        assert abs((p * q)(t) - pt * qt) <= ulps * ap * aq
+        assert abs((p**k)(t) - pt**k) <= ulps * ap**k
+        assert (p - p).is_zero
+        assert p * q == q * p
+        assert Polynomial.from_coeffs(p.to_list()) == p
+        assert Polynomial.from_coeffs(p.to_list() + [0.0] * zeros) == p
+
 
 class TestReduction:
     def test_cubic_mod_minimal(self):
