@@ -2,7 +2,8 @@
 
 States evolve as x_k = a_k(S) x_{k-1} + sigma_k e_k and are observed through
 z_k = b_k(S) x_k + sigma_tilde_k e~_k with independent standard white noises.
-A ``DynamicalSystem`` evaluates a_k and b_k once, at the distinct
+A ``DynamicalSystem`` is built on one ``DistinctSpectrum``, which carries
+the shift and its eigenbasis, and evaluates a_k and b_k once, at the distinct
 eigenvalues, into read-only (T, d) response arrays (T = 1 when time-invariant,
 else the horizon), which the simulation, covariance and Kalman recursions
 read; none of them applies a polynomial to a vertex signal.
@@ -31,13 +32,7 @@ import numpy as np
 from .graphs import GraphShift
 from .polynomials import Polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
-from .spectral import (
-    DistinctSpectrum,
-    SpectralDecomposition,
-    distinct_eigenvalues,
-    eigendecompose,
-    minimal_polynomial,
-)
+from .spectral import DistinctSpectrum, SpectralDecomposition
 from .stationary import StationaryModel
 
 
@@ -50,15 +45,14 @@ def _as_tuple(value, length: int, name: str) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class DynamicalSystem:
-    """Per-step polynomials and noise levels over a fixed graph shift.
+    """Per-step polynomials and noise levels over one distinct spectrum.
 
-    Time-invariant systems store a single polynomial/noise entry; per-step
-    accessors serve both layouts, and ``response_row(k)`` is the entry that
-    holds step k.
+    The spectrum carries the decomposition and the shift (``decomposition``
+    and ``shift`` are read from it).  Time-invariant systems store a single
+    polynomial/noise entry; per-step accessors serve both layouts, and
+    ``response_row(k)`` is the entry that holds step k.
     """
 
-    shift: GraphShift
-    decomposition: SpectralDecomposition
     spectrum: DistinctSpectrum
     horizon: int
     state_polys: tuple[Polynomial, ...]
@@ -82,29 +76,21 @@ class DynamicalSystem:
     @classmethod
     def from_constant(
         cls,
-        shift: GraphShift,
+        spectrum: DistinctSpectrum,
         state_poly: Polynomial,
         observation_poly: Polynomial,
         sigma: float,
         sigma_tilde: float,
         horizon: int,
         initial_covariance: Polynomial | None = None,
-        decomposition: SpectralDecomposition | None = None,
-        spectrum: DistinctSpectrum | None = None,
         allow_zero_noise: bool = False,
     ) -> "DynamicalSystem":
         """Time-invariant system; noise levels must be positive unless the
         zero-noise reference mode is explicitly requested."""
         if not allow_zero_noise and (sigma <= 0 or sigma_tilde <= 0):
             raise ValueError("noise levels must be positive (set allow_zero_noise for the reference mode)")
-        if decomposition is None:
-            decomposition = eigendecompose(shift)
-        if spectrum is None:
-            spectrum = distinct_eigenvalues(decomposition)
         return cls(
-            shift=shift,
-            decomposition=decomposition,
-            spectrum=spectrum,
+            spectrum,
             horizon=int(horizon),
             state_polys=(state_poly,),
             observation_polys=(observation_poly,),
@@ -117,27 +103,19 @@ class DynamicalSystem:
     @classmethod
     def from_sequences(
         cls,
-        shift: GraphShift,
+        spectrum: DistinctSpectrum,
         state_polys: Sequence[Polynomial],
         observation_polys: Sequence[Polynomial],
         sigmas: Sequence[float],
         sigma_tildes: Sequence[float],
         initial_covariance: Polynomial | None = None,
-        decomposition: SpectralDecomposition | None = None,
-        spectrum: DistinctSpectrum | None = None,
         allow_zero_noise: bool = False,
     ) -> "DynamicalSystem":
         horizon = len(state_polys)
         if not allow_zero_noise and any(s <= 0 for s in (*sigmas, *sigma_tildes)):
             raise ValueError("noise levels must be positive (set allow_zero_noise for the reference mode)")
-        if decomposition is None:
-            decomposition = eigendecompose(shift)
-        if spectrum is None:
-            spectrum = distinct_eigenvalues(decomposition)
         return cls(
-            shift=shift,
-            decomposition=decomposition,
-            spectrum=spectrum,
+            spectrum,
             horizon=horizon,
             state_polys=_as_tuple(state_polys, horizon, "state_polys"),
             observation_polys=_as_tuple(observation_polys, horizon, "observation_polys"),
@@ -148,16 +126,20 @@ class DynamicalSystem:
         )
 
     @property
+    def decomposition(self) -> SpectralDecomposition:
+        return self.spectrum.decomposition
+
+    @property
+    def shift(self) -> GraphShift:
+        return self.spectrum.decomposition.shift
+
+    @property
     def n(self) -> int:
         return self.shift.n
 
     @cached_property
-    def minimal_poly(self) -> Polynomial:
-        return minimal_polynomial(self.spectrum)
-
-    @cached_property
     def initial_model(self) -> StationaryModel:
-        return StationaryModel(self.initial_covariance, self.decomposition, self.spectrum)
+        return StationaryModel(self.initial_covariance, self.spectrum)
 
     @cached_property
     def state_responses(self) -> np.ndarray:

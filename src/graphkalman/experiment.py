@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,10 +23,10 @@ import numpy as np
 from .baselines import inverse_estimate
 from .dynamics import DynamicalSystem, Trajectory, simulate, write_text
 from .errors import DegenerateTrajectoryError, SingularGainError
-from .graphs import build_shift, cycle_graph
+from .graphs import build_shift, cycle_graph, require_integral
 from .kalman import riccati_sequence, run_filter
 from .polynomials import Polynomial
-from .spectral import distinct_eigenvalues, eigendecompose
+from .spectral import DistinctSpectrum, distinct_eigenvalues, eigendecompose
 
 ENERGY_GUARD = 1e-24
 METRIC_FLOOR = -12.0
@@ -74,6 +73,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
             if any(v < 0 or not np.isfinite(v) for v in grid):
                 raise ValueError(f"{name} values must be finite and >= 0")
+        for name, value in (("sigma", self.trace.sigma), ("sigma_tilde", self.trace.sigma_tilde)):
+            if value < 0 or not np.isfinite(value):
+                raise ValueError(f"trace {name} must be finite and >= 0, got {value!r}")
         if not (math.isfinite(self.clip) and self.clip > METRIC_FLOOR):
             raise ValueError(f"clip must be finite and > {METRIC_FLOOR}")
         if not 1 <= self.trace.vertex <= self.n:
@@ -89,7 +91,7 @@ class ExperimentConfig:
         kwargs: dict = {}
         for key in ("n", "m", "trials", "seed"):
             if key in payload:
-                kwargs[key] = _integral(payload[key], key)
+                kwargs[key] = require_integral(payload[key], key)
         if "clip" in payload:
             kwargs["clip"] = float(payload["clip"])
         if "a" in payload:
@@ -106,7 +108,7 @@ class ExperimentConfig:
             kwargs["trace"] = TraceSpec(
                 sigma=float(spec.get("sigma", 0.3)),
                 sigma_tilde=float(spec.get("sigma_tilde", 0.5)),
-                vertex=_integral(spec.get("vertex", 8), "trace vertex"),
+                vertex=require_integral(spec.get("vertex", 8), "trace vertex"),
             )
         return ExperimentConfig(**kwargs)
 
@@ -135,14 +137,6 @@ class ExperimentConfig:
                 "vertex": self.trace.vertex,
             },
         }
-
-
-def _integral(value, name: str) -> int:
-    # a JSON config may spell an integer 12.0, but 12.7 must not become 12
-    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _reject_unknown_keys(payload: dict, known: set[str], what: str) -> None:
@@ -202,25 +196,19 @@ class HeatmapResult:
     flagged: np.ndarray
 
 
-def _experiment_context(config: ExperimentConfig):
-    graph = cycle_graph(config.n)
-    shift = build_shift(graph, "laplacian")
-    decomposition = eigendecompose(shift)
-    spectrum = distinct_eigenvalues(decomposition)
-    return shift, decomposition, spectrum
+def _cycle_spectrum(config: ExperimentConfig) -> DistinctSpectrum:
+    """The distinct spectrum of the C_n Laplacian, built once per run and shared by its cells."""
+    return distinct_eigenvalues(eigendecompose(build_shift(cycle_graph(config.n), "laplacian")))
 
 
-def _cell_system(config, context, sigma: float, sigma_tilde: float) -> DynamicalSystem:
-    shift, decomposition, spectrum = context
+def _cell_system(config, spectrum: DistinctSpectrum, sigma: float, sigma_tilde: float) -> DynamicalSystem:
     return DynamicalSystem.from_constant(
-        shift,
+        spectrum,
         config.state_poly,
         config.observation_poly,
         sigma,
         sigma_tilde,
         horizon=config.m,
-        decomposition=decomposition,
-        spectrum=spectrum,
         allow_zero_noise=True,
     )
 
@@ -239,10 +227,10 @@ def _trial_metrics(config, sys, riccati, seed) -> tuple[float, float]:
     )
 
 
-def _run_cell(config, context, i: int, j: int):
+def _run_cell(config, spectrum: DistinctSpectrum, i: int, j: int):
     """Both estimators' metrics over the cell's trials, and whether the cell
     is flagged: a degenerate trial, or no Kalman gain (``SingularGainError``)."""
-    sys = _cell_system(config, context, config.sigma_grid[i], config.sigma_tilde_grid[j])
+    sys = _cell_system(config, spectrum, config.sigma_grid[i], config.sigma_tilde_grid[j])
     kalman_metrics: list[float] = []
     inverse_metrics: list[float] = []
     try:
@@ -279,7 +267,7 @@ def run_heatmap(config: ExperimentConfig) -> HeatmapResult:
     noise at a blind frequency) are flagged rather than failing; a cell with
     no trial left stays NaN.
     """
-    context = _experiment_context(config)
+    spectrum = _cycle_spectrum(config)
     ns, nt = len(config.sigma_grid), len(config.sigma_tilde_grid)
     kalman = np.full((ns, nt), math.nan)
     inverse = np.full((ns, nt), math.nan)
@@ -290,7 +278,7 @@ def run_heatmap(config: ExperimentConfig) -> HeatmapResult:
 
     for i in range(ns):
         for j in range(nt):
-            kalman_metrics, inverse_metrics, flagged[i, j] = _run_cell(config, context, i, j)
+            kalman_metrics, inverse_metrics, flagged[i, j] = _run_cell(config, spectrum, i, j)
             kalman[i, j], kalman_sem[i, j] = _mean_sem(kalman_metrics)
             inverse[i, j], inverse_sem[i, j] = _mean_sem(inverse_metrics)
             n_trials[i, j] = len(kalman_metrics)
@@ -323,7 +311,7 @@ class TraceResult:
 
 def _trace_run(config: ExperimentConfig, trial: int) -> tuple[DynamicalSystem, Trajectory]:
     """The trace point's system and its simulated trajectory."""
-    sys = _cell_system(config, _experiment_context(config), config.trace.sigma, config.trace.sigma_tilde)
+    sys = _cell_system(config, _cycle_spectrum(config), config.trace.sigma, config.trace.sigma_tilde)
     seed = np.random.SeedSequence(config.seed, spawn_key=(_TRACE_KEY, trial))
     return sys, simulate(sys, seed)
 

@@ -54,12 +54,9 @@ class MembershipResult(NamedTuple):
 
 
 def is_polynomial_filter(
-    matrix: np.ndarray,
-    decomposition: SpectralDecomposition,
-    spectrum: DistinctSpectrum,
-    tol: float | None = None,
+    matrix: np.ndarray, spectrum: DistinctSpectrum, tol: float | None = None
 ) -> MembershipResult:
-    """Test whether a matrix is a polynomial of the shift.
+    """Test whether a matrix is a polynomial of the shift ``spectrum`` was grouped from.
 
     The matrix must be diagonal in the shift's eigenbasis with diagonal
     entries constant on each repeated-eigenvalue group, both within ``tol``
@@ -67,6 +64,7 @@ def is_polynomial_filter(
     interpolant through the per-group diagonal values.
     """
     m = np.asarray(matrix, dtype=float)
+    decomposition = spectrum.decomposition
     n = decomposition.n
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match graph order {n}")

@@ -6,6 +6,7 @@ CSV output); arrays are indexed 0..n-1 internally.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -15,6 +16,14 @@ import numpy as np
 from .errors import InvalidShiftError
 
 SHIFT_KINDS = ("adjacency", "degree", "laplacian", "custom")
+
+
+def require_integral(value, name: str) -> int:
+    """``value`` as an int; 12.0 (as JSON may spell it) is accepted, 12.7 and booleans raise ValueError."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _normalize_edge(i: int, j: int) -> tuple[int, int]:
@@ -67,11 +76,12 @@ class Graph:
                 i, j, w = item
             else:
                 raise ValueError(f"edge item {item!r} must have 2 or 3 entries")
-            normalized.append(_normalize_edge(int(i), int(j)))
+            i, j = require_integral(i, "vertex id"), require_integral(j, "vertex id")
+            normalized.append(_normalize_edge(i, j))
             weights.append(float(w))
         order = sorted(range(len(normalized)), key=lambda k: normalized[k])
         return Graph(
-            n=int(n),
+            n=require_integral(n, "graph order"),
             edges=tuple(normalized[k] for k in order),
             weights=tuple(weights[k] for k in order),
         )

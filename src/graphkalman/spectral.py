@@ -1,4 +1,11 @@
-"""Symmetric eigendecomposition, distinct-eigenvalue grouping, and the minimal polynomial."""
+"""Symmetric eigendecomposition, distinct-eigenvalue grouping, and the minimal polynomial.
+
+A ``DistinctSpectrum`` is the one spectral handle the rest of the package
+takes: it holds the ``SpectralDecomposition`` it was grouped from, which in
+turn holds the shift, so a system, a stationary model or a membership test
+built from one spectrum cannot mix eigenpairs of one shift with the
+eigenvalue groups of another.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -63,11 +70,12 @@ def eigendecompose(shift: GraphShift) -> SpectralDecomposition:
 class DistinctSpectrum:
     """Grouping of near-equal eigenvalues into distinct representatives.
 
-    ``group_index[n]`` maps the n-th eigenvalue to its representative;
-    representatives are strictly increasing and pairwise separated by more
-    than ``tol``.
+    ``group_index[n]`` maps the n-th eigenvalue of ``decomposition`` to its
+    representative; representatives are strictly increasing and pairwise
+    separated by more than ``tol``.
     """
 
+    decomposition: SpectralDecomposition
     representatives: np.ndarray
     group_index: np.ndarray
     tol: float
@@ -115,7 +123,7 @@ def distinct_eigenvalues(
     representatives = sums / sizes
     representatives.flags.writeable = False
     group_index.flags.writeable = False
-    return DistinctSpectrum(representatives=representatives, group_index=group_index, tol=float(tol))
+    return DistinctSpectrum(decomposition, representatives, group_index, float(tol))
 
 
 def minimal_polynomial(spectrum: DistinctSpectrum) -> Polynomial:

@@ -1,8 +1,10 @@
 """Stationary graph signals: covariance polynomials, coloring, whitening, fitting.
 
 A zero-mean random signal is stationary when its covariance matrix is a
-polynomial of the graph shift.  A ``StationaryModel`` evaluates that
-polynomial once, at the distinct eigenvalues (``group_variances``).
+polynomial of the graph shift.  A ``StationaryModel`` pairs that
+polynomial with one ``DistinctSpectrum`` (which carries the shift's
+eigenbasis) and evaluates it once, at the distinct eigenvalues
+(``group_variances``).
 ``sample`` colours white noise e in the eigenbasis, U diag(sqrt(h)) U^T e,
 and ``whiten`` inverts the nonzero responses there; ``sqrt_filter``
 interpolates the square-root responses only when the polynomial is asked for.
@@ -17,29 +19,18 @@ import numpy as np
 from .errors import NotPositiveSemidefiniteError
 from .filters import eval_filter
 from .polynomials import Polynomial, lagrange_interpolate
-from .spectral import DistinctSpectrum, SpectralDecomposition, distinct_eigenvalues
+from .spectral import DistinctSpectrum
 
 PSD_TOL_SCALE = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class StationaryModel:
-    """Covariance polynomial of a zero-mean stationary signal on a fixed shift."""
+    """Covariance polynomial of a zero-mean stationary signal on the shift
+    that ``spectrum`` was grouped from."""
 
     covariance_poly: Polynomial
-    decomposition: SpectralDecomposition
     spectrum: DistinctSpectrum
-
-    @classmethod
-    def create(
-        cls,
-        covariance_poly: Polynomial,
-        decomposition: SpectralDecomposition,
-        spectrum: DistinctSpectrum | None = None,
-    ) -> "StationaryModel":
-        if spectrum is None:
-            spectrum = distinct_eigenvalues(decomposition)
-        return cls(covariance_poly, decomposition, spectrum)
 
     @cached_property
     def group_variances(self) -> np.ndarray:
@@ -80,11 +71,11 @@ def sample(
 
     Returns shape (n,) for ``size=None``, else (n, size).
     """
-    n = model.decomposition.n
-    shape = (n,) if size is None else (n, size)
+    decomposition = model.spectrum.decomposition
+    shape = (decomposition.n,) if size is None else (decomposition.n, size)
     noise = rng.standard_normal(shape)
     scale = model.spectrum.expand(np.sqrt(model.clamped_group_variances()))
-    return model.decomposition.apply(scale, noise)
+    return decomposition.apply(scale, noise)
 
 
 def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> np.ndarray:
@@ -95,29 +86,27 @@ def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> n
     the result has identity covariance.
     """
     x = np.asarray(x, dtype=float)
-    n = model.decomposition.n
+    u = model.spectrum.decomposition.eigenvectors
+    n = u.shape[0]
     if x.shape != (n,):
         raise ValueError(f"signal shape {x.shape} does not match graph order {n}")
     variances = model.spectrum.expand(model.clamped_group_variances())
-    spectral = model.decomposition.eigenvectors.T @ x
+    spectral = u.T @ x
     noise = np.empty(n)
     nonzero = variances > 0.0
     noise[nonzero] = spectral[nonzero] / np.sqrt(variances[nonzero])
     noise[~nonzero] = rng.standard_normal(int(np.count_nonzero(~nonzero)))
-    return model.decomposition.eigenvectors @ noise
+    return u @ noise
 
 
-def fit_covariance_poly(
-    matrix: np.ndarray,
-    decomposition: SpectralDecomposition,
-    spectrum: DistinctSpectrum,
-) -> tuple[Polynomial, float]:
+def fit_covariance_poly(matrix: np.ndarray, spectrum: DistinctSpectrum) -> tuple[Polynomial, float]:
     """Least-squares fit of a covariance matrix by a polynomial of the shift.
 
     Returns the fitted polynomial (degree < number of distinct eigenvalues)
     and the relative residual ``||C - fit(S)||_F / max(1, ||C||_F)``.
     """
     c = np.asarray(matrix, dtype=float)
+    decomposition = spectrum.decomposition
     n = decomposition.n
     if c.shape != (n, n):
         raise ValueError(f"matrix shape {c.shape} does not match graph order {n}")

@@ -107,27 +107,24 @@ def random_system(
     covariances stay within floating-point range.
     """
     n = int(rng.integers(4, n_max + 1))
-    shift = random_shift(rng, n)
-    decomposition = eigendecompose(shift)
-    spectrum = distinct_eigenvalues(decomposition)
-    a = _scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.05)))
+    spectrum = distinct_eigenvalues(eigendecompose(random_shift(rng, n)))
+    lam = spectrum.decomposition.eigenvalues
+    a = _scaled_poly(rng, lam, 3, float(rng.uniform(0.3, 1.05)))
     if all_pass:
         b = _all_pass_poly(rng, spectrum.representatives, 3)
     else:
-        b = _scaled_poly(rng, decomposition.eigenvalues, 3, float(rng.uniform(0.3, 1.5)))
+        b = _scaled_poly(rng, lam, 3, float(rng.uniform(0.3, 1.5)))
     if zero_initial is None:
         zero_initial = bool(rng.random() < 0.5)
     h0 = Polynomial.zero() if zero_initial else random_psd_poly(rng)
     return DynamicalSystem.from_constant(
-        shift,
+        spectrum,
         a,
         b,
         sigma=float(rng.uniform(0.1, 2.0)),
         sigma_tilde=float(rng.uniform(0.1, 2.0)),
         horizon=steps,
         initial_covariance=h0,
-        decomposition=decomposition,
-        spectrum=spectrum,
     )
 
 
@@ -138,7 +135,7 @@ def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
 
 def matrix_riccati_path(sys: DynamicalSystem, p0: Polynomial, steps: int):
     """Dense-recursion gains and error covariances, independent of the spectral path."""
-    p = eval_filter(reduce_mod_minimal(p0, sys.minimal_poly), sys.decomposition)
+    p = eval_filter(p0, sys.decomposition)
     gains = []
     errors = []
     for k in range(1, steps + 1):
@@ -160,7 +157,7 @@ def joint_error_covariances(sys: DynamicalSystem, riccati, steps: int):
     dense linear propagation of the joint covariance, with xhat_0 = 0.
     """
     n = sys.n
-    h0 = eval_filter(reduce_mod_minimal(sys.initial_covariance, sys.minimal_poly), sys.decomposition)
+    h0 = eval_filter(sys.initial_covariance, sys.decomposition)
     joint = np.zeros((2 * n, 2 * n))
     joint[:n, :n] = h0
     eye = np.eye(n)
@@ -338,18 +335,17 @@ def circulant_basis(n: int) -> list[np.ndarray]:
 
 
 def _circulant_characterization(rng) -> tuple[bool, str]:
-    decomp = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
-    spectrum = distinct_eigenvalues(decomp)
+    spectrum = distinct_eigenvalues(eigendecompose(build_shift(cycle_graph(8), "laplacian")))
     for mat in circulant_basis(8):
-        if not is_polynomial_filter(mat, decomp, spectrum).is_member:
+        if not is_polynomial_filter(mat, spectrum).is_member:
             return False, "symmetric circulant rejected"
     pure_shift = np.roll(np.eye(8), 1, axis=0)
-    if is_polynomial_filter(pure_shift, decomp, spectrum).is_member:
+    if is_polynomial_filter(pure_shift, spectrum).is_member:
         return False, "pure cyclic shift accepted"
     for _ in range(20):
         m = rng.standard_normal((8, 8))
         m = 0.5 * (m + m.T)
-        if is_polynomial_filter(m, decomp, spectrum).is_member:
+        if is_polynomial_filter(m, spectrum).is_member:
             return False, "random symmetric non-circulant accepted"
     return True, "5 circulant generators accepted; 21 non-members rejected"
 
@@ -364,7 +360,7 @@ def check_stationary() -> list[CheckResult]:
         decomp = eigendecompose(shift)
         spectrum = distinct_eigenvalues(decomp)
         h = random_psd_poly(rng)
-        model = StationaryModel(h, decomp, spectrum)
+        model = StationaryModel(h, spectrum)
         q = random_polynomial(rng, 3)
         hs = eval_filter(h, decomp)
         qs = eval_filter(q, decomp)
@@ -441,9 +437,9 @@ def check_kalman() -> list[CheckResult]:
             p_gap = np.linalg.norm(p_spec - dense_errors[k]) / max(1.0, np.linalg.norm(dense_errors[k]))
             g_gap = np.linalg.norm(g_spec - dense_gains[k]) / max(1.0, np.linalg.norm(dense_gains[k]))
             worst_dual = max(worst_dual, float(p_gap), float(g_gap))
-            if not is_polynomial_filter(dense_gains[k], sys.decomposition, sys.spectrum).is_member:
+            if not is_polynomial_filter(dense_gains[k], sys.spectrum).is_member:
                 membership_ok = False
-            if not is_polynomial_filter(dense_errors[k], sys.decomposition, sys.spectrum).is_member:
+            if not is_polynomial_filter(dense_errors[k], sys.spectrum).is_member:
                 membership_ok = False
 
     worst_stationarity = 0.0
@@ -456,7 +452,7 @@ def check_kalman() -> list[CheckResult]:
         for k, (err_cov, est_cov) in enumerate(joint, start=1):
             gap = np.linalg.norm(err_cov - response_matrix(sys, riccati.error_responses[k - 1]))
             worst_stationarity = max(worst_stationarity, float(gap))
-            _, residual = fit_covariance_poly(est_cov, sys.decomposition, sys.spectrum)
+            _, residual = fit_covariance_poly(est_cov, sys.spectrum)
             worst_fit = max(worst_fit, float(residual))
 
     optimal_ok, optimal_detail = _gain_optimality(generator(608))

@@ -1,10 +1,15 @@
-"""Shared fixtures: cycle-graph spectral setups."""
+"""Shared fixtures and helpers: cycle-graph spectral setups."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from graphkalman import build_shift, cycle_graph, distinct_eigenvalues, eigendecompose
+
+
+def spectrum_of(shift):
+    """The distinct spectrum of a shift: the one spectral handle systems and models take."""
+    return distinct_eigenvalues(eigendecompose(shift))
 
 
 def cycle_laplacian_eigenvalues(n: int) -> np.ndarray:

@@ -18,6 +18,8 @@ from graphkalman import (
 from graphkalman.seeding import generator
 from graphkalman.verify import random_system, response_matrix
 
+from conftest import spectrum_of
+
 
 class TestInverseEstimate:
     def test_unit_observation_returns_observation(self, c4):
@@ -90,17 +92,17 @@ class TestZeroEstimate:
         np.testing.assert_array_equal(estimate, np.zeros(sys.n))
 
     def test_first_step_error_covariance(self, c4):
-        _, shift, _, _ = c4
+        _, _, _, spectrum = c4
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial((0.0, 0.25)), Polynomial.one(), 0.4, 1.0, 3
+            spectrum, Polynomial((0.0, 0.25)), Polynomial.one(), 0.4, 1.0, 3
         )
         _, h1 = zero_estimate(sys, 1)
         np.testing.assert_allclose(h1, 0.16, atol=1e-12)
 
     def test_hundred_step_geometric_sum_oracle(self, c30):
-        _, shift, _, _ = c30
+        _, _, _, spectrum = c30
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
+            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
         )
         _, h100 = zero_estimate(sys, 100)
         lam = sys.decomposition.eigenvalues
@@ -131,9 +133,9 @@ class TestLoewner:
 
     def test_reference_system_strict_at_every_step(self, c30):
         # per-eigenvalue inequality: updated error * b^2 < observation noise^2
-        _, shift, _, _ = c30
+        _, _, _, spectrum = c30
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 25
+            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 25
         )
         riccati = riccati_sequence(sys, p0=Polynomial.zero())
         inverse = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, sys.spectrum)
@@ -171,7 +173,7 @@ class TestCycle120Responses:
     def sys(self):
         shift = build_shift(cycle_graph(120), "laplacian")
         return DynamicalSystem.from_constant(
-            shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
+            spectrum_of(shift), Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
         )
 
     @staticmethod

@@ -5,23 +5,27 @@ import pytest
 
 from graphkalman import (
     DynamicalSystem,
+    Graph,
     Polynomial,
     apply_filter,
     build_shift,
     covariance_responses,
     cycle_graph,
     eval_filter,
+    is_polynomial_filter,
     simulate,
     trajectory_to_csv,
 )
 from graphkalman.seeding import as_seed_sequence, child_sequence, generator
 from graphkalman.verify import random_system, response_matrix, simulation_step_gaps
 
+from conftest import spectrum_of
+
 
 def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None, allow_zero=False):
     shift = build_shift(cycle_graph(n), "laplacian")
     return DynamicalSystem.from_constant(
-        shift, a, b, sigma, sigma_tilde, horizon,
+        spectrum_of(shift), a, b, sigma, sigma_tilde, horizon,
         initial_covariance=h0, allow_zero_noise=allow_zero,
     )
 
@@ -73,7 +77,7 @@ class TestConstruction:
     def test_time_varying_accessors(self):
         shift = build_shift(cycle_graph(4), "laplacian")
         sys = DynamicalSystem.from_sequences(
-            shift,
+            spectrum_of(shift),
             state_polys=[Polynomial.one(), Polynomial.identity()],
             observation_polys=[Polynomial.one(), Polynomial.one()],
             sigmas=[1.0, 2.0],
@@ -82,6 +86,23 @@ class TestConstruction:
         assert sys.horizon == 2
         assert sys.state_poly(2) == Polynomial.identity()
         assert sys.state_sigma(2) == 2.0
+
+    def test_system_model_and_membership_share_one_spectrum_on_path6(self):
+        # the shift, eigenbasis and eigenvalue groups all come from one handle,
+        # so a C_6 shift can no longer be paired with a P_6 eigenbasis
+        path = build_shift(Graph.from_edges(6, [(k, k + 1) for k in range(1, 6)]), "laplacian")
+        spectrum = spectrum_of(path)
+        sys = DynamicalSystem.from_constant(
+            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 20,
+            initial_covariance=Polynomial((0.5, 0.1)),
+        )
+        model = sys.initial_model
+        assert sys.decomposition is spectrum.decomposition and sys.shift is path
+        assert model.spectrum is spectrum and model.spectrum.decomposition.shift is path
+        assert is_polynomial_filter(0.25 * sys.shift.matrix, spectrum).is_member
+        cycle = build_shift(cycle_graph(6), "laplacian")
+        assert not is_polynomial_filter(cycle.matrix, spectrum).is_member
+        assert max(simulation_step_gaps(sys, simulate(sys, 11))) <= 1e-12
 
 
 class TestStepState:
@@ -102,9 +123,9 @@ class TestStepState:
         np.testing.assert_array_equal(trajectory.states, np.tile(trajectory.states[0], (4, 1)))
 
     def test_dense_oracle_on_cycle30(self, c30):
-        _, shift, _, _ = c30
+        _, shift, _, spectrum = c30
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
+            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
         )
         noise = _noise_block(sys, 53)
         trajectory = simulate(sys, 53)
@@ -138,9 +159,9 @@ class TestObserve:
         np.testing.assert_allclose(b_matrix, graph.weight_matrix / 2.0, atol=1e-12)
 
     def test_dense_oracle(self, c30):
-        graph, shift, _, _ = c30
+        graph, shift, _, spectrum = c30
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
+            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
         )
         noise = _noise_block(sys, 57)
         trajectory = simulate(sys, 57)
@@ -223,7 +244,7 @@ class TestSimulate:
         shift = build_shift(cycle_graph(10), "laplacian")
         steps = range(1, 11)
         sys = DynamicalSystem.from_sequences(
-            shift,
+            spectrum_of(shift),
             state_polys=[Polynomial((0.9 - 0.05 * k, 0.02 * k)) for k in steps],
             observation_polys=[Polynomial((1.0, -0.1 * k)) for k in steps],
             sigmas=[0.1 * k for k in steps],
@@ -238,9 +259,9 @@ class TestSimulate:
 
     def test_per_step_state_energy_tracks_covariance_trace(self, c30):
         # Monte-Carlo over 30 trials at the default configuration
-        _, shift, _, _ = c30
+        _, _, _, spectrum = c30
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
+            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
         )
         hs = covariance_responses(sys)
         trials = 30

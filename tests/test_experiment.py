@@ -8,6 +8,7 @@ import pytest
 
 from graphkalman import ExperimentConfig, run_heatmap, run_trace
 from graphkalman.cli import main
+from graphkalman import experiment
 from graphkalman.experiment import METRIC_FLOOR, trace_trajectory
 
 # C_30 has no eigenvalue 2, where the observation response 1 - t/2 vanishes,
@@ -55,6 +56,20 @@ class TestHeatmap:
         assert np.isfinite(result.kalman[0, 1]) and np.isfinite(result.inverse[0, 1])
 
 
+    def test_shift_is_decomposed_once_per_heatmap(self, monkeypatch):
+        # every cell shares one spectrum; re-decomposing per cell would cost 121 eigh on an 11x11 grid
+        calls = []
+        decompose = experiment.eigendecompose
+
+        def counted(shift):
+            calls.append(shift)
+            return decompose(shift)
+
+        monkeypatch.setattr(experiment, "eigendecompose", counted)
+        run_heatmap(ExperimentConfig(n=12, m=5, trials=2, seed=1, sigma_grid=(0.3, 0.6), sigma_tilde_grid=(0.3, 0.6)))
+        assert len(calls) == 1
+
+
 class TestTrace:
     def test_trace_tabulates_the_trace_trajectory(self):
         config = ExperimentConfig(n=12, m=15, seed=5)
@@ -100,6 +115,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="trace vertex must be an integer"):
             ExperimentConfig.from_dict({"trace": {"vertex": 8.5}})
         assert ExperimentConfig.from_dict({"n": 12.0}).n == 12
+
+    def test_negative_trace_noise_rejected(self):
+        # a negative trace point used to pass the config and fail later, inside the system
+        for key in ("sigma", "sigma_tilde"):
+            with pytest.raises(ValueError, match=f"trace {key} must be finite and >= 0, got -0.3"):
+                ExperimentConfig.from_dict({"trace": {key: -0.3}})
+
+    def test_non_finite_trace_noise_rejected(self):
+        for key in ("sigma", "sigma_tilde"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"trace {key} must be finite and >= 0"):
+                    ExperimentConfig.from_dict({"trace": {key: value}})
 
     def test_range_grid_resolved(self):
         config = ExperimentConfig.from_dict({"sigma_grid": {"start": 0.0, "stop": 0.3, "step": 0.1}})

@@ -128,7 +128,7 @@ class TestMembership:
         rng = generator(36)
         for _ in range(10):
             h = random_polynomial(rng, 6)
-            result = is_polynomial_filter(eval_filter(h, decomposition), decomposition, spectrum)
+            result = is_polynomial_filter(eval_filter(h, decomposition), spectrum)
             assert result.is_member
             expected = reduce_mod_minimal(h, p_s)
             np.testing.assert_allclose(result.witness.coeffs, expected.coeffs, atol=1e-7)
@@ -140,7 +140,7 @@ class TestMembership:
         decomposition = eigendecompose(build_shift(graph, "laplacian"))
         spectrum = distinct_eigenvalues(decomposition)
         rotation = np.roll(np.eye(8), 1, axis=0)
-        assert not is_polynomial_filter(rotation, decomposition, spectrum).is_member
+        assert not is_polynomial_filter(rotation, spectrum).is_member
 
     def test_unequal_weights_on_repeated_eigenspace_rejected(self, c4):
         _, _, decomposition, spectrum = c4
@@ -151,17 +151,17 @@ class TestMembership:
         m = np.outer(u2, u2) - np.outer(u3, u3)
         shift = decomposition.shift.matrix
         assert np.linalg.norm(m @ shift - shift @ m) <= 1e-10
-        assert not is_polynomial_filter(m, decomposition, spectrum).is_member
+        assert not is_polynomial_filter(m, spectrum).is_member
 
     def test_shape_mismatch_rejected(self, c4):
         _, _, decomposition, spectrum = c4
         with pytest.raises(ValueError):
-            is_polynomial_filter(np.eye(5), decomposition, spectrum)
+            is_polynomial_filter(np.eye(5), spectrum)
 
     def test_witness_reproduces_matrix(self, c30):
         _, _, decomposition, spectrum = c30
         h = Polynomial((0.3, -0.2, 0.05))
         matrix = eval_filter(h, decomposition)
-        result = is_polynomial_filter(matrix, decomposition, spectrum)
+        result = is_polynomial_filter(matrix, spectrum)
         rebuilt = eval_filter(result.witness, decomposition)
         assert np.linalg.norm(rebuilt - matrix) <= 1e-8 * max(1.0, np.linalg.norm(matrix))

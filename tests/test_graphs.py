@@ -51,6 +51,22 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(3, [(1, 4)])
 
+    def test_non_integral_order_rejected(self):
+        # 3.7 used to become a graph of order 3
+        with pytest.raises(ValueError, match="graph order must be an integer, got 3.7"):
+            Graph.from_edges(3.7, [(1, 2)])
+        with pytest.raises(ValueError, match="graph order must be an integer"):
+            Graph.from_json('{"n": 4.5, "edges": [[1, 2]]}')
+        assert Graph.from_edges(3.0, [(1, 2)]).n == 3
+
+    def test_non_integral_vertex_id_rejected(self):
+        # (1.5, 2.9) used to become the edge (1, 2)
+        with pytest.raises(ValueError, match="vertex id must be an integer, got 1.5"):
+            Graph.from_edges(3, [(1.5, 2.9)])
+        with pytest.raises(ValueError, match="vertex id must be an integer, got 2.6"):
+            Graph.from_json('{"n": 4, "edges": [[1, 2.6], [3.2, 4]]}')
+        assert Graph.from_json('{"n": 4, "edges": [[1.0, 2.0, 0.5]]}').edges == ((1, 2),)
+
     def test_weight_matrix_is_symmetric_and_readonly(self):
         g = Graph.from_edges(4, [(1, 2, 0.3), (2, 4, 1.7)])
         w = g.weight_matrix

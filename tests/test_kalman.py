@@ -23,11 +23,13 @@ from graphkalman.kalman import filter_estimates_to_csv, filter_spectrum_to_csv
 from graphkalman.seeding import generator
 from graphkalman.verify import matrix_riccati_path, random_system, response_matrix
 
+from conftest import spectrum_of
+
 
 def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30, allow_zero=False):
     shift = build_shift(cycle_graph(n), "laplacian")
     return DynamicalSystem.from_constant(
-        shift, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)),
+        spectrum_of(shift), Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)),
         sigma, sigma_tilde, horizon, allow_zero_noise=allow_zero,
     )
 
@@ -66,7 +68,7 @@ class TestPredictUpdate:
     def test_identity_dynamics_keeps_estimate(self):
         # a = b = 1 and z = xhat: the innovation vanishes at every step
         shift = build_shift(cycle_graph(5), "laplacian")
-        sys = DynamicalSystem.from_constant(shift, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 4)
+        sys = DynamicalSystem.from_constant(spectrum_of(shift), Polynomial.one(), Polynomial.one(), 1.0, 1.0, 4)
         x = generator(60).standard_normal(5)
         states = run_filter(sys, np.tile(x, (4, 1)), xhat0=x)
         np.testing.assert_allclose(_estimates(states), np.tile(x, (4, 1)), atol=1e-12)
@@ -74,7 +76,7 @@ class TestPredictUpdate:
     def test_predict_matches_dense_oracle(self):
         # b = 0 makes every gain vanish, so the estimate is the prediction alone
         sys = DynamicalSystem.from_constant(
-            build_shift(cycle_graph(30), "laplacian"), Polynomial((0.0, 0.25)), Polynomial.zero(), 0.3, 0.5, 2
+            spectrum_of(build_shift(cycle_graph(30), "laplacian")), Polynomial((0.0, 0.25)), Polynomial.zero(), 0.3, 0.5, 2
         )
         x0 = generator(61).standard_normal(30)
         states = run_filter(sys, generator(62).standard_normal((2, 30)), xhat0=x0)
@@ -94,7 +96,7 @@ class TestPredictUpdate:
         # b = 1 with zero observation noise gives the unit gain
         shift = build_shift(cycle_graph(5), "laplacian")
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial.one(), Polynomial.one(), 1.0, 0.0, 4, allow_zero_noise=True
+            spectrum_of(shift), Polynomial.one(), Polynomial.one(), 1.0, 0.0, 4, allow_zero_noise=True
         )
         z = generator(65).standard_normal((4, 5))
         states = run_filter(sys, z, xhat0=generator(66).standard_normal(5))
@@ -111,10 +113,9 @@ class TestPredictUpdate:
 
 def _one_step(c4, p_prev, state_poly, observation_poly, sigma, sigma_tilde):
     """Gain and updated error responses of one Riccati step on C_4 from p_prev."""
-    _, shift, decomposition, spectrum = c4
+    _, _, _, spectrum = c4
     sys = DynamicalSystem.from_constant(
-        shift, state_poly, observation_poly, sigma, sigma_tilde, 1,
-        decomposition=decomposition, spectrum=spectrum, allow_zero_noise=True,
+        spectrum, state_poly, observation_poly, sigma, sigma_tilde, 1, allow_zero_noise=True,
     )
     riccati = riccati_sequence(sys, p0=p_prev)
     return riccati.gain_responses[0], riccati.error_responses[0]
@@ -242,7 +243,7 @@ class TestRunFilter:
         # onto the true state after one step
         shift = build_shift(cycle_graph(6), "laplacian")
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial((0.0, 0.25)), Polynomial.one(), 0.4, 0.0, 8, allow_zero_noise=True
+            spectrum_of(shift), Polynomial((0.0, 0.25)), Polynomial.one(), 0.4, 0.0, 8, allow_zero_noise=True
         )
         trajectory = simulate(sys, 31337)
         states = run_filter(sys, trajectory.observations)
@@ -300,9 +301,9 @@ class TestRunFilter:
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
     def test_step_error_is_labelled(self, c4):
-        _, shift, _, _ = c4
+        _, _, _, spectrum = c4
         sys = DynamicalSystem.from_constant(
-            shift, Polynomial.one(), Polynomial((1.0, -0.5)), 0.3, 0.0, 4, allow_zero_noise=True
+            spectrum, Polynomial.one(), Polynomial((1.0, -0.5)), 0.3, 0.0, 4, allow_zero_noise=True
         )
         with pytest.raises(SingularGainError, match="step 1"):
             run_filter(sys, np.zeros((4, 4)))
@@ -328,7 +329,7 @@ class TestTimeVarying:
         shift = build_shift(cycle_graph(10), "laplacian")
         steps = range(1, 6)
         sys = DynamicalSystem.from_sequences(
-            shift,
+            spectrum_of(shift),
             state_polys=[Polynomial((0.5, 0.1 * k)) for k in steps],
             observation_polys=[Polynomial((1.0, -0.2 * k)) for k in steps],
             sigmas=[0.2 * k for k in steps],

@@ -21,32 +21,28 @@ from graphkalman.seeding import generator
 from graphkalman.verify import random_polynomial, random_psd_poly, random_shift
 
 
-def _model(poly, decomposition, spectrum):
-    return StationaryModel(poly, decomposition, spectrum)
-
-
 class TestSqrtFilter:
     def test_unit_covariance(self, c4):
         _, _, decomposition, spectrum = c4
-        g = sqrt_filter(_model(Polynomial.one(), decomposition, spectrum))
+        g = sqrt_filter(StationaryModel(Polynomial.one(), spectrum))
         np.testing.assert_allclose(g.coeffs, (1.0,), atol=1e-12)
 
     def test_squared_identity_covariance(self, c4):
         # variances t^2 at eigenvalues {0, 2, 4} have square roots |t| = t there
         _, _, decomposition, spectrum = c4
-        g = sqrt_filter(_model(Polynomial((0.0, 0.0, 1.0)), decomposition, spectrum))
+        g = sqrt_filter(StationaryModel(Polynomial((0.0, 0.0, 1.0)), spectrum))
         np.testing.assert_allclose(g.coeffs, (0.0, 1.0), atol=1e-10)
 
     def test_negative_variance_rejected(self, c4):
         _, _, decomposition, spectrum = c4
         with pytest.raises(NotPositiveSemidefiniteError):
-            sqrt_filter(_model(Polynomial((0.0, -1.0)), decomposition, spectrum))
+            sqrt_filter(StationaryModel(Polynomial((0.0, -1.0)), spectrum))
 
     def test_tiny_negative_clamped(self, c4):
         _, _, decomposition, spectrum = c4
         # within the PSD tolerance band: clamp, do not raise
         poly = Polynomial.identity() * 0.25 + (-1e-12)
-        g = sqrt_filter(_model(poly, decomposition, spectrum))
+        g = sqrt_filter(StationaryModel(poly, spectrum))
         assert np.all(np.isfinite(g.coeffs))
 
     def test_square_matches_covariance(self):
@@ -56,7 +52,7 @@ class TestSqrtFilter:
             decomposition = eigendecompose(shift)
             spectrum = distinct_eigenvalues(decomposition)
             h = random_psd_poly(rng)
-            g = sqrt_filter(_model(h, decomposition, spectrum))
+            g = sqrt_filter(StationaryModel(h, spectrum))
             gs = eval_filter(g, decomposition)
             hs = eval_filter(h, decomposition)
             assert np.linalg.norm(gs @ gs - hs) <= 1e-6 * max(1e-30, np.linalg.norm(hs))
@@ -65,18 +61,18 @@ class TestSqrtFilter:
 class TestSample:
     def test_zero_covariance_gives_zero_signal(self, c4):
         _, _, decomposition, spectrum = c4
-        x = sample(_model(Polynomial.zero(), decomposition, spectrum), generator(1))
+        x = sample(StationaryModel(Polynomial.zero(), spectrum), generator(1))
         np.testing.assert_array_equal(x, np.zeros(4))
 
     def test_unit_covariance_is_white(self, c4):
         _, _, decomposition, spectrum = c4
-        draws = sample(_model(Polynomial.one(), decomposition, spectrum), generator(2), size=50_000)
+        draws = sample(StationaryModel(Polynomial.one(), spectrum), generator(2), size=50_000)
         cov = draws @ draws.T / draws.shape[1]
         np.testing.assert_allclose(cov, np.eye(4), atol=0.05)
 
     def test_batch_shape(self, c4):
         _, _, decomposition, spectrum = c4
-        model = _model(Polynomial.one(), decomposition, spectrum)
+        model = StationaryModel(Polynomial.one(), spectrum)
         assert sample(model, generator(3)).shape == (4,)
         assert sample(model, generator(3), size=7).shape == (4, 7)
 
@@ -85,7 +81,7 @@ class TestSample:
         # monomial coefficients breaks down (about 70 relative)
         decomposition = eigendecompose(build_shift(cycle_graph(60), "laplacian"))
         h = Polynomial((1.0, -0.5)) ** 2 + 0.01
-        model = _model(h, decomposition, distinct_eigenvalues(decomposition))
+        model = StationaryModel(h, distinct_eigenvalues(decomposition))
         draws = sample(model, generator(60), size=100)
         noise = generator(60).standard_normal((60, 100))
         u = decomposition.eigenvectors
@@ -101,7 +97,7 @@ class TestSample:
         # at 20000 draws.
         _, _, decomposition, spectrum = c30
         h = Polynomial((1.0, -0.5)) ** 2
-        model = _model(h, decomposition, spectrum)
+        model = StationaryModel(h, spectrum)
         trials = 200_000
         draws = sample(model, generator(45020), size=trials)
         empirical = draws @ draws.T / trials
@@ -116,14 +112,14 @@ class TestSample:
 class TestWhiten:
     def test_unit_covariance_roundtrip_is_identity(self, c4):
         _, _, decomposition, spectrum = c4
-        model = _model(Polynomial.one(), decomposition, spectrum)
+        model = StationaryModel(Polynomial.one(), spectrum)
         x = generator(5).standard_normal(4)
         e = whiten(x, model, generator(6))
         np.testing.assert_allclose(e, x, atol=1e-12)
 
     def test_zero_covariance_gives_fresh_noise(self, c4):
         _, _, decomposition, spectrum = c4
-        model = _model(Polynomial.zero(), decomposition, spectrum)
+        model = StationaryModel(Polynomial.zero(), spectrum)
         x = np.full(4, 3.0)
         e = whiten(x, model, generator(7))
         # all frequencies are null: the output is the rotation of fresh draws
@@ -132,7 +128,7 @@ class TestWhiten:
 
     def test_null_frequency_replaced_and_roundtrip(self, c4):
         _, shift, decomposition, spectrum = c4
-        model = _model(Polynomial.identity(), decomposition, spectrum)  # zero variance at 0
+        model = StationaryModel(Polynomial.identity(), spectrum)  # zero variance at 0
         rng = generator(8)
         x = sample(model, rng)
         e = whiten(x, model, rng)
@@ -150,7 +146,7 @@ class TestWhiten:
             shift = random_shift(rng, int(rng.integers(4, 11)))
             decomposition = eigendecompose(shift)
             spectrum = distinct_eigenvalues(decomposition)
-            model = _model(random_psd_poly(rng), decomposition, spectrum)
+            model = StationaryModel(random_psd_poly(rng), spectrum)
             x = sample(model, rng)
             rebuilt = apply_filter(sqrt_filter(model), shift, whiten(x, model, rng))
             assert np.linalg.norm(rebuilt - x) <= 1e-8 * max(1e-30, np.linalg.norm(x))
@@ -158,14 +154,14 @@ class TestWhiten:
     def test_not_psd_rejected(self, c4):
         _, _, decomposition, spectrum = c4
         with pytest.raises(NotPositiveSemidefiniteError):
-            whiten(np.zeros(4), _model(Polynomial((0.0, -1.0)), decomposition, spectrum), generator(9))
+            whiten(np.zeros(4), StationaryModel(Polynomial((0.0, -1.0)), spectrum), generator(9))
 
 
 class TestFitCovariancePoly:
     def test_exact_member_recovered(self, c4):
         _, _, decomposition, spectrum = c4
         h = Polynomial((0.5, 0.25, 0.1))
-        poly, residual = fit_covariance_poly(eval_filter(h, decomposition), decomposition, spectrum)
+        poly, residual = fit_covariance_poly(eval_filter(h, decomposition), spectrum)
         assert residual <= 1e-10
         # recovered polynomial agrees with h as a filter
         np.testing.assert_allclose(
@@ -176,7 +172,7 @@ class TestFitCovariancePoly:
 
     def test_identity_fit(self, c4):
         _, _, decomposition, spectrum = c4
-        poly, residual = fit_covariance_poly(np.eye(4), decomposition, spectrum)
+        poly, residual = fit_covariance_poly(np.eye(4), spectrum)
         assert residual <= 1e-12
         np.testing.assert_allclose(poly.coeffs, (1.0,), atol=1e-10)
 
@@ -185,10 +181,10 @@ class TestFitCovariancePoly:
         decomposition = eigendecompose(build_shift(graph, "laplacian"))
         spectrum = distinct_eigenvalues(decomposition)
         h = Polynomial((0.1, 0.25))
-        model = _model(h, decomposition, spectrum)
+        model = StationaryModel(h, spectrum)
         draws = sample(model, generator(10), size=200_000)
         empirical = draws @ draws.T / draws.shape[1]
-        _, residual = fit_covariance_poly(empirical, decomposition, spectrum)
+        _, residual = fit_covariance_poly(empirical, spectrum)
         assert residual < 0.02
 
     def test_asymmetric_rejected(self, c4):
@@ -196,7 +192,7 @@ class TestFitCovariancePoly:
         m = np.zeros((4, 4))
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
-            fit_covariance_poly(m, decomposition, spectrum)
+            fit_covariance_poly(m, spectrum)
 
 
 class TestClosureAndInvariance:
