@@ -43,6 +43,7 @@ from .experiment import (
 from .filters import MembershipResult, apply_filter, eval_filter, is_polynomial_filter
 from .graphs import Graph, GraphShift, build_shift, cycle_graph, validate_shift
 from .kalman import (
+    FilterResult,
     KalmanState,
     RiccatiSequence,
     matrix_error_update,
@@ -67,6 +68,7 @@ __all__ = [
     "DistinctSpectrum",
     "DynamicalSystem",
     "ExperimentConfig",
+    "FilterResult",
     "Graph",
     "GraphKalmanError",
     "GraphShift",

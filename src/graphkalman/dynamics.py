@@ -12,7 +12,9 @@ read; none of them applies a polynomial to a vertex signal.
 per trajectory from a single stream: row 0 drives the initial state, row
 2k-1 the process noise and row 2k the observation noise of step k.  The
 block is rotated into the eigenbasis once, every frequency runs its own
-scalar recursion, and states and observations are rotated back once.
+scalar recursion (the scaled process noise is written into the state rows
+and each step adds a_k times the previous state in place), and states and
+observations are rotated back once.
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import GraphShift
+from .graphs import GraphShift, require_integral
 from .polynomials import Polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
 from .spectral import DistinctSpectrum, SpectralDecomposition
@@ -91,7 +93,7 @@ class DynamicalSystem:
             raise ValueError("noise levels must be positive (set allow_zero_noise for the reference mode)")
         return cls(
             spectrum,
-            horizon=int(horizon),
+            horizon=require_integral(horizon, "horizon"),
             state_polys=(state_poly,),
             observation_polys=(observation_poly,),
             state_noise=(float(sigma),),
@@ -227,7 +229,9 @@ def simulate(sys: DynamicalSystem, seed) -> Trajectory:
         x~_0 = sqrt(h_0) e~_0,   x~_k = a_k x~_{k-1} + sigma_k e~_{2k-1},
         z~_k = b_k x~_k + sigma_tilde_k e~_{2k},
 
-    and states and observations are rotated back once (x = U x~).
+    and states and observations are rotated back once (x = U x~).  The
+    rows x~_k are first filled with sigma_k e~_{2k-1}, and the loop adds
+    a_k x~_{k-1} to each in place.
     """
     ss = as_seed_sequence(seed)
     n, m = sys.n, sys.horizon
@@ -235,11 +239,13 @@ def simulate(sys: DynamicalSystem, seed) -> Trajectory:
     e_tilde = generator(child_sequence(ss, 0)).standard_normal((2 * m + 1, n)) @ u
     expand = sys.spectrum.expand
     a = np.broadcast_to(expand(sys.state_responses[:m]), (m, n))
-    drive = np.asarray(sys.state_noise)[:m, None] * e_tilde[1::2]
     x_tilde = np.empty((m + 1, n))
     x_tilde[0] = expand(np.sqrt(sys.initial_model.clamped_group_variances())) * e_tilde[0]
-    for k in range(m):
-        x_tilde[k + 1] = a[k] * x_tilde[k] + drive[k]
+    np.multiply(np.asarray(sys.state_noise)[:m, None], e_tilde[1::2], out=x_tilde[1:])
+    previous = x_tilde[0]
+    for a_k, x_k in zip(a, x_tilde[1:]):
+        x_k += a_k * previous
+        previous = x_k
     z_tilde = expand(sys.observation_responses[:m]) * x_tilde[1:]
     z_tilde += np.asarray(sys.observation_noise)[:m, None] * e_tilde[2::2]
     return Trajectory(states=x_tilde @ u.T, observations=z_tilde @ u.T, seed=ss)

@@ -5,8 +5,10 @@ the Laplacian shift, comparing the Kalman filter against static inverse
 filtering.  Each trial is one ``simulate`` call, which draws the trial's
 whole noise block from one stream and runs the state and observation
 recursions in the eigenbasis (see ``dynamics``), and one ``run_filter``
-call, which runs the Kalman filter there too (see ``kalman``); the dense
-matrix recursion is only the oracle in ``verify``.  Cells run one after
+call, which runs the Kalman filter there too (see ``kalman``) and whose
+estimate array the metrics read directly; no per-step ``KalmanState`` is
+built.  Both recursions update their rows in place.  The dense matrix
+recursion is only the oracle in ``verify``.  Cells run one after
 another in a plain loop, with no worker pool, and each trial is seeded from
 its cell and trial index alone, so results are reproducible bit-for-bit for
 a fixed configuration.
@@ -15,14 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import inverse_estimate
 from .dynamics import DynamicalSystem, Trajectory, simulate, write_text
-from .errors import DegenerateTrajectoryError, SingularGainError
+from .errors import DegenerateTrajectoryError, NumericalFailureError, SingularGainError
 from .graphs import build_shift, cycle_graph, require_integral
 from .kalman import riccati_sequence, run_filter
 from .polynomials import Polynomial
@@ -62,12 +64,18 @@ class ExperimentConfig:
     trace: TraceSpec = TraceSpec()
 
     def __post_init__(self) -> None:
+        for name in ("n", "m", "trials", "seed"):
+            object.__setattr__(self, name, require_integral(getattr(self, name), name))
+        vertex = require_integral(self.trace.vertex, "trace vertex")
+        object.__setattr__(self, "trace", replace(self.trace, vertex=vertex))
         if self.n < 3:
             raise ValueError("n must be >= 3 for a cycle graph")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, grid in (("sigma_grid", self.sigma_grid), ("sigma_tilde_grid", self.sigma_tilde_grid)):
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
@@ -88,10 +96,7 @@ class ExperimentConfig:
             "seed", "clip", "trace",
         }
         _reject_unknown_keys(payload, known, "config")
-        kwargs: dict = {}
-        for key in ("n", "m", "trials", "seed"):
-            if key in payload:
-                kwargs[key] = require_integral(payload[key], key)
+        kwargs = {key: payload[key] for key in ("n", "m", "trials", "seed") if key in payload}
         if "clip" in payload:
             kwargs["clip"] = float(payload["clip"])
         if "a" in payload:
@@ -108,7 +113,7 @@ class ExperimentConfig:
             kwargs["trace"] = TraceSpec(
                 sigma=float(spec.get("sigma", 0.3)),
                 sigma_tilde=float(spec.get("sigma_tilde", 0.5)),
-                vertex=require_integral(spec.get("vertex", 8), "trace vertex"),
+                vertex=spec.get("vertex", 8),
             )
         return ExperimentConfig(**kwargs)
 
@@ -165,6 +170,7 @@ def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> floa
     reconstruction bottoms out at the metric floor instead of -inf.
 
     Raises:
+        NumericalFailureError: if a step's truth or error energy is NaN or infinite.
         DegenerateTrajectoryError: if every step is below the energy guard.
     """
     estimates = np.asarray(estimates, dtype=float)
@@ -172,10 +178,12 @@ def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> floa
     if estimates.shape != truths.shape:
         raise ValueError(f"shape mismatch: {estimates.shape} vs {truths.shape}")
     truth_energy = np.sum(truths**2, axis=-1)
+    errors = np.sum((estimates - truths) ** 2, axis=-1)
+    if not (math.isfinite(truth_energy.max(initial=0.0)) and math.isfinite(errors.max(initial=0.0))):
+        raise NumericalFailureError("a step's state or error energy is not finite")
     keep = truth_energy >= ENERGY_GUARD
     if not np.any(keep):
         raise DegenerateTrajectoryError("all steps have numerically zero state energy")
-    errors = np.sum((estimates - truths) ** 2, axis=-1)
     mean_ratio = float(np.mean(errors[keep] / truth_energy[keep]))
     if mean_ratio < ENERGY_GUARD:
         return max(METRIC_FLOOR, min(0.5 * math.log10(ENERGY_GUARD), clip))
@@ -216,8 +224,7 @@ def _cell_system(config, spectrum: DistinctSpectrum, sigma: float, sigma_tilde: 
 def _trial_metrics(config, sys, riccati, seed) -> tuple[float, float]:
     trajectory = simulate(sys, seed)
     truths = trajectory.states[1:]
-    states = run_filter(sys, trajectory.observations, riccati=riccati)
-    kalman_estimates = np.array([state.estimate for state in states[1:]])
+    kalman_estimates = run_filter(sys, trajectory.observations, riccati=riccati).estimates[1:]
     inverse_estimates = inverse_estimate(
         config.observation_poly, trajectory.observations.T, sys.decomposition
     ).T
@@ -325,8 +332,7 @@ def run_trace(config: ExperimentConfig, trial: int = 0) -> TraceResult:
     """One simulation at the trace point with both reconstructions tabulated per step."""
     sys, trajectory = _trace_run(config, trial)
     truths = trajectory.states[1:]
-    states = run_filter(sys, trajectory.observations, p0=Polynomial.zero())
-    kalman_estimates = np.array([state.estimate for state in states[1:]])
+    kalman_estimates = run_filter(sys, trajectory.observations, p0=Polynomial.zero()).estimates[1:]
     inverse_estimates = inverse_estimate(
         config.observation_poly, trajectory.observations.T, sys.decomposition
     ).T

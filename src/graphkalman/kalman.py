@@ -12,7 +12,11 @@ The recursion and the filter are carried on these frequency responses and
 read a and b as rows of the system's response arrays, evaluated once per
 system.  ``riccati_sequence`` returns the gain and error responses as
 (steps, d) arrays; filtering moves the observations into the eigenbasis
-once, updates every frequency on its own and moves the estimates back once.
+once, updates every frequency on its own, adding each step's carry times
+the previous estimate to that step's drive in place, and moves the
+estimates back once.  ``run_filter`` returns a ``FilterResult``: the
+estimates as one (M + 1, n) array beside the response arrays, readable as
+a sequence of ``KalmanState`` built on demand.
 The one edge back to monomials is ``RiccatiSequence.gains``, interpolated
 on request (``NumericalFailureError`` where an interpolant cannot keep its
 node values).  A frequency is blind, with gain 0, where
@@ -23,6 +27,8 @@ spectral path is checked against; it uses numpy only.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -182,14 +188,50 @@ def riccati_sequence(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class FilterResult(Sequence[KalmanState]):
+    """Estimates of steps 0..M and the error and gain responses, as arrays.
+
+    Row k of ``estimates`` (shape (M + 1, n)) is step k, row 0 the initial
+    estimate; row k-1 of ``error_responses`` and ``gain_responses`` (shape
+    (M, d)) is step k.  All arrays are read-only.  As a read-only sequence
+    of ``KalmanState`` of length M + 1, ``result[k]`` builds step k's state
+    on demand and a slice returns a list of states.
+    """
+
+    estimates: np.ndarray
+    initial_response: np.ndarray
+    error_responses: np.ndarray
+    gain_responses: np.ndarray
+
+    def __post_init__(self) -> None:
+        for values in (self.estimates, self.initial_response, self.error_responses, self.gain_responses):
+            values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.estimates.shape[0]
+
+    def __getitem__(self, index) -> KalmanState | list[KalmanState]:
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"step {index} out of range for {len(self)} states")
+        if k == 0:
+            return KalmanState(0, self.estimates[0], self.initial_response, None)
+        return KalmanState(k, self.estimates[k], self.error_responses[k - 1], self.gain_responses[k - 1])
+
+
 def run_filter(
     sys: DynamicalSystem,
     observations,
     xhat0: np.ndarray | None = None,
     p0: Polynomial | None = None,
     riccati: RiccatiSequence | None = None,
-) -> list[KalmanState]:
-    """Filter a full observation sequence; returns states for k = 0..M.
+) -> FilterResult:
+    """Filter a full observation sequence; returns the estimates for k = 0..M.
 
     The filter runs in the eigenbasis U of the shift.  The observations are
     moved there once (z~ = U^T z), and with the expanded state, observation
@@ -199,9 +241,10 @@ def run_filter(
         x~ <- a_k x~ + g_k (z~_k - b_k a_k x~) = carry_k x~ + drive_k,
 
     where carry_k = a_k (1 - g_k b_k) and drive_k = g_k z~_k are formed for
-    all steps before the loop.  The estimates are moved back once.  The
-    dense matrix recursion is not run here; ``verify.matrix_riccati_path``
-    keeps it as the oracle.
+    all steps before the loop.  The drives are written into the rows of the
+    eigenbasis estimates and the loop adds carry_k x~_{k-1} to row k in
+    place.  The estimates are moved back once.  The dense matrix recursion
+    is not run here; ``verify.matrix_riccati_path`` keeps it as the oracle.
 
     Defaults follow the stationary initialization: zero initial estimate
     with the system's initial covariance as p_0.  A precomputed
@@ -226,28 +269,25 @@ def run_filter(
     carry = expand(sys.state_responses[:m]) * (1.0 - g * expand(sys.observation_responses[:m]))
     u = sys.decomposition.eigenvectors
     xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
-    drive = g * (obs @ u)
-    x_tilde = xhat @ u
-    rotated = np.empty_like(drive)
-    for k in range(m):
-        x_tilde = carry[k] * x_tilde + drive[k]
-        rotated[k] = x_tilde
-    estimates = rotated @ u.T
-
-    states = [KalmanState(step=0, estimate=xhat, error_response=riccati.initial_response, gain_response=None)]
-    for k in range(1, m + 1):
-        states.append(
-            KalmanState(
-                step=k,
-                estimate=estimates[k - 1],
-                error_response=riccati.error_responses[k - 1],
-                gain_response=riccati.gain_responses[k - 1],
-            )
-        )
-    return states
+    rotated = np.empty((m + 1, sys.n))
+    rotated[0] = xhat @ u
+    np.multiply(g, obs @ u, out=rotated[1:])
+    previous = rotated[0]
+    for carry_k, x_k in zip(carry, rotated[1:]):
+        x_k += carry_k * previous
+        previous = x_k
+    estimates = np.empty_like(rotated)
+    estimates[0] = xhat
+    estimates[1:] = rotated[1:] @ u.T
+    return FilterResult(
+        estimates=estimates,
+        initial_response=riccati.initial_response,
+        error_responses=riccati.error_responses[:m],
+        gain_responses=riccati.gain_responses[:m],
+    )
 
 
-def filter_spectrum_to_csv(states: list[KalmanState], sys: DynamicalSystem, target) -> None:
+def filter_spectrum_to_csv(states: Sequence[KalmanState], sys: DynamicalSystem, target) -> None:
     """Write rows (k, eigenindex, lambda, p_k, g_k); k=0 rows carry no gain."""
     lam = sys.decomposition.eigenvalues
     expand = sys.spectrum.expand
@@ -263,7 +303,7 @@ def filter_spectrum_to_csv(states: list[KalmanState], sys: DynamicalSystem, targ
     write_text(target, "\n".join(lines) + "\n")
 
 
-def filter_estimates_to_csv(states: list[KalmanState], target) -> None:
+def filter_estimates_to_csv(states: Sequence[KalmanState], target) -> None:
     """Write rows (k, vertex, xhat)."""
     lines = ["k,vertex,xhat"]
     for state in states:

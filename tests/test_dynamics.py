@@ -19,7 +19,7 @@ from graphkalman import (
 from graphkalman.seeding import as_seed_sequence, child_sequence, generator
 from graphkalman.verify import random_system, response_matrix, simulation_step_gaps
 
-from conftest import spectrum_of
+from conftest import plain_recursion, spectrum_of, time_varying_cycle_system
 
 
 def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None, allow_zero=False):
@@ -47,6 +47,21 @@ def _dense_trajectory(sys, seed):
         states.append(x)
         observations.append(apply_filter(sys.observation_poly(k), sys.shift, x) + sys.observation_sigma(k) * noise[2 * k])
     return np.array(states), np.array(observations).reshape(sys.horizon, sys.n)
+
+
+def _eigenbasis_trajectory(sys, seed):
+    """simulate's recursion as the plain loop x~_k = a_k x~_{k-1} + sigma_k e~_{2k-1}
+    on the rotated noise block, with states and observations rotated back."""
+    m = sys.horizon
+    u = sys.decomposition.eigenvectors
+    expand = sys.spectrum.expand
+    noise = _noise_block(sys, seed) @ u
+    x0 = expand(np.sqrt(sys.initial_model.clamped_group_variances())) * noise[0]
+    a = np.broadcast_to(expand(sys.state_responses[:m]), (m, sys.n))
+    states = plain_recursion(x0, a, np.asarray(sys.state_noise)[:m, None] * noise[1::2])
+    observations = expand(sys.observation_responses[:m]) * states[1:]
+    observations += np.asarray(sys.observation_noise)[:m, None] * noise[2::2]
+    return states @ u.T, observations @ u.T
 
 
 def _worst_relative_gap(values, expected):
@@ -241,21 +256,28 @@ class TestSimulate:
         assert _worst_relative_gap(trajectory.observations, observations) <= 1e-12
 
     def test_time_varying_system_matches_dense_recursion(self):
-        shift = build_shift(cycle_graph(10), "laplacian")
-        steps = range(1, 11)
-        sys = DynamicalSystem.from_sequences(
-            spectrum_of(shift),
-            state_polys=[Polynomial((0.9 - 0.05 * k, 0.02 * k)) for k in steps],
-            observation_polys=[Polynomial((1.0, -0.1 * k)) for k in steps],
-            sigmas=[0.1 * k for k in steps],
-            sigma_tildes=[1.2 - 0.1 * k for k in steps],
-            initial_covariance=Polynomial((0.5, 0.1)),
-        )
+        sys = time_varying_cycle_system(10, 10)
         assert not sys.time_invariant
         trajectory = simulate(sys, 61)
         states, observations = _dense_trajectory(sys, 61)
         assert _worst_relative_gap(trajectory.states, states) <= 1e-12
         assert _worst_relative_gap(trajectory.observations, observations) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make_system",
+        [
+            lambda: random_system(generator(58), n_max=8, steps=12, zero_initial=False),
+            lambda: time_varying_cycle_system(10, 10),
+            lambda: _cycle_system(6, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 0),
+        ],
+        ids=["time-invariant", "time-varying", "zero-horizon"],
+    )
+    def test_in_place_loop_matches_plain_recursion_bit_for_bit(self, make_system):
+        sys = make_system()
+        trajectory = simulate(sys, 57)
+        states, observations = _eigenbasis_trajectory(sys, 57)
+        np.testing.assert_array_equal(trajectory.states, states)
+        np.testing.assert_array_equal(trajectory.observations, observations)
 
     def test_per_step_state_energy_tracks_covariance_trace(self, c30):
         # Monte-Carlo over 30 trials at the default configuration

@@ -2,14 +2,30 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from graphkalman import ExperimentConfig, run_heatmap, run_trace
+from graphkalman import (
+    DegenerateTrajectoryError,
+    DynamicalSystem,
+    ExperimentConfig,
+    NumericalFailureError,
+    Polynomial,
+    build_shift,
+    cycle_graph,
+    relative_error_metric,
+    run_filter,
+    run_heatmap,
+    run_trace,
+)
 from graphkalman.cli import main
-from graphkalman import experiment
-from graphkalman.experiment import METRIC_FLOOR, trace_trajectory
+from graphkalman import experiment, kalman
+from graphkalman.experiment import METRIC_FLOOR, TraceSpec, trace_trajectory
+from graphkalman.seeding import generator
+
+from conftest import spectrum_of, time_varying_cycle_system
 
 # C_30 has no eigenvalue 2, where the observation response 1 - t/2 vanishes,
 # so sigma_tilde = 0 is exact inversion at every frequency; sigma = 0 with a
@@ -69,6 +85,44 @@ class TestHeatmap:
         run_heatmap(ExperimentConfig(n=12, m=5, trials=2, seed=1, sigma_grid=(0.3, 0.6), sigma_tilde_grid=(0.3, 0.6)))
         assert len(calls) == 1
 
+    def test_heatmap_builds_no_kalman_state(self, monkeypatch):
+        # the trials read run_filter's estimate array; per-step states are only for readers that index them
+        built = []
+        state = kalman.KalmanState
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return state(*args, **kwargs)
+
+        monkeypatch.setattr(kalman, "KalmanState", counted)
+        run_heatmap(ExperimentConfig(n=12, m=5, trials=2, seed=1, sigma_grid=(0.3,), sigma_tilde_grid=(0.3, 0.6)))
+        assert built == []
+        run_filter(time_varying_cycle_system(10, 3), np.zeros((3, 10)))[2]
+        assert len(built) == 1
+
+
+class TestMetric:
+    def test_finite_inputs_give_a_finite_metric(self):
+        truths = generator(80).standard_normal((6, 5))
+        assert math.isfinite(relative_error_metric(truths + 0.1, truths))
+
+    @pytest.mark.parametrize("which", ["estimates", "truths"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_step_raises(self, which, value):
+        # a NaN estimate must not become a nan metric, nor a NaN truth step be dropped as low-energy
+        truths = generator(81).standard_normal((6, 5))
+        arrays = {"estimates": truths + 0.1, "truths": truths.copy()}
+        arrays[which][3, 2] = value
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            relative_error_metric(arrays["estimates"], arrays["truths"])
+
+    def test_all_nan_truths_are_a_failure_not_a_degenerate_trajectory(self):
+        truths = np.full((4, 5), math.nan)
+        with pytest.raises(NumericalFailureError):
+            relative_error_metric(np.zeros((4, 5)), truths)
+        with pytest.raises(DegenerateTrajectoryError):
+            relative_error_metric(np.zeros((4, 5)), np.zeros((4, 5)))
+
 
 class TestTrace:
     def test_trace_tabulates_the_trace_trajectory(self):
@@ -115,6 +169,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="trace vertex must be an integer"):
             ExperimentConfig.from_dict({"trace": {"vertex": 8.5}})
         assert ExperimentConfig.from_dict({"n": 12.0}).n == 12
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ExperimentConfig(n=12.5), "n must be an integer, got 12.5"),
+            (lambda: ExperimentConfig(n=12, m=2.5), "m must be an integer, got 2.5"),
+            (lambda: ExperimentConfig(n=12, trials=2.5), "trials must be an integer, got 2.5"),
+            (lambda: ExperimentConfig(n=12, seed=3.5), "seed must be an integer, got 3.5"),
+            (lambda: ExperimentConfig(n=12, seed=-1), "seed must be >= 0, got -1"),
+            (lambda: ExperimentConfig(n=12, trials=True), "trials must be an integer, got True"),
+            (lambda: ExperimentConfig(n=12, trace=TraceSpec(vertex=8.5)), "trace vertex must be an integer, got 8.5"),
+            (
+                lambda: DynamicalSystem.from_constant(
+                    spectrum_of(build_shift(cycle_graph(12), "laplacian")),
+                    Polynomial.one(), Polynomial.one(), 0.3, 0.5, horizon=2.5,
+                ),
+                "horizon must be an integer, got 2.5",
+            ),
+        ],
+        ids=["n", "m", "trials", "seed", "negative-seed", "boolean-trials", "trace-vertex", "horizon"],
+    )
+    def test_non_integral_or_negative_counts_rejected_at_construction(self, build, message):
+        # each is rejected where it is given, not truncated or left to fail inside run_heatmap
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_negative_trace_noise_rejected(self):
         # a negative trace point used to pass the config and fail later, inside the system

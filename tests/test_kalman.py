@@ -1,10 +1,13 @@
 import io
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 from graphkalman import (
     DynamicalSystem,
+    FilterResult,
+    KalmanState,
     NumericalFailureError,
     Polynomial,
     SingularGainError,
@@ -23,7 +26,7 @@ from graphkalman.kalman import filter_estimates_to_csv, filter_spectrum_to_csv
 from graphkalman.seeding import generator
 from graphkalman.verify import matrix_riccati_path, random_system, response_matrix
 
-from conftest import spectrum_of
+from conftest import plain_recursion, spectrum_of, time_varying_cycle_system
 
 
 def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30, allow_zero=False):
@@ -46,6 +49,18 @@ def _dense_filter(sys, observations, p0, xhat0=None):
         x = predicted + gain @ (z - b @ predicted)
         out.append(x)
     return np.array(out)
+
+
+def _eigenbasis_estimates(sys, observations, xhat0, riccati):
+    """run_filter's recursion as the plain loop x~_k = carry_k x~_{k-1} + drive_k,
+    rotated back, with row 0 the initial estimate."""
+    m = observations.shape[0]
+    u = sys.decomposition.eigenvectors
+    expand = sys.spectrum.expand
+    g = expand(riccati.gain_responses[:m])
+    carry = expand(sys.state_responses[:m]) * (1.0 - g * expand(sys.observation_responses[:m]))
+    rotated = plain_recursion(xhat0 @ u, carry, g * (observations @ u))
+    return np.vstack([xhat0, rotated[1:] @ u.T])
 
 
 def _estimates(states):
@@ -307,6 +322,76 @@ class TestRunFilter:
         )
         with pytest.raises(SingularGainError, match="step 1"):
             run_filter(sys, np.zeros((4, 4)))
+
+
+class TestInPlaceLoop:
+    @pytest.mark.parametrize(
+        "make_system",
+        [
+            lambda: random_system(generator(73), n_max=8, steps=12),
+            lambda: time_varying_cycle_system(10, 10),
+        ],
+        ids=["time-invariant", "time-varying"],
+    )
+    @pytest.mark.parametrize("m", [0, 1, 10])
+    def test_matches_plain_recursion_bit_for_bit(self, make_system, m):
+        sys = make_system()
+        observations = simulate(sys, 74).observations[:m]
+        xhat0 = generator(75).standard_normal(sys.n)
+        riccati = riccati_sequence(sys)
+        result = run_filter(sys, observations, xhat0=xhat0, riccati=riccati)
+        np.testing.assert_array_equal(result.estimates, _eigenbasis_estimates(sys, observations, xhat0, riccati))
+
+
+class TestFilterResult:
+    @pytest.fixture(scope="class")
+    def filtered(self):
+        sys = _paper_like_system(horizon=4)
+        observations = simulate(sys, 76).observations
+        return run_filter(sys, observations, xhat0=generator(77).standard_normal(30))
+
+    def test_is_a_sequence_of_m_plus_one_states(self, filtered):
+        assert isinstance(filtered, FilterResult) and isinstance(filtered, Sequence)
+        assert len(filtered) == 5
+        assert filtered.estimates.shape == (5, 30)
+        assert filtered.error_responses.shape == filtered.gain_responses.shape == (4, 16)  # C_30: 16 distinct eigenvalues
+        assert [state.step for state in filtered] == [0, 1, 2, 3, 4]
+
+    def test_negative_indices_count_from_the_end(self, filtered):
+        assert filtered[-1].step == 4 and filtered[-5].step == 0
+        np.testing.assert_array_equal(filtered[-2].estimate, filtered[3].estimate)
+
+    def test_index_past_either_end_raises(self, filtered):
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                filtered[index]
+
+    def test_slices_return_lists_of_states(self, filtered):
+        tail = filtered[1:]
+        assert isinstance(tail, list) and all(isinstance(state, KalmanState) for state in tail)
+        assert [state.step for state in tail] == [1, 2, 3, 4]
+        assert [state.step for state in filtered[::-2]] == [4, 2, 0]
+        assert filtered[7:] == []
+
+    def test_step_fields_are_rows_of_the_arrays(self, filtered):
+        initial = filtered[0]
+        assert initial.gain_response is None
+        np.testing.assert_array_equal(initial.estimate, filtered.estimates[0])
+        np.testing.assert_array_equal(initial.error_response, filtered.initial_response)
+        for k in range(1, 5):
+            state = filtered[k]
+            np.testing.assert_array_equal(state.estimate, filtered.estimates[k])
+            np.testing.assert_array_equal(state.error_response, filtered.error_responses[k - 1])
+            np.testing.assert_array_equal(state.gain_response, filtered.gain_responses[k - 1])
+
+    def test_arrays_are_read_only(self, filtered):
+        for name in ("estimates", "initial_response", "error_responses", "gain_responses"):
+            values = getattr(filtered, name)
+            assert not values.flags.writeable, name
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        with pytest.raises(ValueError):
+            filtered[2].estimate[0] = 1.0
 
 
 class TestInterpolatedGains:
