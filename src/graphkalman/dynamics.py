@@ -6,7 +6,9 @@ A ``DynamicalSystem`` is built on one ``DistinctSpectrum``, which carries
 the shift and its eigenbasis, and evaluates a_k and b_k once, at the distinct
 eigenvalues, into read-only (T, d) response arrays (T = 1 when time-invariant,
 else the horizon), which the simulation, covariance and Kalman recursions
-read; none of them applies a polynomial to a vertex signal.
+read; none of them applies a polynomial to a vertex signal.  Every check
+on a system is made when it is constructed.  Its h_0, evaluated once at the
+distinct eigenvalues, is both the covariance of x_0 and the filter's prior.
 
 ``simulate`` draws one vertex-space white-noise block of shape (2M + 1, n)
 per trajectory from a single stream: row 0 drives the initial state, row
@@ -31,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NumericalFailureError
 from .graphs import GraphShift, require_integral
 from .polynomials import Polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
@@ -38,21 +41,16 @@ from .spectral import DistinctSpectrum, SpectralDecomposition
 from .stationary import StationaryModel
 
 
-def _as_tuple(value, length: int, name: str) -> tuple:
-    seq = tuple(value)
-    if len(seq) != length:
-        raise ValueError(f"{name} must have length {length}, got {len(seq)}")
-    return seq
-
-
 @dataclass(frozen=True, eq=False)
 class DynamicalSystem:
     """Per-step polynomials and noise levels over one distinct spectrum.
 
     The spectrum carries the decomposition and the shift (``decomposition``
-    and ``shift`` are read from it).  Time-invariant systems store a single
-    polynomial/noise entry; per-step accessors serve both layouts, and
-    ``response_row(k)`` is the entry that holds step k.
+    and ``shift`` are read from it).  The four per-step tuples share one
+    length: 1 for a time-invariant system, else the horizon.  Per-step
+    accessors serve both layouts, and ``response_row(k)`` is the entry that
+    holds step k.  ``__post_init__`` makes every check, so each way of
+    building a system accepts the same inputs; noise levels may be zero.
     """
 
     spectrum: DistinctSpectrum
@@ -62,15 +60,14 @@ class DynamicalSystem:
     state_noise: tuple[float, ...]
     observation_noise: tuple[float, ...]
     initial_covariance: Polynomial
-    time_invariant: bool
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "horizon", require_integral(self.horizon, "horizon"))
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        expected = 1 if self.time_invariant else self.horizon
-        for name in ("state_polys", "observation_polys", "state_noise", "observation_noise"):
-            if len(getattr(self, name)) != expected:
-                raise ValueError(f"{name} must have length {expected}")
+        lengths = {len(self.state_polys), len(self.observation_polys), len(self.state_noise), len(self.observation_noise)}
+        if len(lengths) != 1 or not lengths <= {1, self.horizon}:
+            raise ValueError(f"per-step polynomials and noise levels must share one length, 1 or {self.horizon}")
         for sigma in (*self.state_noise, *self.observation_noise):
             if not np.isfinite(sigma) or sigma < 0:
                 raise ValueError(f"noise level {sigma!r} must be finite and >= 0")
@@ -85,21 +82,12 @@ class DynamicalSystem:
         sigma_tilde: float,
         horizon: int,
         initial_covariance: Polynomial | None = None,
-        allow_zero_noise: bool = False,
     ) -> "DynamicalSystem":
-        """Time-invariant system; noise levels must be positive unless the
-        zero-noise reference mode is explicitly requested."""
-        if not allow_zero_noise and (sigma <= 0 or sigma_tilde <= 0):
-            raise ValueError("noise levels must be positive (set allow_zero_noise for the reference mode)")
+        """Time-invariant system; h_0 defaults to zero."""
         return cls(
-            spectrum,
-            horizon=require_integral(horizon, "horizon"),
-            state_polys=(state_poly,),
-            observation_polys=(observation_poly,),
-            state_noise=(float(sigma),),
-            observation_noise=(float(sigma_tilde),),
+            spectrum, horizon=horizon, state_polys=(state_poly,), observation_polys=(observation_poly,),
+            state_noise=(float(sigma),), observation_noise=(float(sigma_tilde),),
             initial_covariance=initial_covariance or Polynomial.zero(),
-            time_invariant=True,
         )
 
     @classmethod
@@ -111,21 +99,18 @@ class DynamicalSystem:
         sigmas: Sequence[float],
         sigma_tildes: Sequence[float],
         initial_covariance: Polynomial | None = None,
-        allow_zero_noise: bool = False,
     ) -> "DynamicalSystem":
-        horizon = len(state_polys)
-        if not allow_zero_noise and any(s <= 0 for s in (*sigmas, *sigma_tildes)):
-            raise ValueError("noise levels must be positive (set allow_zero_noise for the reference mode)")
+        """One entry per step, as many as state polynomials; h_0 defaults to zero."""
         return cls(
-            spectrum,
-            horizon=horizon,
-            state_polys=_as_tuple(state_polys, horizon, "state_polys"),
-            observation_polys=_as_tuple(observation_polys, horizon, "observation_polys"),
-            state_noise=tuple(float(s) for s in _as_tuple(sigmas, horizon, "sigmas")),
-            observation_noise=tuple(float(s) for s in _as_tuple(sigma_tildes, horizon, "sigma_tildes")),
+            spectrum, horizon=len(state_polys), state_polys=tuple(state_polys),
+            observation_polys=tuple(observation_polys), state_noise=tuple(float(s) for s in sigmas),
+            observation_noise=tuple(float(s) for s in sigma_tildes),
             initial_covariance=initial_covariance or Polynomial.zero(),
-            time_invariant=False,
         )
+
+    @property
+    def time_invariant(self) -> bool:
+        return len(self.state_polys) == 1
 
     @property
     def decomposition(self) -> SpectralDecomposition:
@@ -206,6 +191,9 @@ def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.nd
 
     Runs h_k(mu) = a_k(mu)^2 h_{k-1}(mu) + sigma_k^2 on the values at the
     distinct eigenvalues mu (default: up to the full horizon).
+
+    Raises:
+        NumericalFailureError: naming the first step whose response is not finite.
     """
     if upto is None:
         upto = sys.horizon
@@ -213,9 +201,20 @@ def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.nd
         raise ValueError(f"upto {upto} out of range 0..{sys.horizon}")
     out = np.empty((upto + 1, sys.spectrum.count))
     out[0] = sys.initial_model.group_variances
-    for k in range(1, upto + 1):
-        out[k] = sys.state_responses[sys.response_row(k)] ** 2 * out[k - 1] + sys.state_sigma(k) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, upto + 1):
+            out[k] = sys.state_responses[sys.response_row(k)] ** 2 * out[k - 1] + sys.state_sigma(k) ** 2
+    require_finite_steps(out, "state covariance response", first_step=0)
     return out
+
+
+def require_finite_steps(values: np.ndarray, what: str, first_step: int) -> None:
+    """Raise ``NumericalFailureError`` naming the first step whose row of
+    ``values`` holds a NaN or infinity; row i is step ``first_step + i``."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        step = first_step + int(np.argmin(finite))
+        raise NumericalFailureError(f"{what} is not finite from step {step} on")
 
 
 def simulate(sys: DynamicalSystem, seed) -> Trajectory:

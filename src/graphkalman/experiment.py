@@ -2,7 +2,10 @@
 
 The experiment runs the time-invariant system on the unweighted cycle with
 the Laplacian shift, comparing the Kalman filter against static inverse
-filtering.  Each trial is one ``simulate`` call, which draws the trial's
+filtering.  A cell's system starts from x_0 = 0 (h_0 = 0), which is also
+its filter's prior; zero noise levels need no switch, and a cell they
+leave without a gain or with a zero trajectory is flagged.
+Each trial is one ``simulate`` call, which draws the trial's
 whole noise block from one stream and runs the state and observation
 recursions in the eigenbasis (see ``dynamics``), and one ``run_filter``
 call, which runs the Kalman filter there too (see ``kalman``) and whose
@@ -91,30 +94,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
-        known = {
-            "n", "m", "trials", "a", "b", "sigma_grid", "sigma_tilde_grid",
-            "seed", "clip", "trace",
-        }
-        _reject_unknown_keys(payload, known, "config")
-        kwargs = {key: payload[key] for key in ("n", "m", "trials", "seed") if key in payload}
-        if "clip" in payload:
-            kwargs["clip"] = float(payload["clip"])
-        if "a" in payload:
-            kwargs["state_poly"] = Polynomial.from_coeffs(payload["a"])
-        if "b" in payload:
-            kwargs["observation_poly"] = Polynomial.from_coeffs(payload["b"])
-        if "sigma_grid" in payload:
-            kwargs["sigma_grid"] = _resolve_grid(payload["sigma_grid"])
-        if "sigma_tilde_grid" in payload:
-            kwargs["sigma_tilde_grid"] = _resolve_grid(payload["sigma_tilde_grid"])
-        if "trace" in payload:
-            spec = payload["trace"]
-            _reject_unknown_keys(spec, {"sigma", "sigma_tilde", "vertex"}, "trace")
-            kwargs["trace"] = TraceSpec(
-                sigma=float(spec.get("sigma", 0.3)),
-                sigma_tilde=float(spec.get("sigma_tilde", 0.5)),
-                vertex=spec.get("vertex", 8),
-            )
+        """Config from parsed JSON; a key of the wrong type or shape raises ``ValueError`` naming it."""
+        _reject_unknown_keys(payload, set(_JSON_FIELDS), "config")
+        kwargs = {}
+        for key, value in payload.items():
+            field, parse = _JSON_FIELDS[key]
+            try:
+                kwargs[field] = parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
         return ExperimentConfig(**kwargs)
 
     @staticmethod
@@ -144,7 +132,9 @@ class ExperimentConfig:
         }
 
 
-def _reject_unknown_keys(payload: dict, known: set[str], what: str) -> None:
+def _reject_unknown_keys(payload, known: set[str], what: str) -> None:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
     unknown = set(payload) - known
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
@@ -153,6 +143,9 @@ def _reject_unknown_keys(payload: dict, known: set[str], what: str) -> None:
 def _resolve_grid(spec) -> tuple[float, ...]:
     """Accept either an explicit list of values or {"start","stop","step"}."""
     if isinstance(spec, dict):
+        missing = {"start", "stop", "step"} - set(spec)
+        if missing:
+            raise ValueError(f"grid object lacks {sorted(missing)}")
         start = float(spec["start"])
         stop = float(spec["stop"])
         step = float(spec["step"])
@@ -160,7 +153,32 @@ def _resolve_grid(spec) -> tuple[float, ...]:
             raise ValueError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(round(start + i * step, 10) for i in range(count))
-    return tuple(float(v) for v in spec)
+    return tuple(float(v) for v in _json_list(spec))
+
+
+def _json_list(value) -> list:
+    """``value`` if it is a list; a string would otherwise be read as a list of its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
+def _trace_spec(spec) -> TraceSpec:
+    _reject_unknown_keys(spec, {"sigma", "sigma_tilde", "vertex"}, "trace")
+    return TraceSpec(**{key: value if key == "vertex" else float(value) for key, value in spec.items()})
+
+
+# JSON key -> (ExperimentConfig field, parser of the JSON value); ExperimentConfig
+# checks the integers itself, with a ValueError naming the key.
+_JSON_FIELDS = {
+    **{key: (key, lambda value: value) for key in ("n", "m", "trials", "seed")},
+    "a": ("state_poly", lambda value: Polynomial.from_coeffs(_json_list(value))),
+    "b": ("observation_poly", lambda value: Polynomial.from_coeffs(_json_list(value))),
+    "sigma_grid": ("sigma_grid", _resolve_grid),
+    "sigma_tilde_grid": ("sigma_tilde_grid", _resolve_grid),
+    "clip": ("clip", float),
+    "trace": ("trace", _trace_spec),
+}
 
 
 def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> float:
@@ -217,7 +235,6 @@ def _cell_system(config, spectrum: DistinctSpectrum, sigma: float, sigma_tilde: 
         sigma,
         sigma_tilde,
         horizon=config.m,
-        allow_zero_noise=True,
     )
 
 
@@ -241,7 +258,7 @@ def _run_cell(config, spectrum: DistinctSpectrum, i: int, j: int):
     kalman_metrics: list[float] = []
     inverse_metrics: list[float] = []
     try:
-        riccati = riccati_sequence(sys, p0=Polynomial.zero())
+        riccati = riccati_sequence(sys)
     except SingularGainError:
         return kalman_metrics, inverse_metrics, True
     degenerate = 0
@@ -332,7 +349,7 @@ def run_trace(config: ExperimentConfig, trial: int = 0) -> TraceResult:
     """One simulation at the trace point with both reconstructions tabulated per step."""
     sys, trajectory = _trace_run(config, trial)
     truths = trajectory.states[1:]
-    kalman_estimates = run_filter(sys, trajectory.observations, p0=Polynomial.zero()).estimates[1:]
+    kalman_estimates = run_filter(sys, trajectory.observations).estimates[1:]
     inverse_estimates = inverse_estimate(
         config.observation_poly, trajectory.observations.T, sys.decomposition
     ).T

@@ -10,8 +10,10 @@ eigenvalues:
 
 The recursion and the filter are carried on these frequency responses and
 read a and b as rows of the system's response arrays, evaluated once per
-system.  ``riccati_sequence`` returns the gain and error responses as
-(steps, d) arrays; filtering moves the observations into the eigenbasis
+system.  The prior p_0 is the system's h_0, the stationary initialization.
+``riccati_sequence`` returns the gain and error responses as (steps, d)
+arrays, or raises ``NumericalFailureError`` at the first step where one is
+not finite; filtering moves the observations into the eigenbasis
 once, updates every frequency on its own, adding each step's carry times
 the previous estimate to that step's drive in place, and moves the
 estimates back once.  ``run_filter`` returns a ``FilterResult``: the
@@ -34,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, write_text
+from .dynamics import DynamicalSystem, require_finite_steps, write_text
 from .errors import NumericalFailureError, SingularGainError
 from .filters import passband
 from .polynomials import Polynomial, lagrange_interpolate
@@ -142,46 +144,45 @@ class RiccatiSequence:
         return tuple(lagrange_interpolate(self.nodes, row) for row in self.gain_responses)
 
 
-def riccati_sequence(
-    sys: DynamicalSystem,
-    p0: Polynomial | None = None,
-    steps: int | None = None,
-) -> RiccatiSequence:
+def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiSequence:
     """Run the error/gain recursion for ``steps`` steps (default: the horizon).
 
-    Each step is one scalar update per distinct eigenvalue; the responses
-    of all steps come back as ``(steps, d)`` arrays.  The observation
-    response is zeroed where ``passband`` calls a frequency blind, so the
-    gain there is 0 and, with zero observation noise at an uncertain
-    frequency, ``SingularGainError`` is raised.
+    The prior p_0 is the system's h_0 at the distinct eigenvalues, the
+    stationary initialization.  Each step is one scalar update per distinct
+    eigenvalue; the responses of all steps come back as ``(steps, d)``
+    arrays.  The observation response is zeroed where ``passband`` calls a
+    frequency blind, so the gain there is 0 and, with zero observation
+    noise at an uncertain frequency, ``SingularGainError`` is raised.  A
+    response that overflows (an unstable blind frequency) raises
+    ``NumericalFailureError`` naming its first step.
     """
-    if p0 is None:
-        p0 = sys.initial_covariance
     if steps is None:
         steps = sys.horizon
     if not 0 <= steps <= sys.horizon:
         raise ValueError(f"steps {steps} out of range 0..{sys.horizon}")
     mu = sys.spectrum.representatives
-    initial = require_psd(p0(mu), "initial error covariance")
+    initial = require_psd(sys.initial_model.group_variances, "initial error covariance")
     observation = sys.observation_responses
     observation = np.where(passband(observation), observation, 0.0)
     gains = np.empty((steps, mu.size))
     errors = np.empty((steps, mu.size))
     p_values = initial
-    for k in range(1, steps + 1):
-        row = sys.response_row(k)
-        try:
-            gains[k - 1], p_values = _scalar_riccati(
-                p_values,
-                sys.state_responses[row],
-                observation[row],
-                sys.state_sigma(k),
-                sys.observation_sigma(k),
-            )
-        except SingularGainError as exc:
-            raise SingularGainError(f"step {k}: {exc}") from exc
-        errors[k - 1] = p_values
-    for values in (initial, gains, errors):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            row = sys.response_row(k)
+            try:
+                gains[k - 1], p_values = _scalar_riccati(
+                    p_values,
+                    sys.state_responses[row],
+                    observation[row],
+                    sys.state_sigma(k),
+                    sys.observation_sigma(k),
+                )
+            except SingularGainError as exc:
+                raise SingularGainError(f"step {k}: {exc}") from exc
+            errors[k - 1] = p_values
+    require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
+    for values in (gains, errors):
         values.flags.writeable = False
     return RiccatiSequence(
         nodes=mu, initial_response=initial, gain_responses=gains, error_responses=errors
@@ -228,7 +229,6 @@ def run_filter(
     sys: DynamicalSystem,
     observations,
     xhat0: np.ndarray | None = None,
-    p0: Polynomial | None = None,
     riccati: RiccatiSequence | None = None,
 ) -> FilterResult:
     """Filter a full observation sequence; returns the estimates for k = 0..M.
@@ -246,10 +246,11 @@ def run_filter(
     place.  The estimates are moved back once.  The dense matrix recursion
     is not run here; ``verify.matrix_riccati_path`` keeps it as the oracle.
 
-    Defaults follow the stationary initialization: zero initial estimate
-    with the system's initial covariance as p_0.  A precomputed
-    ``riccati`` sequence (which is data-independent) may be reused across
-    trajectories.
+    The prior is the system's: the initial estimate defaults to zero and
+    p_0 is the system's h_0, the stationary initialization.  To filter with
+    another prior, build the system with that ``initial_covariance``.  A
+    precomputed ``riccati`` sequence (which is data-independent) may be
+    reused across trajectories.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
@@ -260,7 +261,7 @@ def run_filter(
     if m > sys.horizon:
         raise ValueError(f"{m} observations exceed the system horizon {sys.horizon}")
     if riccati is None:
-        riccati = riccati_sequence(sys, p0=p0, steps=m)
+        riccati = riccati_sequence(sys, steps=m)
     elif riccati.gain_responses.shape[0] < m:
         raise ValueError("precomputed riccati sequence is shorter than the observations")
 

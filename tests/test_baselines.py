@@ -137,7 +137,7 @@ class TestLoewner:
         sys = DynamicalSystem.from_constant(
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 25
         )
-        riccati = riccati_sequence(sys, p0=Polynomial.zero())
+        riccati = riccati_sequence(sys)
         inverse = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, sys.spectrum)
         inverse_matrix = response_matrix(sys, inverse)
         for k in range(1, 26):

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from graphkalman import (
     DynamicalSystem,
     Graph,
+    NumericalFailureError,
     Polynomial,
     apply_filter,
     build_shift,
@@ -22,11 +24,11 @@ from graphkalman.verify import random_system, response_matrix, simulation_step_g
 from conftest import plain_recursion, spectrum_of, time_varying_cycle_system
 
 
-def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None, allow_zero=False):
+def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None):
     shift = build_shift(cycle_graph(n), "laplacian")
     return DynamicalSystem.from_constant(
         spectrum_of(shift), a, b, sigma, sigma_tilde, horizon,
-        initial_covariance=h0, allow_zero_noise=allow_zero,
+        initial_covariance=h0,
     )
 
 
@@ -69,18 +71,50 @@ def _worst_relative_gap(values, expected):
     return float(np.max(gaps))
 
 
+PATHS = ("constructor", "from_constant", "from_sequences")
+
+# case -> (horizon, sigmas, sigma_tildes, the paths that can express it, message):
+# from_constant has one entry per tuple, from_sequences counts its horizon
+INVALID_SYSTEMS = {
+    "horizon-2.5": (2.5, (1.0,), (1.0,), ("constructor", "from_constant"), "horizon must be an integer"),
+    "negative-noise": (3, (-0.1, 1.0, 1.0), (1.0, 1.0, 1.0), PATHS, "must be finite and >= 0"),
+    "nan-noise": (3, (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), PATHS, "must be finite and >= 0"),
+    "mismatched-lengths": (3, (1.0, 1.0, 1.0), (1.0, 1.0), ("constructor", "from_sequences"), "share one length"),
+}
+
+
+def _build(path, spectrum, horizon, sigmas, sigma_tildes):
+    """A system with a = b = 1 and the given per-step noise, built along ``path``."""
+    polys = (Polynomial.one(),) * len(sigmas)
+    if path == "constructor":
+        return DynamicalSystem(spectrum, horizon, polys, polys, sigmas, sigma_tildes, Polynomial.zero())
+    if path == "from_constant":
+        return DynamicalSystem.from_constant(spectrum, polys[0], polys[0], sigmas[0], sigma_tildes[0], horizon)
+    return DynamicalSystem.from_sequences(spectrum, polys, polys, sigmas, sigma_tildes)
+
+
 class TestConstruction:
-    def test_zero_noise_rejected_by_default(self):
-        with pytest.raises(ValueError, match="positive"):
-            _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 1.0, 5)
+    @pytest.mark.parametrize(
+        "path, case", [(path, case) for case, (*_, paths, _) in INVALID_SYSTEMS.items() for path in paths]
+    )
+    def test_every_path_rejects_the_same_inputs(self, c4, path, case):
+        horizon, sigmas, sigma_tildes, _, message = INVALID_SYSTEMS[case]
+        with pytest.raises(ValueError, match=message):
+            _build(path, c4[3], horizon, sigmas, sigma_tildes)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_zero_noise_builds_on_every_path(self, c4, path):
+        sys = _build(path, c4[3], 3, (0.0,) * 3, (0.0,) * 3)
+        assert sys.horizon == 3
+        assert sys.state_sigma(3) == sys.observation_sigma(3) == 0.0
 
     def test_zero_noise_reference_mode(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 5, allow_zero=True)
+        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 5)
         assert sys.state_sigma(1) == 0.0
 
     def test_negative_noise_always_rejected(self):
         with pytest.raises(ValueError):
-            _cycle_system(4, Polynomial.one(), Polynomial.one(), -0.1, 1.0, 5, allow_zero=True)
+            _cycle_system(4, Polynomial.one(), Polynomial.one(), -0.1, 1.0, 5)
 
     def test_step_accessors_range_checked(self):
         sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
@@ -131,7 +165,7 @@ class TestStepState:
 
     def test_identity_dynamics_zero_noise_keeps_state(self):
         sys = _cycle_system(
-            4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 3, h0=Polynomial((1.0, 0.5)), allow_zero=True
+            4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 3, h0=Polynomial((1.0, 0.5))
         )
         trajectory = simulate(sys, 51)
         assert np.linalg.norm(trajectory.states[0]) > 0.0
@@ -157,7 +191,7 @@ class TestObserve:
     """Observations of ``simulate``, against the re-drawn noise rows."""
 
     def test_identity_observation_zero_noise(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 0.0, 3, allow_zero=True)
+        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 0.0, 3)
         trajectory = simulate(sys, 54)
         np.testing.assert_allclose(trajectory.observations, trajectory.states[1:], rtol=0.0, atol=1e-14)
 
@@ -208,6 +242,12 @@ class TestCovarianceRecursion:
         with pytest.raises(ValueError):
             covariance_responses(sys, upto=4)
 
+    def test_overflowing_covariance_raises_at_its_first_step(self):
+        # a = 3: h_k = (9^k - 1) / 8 passes the float64 range at step 324
+        sys = _cycle_system(8, Polynomial.constant(3.0), Polynomial((1.0, -0.5)), 1.0, 1.0, 400)
+        with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
+            covariance_responses(sys)
+
     def test_matrix_propagation_agreement(self):
         rng = generator(58)
         for _ in range(8):
@@ -229,7 +269,7 @@ class TestSimulate:
         assert trajectory.observations.shape == (0, 4)
 
     def test_all_zero_reference_mode(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 5, allow_zero=True)
+        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 5)
         trajectory = simulate(sys, 2)
         np.testing.assert_array_equal(trajectory.states, 0.0)
         np.testing.assert_array_equal(trajectory.observations, 0.0)

@@ -142,6 +142,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"n": 12, "workers": 2})
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"trace": 5}', "'trace'"),
+            ('{"a": 3}', "'a'"),
+            ('{"sigma_grid": 0.5}', "'sigma_grid'"),
+            ('{"sigma_grid": "05"}', "'sigma_grid'"),
+            ('{"b": "12"}', "'b'"),
+            ('{"sigma_grid": {"start": 0}}', r"'sigma_grid'.*\['step', 'stop'\]"),
+            ('{"clip": [1]}', "'clip'"),
+            ('{"trace": {"sigma": null}}', "'trace'"),
+            ('[1, 2]', "config must be a JSON object"),
+        ],
+        ids=["trace", "a", "grid-scalar", "grid-string", "b-string", "grid-object", "clip", "trace-sigma", "not-an-object"],
+    )
+    def test_wrongly_typed_json_raises_value_error_naming_the_key(self, text, message):
+        # input from outside the program: a TypeError or KeyError would not say which key
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(text)
+
+    def test_json_round_trip_keeps_every_field(self):
+        config = ExperimentConfig(
+            n=12, m=7, trials=4, state_poly=Polynomial((0.1, 0.2)), observation_poly=Polynomial((1.0, -0.25, 0.01)),
+            sigma_grid=(0.0, 0.4), sigma_tilde_grid=(0.2, 0.3, 0.9), seed=77, clip=1.5,
+            trace=TraceSpec(sigma=0.6, sigma_tilde=0.7, vertex=5),
+        )
+        assert ExperimentConfig.from_json(json.dumps(config.to_dict())) == config
+
     def test_unknown_trace_keys_rejected(self):
         with pytest.raises(ValueError, match=r"unknown trace keys: \['sigma_tlde', 'vertx'\]"):
             ExperimentConfig.from_dict({"trace": {"vertx": 3, "sigma_tlde": 0.9}})

@@ -29,11 +29,11 @@ from graphkalman.verify import matrix_riccati_path, random_system, response_matr
 from conftest import plain_recursion, spectrum_of, time_varying_cycle_system
 
 
-def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30, allow_zero=False):
+def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30):
     shift = build_shift(cycle_graph(n), "laplacian")
     return DynamicalSystem.from_constant(
         spectrum_of(shift), Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)),
-        sigma, sigma_tilde, horizon, allow_zero_noise=allow_zero,
+        sigma, sigma_tilde, horizon,
     )
 
 
@@ -77,7 +77,7 @@ class TestPredictUpdate:
 
     def test_zero_estimate_predicts_zero(self):
         sys = _paper_like_system(horizon=3)
-        states = run_filter(sys, np.zeros((3, 30)), p0=Polynomial.zero())
+        states = run_filter(sys, np.zeros((3, 30)))
         np.testing.assert_array_equal(_estimates(states), np.zeros((3, 30)))
 
     def test_identity_dynamics_keeps_estimate(self):
@@ -101,9 +101,9 @@ class TestPredictUpdate:
 
     def test_update_zero_gain_keeps_prediction(self):
         # no process noise and a certain start: the predicted variance and the gain are zero
-        sys = _paper_like_system(horizon=1, sigma=0.0, allow_zero=True)
+        sys = _paper_like_system(horizon=1, sigma=0.0)
         x0 = generator(63).standard_normal(30)
-        states = run_filter(sys, generator(64).standard_normal((1, 30)), xhat0=x0, p0=Polynomial.zero())
+        states = run_filter(sys, generator(64).standard_normal((1, 30)), xhat0=x0)
         np.testing.assert_array_equal(states[1].gain_response, 0.0)
         np.testing.assert_allclose(states[1].estimate, (sys.shift.matrix / 4.0) @ x0, atol=1e-12)
 
@@ -111,7 +111,7 @@ class TestPredictUpdate:
         # b = 1 with zero observation noise gives the unit gain
         shift = build_shift(cycle_graph(5), "laplacian")
         sys = DynamicalSystem.from_constant(
-            spectrum_of(shift), Polynomial.one(), Polynomial.one(), 1.0, 0.0, 4, allow_zero_noise=True
+            spectrum_of(shift), Polynomial.one(), Polynomial.one(), 1.0, 0.0, 4
         )
         z = generator(65).standard_normal((4, 5))
         states = run_filter(sys, z, xhat0=generator(66).standard_normal(5))
@@ -121,7 +121,7 @@ class TestPredictUpdate:
         sys = _paper_like_system(horizon=5)
         x0 = generator(67).standard_normal(30)
         z = generator(68).standard_normal((5, 30))
-        states = run_filter(sys, z, xhat0=x0, p0=Polynomial.zero())
+        states = run_filter(sys, z, xhat0=x0)
         expected = _dense_filter(sys, z, Polynomial.zero(), xhat0=x0)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
@@ -130,9 +130,9 @@ def _one_step(c4, p_prev, state_poly, observation_poly, sigma, sigma_tilde):
     """Gain and updated error responses of one Riccati step on C_4 from p_prev."""
     _, _, _, spectrum = c4
     sys = DynamicalSystem.from_constant(
-        spectrum, state_poly, observation_poly, sigma, sigma_tilde, 1, allow_zero_noise=True,
+        spectrum, state_poly, observation_poly, sigma, sigma_tilde, 1, initial_covariance=p_prev,
     )
-    riccati = riccati_sequence(sys, p0=p_prev)
+    riccati = riccati_sequence(sys)
     return riccati.gain_responses[0], riccati.error_responses[0]
 
 
@@ -176,15 +176,26 @@ class TestSpectralRecursion:
     def test_near_blind_frequency_raises(self, n):
         # the computed eigenvalue next to 2 leaves 1 - t/2 at 2.2e-16, not 0;
         # relative to max|b| that frequency is blind all the same
-        sys = _paper_like_system(horizon=5, sigma_tilde=0.0, n=n, allow_zero=True)
+        sys = _paper_like_system(horizon=5, sigma_tilde=0.0, n=n)
         with pytest.raises(SingularGainError, match="step 1"):
-            riccati_sequence(sys, p0=Polynomial.zero())
+            riccati_sequence(sys)
+
+    def test_overflowing_blind_frequency_raises_at_its_first_step(self):
+        # C_8 has the eigenvalue 2, where b = 1 - t/2 is blind; with a = 3 its
+        # error grows as 9^k and leaves the float64 range at step 324
+        shift = build_shift(cycle_graph(8), "laplacian")
+        sys = DynamicalSystem.from_constant(
+            spectrum_of(shift), Polynomial.constant(3.0), Polynomial((1.0, -0.5)), 1.0, 1.0, 400
+        )
+        assert np.isfinite(riccati_sequence(sys, steps=323).error_responses).all()
+        with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
+            riccati_sequence(sys)
 
     def test_near_blind_frequency_gets_zero_gain_at_tiny_noise(self):
         # b(mu) = 2.2e-16 with sigma_tilde = 1e-17 would give a 4.5e15 gain;
         # the frequency is blind, so its gain is 0 and its error only propagates
         sys = _paper_like_system(horizon=5, sigma_tilde=1e-17, n=12)
-        riccati = riccati_sequence(sys, p0=Polynomial.zero())
+        riccati = riccati_sequence(sys)
         blind = np.abs(sys.observation_responses[0]) < 1e-15
         assert np.count_nonzero(blind) == 1
         np.testing.assert_array_equal(riccati.gain_responses[:, blind], 0.0)
@@ -233,7 +244,7 @@ class TestMatrixRecursion:
 
     def test_reference_system_dual_form(self):
         sys = _paper_like_system(horizon=20)
-        riccati = riccati_sequence(sys, p0=Polynomial.zero())
+        riccati = riccati_sequence(sys)
         dense_gains, dense_errors = matrix_riccati_path(sys, Polynomial.zero(), 20)
         for k in range(20):
             p_spec = response_matrix(sys, riccati.error_responses[k])
@@ -258,7 +269,7 @@ class TestRunFilter:
         # onto the true state after one step
         shift = build_shift(cycle_graph(6), "laplacian")
         sys = DynamicalSystem.from_constant(
-            spectrum_of(shift), Polynomial((0.0, 0.25)), Polynomial.one(), 0.4, 0.0, 8, allow_zero_noise=True
+            spectrum_of(shift), Polynomial((0.0, 0.25)), Polynomial.one(), 0.4, 0.0, 8
         )
         trajectory = simulate(sys, 31337)
         states = run_filter(sys, trajectory.observations)
@@ -283,7 +294,7 @@ class TestRunFilter:
         # degree-60 monomial gains applied by Horner overflowed to NaN here
         sys = _paper_like_system(horizon=100, n=120)
         trajectory = simulate(sys, 120)
-        states = run_filter(sys, trajectory.observations, p0=Polynomial.zero())
+        states = run_filter(sys, trajectory.observations)
         estimates = _estimates(states)
         assert np.all(np.isfinite(estimates))
         expected = _dense_filter(sys, trajectory.observations, Polynomial.zero())
@@ -291,9 +302,9 @@ class TestRunFilter:
 
     def test_precomputed_riccati_reused(self):
         sys = _paper_like_system(horizon=10)
-        riccati = riccati_sequence(sys, p0=Polynomial.zero())
+        riccati = riccati_sequence(sys)
         trajectory = simulate(sys, 11)
-        direct = run_filter(sys, trajectory.observations, p0=Polynomial.zero())
+        direct = run_filter(sys, trajectory.observations)
         reused = run_filter(sys, trajectory.observations, riccati=riccati)
         for a, b in zip(direct, reused):
             np.testing.assert_array_equal(a.estimate, b.estimate)
@@ -318,7 +329,7 @@ class TestRunFilter:
     def test_step_error_is_labelled(self, c4):
         _, _, _, spectrum = c4
         sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial.one(), Polynomial((1.0, -0.5)), 0.3, 0.0, 4, allow_zero_noise=True
+            spectrum, Polynomial.one(), Polynomial((1.0, -0.5)), 0.3, 0.0, 4
         )
         with pytest.raises(SingularGainError, match="step 1"):
             run_filter(sys, np.zeros((4, 4)))
@@ -397,14 +408,14 @@ class TestFilterResult:
 class TestInterpolatedGains:
     @pytest.mark.parametrize("n", [30, 60])
     def test_gains_keep_their_node_values(self, n):
-        riccati = riccati_sequence(_paper_like_system(horizon=100, n=n), p0=Polynomial.zero())
+        riccati = riccati_sequence(_paper_like_system(horizon=100, n=n))
         for gain, row in zip(riccati.gains, riccati.gain_responses):
             assert np.max(np.abs(gain(riccati.nodes) - row)) <= 1e-7 * np.max(np.abs(row))
 
     def test_gains_on_cycle120_raise(self):
         # 61 nodes on [0, 4]: the double-double monomial interpolants miss
         # their node values by about 1e12 relative
-        riccati = riccati_sequence(_paper_like_system(horizon=100, n=120), p0=Polynomial.zero())
+        riccati = riccati_sequence(_paper_like_system(horizon=100, n=120))
         with pytest.raises(NumericalFailureError, match="node values"):
             riccati.gains
 

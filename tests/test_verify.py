@@ -14,3 +14,10 @@ def test_graph_spectral_filter_and_stationary_invariants_pass():
     results = run_checks(["graph_core", "spectral", "poly_filter", "stationary"])
     assert len(results) == 14
     assert all(result.passed for result in results), format_report(results)
+
+
+def test_experiment_invariants_pass():
+    # with the two tests above, tier-1 runs every invariant of the verify report
+    results = run_checks(["experiment"])
+    assert len(results) == 3
+    assert all(result.passed for result in results), format_report(results)
