@@ -46,8 +46,7 @@ from .kalman import (
     FilterResult,
     KalmanState,
     RiccatiSequence,
-    matrix_error_update,
-    matrix_gain,
+    matrix_riccati_step,
     riccati_sequence,
     run_filter,
 )
@@ -101,8 +100,7 @@ __all__ = [
     "is_polynomial_filter",
     "lagrange_interpolate",
     "loewner_less",
-    "matrix_error_update",
-    "matrix_gain",
+    "matrix_riccati_step",
     "minimal_polynomial",
     "reduce_mod_minimal",
     "relative_error_metric",

@@ -1,11 +1,11 @@
 """Baseline estimators and Loewner-order comparisons.
 
-Static inverse filtering inverts the observation filter frequency-wise
-(Moore-Penrose style: blind frequencies, as ``filters.passband`` decides,
-are zeroed); the zero estimator returns the signal mean and inherits the
-state covariance as its error.  Error covariances come back as responses at
-the distinct eigenvalues, shape (d,), and ``spectral_loewner_less`` compares
-two such arrays; only the user's observation polynomial is a monomial input.
+Static inverse filtering inverts the system's observation responses step by
+step (Moore-Penrose style: blind frequencies, as ``filters.passband`` decides
+on the array the Kalman recursion reads, are zeroed); the zero estimator
+returns the signal mean and inherits the state covariance as its error.
+Error covariances come back as responses at the distinct eigenvalues, shape
+(d,), and ``spectral_loewner_less`` compares two such arrays.
 """
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ import numpy as np
 from .dynamics import DynamicalSystem, covariance_responses
 from .errors import NotAllPassError
 from .filters import passband
-from .polynomials import Polynomial
-from .spectral import DistinctSpectrum, SpectralDecomposition
+from .spectral import DistinctSpectrum
 
 LOEWNER_TOL_SCALE = 1e-12
 
@@ -78,39 +77,27 @@ def spectral_loewner_less(
     return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=float(tol), verdict=_verdict(min_eigenvalue, tol))
 
 
-def inverse_estimate(
-    observation_poly: Polynomial,
-    z: np.ndarray,
-    decomposition: SpectralDecomposition,
-) -> np.ndarray:
-    """Static inverse-filtering estimate: invert the observation responses,
-    zeroing the blind frequencies (``passband``).
-
-    ``z`` is one observation (n,) or a batch of columns (n, m).
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] != decomposition.n:
-        raise ValueError(f"observation length {z.shape[0]} does not match graph order {decomposition.n}")
-    responses = observation_poly(decomposition.eigenvalues)
-    passing = passband(responses)
-    inverted = np.zeros_like(responses)
-    inverted[passing] = 1.0 / responses[passing]
-    return decomposition.apply(inverted, z)
+def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
+    """Static inverse-filtering estimates of observation rows z_1..z_m, shape (m, n):
+    z_k divided by row k of the responses in the eigenbasis, blind frequencies zeroed."""
+    obs = np.asarray(observations, dtype=float)
+    if obs.ndim != 2 or obs.shape[1] != sys.n or obs.shape[0] > sys.horizon:
+        raise ValueError(f"observations have shape {obs.shape}, expected (m, {sys.n}) with m <= {sys.horizon}")
+    responses = sys.observation_responses[: obs.shape[0]]
+    inverted = np.divide(1.0, responses, out=np.zeros_like(responses), where=passband(responses))
+    u = sys.decomposition.eigenvectors
+    return ((obs @ u) * sys.spectrum.expand(inverted)) @ u.T
 
 
-def inverse_error_covariance(
-    observation_poly: Polynomial,
-    sigma_tilde: float,
-    spectrum: DistinctSpectrum,
-) -> np.ndarray:
-    """Error covariance of inverse filtering for an all-pass observation:
-    sigma_tilde^2 / b(mu)^2 at the distinct eigenvalues mu, shape (d,)."""
-    responses = observation_poly(spectrum.representatives)
+def inverse_error_covariance(sys: DynamicalSystem, k: int) -> np.ndarray:
+    """Error covariance of inverse filtering at step k for an all-pass
+    observation: sigma_tilde_k^2 / b_k(mu)^2 at the distinct eigenvalues mu, shape (d,)."""
+    responses = sys.observation_responses[sys.response_row(k)]
     if not np.all(passband(responses)):
         raise NotAllPassError(
-            "observation filter vanishes at a distinct eigenvalue; inverse error covariance undefined"
+            f"observation filter of step {k} vanishes at a distinct eigenvalue; inverse error covariance undefined"
         )
-    return sigma_tilde**2 / responses**2
+    return sys.observation_sigma(k) ** 2 / responses**2
 
 
 def zero_estimate(sys: DynamicalSystem, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from .graphs import GraphShift, require_integral
 from .polynomials import Polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
 from .spectral import DistinctSpectrum, SpectralDecomposition
-from .stationary import StationaryModel
+from .stationary import StationaryModel, require_psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +50,8 @@ class DynamicalSystem:
     length: 1 for a time-invariant system, else the horizon.  Per-step
     accessors serve both layouts, and ``response_row(k)`` is the entry that
     holds step k.  ``__post_init__`` makes every check, so each way of
-    building a system accepts the same inputs; noise levels may be zero.
+    building a system accepts the same inputs; noise levels may be zero,
+    h_0 may not be negative at a distinct eigenvalue (``require_psd``).
     """
 
     spectrum: DistinctSpectrum
@@ -71,6 +72,7 @@ class DynamicalSystem:
         for sigma in (*self.state_noise, *self.observation_noise):
             if not np.isfinite(sigma) or sigma < 0:
                 raise ValueError(f"noise level {sigma!r} must be finite and >= 0")
+        require_psd(self.initial_model.group_variances, "initial covariance")
 
     @classmethod
     def from_constant(

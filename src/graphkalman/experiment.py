@@ -5,13 +5,13 @@ the Laplacian shift, comparing the Kalman filter against static inverse
 filtering.  A cell's system starts from x_0 = 0 (h_0 = 0), which is also
 its filter's prior; zero noise levels need no switch, and a cell they
 leave without a gain or with a zero trajectory is flagged.
-Each trial is one ``simulate`` call, which draws the trial's
-whole noise block from one stream and runs the state and observation
-recursions in the eigenbasis (see ``dynamics``), and one ``run_filter``
-call, which runs the Kalman filter there too (see ``kalman``) and whose
-estimate array the metrics read directly; no per-step ``KalmanState`` is
-built.  Both recursions update their rows in place.  The dense matrix
-recursion is only the oracle in ``verify``.  Cells run one after
+Each trial, in the heatmap and the trace alike, is one ``simulate`` call,
+which draws the trial's whole noise block from one stream and runs the
+state and observation recursions in the eigenbasis (see ``dynamics``), one
+``run_filter`` call, which runs the Kalman filter there too (see
+``kalman``), and one ``inverse_estimate`` call, which inverts the system's
+own observation responses; no polynomial is evaluated per trial.  The dense
+matrix recursion is only the oracle in ``verify``.  Cells run one after
 another in a plain loop, with no worker pool, and each trial is seeded from
 its cell and trial index alone, so results are reproducible bit-for-bit for
 a fixed configuration.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -101,7 +102,7 @@ class ExperimentConfig:
             field, parse = _JSON_FIELDS[key]
             try:
                 kwargs[field] = parse(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
         return ExperimentConfig(**kwargs)
 
@@ -143,40 +144,46 @@ def _reject_unknown_keys(payload, known: set[str], what: str) -> None:
 def _resolve_grid(spec) -> tuple[float, ...]:
     """Accept either an explicit list of values or {"start","stop","step"}."""
     if isinstance(spec, dict):
+        _reject_unknown_keys(spec, {"start", "stop", "step"}, "grid")
         missing = {"start", "stop", "step"} - set(spec)
         if missing:
             raise ValueError(f"grid object lacks {sorted(missing)}")
-        start = float(spec["start"])
-        stop = float(spec["stop"])
-        step = float(spec["step"])
+        start, stop, step = (_json_number(spec[key], f"grid {key}") for key in ("start", "stop", "step"))
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(round(start + i * step, 10) for i in range(count))
-    return tuple(float(v) for v in _json_list(spec))
+    return tuple(_json_numbers(spec))
 
 
-def _json_list(value) -> list:
-    """``value`` if it is a list; a string would otherwise be read as a list of its characters."""
+def _json_number(value, name: str = "value") -> float:
+    """``value`` as a float if JSON spelled it as a number; a string or boolean raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(value) -> list[float]:
+    """``value`` as a list of numbers; a string would otherwise be read as a list of its characters."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"expected a list, got {value!r}")
-    return value
+    return [_json_number(v) for v in value]
 
 
 def _trace_spec(spec) -> TraceSpec:
     _reject_unknown_keys(spec, {"sigma", "sigma_tilde", "vertex"}, "trace")
-    return TraceSpec(**{key: value if key == "vertex" else float(value) for key, value in spec.items()})
+    return TraceSpec(**{key: value if key == "vertex" else _json_number(value, key) for key, value in spec.items()})
 
 
 # JSON key -> (ExperimentConfig field, parser of the JSON value); ExperimentConfig
 # checks the integers itself, with a ValueError naming the key.
 _JSON_FIELDS = {
     **{key: (key, lambda value: value) for key in ("n", "m", "trials", "seed")},
-    "a": ("state_poly", lambda value: Polynomial.from_coeffs(_json_list(value))),
-    "b": ("observation_poly", lambda value: Polynomial.from_coeffs(_json_list(value))),
+    "a": ("state_poly", lambda value: Polynomial.from_coeffs(_json_numbers(value))),
+    "b": ("observation_poly", lambda value: Polynomial.from_coeffs(_json_numbers(value))),
     "sigma_grid": ("sigma_grid", _resolve_grid),
     "sigma_tilde_grid": ("sigma_tilde_grid", _resolve_grid),
-    "clip": ("clip", float),
+    "clip": ("clip", _json_number),
     "trace": ("trace", _trace_spec),
 }
 
@@ -238,17 +245,11 @@ def _cell_system(config, spectrum: DistinctSpectrum, sigma: float, sigma_tilde: 
     )
 
 
-def _trial_metrics(config, sys, riccati, seed) -> tuple[float, float]:
+def _trial(sys, seed, riccati=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One simulation's states x_1..x_M and their Kalman and inverse estimates, as (M, n) rows."""
     trajectory = simulate(sys, seed)
-    truths = trajectory.states[1:]
-    kalman_estimates = run_filter(sys, trajectory.observations, riccati=riccati).estimates[1:]
-    inverse_estimates = inverse_estimate(
-        config.observation_poly, trajectory.observations.T, sys.decomposition
-    ).T
-    return (
-        relative_error_metric(kalman_estimates, truths, config.clip),
-        relative_error_metric(inverse_estimates, truths, config.clip),
-    )
+    z = trajectory.observations
+    return trajectory.states[1:], run_filter(sys, z, riccati=riccati).estimates[1:], inverse_estimate(sys, z)
 
 
 def _run_cell(config, spectrum: DistinctSpectrum, i: int, j: int):
@@ -264,8 +265,10 @@ def _run_cell(config, spectrum: DistinctSpectrum, i: int, j: int):
     degenerate = 0
     for trial in range(config.trials):
         seed = np.random.SeedSequence(config.seed, spawn_key=(_HEATMAP_KEY, i, j, trial))
+        truths, kalman_estimates, inverse_estimates = _trial(sys, seed, riccati)
         try:
-            km, im = _trial_metrics(config, sys, riccati, seed)
+            km = relative_error_metric(kalman_estimates, truths, config.clip)
+            im = relative_error_metric(inverse_estimates, truths, config.clip)
         except DegenerateTrajectoryError:
             degenerate += 1
             continue
@@ -333,26 +336,20 @@ class TraceResult:
     vertex_inverse: np.ndarray
 
 
-def _trace_run(config: ExperimentConfig, trial: int) -> tuple[DynamicalSystem, Trajectory]:
-    """The trace point's system and its simulated trajectory."""
+def _trace_point(config: ExperimentConfig) -> tuple[DynamicalSystem, np.random.SeedSequence]:
+    """The trace point's system and the seed of its one simulation."""
     sys = _cell_system(config, _cycle_spectrum(config), config.trace.sigma, config.trace.sigma_tilde)
-    seed = np.random.SeedSequence(config.seed, spawn_key=(_TRACE_KEY, trial))
-    return sys, simulate(sys, seed)
+    return sys, np.random.SeedSequence(config.seed, spawn_key=(_TRACE_KEY, 0))
 
 
-def trace_trajectory(config: ExperimentConfig, trial: int = 0) -> Trajectory:
+def trace_trajectory(config: ExperimentConfig) -> Trajectory:
     """The raw trajectory underlying the trace at (sigma*, sigma_tilde*)."""
-    return _trace_run(config, trial)[1]
+    return simulate(*_trace_point(config))
 
 
-def run_trace(config: ExperimentConfig, trial: int = 0) -> TraceResult:
+def run_trace(config: ExperimentConfig) -> TraceResult:
     """One simulation at the trace point with both reconstructions tabulated per step."""
-    sys, trajectory = _trace_run(config, trial)
-    truths = trajectory.states[1:]
-    kalman_estimates = run_filter(sys, trajectory.observations).estimates[1:]
-    inverse_estimates = inverse_estimate(
-        config.observation_poly, trajectory.observations.T, sys.decomposition
-    ).T
+    truths, kalman_estimates, inverse_estimates = _trial(*_trace_point(config))
     v = config.trace.vertex - 1
     return TraceResult(
         steps=np.arange(1, config.m + 1),

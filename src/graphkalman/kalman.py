@@ -24,8 +24,8 @@ on request (``NumericalFailureError`` where an interpolant cannot keep its
 node values).  A frequency is blind, with gain 0, where
 ``filters.passband`` says so; with zero observation noise an uncertain
 blind frequency raises ``SingularGainError``.  The dense matrix Riccati
-step below drives ``verify.matrix_riccati_path``, the oracle that the
-spectral path is checked against; it uses numpy only.
+step below, ``matrix_riccati_step``, drives ``verify.matrix_riccati_path``,
+the oracle that the spectral path is checked against; it uses numpy only.
 """
 from __future__ import annotations
 
@@ -36,11 +36,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, require_finite_steps, write_text
+from .dynamics import DynamicalSystem, require_finite_steps
 from .errors import NumericalFailureError, SingularGainError
 from .filters import passband
 from .polynomials import Polynomial, lagrange_interpolate
-from .stationary import require_psd
 
 INNOVATION_CONDITION_LIMIT = 1e14
 
@@ -79,50 +78,25 @@ def _scalar_riccati(
     return gains, np.zeros_like(predicted)
 
 
-def _predicted_covariance(p_prev: np.ndarray, a: np.ndarray, sigma: float) -> np.ndarray:
-    predicted = a @ p_prev @ a.T + sigma**2 * np.eye(a.shape[0])
-    return 0.5 * (predicted + predicted.T)
-
-
-def _innovation_solve(predicted: np.ndarray, b: np.ndarray, sigma_tilde: float) -> np.ndarray:
-    """Gain P B^T S^-1 with S = B P B^T + sigma_tilde^2 I: one dense solve
-    after the SPD and condition check on S."""
-    innovation = b @ predicted @ b.T + sigma_tilde**2 * np.eye(b.shape[0])
+def matrix_riccati_step(p_prev, a, b, sigma: float, sigma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
+    """One dense Riccati step from the predicted P = A P_prev A^T + sigma^2 I:
+    the gain K = P B^T S^-1 with S = B P B^T + sigma_tilde^2 I, one dense
+    solve after the SPD and condition check on S, and the updated error
+    covariance (I - K B) P."""
+    p_prev, a, b = (np.asarray(x, dtype=float) for x in (p_prev, a, b))
+    eye = np.eye(a.shape[0])
+    predicted = a @ p_prev @ a.T + sigma**2 * eye
+    predicted = 0.5 * (predicted + predicted.T)
+    innovation = b @ predicted @ b.T + sigma_tilde**2 * eye
     innovation = 0.5 * (innovation + innovation.T)
     eigenvalues = np.linalg.eigvalsh(innovation)
     if eigenvalues[0] <= 0 or eigenvalues[-1] / eigenvalues[0] > INNOVATION_CONDITION_LIMIT:
         raise NumericalFailureError(
             f"innovation matrix numerically singular (condition beyond {INNOVATION_CONDITION_LIMIT:g})"
         )
-    return np.linalg.solve(innovation, b @ predicted).T
-
-
-def matrix_gain(p_prev, state_matrix, observation_matrix, sigma: float, sigma_tilde: float) -> np.ndarray:
-    """Dense Kalman gain: one dense solve after the SPD and condition check."""
-    p = np.asarray(p_prev, dtype=float)
-    a = np.asarray(state_matrix, dtype=float)
-    b = np.asarray(observation_matrix, dtype=float)
-    predicted = _predicted_covariance(p, a, sigma)
-    return _innovation_solve(predicted, b, sigma_tilde)
-
-
-def matrix_error_update(
-    p_prev,
-    state_matrix,
-    observation_matrix,
-    sigma: float,
-    sigma_tilde: float,
-    gain: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dense error covariance update P = (I - K B)(A P A^T + sigma^2 I)."""
-    p = np.asarray(p_prev, dtype=float)
-    a = np.asarray(state_matrix, dtype=float)
-    b = np.asarray(observation_matrix, dtype=float)
-    predicted = _predicted_covariance(p, a, sigma)
-    if gain is None:
-        gain = _innovation_solve(predicted, b, sigma_tilde)
-    updated = (np.eye(a.shape[0]) - gain @ b) @ predicted
-    return 0.5 * (updated + updated.T)
+    gain = np.linalg.solve(innovation, b @ predicted).T
+    updated = (eye - gain @ b) @ predicted
+    return gain, 0.5 * (updated + updated.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +135,7 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     if not 0 <= steps <= sys.horizon:
         raise ValueError(f"steps {steps} out of range 0..{sys.horizon}")
     mu = sys.spectrum.representatives
-    initial = require_psd(sys.initial_model.group_variances, "initial error covariance")
+    initial = sys.initial_model.group_variances
     observation = sys.observation_responses
     observation = np.where(passband(observation), observation, 0.0)
     gains = np.empty((steps, mu.size))
@@ -286,28 +260,3 @@ def run_filter(
         error_responses=riccati.error_responses[:m],
         gain_responses=riccati.gain_responses[:m],
     )
-
-
-def filter_spectrum_to_csv(states: Sequence[KalmanState], sys: DynamicalSystem, target) -> None:
-    """Write rows (k, eigenindex, lambda, p_k, g_k); k=0 rows carry no gain."""
-    lam = sys.decomposition.eigenvalues
-    expand = sys.spectrum.expand
-    lines = ["k,eigenindex,lambda,p,g"]
-    for state in states:
-        p_values = expand(state.error_response)
-        g_values = None if state.gain_response is None else expand(state.gain_response)
-        for idx in range(lam.size):
-            g_text = "" if g_values is None else repr(float(g_values[idx]))
-            lines.append(
-                f"{state.step},{idx + 1},{float(lam[idx])!r},{float(p_values[idx])!r},{g_text}"
-            )
-    write_text(target, "\n".join(lines) + "\n")
-
-
-def filter_estimates_to_csv(states: Sequence[KalmanState], target) -> None:
-    """Write rows (k, vertex, xhat)."""
-    lines = ["k,vertex,xhat"]
-    for state in states:
-        for vertex in range(1, state.estimate.size + 1):
-            lines.append(f"{state.step},{vertex},{float(state.estimate[vertex - 1])!r}")
-    write_text(target, "\n".join(lines) + "\n")

@@ -133,18 +133,16 @@ def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
     return sys.decomposition.apply(sys.spectrum.expand(responses), np.eye(sys.n))
 
 
-def matrix_riccati_path(sys: DynamicalSystem, p0: Polynomial, steps: int):
-    """Dense-recursion gains and error covariances, independent of the spectral path."""
-    p = eval_filter(p0, sys.decomposition)
+def matrix_riccati_path(sys: DynamicalSystem, steps: int):
+    """Dense-recursion gains and error covariances from the system's h_0,
+    independent of the spectral path."""
+    p = eval_filter(sys.initial_covariance, sys.decomposition)
     gains = []
     errors = []
     for k in range(1, steps + 1):
         a = eval_filter(sys.state_poly(k), sys.decomposition)
         b = eval_filter(sys.observation_poly(k), sys.decomposition)
-        gain = kalman_mod.matrix_gain(p, a, b, sys.state_sigma(k), sys.observation_sigma(k))
-        p = kalman_mod.matrix_error_update(
-            p, a, b, sys.state_sigma(k), sys.observation_sigma(k), gain=gain
-        )
+        gain, p = kalman_mod.matrix_riccati_step(p, a, b, sys.state_sigma(k), sys.observation_sigma(k))
         gains.append(gain)
         errors.append(p)
     return gains, errors
@@ -430,7 +428,7 @@ def check_kalman() -> list[CheckResult]:
     for _ in range(15):
         sys = random_system(rng, n_max=12, steps=50)
         riccati = kalman_mod.riccati_sequence(sys)
-        dense_gains, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, sys.horizon)
+        dense_gains, dense_errors = matrix_riccati_path(sys, sys.horizon)
         for k in range(sys.horizon):
             p_spec = response_matrix(sys, riccati.error_responses[k])
             g_spec = response_matrix(sys, riccati.gain_responses[k])
@@ -527,7 +525,7 @@ def check_baselines() -> list[CheckResult]:
         hs = covariance_responses(sys)
         for k in range(1, sys.horizon + 1):
             p = riccati.error_responses[k - 1]
-            inverse = inverse_error_covariance(sys.observation_poly(k), sys.observation_sigma(k), sys.spectrum)
+            inverse = inverse_error_covariance(sys, k)
             p_mat = response_matrix(sys, p)
             for right, tracker in ((inverse, "inverse"), (hs[k], "zero")):
                 matrix_cmp = loewner_less(p_mat, response_matrix(sys, right))

@@ -8,37 +8,47 @@ from graphkalman import (
     build_shift,
     covariance_responses,
     cycle_graph,
+    eval_filter,
     inverse_error_covariance,
     inverse_estimate,
     loewner_less,
     riccati_sequence,
+    simulate,
     spectral_loewner_less,
     zero_estimate,
 )
+from graphkalman.filters import BLIND_TOL_SCALE
 from graphkalman.seeding import generator
 from graphkalman.verify import random_system, response_matrix
 
-from conftest import spectrum_of
+from conftest import spectrum_of, time_varying_cycle_system
+
+
+def _observing_system(spectrum, b, sigma_tilde=1.0, horizon=1):
+    """A time-invariant system that observes through ``b`` with noise ``sigma_tilde``."""
+    return DynamicalSystem.from_constant(spectrum, Polynomial.one(), b, 1.0, sigma_tilde, horizon)
 
 
 class TestInverseEstimate:
     def test_unit_observation_returns_observation(self, c4):
-        _, _, decomposition, _ = c4
+        _, _, _, spectrum = c4
         z = generator(80).standard_normal(4)
-        np.testing.assert_allclose(inverse_estimate(Polynomial.one(), z, decomposition), z, atol=1e-12)
+        sys = _observing_system(spectrum, Polynomial.one())
+        np.testing.assert_allclose(inverse_estimate(sys, z[None])[0], z, atol=1e-12)
 
     def test_zero_observation_returns_zero(self, c4):
-        _, _, decomposition, _ = c4
+        _, _, _, spectrum = c4
         z = generator(81).standard_normal(4)
-        np.testing.assert_array_equal(inverse_estimate(Polynomial.zero(), z, decomposition), np.zeros(4))
+        sys = _observing_system(spectrum, Polynomial.zero())
+        np.testing.assert_array_equal(inverse_estimate(sys, z[None])[0], np.zeros(4))
 
     def test_singular_response_zeroes_that_eigenplane(self, c4):
         # 1 - t/2 vanishes at eigenvalue 2 of the cycle-4 Laplacian, so the
         # middle eigenplane is dropped and the rest divided by the response
-        _, _, decomposition, _ = c4
+        _, _, decomposition, spectrum = c4
         b = Polynomial((1.0, -0.5))
         z = generator(82).standard_normal(4)
-        estimate = inverse_estimate(b, z, decomposition)
+        estimate = inverse_estimate(_observing_system(spectrum, b), z[None])[0]
         u = decomposition.eigenvectors
         coefficients = u.T @ estimate
         raw = u.T @ z
@@ -48,33 +58,53 @@ class TestInverseEstimate:
         np.testing.assert_allclose(coefficients[3], raw[3] / responses[3], atol=1e-12)
 
     def test_batch_columns(self, c4):
-        _, _, decomposition, _ = c4
+        _, _, _, spectrum = c4
         z = generator(83).standard_normal((4, 5))
-        batched = inverse_estimate(Polynomial((1.0, 0.25)), z, decomposition)
-        single = inverse_estimate(Polynomial((1.0, 0.25)), z[:, 2], decomposition)
+        sys = _observing_system(spectrum, Polynomial((1.0, 0.25)), horizon=5)
+        batched = inverse_estimate(sys, z.T).T
+        single = inverse_estimate(sys, z[:, 2][None])[0]
         np.testing.assert_allclose(batched[:, 2], single, atol=1e-14)
 
     def test_wrong_length_rejected(self, c4):
-        _, _, decomposition, _ = c4
+        _, _, _, spectrum = c4
         with pytest.raises(ValueError):
-            inverse_estimate(Polynomial.one(), np.zeros(5), decomposition)
+            inverse_estimate(_observing_system(spectrum, Polynomial.one()), np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4,)], ids=["beyond-horizon", "one-dimensional"])
+    def test_observations_must_fit_the_system(self, c4, shape):
+        sys = _observing_system(c4[3], Polynomial.one(), horizon=3)
+        with pytest.raises(ValueError, match="observations"):
+            inverse_estimate(sys, np.zeros(shape))
+
+    def test_time_varying_rows_match_dense_pseudo_inverse(self):
+        # b_5 = 1 - t/2 is blind at eigenvalue 2 of C_12, so step 5 drops that
+        # eigenplane; pinv at the passband's relative cutoff drops the same
+        sys = time_varying_cycle_system(12, 8)
+        observations = simulate(sys, 86).observations
+        estimates = inverse_estimate(sys, observations)
+        assert estimates.shape == observations.shape
+        for k in range(1, sys.horizon + 1):
+            b = eval_filter(sys.observation_poly(k), sys.decomposition)
+            expected = np.linalg.pinv(b, rcond=BLIND_TOL_SCALE) @ observations[k - 1]
+            gap = np.linalg.norm(estimates[k - 1] - expected) / np.linalg.norm(expected)
+            assert gap <= 1e-12, f"step {k}: relative gap {gap:.3e}"
 
 
 class TestInverseErrorCovariance:
     def test_unit_observation(self, c4):
         _, _, _, spectrum = c4
-        responses = inverse_error_covariance(Polynomial.one(), 0.7, spectrum)
+        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial.one(), 0.7), 1)
         assert responses.shape == (spectrum.count,)
         np.testing.assert_allclose(responses, 0.49, atol=1e-12)
 
     def test_constant_two(self, c4):
         _, _, _, spectrum = c4
-        responses = inverse_error_covariance(Polynomial.constant(2.0), 1.0, spectrum)
+        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial.constant(2.0), 1.0), 1)
         np.testing.assert_allclose(responses, 0.25, atol=1e-12)
 
     def test_values_on_cycle30(self, c30):
         _, _, _, spectrum = c30
-        responses = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, spectrum)
+        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial((1.0, -0.5)), 0.5), 1)
         mu = spectrum.representatives
         expected = 0.25 / (1.0 - mu / 2.0) ** 2
         np.testing.assert_allclose(responses, expected, rtol=1e-9)
@@ -82,7 +112,15 @@ class TestInverseErrorCovariance:
     def test_not_all_pass_rejected(self, c4):
         _, _, _, spectrum = c4
         with pytest.raises(NotAllPassError):
-            inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, spectrum)
+            inverse_error_covariance(_observing_system(spectrum, Polynomial((1.0, -0.5)), 0.5), 1)
+
+    def test_time_varying_steps(self):
+        # on C_30 every b_k = 1 - 0.1 k t of the first 8 steps passes everywhere
+        sys = time_varying_cycle_system(30, 8)
+        mu = sys.spectrum.representatives
+        for k in range(1, sys.horizon + 1):
+            expected = sys.observation_sigma(k) ** 2 / sys.observation_poly(k)(mu) ** 2
+            np.testing.assert_array_equal(inverse_error_covariance(sys, k), expected)
 
 
 class TestZeroEstimate:
@@ -138,7 +176,7 @@ class TestLoewner:
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 25
         )
         riccati = riccati_sequence(sys)
-        inverse = inverse_error_covariance(Polynomial((1.0, -0.5)), 0.5, sys.spectrum)
+        inverse = inverse_error_covariance(sys, 1)
         inverse_matrix = response_matrix(sys, inverse)
         for k in range(1, 26):
             p_matrix = response_matrix(sys, riccati.error_responses[k - 1])
@@ -195,7 +233,7 @@ class TestCycle120Responses:
 
     def test_inverse_error_covariance_meets_closed_form(self, sys):
         b = Polynomial((1.0, -0.2))
-        responses = inverse_error_covariance(b, 0.5, sys.spectrum)
+        responses = inverse_error_covariance(_observing_system(sys.spectrum, b, 0.5), 1)
         mu = sys.spectrum.representatives
         assert np.all(np.isfinite(responses))
         np.testing.assert_allclose(responses, 0.25 / (1.0 - 0.2 * mu) ** 2, rtol=1e-12)

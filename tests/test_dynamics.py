@@ -7,6 +7,7 @@ import pytest
 from graphkalman import (
     DynamicalSystem,
     Graph,
+    NotPositiveSemidefiniteError,
     NumericalFailureError,
     Polynomial,
     apply_filter,
@@ -83,14 +84,14 @@ INVALID_SYSTEMS = {
 }
 
 
-def _build(path, spectrum, horizon, sigmas, sigma_tildes):
-    """A system with a = b = 1 and the given per-step noise, built along ``path``."""
+def _build(path, spectrum, horizon, sigmas, sigma_tildes, h0=Polynomial.zero()):
+    """A system with a = b = 1, the given per-step noise and h_0, built along ``path``."""
     polys = (Polynomial.one(),) * len(sigmas)
     if path == "constructor":
-        return DynamicalSystem(spectrum, horizon, polys, polys, sigmas, sigma_tildes, Polynomial.zero())
+        return DynamicalSystem(spectrum, horizon, polys, polys, sigmas, sigma_tildes, h0)
     if path == "from_constant":
-        return DynamicalSystem.from_constant(spectrum, polys[0], polys[0], sigmas[0], sigma_tildes[0], horizon)
-    return DynamicalSystem.from_sequences(spectrum, polys, polys, sigmas, sigma_tildes)
+        return DynamicalSystem.from_constant(spectrum, polys[0], polys[0], sigmas[0], sigma_tildes[0], horizon, h0)
+    return DynamicalSystem.from_sequences(spectrum, polys, polys, sigmas, sigma_tildes, h0)
 
 
 class TestConstruction:
@@ -101,6 +102,14 @@ class TestConstruction:
         horizon, sigmas, sigma_tildes, _, message = INVALID_SYSTEMS[case]
         with pytest.raises(ValueError, match=message):
             _build(path, c4[3], horizon, sigmas, sigma_tildes)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_non_psd_initial_covariance_rejected_on_every_path(self, path):
+        # 1 - t is -3 at eigenvalue 4 of the C_8 Laplacian; built, such a system
+        # would hand covariance_responses and zero_estimate negative variances
+        spectrum = spectrum_of(build_shift(cycle_graph(8), "laplacian"))
+        with pytest.raises(NotPositiveSemidefiniteError, match="initial covariance"):
+            _build(path, spectrum, 2, (0.3, 0.3), (0.5, 0.5), h0=Polynomial((1.0, -1.0)))
 
     @pytest.mark.parametrize("path", PATHS)
     def test_zero_noise_builds_on_every_path(self, c4, path):

@@ -154,8 +154,24 @@ class TestConfig:
             ('{"clip": [1]}', "'clip'"),
             ('{"trace": {"sigma": null}}', "'trace'"),
             ('[1, 2]', "config must be a JSON object"),
+            ('{"sigma_grid": {"start": 0, "stop": 1, "step": 0.5, "x": 1}}', r"'sigma_grid'.*unknown grid keys: \['x'\]"),
+            ('{"clip": "0.7"}', "'clip'"),
+            ('{"clip": true}', "'clip'"),
+            ('{"sigma_grid": [0.1, "0.2"]}', "'sigma_grid'"),
+            ('{"sigma_tilde_grid": [true]}', "'sigma_tilde_grid'"),
+            ('{"sigma_grid": {"start": "0", "stop": 1, "step": 0.5}}', "'sigma_grid'.*grid start"),
+            ('{"sigma_tilde_grid": {"start": 0, "stop": 1, "step": false}}', "'sigma_tilde_grid'.*grid step"),
+            ('{"trace": {"sigma": "0.3"}}', "'trace'.*sigma"),
+            ('{"trace": {"sigma_tilde": true}}', "'trace'.*sigma_tilde"),
+            ('{"a": [0.0, "0.25"]}', "'a'"),
+            ('{"clip": 1' + '0' * 400 + '}', "'clip'"),
         ],
-        ids=["trace", "a", "grid-scalar", "grid-string", "b-string", "grid-object", "clip", "trace-sigma", "not-an-object"],
+        ids=[
+            "trace", "a", "grid-scalar", "grid-string", "b-string", "grid-object", "clip", "trace-sigma", "not-an-object",
+            "grid-object-unknown-key", "clip-string", "clip-boolean", "grid-value-string", "grid-value-boolean",
+            "grid-start-string", "grid-step-boolean", "trace-sigma-string", "trace-sigma-tilde-boolean", "a-string",
+            "clip-beyond-float",
+        ],
     )
     def test_wrongly_typed_json_raises_value_error_naming_the_key(self, text, message):
         # input from outside the program: a TypeError or KeyError would not say which key

@@ -1,4 +1,3 @@
-import io
 from collections.abc import Sequence
 
 import numpy as np
@@ -14,15 +13,13 @@ from graphkalman import (
     build_shift,
     cycle_graph,
     eval_filter,
-    matrix_error_update,
-    matrix_gain,
+    matrix_riccati_step,
     riccati_sequence,
     run_filter,
     simulate,
 )
 from graphkalman import kalman as kalman_mod
 from graphkalman.dynamics import covariance_responses
-from graphkalman.kalman import filter_estimates_to_csv, filter_spectrum_to_csv
 from graphkalman.seeding import generator
 from graphkalman.verify import matrix_riccati_path, random_system, response_matrix
 
@@ -37,9 +34,9 @@ def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30):
     )
 
 
-def _dense_filter(sys, observations, p0, xhat0=None):
+def _dense_filter(sys, observations, xhat0=None):
     """Dense Kalman estimates driven by the gains of verify.matrix_riccati_path."""
-    gains, _ = matrix_riccati_path(sys, p0, len(observations))
+    gains, _ = matrix_riccati_path(sys, len(observations))
     x = np.zeros(sys.n) if xhat0 is None else xhat0
     out = []
     for k, (gain, z) in enumerate(zip(gains, observations), start=1):
@@ -122,7 +119,7 @@ class TestPredictUpdate:
         x0 = generator(67).standard_normal(30)
         z = generator(68).standard_normal((5, 30))
         states = run_filter(sys, z, xhat0=x0)
-        expected = _dense_filter(sys, z, Polynomial.zero(), xhat0=x0)
+        expected = _dense_filter(sys, z, xhat0=x0)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
 
@@ -206,9 +203,8 @@ class TestSpectralRecursion:
 class TestMatrixRecursion:
     def test_unit_substitution(self):
         eye = np.eye(4)
-        gain = matrix_gain(np.zeros((4, 4)), eye, eye, 1.0, 1.0)
+        gain, p = matrix_riccati_step(np.zeros((4, 4)), eye, eye, 1.0, 1.0)
         np.testing.assert_allclose(gain, 0.5 * eye, atol=1e-12)
-        p = matrix_error_update(np.zeros((4, 4)), eye, eye, 1.0, 1.0)
         np.testing.assert_allclose(p, 0.5 * eye, atol=1e-12)
 
     def test_blind_observation_is_pure_propagation(self):
@@ -216,9 +212,8 @@ class TestMatrixRecursion:
         a = rng.standard_normal((5, 5))
         a = 0.5 * (a + a.T)
         p_prev = np.eye(5) * 0.3
-        gain = matrix_gain(p_prev, a, np.zeros((5, 5)), 0.7, 1.2)
+        gain, p = matrix_riccati_step(p_prev, a, np.zeros((5, 5)), 0.7, 1.2)
         np.testing.assert_allclose(gain, 0.0, atol=1e-12)
-        p = matrix_error_update(p_prev, a, np.zeros((5, 5)), 0.7, 1.2)
         np.testing.assert_allclose(p, a @ p_prev @ a.T + 0.49 * np.eye(5), atol=1e-10)
 
     def test_gain_and_update_match_explicit_inverse(self):
@@ -233,19 +228,18 @@ class TestMatrixRecursion:
         predicted = a @ p_prev @ a.T + sigma**2 * np.eye(6)
         expected_gain = predicted @ b.T @ np.linalg.inv(b @ predicted @ b.T + sigma_tilde**2 * np.eye(6))
         expected_error = (np.eye(6) - expected_gain @ b) @ predicted
-        gain = matrix_gain(p_prev, a, b, sigma, sigma_tilde)
-        error = matrix_error_update(p_prev, a, b, sigma, sigma_tilde)
+        gain, error = matrix_riccati_step(p_prev, a, b, sigma, sigma_tilde)
         assert np.linalg.norm(gain - expected_gain) <= 1e-10 * np.linalg.norm(expected_gain)
         assert np.linalg.norm(error - expected_error) <= 1e-10 * np.linalg.norm(expected_error)
 
     def test_singular_innovation_rejected(self):
         with pytest.raises(NumericalFailureError):
-            matrix_gain(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)), 0.0, 0.0)
+            matrix_riccati_step(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)), 0.0, 0.0)
 
     def test_reference_system_dual_form(self):
         sys = _paper_like_system(horizon=20)
         riccati = riccati_sequence(sys)
-        dense_gains, dense_errors = matrix_riccati_path(sys, Polynomial.zero(), 20)
+        dense_gains, dense_errors = matrix_riccati_path(sys, 20)
         for k in range(20):
             p_spec = response_matrix(sys, riccati.error_responses[k])
             g_spec = response_matrix(sys, riccati.gain_responses[k])
@@ -281,13 +275,13 @@ class TestRunFilter:
         sys = random_system(generator(69), n_max=8, steps=10)
         trajectory = simulate(sys, 7)
         states = run_filter(sys, trajectory.observations)
-        dense_gains, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 10)
+        dense_gains, dense_errors = matrix_riccati_path(sys, 10)
         for state, gain, error in zip(states[1:], dense_gains, dense_errors):
             spectral_error = response_matrix(sys, state.error_response)
             spectral_gain_matrix = response_matrix(sys, state.gain_response)
             assert np.linalg.norm(spectral_error - error) <= 1e-9 * max(1.0, np.linalg.norm(error))
             assert np.linalg.norm(spectral_gain_matrix - gain) <= 1e-9 * max(1.0, np.linalg.norm(gain))
-        expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
+        expected = _dense_filter(sys, trajectory.observations)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
     def test_cycle120_matches_dense_filter(self):
@@ -297,7 +291,7 @@ class TestRunFilter:
         states = run_filter(sys, trajectory.observations)
         estimates = _estimates(states)
         assert np.all(np.isfinite(estimates))
-        expected = _dense_filter(sys, trajectory.observations, Polynomial.zero())
+        expected = _dense_filter(sys, trajectory.observations)
         assert _worst_step_gap(estimates, expected) <= 1e-10
 
     def test_precomputed_riccati_reused(self):
@@ -323,7 +317,7 @@ class TestRunFilter:
         h0 = eval_filter(sys.initial_covariance, sys.decomposition)
         initial = response_matrix(sys, states[0].error_response)
         np.testing.assert_allclose(initial, h0, atol=1e-12)
-        expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
+        expected = _dense_filter(sys, trajectory.observations)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
     def test_step_error_is_labelled(self, c4):
@@ -436,7 +430,7 @@ class TestTimeVarying:
         assert not sys.state_responses.flags.writeable
 
         riccati = riccati_sequence(sys)
-        dense_gains, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 5)
+        dense_gains, dense_errors = matrix_riccati_path(sys, 5)
         for gain, error, dense_gain, dense_error in zip(
             riccati.gain_responses, riccati.error_responses, dense_gains, dense_errors
         ):
@@ -447,7 +441,7 @@ class TestTimeVarying:
 
         trajectory = simulate(sys, 72)
         states = run_filter(sys, trajectory.observations)
-        expected = _dense_filter(sys, trajectory.observations, sys.initial_covariance)
+        expected = _dense_filter(sys, trajectory.observations)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
         cov = eval_filter(sys.initial_covariance, sys.decomposition)
@@ -470,7 +464,7 @@ class TestDualFormMutation:
 
         monkeypatch.setattr(kalman_mod, "_scalar_riccati", flipped)
         riccati = riccati_sequence(sys)
-        _, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 10)
+        _, dense_errors = matrix_riccati_path(sys, 10)
         gaps = [
             np.linalg.norm(response_matrix(sys, response) - dense) / max(1.0, np.linalg.norm(dense))
             for response, dense in zip(riccati.error_responses, dense_errors)
@@ -490,31 +484,3 @@ class TestDualFormMutation:
         results = run_checks(["kalman"])
         dual = [r for r in results if r.name == "dual-form-equivalence"]
         assert dual and not dual[0].passed
-
-
-class TestCsvExports:
-    def test_spectrum_table(self):
-        sys = _paper_like_system(horizon=2)
-        trajectory = simulate(sys, 5)
-        states = run_filter(sys, trajectory.observations)
-        buffer = io.StringIO()
-        filter_spectrum_to_csv(states, sys, buffer)
-        lines = buffer.getvalue().strip().split("\n")
-        assert lines[0] == "k,eigenindex,lambda,p,g"
-        assert len(lines) == 1 + 30 * 3  # k = 0..2
-        assert lines[1].endswith(",")  # no gain at k=0
-        rows = [line.split(",") for line in lines[1 + 30 * 2:]]
-        np.testing.assert_array_equal([float(row[2]) for row in rows], sys.decomposition.eigenvalues)
-        _, dense_errors = matrix_riccati_path(sys, sys.initial_covariance, 2)
-        u = sys.decomposition.eigenvectors
-        np.testing.assert_allclose([float(row[3]) for row in rows], np.diag(u.T @ dense_errors[1] @ u), atol=1e-12)
-
-    def test_estimates_table(self):
-        sys = _paper_like_system(horizon=2)
-        trajectory = simulate(sys, 5)
-        states = run_filter(sys, trajectory.observations)
-        buffer = io.StringIO()
-        filter_estimates_to_csv(states, buffer)
-        lines = buffer.getvalue().strip().split("\n")
-        assert lines[0] == "k,vertex,xhat"
-        assert len(lines) == 1 + 30 * 3
