@@ -201,11 +201,15 @@ def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.nd
         upto = sys.horizon
     if not 0 <= upto <= sys.horizon:
         raise ValueError(f"upto {upto} out of range 0..{sys.horizon}")
+    state_squared = sys.state_responses**2
+    sigma_squared = [sigma**2 for sigma in sys.state_noise]
+    invariant = sys.time_invariant
     out = np.empty((upto + 1, sys.spectrum.count))
     out[0] = sys.initial_model.group_variances
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, upto + 1):
-            out[k] = sys.state_responses[sys.response_row(k)] ** 2 * out[k - 1] + sys.state_sigma(k) ** 2
+            row = 0 if invariant else k - 1
+            out[k] = state_squared[row] * out[k - 1] + sigma_squared[row]
     require_finite_steps(out, "state covariance response", first_step=0)
     return out
 

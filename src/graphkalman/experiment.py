@@ -76,6 +76,13 @@ class ExperimentConfig:
             raise ValueError("n must be >= 3 for a cycle graph")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        # a run builds the n x n shift and (2m + 1) x n noise blocks; beyond
+        # numpy's size limit they cannot exist, and cycle_graph would spin first
+        limit = np.iinfo(np.intp).max
+        if self.n * self.n > limit:
+            raise ValueError(f"n is too large: the n x n shift exceeds numpy's limit of {limit} elements")
+        if (2 * self.m + 1) * self.n > limit:
+            raise ValueError(f"m is too large: the (2m + 1) x n noise block exceeds numpy's limit of {limit} elements")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:

@@ -13,12 +13,16 @@ read a and b as rows of the system's response arrays, evaluated once per
 system.  The prior p_0 is the system's h_0, the stationary initialization.
 ``riccati_sequence`` returns the gain and error responses as (steps, d)
 arrays, or raises ``NumericalFailureError`` at the first step where one is
-not finite; filtering moves the observations into the eigenbasis
-once, updates every frequency on its own, adding each step's carry times
-the previous estimate to that step's drive in place, and moves the
-estimates back once.  ``run_filter`` returns a ``FilterResult``: the
-estimates as one (M + 1, n) array beside the response arrays, readable as
-a sequence of ``KalmanState`` built on demand.
+not finite.  For a time-invariant system a step's only changing input is
+p_{k-1}, so once a step returns p_k bitwise equal to p_{k-1} every later
+step would return the same rows: the recursion stops at that exact fixed
+point and copies them forward, bit for bit what the full loop gives.
+Filtering moves the observations into the eigenbasis once, updates every
+frequency on its own, adding each step's carry times the previous estimate
+to that step's drive in place, and moves the estimates back once.
+``run_filter`` returns a ``FilterResult``: the estimates as one (M + 1, n)
+array beside the response arrays, readable as a sequence of
+``KalmanState`` built on demand.
 The one edge back to monomials is ``RiccatiSequence.gains``, interpolated
 on request (``NumericalFailureError`` where an interpolant cannot keep its
 node values).  A frequency is blind, with gain 0, where
@@ -57,17 +61,17 @@ class KalmanState:
 
 def _scalar_riccati(
     p_values: np.ndarray,
-    a_values: np.ndarray,
+    a_squared: np.ndarray,
     b_values: np.ndarray,
-    sigma: float,
-    sigma_tilde: float,
+    sigma_squared: float,
+    sigma_tilde_squared: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-eigenvalue gain and updated error variance; ``b_values`` is zero
-    at the blind frequencies."""
-    predicted = a_values**2 * p_values + sigma**2
-    if sigma_tilde > 0:
-        denom = b_values**2 * predicted + sigma_tilde**2
-        return predicted * b_values / denom, sigma_tilde**2 * predicted / denom
+    """Per-eigenvalue gain and updated error variance from the squared state
+    response and noise levels; ``b_values`` is zero at the blind frequencies."""
+    predicted = a_squared * p_values + sigma_squared
+    if sigma_tilde_squared > 0:
+        denom = b_values**2 * predicted + sigma_tilde_squared
+        return predicted * b_values / denom, sigma_tilde_squared * predicted / denom
     blind = b_values == 0.0
     if np.any(blind & (predicted > 0.0)):
         raise SingularGainError(
@@ -129,6 +133,15 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     noise at an uncertain frequency, ``SingularGainError`` is raised.  A
     response that overflows (an unstable blind frequency) raises
     ``NumericalFailureError`` naming its first step.
+
+    For a time-invariant system, step k reads p_{k-1} and rows that never
+    change.  So when step k returns p_k bitwise equal to p_{k-1}, the
+    recursion has reached an exact floating-point fixed point: every later
+    step would return step k's gain and error rows again, and they are
+    copied into the remaining rows instead of computed.  A copied step
+    could not raise, since its inputs are those of a step that passed, and
+    a non-finite row stays non-finite, so the first non-finite step named
+    is the same.  Time-varying systems run every step.
     """
     if steps is None:
         steps = sys.horizon
@@ -138,23 +151,27 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     initial = sys.initial_model.group_variances
     observation = sys.observation_responses
     observation = np.where(passband(observation), observation, 0.0)
+    state_squared = sys.state_responses**2
+    sigma_squared = [sigma**2 for sigma in sys.state_noise]
+    sigma_tilde_squared = [sigma_tilde**2 for sigma_tilde in sys.observation_noise]
+    invariant = sys.time_invariant
     gains = np.empty((steps, mu.size))
     errors = np.empty((steps, mu.size))
     p_values = initial
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
-            row = sys.response_row(k)
+            row = 0 if invariant else k - 1
             try:
-                gains[k - 1], p_values = _scalar_riccati(
-                    p_values,
-                    sys.state_responses[row],
-                    observation[row],
-                    sys.state_sigma(k),
-                    sys.observation_sigma(k),
+                gains[k - 1], errors[k - 1] = _scalar_riccati(
+                    p_values, state_squared[row], observation[row], sigma_squared[row], sigma_tilde_squared[row]
                 )
             except SingularGainError as exc:
                 raise SingularGainError(f"step {k}: {exc}") from exc
-            errors[k - 1] = p_values
+            if invariant and errors[k - 1].tobytes() == p_values.tobytes():
+                gains[k:] = gains[k - 1]
+                errors[k:] = errors[k - 1]
+                break
+            p_values = errors[k - 1]
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
     for values in (gains, errors):
         values.flags.writeable = False

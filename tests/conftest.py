@@ -7,11 +7,16 @@ import pytest
 from graphkalman import (
     DynamicalSystem,
     Polynomial,
+    RiccatiSequence,
+    SingularGainError,
     build_shift,
     cycle_graph,
     distinct_eigenvalues,
     eigendecompose,
 )
+from graphkalman import kalman
+from graphkalman.dynamics import require_finite_steps
+from graphkalman.filters import passband
 
 
 def spectrum_of(shift):
@@ -26,6 +31,38 @@ def plain_recursion(x0, carry, drive):
     for c, d in zip(carry, drive):
         rows.append(c * rows[-1] + d)
     return np.array(rows)
+
+
+def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
+    """The Riccati recursion over the whole horizon, one ``_scalar_riccati``
+    call per step read through the system's per-step accessors, with no
+    early exit: the reference for ``riccati_sequence``'s fixed-point fill."""
+    steps = sys.horizon
+    observation = np.where(passband(sys.observation_responses), sys.observation_responses, 0.0)
+    gains = np.empty((steps, sys.spectrum.count))
+    errors = np.empty((steps, sys.spectrum.count))
+    p_values = sys.initial_model.group_variances
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            row = sys.response_row(k)
+            try:
+                gains[k - 1], p_values = kalman._scalar_riccati(
+                    p_values,
+                    sys.state_responses[row] ** 2,
+                    observation[row],
+                    sys.state_sigma(k) ** 2,
+                    sys.observation_sigma(k) ** 2,
+                )
+            except SingularGainError as exc:
+                raise SingularGainError(f"step {k}: {exc}") from exc
+            errors[k - 1] = p_values
+    require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
+    return RiccatiSequence(
+        nodes=sys.spectrum.representatives,
+        initial_response=sys.initial_model.group_variances,
+        gain_responses=gains,
+        error_responses=errors,
+    )
 
 
 def time_varying_cycle_system(n: int, steps: int) -> DynamicalSystem:

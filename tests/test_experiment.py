@@ -25,7 +25,7 @@ from graphkalman import experiment, kalman
 from graphkalman.experiment import METRIC_FLOOR, TraceSpec, trace_trajectory
 from graphkalman.seeding import generator
 
-from conftest import spectrum_of, time_varying_cycle_system
+from conftest import full_riccati_sequence, spectrum_of, time_varying_cycle_system
 
 # C_30 has no eigenvalue 2, where the observation response 1 - t/2 vanishes,
 # so sigma_tilde = 0 is exact inversion at every frequency; sigma = 0 with a
@@ -99,6 +99,19 @@ class TestHeatmap:
         assert built == []
         run_filter(time_varying_cycle_system(10, 3), np.zeros((3, 10)))[2]
         assert len(built) == 1
+
+    def test_tables_match_the_full_riccati_recursion(self, monkeypatch):
+        # C_12 has the blind eigenvalue 2, so the sigma_tilde = 0 column has
+        # flagged cells; sigma = 0 gives degenerate trials; 9 of the 12 other
+        # cells reach their exact fixed point within the 40 steps
+        grid = (0.0, 0.2, 0.5, 1.0)
+        config = ExperimentConfig(n=12, m=40, trials=2, sigma_grid=grid, sigma_tilde_grid=grid, seed=5)
+        fast = run_heatmap(config)
+        monkeypatch.setattr(experiment, "riccati_sequence", full_riccati_sequence)
+        reference = run_heatmap(config)
+        for field in ("kalman", "inverse", "kalman_sem", "inverse_sem", "n_trials", "flagged"):
+            assert getattr(fast, field).tobytes() == getattr(reference, field).tobytes(), field
+        assert fast.flagged.any() and np.isfinite(fast.kalman).any()
 
 
 class TestMetric:
@@ -185,6 +198,24 @@ class TestConfig:
             trace=TraceSpec(sigma=0.6, sigma_tilde=0.7, vertex=5),
         )
         assert ExperimentConfig.from_json(json.dumps(config.to_dict())) == config
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 1' + '0' * 400 + '}', "n is too large"),
+            ('{"n": 3037000500}', "n is too large"),
+            ('{"m": 1' + '0' * 400 + '}', "m is too large"),
+        ],
+        ids=["n-400-digits", "n-squared-past-intp", "m-400-digits"],
+    )
+    def test_run_beyond_numpy_size_limit_rejected(self, text, message):
+        # parse only: a run on such a config would spin in cycle_graph, never raising
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(text)
+
+    def test_largest_shift_within_numpy_size_limit_accepted(self):
+        # parse only, as above; 3037000499 ** 2 is just below 2 ** 63 - 1
+        assert ExperimentConfig.from_json('{"n": 3037000499}').n == 3037000499
 
     def test_unknown_trace_keys_rejected(self):
         with pytest.raises(ValueError, match=r"unknown trace keys: \['sigma_tlde', 'vertx'\]"):

@@ -20,10 +20,11 @@ from graphkalman import (
 )
 from graphkalman import kalman as kalman_mod
 from graphkalman.dynamics import covariance_responses
+from graphkalman.experiment import DEFAULT_GRID
 from graphkalman.seeding import generator
 from graphkalman.verify import matrix_riccati_path, random_system, response_matrix
 
-from conftest import plain_recursion, spectrum_of, time_varying_cycle_system
+from conftest import full_riccati_sequence, plain_recursion, spectrum_of, time_varying_cycle_system
 
 
 def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30):
@@ -187,6 +188,17 @@ class TestSpectralRecursion:
         assert np.isfinite(riccati_sequence(sys, steps=323).error_responses).all()
         with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
             riccati_sequence(sys)
+
+    def test_noise_whose_square_underflows_is_zero_noise(self):
+        # the step reads sigma_tilde^2, which is 0.0 for sigma_tilde = 1e-170: a
+        # blind frequency then has no gain, as at sigma_tilde = 0, instead of a
+        # 0/0 gain; elsewhere the gain is 1/b, bit for bit
+        with pytest.raises(SingularGainError, match="step 1"):
+            riccati_sequence(_paper_like_system(horizon=5, sigma_tilde=1e-170, n=12))
+        tiny = riccati_sequence(_paper_like_system(horizon=5, sigma_tilde=1e-170))
+        zero = riccati_sequence(_paper_like_system(horizon=5, sigma_tilde=0.0))
+        assert tiny.gain_responses.tobytes() == zero.gain_responses.tobytes()
+        np.testing.assert_array_equal(tiny.error_responses, 0.0)
 
     def test_near_blind_frequency_gets_zero_gain_at_tiny_noise(self):
         # b(mu) = 2.2e-16 with sigma_tilde = 1e-17 would give a 4.5e15 gain;
@@ -451,6 +463,69 @@ class TestTimeVarying:
                 cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
             gap = np.linalg.norm(response_matrix(sys, response) - cov)
             assert gap <= 1e-10 * np.linalg.norm(cov)
+
+
+def _same_bits(left, right) -> bool:
+    return left.gain_responses.tobytes() == right.gain_responses.tobytes() and (
+        left.error_responses.tobytes() == right.error_responses.tobytes()
+    )
+
+
+def _first_repeat(errors: np.ndarray) -> int | None:
+    """The first step k >= 2 whose error row equals step k-1's bit for bit."""
+    for k in range(2, errors.shape[0] + 1):
+        if errors[k - 1].tobytes() == errors[k - 2].tobytes():
+            return k
+    return None
+
+
+class TestFixedPoint:
+    """``riccati_sequence`` stops at an exact fixed point and copies its rows
+    forward; the full-horizon recursion is the reference, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid", [tuple(round(0.1 * i, 10) for i in range(11)), DEFAULT_GRID], ids=["sweep", "default"]
+    )
+    def test_every_grid_cell_matches_the_full_recursion(self, c30, grid):
+        spectrum = c30[3]
+        repeats = 0
+        for sigma in grid:
+            for sigma_tilde in grid:
+                sys = DynamicalSystem.from_constant(
+                    spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, 100
+                )
+                reference = full_riccati_sequence(sys)
+                assert _same_bits(riccati_sequence(sys), reference), (sigma, sigma_tilde)
+                repeats += _first_repeat(reference.error_responses) is not None
+        # the early exit is taken on most cells, so the comparison covers it
+        assert repeats > len(grid) ** 2 // 2
+
+    def test_time_varying_system_matches_the_full_recursion(self):
+        sys = time_varying_cycle_system(30, 8)
+        assert _same_bits(riccati_sequence(sys), full_riccati_sequence(sys))
+
+    def test_rows_after_the_fixed_point_are_copies(self, c30):
+        sys = DynamicalSystem.from_constant(
+            c30[3], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.5, 0.5, 100
+        )
+        riccati = riccati_sequence(sys)
+        k = _first_repeat(riccati.error_responses)
+        assert k is not None and k < 100
+        for values in (riccati.gain_responses, riccati.error_responses):
+            assert all(row.tobytes() == values[k - 1].tobytes() for row in values[k:])
+        assert _same_bits(riccati, full_riccati_sequence(sys))
+
+    def test_singular_gain_names_the_same_step(self, c4):
+        # C_4 has the eigenvalue 2, where b = 1 - t/2 is blind; the state noise
+        # first makes it uncertain at step 3
+        sys = DynamicalSystem.from_sequences(
+            c4[3], [Polynomial.constant(0.5)] * 4, [Polynomial((1.0, -0.5))] * 4, [0.0, 0.0, 0.3, 0.3], [0.0] * 4
+        )
+        with pytest.raises(SingularGainError) as reference:
+            full_riccati_sequence(sys)
+        with pytest.raises(SingularGainError, match="step 3") as fast:
+            riccati_sequence(sys)
+        assert str(fast.value) == str(reference.value)
 
 
 class TestDualFormMutation:
