@@ -50,7 +50,7 @@ from .kalman import (
     riccati_sequence,
     run_filter,
 )
-from .polynomials import Polynomial, lagrange_interpolate, reduce_mod_minimal
+from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate, reduce_mod_minimal
 from .spectral import (
     DistinctSpectrum,
     SpectralDecomposition,
@@ -63,6 +63,7 @@ from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filte
 __version__ = "0.1.0"
 
 __all__ = [
+    "ChebyshevSeries",
     "DegenerateTrajectoryError",
     "DistinctSpectrum",
     "DynamicalSystem",

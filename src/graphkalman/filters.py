@@ -6,14 +6,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import GraphShift
-from .polynomials import Polynomial, lagrange_interpolate
+from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
 from .spectral import DistinctSpectrum, SpectralDecomposition
 
 MEMBERSHIP_TOL_SCALE = 1e-6
 BLIND_TOL_SCALE = 1e-10
 
 
-def eval_filter(poly: Polynomial, decomposition: SpectralDecomposition) -> np.ndarray:
+def eval_filter(poly: Polynomial | ChebyshevSeries, decomposition: SpectralDecomposition) -> np.ndarray:
     """Dense filter matrix H = U diag(h(lambda)) U^T, symmetrised and read-only."""
     responses = poly(decomposition.eigenvalues)
     u = decomposition.eigenvectors
@@ -23,22 +23,40 @@ def eval_filter(poly: Polynomial, decomposition: SpectralDecomposition) -> np.nd
     return matrix
 
 
-def apply_filter(poly: Polynomial, shift: GraphShift, x: np.ndarray) -> np.ndarray:
-    """Apply h(S) to a signal via Horner iteration of shift-vector products.
+def apply_filter(poly: Polynomial | ChebyshevSeries, shift: GraphShift, x: np.ndarray) -> np.ndarray:
+    """Apply h(S) to a signal with shift-vector products only; never forms h(S).
 
-    Applies ``poly.coeffs`` only; a tail of low coefficient parts is
-    ignored.  Never forms h(S); works on a single signal of shape (n,) or a
-    batch of columns of shape (n, m).
+    A ``Polynomial`` is applied by Horner's rule on S.  A ``ChebyshevSeries``
+    on [lo, hi] is applied by the Clenshaw recurrence on the mapped shift
+    M = (2S - (lo + hi) I) / (hi - lo),
+
+        b_k = c_k x + 2 M b_{k+1} - b_{k+2},   h(S) x = c_0 x + M b_1 - b_2,
+
+    which is stable where the eigenvalues of S lie in [lo, hi], as they do
+    for an interpolant through the shift's distinct eigenvalues.  Works on a
+    single signal of shape (n,) or a batch of columns of shape (n, m).
     """
     s = shift.matrix
     x = np.asarray(x, dtype=float)
     if x.shape[0] != shift.n:
         raise ValueError(f"signal length {x.shape[0]} does not match graph order {shift.n}")
     coeffs = poly.coeffs
-    acc = coeffs[-1] * x
-    for c in coeffs[-2::-1]:
-        acc = s @ acc + c * x
-    return acc
+    if isinstance(poly, Polynomial):
+        acc = coeffs[-1] * x
+        for c in coeffs[-2::-1]:
+            acc = s @ acc + c * x
+        return acc
+    if poly.degree == 0:
+        return coeffs[0] * x
+    lo, hi = poly.domain
+
+    def mapped(v: np.ndarray) -> np.ndarray:
+        return (2.0 * (s @ v) - (lo + hi) * v) / (hi - lo)
+
+    b1, b2 = coeffs[-1] * x, 0.0
+    for c in coeffs[-2:0:-1]:
+        b1, b2 = c * x + 2.0 * mapped(b1) - b2, b1
+    return coeffs[0] * x + mapped(b1) - b2
 
 
 def passband(responses: np.ndarray) -> np.ndarray:
@@ -50,7 +68,7 @@ def passband(responses: np.ndarray) -> np.ndarray:
 
 class MembershipResult(NamedTuple):
     is_member: bool
-    witness: Polynomial | None
+    witness: ChebyshevSeries | None
 
 
 def is_polynomial_filter(
@@ -61,7 +79,9 @@ def is_polynomial_filter(
     The matrix must be diagonal in the shift's eigenbasis with diagonal
     entries constant on each repeated-eigenvalue group, both within ``tol``
     (default ``1e-6 * ||matrix||_F``).  On success the witness is the
-    interpolant through the per-group diagonal values.
+    Chebyshev interpolant through the per-group diagonal values
+    (``lagrange_interpolate``; ``NumericalFailureError`` where it cannot
+    keep them).
     """
     m = np.asarray(matrix, dtype=float)
     decomposition = spectrum.decomposition

@@ -23,10 +23,10 @@ to that step's drive in place, and moves the estimates back once.
 ``run_filter`` returns a ``FilterResult``: the estimates as one (M + 1, n)
 array beside the response arrays, readable as a sequence of
 ``KalmanState`` built on demand.
-The one edge back to monomials is ``RiccatiSequence.gains``, interpolated
-on request (``NumericalFailureError`` where an interpolant cannot keep its
-node values).  A frequency is blind, with gain 0, where
-``filters.passband`` says so; with zero observation noise an uncertain
+The one edge back to a polynomial of the shift is ``RiccatiSequence.gains``,
+Chebyshev interpolants made on request (``NumericalFailureError`` where an
+interpolant cannot keep its node values).  A frequency is blind, with gain
+0, where ``filters.passband`` says so; with zero observation noise an uncertain
 blind frequency raises ``SingularGainError``.  The dense matrix Riccati
 step below, ``matrix_riccati_step``, drives ``verify.matrix_riccati_path``,
 the oracle that the spectral path is checked against; it uses numpy only.
@@ -43,7 +43,7 @@ import numpy as np
 from .dynamics import DynamicalSystem, require_finite_steps
 from .errors import NumericalFailureError, SingularGainError
 from .filters import passband
-from .polynomials import Polynomial, lagrange_interpolate
+from .polynomials import ChebyshevSeries, lagrange_interpolate
 
 INNOVATION_CONDITION_LIMIT = 1e14
 
@@ -109,7 +109,8 @@ class RiccatiSequence:
 
     ``initial_response`` holds p_0 at the nodes; row k-1 of
     ``gain_responses`` and ``error_responses`` holds step k.  ``gains``
-    interpolates the gain rows on first access.
+    interpolates the gain rows on first access, one ``ChebyshevSeries``
+    per step on [min node, max node].
     """
 
     nodes: np.ndarray
@@ -118,7 +119,7 @@ class RiccatiSequence:
     error_responses: np.ndarray
 
     @cached_property
-    def gains(self) -> tuple[Polynomial, ...]:
+    def gains(self) -> tuple[ChebyshevSeries, ...]:
         return tuple(lagrange_interpolate(self.nodes, row) for row in self.gain_responses)
 
 
@@ -222,7 +223,8 @@ def run_filter(
     xhat0: np.ndarray | None = None,
     riccati: RiccatiSequence | None = None,
 ) -> FilterResult:
-    """Filter a full observation sequence; returns the estimates for k = 0..M.
+    """Filter observation rows z_1..z_m, an (m, n) array with m <= the horizon
+    (any other shape raises ``ValueError``); returns the estimates for k = 0..m.
 
     The filter runs in the eigenbasis U of the shift.  The observations are
     moved there once (z~ = U^T z), and with the expanded state, observation
@@ -244,13 +246,9 @@ def run_filter(
     reused across trajectories.
     """
     obs = np.asarray(observations, dtype=float)
-    if obs.ndim == 1:
-        obs = obs.reshape(0, sys.n) if obs.size == 0 else obs.reshape(1, -1)
-    if obs.shape[1] != sys.n:
-        raise ValueError(f"observations have {obs.shape[1]} entries per step, expected {sys.n}")
+    if obs.ndim != 2 or obs.shape[1] != sys.n or obs.shape[0] > sys.horizon:
+        raise ValueError(f"observations have shape {obs.shape}, expected (m, {sys.n}) with m <= {sys.horizon}")
     m = obs.shape[0]
-    if m > sys.horizon:
-        raise ValueError(f"{m} observations exceed the system horizon {sys.horizon}")
     if riccati is None:
         riccati = riccati_sequence(sys, steps=m)
     elif riccati.gain_responses.shape[0] < m:

@@ -1,12 +1,22 @@
-"""Real polynomials in one variable, stored as ascending coefficient tuples."""
+"""Real polynomials in one variable: monomial and Chebyshev forms.
+
+``Polynomial`` holds ascending monomial coefficients.  It carries what a
+user writes (the state and observation filters a and b, the prior h_0),
+their JSON form and polynomial arithmetic, including the remainder modulo a
+minimal polynomial.  ``ChebyshevSeries`` holds Chebyshev coefficients on an
+interval.  It is what ``lagrange_interpolate`` returns: the one way from
+values at distinct eigenvalues back to a polynomial of the shift.  On the
+interval spanned by the nodes, the Chebyshev-Vandermonde system of a
+graph spectrum is well conditioned (the distinct eigenvalues of a cycle
+are Chebyshev-Lobatto points), where the monomial one is not.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalFailureError
@@ -24,30 +34,15 @@ def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """h(t) = coeffs[0] + coeffs[1]*t + ... + coeffs[L]*t^L.
-
-    ``tail`` optionally holds the low parts of double-double coefficients,
-    so that coeffs[i] + tail[i] is the coefficient to about twice float64
-    precision; ``lagrange_interpolate`` fills it.  It is neither compared,
-    hashed, serialised nor carried through arithmetic: equality, ``to_list``
-    and every operator see ``coeffs`` alone, and ``apply_filter`` applies
-    ``coeffs`` alone.  Evaluation uses compensated Horner on
-    (coeffs, tail) when a tail is present and plain Horner otherwise.
-    """
+    """h(t) = coeffs[0] + coeffs[1]*t + ... + coeffs[L]*t^L."""
 
     coeffs: tuple[float, ...] = (0.0,)
-    tail: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         trimmed = _trim(self.coeffs)
         if not all(np.isfinite(c) for c in trimmed):
             raise ValueError(f"non-finite coefficient in {trimmed!r}")
         object.__setattr__(self, "coeffs", trimmed)
-        if self.tail is not None:
-            tail = tuple(float(c) for c in self.tail[: len(trimmed)])
-            if len(tail) != len(trimmed) or not all(np.isfinite(c) for c in tail):
-                raise ValueError(f"tail {self.tail!r} does not match coefficients {trimmed!r}")
-            object.__setattr__(self, "tail", tail)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -75,9 +70,7 @@ class Polynomial:
         return self.coeffs == (0.0,)
 
     def __call__(self, t):
-        if self.tail is None:
-            return npoly.polyval(t, self.coeffs)
-        return _compensated_horner(self.coeffs, self.tail, np.asarray(t, dtype=float))
+        return npoly.polyval(t, self.coeffs)
 
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -137,119 +130,63 @@ def reduce_mod_minimal(poly: Polynomial, modulus: Polynomial) -> Polynomial:
     return Polynomial(tuple(rem))
 
 
-@lru_cache(maxsize=128)
-def _interpolation_operator(node_bytes: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial coefficients of the Lagrange basis at the given nodes.
+@dataclass(frozen=True)
+class ChebyshevSeries:
+    """g(t) = coeffs[0] T_0(u) + ... + coeffs[K] T_K(u) on ``domain`` = (lo, hi),
+    where u = (2t - (lo + hi)) / (hi - lo) maps [lo, hi] onto [-1, 1].
 
-    The map values -> coefficients is linear; its matrix is computed in
-    exact rational arithmetic (floats are dyadic rationals) because the
-    monomial basis is ill-conditioned enough that an all-double build
-    loses several digits at the nodes.  Returned as a double-double pair
-    (hi, lo) with hi + lo the correctly rounded entries.
+    A one-point domain (lo == hi) carries a constant only.
     """
-    nodes = np.frombuffer(node_bytes, dtype=float).reshape(count)
-    roots = [Fraction(v) for v in nodes]
-    d = len(roots)
-    node_poly = [Fraction(1)]
-    for r in roots:
-        # multiply by (t - r)
-        extended = [Fraction(0)] * (len(node_poly) + 1)
-        for i, c in enumerate(node_poly):
-            extended[i + 1] += c
-            extended[i] -= r * c
-        node_poly = extended
-    hi = np.empty((d, d))
-    lo = np.empty((d, d))
-    for j, r in enumerate(roots):
-        # synthetic division of the node polynomial by (t - r)
-        quotient = [Fraction(0)] * d
-        quotient[d - 1] = node_poly[d]
-        for i in range(d - 1, 0, -1):
-            quotient[i - 1] = node_poly[i] + r * quotient[i]
-        weight = Fraction(1)
-        for k, other in enumerate(roots):
-            if k != j:
-                weight *= r - other
-        for i in range(d):
-            exact = quotient[i] / weight
-            hi[i, j] = float(exact)
-            lo[i, j] = float(exact - Fraction(hi[i, j]))
-    return hi, lo
 
+    coeffs: tuple[float, ...]
+    domain: tuple[float, float]
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Dekker's split: a = a_hi + a_lo, each half exactly representable in 26 bits
-    a_big = 134217729.0 * a  # 2**27 + 1
-    a_hi = a_big - (a_big - a)
-    return a_hi, a - a_hi
+    def __post_init__(self) -> None:
+        coeffs = tuple(float(c) for c in self.coeffs)
+        lo, hi = (float(v) for v in self.domain)
+        if not coeffs or not all(np.isfinite(c) for c in coeffs + (lo, hi)):
+            raise ValueError(f"coefficients {coeffs!r} and domain {(lo, hi)!r} must be finite and non-empty")
+        if not (lo < hi or (lo == hi and len(coeffs) == 1)):
+            raise ValueError(f"domain {(lo, hi)!r} must have lo < hi, or lo == hi for a constant")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "domain", (lo, hi))
 
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
-def _two_prod(a: np.ndarray, b, b_split) -> tuple[np.ndarray, np.ndarray]:
-    # exact product error without FMA; ``b_split`` is ``_split(b)``, made once
-    # by callers that multiply by the same ``b`` many times
-    product = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = b_split
-    err = ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return product, err
-
-
-def _two_sum(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
-    total = a + b
-    b_virtual = total - a
-    err = (a - (total - b_virtual)) + (b - b_virtual)
-    return total, err
-
-
-def _compensated_horner(coeffs: Sequence[float], tail: Sequence[float], x: np.ndarray):
-    """Horner's rule with its rounding errors, and the coefficients' low
-    parts, accumulated in a second polynomial (Graillat, Langlois & Louvet,
-    "Compensated Horner scheme", 2005): about as accurate as Horner run in
-    twice the working precision."""
-    x_split = _split(x)
-    s = np.full_like(x, coeffs[-1])
-    c = np.full_like(x, tail[-1])
-    for a, a_lo in zip(coeffs[-2::-1], tail[-2::-1]):
-        product, prod_err = _two_prod(s, x, x_split)
-        s, sum_err = _two_sum(product, a)
-        c = c * x + (prod_err + sum_err + a_lo)
-    return s + c
+    def __call__(self, t):
+        lo, hi = self.domain
+        t = np.asarray(t, dtype=float)
+        unit = (2.0 * t - (lo + hi)) / (hi - lo) if hi > lo else 0.0 * t
+        return cheb.chebval(unit, self.coeffs)
 
 
 TRIM_ULPS = 64
 NODE_RESIDUAL_TOL = 1e-7
 
 
-def _negligible_terms(hi: np.ndarray, lo: np.ndarray, radius: float, floor: float) -> int:
-    """How many trailing terms have a summed bound sum |c_l| * radius**l
-    within ``floor``; the constant term is never counted."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sizes = np.abs(hi + lo) * radius ** np.arange(hi.size)
-    within = np.cumsum(sizes[:0:-1]) <= floor
-    return within.size if within.all() else int(np.argmin(within))
-
-
-def lagrange_interpolate(nodes, values) -> Polynomial:
+def lagrange_interpolate(nodes, values) -> ChebyshevSeries:
     """Interpolating polynomial of degree < d through ``(nodes[j], values[j])``.
 
-    Applies the exact Lagrange-basis operator (barycentric weights and node
-    polynomial deflation) with compensated accumulation.  The result carries
-    the double-double coefficients: ``coeffs`` holds the high parts and
-    ``tail`` the low parts, so evaluation is compensated.  The result
-    reproduces the node values to max_j |g(x_j) - y_j| <= 1e-7 * max|y|
-    (``NODE_RESIDUAL_TOL``; near the float64 representation floor on
-    well-separated nodes), and this is checked before it is returned.
+    Solves the Chebyshev-Vandermonde system T_k(u_j) for the coefficients on
+    [min node, max node], with u_j the nodes mapped onto [-1, 1].  The
+    result reproduces the node values to max_j |g(x_j) - y_j| <= 1e-7 *
+    max|y| (``NODE_RESIDUAL_TOL``), and this is checked before it is
+    returned.  On a graph spectrum the system is well conditioned and the
+    residual is near the float64 rounding of the values; on nodes whose
+    system is ill conditioned the check may fail, and then it raises.
 
-    Trailing terms are dropped while their summed size on the nodes,
-    sum |c_l| * R**l with R = max(1, max|x_j|), stays within
-    ``TRIM_ULPS * eps * max|y|``; so constant values give a constant, and
-    the dropped terms move no node value by more than the rounding of the
-    values themselves.
+    Trailing terms are dropped while their summed size sum |c_k| stays
+    within ``TRIM_ULPS * eps * max|y|``.  Since |T_k| <= 1 on the domain, the
+    dropped terms move no value on it by more than that; constant values
+    give a constant.
 
     Raises:
         ValueError: if two nodes coincide or an input is not finite.
-        NumericalFailureError: if the interpolant misses its node values by
-            more than that (also when its coefficients overflow float64).
+        NumericalFailureError: if the system is singular in float64, or the
+            interpolant misses its node values by more than that (also when
+            its coefficients overflow float64).
     """
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
     y = np.atleast_1d(np.asarray(values, dtype=float))
@@ -261,33 +198,27 @@ def lagrange_interpolate(nodes, values) -> Polynomial:
     if d == 0:
         raise ValueError("need at least one interpolation node")
     if d == 1:
-        return Polynomial.constant(y[0])
+        return ChebyshevSeries((y[0],), (x[0], x[0]))
     diff = x[:, None] - x[None, :]
     if np.any(diff[~np.eye(d, dtype=bool)] == 0.0):
         raise ValueError("interpolation nodes must be pairwise distinct")
 
+    lo, hi = float(np.min(x)), float(np.max(x))
+    unit = (2.0 * x - (lo + hi)) / (hi - lo)
     try:
-        hi, lo = _interpolation_operator(x.tobytes(), d)
-    except OverflowError as exc:
-        raise NumericalFailureError(f"interpolation operator on {d} nodes overflows float64") from exc
+        coeffs = np.linalg.solve(cheb.chebvander(unit, d - 1), y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"Chebyshev-Vandermonde system on {d} nodes is singular") from exc
     scale = float(np.max(np.abs(y)))
     with np.errstate(over="ignore", invalid="ignore"):
-        products, prod_errs = _two_prod(hi, y, _split(y))
-        lo_terms = lo * y
-        acc = np.zeros(d)
-        comp = np.zeros(d)
-        for j in range(d):
-            acc, sum_err = _two_sum(acc, products[:, j])
-            comp += prod_errs[:, j] + sum_err + lo_terms[:, j]
-        coeffs, tail = _two_sum(acc, comp)
-        floor = TRIM_ULPS * np.finfo(float).eps * scale
-        keep = d - _negligible_terms(coeffs, tail, max(1.0, float(np.max(np.abs(x)))), floor)
-        coeffs, tail = coeffs[:keep], tail[:keep]
+        within = np.cumsum(np.abs(coeffs[:0:-1])) <= TRIM_ULPS * np.finfo(float).eps * scale
+        keep = d - (within.size if within.all() else int(np.argmin(within)))
+        coeffs = coeffs[:keep]
         # non-finite coefficients give a non-finite residual
-        residual = float(np.max(np.abs(_compensated_horner(coeffs, tail, x) - y)))
+        residual = float(np.max(np.abs(cheb.chebval(unit, coeffs) - y)))
     if not residual <= NODE_RESIDUAL_TOL * scale:
         raise NumericalFailureError(
             f"interpolant on {d} nodes misses its node values by {residual:.3g}"
             f" (allowed {NODE_RESIDUAL_TOL:g} * max|y| = {NODE_RESIDUAL_TOL * scale:.3g})"
         )
-    return Polynomial(tuple(coeffs), tail=tuple(tail))
+    return ChebyshevSeries(tuple(coeffs), (lo, hi))

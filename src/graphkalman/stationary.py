@@ -7,7 +7,10 @@ eigenbasis) and evaluates it once, at the distinct eigenvalues
 (``group_variances``).
 ``sample`` colours white noise e in the eigenbasis, U diag(sqrt(h)) U^T e,
 and ``whiten`` inverts the nonzero responses there; ``sqrt_filter``
-interpolates the square-root responses only when the polynomial is asked for.
+interpolates the square-root responses only when the polynomial is asked for,
+as a ``ChebyshevSeries`` on the spectrum's span that ``apply_filter``
+applies with shift-vector products only.  ``fit_covariance_poly`` returns
+the same form.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import NotPositiveSemidefiniteError
 from .filters import eval_filter
-from .polynomials import Polynomial, lagrange_interpolate
+from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
 from .spectral import DistinctSpectrum
 
 PSD_TOL_SCALE = 1e-10
@@ -57,8 +60,9 @@ def require_psd(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def sqrt_filter(model: StationaryModel) -> Polynomial:
-    """Polynomial taking the value sqrt(variance) at every distinct eigenvalue."""
+def sqrt_filter(model: StationaryModel) -> ChebyshevSeries:
+    """Chebyshev interpolant taking the value sqrt(variance) at every distinct
+    eigenvalue: the polynomial channel that colours white noise into the model."""
     variances = model.clamped_group_variances()
     return lagrange_interpolate(model.spectrum.representatives, np.sqrt(variances))
 
@@ -99,11 +103,12 @@ def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> n
     return u @ noise
 
 
-def fit_covariance_poly(matrix: np.ndarray, spectrum: DistinctSpectrum) -> tuple[Polynomial, float]:
+def fit_covariance_poly(matrix: np.ndarray, spectrum: DistinctSpectrum) -> tuple[ChebyshevSeries, float]:
     """Least-squares fit of a covariance matrix by a polynomial of the shift.
 
-    Returns the fitted polynomial (degree < number of distinct eigenvalues)
-    and the relative residual ``||C - fit(S)||_F / max(1, ||C||_F)``.
+    Returns the fitted polynomial, a ``ChebyshevSeries`` of degree < number
+    of distinct eigenvalues, and the relative residual
+    ``||C - fit(S)||_F / max(1, ||C||_F)``.
     """
     c = np.asarray(matrix, dtype=float)
     decomposition = spectrum.decomposition

@@ -101,3 +101,13 @@ def c30():
     spectrum = distinct_eigenvalues(decomposition)
     return graph, shift, decomposition, spectrum
 
+
+@pytest.fixture(scope="session")
+def c120():
+    # 61 distinct eigenvalues: beyond what a monomial interpolant keeps in float64
+    graph = cycle_graph(120)
+    shift = build_shift(graph, "laplacian")
+    decomposition = eigendecompose(shift)
+    spectrum = distinct_eigenvalues(decomposition)
+    return graph, shift, decomposition, spectrum
+

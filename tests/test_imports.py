@@ -1,4 +1,5 @@
-"""The package imports numpy and the standard library only."""
+"""The package imports numpy and the standard library only, and not the
+standard library's exact-arithmetic modules."""
 from __future__ import annotations
 
 import json
@@ -16,6 +17,7 @@ import graphkalman, graphkalman.cli, graphkalman.verify
 print(json.dumps({
     "file": graphkalman.__file__,
     "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+    "exact": sorted(name for name in ("fractions", "decimal") if name in sys.modules),
 }))
 """
 
@@ -28,3 +30,4 @@ def test_import_loads_no_scipy():
     report = json.loads(done.stdout)
     assert Path(report["file"]).resolve().is_relative_to(SRC)
     assert report["scipy"] == []
+    assert report["exact"] == []

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphkalman import NumericalFailureError, Polynomial, lagrange_interpolate, reduce_mod_minimal
+from conftest import spectrum_of
+from graphkalman import (
+    ChebyshevSeries,
+    NumericalFailureError,
+    Polynomial,
+    build_shift,
+    cycle_graph,
+    lagrange_interpolate,
+    reduce_mod_minimal,
+)
 
 
 class TestCanonicalForm:
@@ -109,14 +118,20 @@ class TestReduction:
 class TestLagrangeInterpolation:
     def test_two_point_line(self):
         g = lagrange_interpolate([0.0, 1.0], [1.0, 2.0])
-        np.testing.assert_allclose(g.coeffs, (1.0, 1.0), atol=1e-14)
+        t = np.linspace(0.0, 1.0, 7)
+        assert g.degree == 1
+        np.testing.assert_allclose(g(t), 1.0 + t, atol=1e-14)
 
     def test_single_node_constant(self):
-        assert lagrange_interpolate([3.0], [7.5]) == Polynomial.constant(7.5)
+        g = lagrange_interpolate([3.0], [7.5])
+        assert isinstance(g, ChebyshevSeries) and g.degree == 0
+        np.testing.assert_array_equal(g(np.array([-1.0, 3.0, 10.0])), [7.5, 7.5, 7.5])
 
     def test_identity_values(self):
         g = lagrange_interpolate([0.0, 2.0, 4.0], [0.0, 2.0, 4.0])
-        np.testing.assert_allclose(g.coeffs, (0.0, 1.0), atol=1e-14)
+        t = np.linspace(0.0, 4.0, 9)
+        assert g.degree == 1
+        np.testing.assert_allclose(g(t), t, atol=1e-14)
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -129,7 +144,9 @@ class TestLagrangeInterpolation:
             lagrange_interpolate([0.0, np.inf], [0.0, 1.0])
 
     def test_residual_bound_on_random_nodes(self):
-        # documented contract: max_j |g(x_j) - y_j| <= 1e-7 * max|y|
+        # documented contract: max_j |g(x_j) - y_j| <= 1e-7 * max|y|, or a
+        # named failure; uniform random nodes are no graph's spectrum, and at
+        # d = 25-30 some of these systems are too ill conditioned to keep it
         rng = np.random.default_rng(7)
         for _ in range(30):
             d = int(rng.integers(2, 31))
@@ -137,7 +154,10 @@ class TestLagrangeInterpolation:
             if np.min(np.diff(nodes)) < 1e-3:
                 continue
             values = rng.uniform(-3.0, 3.0, d)
-            g = lagrange_interpolate(nodes, values)
+            try:
+                g = lagrange_interpolate(nodes, values)
+            except NumericalFailureError:
+                continue
             residual = np.max(np.abs(g(nodes) - values))
             assert residual <= 1e-7 * max(1e-30, np.max(np.abs(values)))
 
@@ -171,35 +191,34 @@ class TestLagrangeInterpolation:
         vandermonde = np.vander(nodes, 3, increasing=True)
         expected = np.linalg.solve(vandermonde, values)
         g = lagrange_interpolate(nodes, values)
-        np.testing.assert_allclose(g.coeffs, expected, atol=1e-12)
+        t = np.linspace(-2.0, 3.0, 11)
+        assert g.degree == 2
+        np.testing.assert_allclose(g(t), np.polynomial.polynomial.polyval(t, expected), atol=1e-12)
+
+    def test_nodes_that_coincide_once_mapped_fail_by_name(self):
+        # 1e-300 is distinct from 0 but maps onto -1 with it: a singular system
+        with pytest.raises(NumericalFailureError, match="singular"):
+            lagrange_interpolate([0.0, 1e-300, 1.0], [0.0, 1.0, -1.0])
 
 
-class TestTail:
-    def test_tail_is_not_compared_serialised_or_carried(self):
-        f = Polynomial((1.0, 2.0), tail=(1e-17, 0.0))
-        plain = Polynomial((1.0, 2.0))
-        assert f == plain and hash(f) == hash(plain)
-        assert f.to_list() == [1.0, 2.0]
-        assert (f + 0.0).tail is None
-        assert (-f).tail is None
-        assert (f * f).tail is None
+class TestSpectrumInterpolation:
+    @pytest.mark.parametrize("n", [30, 120, 500])
+    def test_monomial_values_give_back_their_degree(self, n):
+        nodes = spectrum_of(build_shift(cycle_graph(n), "laplacian")).representatives
+        for degree in range(4):
+            g = lagrange_interpolate(nodes, nodes**degree)
+            assert g.degree == degree
+            t = np.linspace(nodes[0], nodes[-1], 101)
+            np.testing.assert_allclose(g(t), t**degree, rtol=0.0, atol=1e-12 * 4.0**degree)
 
-    def test_tail_trimmed_with_coefficients(self):
-        assert Polynomial((1.0, 0.0), tail=(1e-17, 0.0)).tail == (1e-17,)
-        with pytest.raises(ValueError):
-            Polynomial((1.0, 2.0), tail=(0.0,))
-
-    def test_compensated_evaluation_near_a_triple_root(self):
-        # (t - 1)^3 at 1 + 2^-20: plain Horner cancels every digit of 2^-60
-        cube = Polynomial((-1.0, 3.0, -3.0, 1.0), tail=(0.0, 0.0, 0.0, 0.0))
-        x = 1.0 + 2.0**-20
-        np.testing.assert_allclose(cube(x), 2.0**-60, rtol=1e-9)
-        np.testing.assert_allclose(cube(np.array([x, 2.0])), [2.0**-60, 1.0], rtol=1e-9)
-
-    def test_interpolant_carries_tail(self, c30):
-        _, _, _, spectrum = c30
-        g = lagrange_interpolate(spectrum.representatives, np.linspace(0.0, 1.0, spectrum.count))
-        assert g.tail is not None and len(g.tail) == len(g.coeffs)
+    @pytest.mark.parametrize("n", [30, 120, 500])
+    def test_random_values_keep_the_node_contract(self, n):
+        nodes = spectrum_of(build_shift(cycle_graph(n), "laplacian")).representatives
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            values = rng.uniform(-1.0, 1.0, nodes.size)
+            g = lagrange_interpolate(nodes, values)
+            assert np.max(np.abs(g(nodes) - values)) <= 1e-7 * np.max(np.abs(values))
 
 
 class TestSerialization:

@@ -31,7 +31,9 @@ class TestSqrtFilter:
         # variances t^2 at eigenvalues {0, 2, 4} have square roots |t| = t there
         _, _, decomposition, spectrum = c4
         g = sqrt_filter(StationaryModel(Polynomial((0.0, 0.0, 1.0)), spectrum))
-        np.testing.assert_allclose(g.coeffs, (0.0, 1.0), atol=1e-10)
+        t = np.linspace(0.0, 4.0, 9)
+        assert g.degree == 1
+        np.testing.assert_allclose(g(t), t, atol=1e-10)
 
     def test_negative_variance_rejected(self, c4):
         _, _, decomposition, spectrum = c4
@@ -56,6 +58,18 @@ class TestSqrtFilter:
             gs = eval_filter(g, decomposition)
             hs = eval_filter(h, decomposition)
             assert np.linalg.norm(gs @ gs - hs) <= 1e-6 * max(1e-30, np.linalg.norm(hs))
+
+    @pytest.mark.parametrize("n", [30, 60, 120])
+    def test_applied_sqrt_filter_matches_the_eigenbasis(self, n):
+        # the channel x = g(S) e against U diag(sqrt(h)) U^T e, by shift-vector products only
+        shift = build_shift(cycle_graph(n), "laplacian")
+        decomposition = eigendecompose(shift)
+        model = StationaryModel(Polynomial((1.01, -1.0, 0.25)), distinct_eigenvalues(decomposition))
+        e = generator(n).standard_normal(n)
+        u = decomposition.eigenvectors
+        expected = u @ (np.sqrt((1.0 - decomposition.eigenvalues / 2.0) ** 2 + 0.01) * (u.T @ e))
+        applied = apply_filter(sqrt_filter(model), shift, e)
+        assert np.linalg.norm(applied - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestSample:
@@ -158,17 +172,17 @@ class TestWhiten:
 
 
 class TestFitCovariancePoly:
-    def test_exact_member_recovered(self, c4):
-        _, _, decomposition, spectrum = c4
+    def test_exact_member_recovered(self, c4, c120):
         h = Polynomial((0.5, 0.25, 0.1))
-        poly, residual = fit_covariance_poly(eval_filter(h, decomposition), spectrum)
-        assert residual <= 1e-10
-        # recovered polynomial agrees with h as a filter
-        np.testing.assert_allclose(
-            np.atleast_1d(poly(spectrum.representatives)),
-            np.atleast_1d(h(spectrum.representatives)),
-            atol=1e-9,
-        )
+        for _, _, decomposition, spectrum in (c4, c120):
+            poly, residual = fit_covariance_poly(eval_filter(h, decomposition), spectrum)
+            assert residual <= 1e-10
+            # recovered polynomial agrees with h as a filter
+            np.testing.assert_allclose(
+                np.atleast_1d(poly(spectrum.representatives)),
+                np.atleast_1d(h(spectrum.representatives)),
+                atol=1e-9,
+            )
 
     def test_identity_fit(self, c4):
         _, _, decomposition, spectrum = c4
