@@ -78,15 +78,23 @@ def spectral_loewner_less(
 
 
 def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
-    """Static inverse-filtering estimates of observation rows z_1..z_m, shape (m, n):
-    z_k divided by row k of the responses in the eigenbasis, blind frequencies zeroed."""
+    """Static inverse-filtering estimates of observation rows z_1..z_m: z_k
+    divided by row k of the responses in the eigenbasis, blind frequencies zeroed.
+
+    ``observations`` is one (m, n) trajectory or a (T, m, n) stack of them;
+    the estimates have its shape, and trial t is what its rows alone give.
+    """
     obs = np.asarray(observations, dtype=float)
-    if obs.ndim != 2 or obs.shape[1] != sys.n or obs.shape[0] > sys.horizon:
-        raise ValueError(f"observations have shape {obs.shape}, expected (m, {sys.n}) with m <= {sys.horizon}")
-    responses = sys.observation_responses[: obs.shape[0]]
+    if obs.ndim not in (2, 3) or obs.shape[-1] != sys.n or obs.shape[-2] > sys.horizon:
+        raise ValueError(
+            f"observations have shape {obs.shape}, expected (m, {sys.n}) or (T, m, {sys.n}) with m <= {sys.horizon}"
+        )
+    responses = sys.observation_responses[: obs.shape[-2]]
     inverted = np.divide(1.0, responses, out=np.zeros_like(responses), where=passband(responses))
     u = sys.decomposition.eigenvectors
-    return ((obs @ u) * sys.spectrum.expand(inverted)) @ u.T
+    rotated = obs @ u
+    rotated *= sys.spectrum.expand(inverted)
+    return rotated @ u.T
 
 
 def inverse_error_covariance(sys: DynamicalSystem, k: int) -> np.ndarray:

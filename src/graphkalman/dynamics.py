@@ -10,13 +10,18 @@ read; none of them applies a polynomial to a vertex signal.  Every check
 on a system is made when it is constructed.  Its h_0, evaluated once at the
 distinct eigenvalues, is both the covariance of x_0 and the filter's prior.
 
-``simulate`` draws one vertex-space white-noise block of shape (2M + 1, n)
-per trajectory from a single stream: row 0 drives the initial state, row
-2k-1 the process noise and row 2k the observation noise of step k.  The
-block is rotated into the eigenbasis once, every frequency runs its own
-scalar recursion (the scaled process noise is written into the state rows
-and each step adds a_k times the previous state in place), and states and
-observations are rotated back once.
+``simulate`` runs one trajectory, or a stack of T trajectories with one
+seed each; a single trajectory is the T = 1 case of the same code.  Each
+trajectory draws one vertex-space white-noise block of shape (2M + 1, n)
+from its own stream: row 0 drives the initial state, row 2k-1 the process
+noise and row 2k the observation noise of step k.  The (T, 2M + 1, n)
+blocks are rotated into the eigenbasis by one stacked product, every
+frequency runs its own scalar recursion (the scaled process noise is
+written into the state rows and each step adds a_k times the previous
+state in place, one Python step per time step for all T trials), and
+states and observations are rotated back once.  A stacked product rounds
+each trial as a product of its own rows would, so trial t of a stack is
+bit for bit the trajectory its seed gives alone.
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
@@ -26,10 +31,11 @@ b_k and h_0 are the only polynomials, and they are inputs.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -167,17 +173,27 @@ class DynamicalSystem:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated states x_0..x_M (rows) and observations z_1..z_M (rows)."""
+    """Simulated states x_0..x_M and observations z_1..z_M, as rows.
+
+    One trajectory holds (M + 1, n) states, (M, n) observations and its
+    seed.  A stack of T trajectories holds (T, M + 1, n) states, (T, M, n)
+    observations and a tuple of T seeds; ``states[t]`` is trial t.
+    """
 
     states: np.ndarray
     observations: np.ndarray
-    seed: np.random.SeedSequence
+    seed: np.random.SeedSequence | tuple[np.random.SeedSequence, ...]
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=float)
         observations = np.asarray(self.observations, dtype=float)
-        if states.shape[0] != observations.shape[0] + 1:
-            raise ValueError("states must have exactly one more row than observations")
+        if (
+            states.ndim not in (2, 3)
+            or states.ndim != observations.ndim
+            or states.shape[:-2] != observations.shape[:-2]
+            or states.shape[-2] != observations.shape[-2] + 1
+        ):
+            raise ValueError("states must have exactly one more row than observations, in as many trials")
         states.flags.writeable = False
         observations.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -185,7 +201,7 @@ class Trajectory:
 
     @property
     def horizon(self) -> int:
-        return self.observations.shape[0]
+        return self.observations.shape[-2]
 
 
 def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.ndarray:
@@ -223,37 +239,57 @@ def require_finite_steps(values: np.ndarray, what: str, first_step: int) -> None
         raise NumericalFailureError(f"{what} is not finite from step {step} on")
 
 
-def simulate(sys: DynamicalSystem, seed) -> Trajectory:
-    """Full trajectory, deterministic given the seed.
+def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
+    """Trajectories of the system, deterministic given their seeds.
 
-    One stream, child key 0 of the seed, draws a vertex-space standard
+    ``seeds`` is one seed, which gives one (M + 1, n) trajectory, or a
+    sequence (list, tuple or range) of T seeds, which gives a stack of T
+    trajectories, trial t the one that seed t alone gives.  Each trial's
+    stream, child key 0 of its seed, draws a vertex-space standard
     white-noise block E of shape (2M + 1, n): row 0 drives the initial
     state, row 2k-1 the process noise and row 2k the observation noise of
-    step k.  In the eigenbasis U (E~ = E U) each frequency runs
+    step k.  In the eigenbasis U (E~ = E U, one stacked product, so each
+    trial is rounded as on its own) each frequency runs
 
         x~_0 = sqrt(h_0) e~_0,   x~_k = a_k x~_{k-1} + sigma_k e~_{2k-1},
         z~_k = b_k x~_k + sigma_tilde_k e~_{2k},
 
     and states and observations are rotated back once (x = U x~).  The
     rows x~_k are first filled with sigma_k e~_{2k-1}, and the loop adds
-    a_k x~_{k-1} to each in place.
+    a_k x~_{k-1} to each in place, one Python step per time step for all
+    trials at once.  Each z~_k is formed in the place of e~_{2k}.
     """
-    ss = as_seed_sequence(seed)
-    n, m = sys.n, sys.horizon
+    stacked = isinstance(seeds, Sequence)
+    sequences = tuple(as_seed_sequence(seed) for seed in (seeds if stacked else (seeds,)))
+    trials, n, m = len(sequences), sys.n, sys.horizon
+    noise = np.empty((trials, 2 * m + 1, n))
+    for t, ss in enumerate(sequences):
+        generator(child_sequence(ss, 0)).standard_normal(out=noise[t])
     u = sys.decomposition.eigenvectors
-    e_tilde = generator(child_sequence(ss, 0)).standard_normal((2 * m + 1, n)) @ u
+    # the drawn blocks are freed once rotated; time-major from here: row k of
+    # x~, shape (M + 1, T, n), is step k of every trial
+    e_tilde = (noise @ u).swapaxes(0, 1)
+    del noise
     expand = sys.spectrum.expand
-    a = np.broadcast_to(expand(sys.state_responses[:m]), (m, n))
-    x_tilde = np.empty((m + 1, n))
-    x_tilde[0] = expand(np.sqrt(sys.initial_model.clamped_group_variances())) * e_tilde[0]
-    np.multiply(np.asarray(sys.state_noise)[:m, None], e_tilde[1::2], out=x_tilde[1:])
+    x_tilde = np.empty((m + 1, trials, n))
+    # h_0 passed require_psd when the system was built
+    initial_scale = np.sqrt(np.maximum(sys.initial_model.group_variances, 0.0))
+    np.multiply(expand(initial_scale), e_tilde[0], out=x_tilde[0])
+    np.multiply(np.asarray(sys.state_noise)[:, None, None], e_tilde[1::2], out=x_tilde[1:])
+    # a_k at each step's full (T, n) shape keeps numpy on its fast loop
+    a = np.repeat(expand(sys.state_responses)[:, None], trials, axis=1)
     previous = x_tilde[0]
-    for a_k, x_k in zip(a, x_tilde[1:]):
+    for a_k, x_k in zip(repeat(a[0], m) if sys.time_invariant else a, x_tilde[1:]):
         x_k += a_k * previous
         previous = x_k
-    z_tilde = expand(sys.observation_responses[:m]) * x_tilde[1:]
-    z_tilde += np.asarray(sys.observation_noise)[:m, None] * e_tilde[2::2]
-    return Trajectory(states=x_tilde @ u.T, observations=z_tilde @ u.T, seed=ss)
+    # z~_k = sigma_tilde_k e~_{2k} + b_k x~_k, formed in the rows of e~_{2k}
+    z_tilde = e_tilde[2::2]
+    z_tilde *= np.asarray(sys.observation_noise)[:, None, None]
+    z_tilde += expand(sys.observation_responses)[:, None] * x_tilde[1:]
+    states, observations = x_tilde.swapaxes(0, 1) @ u.T, z_tilde.swapaxes(0, 1) @ u.T
+    if stacked:
+        return Trajectory(states=states, observations=observations, seed=sequences)
+    return Trajectory(states=states[0], observations=observations[0], seed=sequences[0])
 
 
 def write_text(target, text: str) -> None:
@@ -265,7 +301,9 @@ def write_text(target, text: str) -> None:
 
 
 def trajectory_to_csv(trajectory: Trajectory, target) -> None:
-    """Write rows (k, vertex, x, z); the k=0 rows carry no observation."""
+    """Write rows (k, vertex, x, z) of one trajectory; the k=0 rows carry no observation."""
+    if trajectory.states.ndim != 2:
+        raise ValueError("trajectory_to_csv writes one trajectory, not a stack")
     lines = ["k,vertex,x,z"]
     n = trajectory.states.shape[1]
     for vertex in range(1, n + 1):

@@ -5,16 +5,21 @@ the Laplacian shift, comparing the Kalman filter against static inverse
 filtering.  A cell's system starts from x_0 = 0 (h_0 = 0), which is also
 its filter's prior; zero noise levels need no switch, and a cell they
 leave without a gain or with a zero trajectory is flagged.
-Each trial, in the heatmap and the trace alike, is one ``simulate`` call,
-which draws the trial's whole noise block from one stream and runs the
-state and observation recursions in the eigenbasis (see ``dynamics``), one
-``run_filter`` call, which runs the Kalman filter there too (see
-``kalman``), and one ``inverse_estimate`` call, which inverts the system's
-own observation responses; no polynomial is evaluated per trial.  The dense
-matrix recursion is only the oracle in ``verify``.  Cells run one after
-another in a plain loop, with no worker pool, and each trial is seeded from
-its cell and trial index alone, so results are reproducible bit-for-bit for
-a fixed configuration.
+A heatmap cell runs its trials in blocks of ``_trials_per_block``, as many
+as ``NOISE_BLOCK_BUDGET`` bytes of noise blocks hold, and the trace runs one
+trial as a block of one.  A block is one ``simulate`` call, which draws
+each trial's whole noise block from the trial's own stream and runs the
+state and observation recursions in the eigenbasis for the whole block
+(see ``dynamics``); one ``run_filter`` call per trial, in trial order, which
+runs the Kalman filter there too (see ``kalman``); one ``inverse_estimate``
+call, which inverts the system's own observation responses for the whole
+block; and one ``relative_error_metric`` call per estimator, which scores
+the block.  No polynomial is evaluated per trial.  Each layer computes
+trial t of a block bit for bit as it would that trial alone, so the tables
+do not depend on the block size.  The dense matrix recursion is only the
+oracle in ``verify``.  Cells run one after another in a plain loop, with no
+worker pool, and each trial is seeded from its cell and trial index alone,
+so results are reproducible bit-for-bit for a fixed configuration.
 """
 from __future__ import annotations
 
@@ -35,6 +40,9 @@ from .polynomials import Polynomial
 from .spectral import DistinctSpectrum, distinct_eigenvalues, eigendecompose
 
 ENERGY_GUARD = 1e-24
+# Bytes of (2m + 1, n) trial noise blocks a heatmap cell simulates at once:
+# 5 trials at the default n and m
+NOISE_BLOCK_BUDGET = 256 * 1024
 METRIC_FLOOR = -12.0
 DEFAULT_CLIP = 0.5
 DEFAULT_GRID = tuple(round(0.05 * i, 10) for i in range(21))
@@ -195,28 +203,51 @@ _JSON_FIELDS = {
 }
 
 
-def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> float:
-    """Clipped log average relative error over the steps of one trajectory.
+def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> float | np.ndarray:
+    """Clipped log average relative error over the steps of one trajectory,
+    or of each trajectory in a stack.
 
-    Steps with truth energy below the guard are dropped; a perfect
-    reconstruction bottoms out at the metric floor instead of -inf.
+    ``estimates`` and ``truths`` are (m, n) rows of one trajectory, which
+    gives a float, or (T, m, n) stacks, which give T values, trial t the
+    value its rows alone give.  Steps with truth energy below the guard are
+    dropped; a perfect reconstruction bottoms out at the metric floor
+    instead of -inf.  When every step of the input passes the guard, the
+    means of all trials are one reduction.
 
     Raises:
-        NumericalFailureError: if a step's truth or error energy is NaN or infinite.
-        DegenerateTrajectoryError: if every step is below the energy guard.
+        NumericalFailureError: if a step's truth or error energy is NaN or
+            infinite, in any trial.
+        DegenerateTrajectoryError: if every step of a single trajectory is
+            below the energy guard; such a trial in a stack is NaN instead.
     """
     estimates = np.asarray(estimates, dtype=float)
     truths = np.asarray(truths, dtype=float)
-    if estimates.shape != truths.shape:
-        raise ValueError(f"shape mismatch: {estimates.shape} vs {truths.shape}")
+    if estimates.shape != truths.shape or truths.ndim not in (2, 3):
+        raise ValueError(f"expected equal (m, n) or (T, m, n) shapes, got {estimates.shape} vs {truths.shape}")
     truth_energy = np.sum(truths**2, axis=-1)
-    errors = np.sum((estimates - truths) ** 2, axis=-1)
+    squared_errors = estimates - truths
+    squared_errors **= 2
+    errors = np.sum(squared_errors, axis=-1)
     if not (math.isfinite(truth_energy.max(initial=0.0)) and math.isfinite(errors.max(initial=0.0))):
         raise NumericalFailureError("a step's state or error energy is not finite")
     keep = truth_energy >= ENERGY_GUARD
-    if not np.any(keep):
+    if keep.size and keep.all():
+        mean_ratios = np.mean(errors / truth_energy, axis=-1)
+    else:
+        mean_ratios = np.array([
+            np.mean(e[k] / t[k]) if k.any() else math.nan
+            for e, t, k in zip(np.atleast_2d(errors), np.atleast_2d(truth_energy), np.atleast_2d(keep))
+        ])
+    values = [_clipped_log(ratio, clip) for ratio in np.atleast_1d(mean_ratios).tolist()]
+    if truths.ndim == 3:
+        return np.array(values)
+    if math.isnan(values[0]):
         raise DegenerateTrajectoryError("all steps have numerically zero state energy")
-    mean_ratio = float(np.mean(errors[keep] / truth_energy[keep]))
+    return values[0]
+
+
+def _clipped_log(mean_ratio: float, clip: float) -> float:
+    """Half the log10 of a mean energy ratio, floored and clipped; NaN stays NaN."""
     if mean_ratio < ENERGY_GUARD:
         return max(METRIC_FLOOR, min(0.5 * math.log10(ENERGY_GUARD), clip))
     return min(0.5 * math.log10(mean_ratio), clip)
@@ -252,16 +283,34 @@ def _cell_system(config, spectrum: DistinctSpectrum, sigma: float, sigma_tilde: 
     )
 
 
-def _trial(sys, seed, riccati=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One simulation's states x_1..x_M and their Kalman and inverse estimates, as (M, n) rows."""
-    trajectory = simulate(sys, seed)
+def _trials(sys, seeds, riccati=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One simulation per seed: states x_1..x_M and their Kalman and inverse
+    estimates, as (T, M, n) stacks.  The filter runs once per trial, in order."""
+    trajectory = simulate(sys, seeds)
     z = trajectory.observations
-    return trajectory.states[1:], run_filter(sys, z, riccati=riccati).estimates[1:], inverse_estimate(sys, z)
+    kalman = np.stack([run_filter(sys, z_t, riccati=riccati).estimates[1:] for z_t in z])
+    return trajectory.states[:, 1:], kalman, inverse_estimate(sys, z)
+
+
+def _block_metrics(sys, seeds, riccati, clip: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both estimators' metrics for one block of trials, NaN where a trial is
+    degenerate; the block's stacks are freed when it returns."""
+    truths, kalman_estimates, inverse_estimates = _trials(sys, seeds, riccati)
+    return (
+        relative_error_metric(kalman_estimates, truths, clip),
+        relative_error_metric(inverse_estimates, truths, clip),
+    )
+
+
+def _trials_per_block(config) -> int:
+    """How many trials' (2m + 1, n) noise blocks fit in ``NOISE_BLOCK_BUDGET`` bytes; at least one."""
+    return max(1, NOISE_BLOCK_BUDGET // ((2 * config.m + 1) * config.n * 8))
 
 
 def _run_cell(config, spectrum: DistinctSpectrum, i: int, j: int):
     """Both estimators' metrics over the cell's trials, and whether the cell
-    is flagged: a degenerate trial, or no Kalman gain (``SingularGainError``)."""
+    is flagged: a degenerate trial, or no Kalman gain (``SingularGainError``).
+    The trials run in blocks of ``_trials_per_block`` stacked trials."""
     sys = _cell_system(config, spectrum, config.sigma_grid[i], config.sigma_tilde_grid[j])
     kalman_metrics: list[float] = []
     inverse_metrics: list[float] = []
@@ -269,19 +318,19 @@ def _run_cell(config, spectrum: DistinctSpectrum, i: int, j: int):
         riccati = riccati_sequence(sys)
     except SingularGainError:
         return kalman_metrics, inverse_metrics, True
-    degenerate = 0
-    for trial in range(config.trials):
-        seed = np.random.SeedSequence(config.seed, spawn_key=(_HEATMAP_KEY, i, j, trial))
-        truths, kalman_estimates, inverse_estimates = _trial(sys, seed, riccati)
-        try:
-            km = relative_error_metric(kalman_estimates, truths, config.clip)
-            im = relative_error_metric(inverse_estimates, truths, config.clip)
-        except DegenerateTrajectoryError:
-            degenerate += 1
-            continue
-        kalman_metrics.append(km)
-        inverse_metrics.append(im)
-    return kalman_metrics, inverse_metrics, degenerate > 0
+    per_block = _trials_per_block(config)
+    degenerate = False
+    for start in range(0, config.trials, per_block):
+        seeds = [
+            np.random.SeedSequence(config.seed, spawn_key=(_HEATMAP_KEY, i, j, trial))
+            for trial in range(start, min(start + per_block, config.trials))
+        ]
+        km, im = _block_metrics(sys, seeds, riccati, config.clip)
+        kept = ~(np.isnan(km) | np.isnan(im))
+        degenerate = degenerate or not kept.all()
+        kalman_metrics.extend(km[kept].tolist())
+        inverse_metrics.extend(im[kept].tolist())
+    return kalman_metrics, inverse_metrics, degenerate
 
 
 def _mean_sem(values: list[float]) -> tuple[float, float]:
@@ -356,7 +405,8 @@ def trace_trajectory(config: ExperimentConfig) -> Trajectory:
 
 def run_trace(config: ExperimentConfig) -> TraceResult:
     """One simulation at the trace point with both reconstructions tabulated per step."""
-    truths, kalman_estimates, inverse_estimates = _trial(*_trace_point(config))
+    sys, seed = _trace_point(config)
+    truths, kalman_estimates, inverse_estimates = (stack[0] for stack in _trials(sys, [seed]))
     v = config.trace.vertex - 1
     return TraceResult(
         steps=np.arange(1, config.m + 1),

@@ -16,7 +16,9 @@ arrays, or raises ``NumericalFailureError`` at the first step where one is
 not finite.  For a time-invariant system a step's only changing input is
 p_{k-1}, so once a step returns p_k bitwise equal to p_{k-1} every later
 step would return the same rows: the recursion stops at that exact fixed
-point and copies them forward, bit for bit what the full loop gives.
+point and copies them forward, bit for bit what the full loop gives.  A
+step that returns p_k bitwise equal to p_{k-2} starts an exact 2-cycle,
+and the remaining rows are filled with period 2 the same way.
 Filtering moves the observations into the eigenbasis once, updates every
 frequency on its own, adding each step's carry times the previous estimate
 to that step's drive in place, and moves the estimates back once.
@@ -65,21 +67,43 @@ def _scalar_riccati(
     b_values: np.ndarray,
     sigma_squared: float,
     sigma_tilde_squared: float,
+    b_squared: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-eigenvalue gain and updated error variance from the squared state
-    response and noise levels; ``b_values`` is zero at the blind frequencies."""
-    predicted = a_squared * p_values + sigma_squared
+    response and noise levels; ``b_values`` is zero at the blind frequencies.
+
+    ``b_squared`` may carry ``b_values**2`` computed once per system.  With
+    ``out`` = (gain row, error row, scratch row) the update is written into
+    those rows, which are returned, and nothing is allocated when
+    sigma_tilde^2 > 0.  The operations and their order are the same either way.
+    """
+    if b_squared is None:
+        b_squared = b_values**2
+    if out is None:
+        out = (np.empty_like(p_values), np.empty_like(p_values), np.empty_like(p_values))
+    gains, errors, denom = out
     if sigma_tilde_squared > 0:
-        denom = b_values**2 * predicted + sigma_tilde_squared
-        return predicted * b_values / denom, sigma_tilde_squared * predicted / denom
+        # the predicted variance pe is held in the error row until its last use
+        predicted = np.multiply(a_squared, p_values, out=errors)
+        predicted += sigma_squared
+        np.multiply(b_squared, predicted, out=denom)
+        denom += sigma_tilde_squared
+        np.multiply(predicted, b_values, out=gains)
+        gains /= denom
+        np.multiply(predicted, sigma_tilde_squared, out=errors)
+        errors /= denom
+        return gains, errors
+    predicted = a_squared * p_values + sigma_squared
     blind = b_values == 0.0
     if np.any(blind & (predicted > 0.0)):
         raise SingularGainError(
             "zero observation noise with a vanishing observation response at an uncertain frequency"
         )
     safe = np.where(blind, 1.0, b_values)
-    gains = np.where(blind, 0.0, 1.0 / safe)
-    return gains, np.zeros_like(predicted)
+    gains[...] = np.where(blind, 0.0, 1.0 / safe)
+    errors[...] = 0.0
+    return gains, errors
 
 
 def matrix_riccati_step(p_prev, a, b, sigma: float, sigma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +163,16 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     change.  So when step k returns p_k bitwise equal to p_{k-1}, the
     recursion has reached an exact floating-point fixed point: every later
     step would return step k's gain and error rows again, and they are
-    copied into the remaining rows instead of computed.  A copied step
-    could not raise, since its inputs are those of a step that passed, and
-    a non-finite row stays non-finite, so the first non-finite step named
-    is the same.  Time-varying systems run every step.
+    copied into the remaining rows instead of computed.  When step k
+    returns p_k bitwise equal to p_{k-2} instead, step k+1 reads step k-1's
+    inputs, so the recursion has entered an exact 2-cycle: every later step
+    repeats the step two before it, and the remaining rows alternate
+    between steps k-1 and k.  A copied step could not raise, since its
+    inputs are those of a step that passed, and a non-finite row stays
+    non-finite, so the first non-finite step named is the same.
+    Time-varying systems run every step.  Each step writes into its output
+    rows, with b^2 computed once per system, and allocates nothing when
+    sigma_tilde > 0.
     """
     if steps is None:
         steps = sys.horizon
@@ -152,27 +182,40 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     initial = sys.initial_model.group_variances
     observation = sys.observation_responses
     observation = np.where(passband(observation), observation, 0.0)
+    observation_squared = observation**2
     state_squared = sys.state_responses**2
     sigma_squared = [sigma**2 for sigma in sys.state_noise]
     sigma_tilde_squared = [sigma_tilde**2 for sigma_tilde in sys.observation_noise]
     invariant = sys.time_invariant
     gains = np.empty((steps, mu.size))
     errors = np.empty((steps, mu.size))
+    scratch = np.empty(mu.size)
+    # the bytes of p_{k-1} and p_{k-2}: a step that repeats one of them repeats forever
     p_values = initial
+    seen = (initial.tobytes(), None)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             row = 0 if invariant else k - 1
             try:
-                gains[k - 1], errors[k - 1] = _scalar_riccati(
-                    p_values, state_squared[row], observation[row], sigma_squared[row], sigma_tilde_squared[row]
+                _, p_k = _scalar_riccati(
+                    p_values, state_squared[row], observation[row], sigma_squared[row], sigma_tilde_squared[row],
+                    b_squared=observation_squared[row], out=(gains[k - 1], errors[k - 1], scratch),
                 )
             except SingularGainError as exc:
                 raise SingularGainError(f"step {k}: {exc}") from exc
-            if invariant and errors[k - 1].tobytes() == p_values.tobytes():
-                gains[k:] = gains[k - 1]
-                errors[k:] = errors[k - 1]
-                break
-            p_values = errors[k - 1]
+            if invariant:
+                key = p_k.tobytes()
+                if key == seen[0]:
+                    gains[k:] = gains[k - 1]
+                    errors[k:] = errors[k - 1]
+                    break
+                if key == seen[1]:
+                    for values in (gains, errors):
+                        values[k::2] = values[k - 2]
+                        values[k + 1 :: 2] = values[k - 1]
+                    break
+                seen = (key, seen[0])
+            p_values = p_k
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
     for values in (gains, errors):
         values.flags.writeable = False

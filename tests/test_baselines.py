@@ -65,12 +65,29 @@ class TestInverseEstimate:
         single = inverse_estimate(sys, z[:, 2][None])[0]
         np.testing.assert_allclose(batched[:, 2], single, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "make_system",
+        [lambda: time_varying_cycle_system(12, 8), lambda: random_system(generator(84), n_max=8, steps=6)],
+        ids=["time-varying", "time-invariant"],
+    )
+    def test_stack_equals_its_trials_bit_for_bit(self, make_system):
+        sys = make_system()
+        observations = simulate(sys, [87, 88, 89]).observations
+        stacked = inverse_estimate(sys, observations)
+        assert stacked.shape == observations.shape
+        for t, rows in enumerate(observations):
+            assert stacked[t].tobytes() == inverse_estimate(sys, rows).tobytes()
+
     def test_wrong_length_rejected(self, c4):
         _, _, _, spectrum = c4
         with pytest.raises(ValueError):
             inverse_estimate(_observing_system(spectrum, Polynomial.one()), np.zeros((1, 5)))
 
-    @pytest.mark.parametrize("shape", [(4, 4), (4,)], ids=["beyond-horizon", "one-dimensional"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 4), (4,), (2, 4, 4), (1, 1, 2, 4)],
+        ids=["beyond-horizon", "one-dimensional", "stack-beyond-horizon", "four-dimensional"],
+    )
     def test_observations_must_fit_the_system(self, c4, shape):
         sys = _observing_system(c4[3], Polynomial.one(), horizon=3)
         with pytest.raises(ValueError, match="observations"):

@@ -19,6 +19,7 @@ from graphkalman import (
     simulate,
     trajectory_to_csv,
 )
+from graphkalman.dynamics import Trajectory
 from graphkalman.seeding import as_seed_sequence, child_sequence, generator
 from graphkalman.verify import random_system, response_matrix, simulation_step_gaps
 
@@ -346,6 +347,48 @@ class TestSimulate:
             observed = energies[:, column]
             stderr = np.std(observed, ddof=1) / np.sqrt(trials)
             assert abs(np.mean(observed) - expected) <= 3.0 * stderr
+
+
+class TestStackedSimulate:
+    """``simulate`` on a sequence of seeds: trial t is what seed t gives alone, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_system",
+        [
+            lambda: random_system(generator(58), n_max=8, steps=12, zero_initial=False),
+            lambda: time_varying_cycle_system(10, 10),
+            lambda: _cycle_system(30, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100),
+        ],
+        ids=["nonzero-h0", "time-varying", "paper-cell"],
+    )
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_each_trial_equals_its_own_simulation(self, make_system, trials):
+        sys = make_system()
+        seeds = [np.random.SeedSequence(62, spawn_key=(t,)) for t in range(trials)]
+        stack = simulate(sys, seeds)
+        assert stack.states.shape == (trials, sys.horizon + 1, sys.n)
+        assert stack.observations.shape == (trials, sys.horizon, sys.n)
+        assert stack.horizon == sys.horizon
+        assert stack.seed == tuple(seeds)
+        for t, seed in enumerate(seeds):
+            single = simulate(sys, seed)
+            assert stack.states[t].tobytes() == single.states.tobytes()
+            assert stack.observations[t].tobytes() == single.observations.tobytes()
+
+    def test_nonzero_initial_covariance_drives_the_first_state(self):
+        sys = random_system(generator(58), n_max=8, steps=12, zero_initial=False)
+        assert np.any(sys.initial_model.group_variances > 0)
+        assert np.any(simulate(sys, [1, 2]).states[:, 0] != 0.0)
+
+    def test_a_single_seed_gives_one_trajectory(self):
+        sys = _cycle_system(6, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 12)
+        trajectory = simulate(sys, 99)
+        assert trajectory.states.shape == (13, 6)
+        assert isinstance(trajectory.seed, np.random.SeedSequence) and trajectory.seed.entropy == 99
+
+    def test_stack_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="one more row"):
+            Trajectory(states=np.zeros((2, 4, 3)), observations=np.zeros((3, 3, 3)), seed=())
 
 
 class TestCsvExport:

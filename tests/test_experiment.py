@@ -13,12 +13,15 @@ from graphkalman import (
     ExperimentConfig,
     NumericalFailureError,
     Polynomial,
+    SingularGainError,
     build_shift,
     cycle_graph,
+    inverse_estimate,
     relative_error_metric,
     run_filter,
     run_heatmap,
     run_trace,
+    simulate,
 )
 from graphkalman.cli import main
 from graphkalman import experiment, kalman
@@ -114,6 +117,64 @@ class TestHeatmap:
         assert fast.flagged.any() and np.isfinite(fast.kalman).any()
 
 
+def _single_trial_tables(config):
+    """The heatmap tables from the single-trial layers: one 2-D ``simulate``,
+    ``run_filter``, ``inverse_estimate`` and pair of ``relative_error_metric``
+    calls per trial, then ``_mean_sem`` per cell."""
+    spectrum = experiment._cycle_spectrum(config)
+    shape = (len(config.sigma_grid), len(config.sigma_tilde_grid))
+    tables = {name: np.full(shape, math.nan) for name in ("kalman", "inverse", "kalman_sem", "inverse_sem")}
+    tables["n_trials"] = np.zeros(shape, dtype=int)
+    tables["flagged"] = np.zeros(shape, dtype=bool)
+    for i, sigma in enumerate(config.sigma_grid):
+        for j, sigma_tilde in enumerate(config.sigma_tilde_grid):
+            sys = experiment._cell_system(config, spectrum, sigma, sigma_tilde)
+            try:
+                riccati = kalman.riccati_sequence(sys)
+            except SingularGainError:
+                tables["flagged"][i, j] = True
+                continue
+            metrics = {"kalman": [], "inverse": []}
+            for trial in range(config.trials):
+                trajectory = simulate(sys, np.random.SeedSequence(config.seed, spawn_key=(0, i, j, trial)))
+                truths, z = trajectory.states[1:], trajectory.observations
+                estimates = {
+                    "kalman": run_filter(sys, z, riccati=riccati).estimates[1:],
+                    "inverse": inverse_estimate(sys, z),
+                }
+                try:
+                    values = {key: relative_error_metric(estimates[key], truths, config.clip) for key in metrics}
+                except DegenerateTrajectoryError:
+                    tables["flagged"][i, j] = True
+                    continue
+                for key, value in values.items():
+                    metrics[key].append(value)
+            for key, values in metrics.items():
+                tables[key][i, j], tables[f"{key}_sem"][i, j] = experiment._mean_sem(values)
+            tables["n_trials"][i, j] = len(metrics["kalman"])
+    return tables
+
+
+class TestTrialBlocks:
+    def test_heatmap_equals_its_single_trial_layers_bit_for_bit(self):
+        # sigma = 0 is a row of degenerate trials; 7 trials run as a block of
+        # 5 and a block of 2 at n = 30, m = 100
+        config = ExperimentConfig(
+            n=30, m=100, trials=7, sigma_grid=(0.0, 0.4), sigma_tilde_grid=(0.0, 0.3, 0.9), seed=8
+        )
+        assert config.trials > experiment._trials_per_block(config) > 1
+        result = run_heatmap(config)
+        reference = _single_trial_tables(config)
+        for name, table in reference.items():
+            assert getattr(result, name).tobytes() == table.tobytes(), name
+        assert result.flagged[0].all() and np.isfinite(result.kalman[1]).all()
+
+    def test_trials_per_block_follow_the_noise_budget(self):
+        block_bytes = (2 * 100 + 1) * 30 * 8
+        assert experiment._trials_per_block(ExperimentConfig()) == experiment.NOISE_BLOCK_BUDGET // block_bytes
+        assert experiment._trials_per_block(ExperimentConfig(n=3000, m=100)) == 1
+
+
 class TestMetric:
     def test_finite_inputs_give_a_finite_metric(self):
         truths = generator(80).standard_normal((6, 5))
@@ -135,6 +196,50 @@ class TestMetric:
             relative_error_metric(np.zeros((4, 5)), truths)
         with pytest.raises(DegenerateTrajectoryError):
             relative_error_metric(np.zeros((4, 5)), np.zeros((4, 5)))
+
+
+class TestStackedMetric:
+    """``relative_error_metric`` on (T, m, n) stacks: trial t is its value alone, bit for bit."""
+
+    @staticmethod
+    def _stack():
+        rng = generator(90)
+        truths = rng.standard_normal((4, 6, 5))
+        truths[1, :2] = 0.0  # two steps below the energy guard
+        truths[2] = 1e-14  # every step below it: a degenerate trial
+        estimates = truths + 0.1 * rng.standard_normal(truths.shape)
+        estimates[3] = truths[3]  # a perfect reconstruction hits the floor
+        return estimates, truths
+
+    def test_stack_equals_the_per_trial_values(self):
+        estimates, truths = self._stack()
+        values = relative_error_metric(estimates, truths, clip=0.2)
+        assert values.shape == (4,)
+        for t in (0, 1, 3):
+            assert values[t] == relative_error_metric(estimates[t], truths[t], clip=0.2)
+        assert values[3] == METRIC_FLOOR
+        assert math.isnan(values[2])
+        with pytest.raises(DegenerateTrajectoryError):
+            relative_error_metric(estimates[2], truths[2])
+
+    def test_a_stack_whose_steps_all_pass_the_guard_equals_its_trials(self):
+        truths = generator(91).standard_normal((3, 7, 5))
+        estimates = truths + 0.3
+        values = relative_error_metric(estimates, truths)
+        assert [float(v) for v in values] == [relative_error_metric(e, t) for e, t in zip(estimates, truths)]
+
+    @pytest.mark.parametrize("which", ["estimates", "truths"])
+    def test_a_non_finite_trial_fails_the_stack(self, which):
+        estimates, truths = self._stack()
+        arrays = {"estimates": estimates, "truths": truths}
+        arrays[which][0, 3, 2] = math.inf
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            relative_error_metric(arrays["estimates"], arrays["truths"])
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 2, 3, 4)])
+    def test_other_ranks_are_rejected(self, shape):
+        with pytest.raises(ValueError):
+            relative_error_metric(np.zeros(shape), np.zeros(shape))
 
 
 class TestTrace:

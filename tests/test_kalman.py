@@ -479,6 +479,23 @@ def _first_repeat(errors: np.ndarray) -> int | None:
     return None
 
 
+def _first_two_cycle(errors: np.ndarray) -> int | None:
+    """The first step k >= 3 whose error row equals step k-2's, and not step k-1's, bit for bit."""
+    for k in range(3, errors.shape[0] + 1):
+        if errors[k - 1].tobytes() == errors[k - 3].tobytes() != errors[k - 2].tobytes():
+            return k
+    return None
+
+
+# Cells (sigma, sigma_tilde) of the 11 x 11 grid on 0..1 whose recursion on
+# C_30 enters an exact 2-cycle, p_k = p_{k-2} != p_{k-1}, before step 100
+_TWO_CYCLE_CELLS = (
+    (0.1, 0.3), (0.2, 0.1), (0.2, 0.5), (0.2, 0.6), (0.3, 0.2), (0.3, 0.6), (0.4, 0.2),
+    (0.4, 0.9), (0.4, 1.0), (0.5, 0.4), (0.6, 0.1), (0.6, 0.4), (0.6, 0.9), (0.7, 0.7),
+    (0.7, 0.8), (0.7, 0.9), (0.8, 0.4), (0.9, 0.4), (0.9, 0.9), (1.0, 0.3), (1.0, 0.8),
+)
+
+
 class TestFixedPoint:
     """``riccati_sequence`` stops at an exact fixed point and copies its rows
     forward; the full-horizon recursion is the reference, bit for bit."""
@@ -515,6 +532,19 @@ class TestFixedPoint:
             assert all(row.tobytes() == values[k - 1].tobytes() for row in values[k:])
         assert _same_bits(riccati, full_riccati_sequence(sys))
 
+    @pytest.mark.parametrize("sigma, sigma_tilde", _TWO_CYCLE_CELLS)
+    def test_two_cycle_cells_match_the_full_recursion(self, c30, sigma, sigma_tilde):
+        sys = DynamicalSystem.from_constant(
+            c30[3], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, 100
+        )
+        reference = full_riccati_sequence(sys)
+        k = _first_two_cycle(reference.error_responses)
+        assert k is not None and k < 100 and _first_repeat(reference.error_responses) is None
+        riccati = riccati_sequence(sys)
+        assert _same_bits(riccati, reference)
+        for values in (riccati.gain_responses, riccati.error_responses):
+            assert all(values[r].tobytes() == values[r - 2].tobytes() for r in range(k, 100))
+
     def test_singular_gain_names_the_same_step(self, c4):
         # C_4 has the eigenvalue 2, where b = 1 - t/2 is blind; the state noise
         # first makes it uncertain at step 3
@@ -533,8 +563,8 @@ class TestDualFormMutation:
         sys = random_system(generator(71), n_max=8, steps=10)
         original = kalman_mod._scalar_riccati
 
-        def flipped(p_values, a_values, b_values, sigma, sigma_tilde):
-            gains, errors = original(p_values, a_values, b_values, sigma, sigma_tilde)
+        def flipped(*args, **kwargs):
+            gains, errors = original(*args, **kwargs)
             return gains, -errors  # sign error in the error-update numerator
 
         monkeypatch.setattr(kalman_mod, "_scalar_riccati", flipped)
@@ -551,8 +581,8 @@ class TestDualFormMutation:
 
         original = kalman_mod._scalar_riccati
 
-        def flipped(p_values, a_values, b_values, sigma, sigma_tilde):
-            gains, errors = original(p_values, a_values, b_values, sigma, sigma_tilde)
+        def flipped(*args, **kwargs):
+            gains, errors = original(*args, **kwargs)
             return gains, -errors
 
         monkeypatch.setattr(kalman_mod, "_scalar_riccati", flipped)
