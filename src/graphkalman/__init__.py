@@ -1,10 +1,11 @@
 """Stationary graph signals over symmetric shifts and graph Kalman filtering.
 
 The library covers graph construction and shift validation, spectral
-decomposition with distinct-eigenvalue grouping, polynomial filter algebra,
-stationary signal generation/whitening, polynomial state-space dynamics,
-the graph Kalman filter in spectral and matrix form, baseline estimators,
-and a reproducible cycle-graph experiment CLI.
+decomposition with distinct-eigenvalue grouping, polynomial filters carried
+as their values at the distinct eigenvalues (and interpolated back in the
+Chebyshev basis), stationary signal generation/whitening, polynomial
+state-space dynamics, the graph Kalman filter in spectral and matrix form,
+baseline estimators, and a reproducible cycle-graph experiment CLI.
 """
 
 from .baselines import (
@@ -50,14 +51,8 @@ from .kalman import (
     riccati_sequence,
     run_filter,
 )
-from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate, reduce_mod_minimal
-from .spectral import (
-    DistinctSpectrum,
-    SpectralDecomposition,
-    distinct_eigenvalues,
-    eigendecompose,
-    minimal_polynomial,
-)
+from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
+from .spectral import DistinctSpectrum, SpectralDecomposition, distinct_eigenvalues, eigendecompose
 from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filter, whiten
 
 __version__ = "0.1.0"
@@ -102,8 +97,6 @@ __all__ = [
     "lagrange_interpolate",
     "loewner_less",
     "matrix_riccati_step",
-    "minimal_polynomial",
-    "reduce_mod_minimal",
     "relative_error_metric",
     "riccati_sequence",
     "run_filter",

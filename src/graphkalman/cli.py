@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from .dynamics import trajectory_to_csv
+from .errors import GraphKalmanError
 from .experiment import (
     ExperimentConfig,
     run_heatmap,
@@ -98,8 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a ``GraphKalmanError`` is reported as one stderr line and exit status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GraphKalmanError as exc:
+        print(f"graphkalman: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

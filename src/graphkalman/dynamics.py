@@ -21,7 +21,9 @@ written into the state rows and each step adds a_k times the previous
 state in place, one Python step per time step for all T trials), and
 states and observations are rotated back once.  A stacked product rounds
 each trial as a product of its own rows would, so trial t of a stack is
-bit for bit the trajectory its seed gives alone.
+bit for bit the trajectory its seed gives alone.  A stack with a state or
+observation that is not finite raises ``NumericalFailureError`` naming the
+first such step.
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
@@ -258,6 +260,10 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
     rows x~_k are first filled with sigma_k e~_{2k-1}, and the loop adds
     a_k x~_{k-1} to each in place, one Python step per time step for all
     trials at once.  Each z~_k is formed in the place of e~_{2k}.
+
+    Raises:
+        NumericalFailureError: naming the first step at which a state or an
+            observation of any trial is not finite (an unstable a_k overflows).
     """
     stacked = isinstance(seeds, Sequence)
     sequences = tuple(as_seed_sequence(seed) for seed in (seeds if stacked else (seeds,)))
@@ -278,15 +284,20 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
     np.multiply(np.asarray(sys.state_noise)[:, None, None], e_tilde[1::2], out=x_tilde[1:])
     # a_k at each step's full (T, n) shape keeps numpy on its fast loop
     a = np.repeat(expand(sys.state_responses)[:, None], trials, axis=1)
-    previous = x_tilde[0]
-    for a_k, x_k in zip(repeat(a[0], m) if sys.time_invariant else a, x_tilde[1:]):
-        x_k += a_k * previous
-        previous = x_k
-    # z~_k = sigma_tilde_k e~_{2k} + b_k x~_k, formed in the rows of e~_{2k}
-    z_tilde = e_tilde[2::2]
-    z_tilde *= np.asarray(sys.observation_noise)[:, None, None]
-    z_tilde += expand(sys.observation_responses)[:, None] * x_tilde[1:]
-    states, observations = x_tilde.swapaxes(0, 1) @ u.T, z_tilde.swapaxes(0, 1) @ u.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        previous = x_tilde[0]
+        for a_k, x_k in zip(repeat(a[0], m) if sys.time_invariant else a, x_tilde[1:]):
+            x_k += a_k * previous
+            previous = x_k
+        # z~_k = sigma_tilde_k e~_{2k} + b_k x~_k, formed in the rows of e~_{2k}
+        z_tilde = e_tilde[2::2]
+        z_tilde *= np.asarray(sys.observation_noise)[:, None, None]
+        z_tilde += expand(sys.observation_responses)[:, None] * x_tilde[1:]
+        states, observations = x_tilde.swapaxes(0, 1) @ u.T, z_tilde.swapaxes(0, 1) @ u.T
+    if not (np.isfinite(states).all() and np.isfinite(observations).all()):
+        # row k: step k's states and observations (none at step 0) of every trial
+        steps = np.concatenate((states, np.insert(observations, 0, 0.0, axis=1)), axis=2)
+        require_finite_steps(steps.swapaxes(0, 1).reshape(m + 1, -1), "simulated trajectory", first_step=0)
     if stacked:
         return Trajectory(states=states, observations=observations, seed=sequences)
     return Trajectory(states=states[0], observations=observations[0], seed=sequences[0])

@@ -224,10 +224,12 @@ def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> floa
     truths = np.asarray(truths, dtype=float)
     if estimates.shape != truths.shape or truths.ndim not in (2, 3):
         raise ValueError(f"expected equal (m, n) or (T, m, n) shapes, got {estimates.shape} vs {truths.shape}")
-    truth_energy = np.sum(truths**2, axis=-1)
-    squared_errors = estimates - truths
-    squared_errors **= 2
-    errors = np.sum(squared_errors, axis=-1)
+    # an energy that overflows is infinite, and the check below names it
+    with np.errstate(over="ignore"):
+        truth_energy = np.sum(truths**2, axis=-1)
+        squared_errors = estimates - truths
+        squared_errors **= 2
+        errors = np.sum(squared_errors, axis=-1)
     if not (math.isfinite(truth_energy.max(initial=0.0)) and math.isfinite(errors.max(initial=0.0))):
         raise NumericalFailureError("a step's state or error energy is not finite")
     keep = truth_energy >= ENERGY_GUARD

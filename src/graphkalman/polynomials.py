@@ -2,13 +2,13 @@
 
 ``Polynomial`` holds ascending monomial coefficients.  It carries what a
 user writes (the state and observation filters a and b, the prior h_0),
-their JSON form and polynomial arithmetic, including the remainder modulo a
-minimal polynomial.  ``ChebyshevSeries`` holds Chebyshev coefficients on an
-interval.  It is what ``lagrange_interpolate`` returns: the one way from
-values at distinct eigenvalues back to a polynomial of the shift.  On the
-interval spanned by the nodes, the Chebyshev-Vandermonde system of a
-graph spectrum is well conditioned (the distinct eigenvalues of a cycle
-are Chebyshev-Lobatto points), where the monomial one is not.
+their JSON form, evaluation and polynomial arithmetic.  ``ChebyshevSeries``
+holds Chebyshev coefficients on an interval.  It is what
+``lagrange_interpolate`` returns: the one way from values at distinct
+eigenvalues back to a polynomial of the shift.  On the interval spanned by
+the nodes, the Chebyshev-Vandermonde system of a graph spectrum is well
+conditioned (the distinct eigenvalues of a cycle are Chebyshev-Lobatto
+points), where the monomial one is not.
 """
 from __future__ import annotations
 
@@ -65,10 +65,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
-
     def __call__(self, t):
         return npoly.polyval(t, self.coeffs)
 
@@ -99,9 +95,6 @@ class Polynomial:
             raise ValueError("exponent must be a nonnegative integer")
         return Polynomial(tuple(npoly.polypow(self.coeffs, int(exponent))))
 
-    def __mod__(self, modulus: "Polynomial") -> "Polynomial":
-        return reduce_mod_minimal(self, modulus)
-
     def to_list(self) -> list[float]:
         return list(self.coeffs)
 
@@ -116,18 +109,6 @@ def _coerce(value) -> Polynomial:
     if isinstance(value, (int, float, np.integer, np.floating)):
         return Polynomial.constant(float(value))
     raise TypeError(f"cannot treat {value!r} as a polynomial")
-
-
-def reduce_mod_minimal(poly: Polynomial, modulus: Polynomial) -> Polynomial:
-    """Remainder of ``poly`` under division by ``modulus`` (degree strictly reduced)."""
-    if modulus.is_zero:
-        raise ValueError("cannot reduce modulo the zero polynomial")
-    if modulus.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    if poly.degree < modulus.degree:
-        return poly
-    _, rem = npoly.polydiv(poly.coeffs, modulus.coeffs)
-    return Polynomial(tuple(rem))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition, distinct-eigenvalue grouping, and the minimal polynomial.
+"""Symmetric eigendecomposition and distinct-eigenvalue grouping.
 
 A ``DistinctSpectrum`` is the one spectral handle the rest of the package
 takes: it holds the ``SpectralDecomposition`` it was grouped from, which in
@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalFailureError
 from .graphs import GraphShift
-from .polynomials import Polynomial
 
 DEFAULT_GROUPING_SCALE = 1e-8
 
@@ -36,10 +34,6 @@ class SpectralDecomposition:
     @property
     def n(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
 
     def apply(self, responses: np.ndarray, x: np.ndarray) -> np.ndarray:
         """U diag(responses) U^T x, with one response per eigenindex, for a
@@ -102,19 +96,16 @@ class DistinctSpectrum:
         return np.asarray(group_values, dtype=float)[..., self.group_index]
 
 
-def default_grouping_tol(decomposition: SpectralDecomposition) -> float:
-    return DEFAULT_GROUPING_SCALE * max(1.0, decomposition.spectral_radius)
-
-
 def distinct_eigenvalues(
     decomposition: SpectralDecomposition, tol: float | None = None
 ) -> DistinctSpectrum:
-    """Single-linkage grouping of ascending eigenvalues: a gap > tol starts a new group."""
+    """Single-linkage grouping of ascending eigenvalues: a gap > tol starts a
+    new group.  The default tol is ``DEFAULT_GROUPING_SCALE * max(1, max|lambda|)``."""
+    lam = decomposition.eigenvalues
     if tol is None:
-        tol = default_grouping_tol(decomposition)
+        tol = DEFAULT_GROUPING_SCALE * max(1.0, float(np.max(np.abs(lam))))
     if tol < 0:
         raise ValueError(f"grouping tolerance must be nonnegative, got {tol!r}")
-    lam = decomposition.eigenvalues
     gaps = np.diff(lam)
     group_index = np.concatenate(([0], np.cumsum(gaps > tol)))
     count = group_index[-1] + 1
@@ -125,9 +116,3 @@ def distinct_eigenvalues(
     group_index.flags.writeable = False
     return DistinctSpectrum(decomposition, representatives, group_index, float(tol))
 
-
-def minimal_polynomial(spectrum: DistinctSpectrum) -> Polynomial:
-    """Monic polynomial with a simple root at each distinct eigenvalue."""
-    if spectrum.count == 0:
-        raise ValueError("spectrum has no eigenvalues")
-    return Polynomial(tuple(npoly.polyfromroots(spectrum.representatives)))

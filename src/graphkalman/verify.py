@@ -27,9 +27,9 @@ from .dynamics import DynamicalSystem, covariance_responses, simulate
 from .experiment import ExperimentConfig, run_heatmap, write_heatmap_csv
 from .filters import apply_filter, eval_filter, is_polynomial_filter
 from .graphs import Graph, build_shift, cycle_graph, validate_shift
-from .polynomials import Polynomial, reduce_mod_minimal
+from .polynomials import Polynomial, lagrange_interpolate
 from .seeding import child_sequence, generator
-from .spectral import distinct_eigenvalues, eigendecompose, minimal_polynomial
+from .spectral import distinct_eigenvalues, eigendecompose
 from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filter, whiten
 
 
@@ -237,37 +237,56 @@ def check_graph_core() -> list[CheckResult]:
     return results
 
 
+def annihilation_residual(spectrum) -> float:
+    """||prod_mu (S - mu I)||_2 over the distinct eigenvalues mu, relative to
+    prod_mu ||S - mu I||_2 = prod_mu max|lambda - mu|: about eps when the
+    grouping kept every distinct eigenvalue.  The factors are applied to I
+    one at a time (X <- S X - mu X), so no monomial coefficient is formed."""
+    s = spectrum.decomposition.shift.matrix
+    eigenvalues = spectrum.decomposition.eigenvalues
+    x = np.eye(spectrum.decomposition.n)
+    scale = 1.0
+    for mu in spectrum.representatives:
+        x = s @ x - mu * x
+        scale *= float(np.max(np.abs(eigenvalues - mu)))
+    residual = float(np.linalg.norm(x, 2))
+    # a one-point spectrum, S = mu I: the one factor is exactly zero
+    return residual / scale if scale > 0.0 else residual
+
+
+def _cycle_laplacian_spectrum(n: int):
+    return distinct_eigenvalues(eigendecompose(build_shift(cycle_graph(n), "laplacian")))
+
+
 def check_spectral() -> list[CheckResult]:
     rng = generator(202)
     worst_recon = 0.0
-    worst_minpoly = 0.0
-    idempotent = True
+    spectra = []
     for _ in range(8):
         shift = random_shift(rng, int(rng.integers(4, 12)))
         decomp = eigendecompose(shift)
         lam, u = decomp.eigenvalues, decomp.eigenvectors
         recon = (u * lam) @ u.T
         worst_recon = max(worst_recon, float(np.linalg.norm(shift.matrix - recon)))
-        spectrum = distinct_eigenvalues(decomp)
-        p_s = minimal_polynomial(spectrum)
-        annihilated = apply_filter(p_s, shift, np.eye(shift.n))
-        norm_s = float(np.linalg.norm(shift.matrix, 2))
-        scale = 1e-8 * max(1.0, norm_s) ** spectrum.count
-        worst_minpoly = max(worst_minpoly, float(np.linalg.norm(annihilated)) / scale)
-        gaps = np.diff(spectrum.representatives)
-        if gaps.size and np.min(gaps) <= spectrum.tol:
-            idempotent = False
-    for n in (4, 8, 30):
-        decomp = eigendecompose(build_shift(cycle_graph(n), "laplacian"))
-        spectrum = distinct_eigenvalues(decomp)
-        gaps = np.diff(spectrum.representatives)
-        if gaps.size and np.min(gaps) <= spectrum.tol:
-            idempotent = False
+        spectra.append(distinct_eigenvalues(decomp))
+    spectra += [_cycle_laplacian_spectrum(n) for n in (4, 8, 30, 120)]
+    worst_minpoly = max(annihilation_residual(spectrum) for spectrum in spectra)
+    idempotent = all(np.all(np.diff(spectrum.representatives) > spectrum.tol) for spectrum in spectra)
     return [
         CheckResult("spectral", "eigen-reconstruction", worst_recon <= 1e-8, f"worst ||S - U L U^T|| = {worst_recon:.3e}"),
-        CheckResult("spectral", "minimal-poly-annihilates", worst_minpoly <= 1.0, f"worst scaled residual {worst_minpoly:.3e}"),
+        CheckResult("spectral", "minimal-poly-annihilates", worst_minpoly <= 1e-12, f"worst scaled residual {worst_minpoly:.3e}"),
         CheckResult("spectral", "grouping-idempotent", idempotent, "representatives separated by more than tol"),
     ]
+
+
+def _reduction_gap(poly: Polynomial, spectrum) -> float:
+    """Relative gap between p(S) and g(S), g the interpolant of p's values at
+    the distinct eigenvalues: every polynomial of S is one of degree < d."""
+    decomp = spectrum.decomposition
+    full = eval_filter(poly, decomp)
+    mu = spectrum.representatives
+    reduced = eval_filter(lagrange_interpolate(mu, poly(mu)), decomp)
+    return float(np.linalg.norm(full - reduced) / max(1.0, np.linalg.norm(full)))
 
 
 def check_poly_filter() -> list[CheckResult]:
@@ -280,7 +299,6 @@ def check_poly_filter() -> list[CheckResult]:
         shift = random_shift(rng, int(rng.integers(4, 11)))
         decomp = eigendecompose(shift)
         spectrum = distinct_eigenvalues(decomp)
-        p_s = minimal_polynomial(spectrum)
         f = random_polynomial(rng, 6)
         g = random_polynomial(rng, 6)
         ef, eg = eval_filter(f, decomp), eval_filter(g, decomp)
@@ -294,12 +312,14 @@ def check_poly_filter() -> list[CheckResult]:
             worst_comm,
             float(comm / max(1e-30, np.linalg.norm(ef) * np.linalg.norm(shift.matrix))),
         )
-        high = random_polynomial(rng, 12)
-        reduced = reduce_mod_minimal(high, p_s)
-        red_gap = np.linalg.norm(
-            eval_filter(high, decomp) - eval_filter(reduced, decomp)
-        )
-        worst_reduce = max(worst_reduce, float(red_gap / max(1.0, np.linalg.norm(eval_filter(high, decomp)))))
+        worst_reduce = max(worst_reduce, _reduction_gap(random_polynomial(rng, 12), spectrum))
+    cycle_rng = generator(305)
+    for n in (30, 120):
+        spectrum = _cycle_laplacian_spectrum(n)
+        # degree 2d, with terms of size <= 1 on the cycle's [0, 4]
+        degree = 2 * spectrum.count
+        high = Polynomial(tuple(cycle_rng.uniform(-1.0, 1.0, degree) / 4.0 ** np.arange(degree)))
+        worst_reduce = max(worst_reduce, _reduction_gap(high, spectrum))
     for _ in range(100):
         shift = random_shift(rng, int(rng.integers(4, 11)))
         decomp = eigendecompose(shift)
@@ -333,7 +353,7 @@ def circulant_basis(n: int) -> list[np.ndarray]:
 
 
 def _circulant_characterization(rng) -> tuple[bool, str]:
-    spectrum = distinct_eigenvalues(eigendecompose(build_shift(cycle_graph(8), "laplacian")))
+    spectrum = _cycle_laplacian_spectrum(8)
     for mat in circulant_basis(8):
         if not is_polynomial_filter(mat, spectrum).is_member:
             return False, "symmetric circulant rejected"

@@ -390,6 +390,13 @@ class TestStackedSimulate:
         with pytest.raises(ValueError, match="one more row"):
             Trajectory(states=np.zeros((2, 4, 3)), observations=np.zeros((3, 3, 3)), seed=())
 
+    @pytest.mark.parametrize("seeds", [7, [7, 8, 9]], ids=["one", "stack"])
+    def test_overflowing_trajectory_raises_at_its_first_step(self, seeds):
+        # a = 1e200: x~_2 = 1e200 x~_1 + e~ is finite, x~_3 ~ 1e400 x~_1 is not
+        sys = _cycle_system(6, Polynomial.constant(1e200), Polynomial.one(), 1.0, 1.0, 5)
+        with pytest.raises(NumericalFailureError, match="simulated trajectory is not finite from step 3 on"):
+            simulate(sys, seeds)
+
 
 class TestCsvExport:
     def test_header_and_row_count(self):

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphkalman import (
     DegenerateTrajectoryError,
@@ -27,6 +30,7 @@ from graphkalman.cli import main
 from graphkalman import experiment, kalman
 from graphkalman.experiment import METRIC_FLOOR, TraceSpec, trace_trajectory
 from graphkalman.seeding import generator
+from graphkalman.verify import random_polynomial, random_shift
 
 from conftest import full_riccati_sequence, spectrum_of, time_varying_cycle_system
 
@@ -35,6 +39,8 @@ from conftest import full_riccati_sequence, spectrum_of, time_varying_cycle_syst
 # zero initial state gives a flagged row.
 TINY = {"n": 30, "m": 20, "trials": 2, "sigma_grid": (0.0, 0.5), "sigma_tilde_grid": (0.0, 0.5), "seed": 3}
 CLI_CONFIG = {"n": 10, "m": 5, "trials": 2, "sigma_grid": [0.0, 0.5], "sigma_tilde_grid": [0.5], "seed": 1}
+# an unstable state filter (a = 1.5) and no blind frequency: every trajectory overflows
+UNSTABLE_CONFIG = {"n": 12, "m": 2000, "a": [1.5], "b": [1.0], "trace": {"sigma": 0.3, "sigma_tilde": 0.5, "vertex": 1}}
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +429,39 @@ class TestCli:
     def test_verify_single_module(self, capsys):
         assert main(["verify", "--filter", "graph_core"]) == 0
         assert capsys.readouterr().out.strip().endswith("3/3 invariants passed")
+
+    @pytest.mark.parametrize("command", ["simulate", "trace", "heatmap"])
+    def test_numerical_failure_is_one_stderr_line_and_no_output(self, tmp_path, capsys, command):
+        # the heatmap runs the config's trace point as its one cell
+        payload = dict(UNSTABLE_CONFIG, sigma_grid=[0.3], sigma_tilde_grid=[0.5])
+        out = tmp_path / "out"
+        assert main([command, "--config", _config_file(tmp_path, payload), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("graphkalman: NumericalFailureError: simulated trajectory is not finite")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestNonFiniteRuns:
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 24), st.floats(-3.0, 3.0), st.integers(1, 150))
+    def test_random_system_is_finite_or_fails_by_name(self, seed, n, log_scale, m):
+        # the heatmap's block path on a random system whose a is scaled by 1e-3 to 1e3
+        rng = generator(seed)
+        sys = DynamicalSystem.from_constant(
+            spectrum_of(random_shift(rng, n)),
+            10.0**log_scale * random_polynomial(rng, 3),
+            random_polynomial(rng, 3),
+            sigma=float(rng.uniform(0.1, 2.0)),
+            sigma_tilde=float(rng.uniform(0.1, 2.0)),
+            horizon=m,
+        )
+        seeds = [np.random.SeedSequence(seed, spawn_key=(t,)) for t in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                metrics = experiment._block_metrics(sys, seeds, kalman.riccati_sequence(sys), experiment.DEFAULT_CLIP)
+            except NumericalFailureError:
+                return
+        assert np.all(np.isfinite(metrics))

@@ -11,7 +11,6 @@ from graphkalman import (
     build_shift,
     cycle_graph,
     lagrange_interpolate,
-    reduce_mod_minimal,
 )
 
 
@@ -22,7 +21,7 @@ class TestCanonicalForm:
     def test_zero_polynomial(self):
         p = Polynomial((0.0, 0.0, 0.0))
         assert p.coeffs == (0.0,)
-        assert p.is_zero
+        assert p == Polynomial.zero()
         assert p.degree == 0
 
     def test_non_finite_rejected(self):
@@ -83,36 +82,29 @@ class TestArithmetic:
         assert abs((p - q)(t) - (pt - qt)) <= ulps * (ap + aq)
         assert abs((p * q)(t) - pt * qt) <= ulps * ap * aq
         assert abs((p**k)(t) - pt**k) <= ulps * ap**k
-        assert (p - p).is_zero
+        assert p - p == Polynomial.zero()
         assert p * q == q * p
         assert Polynomial.from_coeffs(p.to_list()) == p
         assert Polynomial.from_coeffs(p.to_list() + [0.0] * zeros) == p
 
 
 class TestReduction:
+    # the remainder of p modulo the minimal polynomial t(t - 2)(t - 4) of the
+    # C_4 Laplacian is the interpolant of p's values at its roots {0, 2, 4}
+
     def test_cubic_mod_minimal(self):
         # t^3 = (t^3 - 6t^2 + 8t) * 1 + (6t^2 - 8t)
-        t3 = Polynomial((0.0, 0.0, 0.0, 1.0))
-        modulus = Polynomial((0.0, 8.0, -6.0, 1.0))
-        remainder = reduce_mod_minimal(t3, modulus)
-        np.testing.assert_allclose(remainder.coeffs, (0.0, -8.0, 6.0), atol=1e-12)
-
-    def test_low_degree_unchanged(self):
-        f = Polynomial((1.0, 2.0))
-        modulus = Polynomial((0.0, 8.0, -6.0, 1.0))
-        assert reduce_mod_minimal(f, modulus) == f
+        nodes = np.array([0.0, 2.0, 4.0])
+        remainder = lagrange_interpolate(nodes, nodes**3)
+        t = np.linspace(-1.0, 5.0, 13)
+        assert remainder.degree == 2
+        np.testing.assert_allclose(remainder(t), 6.0 * t**2 - 8.0 * t, atol=1e-12)
 
     def test_self_reduction_is_zero(self):
+        nodes = np.array([0.0, 2.0, 4.0])
         modulus = Polynomial((0.0, 8.0, -6.0, 1.0))
-        assert (modulus % modulus).is_zero
-
-    def test_zero_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_mod_minimal(Polynomial.one(), Polynomial.zero())
-
-    def test_constant_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_mod_minimal(Polynomial.identity(), Polynomial.constant(2.0))
+        remainder = lagrange_interpolate(nodes, modulus(nodes))
+        assert remainder.coeffs == (0.0,)
 
 
 class TestLagrangeInterpolation:

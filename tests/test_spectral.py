@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from graphkalman import (
-    Polynomial,
-    apply_filter,
     build_shift,
     cycle_graph,
     distinct_eigenvalues,
     eigendecompose,
-    minimal_polynomial,
 )
-from graphkalman.verify import random_shift
+from graphkalman.verify import annihilation_residual, random_shift
 from graphkalman.seeding import generator
 
 from conftest import cycle_laplacian_eigenvalues
@@ -100,29 +97,22 @@ class TestDistinctEigenvalues:
 
 
 class TestMinimalPolynomial:
-    def test_three_roots(self, c4):
-        _, _, _, spectrum = c4
-        p = minimal_polynomial(spectrum)
-        np.testing.assert_allclose(p.coeffs, (0.0, 8.0, -6.0, 1.0), atol=1e-12)
+    # the minimal polynomial prod_mu (t - mu) over the distinct eigenvalues,
+    # applied to S factor by factor, annihilates S to rounding
 
     def test_single_root(self):
         shift = build_shift(cycle_graph(4), "custom", matrix=2.5 * np.eye(4))
         spectrum = distinct_eigenvalues(eigendecompose(shift))
-        p = minimal_polynomial(spectrum)
-        np.testing.assert_allclose(p.coeffs, (-2.5, 1.0), atol=1e-12)
+        np.testing.assert_array_equal(spectrum.representatives, [2.5])
+        assert annihilation_residual(spectrum) == 0.0
 
     def test_annihilates_shift(self):
         rng = generator(23)
         for _ in range(6):
             shift = random_shift(rng, int(rng.integers(4, 12)))
             spectrum = distinct_eigenvalues(eigendecompose(shift))
-            p = minimal_polynomial(spectrum)
-            image = apply_filter(p, shift, np.eye(shift.n))
-            budget = 1e-8 * max(1.0, np.linalg.norm(shift.matrix, 2)) ** spectrum.count
-            assert np.linalg.norm(image) <= budget
+            assert annihilation_residual(spectrum) <= 1e-12
 
-    def test_annihilates_cycle_laplacian(self, c30):
-        _, shift, _, spectrum = c30
-        p = minimal_polynomial(spectrum)
-        image = apply_filter(p, shift, np.eye(30))
-        assert np.linalg.norm(image) <= 1e-8 * 4.0 ** spectrum.count
+    def test_annihilates_cycle_laplacian(self, c30, c120):
+        for _, _, _, spectrum in (c30, c120):
+            assert annihilation_residual(spectrum) <= 1e-12

@@ -1,6 +1,12 @@
-"""The invariant suite's modules below the experiment pass on their own sweeps."""
+"""The invariant suite's modules pass on their own sweeps, and the two
+invariants stated on eigenvalue values fail on a wrong grouping or interpolant."""
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+
+from graphkalman import verify
 from graphkalman.verify import format_report, run_checks
 
 
@@ -21,3 +27,30 @@ def test_experiment_invariants_pass():
     results = run_checks(["experiment"])
     assert len(results) == 3
     assert all(result.passed for result in results), format_report(results)
+
+
+def _result(results, name):
+    return next(result for result in results if result.name == name)
+
+
+def test_dropped_representative_fails_minimal_poly_annihilates(monkeypatch):
+    original = verify.distinct_eigenvalues
+
+    def dropping(*args, **kwargs):
+        spectrum = original(*args, **kwargs)
+        return replace(spectrum, representatives=np.delete(spectrum.representatives, spectrum.count // 2))
+
+    monkeypatch.setattr(verify, "distinct_eigenvalues", dropping)
+    assert not _result(run_checks(["spectral"]), "minimal-poly-annihilates").passed
+
+
+def test_wrong_interpolant_fails_reduction_soundness(monkeypatch):
+    original = verify.lagrange_interpolate
+
+    def perturbed(nodes, values):
+        return original(nodes, np.asarray(values) * (1.0 + 1e-3))
+
+    monkeypatch.setattr(verify, "lagrange_interpolate", perturbed)
+    results = run_checks(["poly_filter"])
+    assert not _result(results, "reduction-soundness").passed
+    assert _result(results, "spatial-spectral-agreement").passed
