@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, covariance_responses
+from .dynamics import DynamicalSystem, covariance_responses, require_finite_steps
 from .errors import NotAllPassError
 from .filters import passband
 from .spectral import DistinctSpectrum
@@ -83,6 +83,11 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
 
     ``observations`` is one (m, n) trajectory or a (T, m, n) stack of them;
     the estimates have its shape, and trial t is what its rows alone give.
+
+    Raises:
+        NumericalFailureError: naming the first step at which an estimate of
+            any trial is not finite (a non-finite observation, or one so
+            large that its inverse overflows).
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim not in (2, 3) or obs.shape[-1] != sys.n or obs.shape[-2] > sys.horizon:
@@ -92,9 +97,15 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
     responses = sys.observation_responses[: obs.shape[-2]]
     inverted = np.divide(1.0, responses, out=np.zeros_like(responses), where=passband(responses))
     u = sys.decomposition.eigenvectors
-    rotated = obs @ u
-    rotated *= sys.spectrum.expand(inverted)
-    return rotated @ u.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotated = obs @ u
+        rotated *= sys.spectrum.expand(inverted)
+        estimates = rotated @ u.T
+    if not np.isfinite(estimates).all():
+        # row k of the rearranged array holds step k + 1 of every trial
+        steps = np.moveaxis(estimates, -2, 0).reshape(estimates.shape[-2], -1)
+        require_finite_steps(steps, "inverse-filtering estimate", first_step=1)
+    return estimates
 
 
 def inverse_error_covariance(sys: DynamicalSystem, k: int) -> np.ndarray:

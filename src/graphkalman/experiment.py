@@ -2,9 +2,11 @@
 
 The experiment runs the time-invariant system on the unweighted cycle with
 the Laplacian shift, comparing the Kalman filter against static inverse
-filtering.  A cell's system starts from x_0 = 0 (h_0 = 0), which is also
-its filter's prior; zero noise levels need no switch, and a cell they
-leave without a gain or with a zero trajectory is flagged.
+filtering.  That shift's eigenpairs are known in closed form (the real DFT
+basis, see ``spectral``), so a run calls no eigensolver.  A cell's system
+starts from x_0 = 0 (h_0 = 0), which is also its filter's prior; zero noise
+levels need no switch, and a cell they leave without a gain or with a zero
+trajectory is flagged.
 A heatmap cell runs its trials in blocks of ``_trials_per_block``, as many
 as ``NOISE_BLOCK_BUDGET`` bytes of noise blocks hold, and the trace runs one
 trial as a block of one.  A block is one ``simulate`` call, which draws
@@ -270,7 +272,8 @@ class HeatmapResult:
 
 
 def _cycle_spectrum(config: ExperimentConfig) -> DistinctSpectrum:
-    """The distinct spectrum of the C_n Laplacian, built once per run and shared by its cells."""
+    """The distinct spectrum of the C_n Laplacian, from its closed-form
+    eigenpairs, built once per run and shared by its cells."""
     return distinct_eigenvalues(eigendecompose(build_shift(cycle_graph(config.n), "laplacian")))
 
 

@@ -24,7 +24,8 @@ frequency on its own, adding each step's carry times the previous estimate
 to that step's drive in place, and moves the estimates back once.
 ``run_filter`` returns a ``FilterResult``: the estimates as one (M + 1, n)
 array beside the response arrays, readable as a sequence of
-``KalmanState`` built on demand.
+``KalmanState`` built on demand; an estimate that is not finite raises
+``NumericalFailureError`` naming its first step.
 The one edge back to a polynomial of the shift is ``RiccatiSequence.gains``,
 Chebyshev interpolants made on request (``NumericalFailureError`` where an
 interpolant cannot keep its node values).  A frequency is blind, with gain
@@ -287,6 +288,10 @@ def run_filter(
     another prior, build the system with that ``initial_covariance``.  A
     precomputed ``riccati`` sequence (which is data-independent) may be
     reused across trajectories.
+
+    Raises:
+        NumericalFailureError: naming the first step whose estimate is not
+            finite (a non-finite observation, or an estimate that overflows).
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != sys.n or obs.shape[0] > sys.horizon:
@@ -303,15 +308,19 @@ def run_filter(
     u = sys.decomposition.eigenvectors
     xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
     rotated = np.empty((m + 1, sys.n))
-    rotated[0] = xhat @ u
-    np.multiply(g, obs @ u, out=rotated[1:])
-    previous = rotated[0]
-    for carry_k, x_k in zip(carry, rotated[1:]):
-        x_k += carry_k * previous
-        previous = x_k
     estimates = np.empty_like(rotated)
     estimates[0] = xhat
-    estimates[1:] = rotated[1:] @ u.T
+    # a non-finite estimate is named below, once, rather than warned about per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotated[0] = xhat @ u
+        np.multiply(g, obs @ u, out=rotated[1:])
+        previous = rotated[0]
+        for carry_k, x_k in zip(carry, rotated[1:]):
+            x_k += carry_k * previous
+            previous = x_k
+        estimates[1:] = rotated[1:] @ u.T
+    if not np.isfinite(estimates).all():
+        require_finite_steps(estimates, "Kalman estimate", first_step=0)
     return FilterResult(
         estimates=estimates,
         initial_response=riccati.initial_response,

@@ -1,5 +1,16 @@
 """Symmetric eigendecomposition and distinct-eigenvalue grouping.
 
+The Laplacian of the unweighted cycle C_n, the shift of the cycle-graph
+study, is circulant, so ``eigendecompose`` gives it its eigenpairs in
+closed form: the eigenvalues 4 sin^2(pi k / n) and the orthonormal real DFT
+basis (constant, cosine and sine pairs, and the alternating column for
+even n; Gray, "Toeplitz and circulant matrices: a review", 2006).  A shift
+is taken to be that Laplacian by how it was built, kind ``"laplacian"`` on
+a graph equal to ``cycle_graph(n)``, never by its matrix.  Every other
+shift goes to LAPACK's ``eigh``.  The closed form is a few numpy ufunc
+calls, keeps full relative accuracy at the eigenvalues near 0, and starts
+no BLAS thread (a threaded ``eigh`` can leave one spinning after it returns).
+
 A ``DistinctSpectrum`` is the one spectral handle the rest of the package
 takes: it holds the ``SpectralDecomposition`` it was grouped from, which in
 turn holds the shift, so a system, a stationary model or a membership test
@@ -14,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalFailureError
-from .graphs import GraphShift
+from .graphs import GraphShift, cycle_graph
 
 DEFAULT_GROUPING_SCALE = 1e-8
 
@@ -24,7 +35,8 @@ class SpectralDecomposition:
     """Eigenpairs of a symmetric shift: S = U diag(eigenvalues) U^T.
 
     Eigenvalues are ascending; eigenvector signs are fixed so the first
-    nonzero component of every column is positive.
+    component above 1e-12 of the column's largest is positive.  Both arrays
+    are read-only.
     """
 
     shift: GraphShift
@@ -44,9 +56,21 @@ class SpectralDecomposition:
 
 
 def eigendecompose(shift: GraphShift) -> SpectralDecomposition:
-    """Orthogonal eigendecomposition of a symmetric graph shift."""
+    """Orthogonal eigendecomposition of a symmetric graph shift: the closed
+    form for the cycle Laplacian (see the module docstring), ``eigh`` for
+    any other shift."""
+    if shift.kind == "laplacian" and shift.n >= 3 and shift.graph == cycle_graph(shift.n):
+        eigenvalues, vectors = _cycle_laplacian_eigenpairs(shift.n)
+    else:
+        eigenvalues, vectors = _eigh(shift.matrix)
+    eigenvalues.flags.writeable = False
+    vectors.flags.writeable = False
+    return SpectralDecomposition(shift=shift, eigenvalues=eigenvalues, eigenvectors=vectors)
+
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        eigenvalues, vectors = np.linalg.eigh(shift.matrix)
+        eigenvalues, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
     # sign convention: first component exceeding a relative threshold is positive
@@ -54,10 +78,32 @@ def eigendecompose(shift: GraphShift) -> SpectralDecomposition:
     threshold = 1e-12 * np.max(np.abs(vectors), axis=0)
     first_nonzero = np.argmax(np.abs(vectors) > threshold, axis=0)
     signs = np.sign(vectors[first_nonzero, np.arange(n)])
-    vectors = vectors * signs
-    eigenvalues.flags.writeable = False
-    vectors.flags.writeable = False
-    return SpectralDecomposition(shift=shift, eigenvalues=eigenvalues, eigenvectors=vectors)
+    return eigenvalues, vectors * signs
+
+
+def _cycle_laplacian_eigenpairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the C_n Laplacian, eigenvalues ascending.
+
+    Column 0 is the constant 1/sqrt(n) with eigenvalue 0.  For 1 <= k < n/2,
+    columns 2k - 1 and 2k are sqrt(2/n) cos(2 pi k j / n) and
+    sqrt(2/n) sin(2 pi k j / n), j = 0..n-1, sharing one float eigenvalue
+    4 sin^2(pi k / n).  For even n the last column is (-1)^j / sqrt(n) with
+    eigenvalue 4.  Every column's first nonzero component is positive.
+    """
+    j = np.arange(n)
+    k = np.arange(1, (n + 1) // 2)
+    # k j reduced mod n first, so every angle lies in [0, 2 pi)
+    angles = (2.0 * np.pi / n) * (np.outer(j, k) % n)
+    scale = np.sqrt(2.0 / n)
+    vectors = np.empty((n, n))
+    vectors[:, 0] = 1.0 / np.sqrt(n)
+    vectors[:, 1 : 2 * k.size + 1 : 2] = scale * np.cos(angles)
+    vectors[:, 2 : 2 * k.size + 1 : 2] = scale * np.sin(angles)
+    if n % 2 == 0:
+        vectors[:, -1] = np.where(j % 2 == 0, 1.0, -1.0) / np.sqrt(n)
+    # 4 sin^2 rather than 2 - 2 cos, which loses digits near 0
+    values = 4.0 * np.sin((np.pi / n) * np.arange(n // 2 + 1)) ** 2
+    return values[(j + 1) // 2], vectors
 
 
 @dataclass(frozen=True, eq=False)

@@ -258,24 +258,56 @@ def _cycle_laplacian_spectrum(n: int):
     return distinct_eigenvalues(eigendecompose(build_shift(cycle_graph(n), "laplacian")))
 
 
+def _same_grouping(spectrum, values: np.ndarray) -> bool:
+    """Whether single-linkage grouping of the ascending ``values`` at the
+    spectrum's tolerance gives its count, multiplicities and, within
+    1e-12 max(1, |mu|), its representatives."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > spectrum.tol) + 1))
+    sizes = np.diff(np.append(starts, values.size))
+    means = np.add.reduceat(values, starts) / sizes
+    return (
+        sizes.size == spectrum.count
+        and np.array_equal(spectrum.multiplicities, sizes)
+        and bool(np.all(np.abs(spectrum.representatives - means) <= 1e-12 * np.maximum(1.0, np.abs(means))))
+    )
+
+
 def check_spectral() -> list[CheckResult]:
+    """Random shifts go through LAPACK; the cycle Laplacians get their closed
+    form, which is checked against LAPACK's ``eigvalsh`` here."""
     rng = generator(202)
-    worst_recon = 0.0
-    spectra = []
-    for _ in range(8):
-        shift = random_shift(rng, int(rng.integers(4, 12)))
-        decomp = eigendecompose(shift)
+    spectra = [distinct_eigenvalues(eigendecompose(random_shift(rng, int(rng.integers(4, 12))))) for _ in range(8)]
+    cycles = [_cycle_laplacian_spectrum(n) for n in (4, 5, 8, 30, 31, 120)]
+    worst_recon = worst_orth = worst_lapack = 0.0
+    regrouped = 0
+    for spectrum in spectra + cycles:
+        decomp = spectrum.decomposition
         lam, u = decomp.eigenvalues, decomp.eigenvectors
-        recon = (u * lam) @ u.T
-        worst_recon = max(worst_recon, float(np.linalg.norm(shift.matrix - recon)))
-        spectra.append(distinct_eigenvalues(decomp))
-    spectra += [_cycle_laplacian_spectrum(n) for n in (4, 8, 30, 120)]
+        worst_recon = max(worst_recon, float(np.linalg.norm(decomp.shift.matrix - (u * lam) @ u.T)))
+        worst_orth = max(worst_orth, float(np.linalg.norm(u.T @ u - np.eye(decomp.n))))
+    for spectrum in cycles:
+        lam = spectrum.decomposition.eigenvalues
+        reference = np.linalg.eigvalsh(spectrum.decomposition.shift.matrix)
+        worst_lapack = max(worst_lapack, float(np.max(np.abs(lam - reference) / np.maximum(1.0, np.abs(reference)))))
+        regrouped += not _same_grouping(spectrum, reference)
+    spectra += cycles
     worst_minpoly = max(annihilation_residual(spectrum) for spectrum in spectra)
-    idempotent = all(np.all(np.diff(spectrum.representatives) > spectrum.tol) for spectrum in spectra)
+    separated = all(np.all(np.diff(spectrum.representatives) > spectrum.tol) for spectrum in spectra)
     return [
-        CheckResult("spectral", "eigen-reconstruction", worst_recon <= 1e-8, f"worst ||S - U L U^T|| = {worst_recon:.3e}"),
+        CheckResult(
+            "spectral",
+            "eigen-reconstruction",
+            worst_recon <= 1e-8 and worst_orth <= 1e-8 and worst_lapack <= 1e-12,
+            f"worst ||S - U L U^T|| = {worst_recon:.3e}, ||U^T U - I|| = {worst_orth:.3e}; "
+            f"cycle eigenvalues vs eigvalsh {worst_lapack:.3e}",
+        ),
         CheckResult("spectral", "minimal-poly-annihilates", worst_minpoly <= 1e-12, f"worst scaled residual {worst_minpoly:.3e}"),
-        CheckResult("spectral", "grouping-idempotent", idempotent, "representatives separated by more than tol"),
+        CheckResult(
+            "spectral",
+            "grouping-idempotent",
+            separated and regrouped == 0,
+            f"representatives separated by more than tol; {regrouped} of {len(cycles)} cycle groupings differ from eigvalsh's",
+        ),
     ]
 
 

@@ -465,3 +465,20 @@ class TestNonFiniteRuns:
             except NumericalFailureError:
                 return
         assert np.all(np.isfinite(metrics))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308], ids=["nan", "inf", "overflow"])
+    def test_non_finite_observations_are_named_by_both_estimators(self, bad):
+        # a caller's observation row at step 3 that is not finite, or whose
+        # rotation into the eigenbasis overflows
+        sys = DynamicalSystem.from_constant(
+            spectrum_of(build_shift(cycle_graph(6), "laplacian")),
+            Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, horizon=5,
+        )
+        observations = np.ones((5, 6))
+        observations[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="^Kalman estimate is not finite from step 3 on$"):
+                run_filter(sys, observations)
+            with pytest.raises(NumericalFailureError, match="^inverse-filtering estimate is not finite from step 3 on$"):
+                inverse_estimate(sys, np.stack([np.ones((5, 6)), observations]))

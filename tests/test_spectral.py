@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphkalman import (
+    Graph,
     build_shift,
     cycle_graph,
     distinct_eigenvalues,
@@ -116,3 +117,69 @@ class TestMinimalPolynomial:
     def test_annihilates_cycle_laplacian(self, c30, c120):
         for _, _, _, spectrum in (c30, c120):
             assert annihilation_residual(spectrum) <= 1e-12
+
+
+def _leading_components(u):
+    """Each column's first component above 1e-12 of its largest magnitude."""
+    mask = np.abs(u) > 1e-12 * np.max(np.abs(u), axis=0)
+    return u[np.argmax(mask, axis=0), np.arange(u.shape[1])]
+
+
+class TestCycleLaplacianClosedForm:
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 30, 31, 120])
+    def test_eigenpairs(self, n):
+        shift = build_shift(cycle_graph(n), "laplacian")
+        decomposition = eigendecompose(shift)
+        u, lam = decomposition.eigenvectors, decomposition.eigenvalues
+        assert np.all(np.diff(lam) >= 0)
+        assert np.linalg.norm(u.T @ u - np.eye(n)) <= 1e-13
+        assert np.linalg.norm(shift.matrix @ u - u * lam) <= 1e-13
+        assert np.all(_leading_components(u) > 0)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(shift.matrix), rtol=0, atol=1e-13)
+        # each pair shares one float, so grouping finds the multiplicities exactly
+        pairs = [2] * ((n - 1) // 2)
+        expected = [1, *pairs, 1] if n % 2 == 0 else [1, *pairs]
+        np.testing.assert_array_equal(distinct_eigenvalues(decomposition).multiplicities, expected)
+        assert not (u.flags.writeable or lam.flags.writeable)
+
+    @pytest.mark.parametrize("entry", ["run_heatmap", "run_trace", "trace_trajectory"])
+    def test_experiment_runs_without_eigh(self, monkeypatch, entry):
+        from graphkalman import experiment
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called on the cycle Laplacian")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        config = experiment.ExperimentConfig(
+            n=12, m=20, trials=2, sigma_grid=(0.3, 0.6), sigma_tilde_grid=(0.4, 0.8)
+        )
+        result = getattr(experiment, entry)(config)
+        if entry == "run_heatmap":
+            assert np.all(result.n_trials == 2) and np.all(np.isfinite(result.kalman))
+        elif entry == "run_trace":
+            assert np.all(np.isfinite(result.energy_kalman))
+        else:
+            assert result.states.shape == (21, 12)
+
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            build_shift(cycle_graph(12), "adjacency"),
+            build_shift(Graph.from_edges(12, [*cycle_graph(12).edges[:-1], (11, 12, 2.0)]), "laplacian"),
+            build_shift(Graph.from_edges(12, [(k, k + 1) for k in range(1, 12)]), "laplacian"),
+        ],
+        ids=["cycle-adjacency", "weighted-cycle", "path-laplacian"],
+    )
+    def test_other_shifts_go_to_eigh(self, monkeypatch, shift):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        decomposition = eigendecompose(shift)
+        assert len(calls) == 1
+        u, lam = decomposition.eigenvectors, decomposition.eigenvalues
+        assert np.linalg.norm(shift.matrix @ u - u * lam) <= 1e-12

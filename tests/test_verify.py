@@ -1,12 +1,13 @@
-"""The invariant suite's modules pass on their own sweeps, and the two
-invariants stated on eigenvalue values fail on a wrong grouping or interpolant."""
+"""The invariant suite's modules pass on their own sweeps, and the
+invariants stated on eigenvalue values fail on a wrong grouping, closed
+form or interpolant."""
 from __future__ import annotations
 
 from dataclasses import replace
 
 import numpy as np
 
-from graphkalman import verify
+from graphkalman import spectral, verify
 from graphkalman.verify import format_report, run_checks
 
 
@@ -42,6 +43,35 @@ def test_dropped_representative_fails_minimal_poly_annihilates(monkeypatch):
 
     monkeypatch.setattr(verify, "distinct_eigenvalues", dropping)
     assert not _result(run_checks(["spectral"]), "minimal-poly-annihilates").passed
+
+
+def test_dropped_representative_on_c120_fails_grouping_idempotent(monkeypatch):
+    # on C_120 the scaled annihilation residual cannot see the missing factor
+    # (about 2e-16); the grouping compared with eigvalsh's does
+    original = verify.distinct_eigenvalues
+
+    def dropping(decomposition, *args, **kwargs):
+        spectrum = original(decomposition, *args, **kwargs)
+        if decomposition.n != 120:
+            return spectrum
+        return replace(spectrum, representatives=np.delete(spectrum.representatives, spectrum.count // 2))
+
+    monkeypatch.setattr(verify, "distinct_eigenvalues", dropping)
+    results = run_checks(["spectral"])
+    assert not _result(results, "grouping-idempotent").passed
+    assert _result(results, "eigen-reconstruction").passed
+
+
+def test_perturbed_closed_form_fails_eigen_reconstruction(monkeypatch):
+    original = spectral._cycle_laplacian_eigenpairs
+
+    def perturbed(n):
+        eigenvalues, vectors = original(n)
+        return eigenvalues * (1.0 + 1e-9), vectors
+
+    monkeypatch.setattr(spectral, "_cycle_laplacian_eigenpairs", perturbed)
+    # ||S - U L U^T|| stays within its 1e-8 bound; the gap to eigvalsh does not
+    assert not _result(run_checks(["spectral"]), "eigen-reconstruction").passed
 
 
 def test_wrong_interpolant_fails_reduction_soundness(monkeypatch):
