@@ -499,6 +499,22 @@ def _first_two_cycle(errors: np.ndarray) -> int | None:
 
 _SWEEP_GRID = tuple(round(0.1 * i, 10) for i in range(11))
 
+# Cells (sigma, sigma_tilde) of the 11 x 11 grid on 0..1 whose recursion on
+# C_30 enters an exact 2-cycle, p_k = p_{k-2} != p_{k-1}, before step 100,
+# with the eigenvalues ``eigh`` gives for its Laplacian (``_c30_eigh_spectrum``)
+_TWO_CYCLE_CELLS = (
+    (0.1, 0.3), (0.2, 0.1), (0.2, 0.5), (0.2, 0.6), (0.3, 0.2), (0.3, 0.6), (0.4, 0.2),
+    (0.4, 0.9), (0.4, 1.0), (0.5, 0.4), (0.6, 0.1), (0.6, 0.4), (0.6, 0.9), (0.7, 0.7),
+    (0.7, 0.8), (0.7, 0.9), (0.8, 0.4), (0.9, 0.4), (0.9, 0.9), (1.0, 0.3), (1.0, 0.8),
+)
+
+
+@pytest.fixture(scope="module")
+def _c30_eigh_spectrum(c30):
+    # a custom shift holding the cycle Laplacian goes through ``eigh``, not the closed form
+    graph, shift = c30[0], c30[1]
+    return spectrum_of(build_shift(graph, "custom", shift.matrix))
+
 
 class TestFixedPoint:
     """``riccati_sequence`` stops at an exact fixed point and copies its rows
@@ -534,7 +550,20 @@ class TestFixedPoint:
             assert all(row.tobytes() == values[k - 1].tobytes() for row in values[k:])
         assert _same_bits(riccati, full_riccati_sequence(sys))
 
-    def test_two_cycle_cells_match_the_full_recursion(self, c30):
+    @pytest.mark.parametrize("sigma, sigma_tilde", _TWO_CYCLE_CELLS)
+    def test_two_cycle_cells_match_the_full_recursion(self, _c30_eigh_spectrum, sigma, sigma_tilde):
+        sys = DynamicalSystem.from_constant(
+            _c30_eigh_spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, 100
+        )
+        reference = full_riccati_sequence(sys)
+        k = _first_two_cycle(reference.error_responses)
+        assert k is not None and k < 100 and _first_repeat(reference.error_responses) is None
+        riccati = riccati_sequence(sys)
+        assert _same_bits(riccati, reference)
+        for values in (riccati.gain_responses, riccati.error_responses):
+            assert all(values[r].tobytes() == values[r - 2].tobytes() for r in range(k, 100))
+
+    def test_two_cycle_cells_of_the_closed_form_spectrum_match_the_full_recursion(self, c30):
         # the cells of the 11 x 11 grid on 0..1 whose recursion on C_30 enters
         # an exact 2-cycle, p_k = p_{k-2} != p_{k-1}, before step 100; which
         # cells do depends on the last bits of the eigenvalues
