@@ -96,11 +96,10 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
         )
     responses = sys.observation_responses[: obs.shape[-2]]
     inverted = np.divide(1.0, responses, out=np.zeros_like(responses), where=passband(responses))
-    u = sys.decomposition.eigenvectors
     with np.errstate(over="ignore", invalid="ignore"):
-        rotated = obs @ u
+        rotated = sys.decomposition.to_spectral(obs)
         rotated *= sys.spectrum.expand(inverted)
-        estimates = rotated @ u.T
+        estimates = sys.decomposition.from_spectral(rotated)
     if not np.isfinite(estimates).all():
         # row k of the rearranged array holds step k + 1 of every trial
         steps = np.moveaxis(estimates, -2, 0).reshape(estimates.shape[-2], -1)

@@ -250,13 +250,13 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
     stream, child key 0 of its seed, draws a vertex-space standard
     white-noise block E of shape (2M + 1, n): row 0 drives the initial
     state, row 2k-1 the process noise and row 2k the observation noise of
-    step k.  In the eigenbasis U (E~ = E U, one stacked product, so each
-    trial is rounded as on its own) each frequency runs
+    step k.  In the eigenbasis (E~ = ``to_spectral(E)``, one stacked product,
+    so each trial is rounded as on its own) each frequency runs
 
         x~_0 = sqrt(h_0) e~_0,   x~_k = a_k x~_{k-1} + sigma_k e~_{2k-1},
         z~_k = b_k x~_k + sigma_tilde_k e~_{2k},
 
-    and states and observations are rotated back once (x = U x~).  The
+    and states and observations are rotated back once (``from_spectral``).  The
     rows x~_k are first filled with sigma_k e~_{2k-1}, and the loop adds
     a_k x~_{k-1} to each in place, one Python step per time step for all
     trials at once.  Each z~_k is formed in the place of e~_{2k}.
@@ -271,10 +271,9 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
     noise = np.empty((trials, 2 * m + 1, n))
     for t, ss in enumerate(sequences):
         generator(child_sequence(ss, 0)).standard_normal(out=noise[t])
-    u = sys.decomposition.eigenvectors
     # the drawn blocks are freed once rotated; time-major from here: row k of
     # x~, shape (M + 1, T, n), is step k of every trial
-    e_tilde = (noise @ u).swapaxes(0, 1)
+    e_tilde = sys.decomposition.to_spectral(noise).swapaxes(0, 1)
     del noise
     expand = sys.spectrum.expand
     x_tilde = np.empty((m + 1, trials, n))
@@ -293,7 +292,8 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         z_tilde = e_tilde[2::2]
         z_tilde *= np.asarray(sys.observation_noise)[:, None, None]
         z_tilde += expand(sys.observation_responses)[:, None] * x_tilde[1:]
-        states, observations = x_tilde.swapaxes(0, 1) @ u.T, z_tilde.swapaxes(0, 1) @ u.T
+        states = sys.decomposition.from_spectral(x_tilde.swapaxes(0, 1))
+        observations = sys.decomposition.from_spectral(z_tilde.swapaxes(0, 1))
     if not (np.isfinite(states).all() and np.isfinite(observations).all()):
         # row k: step k's states and observations (none at step 0) of every trial
         steps = np.concatenate((states, np.insert(observations, 0, 0.0, axis=1)), axis=2)

@@ -15,12 +15,7 @@ BLIND_TOL_SCALE = 1e-10
 
 def eval_filter(poly: Polynomial | ChebyshevSeries, decomposition: SpectralDecomposition) -> np.ndarray:
     """Dense filter matrix H = U diag(h(lambda)) U^T, symmetrised and read-only."""
-    responses = poly(decomposition.eigenvalues)
-    u = decomposition.eigenvectors
-    matrix = (u * responses) @ u.T
-    matrix = 0.5 * (matrix + matrix.T)
-    matrix.flags.writeable = False
-    return matrix
+    return decomposition.operator(poly(decomposition.eigenvalues))
 
 
 def apply_filter(poly: Polynomial | ChebyshevSeries, shift: GraphShift, x: np.ndarray) -> np.ndarray:
@@ -84,14 +79,9 @@ def is_polynomial_filter(
     keep them).
     """
     m = np.asarray(matrix, dtype=float)
-    decomposition = spectrum.decomposition
-    n = decomposition.n
-    if m.shape != (n, n):
-        raise ValueError(f"matrix shape {m.shape} does not match graph order {n}")
+    c = spectrum.decomposition.in_eigenbasis(m)
     if tol is None:
         tol = MEMBERSHIP_TOL_SCALE * np.linalg.norm(m)
-    u = decomposition.eigenvectors
-    c = u.T @ m @ u
     diagonal = np.diag(c).copy()
     off = c - np.diag(diagonal)
     if np.max(np.abs(off)) > tol:

@@ -120,16 +120,30 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class GraphShift:
-    """Symmetric shift matrix tied to a graph's sparsity pattern."""
+    """Symmetric shift of a graph: adjacency W, degree D or Laplacian D - W,
+    derived from the graph, or a ``"custom"`` matrix that ``validate_shift``
+    accepts.  The matrix is a read-only copy."""
 
     graph: Graph
-    matrix: np.ndarray
     kind: str
+    matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SHIFT_KINDS:
-            raise ValueError(f"unknown shift kind {self.kind!r}")
-        mat = np.array(self.matrix, dtype=float)
+            raise ValueError(f"unknown shift kind {self.kind!r}; expected one of {SHIFT_KINDS}")
+        if self.kind == "custom":
+            if self.matrix is None:
+                raise ValueError("custom shift requires an explicit matrix")
+            mat = np.array(self.matrix, dtype=float)
+            if not validate_shift(self.graph, mat):
+                raise InvalidShiftError("custom shift is asymmetric or has off-diagonal entries outside edges")
+        elif self.matrix is not None:
+            raise ValueError(f"matrix argument only valid for kind='custom', got {self.kind!r}")
+        else:
+            w = self.graph.weight_matrix
+            mat = np.array(w) if self.kind == "adjacency" else np.diag(w.sum(axis=1))
+            if self.kind == "laplacian":
+                mat = mat - w
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -166,23 +180,4 @@ def validate_shift(graph: Graph, matrix: np.ndarray) -> bool:
 
 def build_shift(graph: Graph, kind: str, matrix: np.ndarray | None = None) -> GraphShift:
     """Construct a graph shift: adjacency W, degree D, Laplacian D - W, or a custom matrix."""
-    if kind not in SHIFT_KINDS:
-        raise ValueError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
-    if kind == "custom":
-        if matrix is None:
-            raise ValueError("custom shift requires an explicit matrix")
-        mat = np.asarray(matrix, dtype=float)
-        if not validate_shift(graph, mat):
-            raise InvalidShiftError(
-                "custom shift is asymmetric or has off-diagonal entries outside edges"
-            )
-        return GraphShift(graph=graph, matrix=mat, kind=kind)
-    if matrix is not None:
-        raise ValueError(f"matrix argument only valid for kind='custom', got {kind!r}")
-    w = graph.weight_matrix
-    if kind == "adjacency":
-        return GraphShift(graph=graph, matrix=w, kind=kind)
-    degrees = w.sum(axis=1)
-    if kind == "degree":
-        return GraphShift(graph=graph, matrix=np.diag(degrees), kind=kind)
-    return GraphShift(graph=graph, matrix=np.diag(degrees) - w, kind="laplacian")
+    return GraphShift(graph=graph, kind=kind, matrix=matrix)

@@ -270,8 +270,8 @@ def run_filter(
     """Filter observation rows z_1..z_m, an (m, n) array with m <= the horizon
     (any other shape raises ``ValueError``); returns the estimates for k = 0..m.
 
-    The filter runs in the eigenbasis U of the shift.  The observations are
-    moved there once (z~ = U^T z), and with the expanded state, observation
+    The filter runs in the shift's eigenbasis.  The observations are moved
+    there once (``to_spectral``), and with the expanded state, observation
     and gain responses a_k, b_k, g_k every step updates each frequency on
     its own,
 
@@ -283,11 +283,11 @@ def run_filter(
     place.  The estimates are moved back once.  The dense matrix recursion
     is not run here; ``verify.matrix_riccati_path`` keeps it as the oracle.
 
-    The prior is the system's: the initial estimate defaults to zero and
-    p_0 is the system's h_0, the stationary initialization.  To filter with
-    another prior, build the system with that ``initial_covariance``.  A
-    precomputed ``riccati`` sequence (which is data-independent) may be
-    reused across trajectories.
+    The prior is the system's: the initial estimate, of shape (n,),
+    defaults to zero and p_0 is the system's h_0, the stationary
+    initialization.  To filter with another prior, build the system with
+    that ``initial_covariance``.  A precomputed ``riccati`` sequence (which
+    is data-independent) may be reused across trajectories.
 
     Raises:
         NumericalFailureError: naming the first step whose estimate is not
@@ -296,6 +296,9 @@ def run_filter(
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != sys.n or obs.shape[0] > sys.horizon:
         raise ValueError(f"observations have shape {obs.shape}, expected (m, {sys.n}) with m <= {sys.horizon}")
+    xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
+    if xhat.shape != (sys.n,):
+        raise ValueError(f"initial estimate has shape {xhat.shape}, expected ({sys.n},)")
     m = obs.shape[0]
     if riccati is None:
         riccati = riccati_sequence(sys, steps=m)
@@ -305,20 +308,18 @@ def run_filter(
     expand = sys.spectrum.expand
     g = expand(riccati.gain_responses[:m])
     carry = expand(sys.state_responses[:m]) * (1.0 - g * expand(sys.observation_responses[:m]))
-    u = sys.decomposition.eigenvectors
-    xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
     rotated = np.empty((m + 1, sys.n))
     estimates = np.empty_like(rotated)
     estimates[0] = xhat
     # a non-finite estimate is named below, once, rather than warned about per operation
     with np.errstate(over="ignore", invalid="ignore"):
-        rotated[0] = xhat @ u
-        np.multiply(g, obs @ u, out=rotated[1:])
+        rotated[0] = sys.decomposition.to_spectral(xhat)
+        np.multiply(g, sys.decomposition.to_spectral(obs), out=rotated[1:])
         previous = rotated[0]
         for carry_k, x_k in zip(carry, rotated[1:]):
             x_k += carry_k * previous
             previous = x_k
-        estimates[1:] = rotated[1:] @ u.T
+        estimates[1:] = sys.decomposition.from_spectral(rotated[1:])
     if not np.isfinite(estimates).all():
         require_finite_steps(estimates, "Kalman estimate", first_step=0)
     return FilterResult(

@@ -11,6 +11,11 @@ shift goes to LAPACK's ``eigh``.  The closed form is a few numpy ufunc
 calls, keeps full relative accuracy at the eigenvalues near 0, and starts
 no BLAS thread (a threaded ``eigh`` can leave one spinning after it returns).
 
+Only ``SpectralDecomposition`` reads the eigenvectors U; every other module
+changes basis through its four methods: ``to_spectral`` (x U, the graph Fourier
+transform), ``from_spectral`` (c U^T), ``operator`` (U diag(r) U^T) and
+``in_eigenbasis`` (U^T M U).
+
 A ``DistinctSpectrum`` is the one spectral handle the rest of the package
 takes: it holds the ``SpectralDecomposition`` it was grouped from, which in
 turn holds the shift, so a system, a stationary model or a membership test
@@ -47,12 +52,28 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.eigenvalues.size
 
-    def apply(self, responses: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """U diag(responses) U^T x, with one response per eigenindex, for a
-        signal of shape (n,) or a batch of columns of shape (n, m)."""
+    def to_spectral(self, x: np.ndarray) -> np.ndarray:
+        """x U, for signals along the last axis.  A (T, m, n) stack is one matmul
+        that rounds each (m, n) block as it would be rounded alone."""
+        return x @ self.eigenvectors
+
+    def from_spectral(self, c: np.ndarray) -> np.ndarray:
+        """c U^T, back to vertex signals along the last axis; rounds as ``to_spectral``."""
+        return c @ self.eigenvectors.T
+
+    def operator(self, responses: np.ndarray) -> np.ndarray:
+        """Dense U diag(responses) U^T, symmetrised and read-only."""
         u = self.eigenvectors
-        column = np.asarray(responses).reshape((-1,) + (1,) * (np.ndim(x) - 1))
-        return u @ (column * (u.T @ x))
+        matrix = (u * responses) @ u.T
+        matrix = 0.5 * (matrix + matrix.T)
+        matrix.flags.writeable = False
+        return matrix
+
+    def in_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
+        """U^T M U, for an (n, n) matrix M; any other shape raises ``ValueError``."""
+        if np.shape(matrix) != (self.n, self.n):
+            raise ValueError(f"matrix shape {np.shape(matrix)} does not match graph order {self.n}")
+        return self.eigenvectors.T @ matrix @ self.eigenvectors
 
 
 def eigendecompose(shift: GraphShift) -> SpectralDecomposition:
@@ -142,16 +163,11 @@ class DistinctSpectrum:
         return np.asarray(group_values, dtype=float)[..., self.group_index]
 
 
-def distinct_eigenvalues(
-    decomposition: SpectralDecomposition, tol: float | None = None
-) -> DistinctSpectrum:
+def distinct_eigenvalues(decomposition: SpectralDecomposition) -> DistinctSpectrum:
     """Single-linkage grouping of ascending eigenvalues: a gap > tol starts a
-    new group.  The default tol is ``DEFAULT_GROUPING_SCALE * max(1, max|lambda|)``."""
+    new group, with tol = ``DEFAULT_GROUPING_SCALE * max(1, max|lambda|)``."""
     lam = decomposition.eigenvalues
-    if tol is None:
-        tol = DEFAULT_GROUPING_SCALE * max(1.0, float(np.max(np.abs(lam))))
-    if tol < 0:
-        raise ValueError(f"grouping tolerance must be nonnegative, got {tol!r}")
+    tol = DEFAULT_GROUPING_SCALE * max(1.0, float(np.max(np.abs(lam))))
     gaps = np.diff(lam)
     group_index = np.concatenate(([0], np.cumsum(gaps > tol)))
     count = group_index[-1] + 1
@@ -160,5 +176,5 @@ def distinct_eigenvalues(
     representatives = sums / sizes
     representatives.flags.writeable = False
     group_index.flags.writeable = False
-    return DistinctSpectrum(decomposition, representatives, group_index, float(tol))
+    return DistinctSpectrum(decomposition, representatives, group_index, tol)
 

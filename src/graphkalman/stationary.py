@@ -73,13 +73,14 @@ def sample(
     """Draw stationary signals by coloring standard white noise e in the
     eigenbasis: U diag(sqrt(h(lambda))) U^T e.
 
-    Returns shape (n,) for ``size=None``, else (n, size).
+    Returns shape (n,) for ``size=None``, else (n, size), one signal per column.
     """
     decomposition = model.spectrum.decomposition
     shape = (decomposition.n,) if size is None else (decomposition.n, size)
     noise = rng.standard_normal(shape)
     scale = model.spectrum.expand(np.sqrt(model.clamped_group_variances()))
-    return decomposition.apply(scale, noise)
+    # transposed so each signal lies along the last axis, and back
+    return decomposition.from_spectral(scale * decomposition.to_spectral(noise.T)).T
 
 
 def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> np.ndarray:
@@ -90,17 +91,17 @@ def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> n
     the result has identity covariance.
     """
     x = np.asarray(x, dtype=float)
-    u = model.spectrum.decomposition.eigenvectors
-    n = u.shape[0]
+    decomposition = model.spectrum.decomposition
+    n = decomposition.n
     if x.shape != (n,):
         raise ValueError(f"signal shape {x.shape} does not match graph order {n}")
     variances = model.spectrum.expand(model.clamped_group_variances())
-    spectral = u.T @ x
+    spectral = decomposition.to_spectral(x)
     noise = np.empty(n)
     nonzero = variances > 0.0
     noise[nonzero] = spectral[nonzero] / np.sqrt(variances[nonzero])
     noise[~nonzero] = rng.standard_normal(int(np.count_nonzero(~nonzero)))
-    return u @ noise
+    return decomposition.from_spectral(noise)
 
 
 def fit_covariance_poly(matrix: np.ndarray, spectrum: DistinctSpectrum) -> tuple[ChebyshevSeries, float]:
@@ -112,13 +113,9 @@ def fit_covariance_poly(matrix: np.ndarray, spectrum: DistinctSpectrum) -> tuple
     """
     c = np.asarray(matrix, dtype=float)
     decomposition = spectrum.decomposition
-    n = decomposition.n
-    if c.shape != (n, n):
-        raise ValueError(f"matrix shape {c.shape} does not match graph order {n}")
+    diagonal = np.diag(decomposition.in_eigenbasis(c))
     if not np.allclose(c, c.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(c))):
         raise ValueError("covariance matrix must be symmetric")
-    u = decomposition.eigenvectors
-    diagonal = np.einsum("in,ij,jn->n", u, c, u)
     group_values = spectrum.group_means(diagonal)
     poly = lagrange_interpolate(spectrum.representatives, group_values)
     fitted = eval_filter(poly, decomposition)

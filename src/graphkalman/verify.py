@@ -130,7 +130,7 @@ def random_system(
 
 def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
     """Dense U diag(r) U^T of responses r at the system's distinct eigenvalues."""
-    return sys.decomposition.apply(sys.spectrum.expand(responses), np.eye(sys.n))
+    return sys.decomposition.operator(sys.spectrum.expand(responses))
 
 
 def matrix_riccati_path(sys: DynamicalSystem, steps: int):
@@ -282,9 +282,8 @@ def check_spectral() -> list[CheckResult]:
     regrouped = 0
     for spectrum in spectra + cycles:
         decomp = spectrum.decomposition
-        lam, u = decomp.eigenvalues, decomp.eigenvectors
-        worst_recon = max(worst_recon, float(np.linalg.norm(decomp.shift.matrix - (u * lam) @ u.T)))
-        worst_orth = max(worst_orth, float(np.linalg.norm(u.T @ u - np.eye(decomp.n))))
+        worst_recon = max(worst_recon, float(np.linalg.norm(decomp.shift.matrix - decomp.operator(decomp.eigenvalues))))
+        worst_orth = max(worst_orth, float(np.linalg.norm(decomp.in_eigenbasis(np.eye(decomp.n)) - np.eye(decomp.n))))
     for spectrum in cycles:
         lam = spectrum.decomposition.eigenvalues
         reference = np.linalg.eigvalsh(spectrum.decomposition.shift.matrix)
@@ -442,7 +441,7 @@ def simulation_step_gaps(sys: DynamicalSystem, trajectory) -> list[float]:
     the rows of the re-drawn noise block."""
     noise = generator(child_sequence(trajectory.seed, 0)).standard_normal((2 * sys.horizon + 1, sys.n))
     scale = sys.spectrum.expand(np.sqrt(sys.initial_model.clamped_group_variances()))
-    gaps = [_relative_gap(trajectory.states[0], sys.decomposition.apply(scale, noise[0]))]
+    gaps = [_relative_gap(trajectory.states[0], sys.decomposition.operator(scale) @ noise[0])]
     for k in range(1, sys.horizon + 1):
         state = apply_filter(sys.state_poly(k), sys.shift, trajectory.states[k - 1])
         gaps.append(_relative_gap(trajectory.states[k], state + sys.state_sigma(k) * noise[2 * k - 1]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphkalman import Graph, InvalidShiftError, build_shift, cycle_graph, validate_shift
+from graphkalman import Graph, GraphShift, InvalidShiftError, build_shift, cycle_graph, validate_shift
 
 
 class TestCycleGraph:
@@ -115,6 +115,24 @@ class TestBuildShift:
         mat = build_shift(g, "laplacian").matrix + np.diag([1.0, 0.0, -2.0, 0.5])
         shift = build_shift(g, "custom", matrix=mat)
         assert shift.kind == "custom"
+
+    def test_matrix_follows_from_graph_and_kind(self):
+        # a Laplacian shift holding 2 L would decompose as the Laplacian L
+        g = cycle_graph(6)
+        with pytest.raises(ValueError, match="only valid for kind='custom'"):
+            GraphShift(graph=g, matrix=2.0 * build_shift(g, "laplacian").matrix, kind="laplacian")
+
+    @pytest.mark.parametrize("make", [build_shift, GraphShift], ids=["build_shift", "constructor"])
+    def test_every_path_checks_the_matrix(self, make):
+        g = cycle_graph(4)
+        asymmetric = np.zeros((4, 4))
+        asymmetric[0, 1] = 1.0
+        with pytest.raises(ValueError, match="requires an explicit matrix"):
+            make(g, "custom")
+        with pytest.raises(ValueError, match="only valid for kind='custom'"):
+            make(g, "adjacency", np.eye(4))
+        with pytest.raises(InvalidShiftError):
+            make(g, "custom", asymmetric)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -337,6 +337,12 @@ class TestRunFilter:
             run_filter(sys, np.zeros(30))
         run_filter(sys, np.zeros((1, 30)))
 
+    @pytest.mark.parametrize("shape", [(1, 30), (30, 1), (29,), ()], ids=["row", "column", "short", "scalar"])
+    def test_initial_estimate_must_be_one_signal(self, shape):
+        sys = _paper_like_system(horizon=3)
+        with pytest.raises(ValueError, match=r"initial estimate has shape .*, expected \(30,\)"):
+            run_filter(sys, np.zeros((2, 30)), xhat0=np.zeros(shape))
+
     def test_default_initialization_is_stationary(self):
         # p_0 defaults to the state covariance polynomial so the initial
         # error is stationary

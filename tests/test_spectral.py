@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphkalman
 from graphkalman import (
     Graph,
+    Polynomial,
     build_shift,
     cycle_graph,
     distinct_eigenvalues,
     eigendecompose,
+    eval_filter,
 )
 from graphkalman.verify import annihilation_residual, random_shift
 from graphkalman.seeding import generator
@@ -62,6 +67,53 @@ class TestEigendecompose:
         np.testing.assert_array_equal(again.eigenvectors, decomposition.eigenvectors)
 
 
+@pytest.fixture(params=["c30", "eigh"])
+def basis(request, c30):
+    """C_30's closed-form decomposition, and one that LAPACK's eigh makes."""
+    if request.param == "c30":
+        return c30[2]
+    return eigendecompose(random_shift(generator(23), 9))
+
+
+class TestBasisMethods:
+    def test_round_trip(self, basis):
+        x = generator(24).standard_normal((3, 5, basis.n))
+        np.testing.assert_allclose(basis.from_spectral(basis.to_spectral(x)), x, rtol=0, atol=1e-14)
+
+    def test_stack_rounds_each_block_as_alone(self, basis):
+        x = generator(25).standard_normal((4, 6, basis.n))
+        for change in (basis.to_spectral, basis.from_spectral):
+            stacked = change(x)
+            for t in range(x.shape[0]):
+                np.testing.assert_array_equal(stacked[t], change(x[t]))
+
+    def test_operator_is_symmetric_read_only_and_eval_filter(self, basis):
+        poly = Polynomial((0.5, -0.25, 0.125))
+        matrix = basis.operator(poly(basis.eigenvalues))
+        np.testing.assert_array_equal(matrix, matrix.T)
+        assert not matrix.flags.writeable
+        np.testing.assert_array_equal(matrix, eval_filter(poly, basis))
+
+    def test_operator_is_diagonal_in_the_eigenbasis(self, basis):
+        responses = generator(26).uniform(-2.0, 2.0, basis.n)
+        in_basis = basis.in_eigenbasis(basis.operator(responses))
+        np.testing.assert_allclose(in_basis, np.diag(responses), rtol=0, atol=1e-13)
+
+    def test_in_eigenbasis_takes_square_matrices_only(self, basis):
+        # a (n,) signal would pass the two matmuls as U^T x U
+        n = basis.n
+        for shape in ((n,), (n, n - 1), (n + 1, n + 1)):
+            with pytest.raises(ValueError, match="does not match graph order"):
+                basis.in_eigenbasis(np.ones(shape))
+
+
+def test_only_spectral_reads_the_eigenvectors():
+    # every other module changes basis through SpectralDecomposition's methods
+    package = Path(graphkalman.__file__).parent
+    readers = sorted(p.name for p in package.glob("*.py") if p.name != "spectral.py" and "eigenvectors" in p.read_text())
+    assert readers == []
+
+
 class TestDistinctEigenvalues:
     def test_c4_groups(self, c4):
         _, _, _, spectrum = c4
@@ -70,7 +122,7 @@ class TestDistinctEigenvalues:
 
     def test_all_equal_single_group(self):
         shift = build_shift(cycle_graph(4), "custom", matrix=np.eye(4))
-        spectrum = distinct_eigenvalues(eigendecompose(shift), tol=1e-8)
+        spectrum = distinct_eigenvalues(eigendecompose(shift))
         assert spectrum.count == 1
         np.testing.assert_array_equal(spectrum.group_index, 0)
 
@@ -78,11 +130,6 @@ class TestDistinctEigenvalues:
         _, _, _, spectrum = c30
         oracle = np.unique(np.round(cycle_laplacian_eigenvalues(30), 9))
         assert spectrum.count == 16 == oracle.size
-
-    def test_negative_tolerance_rejected(self, c4):
-        _, _, decomposition, _ = c4
-        with pytest.raises(ValueError):
-            distinct_eigenvalues(decomposition, tol=-1.0)
 
     def test_grouping_idempotent(self, c30):
         _, _, _, spectrum = c30

@@ -201,6 +201,11 @@ class TestFitCovariancePoly:
         _, residual = fit_covariance_poly(empirical, spectrum)
         assert residual < 0.02
 
+    def test_shape_mismatch_rejected(self, c4):
+        _, _, _, spectrum = c4
+        with pytest.raises(ValueError, match="does not match graph order"):
+            fit_covariance_poly(np.eye(5), spectrum)
+
     def test_asymmetric_rejected(self, c4):
         _, _, decomposition, spectrum = c4
         m = np.zeros((4, 4))
