@@ -1,11 +1,11 @@
 """Baseline estimators and Loewner-order comparisons.
 
-Static inverse filtering inverts the system's observation responses step by
-step (Moore-Penrose style: blind frequencies, as ``filters.passband`` decides
-on the array the Kalman recursion reads, are zeroed); the zero estimator
-returns the signal mean and inherits the state covariance as its error.
-Error covariances come back as responses at the distinct eigenvalues, shape
-(d,), and ``spectral_loewner_less`` compares two such arrays.
+Static inverse filtering inverts the system's ``observed_responses``, the
+array the Kalman recursion reads, step by step (Moore-Penrose style: blind
+frequencies, where it is 0, are zeroed); the zero estimator returns the
+signal mean and inherits the state covariance as its error.  Error
+covariances come back as responses at the distinct eigenvalues, shape (d,),
+and ``spectral_loewner_less`` compares two such arrays.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from .dynamics import DynamicalSystem, covariance_responses, require_finite_steps
 from .errors import NotAllPassError
-from .filters import passband
 from .spectral import DistinctSpectrum
 
 LOEWNER_TOL_SCALE = 1e-12
@@ -42,8 +41,9 @@ def _verdict(min_eigenvalue: float, tol: float) -> str:
     return VERDICT_FAILS
 
 
-def loewner_less(left: np.ndarray, right: np.ndarray, tol: float | None = None) -> LoewnerComparison:
-    """Strict Loewner comparison of symmetric matrices via the difference spectrum."""
+def loewner_less(left: np.ndarray, right: np.ndarray) -> LoewnerComparison:
+    """Strict Loewner comparison of symmetric matrices via the difference
+    spectrum, within ``LOEWNER_TOL_SCALE * ||right||_F``."""
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     if left.shape != right.shape or left.ndim != 2 or left.shape[0] != left.shape[1]:
@@ -51,35 +51,29 @@ def loewner_less(left: np.ndarray, right: np.ndarray, tol: float | None = None) 
     for name, mat in (("left", left), ("right", right)):
         if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(mat))):
             raise ValueError(f"{name} operand is not symmetric")
-    if tol is None:
-        tol = LOEWNER_TOL_SCALE * np.linalg.norm(right)
+    tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(right))
     diff = right - left
     diff = 0.5 * (diff + diff.T)
     min_eigenvalue = float(np.linalg.eigvalsh(diff)[0])
-    return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=float(tol), verdict=_verdict(min_eigenvalue, tol))
+    return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=tol, verdict=_verdict(min_eigenvalue, tol))
 
 
-def spectral_loewner_less(
-    left: np.ndarray,
-    right: np.ndarray,
-    spectrum: DistinctSpectrum,
-    tol: float | None = None,
-) -> LoewnerComparison:
-    """Loewner comparison of two filters from their responses at the distinct eigenvalues."""
+def spectral_loewner_less(left: np.ndarray, right: np.ndarray, spectrum: DistinctSpectrum) -> LoewnerComparison:
+    """Loewner comparison of two filters from their responses at the distinct
+    eigenvalues, within ``LOEWNER_TOL_SCALE`` times the right filter's norm."""
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     for name, values in (("left", left), ("right", right)):
         if values.shape != (spectrum.count,):
             raise ValueError(f"{name} responses have shape {values.shape}, expected ({spectrum.count},)")
-    if tol is None:
-        tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(spectrum.expand(right)))
+    tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(spectrum.expand(right)))
     min_eigenvalue = float(np.min(right - left))
-    return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=float(tol), verdict=_verdict(min_eigenvalue, tol))
+    return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=tol, verdict=_verdict(min_eigenvalue, tol))
 
 
 def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
     """Static inverse-filtering estimates of observation rows z_1..z_m: z_k
-    divided by row k of the responses in the eigenbasis, blind frequencies zeroed.
+    divided by row k of ``observed_responses`` in the eigenbasis, zero where that is 0.
 
     ``observations`` is one (m, n) trajectory or a (T, m, n) stack of them;
     the estimates have its shape, and trial t is what its rows alone give.
@@ -94,8 +88,8 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
         raise ValueError(
             f"observations have shape {obs.shape}, expected (m, {sys.n}) or (T, m, {sys.n}) with m <= {sys.horizon}"
         )
-    responses = sys.observation_responses[: obs.shape[-2]]
-    inverted = np.divide(1.0, responses, out=np.zeros_like(responses), where=passband(responses))
+    responses = sys.observed_responses[: obs.shape[-2]]
+    inverted = np.divide(1.0, responses, out=np.zeros_like(responses), where=responses != 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         rotated = sys.decomposition.to_spectral(obs)
         rotated *= sys.spectrum.expand(inverted)
@@ -109,9 +103,10 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
 
 def inverse_error_covariance(sys: DynamicalSystem, k: int) -> np.ndarray:
     """Error covariance of inverse filtering at step k for an all-pass
-    observation: sigma_tilde_k^2 / b_k(mu)^2 at the distinct eigenvalues mu, shape (d,)."""
-    responses = sys.observation_responses[sys.response_row(k)]
-    if not np.all(passband(responses)):
+    observation: sigma_tilde_k^2 / b_k(mu)^2 at the distinct eigenvalues mu,
+    shape (d,); ``NotAllPassError`` where step k's ``observed_responses`` is 0."""
+    responses = sys.observed_responses[sys.response_row(k)]
+    if np.any(responses == 0.0):
         raise NotAllPassError(
             f"observation filter of step {k} vanishes at a distinct eigenvalue; inverse error covariance undefined"
         )

@@ -7,8 +7,11 @@ the shift and its eigenbasis, and evaluates a_k and b_k once, at the distinct
 eigenvalues, into read-only (T, d) response arrays (T = 1 when time-invariant,
 else the horizon), which the simulation, covariance and Kalman recursions
 read; none of them applies a polynomial to a vertex signal.  Every check
-on a system is made when it is constructed.  Its h_0, evaluated once at the
-distinct eigenvalues, is both the covariance of x_0 and the filter's prior.
+on a system is made when it is constructed.  x_0 has mean 0 and covariance
+h_0 (evaluated once at the distinct eigenvalues), the filter's prior.  Its
+``observed_responses``, b_k set to 0.0 where ``filters.passband`` calls a
+frequency blind, is what every estimator reads; ``simulate`` reads the raw
+b_k, since the channel is physical.
 
 ``simulate`` runs one trajectory, or a stack of T trajectories with one
 seed each; a single trajectory is the T = 1 case of the same code.  Each
@@ -42,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalFailureError
+from .filters import passband
 from .graphs import GraphShift, require_integral
 from .polynomials import Polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
@@ -147,6 +151,15 @@ class DynamicalSystem:
     def observation_responses(self) -> np.ndarray:
         """b_k at the distinct eigenvalues, shape (T, d); step k is row ``response_row(k)``."""
         return self._responses(self.observation_polys)
+
+    @cached_property
+    def observed_responses(self) -> np.ndarray:
+        """``observation_responses`` with the frequencies ``passband`` calls
+        blind set to 0.0, read-only: the responses every estimator reads."""
+        responses = self.observation_responses
+        values = np.where(passband(responses), responses, 0.0)
+        values.flags.writeable = False
+        return values
 
     def _responses(self, polys: tuple[Polynomial, ...]) -> np.ndarray:
         mu = self.spectrum.representatives

@@ -213,8 +213,9 @@ def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> floa
     gives a float, or (T, m, n) stacks, which give T values, trial t the
     value its rows alone give.  Steps with truth energy below the guard are
     dropped; a perfect reconstruction bottoms out at the metric floor
-    instead of -inf.  When every step of the input passes the guard, the
-    means of all trials are one reduction.
+    instead of -inf.  The means of all trials are one masked sum over the
+    kept steps divided by their count, so when every step passes the guard
+    each is exactly ``np.mean`` of its ratios.
 
     Raises:
         NumericalFailureError: if a step's truth or error energy is NaN or
@@ -235,13 +236,10 @@ def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> floa
     if not (math.isfinite(truth_energy.max(initial=0.0)) and math.isfinite(errors.max(initial=0.0))):
         raise NumericalFailureError("a step's state or error energy is not finite")
     keep = truth_energy >= ENERGY_GUARD
-    if keep.size and keep.all():
-        mean_ratios = np.mean(errors / truth_energy, axis=-1)
-    else:
-        mean_ratios = np.array([
-            np.mean(e[k] / t[k]) if k.any() else math.nan
-            for e, t, k in zip(np.atleast_2d(errors), np.atleast_2d(truth_energy), np.atleast_2d(keep))
-        ])
+    ratios = np.divide(errors, truth_energy, out=np.zeros_like(errors), where=keep)
+    # a trajectory with no kept step divides 0 by 0: its mean is NaN
+    with np.errstate(invalid="ignore"):
+        mean_ratios = np.sum(ratios, axis=-1) / np.count_nonzero(keep, axis=-1)
     values = [_clipped_log(ratio, clip) for ratio in np.atleast_1d(mean_ratios).tolist()]
     if truths.ndim == 3:
         return np.array(values)

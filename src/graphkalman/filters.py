@@ -66,22 +66,19 @@ class MembershipResult(NamedTuple):
     witness: ChebyshevSeries | None
 
 
-def is_polynomial_filter(
-    matrix: np.ndarray, spectrum: DistinctSpectrum, tol: float | None = None
-) -> MembershipResult:
+def is_polynomial_filter(matrix: np.ndarray, spectrum: DistinctSpectrum) -> MembershipResult:
     """Test whether a matrix is a polynomial of the shift ``spectrum`` was grouped from.
 
     The matrix must be diagonal in the shift's eigenbasis with diagonal
-    entries constant on each repeated-eigenvalue group, both within ``tol``
-    (default ``1e-6 * ||matrix||_F``).  On success the witness is the
+    entries constant on each repeated-eigenvalue group, both within
+    ``MEMBERSHIP_TOL_SCALE * ||matrix||_F``.  On success the witness is the
     Chebyshev interpolant through the per-group diagonal values
     (``lagrange_interpolate``; ``NumericalFailureError`` where it cannot
     keep them).
     """
     m = np.asarray(matrix, dtype=float)
     c = spectrum.decomposition.in_eigenbasis(m)
-    if tol is None:
-        tol = MEMBERSHIP_TOL_SCALE * np.linalg.norm(m)
+    tol = MEMBERSHIP_TOL_SCALE * np.linalg.norm(m)
     diagonal = np.diag(c).copy()
     off = c - np.diag(diagonal)
     if np.max(np.abs(off)) > tol:

@@ -10,7 +10,8 @@ eigenvalues:
 
 The recursion and the filter are carried on these frequency responses and
 read a and b as rows of the system's response arrays, evaluated once per
-system.  The prior p_0 is the system's h_0, the stationary initialization.
+system.  The prior is the system's: x^_0 = 0, p_0 = h_0, the stationary
+initialization (x_0 is zero-mean).
 ``riccati_sequence`` returns the gain and error responses as (steps, d)
 arrays, or raises ``NumericalFailureError`` at the first step where one is
 not finite.  For a time-invariant system a step's only changing input is
@@ -29,9 +30,9 @@ array beside the response arrays, readable as a sequence of
 The one edge back to a polynomial of the shift is ``RiccatiSequence.gains``,
 Chebyshev interpolants made on request (``NumericalFailureError`` where an
 interpolant cannot keep its node values).  A frequency is blind, with gain
-0, where ``filters.passband`` says so; with zero observation noise an uncertain
-blind frequency raises ``SingularGainError``.  The dense matrix Riccati
-step below, ``matrix_riccati_step``, drives ``verify.matrix_riccati_path``,
+0, where the system's ``observed_responses`` is 0; with zero observation noise
+an uncertain blind frequency raises ``SingularGainError``.  The dense matrix
+Riccati step below, ``matrix_riccati_step``, drives ``verify.matrix_riccati_path``,
 the oracle that the spectral path is checked against; it uses numpy only.
 """
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 
 from .dynamics import DynamicalSystem, require_finite_steps
 from .errors import NumericalFailureError, SingularGainError
-from .filters import passband
 from .polynomials import ChebyshevSeries, lagrange_interpolate
 
 INNOVATION_CONDITION_LIMIT = 1e14
@@ -154,9 +154,9 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     The prior p_0 is the system's h_0 at the distinct eigenvalues, the
     stationary initialization.  Each step is one scalar update per distinct
     eigenvalue; the responses of all steps come back as ``(steps, d)``
-    arrays.  The observation response is zeroed where ``passband`` calls a
-    frequency blind, so the gain there is 0 and, with zero observation
-    noise at an uncertain frequency, ``SingularGainError`` is raised.  A
+    arrays.  It reads the system's ``observed_responses``, 0 at the blind
+    frequencies, so the gain there is 0 and, with zero observation noise at
+    an uncertain frequency, ``SingularGainError`` is raised.  A
     response that overflows (an unstable blind frequency) raises
     ``NumericalFailureError`` naming its first step.
 
@@ -181,8 +181,7 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
         raise ValueError(f"steps {steps} out of range 0..{sys.horizon}")
     mu = sys.spectrum.representatives
     initial = sys.initial_model.group_variances
-    observation = sys.observation_responses
-    observation = np.where(passband(observation), observation, 0.0)
+    observation = sys.observed_responses
     observation_squared = observation**2
     state_squared = sys.state_responses**2
     sigma_squared = [sigma**2 for sigma in sys.state_noise]
@@ -230,7 +229,7 @@ class FilterResult(Sequence[KalmanState]):
     """Estimates of steps 0..M and the error and gain responses, as arrays.
 
     Row k of ``estimates`` (shape (M + 1, n)) is step k, row 0 the initial
-    estimate; row k-1 of ``error_responses`` and ``gain_responses`` (shape
+    estimate 0; row k-1 of ``error_responses`` and ``gain_responses`` (shape
     (M, d)) is step k.  All arrays are read-only.  As a read-only sequence
     of ``KalmanState`` of length M + 1, ``result[k]`` builds step k's state
     on demand and a slice returns a list of states.
@@ -264,30 +263,27 @@ class FilterResult(Sequence[KalmanState]):
 def run_filter(
     sys: DynamicalSystem,
     observations,
-    xhat0: np.ndarray | None = None,
     riccati: RiccatiSequence | None = None,
 ) -> FilterResult:
     """Filter observation rows z_1..z_m, an (m, n) array with m <= the horizon
     (any other shape raises ``ValueError``); returns the estimates for k = 0..m.
 
     The filter runs in the shift's eigenbasis.  The observations are moved
-    there once (``to_spectral``), and with the expanded state, observation
-    and gain responses a_k, b_k, g_k every step updates each frequency on
-    its own,
+    there once (``to_spectral``), and with the state, observed and gain
+    responses a_k, b_k, g_k every step updates each frequency on its own,
 
         x~ <- a_k x~ + g_k (z~_k - b_k a_k x~) = carry_k x~ + drive_k,
 
-    where carry_k = a_k (1 - g_k b_k) and drive_k = g_k z~_k are formed for
-    all steps before the loop.  The drives are written into the rows of the
-    eigenbasis estimates and the loop adds carry_k x~_{k-1} to row k in
-    place.  The estimates are moved back once.  The dense matrix recursion
-    is not run here; ``verify.matrix_riccati_path`` keeps it as the oracle.
+    where carry_k = a_k (1 - g_k b_k) is formed at the distinct eigenvalues
+    for all steps and expanded once, as g_k is, and drive_k = g_k z~_k.  The
+    drives are written into the rows of the eigenbasis estimates and the
+    loop adds carry_k x~_{k-1} to row k in place.  The estimates are moved
+    back once.  The dense matrix recursion is not run here;
+    ``verify.matrix_riccati_path`` keeps it as the oracle.
 
-    The prior is the system's: the initial estimate, of shape (n,),
-    defaults to zero and p_0 is the system's h_0, the stationary
-    initialization.  To filter with another prior, build the system with
-    that ``initial_covariance``.  A precomputed ``riccati`` sequence (which
-    is data-independent) may be reused across trajectories.
+    The prior is the system's: x^_0 = 0 and p_0 = h_0.  A precomputed
+    ``riccati`` sequence (which is data-independent) may be reused across
+    trajectories.
 
     Raises:
         NumericalFailureError: naming the first step whose estimate is not
@@ -296,30 +292,24 @@ def run_filter(
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != sys.n or obs.shape[0] > sys.horizon:
         raise ValueError(f"observations have shape {obs.shape}, expected (m, {sys.n}) with m <= {sys.horizon}")
-    xhat = np.zeros(sys.n) if xhat0 is None else np.asarray(xhat0, dtype=float)
-    if xhat.shape != (sys.n,):
-        raise ValueError(f"initial estimate has shape {xhat.shape}, expected ({sys.n},)")
     m = obs.shape[0]
     if riccati is None:
         riccati = riccati_sequence(sys, steps=m)
     elif riccati.gain_responses.shape[0] < m:
         raise ValueError("precomputed riccati sequence is shorter than the observations")
 
-    expand = sys.spectrum.expand
-    g = expand(riccati.gain_responses[:m])
-    carry = expand(sys.state_responses[:m]) * (1.0 - g * expand(sys.observation_responses[:m]))
-    rotated = np.empty((m + 1, sys.n))
-    estimates = np.empty_like(rotated)
-    estimates[0] = xhat
+    g = riccati.gain_responses[:m]
+    carry = sys.spectrum.expand(sys.state_responses[:m] * (1.0 - g * sys.observed_responses[:m]))
+    estimates = np.zeros((m + 1, sys.n))
     # a non-finite estimate is named below, once, rather than warned about per operation
     with np.errstate(over="ignore", invalid="ignore"):
-        rotated[0] = sys.decomposition.to_spectral(xhat)
-        np.multiply(g, sys.decomposition.to_spectral(obs), out=rotated[1:])
-        previous = rotated[0]
-        for carry_k, x_k in zip(carry, rotated[1:]):
+        rotated = sys.decomposition.to_spectral(obs)
+        rotated *= sys.spectrum.expand(g)
+        previous = estimates[0]
+        for carry_k, x_k in zip(carry, rotated):
             x_k += carry_k * previous
             previous = x_k
-        estimates[1:] = sys.decomposition.from_spectral(rotated[1:])
+        estimates[1:] = sys.decomposition.from_spectral(rotated)
     if not np.isfinite(estimates).all():
         require_finite_steps(estimates, "Kalman estimate", first_step=0)
     return FilterResult(

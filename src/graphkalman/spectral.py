@@ -32,7 +32,9 @@ import numpy as np
 from .errors import NumericalFailureError
 from .graphs import GraphShift, cycle_graph
 
-DEFAULT_GROUPING_SCALE = 1e-8
+# Largest within-group eigh spread in the tests and verify: 4.4e-16 (relative);
+# the closed-form C_n's smallest distinct gap, about 40/n^2, exceeds 4e-12 to n = 10^6
+DEFAULT_GROUPING_SCALE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)

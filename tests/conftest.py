@@ -16,7 +16,6 @@ from graphkalman import (
 )
 from graphkalman import kalman
 from graphkalman.dynamics import require_finite_steps
-from graphkalman.filters import passband
 
 
 def spectrum_of(shift):
@@ -38,7 +37,7 @@ def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     call per step read through the system's per-step accessors, with no
     early exit: the reference for ``riccati_sequence``'s fixed-point fill."""
     steps = sys.horizon
-    observation = np.where(passband(sys.observation_responses), sys.observation_responses, 0.0)
+    observation = sys.observed_responses
     gains = np.empty((steps, sys.spectrum.count))
     errors = np.empty((steps, sys.spectrum.count))
     p_values = sys.initial_model.group_variances

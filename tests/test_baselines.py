@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphkalman
 from graphkalman import (
     DynamicalSystem,
     NotAllPassError,
@@ -105,6 +108,56 @@ class TestInverseEstimate:
             expected = np.linalg.pinv(b, rcond=BLIND_TOL_SCALE) @ observations[k - 1]
             gap = np.linalg.norm(estimates[k - 1] - expected) / np.linalg.norm(expected)
             assert gap <= 1e-12, f"step {k}: relative gap {gap:.3e}"
+
+
+class TestBlindFrequencies:
+    """The Kalman gain, inverse filtering and its error covariance call a
+    frequency blind exactly where the system's ``observed_responses`` is 0."""
+
+    @pytest.fixture(scope="class")
+    def sys(self):
+        # b_1 = 1 - t/2 leaves 2.2e-16, not 0, at C_8's computed eigenvalue 2,
+        # which the passband calls blind; b_2 = 1 - 0.4 t passes everywhere
+        return DynamicalSystem.from_sequences(
+            spectrum_of(build_shift(cycle_graph(8), "laplacian")),
+            state_polys=[Polynomial((0.0, 0.25))] * 2,
+            observation_polys=[Polynomial((1.0, -0.5)), Polynomial((1.0, -0.4))],
+            sigmas=[0.3, 0.3],
+            sigma_tildes=[0.5, 0.5],
+        )
+
+    def test_observed_responses_zero_the_blind_frequency_only(self, sys):
+        raw, observed = sys.observation_responses, sys.observed_responses
+        assert not observed.flags.writeable
+        np.testing.assert_array_equal(np.argwhere(observed == 0.0), [[0, 2]])
+        assert raw[0, 2] != 0.0 and abs(raw[0, 2]) < 1e-15
+        np.testing.assert_array_equal(observed[observed != 0.0], raw[observed != 0.0])
+
+    def test_gain_is_zero_exactly_where_observed_responses_is(self, sys):
+        gains = riccati_sequence(sys).gain_responses
+        np.testing.assert_array_equal(gains == 0.0, sys.observed_responses == 0.0)
+
+    def test_inverse_estimate_drops_exactly_those_eigenplanes(self, sys):
+        z = generator(95).standard_normal((2, 8))
+        coefficients = sys.decomposition.to_spectral(inverse_estimate(sys, z))
+        blind = sys.spectrum.expand(sys.observed_responses) == 0.0
+        expected = sys.decomposition.to_spectral(z) / sys.spectrum.expand(sys.observation_responses)
+        expected[blind] = 0.0
+        assert np.count_nonzero(blind) == 2  # eigenvalue 2 has multiplicity 2
+        np.testing.assert_allclose(coefficients, expected, rtol=0.0, atol=1e-12)
+
+    def test_inverse_error_covariance_is_refused_exactly_at_blind_steps(self, sys):
+        with pytest.raises(NotAllPassError, match="step 1"):
+            inverse_error_covariance(sys, 1)
+        np.testing.assert_array_equal(inverse_error_covariance(sys, 2), 0.25 / sys.observed_responses[1] ** 2)
+
+
+def test_only_the_system_decides_the_blind_frequencies():
+    # filters defines passband and DynamicalSystem.observed_responses applies
+    # it; the estimators read that array
+    package = Path(graphkalman.__file__).parent
+    callers = sorted(p.name for p in package.glob("*.py") if "passband(" in p.read_text())
+    assert callers == ["dynamics.py", "filters.py"]
 
 
 class TestInverseErrorCovariance:

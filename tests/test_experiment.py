@@ -234,6 +234,16 @@ class TestStackedMetric:
         values = relative_error_metric(estimates, truths)
         assert [float(v) for v in values] == [relative_error_metric(e, t) for e, t in zip(estimates, truths)]
 
+    def test_each_value_is_the_mean_ratio_of_its_kept_steps(self):
+        estimates, truths = self._stack()
+        with np.errstate(divide="ignore", invalid="ignore"):  # the zero steps
+            ratios = np.sum((estimates - truths) ** 2, axis=-1) / np.sum(truths**2, axis=-1)
+        values = relative_error_metric(estimates, truths, clip=10.0)
+        # every step of trial 0 is kept: exactly the mean over all its steps
+        assert values[0] == 0.5 * math.log10(np.mean(ratios[0]))
+        # trial 1 drops its first two steps
+        assert values[1] == pytest.approx(0.5 * math.log10(np.mean(ratios[1, 2:])), rel=1e-14)
+
     @pytest.mark.parametrize("which", ["estimates", "truths"])
     def test_a_non_finite_trial_fails_the_stack(self, which):
         estimates, truths = self._stack()

@@ -35,10 +35,10 @@ def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30):
     )
 
 
-def _dense_filter(sys, observations, xhat0=None):
-    """Dense Kalman estimates driven by the gains of verify.matrix_riccati_path."""
+def _dense_filter(sys, observations):
+    """Dense Kalman estimates from x^_0 = 0 driven by the gains of verify.matrix_riccati_path."""
     gains, _ = matrix_riccati_path(sys, len(observations))
-    x = np.zeros(sys.n) if xhat0 is None else xhat0
+    x = np.zeros(sys.n)
     out = []
     for k, (gain, z) in enumerate(zip(gains, observations), start=1):
         a = eval_filter(sys.state_poly(k), sys.decomposition)
@@ -49,16 +49,17 @@ def _dense_filter(sys, observations, xhat0=None):
     return np.array(out)
 
 
-def _eigenbasis_estimates(sys, observations, xhat0, riccati):
-    """run_filter's recursion as the plain loop x~_k = carry_k x~_{k-1} + drive_k,
-    rotated back, with row 0 the initial estimate."""
+def _eigenbasis_estimates(sys, observations, riccati):
+    """run_filter's recursion as the plain loop x~_k = carry_k x~_{k-1} + drive_k
+    from x~_0 = 0, with every response expanded to the n eigenindices and the
+    raw observation responses b_k (g_k is 0 where b_k is blind), rotated back."""
     m = observations.shape[0]
     u = sys.decomposition.eigenvectors
     expand = sys.spectrum.expand
     g = expand(riccati.gain_responses[:m])
     carry = expand(sys.state_responses[:m]) * (1.0 - g * expand(sys.observation_responses[:m]))
-    rotated = plain_recursion(xhat0 @ u, carry, g * (observations @ u))
-    return np.vstack([xhat0, rotated[1:] @ u.T])
+    rotated = plain_recursion(np.zeros(sys.n), carry, g * (observations @ u))
+    return np.vstack([np.zeros(sys.n), rotated[1:] @ u.T])
 
 
 def _estimates(states):
@@ -79,31 +80,38 @@ class TestPredictUpdate:
         np.testing.assert_array_equal(_estimates(states), np.zeros((3, 30)))
 
     def test_identity_dynamics_keeps_estimate(self):
-        # a = b = 1 and z = xhat: the innovation vanishes at every step
+        # a = b = 1 and z_k = xhat_1 from step 2 on: the innovation vanishes there
         shift = build_shift(cycle_graph(5), "laplacian")
         sys = DynamicalSystem.from_constant(spectrum_of(shift), Polynomial.one(), Polynomial.one(), 1.0, 1.0, 4)
-        x = generator(60).standard_normal(5)
-        states = run_filter(sys, np.tile(x, (4, 1)), xhat0=x)
-        np.testing.assert_allclose(_estimates(states), np.tile(x, (4, 1)), atol=1e-12)
+        z1 = generator(60).standard_normal((1, 5))
+        x1 = run_filter(sys, z1).estimates[1]
+        states = run_filter(sys, np.vstack([z1, np.tile(x1, (3, 1))]))
+        np.testing.assert_allclose(_estimates(states), np.tile(x1, (4, 1)), atol=1e-12)
 
     def test_predict_matches_dense_oracle(self):
-        # b = 0 makes every gain vanish, so the estimate is the prediction alone
-        sys = DynamicalSystem.from_constant(
-            spectrum_of(build_shift(cycle_graph(30), "laplacian")), Polynomial((0.0, 0.25)), Polynomial.zero(), 0.3, 0.5, 2
+        # b_2 = b_3 = 0 make the gains of steps 2 and 3 vanish, so those
+        # estimates are the predictions a x^_{k-1} alone
+        sys = DynamicalSystem.from_sequences(
+            spectrum_of(build_shift(cycle_graph(30), "laplacian")),
+            state_polys=[Polynomial((0.0, 0.25))] * 3,
+            observation_polys=[Polynomial.one(), Polynomial.zero(), Polynomial.zero()],
+            sigmas=[0.3] * 3,
+            sigma_tildes=[0.5] * 3,
         )
-        x0 = generator(61).standard_normal(30)
-        states = run_filter(sys, generator(62).standard_normal((2, 30)), xhat0=x0)
-        dense = (sys.shift.matrix / 4.0) @ x0
-        np.testing.assert_allclose(states[1].estimate, dense, atol=1e-12)
-        np.testing.assert_allclose(states[2].estimate, (sys.shift.matrix / 4.0) @ dense, atol=1e-12)
+        states = run_filter(sys, generator(62).standard_normal((3, 30)))
+        np.testing.assert_array_equal(states.gain_responses[1:], 0.0)
+        dense = (sys.shift.matrix / 4.0) @ states[1].estimate
+        assert np.linalg.norm(dense) > 0.1
+        np.testing.assert_allclose(states[2].estimate, dense, atol=1e-12)
+        np.testing.assert_allclose(states[3].estimate, (sys.shift.matrix / 4.0) @ dense, atol=1e-12)
 
     def test_update_zero_gain_keeps_prediction(self):
-        # no process noise and a certain start: the predicted variance and the gain are zero
+        # no process noise and a certain start: the predicted variance and the
+        # gain are zero, so the estimate keeps the prediction a x^_0 = 0 exactly
         sys = _paper_like_system(horizon=1, sigma=0.0)
-        x0 = generator(63).standard_normal(30)
-        states = run_filter(sys, generator(64).standard_normal((1, 30)), xhat0=x0)
+        states = run_filter(sys, generator(64).standard_normal((1, 30)))
         np.testing.assert_array_equal(states[1].gain_response, 0.0)
-        np.testing.assert_allclose(states[1].estimate, (sys.shift.matrix / 4.0) @ x0, atol=1e-12)
+        np.testing.assert_array_equal(states[1].estimate, 0.0)
 
     def test_update_unit_gain_unit_observation_returns_observation(self):
         # b = 1 with zero observation noise gives the unit gain
@@ -112,15 +120,14 @@ class TestPredictUpdate:
             spectrum_of(shift), Polynomial.one(), Polynomial.one(), 1.0, 0.0, 4
         )
         z = generator(65).standard_normal((4, 5))
-        states = run_filter(sys, z, xhat0=generator(66).standard_normal(5))
+        states = run_filter(sys, z)
         np.testing.assert_allclose(_estimates(states), z, atol=1e-12)
 
     def test_update_matches_dense_oracle(self):
         sys = _paper_like_system(horizon=5)
-        x0 = generator(67).standard_normal(30)
         z = generator(68).standard_normal((5, 30))
-        states = run_filter(sys, z, xhat0=x0)
-        expected = _dense_filter(sys, z, xhat0=x0)
+        states = run_filter(sys, z)
+        expected = _dense_filter(sys, z)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
 
@@ -271,14 +278,17 @@ class TestRunFilter:
         np.testing.assert_array_equal(response_matrix(sys, states[0].error_response), h0)
 
     def test_overflowing_estimate_names_its_first_step(self):
-        # a = 1.5 and no state noise: the gain is 0 and the estimate from a
-        # nonzero prior mean grows as 1.5^k, beyond the float range after step 1750
+        # zero observation noise gives the gain 1/b = 1e3; step 2's observation
+        # and its rotation into the eigenbasis (2e306) are finite, but its
+        # estimate leaves the float range
         shift = build_shift(cycle_graph(4), "laplacian")
         sys = DynamicalSystem.from_constant(
-            spectrum_of(shift), Polynomial.constant(1.5), Polynomial((1.0, -0.5)), 0.0, 0.5, 2000
+            spectrum_of(shift), Polynomial.constant(0.5), Polynomial.constant(1e-3), 1.0, 0.0, 4
         )
-        with pytest.raises(NumericalFailureError, match="^Kalman estimate is not finite from step 1751 on$"):
-            run_filter(sys, np.zeros((2000, 4)), xhat0=np.array([1.0, 0.0, 0.0, 0.0]))
+        observations = np.ones((4, 4))
+        observations[1] = 1e306
+        with pytest.raises(NumericalFailureError, match="^Kalman estimate is not finite from step 2 on$"):
+            run_filter(sys, observations)
 
     def test_noiseless_consistent_system_tracks_exactly(self):
         # invertible unit observation with zero noise: the estimate locks
@@ -337,12 +347,6 @@ class TestRunFilter:
             run_filter(sys, np.zeros(30))
         run_filter(sys, np.zeros((1, 30)))
 
-    @pytest.mark.parametrize("shape", [(1, 30), (30, 1), (29,), ()], ids=["row", "column", "short", "scalar"])
-    def test_initial_estimate_must_be_one_signal(self, shape):
-        sys = _paper_like_system(horizon=3)
-        with pytest.raises(ValueError, match=r"initial estimate has shape .*, expected \(30,\)"):
-            run_filter(sys, np.zeros((2, 30)), xhat0=np.zeros(shape))
-
     def test_default_initialization_is_stationary(self):
         # p_0 defaults to the state covariance polynomial so the initial
         # error is stationary
@@ -377,10 +381,9 @@ class TestInPlaceLoop:
     def test_matches_plain_recursion_bit_for_bit(self, make_system, m):
         sys = make_system()
         observations = simulate(sys, 74).observations[:m]
-        xhat0 = generator(75).standard_normal(sys.n)
         riccati = riccati_sequence(sys)
-        result = run_filter(sys, observations, xhat0=xhat0, riccati=riccati)
-        np.testing.assert_array_equal(result.estimates, _eigenbasis_estimates(sys, observations, xhat0, riccati))
+        result = run_filter(sys, observations, riccati=riccati)
+        np.testing.assert_array_equal(result.estimates, _eigenbasis_estimates(sys, observations, riccati))
 
 
 class TestFilterResult:
@@ -388,7 +391,7 @@ class TestFilterResult:
     def filtered(self):
         sys = _paper_like_system(horizon=4)
         observations = simulate(sys, 76).observations
-        return run_filter(sys, observations, xhat0=generator(77).standard_normal(30))
+        return run_filter(sys, observations)
 
     def test_is_a_sequence_of_m_plus_one_states(self, filtered):
         assert isinstance(filtered, FilterResult) and isinstance(filtered, Sequence)

@@ -7,6 +7,7 @@ import graphkalman
 from graphkalman import (
     Graph,
     Polynomial,
+    SpectralDecomposition,
     build_shift,
     cycle_graph,
     distinct_eigenvalues,
@@ -135,6 +136,17 @@ class TestDistinctEigenvalues:
         _, _, _, spectrum = c30
         gaps = np.diff(spectrum.representatives)
         assert np.all(gaps > spectrum.tol)
+
+    @pytest.mark.parametrize("n", [40000, 100000])
+    def test_closed_form_cycle_values_stay_distinct(self, n):
+        # the closed-form C_n eigenvalues 4 sin^2(pi k / n), each pair one
+        # float; the nearest distinct ones are about 40 / n^2 apart.  Grouping
+        # reads only the eigenvalues, so no n x n basis is built
+        values = 4.0 * np.sin((np.pi / n) * np.arange(n // 2 + 1)) ** 2
+        eigenvalues = values[(np.arange(n) + 1) // 2]
+        spectrum = distinct_eigenvalues(SpectralDecomposition(shift=None, eigenvalues=eigenvalues, eigenvectors=None))
+        assert spectrum.count == n // 2 + 1
+        np.testing.assert_array_equal(spectrum.representatives, values)
 
     def test_group_means_and_expand(self, c4):
         _, _, _, spectrum = c4
