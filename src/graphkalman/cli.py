@@ -32,8 +32,7 @@ def _ensure_outdir(path: str) -> Path:
 
 
 def _cmd_heatmap(args) -> int:
-    config = _load_config(args.config)
-    result = run_heatmap(config)
+    result = run_heatmap(args.config)
     out = _ensure_outdir(args.out)
     for which in ("kalman", "inverse"):
         write_heatmap_csv(result, which, out / f"heatmap_{which}.csv")
@@ -44,8 +43,7 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    config = _load_config(args.config)
-    result = run_trace(config)
+    result = run_trace(args.config)
     out = _ensure_outdir(args.out)
     energy_path, vertex_path = write_trace_csvs(result, out)
     print(f"wrote {energy_path} and {vertex_path}")
@@ -53,8 +51,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    trajectory = trace_trajectory(config)
+    trajectory = trace_trajectory(args.config)
     out = _ensure_outdir(args.out)
     path = out / "trajectory.csv"
     trajectory_to_csv(trajectory, path)
@@ -99,8 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a ``GraphKalmanError`` is reported as one stderr line and exit status 1."""
+    """Run one command.  A config that cannot be loaded (a ``ValueError`` or
+    ``OSError``) is reported as one stderr line and exit status 2, before the
+    command starts; a ``GraphKalmanError`` as one stderr line and exit status 1."""
     args = build_parser().parse_args(argv)
+    if "config" in vars(args):
+        try:
+            args.config = _load_config(args.config)
+        except (ValueError, OSError) as exc:
+            print(f"graphkalman: config: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except GraphKalmanError as exc:

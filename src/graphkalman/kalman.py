@@ -68,21 +68,17 @@ def _scalar_riccati(
     b_values: np.ndarray,
     sigma_squared: float,
     sigma_tilde_squared: float,
-    b_squared: np.ndarray | None = None,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    b_squared: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-eigenvalue gain and updated error variance from the squared state
-    response and noise levels; ``b_values`` is zero at the blind frequencies.
+    response and noise levels; ``b_values`` is zero at the blind frequencies
+    and ``b_squared`` is ``b_values**2``, computed once per system.
 
-    ``b_squared`` may carry ``b_values**2`` computed once per system.  With
-    ``out`` = (gain row, error row, scratch row) the update is written into
-    those rows, which are returned, and nothing is allocated when
-    sigma_tilde^2 > 0.  The operations and their order are the same either way.
+    The update is written into ``out`` = (gain row, error row, scratch row),
+    and the gain and error rows are returned; nothing is allocated when
+    sigma_tilde^2 > 0.
     """
-    if b_squared is None:
-        b_squared = b_values**2
-    if out is None:
-        out = (np.empty_like(p_values), np.empty_like(p_values), np.empty_like(p_values))
     gains, errors, denom = out
     if sigma_tilde_squared > 0:
         # the predicted variance pe is held in the error row until its last use

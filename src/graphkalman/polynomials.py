@@ -1,9 +1,11 @@
 """Real polynomials in one variable: monomial and Chebyshev forms.
 
-``Polynomial`` holds ascending monomial coefficients.  It carries what a
-user writes (the state and observation filters a and b, the prior h_0),
-their JSON form, evaluation and polynomial arithmetic.  ``ChebyshevSeries``
-holds Chebyshev coefficients on an interval.  It is what
+``Polynomial`` is an input type.  It holds the ascending monomial
+coefficients of what a user writes (the state and observation filters a
+and b, the prior h_0), their JSON form and their evaluation, and no
+arithmetic: filters of one shift add and compose by adding and multiplying
+their frequency responses, so the responses carry the algebra.
+``ChebyshevSeries`` holds Chebyshev coefficients on an interval.  It is what
 ``lagrange_interpolate`` returns: the one way from values at distinct
 eigenvalues back to a polynomial of the shift.  On the interval spanned by
 the nodes, the Chebyshev-Vandermonde system of a graph spectrum is well
@@ -34,7 +36,11 @@ def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """h(t) = coeffs[0] + coeffs[1]*t + ... + coeffs[L]*t^L."""
+    """h(t) = coeffs[0] + coeffs[1]*t + ... + coeffs[L]*t^L.
+
+    An input type: coefficients, degree, evaluation and JSON.  Sums and
+    products of filters are taken on their values h(lambda), not here.
+    """
 
     coeffs: tuple[float, ...] = (0.0,)
 
@@ -68,47 +74,12 @@ class Polynomial:
     def __call__(self, t):
         return npoly.polyval(t, self.coeffs)
 
-    def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        return Polynomial(tuple(npoly.polyadd(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        # the convolution sums in operand order; a fixed order makes p*q == q*p
-        first, second = sorted((self.coeffs, _coerce(other).coeffs))
-        return Polynomial(tuple(npoly.polymul(first, second)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, (int, np.integer)) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return Polynomial(tuple(npoly.polypow(self.coeffs, int(exponent))))
-
     def to_list(self) -> list[float]:
         return list(self.coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[float]) -> "Polynomial":
         return Polynomial(tuple(float(c) for c in coeffs))
-
-
-def _coerce(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return Polynomial.constant(float(value))
-    raise TypeError(f"cannot treat {value!r} as a polynomial")
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,8 @@ def _scaled_poly(rng, eigenvalues, max_degree: int, target: float) -> Polynomial
         poly = random_polynomial(rng, max_degree)
         peak = float(np.max(np.abs(np.atleast_1d(poly(eigenvalues)))))
         if peak > 1e-9:
-            return (target / peak) * poly
+            scale = target / peak
+            return Polynomial(tuple(scale * c for c in poly.coeffs))
     return Polynomial.constant(target)
 
 
@@ -90,8 +91,9 @@ def _all_pass_poly(rng, representatives, max_degree: int, floor: float = 0.05) -
 
 def random_psd_poly(rng: np.random.Generator) -> Polynomial:
     """Manifestly PSD covariance polynomial: a squared affine term plus a constant."""
-    q = Polynomial((float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))))
-    return q * q + float(rng.uniform(0.05, 0.5))
+    q0, q1 = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+    c = float(rng.uniform(0.05, 0.5))
+    return Polynomial((q0 * q0 + c, 2.0 * q0 * q1, q1 * q1))
 
 
 def random_system(
@@ -330,11 +332,12 @@ def check_poly_filter() -> list[CheckResult]:
         shift = random_shift(rng, int(rng.integers(4, 11)))
         decomp = eigendecompose(shift)
         spectrum = distinct_eigenvalues(decomp)
-        f = random_polynomial(rng, 6)
-        g = random_polynomial(rng, 6)
-        ef, eg = eval_filter(f, decomp), eval_filter(g, decomp)
-        sum_gap = np.linalg.norm(eval_filter(f + g, decomp) - (ef + eg))
-        prod = eval_filter(f * g, decomp)
+        # filters add and compose as their responses f(lambda), g(lambda) do
+        f_values = random_polynomial(rng, 6)(decomp.eigenvalues)
+        g_values = random_polynomial(rng, 6)(decomp.eigenvalues)
+        ef, eg = decomp.operator(f_values), decomp.operator(g_values)
+        sum_gap = np.linalg.norm(decomp.operator(f_values + g_values) - (ef + eg))
+        prod = decomp.operator(f_values * g_values)
         prod_gap = np.linalg.norm(prod - ef @ eg)
         scale = max(1.0, np.linalg.norm(ef) + np.linalg.norm(eg), np.linalg.norm(prod))
         worst_hom = max(worst_hom, float(sum_gap / scale), float(prod_gap / scale))
@@ -413,7 +416,9 @@ def check_stationary() -> list[CheckResult]:
         q = random_polynomial(rng, 3)
         hs = eval_filter(h, decomp)
         qs = eval_filter(q, decomp)
-        closure_gap = np.linalg.norm(qs @ hs @ qs - eval_filter(q * q * h, decomp))
+        # the channel q(S) keeps x stationary, with covariance response q^2 h
+        closure = decomp.operator(q(decomp.eigenvalues) ** 2 * h(decomp.eigenvalues))
+        closure_gap = np.linalg.norm(qs @ hs @ qs - closure)
         worst_closure = max(worst_closure, float(closure_gap))
         x = sample(model, rng)
         noise = whiten(x, model, rng)

@@ -40,21 +40,23 @@ def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     observation = sys.observed_responses
     gains = np.empty((steps, sys.spectrum.count))
     errors = np.empty((steps, sys.spectrum.count))
+    scratch = np.empty(sys.spectrum.count)
     p_values = sys.initial_model.group_variances
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             row = sys.response_row(k)
             try:
-                gains[k - 1], p_values = kalman._scalar_riccati(
+                _, p_values = kalman._scalar_riccati(
                     p_values,
                     sys.state_responses[row] ** 2,
                     observation[row],
                     sys.state_sigma(k) ** 2,
                     sys.observation_sigma(k) ** 2,
+                    observation[row] ** 2,
+                    (gains[k - 1], errors[k - 1], scratch),
                 )
             except SingularGainError as exc:
                 raise SingularGainError(f"step {k}: {exc}") from exc
-            errors[k - 1] = p_values
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
     return RiccatiSequence(
         nodes=sys.spectrum.representatives,

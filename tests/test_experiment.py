@@ -452,6 +452,22 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("payload", "message"),
+        [({"n": 2.5}, "n must be an integer, got 2.5"), (None, "No such file or directory")],
+        ids=["bad-key", "missing-file"],
+    )
+    def test_config_error_is_one_stderr_line_and_no_output(self, tmp_path, capsys, payload, message):
+        config = _config_file(tmp_path, payload) if payload else str(tmp_path / "missing.json")
+        out = tmp_path / "out"
+        assert main(["heatmap", "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("graphkalman: config: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestNonFiniteRuns:
     @settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -461,7 +477,7 @@ class TestNonFiniteRuns:
         rng = generator(seed)
         sys = DynamicalSystem.from_constant(
             spectrum_of(random_shift(rng, n)),
-            10.0**log_scale * random_polynomial(rng, 3),
+            Polynomial(tuple(10.0**log_scale * c for c in random_polynomial(rng, 3).coeffs)),
             random_polynomial(rng, 3),
             sigma=float(rng.uniform(0.1, 2.0)),
             sigma_tilde=float(rng.uniform(0.1, 2.0)),

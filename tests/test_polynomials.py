@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphkalman
 from conftest import spectrum_of
 from graphkalman import (
     ChebyshevSeries,
@@ -35,57 +39,20 @@ class TestCanonicalForm:
 
 
 class TestArithmetic:
-    def test_t_times_t(self):
-        t = Polynomial.identity()
-        assert (t * t).coeffs == (0.0, 0.0, 1.0)
-
-    def test_add_zero_is_identity(self):
-        f = Polynomial((2.0, -1.0, 3.0))
-        assert f + Polynomial.zero() == f
-
-    def test_difference_of_squares(self):
-        t = Polynomial.identity()
-        assert ((t + 1.0) * (t - 1.0)).coeffs == (-1.0, 0.0, 1.0)
-
-    def test_scalar_operations(self):
-        f = Polynomial((1.0, 2.0))
-        assert (2.0 * f).coeffs == (2.0, 4.0)
-        assert (f - 1.0).coeffs == (0.0, 2.0)
-
-    def test_power(self):
-        t = Polynomial.identity()
-        assert ((t + 1.0) ** 2).coeffs == (1.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            t ** -1
-
     def test_evaluation_scalar_and_array(self):
         f = Polynomial((1.0, 0.0, 1.0))  # 1 + t^2
         assert f(2.0) == 5.0
         np.testing.assert_array_equal(f(np.array([0.0, 1.0, 3.0])), [1.0, 2.0, 10.0])
 
-    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
-    @given(
-        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
-        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
-        st.floats(-2.0, 4.0),
-        st.integers(0, 3),
-        st.integers(1, 3),
-    )
-    def test_operations_commute_with_evaluation(self, p_coeffs, q_coeffs, t, k, zeros):
-        p, q = Polynomial.from_coeffs(p_coeffs), Polynomial.from_coeffs(q_coeffs)
-        pt, qt = p(t), q(t)
-        # rounding scale: the same polynomials with |coefficients| at |t|
-        ap = float(np.polynomial.polynomial.polyval(abs(t), np.abs(p.coeffs)))
-        aq = float(np.polynomial.polynomial.polyval(abs(t), np.abs(q.coeffs)))
-        ulps = 64 * np.finfo(float).eps
-        assert abs((p + q)(t) - (pt + qt)) <= ulps * (ap + aq)
-        assert abs((p - q)(t) - (pt - qt)) <= ulps * (ap + aq)
-        assert abs((p * q)(t) - pt * qt) <= ulps * ap * aq
-        assert abs((p**k)(t) - pt**k) <= ulps * ap**k
-        assert p - p == Polynomial.zero()
-        assert p * q == q * p
-        assert Polynomial.from_coeffs(p.to_list()) == p
-        assert Polynomial.from_coeffs(p.to_list() + [0.0] * zeros) == p
+
+def test_polynomial_is_an_input_type():
+    # filters add and compose by their responses at the eigenvalues, so
+    # there is no second algebra on monomial coefficients
+    arithmetic = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__")
+    assert [name for name in arithmetic if hasattr(Polynomial, name)] == []
+    package = Path(graphkalman.__file__).parent
+    callers = sorted(p.name for p in package.glob("*.py") if re.search(r"\bpoly(add|mul|pow)\b", p.read_text()))
+    assert callers == []
 
 
 class TestReduction:

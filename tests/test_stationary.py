@@ -43,7 +43,7 @@ class TestSqrtFilter:
     def test_tiny_negative_clamped(self, c4):
         _, _, decomposition, spectrum = c4
         # within the PSD tolerance band: clamp, do not raise
-        poly = Polynomial.identity() * 0.25 + (-1e-12)
+        poly = Polynomial((-1e-12, 0.25))
         g = sqrt_filter(StationaryModel(poly, spectrum))
         assert np.all(np.isfinite(g.coeffs))
 
@@ -94,7 +94,7 @@ class TestSample:
         # C_60 is where colouring by Horner on an interpolated sqrt filter's
         # monomial coefficients breaks down (about 70 relative)
         decomposition = eigendecompose(build_shift(cycle_graph(60), "laplacian"))
-        h = Polynomial((1.0, -0.5)) ** 2 + 0.01
+        h = Polynomial((1.0 + 0.01, -1.0, 0.25))  # (1 - t/2)^2 + 0.01
         model = StationaryModel(h, distinct_eigenvalues(decomposition))
         draws = sample(model, generator(60), size=100)
         noise = generator(60).standard_normal((60, 100))
@@ -110,7 +110,7 @@ class TestSample:
         # entries; coloring with h instead of sqrt(h) gives z above 26 even
         # at 20000 draws.
         _, _, decomposition, spectrum = c30
-        h = Polynomial((1.0, -0.5)) ** 2
+        h = Polynomial((1.0, -1.0, 0.25))  # (1 - t/2)^2
         model = StationaryModel(h, spectrum)
         trials = 200_000
         draws = sample(model, generator(45020), size=trials)
@@ -224,7 +224,8 @@ class TestClosureAndInvariance:
             q = random_polynomial(rng, 3)
             hs = eval_filter(h, decomposition)
             qs = eval_filter(q, decomposition)
-            target = eval_filter(q * q * h, decomposition)
+            lam = decomposition.eigenvalues
+            target = decomposition.operator(q(lam) ** 2 * h(lam))
             assert np.linalg.norm(qs @ hs @ qs - target) <= 1e-8
 
     def test_covariance_commutes_with_shift(self):
