@@ -1,7 +1,8 @@
 """Stationary graph signals over symmetric shifts and graph Kalman filtering.
 
-The library covers graph construction and shift validation, spectral
-decomposition with distinct-eigenvalue grouping, polynomial filters carried
+The library covers graph construction and shift validation, one spectral
+handle (the eigendecomposition of a shift with its distinct-eigenvalue
+grouping, which every system, model and filter reads), polynomial filters carried
 as their values at the distinct eigenvalues (and interpolated back in the
 Chebyshev basis), stationary signal generation/whitening, polynomial
 state-space dynamics, the graph Kalman filter in spectral and matrix form,
@@ -52,7 +53,7 @@ from .kalman import (
     run_filter,
 )
 from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
-from .spectral import DistinctSpectrum, SpectralDecomposition, distinct_eigenvalues, eigendecompose
+from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
 from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filter, whiten
 
 __version__ = "0.1.0"
@@ -60,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChebyshevSeries",
     "DegenerateTrajectoryError",
-    "DistinctSpectrum",
     "DynamicalSystem",
     "ExperimentConfig",
     "FilterResult",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import DynamicalSystem, covariance_responses, require_finite_steps
 from .errors import NotAllPassError
-from .spectral import DistinctSpectrum
+from .spectral import SpectralDecomposition
 
 LOEWNER_TOL_SCALE = 1e-12
 
@@ -58,7 +58,7 @@ def loewner_less(left: np.ndarray, right: np.ndarray) -> LoewnerComparison:
     return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=tol, verdict=_verdict(min_eigenvalue, tol))
 
 
-def spectral_loewner_less(left: np.ndarray, right: np.ndarray, spectrum: DistinctSpectrum) -> LoewnerComparison:
+def spectral_loewner_less(left: np.ndarray, right: np.ndarray, spectrum: SpectralDecomposition) -> LoewnerComparison:
     """Loewner comparison of two filters from their responses at the distinct
     eigenvalues, within ``LOEWNER_TOL_SCALE`` times the right filter's norm."""
     left = np.asarray(left, dtype=float)
@@ -91,9 +91,9 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
     responses = sys.observed_responses[: obs.shape[-2]]
     inverted = np.divide(1.0, responses, out=np.zeros_like(responses), where=responses != 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        rotated = sys.decomposition.to_spectral(obs)
+        rotated = sys.spectrum.to_spectral(obs)
         rotated *= sys.spectrum.expand(inverted)
-        estimates = sys.decomposition.from_spectral(rotated)
+        estimates = sys.spectrum.from_spectral(rotated)
     if not np.isfinite(estimates).all():
         # row k of the rearranged array holds step k + 1 of every trial
         steps = np.moveaxis(estimates, -2, 0).reshape(estimates.shape[-2], -1)

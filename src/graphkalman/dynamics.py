@@ -2,13 +2,14 @@
 
 States evolve as x_k = a_k(S) x_{k-1} + sigma_k e_k and are observed through
 z_k = b_k(S) x_k + sigma_tilde_k e~_k with independent standard white noises.
-A ``DynamicalSystem`` is built on one ``DistinctSpectrum``, which carries
-the shift and its eigenbasis, and evaluates a_k and b_k once, at the distinct
-eigenvalues, into read-only (T, d) response arrays (T = 1 when time-invariant,
-else the horizon), which the simulation, covariance and Kalman recursions
-read; none of them applies a polynomial to a vertex signal.  Every check
-on a system is made when it is constructed.  x_0 has mean 0 and covariance
-h_0 (evaluated once at the distinct eigenvalues), the filter's prior.  Its
+A ``DynamicalSystem`` is built on one ``SpectralDecomposition``, which
+carries the shift, its eigenbasis and its distinct eigenvalues, and
+evaluates a_k and b_k once, at the distinct eigenvalues, into read-only
+(T, d) response arrays (T = 1 when time-invariant, else the horizon), which
+the simulation, covariance and Kalman recursions read; none of them applies
+a polynomial to a vertex signal.  Every check on a system is made when it
+is constructed.  x_0 has mean 0 and covariance h_0 (evaluated once at the
+distinct eigenvalues), the filter's prior.  Its
 ``observed_responses``, b_k set to 0.0 where ``filters.passband`` calls a
 frequency blind, is what every estimator reads; ``simulate`` reads the raw
 b_k, since the channel is physical.
@@ -49,24 +50,23 @@ from .filters import passband
 from .graphs import GraphShift, require_integral
 from .polynomials import Polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
-from .spectral import DistinctSpectrum, SpectralDecomposition
+from .spectral import SpectralDecomposition
 from .stationary import StationaryModel, require_psd
 
 
 @dataclass(frozen=True, eq=False)
 class DynamicalSystem:
-    """Per-step polynomials and noise levels over one distinct spectrum.
+    """Per-step polynomials and noise levels over one spectrum.
 
-    The spectrum carries the decomposition and the shift (``decomposition``
-    and ``shift`` are read from it).  The four per-step tuples share one
-    length: 1 for a time-invariant system, else the horizon.  Per-step
-    accessors serve both layouts, and ``response_row(k)`` is the entry that
-    holds step k.  ``__post_init__`` makes every check, so each way of
+    The spectrum carries the shift (``shift`` is read from it).  The four
+    per-step tuples share one length: 1 for a time-invariant system, else
+    the horizon.  Per-step accessors serve both layouts, and
+    ``response_row(k)`` is the entry that holds step k.  ``__post_init__`` makes every check, so each way of
     building a system accepts the same inputs; noise levels may be zero,
     h_0 may not be negative at a distinct eigenvalue (``require_psd``).
     """
 
-    spectrum: DistinctSpectrum
+    spectrum: SpectralDecomposition
     horizon: int
     state_polys: tuple[Polynomial, ...]
     observation_polys: tuple[Polynomial, ...]
@@ -89,7 +89,7 @@ class DynamicalSystem:
     @classmethod
     def from_constant(
         cls,
-        spectrum: DistinctSpectrum,
+        spectrum: SpectralDecomposition,
         state_poly: Polynomial,
         observation_poly: Polynomial,
         sigma: float,
@@ -107,7 +107,7 @@ class DynamicalSystem:
     @classmethod
     def from_sequences(
         cls,
-        spectrum: DistinctSpectrum,
+        spectrum: SpectralDecomposition,
         state_polys: Sequence[Polynomial],
         observation_polys: Sequence[Polynomial],
         sigmas: Sequence[float],
@@ -127,12 +127,8 @@ class DynamicalSystem:
         return len(self.state_polys) == 1
 
     @property
-    def decomposition(self) -> SpectralDecomposition:
-        return self.spectrum.decomposition
-
-    @property
     def shift(self) -> GraphShift:
-        return self.spectrum.decomposition.shift
+        return self.spectrum.shift
 
     @property
     def n(self) -> int:
@@ -258,8 +254,9 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
     """Trajectories of the system, deterministic given their seeds.
 
     ``seeds`` is one seed, which gives one (M + 1, n) trajectory, or a
-    sequence (list, tuple or range) of T seeds, which gives a stack of T
-    trajectories, trial t the one that seed t alone gives.  Each trial's
+    sequence (list, tuple, range or 1-D array) of T seeds, which gives a
+    stack of T trajectories, trial t the one that seed t alone gives.  A
+    1-D array is a stack, as a list is, not one seed's entropy.  Each trial's
     stream, child key 0 of its seed, draws a vertex-space standard
     white-noise block E of shape (2M + 1, n): row 0 drives the initial
     state, row 2k-1 the process noise and row 2k the observation noise of
@@ -278,7 +275,7 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         NumericalFailureError: naming the first step at which a state or an
             observation of any trial is not finite (an unstable a_k overflows).
     """
-    stacked = isinstance(seeds, Sequence)
+    stacked = isinstance(seeds, Sequence) or (isinstance(seeds, np.ndarray) and seeds.ndim == 1)
     sequences = tuple(as_seed_sequence(seed) for seed in (seeds if stacked else (seeds,)))
     trials, n, m = len(sequences), sys.n, sys.horizon
     noise = np.empty((trials, 2 * m + 1, n))
@@ -286,12 +283,11 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         generator(child_sequence(ss, 0)).standard_normal(out=noise[t])
     # the drawn blocks are freed once rotated; time-major from here: row k of
     # x~, shape (M + 1, T, n), is step k of every trial
-    e_tilde = sys.decomposition.to_spectral(noise).swapaxes(0, 1)
+    e_tilde = sys.spectrum.to_spectral(noise).swapaxes(0, 1)
     del noise
     expand = sys.spectrum.expand
     x_tilde = np.empty((m + 1, trials, n))
-    # h_0 passed require_psd when the system was built
-    initial_scale = np.sqrt(np.maximum(sys.initial_model.group_variances, 0.0))
+    initial_scale = np.sqrt(sys.initial_model.clamped_group_variances())
     np.multiply(expand(initial_scale), e_tilde[0], out=x_tilde[0])
     np.multiply(np.asarray(sys.state_noise)[:, None, None], e_tilde[1::2], out=x_tilde[1:])
     # a_k at each step's full (T, n) shape keeps numpy on its fast loop
@@ -305,8 +301,8 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         z_tilde = e_tilde[2::2]
         z_tilde *= np.asarray(sys.observation_noise)[:, None, None]
         z_tilde += expand(sys.observation_responses)[:, None] * x_tilde[1:]
-        states = sys.decomposition.from_spectral(x_tilde.swapaxes(0, 1))
-        observations = sys.decomposition.from_spectral(z_tilde.swapaxes(0, 1))
+        states = sys.spectrum.from_spectral(x_tilde.swapaxes(0, 1))
+        observations = sys.spectrum.from_spectral(z_tilde.swapaxes(0, 1))
     if not (np.isfinite(states).all() and np.isfinite(observations).all()):
         # row k: step k's states and observations (none at step 0) of every trial
         steps = np.concatenate((states, np.insert(observations, 0, 0.0, axis=1)), axis=2)

@@ -39,7 +39,7 @@ from .errors import DegenerateTrajectoryError, NumericalFailureError, SingularGa
 from .graphs import build_shift, cycle_graph, require_integral
 from .kalman import riccati_sequence, run_filter
 from .polynomials import Polynomial
-from .spectral import DistinctSpectrum, distinct_eigenvalues, eigendecompose
+from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
 
 ENERGY_GUARD = 1e-24
 # Bytes of (2m + 1, n) trial noise blocks a heatmap cell simulates at once:
@@ -269,13 +269,13 @@ class HeatmapResult:
     flagged: np.ndarray
 
 
-def _cycle_spectrum(config: ExperimentConfig) -> DistinctSpectrum:
-    """The distinct spectrum of the C_n Laplacian, from its closed-form
-    eigenpairs, built once per run and shared by its cells."""
+def _cycle_spectrum(config: ExperimentConfig) -> SpectralDecomposition:
+    """The spectrum of the C_n Laplacian, its closed-form eigenpairs grouped
+    here, built once per run and shared by its cells."""
     return distinct_eigenvalues(eigendecompose(build_shift(cycle_graph(config.n), "laplacian")))
 
 
-def _cell_system(config, spectrum: DistinctSpectrum, sigma: float, sigma_tilde: float) -> DynamicalSystem:
+def _cell_system(config, spectrum: SpectralDecomposition, sigma: float, sigma_tilde: float) -> DynamicalSystem:
     return DynamicalSystem.from_constant(
         spectrum,
         config.state_poly,
@@ -310,7 +310,7 @@ def _trials_per_block(config) -> int:
     return max(1, NOISE_BLOCK_BUDGET // ((2 * config.m + 1) * config.n * 8))
 
 
-def _run_cell(config, spectrum: DistinctSpectrum, i: int, j: int):
+def _run_cell(config, spectrum: SpectralDecomposition, i: int, j: int):
     """Both estimators' metrics over the cell's trials, and whether the cell
     is flagged: a degenerate trial, or no Kalman gain (``SingularGainError``).
     The trials run in blocks of ``_trials_per_block`` stacked trials."""

@@ -7,15 +7,15 @@ import numpy as np
 
 from .graphs import GraphShift
 from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
-from .spectral import DistinctSpectrum, SpectralDecomposition
+from .spectral import SpectralDecomposition
 
 MEMBERSHIP_TOL_SCALE = 1e-6
 BLIND_TOL_SCALE = 1e-10
 
 
-def eval_filter(poly: Polynomial | ChebyshevSeries, decomposition: SpectralDecomposition) -> np.ndarray:
+def eval_filter(poly: Polynomial | ChebyshevSeries, spectrum: SpectralDecomposition) -> np.ndarray:
     """Dense filter matrix H = U diag(h(lambda)) U^T, symmetrised and read-only."""
-    return decomposition.operator(poly(decomposition.eigenvalues))
+    return spectrum.operator(poly(spectrum.eigenvalues))
 
 
 def apply_filter(poly: Polynomial | ChebyshevSeries, shift: GraphShift, x: np.ndarray) -> np.ndarray:
@@ -66,8 +66,8 @@ class MembershipResult(NamedTuple):
     witness: ChebyshevSeries | None
 
 
-def is_polynomial_filter(matrix: np.ndarray, spectrum: DistinctSpectrum) -> MembershipResult:
-    """Test whether a matrix is a polynomial of the shift ``spectrum`` was grouped from.
+def is_polynomial_filter(matrix: np.ndarray, spectrum: SpectralDecomposition) -> MembershipResult:
+    """Test whether a matrix is a polynomial of the shift ``spectrum`` decomposes.
 
     The matrix must be diagonal in the shift's eigenbasis with diagonal
     entries constant on each repeated-eigenvalue group, both within
@@ -77,7 +77,7 @@ def is_polynomial_filter(matrix: np.ndarray, spectrum: DistinctSpectrum) -> Memb
     keep them).
     """
     m = np.asarray(matrix, dtype=float)
-    c = spectrum.decomposition.in_eigenbasis(m)
+    c = spectrum.in_eigenbasis(m)
     tol = MEMBERSHIP_TOL_SCALE * np.linalg.norm(m)
     diagonal = np.diag(c).copy()
     off = c - np.diag(diagonal)

@@ -126,18 +126,25 @@ def matrix_riccati_step(p_prev, a, b, sigma: float, sigma_tilde: float) -> tuple
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSequence:
-    """Gain and error responses at the distinct eigenvalues ``nodes``.
+    """Gain and error responses of ``system`` at its distinct eigenvalues ``nodes``.
 
-    ``initial_response`` holds p_0 at the nodes; row k-1 of
-    ``gain_responses`` and ``error_responses`` holds step k.  ``gains``
+    ``initial_response`` holds p_0 (the system's h_0) at the nodes; row k-1
+    of ``gain_responses`` and ``error_responses`` holds step k.  ``gains``
     interpolates the gain rows on first access, one ``ChebyshevSeries``
     per step on [min node, max node].
     """
 
-    nodes: np.ndarray
-    initial_response: np.ndarray
+    system: DynamicalSystem
     gain_responses: np.ndarray
     error_responses: np.ndarray
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.system.spectrum.representatives
+
+    @property
+    def initial_response(self) -> np.ndarray:
+        return self.system.initial_model.group_variances
 
     @cached_property
     def gains(self) -> tuple[ChebyshevSeries, ...]:
@@ -175,7 +182,7 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
         steps = sys.horizon
     if not 0 <= steps <= sys.horizon:
         raise ValueError(f"steps {steps} out of range 0..{sys.horizon}")
-    mu = sys.spectrum.representatives
+    d = sys.spectrum.count
     initial = sys.initial_model.group_variances
     observation = sys.observed_responses
     observation_squared = observation**2
@@ -183,9 +190,9 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     sigma_squared = [sigma**2 for sigma in sys.state_noise]
     sigma_tilde_squared = [sigma_tilde**2 for sigma_tilde in sys.observation_noise]
     invariant = sys.time_invariant
-    gains = np.empty((steps, mu.size))
-    errors = np.empty((steps, mu.size))
-    scratch = np.empty(mu.size)
+    gains = np.empty((steps, d))
+    errors = np.empty((steps, d))
+    scratch = np.empty(d)
     # the bytes of p_{k-1} and p_{k-2}: a step that repeats one of them repeats forever
     p_values = initial
     seen = (initial.tobytes(), None)
@@ -215,9 +222,7 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
     for values in (gains, errors):
         values.flags.writeable = False
-    return RiccatiSequence(
-        nodes=mu, initial_response=initial, gain_responses=gains, error_responses=errors
-    )
+    return RiccatiSequence(system=sys, gain_responses=gains, error_responses=errors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +284,8 @@ def run_filter(
 
     The prior is the system's: x^_0 = 0 and p_0 = h_0.  A precomputed
     ``riccati`` sequence (which is data-independent) may be reused across
-    trajectories.
+    trajectories of the system it was computed for; one computed for any
+    other system raises ``ValueError``.
 
     Raises:
         NumericalFailureError: naming the first step whose estimate is not
@@ -291,6 +297,8 @@ def run_filter(
     m = obs.shape[0]
     if riccati is None:
         riccati = riccati_sequence(sys, steps=m)
+    elif riccati.system is not sys:
+        raise ValueError("precomputed riccati sequence belongs to another system")
     elif riccati.gain_responses.shape[0] < m:
         raise ValueError("precomputed riccati sequence is shorter than the observations")
 
@@ -299,13 +307,13 @@ def run_filter(
     estimates = np.zeros((m + 1, sys.n))
     # a non-finite estimate is named below, once, rather than warned about per operation
     with np.errstate(over="ignore", invalid="ignore"):
-        rotated = sys.decomposition.to_spectral(obs)
+        rotated = sys.spectrum.to_spectral(obs)
         rotated *= sys.spectrum.expand(g)
         previous = estimates[0]
         for carry_k, x_k in zip(carry, rotated):
             x_k += carry_k * previous
             previous = x_k
-        estimates[1:] = sys.decomposition.from_spectral(rotated)
+        estimates[1:] = sys.spectrum.from_spectral(rotated)
     if not np.isfinite(estimates).all():
         require_finite_steps(estimates, "Kalman estimate", first_step=0)
     return FilterResult(

@@ -55,17 +55,8 @@ class Polynomial:
         return cls((0.0,))
 
     @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1.0,))
-
-    @classmethod
     def constant(cls, value: float) -> "Polynomial":
         return cls((float(value),))
-
-    @classmethod
-    def identity(cls) -> "Polynomial":
-        """The polynomial h(t) = t."""
-        return cls((0.0, 1.0))
 
     @property
     def degree(self) -> int:

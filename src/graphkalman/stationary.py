@@ -2,8 +2,8 @@
 
 A zero-mean random signal is stationary when its covariance matrix is a
 polynomial of the graph shift.  A ``StationaryModel`` pairs that
-polynomial with one ``DistinctSpectrum`` (which carries the shift's
-eigenbasis) and evaluates it once, at the distinct eigenvalues
+polynomial with one ``SpectralDecomposition`` (the shift's eigenbasis and
+distinct eigenvalues) and evaluates it once, at the distinct eigenvalues
 (``group_variances``).
 ``sample`` colours white noise e in the eigenbasis, U diag(sqrt(h)) U^T e,
 and ``whiten`` inverts the nonzero responses there; ``sqrt_filter``
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotPositiveSemidefiniteError
 from .filters import eval_filter
 from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
-from .spectral import DistinctSpectrum
+from .spectral import SpectralDecomposition
 
 PSD_TOL_SCALE = 1e-10
 
@@ -30,10 +30,10 @@ PSD_TOL_SCALE = 1e-10
 @dataclass(frozen=True, eq=False)
 class StationaryModel:
     """Covariance polynomial of a zero-mean stationary signal on the shift
-    that ``spectrum`` was grouped from."""
+    that ``spectrum`` decomposes."""
 
     covariance_poly: Polynomial
-    spectrum: DistinctSpectrum
+    spectrum: SpectralDecomposition
 
     @cached_property
     def group_variances(self) -> np.ndarray:
@@ -75,12 +75,12 @@ def sample(
 
     Returns shape (n,) for ``size=None``, else (n, size), one signal per column.
     """
-    decomposition = model.spectrum.decomposition
-    shape = (decomposition.n,) if size is None else (decomposition.n, size)
+    spectrum = model.spectrum
+    shape = (spectrum.n,) if size is None else (spectrum.n, size)
     noise = rng.standard_normal(shape)
-    scale = model.spectrum.expand(np.sqrt(model.clamped_group_variances()))
+    scale = spectrum.expand(np.sqrt(model.clamped_group_variances()))
     # transposed so each signal lies along the last axis, and back
-    return decomposition.from_spectral(scale * decomposition.to_spectral(noise.T)).T
+    return spectrum.from_spectral(scale * spectrum.to_spectral(noise.T)).T
 
 
 def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> np.ndarray:
@@ -91,20 +91,20 @@ def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> n
     the result has identity covariance.
     """
     x = np.asarray(x, dtype=float)
-    decomposition = model.spectrum.decomposition
-    n = decomposition.n
+    spectrum = model.spectrum
+    n = spectrum.n
     if x.shape != (n,):
         raise ValueError(f"signal shape {x.shape} does not match graph order {n}")
-    variances = model.spectrum.expand(model.clamped_group_variances())
-    spectral = decomposition.to_spectral(x)
+    variances = spectrum.expand(model.clamped_group_variances())
+    spectral = spectrum.to_spectral(x)
     noise = np.empty(n)
     nonzero = variances > 0.0
     noise[nonzero] = spectral[nonzero] / np.sqrt(variances[nonzero])
     noise[~nonzero] = rng.standard_normal(int(np.count_nonzero(~nonzero)))
-    return decomposition.from_spectral(noise)
+    return spectrum.from_spectral(noise)
 
 
-def fit_covariance_poly(matrix: np.ndarray, spectrum: DistinctSpectrum) -> tuple[ChebyshevSeries, float]:
+def fit_covariance_poly(matrix: np.ndarray, spectrum: SpectralDecomposition) -> tuple[ChebyshevSeries, float]:
     """Least-squares fit of a covariance matrix by a polynomial of the shift.
 
     Returns the fitted polynomial, a ``ChebyshevSeries`` of degree < number
@@ -112,12 +112,11 @@ def fit_covariance_poly(matrix: np.ndarray, spectrum: DistinctSpectrum) -> tuple
     ``||C - fit(S)||_F / max(1, ||C||_F)``.
     """
     c = np.asarray(matrix, dtype=float)
-    decomposition = spectrum.decomposition
-    diagonal = np.diag(decomposition.in_eigenbasis(c))
+    diagonal = np.diag(spectrum.in_eigenbasis(c))
     if not np.allclose(c, c.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(c))):
         raise ValueError("covariance matrix must be symmetric")
     group_values = spectrum.group_means(diagonal)
     poly = lagrange_interpolate(spectrum.representatives, group_values)
-    fitted = eval_filter(poly, decomposition)
+    fitted = eval_filter(poly, spectrum)
     residual = np.linalg.norm(c - fitted) / max(1.0, np.linalg.norm(c))
     return poly, float(residual)

@@ -29,7 +29,7 @@ from .filters import apply_filter, eval_filter, is_polynomial_filter
 from .graphs import Graph, build_shift, cycle_graph, validate_shift
 from .polynomials import Polynomial, lagrange_interpolate
 from .seeding import child_sequence, generator
-from .spectral import distinct_eigenvalues, eigendecompose
+from .spectral import eigendecompose
 from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filter, whiten
 
 
@@ -109,8 +109,8 @@ def random_system(
     covariances stay within floating-point range.
     """
     n = int(rng.integers(4, n_max + 1))
-    spectrum = distinct_eigenvalues(eigendecompose(random_shift(rng, n)))
-    lam = spectrum.decomposition.eigenvalues
+    spectrum = eigendecompose(random_shift(rng, n))
+    lam = spectrum.eigenvalues
     a = _scaled_poly(rng, lam, 3, float(rng.uniform(0.3, 1.05)))
     if all_pass:
         b = _all_pass_poly(rng, spectrum.representatives, 3)
@@ -132,18 +132,18 @@ def random_system(
 
 def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
     """Dense U diag(r) U^T of responses r at the system's distinct eigenvalues."""
-    return sys.decomposition.operator(sys.spectrum.expand(responses))
+    return sys.spectrum.operator(sys.spectrum.expand(responses))
 
 
 def matrix_riccati_path(sys: DynamicalSystem, steps: int):
     """Dense-recursion gains and error covariances from the system's h_0,
     independent of the spectral path."""
-    p = eval_filter(sys.initial_covariance, sys.decomposition)
+    p = eval_filter(sys.initial_covariance, sys.spectrum)
     gains = []
     errors = []
     for k in range(1, steps + 1):
-        a = eval_filter(sys.state_poly(k), sys.decomposition)
-        b = eval_filter(sys.observation_poly(k), sys.decomposition)
+        a = eval_filter(sys.state_poly(k), sys.spectrum)
+        b = eval_filter(sys.observation_poly(k), sys.spectrum)
         gain, p = kalman_mod.matrix_riccati_step(p, a, b, sys.state_sigma(k), sys.observation_sigma(k))
         gains.append(gain)
         errors.append(p)
@@ -157,14 +157,14 @@ def joint_error_covariances(sys: DynamicalSystem, riccati, steps: int):
     dense linear propagation of the joint covariance, with xhat_0 = 0.
     """
     n = sys.n
-    h0 = eval_filter(sys.initial_covariance, sys.decomposition)
+    h0 = eval_filter(sys.initial_covariance, sys.spectrum)
     joint = np.zeros((2 * n, 2 * n))
     joint[:n, :n] = h0
     eye = np.eye(n)
     out = []
     for k in range(1, steps + 1):
-        a = eval_filter(sys.state_poly(k), sys.decomposition)
-        b = eval_filter(sys.observation_poly(k), sys.decomposition)
+        a = eval_filter(sys.state_poly(k), sys.spectrum)
+        b = eval_filter(sys.observation_poly(k), sys.spectrum)
         gain = response_matrix(sys, riccati.gain_responses[k - 1])
         sigma = sys.state_sigma(k)
         sigma_tilde = sys.observation_sigma(k)
@@ -244,9 +244,9 @@ def annihilation_residual(spectrum) -> float:
     prod_mu ||S - mu I||_2 = prod_mu max|lambda - mu|: about eps when the
     grouping kept every distinct eigenvalue.  The factors are applied to I
     one at a time (X <- S X - mu X), so no monomial coefficient is formed."""
-    s = spectrum.decomposition.shift.matrix
-    eigenvalues = spectrum.decomposition.eigenvalues
-    x = np.eye(spectrum.decomposition.n)
+    s = spectrum.shift.matrix
+    eigenvalues = spectrum.eigenvalues
+    x = np.eye(spectrum.n)
     scale = 1.0
     for mu in spectrum.representatives:
         x = s @ x - mu * x
@@ -257,7 +257,7 @@ def annihilation_residual(spectrum) -> float:
 
 
 def _cycle_laplacian_spectrum(n: int):
-    return distinct_eigenvalues(eigendecompose(build_shift(cycle_graph(n), "laplacian")))
+    return eigendecompose(build_shift(cycle_graph(n), "laplacian"))
 
 
 def _same_grouping(spectrum, values: np.ndarray) -> bool:
@@ -278,17 +278,16 @@ def check_spectral() -> list[CheckResult]:
     """Random shifts go through LAPACK; the cycle Laplacians get their closed
     form, which is checked against LAPACK's ``eigvalsh`` here."""
     rng = generator(202)
-    spectra = [distinct_eigenvalues(eigendecompose(random_shift(rng, int(rng.integers(4, 12))))) for _ in range(8)]
+    spectra = [eigendecompose(random_shift(rng, int(rng.integers(4, 12)))) for _ in range(8)]
     cycles = [_cycle_laplacian_spectrum(n) for n in (4, 5, 8, 30, 31, 120)]
     worst_recon = worst_orth = worst_lapack = 0.0
     regrouped = 0
     for spectrum in spectra + cycles:
-        decomp = spectrum.decomposition
-        worst_recon = max(worst_recon, float(np.linalg.norm(decomp.shift.matrix - decomp.operator(decomp.eigenvalues))))
-        worst_orth = max(worst_orth, float(np.linalg.norm(decomp.in_eigenbasis(np.eye(decomp.n)) - np.eye(decomp.n))))
+        worst_recon = max(worst_recon, float(np.linalg.norm(spectrum.shift.matrix - spectrum.operator(spectrum.eigenvalues))))
+        worst_orth = max(worst_orth, float(np.linalg.norm(spectrum.in_eigenbasis(np.eye(spectrum.n)) - np.eye(spectrum.n))))
     for spectrum in cycles:
-        lam = spectrum.decomposition.eigenvalues
-        reference = np.linalg.eigvalsh(spectrum.decomposition.shift.matrix)
+        lam = spectrum.eigenvalues
+        reference = np.linalg.eigvalsh(spectrum.shift.matrix)
         worst_lapack = max(worst_lapack, float(np.max(np.abs(lam - reference) / np.maximum(1.0, np.abs(reference)))))
         regrouped += not _same_grouping(spectrum, reference)
     spectra += cycles
@@ -315,10 +314,9 @@ def check_spectral() -> list[CheckResult]:
 def _reduction_gap(poly: Polynomial, spectrum) -> float:
     """Relative gap between p(S) and g(S), g the interpolant of p's values at
     the distinct eigenvalues: every polynomial of S is one of degree < d."""
-    decomp = spectrum.decomposition
-    full = eval_filter(poly, decomp)
+    full = eval_filter(poly, spectrum)
     mu = spectrum.representatives
-    reduced = eval_filter(lagrange_interpolate(mu, poly(mu)), decomp)
+    reduced = eval_filter(lagrange_interpolate(mu, poly(mu)), spectrum)
     return float(np.linalg.norm(full - reduced) / max(1.0, np.linalg.norm(full)))
 
 
@@ -330,14 +328,13 @@ def check_poly_filter() -> list[CheckResult]:
     worst_spatial = 0.0
     for _ in range(20):
         shift = random_shift(rng, int(rng.integers(4, 11)))
-        decomp = eigendecompose(shift)
-        spectrum = distinct_eigenvalues(decomp)
+        spectrum = eigendecompose(shift)
         # filters add and compose as their responses f(lambda), g(lambda) do
-        f_values = random_polynomial(rng, 6)(decomp.eigenvalues)
-        g_values = random_polynomial(rng, 6)(decomp.eigenvalues)
-        ef, eg = decomp.operator(f_values), decomp.operator(g_values)
-        sum_gap = np.linalg.norm(decomp.operator(f_values + g_values) - (ef + eg))
-        prod = decomp.operator(f_values * g_values)
+        f_values = random_polynomial(rng, 6)(spectrum.eigenvalues)
+        g_values = random_polynomial(rng, 6)(spectrum.eigenvalues)
+        ef, eg = spectrum.operator(f_values), spectrum.operator(g_values)
+        sum_gap = np.linalg.norm(spectrum.operator(f_values + g_values) - (ef + eg))
+        prod = spectrum.operator(f_values * g_values)
         prod_gap = np.linalg.norm(prod - ef @ eg)
         scale = max(1.0, np.linalg.norm(ef) + np.linalg.norm(eg), np.linalg.norm(prod))
         worst_hom = max(worst_hom, float(sum_gap / scale), float(prod_gap / scale))
@@ -356,11 +353,10 @@ def check_poly_filter() -> list[CheckResult]:
         worst_reduce = max(worst_reduce, _reduction_gap(high, spectrum))
     for _ in range(100):
         shift = random_shift(rng, int(rng.integers(4, 11)))
-        decomp = eigendecompose(shift)
         h = random_polynomial(rng, 6)
         x = rng.standard_normal(shift.n)
         spatial = apply_filter(h, shift, x)
-        spectral = eval_filter(h, decomp) @ x
+        spectral = eval_filter(h, eigendecompose(shift)) @ x
         worst_spatial = max(
             worst_spatial,
             float(np.linalg.norm(spatial - spectral) / max(1e-30, np.linalg.norm(spectral))),
@@ -409,15 +405,14 @@ def check_stationary() -> list[CheckResult]:
     worst_shift_comm = 0.0
     for _ in range(15):
         shift = random_shift(rng, int(rng.integers(4, 11)))
-        decomp = eigendecompose(shift)
-        spectrum = distinct_eigenvalues(decomp)
+        spectrum = eigendecompose(shift)
         h = random_psd_poly(rng)
         model = StationaryModel(h, spectrum)
         q = random_polynomial(rng, 3)
-        hs = eval_filter(h, decomp)
-        qs = eval_filter(q, decomp)
+        hs = eval_filter(h, spectrum)
+        qs = eval_filter(q, spectrum)
         # the channel q(S) keeps x stationary, with covariance response q^2 h
-        closure = decomp.operator(q(decomp.eigenvalues) ** 2 * h(decomp.eigenvalues))
+        closure = spectrum.operator(q(spectrum.eigenvalues) ** 2 * h(spectrum.eigenvalues))
         closure_gap = np.linalg.norm(qs @ hs @ qs - closure)
         worst_closure = max(worst_closure, float(closure_gap))
         x = sample(model, rng)
@@ -446,7 +441,7 @@ def simulation_step_gaps(sys: DynamicalSystem, trajectory) -> list[float]:
     the rows of the re-drawn noise block."""
     noise = generator(child_sequence(trajectory.seed, 0)).standard_normal((2 * sys.horizon + 1, sys.n))
     scale = sys.spectrum.expand(np.sqrt(sys.initial_model.clamped_group_variances()))
-    gaps = [_relative_gap(trajectory.states[0], sys.decomposition.operator(scale) @ noise[0])]
+    gaps = [_relative_gap(trajectory.states[0], sys.spectrum.operator(scale) @ noise[0])]
     for k in range(1, sys.horizon + 1):
         state = apply_filter(sys.state_poly(k), sys.shift, trajectory.states[k - 1])
         gaps.append(_relative_gap(trajectory.states[k], state + sys.state_sigma(k) * noise[2 * k - 1]))
@@ -463,7 +458,7 @@ def check_dynamics() -> list[CheckResult]:
         hs = covariance_responses(sys)
         cov = response_matrix(sys, hs[0])
         for k in range(1, 21):
-            a = eval_filter(sys.state_poly(k), sys.decomposition)
+            a = eval_filter(sys.state_poly(k), sys.spectrum)
             cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
             cov = 0.5 * (cov + cov.T)
             gap = np.linalg.norm(cov - response_matrix(sys, hs[k]))
@@ -554,8 +549,8 @@ def _mse_identity(rng, trials: int = 10_000) -> tuple[bool, str]:
     x = sample(sys.initial_model, rng, size=trials)
     xhat = np.zeros((n, trials))
     for k in range(1, sys.horizon + 1):
-        a = eval_filter(sys.state_poly(k), sys.decomposition)
-        b = eval_filter(sys.observation_poly(k), sys.decomposition)
+        a = eval_filter(sys.state_poly(k), sys.spectrum)
+        b = eval_filter(sys.observation_poly(k), sys.spectrum)
         gain = response_matrix(sys, riccati.gain_responses[k - 1])
         x = a @ x + sys.state_sigma(k) * rng.standard_normal((n, trials))
         z = b @ x + sys.observation_sigma(k) * rng.standard_normal((n, trials))

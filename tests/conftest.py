@@ -11,16 +11,10 @@ from graphkalman import (
     SingularGainError,
     build_shift,
     cycle_graph,
-    distinct_eigenvalues,
     eigendecompose,
 )
 from graphkalman import kalman
 from graphkalman.dynamics import require_finite_steps
-
-
-def spectrum_of(shift):
-    """The distinct spectrum of a shift: the one spectral handle systems and models take."""
-    return distinct_eigenvalues(eigendecompose(shift))
 
 
 def plain_recursion(x0, carry, drive):
@@ -58,19 +52,14 @@ def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
             except SingularGainError as exc:
                 raise SingularGainError(f"step {k}: {exc}") from exc
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
-    return RiccatiSequence(
-        nodes=sys.spectrum.representatives,
-        initial_response=sys.initial_model.group_variances,
-        gain_responses=gains,
-        error_responses=errors,
-    )
+    return RiccatiSequence(system=sys, gain_responses=gains, error_responses=errors)
 
 
 def time_varying_cycle_system(n: int, steps: int) -> DynamicalSystem:
     """A C_n Laplacian system whose polynomials and noise levels change every step."""
     ks = range(1, steps + 1)
     return DynamicalSystem.from_sequences(
-        spectrum_of(build_shift(cycle_graph(n), "laplacian")),
+        eigendecompose(build_shift(cycle_graph(n), "laplacian")),
         state_polys=[Polynomial((0.9 - 0.05 * k, 0.02 * k)) for k in ks],
         observation_polys=[Polynomial((1.0, -0.1 * k)) for k in ks],
         sigmas=[0.1 * k for k in ks],
@@ -89,18 +78,14 @@ def cycle_laplacian_eigenvalues(n: int) -> np.ndarray:
 def c4():
     graph = cycle_graph(4)
     shift = build_shift(graph, "laplacian")
-    decomposition = eigendecompose(shift)
-    spectrum = distinct_eigenvalues(decomposition)
-    return graph, shift, decomposition, spectrum
+    return graph, shift, eigendecompose(shift)
 
 
 @pytest.fixture(scope="session")
 def c30():
     graph = cycle_graph(30)
     shift = build_shift(graph, "laplacian")
-    decomposition = eigendecompose(shift)
-    spectrum = distinct_eigenvalues(decomposition)
-    return graph, shift, decomposition, spectrum
+    return graph, shift, eigendecompose(shift)
 
 
 @pytest.fixture(scope="session")
@@ -108,7 +93,5 @@ def c120():
     # 61 distinct eigenvalues: beyond what a monomial interpolant keeps in float64
     graph = cycle_graph(120)
     shift = build_shift(graph, "laplacian")
-    decomposition = eigendecompose(shift)
-    spectrum = distinct_eigenvalues(decomposition)
-    return graph, shift, decomposition, spectrum
+    return graph, shift, eigendecompose(shift)
 

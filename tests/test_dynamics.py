@@ -14,6 +14,7 @@ from graphkalman import (
     build_shift,
     covariance_responses,
     cycle_graph,
+    eigendecompose,
     eval_filter,
     is_polynomial_filter,
     simulate,
@@ -23,13 +24,13 @@ from graphkalman.dynamics import Trajectory
 from graphkalman.seeding import as_seed_sequence, child_sequence, generator
 from graphkalman.verify import random_system, response_matrix, simulation_step_gaps
 
-from conftest import plain_recursion, spectrum_of, time_varying_cycle_system
+from conftest import plain_recursion, time_varying_cycle_system
 
 
 def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None):
     shift = build_shift(cycle_graph(n), "laplacian")
     return DynamicalSystem.from_constant(
-        spectrum_of(shift), a, b, sigma, sigma_tilde, horizon,
+        eigendecompose(shift), a, b, sigma, sigma_tilde, horizon,
         initial_covariance=h0,
     )
 
@@ -57,7 +58,7 @@ def _eigenbasis_trajectory(sys, seed):
     """simulate's recursion as the plain loop x~_k = a_k x~_{k-1} + sigma_k e~_{2k-1}
     on the rotated noise block, with states and observations rotated back."""
     m = sys.horizon
-    u = sys.decomposition.eigenvectors
+    u = sys.spectrum.eigenvectors
     expand = sys.spectrum.expand
     noise = _noise_block(sys, seed) @ u
     x0 = expand(np.sqrt(sys.initial_model.clamped_group_variances())) * noise[0]
@@ -87,7 +88,7 @@ INVALID_SYSTEMS = {
 
 def _build(path, spectrum, horizon, sigmas, sigma_tildes, h0=Polynomial.zero()):
     """A system with a = b = 1, the given per-step noise and h_0, built along ``path``."""
-    polys = (Polynomial.one(),) * len(sigmas)
+    polys = (Polynomial((1.0,)),) * len(sigmas)
     if path == "constructor":
         return DynamicalSystem(spectrum, horizon, polys, polys, sigmas, sigma_tildes, h0)
     if path == "from_constant":
@@ -102,32 +103,32 @@ class TestConstruction:
     def test_every_path_rejects_the_same_inputs(self, c4, path, case):
         horizon, sigmas, sigma_tildes, _, message = INVALID_SYSTEMS[case]
         with pytest.raises(ValueError, match=message):
-            _build(path, c4[3], horizon, sigmas, sigma_tildes)
+            _build(path, c4[2], horizon, sigmas, sigma_tildes)
 
     @pytest.mark.parametrize("path", PATHS)
     def test_non_psd_initial_covariance_rejected_on_every_path(self, path):
         # 1 - t is -3 at eigenvalue 4 of the C_8 Laplacian; built, such a system
         # would hand covariance_responses and zero_estimate negative variances
-        spectrum = spectrum_of(build_shift(cycle_graph(8), "laplacian"))
+        spectrum = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
         with pytest.raises(NotPositiveSemidefiniteError, match="initial covariance"):
             _build(path, spectrum, 2, (0.3, 0.3), (0.5, 0.5), h0=Polynomial((1.0, -1.0)))
 
     @pytest.mark.parametrize("path", PATHS)
     def test_zero_noise_builds_on_every_path(self, c4, path):
-        sys = _build(path, c4[3], 3, (0.0,) * 3, (0.0,) * 3)
+        sys = _build(path, c4[2], 3, (0.0,) * 3, (0.0,) * 3)
         assert sys.horizon == 3
         assert sys.state_sigma(3) == sys.observation_sigma(3) == 0.0
 
     def test_zero_noise_reference_mode(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 5)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 0.0, 0.0, 5)
         assert sys.state_sigma(1) == 0.0
 
     def test_negative_noise_always_rejected(self):
         with pytest.raises(ValueError):
-            _cycle_system(4, Polynomial.one(), Polynomial.one(), -0.1, 1.0, 5)
+            _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), -0.1, 1.0, 5)
 
     def test_step_accessors_range_checked(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
         with pytest.raises(ValueError):
             sys.state_poly(0)
         with pytest.raises(ValueError):
@@ -136,28 +137,28 @@ class TestConstruction:
     def test_time_varying_accessors(self):
         shift = build_shift(cycle_graph(4), "laplacian")
         sys = DynamicalSystem.from_sequences(
-            spectrum_of(shift),
-            state_polys=[Polynomial.one(), Polynomial.identity()],
-            observation_polys=[Polynomial.one(), Polynomial.one()],
+            eigendecompose(shift),
+            state_polys=[Polynomial((1.0,)), Polynomial((0.0, 1.0))],
+            observation_polys=[Polynomial((1.0,)), Polynomial((1.0,))],
             sigmas=[1.0, 2.0],
             sigma_tildes=[0.5, 0.5],
         )
         assert sys.horizon == 2
-        assert sys.state_poly(2) == Polynomial.identity()
+        assert sys.state_poly(2) == Polynomial((0.0, 1.0))
         assert sys.state_sigma(2) == 2.0
 
     def test_system_model_and_membership_share_one_spectrum_on_path6(self):
         # the shift, eigenbasis and eigenvalue groups all come from one handle,
         # so a C_6 shift can no longer be paired with a P_6 eigenbasis
         path = build_shift(Graph.from_edges(6, [(k, k + 1) for k in range(1, 6)]), "laplacian")
-        spectrum = spectrum_of(path)
+        spectrum = eigendecompose(path)
         sys = DynamicalSystem.from_constant(
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 20,
             initial_covariance=Polynomial((0.5, 0.1)),
         )
         model = sys.initial_model
-        assert sys.decomposition is spectrum.decomposition and sys.shift is path
-        assert model.spectrum is spectrum and model.spectrum.decomposition.shift is path
+        assert sys.spectrum is spectrum and sys.shift is path
+        assert model.spectrum is spectrum and model.spectrum.shift is path
         assert is_polynomial_filter(0.25 * sys.shift.matrix, spectrum).is_member
         cycle = build_shift(cycle_graph(6), "laplacian")
         assert not is_polynomial_filter(cycle.matrix, spectrum).is_member
@@ -168,21 +169,21 @@ class TestStepState:
     """State transitions of ``simulate``, against the re-drawn noise rows."""
 
     def test_zero_dynamics_is_pure_noise(self):
-        sys = _cycle_system(4, Polynomial.zero(), Polynomial.one(), 1.0, 1.0, 3, h0=Polynomial.one())
+        sys = _cycle_system(4, Polynomial.zero(), Polynomial((1.0,)), 1.0, 1.0, 3, h0=Polynomial((1.0,)))
         noise = _noise_block(sys, 50)
         trajectory = simulate(sys, 50)
         np.testing.assert_allclose(trajectory.states[1:], noise[1::2], rtol=0.0, atol=1e-14)
 
     def test_identity_dynamics_zero_noise_keeps_state(self):
         sys = _cycle_system(
-            4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 3, h0=Polynomial((1.0, 0.5))
+            4, Polynomial((1.0,)), Polynomial((1.0,)), 0.0, 0.0, 3, h0=Polynomial((1.0, 0.5))
         )
         trajectory = simulate(sys, 51)
         assert np.linalg.norm(trajectory.states[0]) > 0.0
         np.testing.assert_array_equal(trajectory.states, np.tile(trajectory.states[0], (4, 1)))
 
     def test_dense_oracle_on_cycle30(self, c30):
-        _, shift, _, spectrum = c30
+        _, shift, spectrum = c30
         sys = DynamicalSystem.from_constant(
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
         )
@@ -192,7 +193,7 @@ class TestStepState:
         np.testing.assert_allclose(trajectory.states[1:], dense, rtol=0.0, atol=1e-12)
 
     def test_out_of_range_step(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
         with pytest.raises(ValueError):
             sys.response_row(4)
 
@@ -201,24 +202,24 @@ class TestObserve:
     """Observations of ``simulate``, against the re-drawn noise rows."""
 
     def test_identity_observation_zero_noise(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 0.0, 3)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 0.0, 3)
         trajectory = simulate(sys, 54)
         np.testing.assert_allclose(trajectory.observations, trajectory.states[1:], rtol=0.0, atol=1e-14)
 
     def test_zero_observation_is_pure_noise(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.zero(), 1.0, 2.0, 3)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial.zero(), 1.0, 2.0, 3)
         noise = _noise_block(sys, 55)
         trajectory = simulate(sys, 55)
         np.testing.assert_allclose(trajectory.observations, 2.0 * noise[2::2], rtol=0.0, atol=1e-14)
 
     def test_observation_matrix_is_half_adjacency(self, c30):
         # b(t) = 1 - t/2 on the cycle Laplacian realizes W/2
-        graph, shift, decomposition, _ = c30
-        b_matrix = eval_filter(Polynomial((1.0, -0.5)), decomposition)
+        graph, shift, spectrum = c30
+        b_matrix = eval_filter(Polynomial((1.0, -0.5)), spectrum)
         np.testing.assert_allclose(b_matrix, graph.weight_matrix / 2.0, atol=1e-12)
 
     def test_dense_oracle(self, c30):
-        graph, shift, _, spectrum = c30
+        graph, shift, spectrum = c30
         sys = DynamicalSystem.from_constant(
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
         )
@@ -230,24 +231,24 @@ class TestObserve:
 
 class TestCovarianceRecursion:
     def test_first_step_from_zero(self):
-        sys = _cycle_system(4, Polynomial((0.2, 0.4)), Polynomial.one(), 1.0, 1.0, 1)
+        sys = _cycle_system(4, Polynomial((0.2, 0.4)), Polynomial((1.0,)), 1.0, 1.0, 1)
         h1 = covariance_responses(sys)[1]
         np.testing.assert_allclose(h1, 1.0, atol=1e-12)
 
     def test_zero_dynamics_keeps_noise_floor(self):
-        sys = _cycle_system(4, Polynomial.zero(), Polynomial.one(), 0.5, 1.0, 1, h0=Polynomial((0.7,)))
+        sys = _cycle_system(4, Polynomial.zero(), Polynomial((1.0,)), 0.5, 1.0, 1, h0=Polynomial((0.7,)))
         h = covariance_responses(sys)[1]
         np.testing.assert_allclose(h, 0.25, atol=1e-12)
 
     def test_three_step_geometric_sum_oracle(self):
-        sys = _cycle_system(4, Polynomial((0.0, 0.25)), Polynomial.one(), 0.3, 0.5, 3)
+        sys = _cycle_system(4, Polynomial((0.0, 0.25)), Polynomial((1.0,)), 0.3, 0.5, 3)
         hs = covariance_responses(sys)
         lam = np.array([0.0, 2.0, 4.0])
         expected = 0.09 * (1.0 + (lam / 4.0) ** 2 + (lam / 4.0) ** 4)
         np.testing.assert_allclose(hs[3], expected, atol=1e-12)
 
     def test_upto_range_checked(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
         assert covariance_responses(sys, upto=2).shape == (3, 3)
         with pytest.raises(ValueError):
             covariance_responses(sys, upto=4)
@@ -265,7 +266,7 @@ class TestCovarianceRecursion:
             hs = covariance_responses(sys)
             cov = response_matrix(sys, hs[0])
             for k in range(1, sys.horizon + 1):
-                a = eval_filter(sys.state_poly(k), sys.decomposition)
+                a = eval_filter(sys.state_poly(k), sys.spectrum)
                 cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
                 gap = np.linalg.norm(cov - response_matrix(sys, hs[k]))
                 assert gap <= 1e-8
@@ -273,13 +274,13 @@ class TestCovarianceRecursion:
 
 class TestSimulate:
     def test_zero_horizon(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 0)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 0)
         trajectory = simulate(sys, 1)
         assert trajectory.states.shape == (1, 4)
         assert trajectory.observations.shape == (0, 4)
 
     def test_all_zero_reference_mode(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 0.0, 0.0, 5)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 0.0, 0.0, 5)
         trajectory = simulate(sys, 2)
         np.testing.assert_array_equal(trajectory.states, 0.0)
         np.testing.assert_array_equal(trajectory.observations, 0.0)
@@ -331,7 +332,7 @@ class TestSimulate:
 
     def test_per_step_state_energy_tracks_covariance_trace(self, c30):
         # Monte-Carlo over 30 trials at the default configuration
-        _, _, _, spectrum = c30
+        _, _, spectrum = c30
         sys = DynamicalSystem.from_constant(
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
         )
@@ -386,6 +387,14 @@ class TestStackedSimulate:
         assert trajectory.states.shape == (13, 6)
         assert isinstance(trajectory.seed, np.random.SeedSequence) and trajectory.seed.entropy == 99
 
+    def test_an_array_of_seeds_is_a_stack(self):
+        # numpy would take a 1-D array as one seed's entropy; simulate takes it as a list
+        sys = _cycle_system(6, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 12)
+        from_array, from_list = simulate(sys, np.arange(3)), simulate(sys, [0, 1, 2])
+        assert from_array.states.shape == (3, 13, 6)
+        assert from_array.states.tobytes() == from_list.states.tobytes()
+        assert from_array.observations.tobytes() == from_list.observations.tobytes()
+
     def test_stack_shapes_must_agree(self):
         with pytest.raises(ValueError, match="one more row"):
             Trajectory(states=np.zeros((2, 4, 3)), observations=np.zeros((3, 3, 3)), seed=())
@@ -393,14 +402,14 @@ class TestStackedSimulate:
     @pytest.mark.parametrize("seeds", [7, [7, 8, 9]], ids=["one", "stack"])
     def test_overflowing_trajectory_raises_at_its_first_step(self, seeds):
         # a = 1e200: x~_2 = 1e200 x~_1 + e~ is finite, x~_3 ~ 1e400 x~_1 is not
-        sys = _cycle_system(6, Polynomial.constant(1e200), Polynomial.one(), 1.0, 1.0, 5)
+        sys = _cycle_system(6, Polynomial.constant(1e200), Polynomial((1.0,)), 1.0, 1.0, 5)
         with pytest.raises(NumericalFailureError, match="simulated trajectory is not finite from step 3 on"):
             simulate(sys, seeds)
 
 
 class TestCsvExport:
     def test_header_and_row_count(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
         trajectory = simulate(sys, 7)
         buffer = io.StringIO()
         trajectory_to_csv(trajectory, buffer)
@@ -410,7 +419,7 @@ class TestCsvExport:
         assert lines[1].startswith("0,1,") and lines[1].endswith(",")
 
     def test_deterministic_bytes(self):
-        sys = _cycle_system(4, Polynomial.one(), Polynomial.one(), 1.0, 1.0, 3)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
         buffers = []
         for _ in range(2):
             buffer = io.StringIO()

@@ -19,6 +19,7 @@ from graphkalman import (
     SingularGainError,
     build_shift,
     cycle_graph,
+    eigendecompose,
     inverse_estimate,
     relative_error_metric,
     run_filter,
@@ -32,7 +33,7 @@ from graphkalman.experiment import METRIC_FLOOR, TraceSpec, trace_trajectory
 from graphkalman.seeding import generator
 from graphkalman.verify import random_polynomial, random_shift
 
-from conftest import full_riccati_sequence, spectrum_of, time_varying_cycle_system
+from conftest import full_riccati_sequence, time_varying_cycle_system
 
 # C_30 has no eigenvalue 2, where the observation response 1 - t/2 vanishes,
 # so sigma_tilde = 0 is exact inversion at every frequency; sigma = 0 with a
@@ -378,8 +379,8 @@ class TestConfig:
             (lambda: ExperimentConfig(n=12, trace=TraceSpec(vertex=8.5)), "trace vertex must be an integer, got 8.5"),
             (
                 lambda: DynamicalSystem.from_constant(
-                    spectrum_of(build_shift(cycle_graph(12), "laplacian")),
-                    Polynomial.one(), Polynomial.one(), 0.3, 0.5, horizon=2.5,
+                    eigendecompose(build_shift(cycle_graph(12), "laplacian")),
+                    Polynomial((1.0,)), Polynomial((1.0,)), 0.3, 0.5, horizon=2.5,
                 ),
                 "horizon must be an integer, got 2.5",
             ),
@@ -476,7 +477,7 @@ class TestNonFiniteRuns:
         # the heatmap's block path on a random system whose a is scaled by 1e-3 to 1e3
         rng = generator(seed)
         sys = DynamicalSystem.from_constant(
-            spectrum_of(random_shift(rng, n)),
+            eigendecompose(random_shift(rng, n)),
             Polynomial(tuple(10.0**log_scale * c for c in random_polynomial(rng, 3).coeffs)),
             random_polynomial(rng, 3),
             sigma=float(rng.uniform(0.1, 2.0)),
@@ -497,7 +498,7 @@ class TestNonFiniteRuns:
         # a caller's observation row at step 3 that is not finite, or whose
         # rotation into the eigenbasis overflows
         sys = DynamicalSystem.from_constant(
-            spectrum_of(build_shift(cycle_graph(6), "laplacian")),
+            eigendecompose(build_shift(cycle_graph(6), "laplacian")),
             Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, horizon=5,
         )
         observations = np.ones((5, 6))

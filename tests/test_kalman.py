@@ -12,6 +12,7 @@ from graphkalman import (
     SingularGainError,
     build_shift,
     cycle_graph,
+    eigendecompose,
     eval_filter,
     matrix_riccati_step,
     riccati_sequence,
@@ -24,13 +25,13 @@ from graphkalman.experiment import DEFAULT_GRID
 from graphkalman.seeding import generator
 from graphkalman.verify import matrix_riccati_path, random_system, response_matrix
 
-from conftest import full_riccati_sequence, plain_recursion, spectrum_of, time_varying_cycle_system
+from conftest import full_riccati_sequence, plain_recursion, time_varying_cycle_system
 
 
 def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30):
     shift = build_shift(cycle_graph(n), "laplacian")
     return DynamicalSystem.from_constant(
-        spectrum_of(shift), Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)),
+        eigendecompose(shift), Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)),
         sigma, sigma_tilde, horizon,
     )
 
@@ -41,8 +42,8 @@ def _dense_filter(sys, observations):
     x = np.zeros(sys.n)
     out = []
     for k, (gain, z) in enumerate(zip(gains, observations), start=1):
-        a = eval_filter(sys.state_poly(k), sys.decomposition)
-        b = eval_filter(sys.observation_poly(k), sys.decomposition)
+        a = eval_filter(sys.state_poly(k), sys.spectrum)
+        b = eval_filter(sys.observation_poly(k), sys.spectrum)
         predicted = a @ x
         x = predicted + gain @ (z - b @ predicted)
         out.append(x)
@@ -54,7 +55,7 @@ def _eigenbasis_estimates(sys, observations, riccati):
     from x~_0 = 0, with every response expanded to the n eigenindices and the
     raw observation responses b_k (g_k is 0 where b_k is blind), rotated back."""
     m = observations.shape[0]
-    u = sys.decomposition.eigenvectors
+    u = sys.spectrum.eigenvectors
     expand = sys.spectrum.expand
     g = expand(riccati.gain_responses[:m])
     carry = expand(sys.state_responses[:m]) * (1.0 - g * expand(sys.observation_responses[:m]))
@@ -82,7 +83,7 @@ class TestPredictUpdate:
     def test_identity_dynamics_keeps_estimate(self):
         # a = b = 1 and z_k = xhat_1 from step 2 on: the innovation vanishes there
         shift = build_shift(cycle_graph(5), "laplacian")
-        sys = DynamicalSystem.from_constant(spectrum_of(shift), Polynomial.one(), Polynomial.one(), 1.0, 1.0, 4)
+        sys = DynamicalSystem.from_constant(eigendecompose(shift), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 4)
         z1 = generator(60).standard_normal((1, 5))
         x1 = run_filter(sys, z1).estimates[1]
         states = run_filter(sys, np.vstack([z1, np.tile(x1, (3, 1))]))
@@ -92,9 +93,9 @@ class TestPredictUpdate:
         # b_2 = b_3 = 0 make the gains of steps 2 and 3 vanish, so those
         # estimates are the predictions a x^_{k-1} alone
         sys = DynamicalSystem.from_sequences(
-            spectrum_of(build_shift(cycle_graph(30), "laplacian")),
+            eigendecompose(build_shift(cycle_graph(30), "laplacian")),
             state_polys=[Polynomial((0.0, 0.25))] * 3,
-            observation_polys=[Polynomial.one(), Polynomial.zero(), Polynomial.zero()],
+            observation_polys=[Polynomial((1.0,)), Polynomial.zero(), Polynomial.zero()],
             sigmas=[0.3] * 3,
             sigma_tildes=[0.5] * 3,
         )
@@ -117,7 +118,7 @@ class TestPredictUpdate:
         # b = 1 with zero observation noise gives the unit gain
         shift = build_shift(cycle_graph(5), "laplacian")
         sys = DynamicalSystem.from_constant(
-            spectrum_of(shift), Polynomial.one(), Polynomial.one(), 1.0, 0.0, 4
+            eigendecompose(shift), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 0.0, 4
         )
         z = generator(65).standard_normal((4, 5))
         states = run_filter(sys, z)
@@ -133,7 +134,7 @@ class TestPredictUpdate:
 
 def _one_step(c4, p_prev, state_poly, observation_poly, sigma, sigma_tilde):
     """Gain and updated error responses of one Riccati step on C_4 from p_prev."""
-    _, _, _, spectrum = c4
+    _, _, spectrum = c4
     sys = DynamicalSystem.from_constant(
         spectrum, state_poly, observation_poly, sigma, sigma_tilde, 1, initial_covariance=p_prev,
     )
@@ -143,23 +144,23 @@ def _one_step(c4, p_prev, state_poly, observation_poly, sigma, sigma_tilde):
 
 class TestSpectralRecursion:
     def test_unit_system_gain_is_half(self, c4):
-        g, _ = _one_step(c4, Polynomial.zero(), Polynomial((0.3, -0.2)), Polynomial.one(), 1.0, 1.0)
+        g, _ = _one_step(c4, Polynomial.zero(), Polynomial((0.3, -0.2)), Polynomial((1.0,)), 1.0, 1.0)
         np.testing.assert_allclose(g, 0.5, atol=1e-12)
 
     def test_blind_observation_zero_gain(self, c4):
-        g, _ = _one_step(c4, Polynomial.one(), Polynomial.one(), Polynomial.zero(), 1.0, 1.0)
+        g, _ = _one_step(c4, Polynomial((1.0,)), Polynomial((1.0,)), Polynomial.zero(), 1.0, 1.0)
         np.testing.assert_array_equal(g, 0.0)
 
     def test_large_observation_noise_shrinks_gain(self, c4):
-        g, _ = _one_step(c4, Polynomial.zero(), Polynomial.one(), Polynomial.one(), 1.0, 1e3)
+        g, _ = _one_step(c4, Polynomial.zero(), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1e3)
         np.testing.assert_allclose(g, 1.0 / (1.0 + 1e6), rtol=1e-12)
 
     def test_unit_system_error_is_half(self, c4):
-        _, p = _one_step(c4, Polynomial.zero(), Polynomial.one(), Polynomial.one(), 1.0, 1.0)
+        _, p = _one_step(c4, Polynomial.zero(), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0)
         np.testing.assert_allclose(p, 0.5, atol=1e-12)
 
     def test_perfect_observation_error_vanishes(self, c4):
-        _, p = _one_step(c4, Polynomial.one(), Polynomial.one(), Polynomial.one(), 1.0, 0.0)
+        _, p = _one_step(c4, Polynomial((1.0,)), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 0.0)
         np.testing.assert_array_equal(p, 0.0)
 
     def test_zero_dynamics_error_ignores_previous(self, c4):
@@ -167,7 +168,7 @@ class TestSpectralRecursion:
         _, p_a = _one_step(c4, Polynomial.zero(), Polynomial.zero(), b, 0.7, 0.9)
         _, p_b = _one_step(c4, Polynomial.constant(5.0), Polynomial.zero(), b, 0.7, 0.9)
         np.testing.assert_allclose(p_a, p_b, atol=1e-12)
-        b_values = b(c4[3].representatives)
+        b_values = b(c4[2].representatives)
         expected = 0.9**2 * 0.7**2 / (0.7**2 * b_values**2 + 0.9**2)
         np.testing.assert_allclose(p_a, expected, atol=1e-12)
 
@@ -175,7 +176,7 @@ class TestSpectralRecursion:
         # 1 - t/2 vanishes at eigenvalue 2; with positive predicted variance
         # and zero observation noise the gain is undefined there
         with pytest.raises(SingularGainError):
-            _one_step(c4, Polynomial.zero(), Polynomial.one(), Polynomial((1.0, -0.5)), 0.3, 0.0)
+            _one_step(c4, Polynomial.zero(), Polynomial((1.0,)), Polynomial((1.0, -0.5)), 0.3, 0.0)
 
     @pytest.mark.parametrize("n", [12, 20])
     def test_near_blind_frequency_raises(self, n):
@@ -190,7 +191,7 @@ class TestSpectralRecursion:
         # error grows as 9^k and leaves the float64 range at step 324
         shift = build_shift(cycle_graph(8), "laplacian")
         sys = DynamicalSystem.from_constant(
-            spectrum_of(shift), Polynomial.constant(3.0), Polynomial((1.0, -0.5)), 1.0, 1.0, 400
+            eigendecompose(shift), Polynomial.constant(3.0), Polynomial((1.0, -0.5)), 1.0, 1.0, 400
         )
         assert np.isfinite(riccati_sequence(sys, steps=323).error_responses).all()
         with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
@@ -274,7 +275,7 @@ class TestRunFilter:
         assert states[0].step == 0
         np.testing.assert_array_equal(states[0].estimate, np.zeros(30))
         assert states[0].gain_response is None
-        h0 = eval_filter(sys.initial_covariance, sys.decomposition)
+        h0 = eval_filter(sys.initial_covariance, sys.spectrum)
         np.testing.assert_array_equal(response_matrix(sys, states[0].error_response), h0)
 
     def test_overflowing_estimate_names_its_first_step(self):
@@ -283,7 +284,7 @@ class TestRunFilter:
         # estimate leaves the float range
         shift = build_shift(cycle_graph(4), "laplacian")
         sys = DynamicalSystem.from_constant(
-            spectrum_of(shift), Polynomial.constant(0.5), Polynomial.constant(1e-3), 1.0, 0.0, 4
+            eigendecompose(shift), Polynomial.constant(0.5), Polynomial.constant(1e-3), 1.0, 0.0, 4
         )
         observations = np.ones((4, 4))
         observations[1] = 1e306
@@ -295,7 +296,7 @@ class TestRunFilter:
         # onto the true state after one step
         shift = build_shift(cycle_graph(6), "laplacian")
         sys = DynamicalSystem.from_constant(
-            spectrum_of(shift), Polynomial((0.0, 0.25)), Polynomial.one(), 0.4, 0.0, 8
+            eigendecompose(shift), Polynomial((0.0, 0.25)), Polynomial((1.0,)), 0.4, 0.0, 8
         )
         trajectory = simulate(sys, 31337)
         states = run_filter(sys, trajectory.observations)
@@ -335,6 +336,17 @@ class TestRunFilter:
         for a, b in zip(direct, reused):
             np.testing.assert_array_equal(a.estimate, b.estimate)
 
+    def test_riccati_of_another_system_rejected(self):
+        # with the same spectrum and another sigma the gains would be wrong, silently
+        sys = _paper_like_system(horizon=10)
+        observations = simulate(sys, 11).observations
+        same_spectrum = DynamicalSystem.from_constant(
+            sys.spectrum, sys.state_polys[0], sys.observation_polys[0], 0.6, 0.5, 10
+        )
+        for other in (same_spectrum, _paper_like_system(horizon=10, n=12)):
+            with pytest.raises(ValueError, match="belongs to another system"):
+                run_filter(sys, observations, riccati=riccati_sequence(other))
+
     def test_too_many_observations_rejected(self):
         sys = _paper_like_system(horizon=3)
         with pytest.raises(ValueError):
@@ -353,16 +365,16 @@ class TestRunFilter:
         sys = random_system(generator(70), n_max=8, steps=5, zero_initial=False)
         trajectory = simulate(sys, 70)
         states = run_filter(sys, trajectory.observations)
-        h0 = eval_filter(sys.initial_covariance, sys.decomposition)
+        h0 = eval_filter(sys.initial_covariance, sys.spectrum)
         initial = response_matrix(sys, states[0].error_response)
         np.testing.assert_allclose(initial, h0, atol=1e-12)
         expected = _dense_filter(sys, trajectory.observations)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
     def test_step_error_is_labelled(self, c4):
-        _, _, _, spectrum = c4
+        _, _, spectrum = c4
         sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial.one(), Polynomial((1.0, -0.5)), 0.3, 0.0, 4
+            spectrum, Polynomial((1.0,)), Polynomial((1.0, -0.5)), 0.3, 0.0, 4
         )
         with pytest.raises(SingularGainError, match="step 1"):
             run_filter(sys, np.zeros((4, 4)))
@@ -450,7 +462,7 @@ class TestTimeVarying:
         shift = build_shift(cycle_graph(10), "laplacian")
         steps = range(1, 6)
         sys = DynamicalSystem.from_sequences(
-            spectrum_of(shift),
+            eigendecompose(shift),
             state_polys=[Polynomial((0.5, 0.1 * k)) for k in steps],
             observation_polys=[Polynomial((1.0, -0.2 * k)) for k in steps],
             sigmas=[0.2 * k for k in steps],
@@ -475,10 +487,10 @@ class TestTimeVarying:
         expected = _dense_filter(sys, trajectory.observations)
         assert _worst_step_gap(_estimates(states), expected) <= 1e-10
 
-        cov = eval_filter(sys.initial_covariance, sys.decomposition)
+        cov = eval_filter(sys.initial_covariance, sys.spectrum)
         for k, response in enumerate(covariance_responses(sys)):
             if k:
-                a = eval_filter(sys.state_poly(k), sys.decomposition)
+                a = eval_filter(sys.state_poly(k), sys.spectrum)
                 cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
             gap = np.linalg.norm(response_matrix(sys, response) - cov)
             assert gap <= 1e-10 * np.linalg.norm(cov)
@@ -522,7 +534,7 @@ _TWO_CYCLE_CELLS = (
 def _c30_eigh_spectrum(c30):
     # a custom shift holding the cycle Laplacian goes through ``eigh``, not the closed form
     graph, shift = c30[0], c30[1]
-    return spectrum_of(build_shift(graph, "custom", shift.matrix))
+    return eigendecompose(build_shift(graph, "custom", shift.matrix))
 
 
 class TestFixedPoint:
@@ -531,7 +543,7 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("grid", [_SWEEP_GRID, DEFAULT_GRID], ids=["sweep", "default"])
     def test_every_grid_cell_matches_the_full_recursion(self, c30, grid):
-        spectrum = c30[3]
+        spectrum = c30[2]
         repeats = 0
         for sigma in grid:
             for sigma_tilde in grid:
@@ -550,7 +562,7 @@ class TestFixedPoint:
 
     def test_rows_after_the_fixed_point_are_copies(self, c30):
         sys = DynamicalSystem.from_constant(
-            c30[3], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.5, 0.5, 100
+            c30[2], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.5, 0.5, 100
         )
         riccati = riccati_sequence(sys)
         k = _first_repeat(riccati.error_responses)
@@ -580,7 +592,7 @@ class TestFixedPoint:
         for sigma in _SWEEP_GRID:
             for sigma_tilde in _SWEEP_GRID:
                 sys = DynamicalSystem.from_constant(
-                    c30[3], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, 100
+                    c30[2], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, 100
                 )
                 reference = full_riccati_sequence(sys)
                 k = _first_two_cycle(reference.error_responses)
@@ -597,7 +609,7 @@ class TestFixedPoint:
         # C_4 has the eigenvalue 2, where b = 1 - t/2 is blind; the state noise
         # first makes it uncertain at step 3
         sys = DynamicalSystem.from_sequences(
-            c4[3], [Polynomial.constant(0.5)] * 4, [Polynomial((1.0, -0.5))] * 4, [0.0, 0.0, 0.3, 0.3], [0.0] * 4
+            c4[2], [Polynomial.constant(0.5)] * 4, [Polynomial((1.0, -0.5))] * 4, [0.0, 0.0, 0.3, 0.3], [0.0] * 4
         )
         with pytest.raises(SingularGainError) as reference:
             full_riccati_sequence(sys)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from graphkalman import (
     SpectralDecomposition,
     build_shift,
     cycle_graph,
-    distinct_eigenvalues,
     eigendecompose,
     eval_filter,
 )
@@ -22,7 +22,7 @@ from conftest import cycle_laplacian_eigenvalues
 
 class TestEigendecompose:
     def test_c4_eigenvalues_match_cosine_oracle(self, c4):
-        _, _, decomposition, _ = c4
+        _, _, decomposition = c4
         np.testing.assert_allclose(
             decomposition.eigenvalues, cycle_laplacian_eigenvalues(4), atol=1e-12
         )
@@ -35,7 +35,7 @@ class TestEigendecompose:
         np.testing.assert_allclose(decomposition.eigenvalues, 1.0, atol=0)
 
     def test_c30_range_and_absent_value(self, c30):
-        _, _, decomposition, _ = c30
+        _, _, decomposition = c30
         lam = decomposition.eigenvalues
         np.testing.assert_allclose(lam, cycle_laplacian_eigenvalues(30), atol=1e-12)
         assert lam.min() >= -1e-12 and lam.max() <= 4.0 + 1e-12
@@ -62,7 +62,7 @@ class TestEigendecompose:
                 assert leading > 0
 
     def test_deterministic_for_fixed_input(self, c30):
-        _, shift, decomposition, _ = c30
+        _, shift, decomposition = c30
         again = eigendecompose(shift)
         np.testing.assert_array_equal(again.eigenvalues, decomposition.eigenvalues)
         np.testing.assert_array_equal(again.eigenvectors, decomposition.eigenvectors)
@@ -115,25 +115,36 @@ def test_only_spectral_reads_the_eigenvectors():
     assert readers == []
 
 
+def test_one_spectral_handle():
+    # the eigendecomposition carries its grouping, so there is no second
+    # spectral type to reach through; the grouping shim is called only where
+    # the benchmark times it
+    assert not hasattr(graphkalman, "DistinctSpectrum") and not hasattr(graphkalman.spectral, "DistinctSpectrum")
+    modules = sorted(Path(graphkalman.__file__).parent.glob("*.py"))
+    assert [p.name for p in modules if re.search(r"\.decomposition\b", p.read_text())] == []
+    callers = [p.name for p in modules if re.search(r"(?<!def )\bdistinct_eigenvalues\(", p.read_text())]
+    assert callers == ["experiment.py"]
+
+
 class TestDistinctEigenvalues:
     def test_c4_groups(self, c4):
-        _, _, _, spectrum = c4
+        _, _, spectrum = c4
         np.testing.assert_allclose(spectrum.representatives, [0.0, 2.0, 4.0], atol=1e-12)
         np.testing.assert_array_equal(spectrum.multiplicities, [1, 2, 1])
 
     def test_all_equal_single_group(self):
         shift = build_shift(cycle_graph(4), "custom", matrix=np.eye(4))
-        spectrum = distinct_eigenvalues(eigendecompose(shift))
+        spectrum = eigendecompose(shift)
         assert spectrum.count == 1
         np.testing.assert_array_equal(spectrum.group_index, 0)
 
     def test_c30_has_sixteen_distinct_values(self, c30):
-        _, _, _, spectrum = c30
+        _, _, spectrum = c30
         oracle = np.unique(np.round(cycle_laplacian_eigenvalues(30), 9))
         assert spectrum.count == 16 == oracle.size
 
     def test_grouping_idempotent(self, c30):
-        _, _, _, spectrum = c30
+        _, _, spectrum = c30
         gaps = np.diff(spectrum.representatives)
         assert np.all(gaps > spectrum.tol)
 
@@ -144,12 +155,12 @@ class TestDistinctEigenvalues:
         # reads only the eigenvalues, so no n x n basis is built
         values = 4.0 * np.sin((np.pi / n) * np.arange(n // 2 + 1)) ** 2
         eigenvalues = values[(np.arange(n) + 1) // 2]
-        spectrum = distinct_eigenvalues(SpectralDecomposition(shift=None, eigenvalues=eigenvalues, eigenvectors=None))
+        spectrum = SpectralDecomposition(shift=None, eigenvalues=eigenvalues, eigenvectors=None)
         assert spectrum.count == n // 2 + 1
         np.testing.assert_array_equal(spectrum.representatives, values)
 
     def test_group_means_and_expand(self, c4):
-        _, _, _, spectrum = c4
+        _, _, spectrum = c4
         values = np.array([1.0, 2.0, 4.0, 8.0])  # eigenindex order (0, 2, 2, 4)
         means = spectrum.group_means(values)
         np.testing.assert_allclose(means, [1.0, 3.0, 8.0])
@@ -162,7 +173,7 @@ class TestMinimalPolynomial:
 
     def test_single_root(self):
         shift = build_shift(cycle_graph(4), "custom", matrix=2.5 * np.eye(4))
-        spectrum = distinct_eigenvalues(eigendecompose(shift))
+        spectrum = eigendecompose(shift)
         np.testing.assert_array_equal(spectrum.representatives, [2.5])
         assert annihilation_residual(spectrum) == 0.0
 
@@ -170,11 +181,11 @@ class TestMinimalPolynomial:
         rng = generator(23)
         for _ in range(6):
             shift = random_shift(rng, int(rng.integers(4, 12)))
-            spectrum = distinct_eigenvalues(eigendecompose(shift))
+            spectrum = eigendecompose(shift)
             assert annihilation_residual(spectrum) <= 1e-12
 
     def test_annihilates_cycle_laplacian(self, c30, c120):
-        for _, _, _, spectrum in (c30, c120):
+        for _, _, spectrum in (c30, c120):
             assert annihilation_residual(spectrum) <= 1e-12
 
 
@@ -198,7 +209,7 @@ class TestCycleLaplacianClosedForm:
         # each pair shares one float, so grouping finds the multiplicities exactly
         pairs = [2] * ((n - 1) // 2)
         expected = [1, *pairs, 1] if n % 2 == 0 else [1, *pairs]
-        np.testing.assert_array_equal(distinct_eigenvalues(decomposition).multiplicities, expected)
+        np.testing.assert_array_equal(decomposition.multiplicities, expected)
         assert not (u.flags.writeable or lam.flags.writeable)
 
     @pytest.mark.parametrize("entry", ["run_heatmap", "run_trace", "trace_trajectory"])
