@@ -287,7 +287,7 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
     del noise
     expand = sys.spectrum.expand
     x_tilde = np.empty((m + 1, trials, n))
-    initial_scale = np.sqrt(sys.initial_model.clamped_group_variances())
+    initial_scale = np.sqrt(sys.initial_model.clamped_group_variances)
     np.multiply(expand(initial_scale), e_tilde[0], out=x_tilde[0])
     np.multiply(np.asarray(sys.state_noise)[:, None, None], e_tilde[1::2], out=x_tilde[1:])
     # a_k at each step's full (T, n) shape keeps numpy on its fast loop

@@ -20,13 +20,15 @@ step would return the same rows: the recursion stops at that exact fixed
 point and copies them forward, bit for bit what the full loop gives.  A
 step that returns p_k bitwise equal to p_{k-2} starts an exact 2-cycle,
 and the remaining rows are filled with period 2 the same way.
-Filtering moves the observations into the eigenbasis once, updates every
-frequency on its own, adding each step's carry times the previous estimate
-to that step's drive in place, and moves the estimates back once.
-``run_filter`` returns a ``FilterResult``: the estimates as one (M + 1, n)
-array beside the response arrays, readable as a sequence of
-``KalmanState`` built on demand; an estimate that is not finite raises
-``NumericalFailureError`` naming its first step.
+A ``RiccatiSequence`` owns every data-independent array the filter reads:
+the gain and error responses and, formed once per sequence, the per-step
+carry and gain rows at the eigenindices (``filter_rows``).  Filtering moves
+the observations into the eigenbasis once, updates every frequency on its
+own, adding each step's carry times the previous estimate to that step's
+drive in place, and moves the estimates back once.  ``run_filter`` returns
+a ``FilterResult``, the estimates as one (M + 1, n) array (also readable as
+a sequence of ``KalmanState`` built on demand); an estimate that is not
+finite raises ``NumericalFailureError`` naming its first step.
 The one edge back to a polynomial of the shift is ``RiccatiSequence.gains``,
 Chebyshev interpolants made on request (``NumericalFailureError`` where an
 interpolant cannot keep its node values).  A frequency is blind, with gain
@@ -53,13 +55,11 @@ INNOVATION_CONDITION_LIMIT = 1e14
 
 @dataclass(frozen=True, eq=False)
 class KalmanState:
-    """Estimate after step k with the error and gain responses at the
-    distinct eigenvalues (the gain is None at k=0)."""
+    """Estimate after one step, row k of a ``FilterResult``.  Kept for
+    perfbench's filter capture, which reads results step by step; it goes
+    with ROADMAP items 1 and 2."""
 
-    step: int
     estimate: np.ndarray
-    error_response: np.ndarray
-    gain_response: np.ndarray | None
 
 
 def _scalar_riccati(
@@ -126,29 +126,37 @@ def matrix_riccati_step(p_prev, a, b, sigma: float, sigma_tilde: float) -> tuple
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSequence:
-    """Gain and error responses of ``system`` at its distinct eigenvalues ``nodes``.
+    """Gain and error responses of ``system`` at its distinct eigenvalues:
+    the one owner of the filter's data-independent arrays.
 
-    ``initial_response`` holds p_0 (the system's h_0) at the nodes; row k-1
-    of ``gain_responses`` and ``error_responses`` holds step k.  ``gains``
-    interpolates the gain rows on first access, one ``ChebyshevSeries``
-    per step on [min node, max node].
+    Row k-1 of ``gain_responses`` and ``error_responses`` holds step k;
+    p_0 is the system's h_0 (``system.initial_model.group_variances``).
+    ``filter_rows`` expands them into the filter's per-step rows, and
+    ``gains`` interpolates the gain rows, one ``ChebyshevSeries`` per step
+    on the span of the distinct eigenvalues; both are made on first access.
     """
 
     system: DynamicalSystem
     gain_responses: np.ndarray
     error_responses: np.ndarray
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.system.spectrum.representatives
-
-    @property
-    def initial_response(self) -> np.ndarray:
-        return self.system.initial_model.group_variances
+    @cached_property
+    def filter_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(carry, gain): read-only (steps, n) arrays whose row k-1 holds
+        carry_k = a_k (1 - g_k b_k) and g_k of step k at the eigenindices,
+        with b_k the system's ``observed_responses``."""
+        sys, g = self.system, self.gain_responses
+        steps = g.shape[0]
+        carry = sys.spectrum.expand(sys.state_responses[:steps] * (1.0 - g * sys.observed_responses[:steps]))
+        gain = sys.spectrum.expand(g)
+        for values in (carry, gain):
+            values.flags.writeable = False
+        return carry, gain
 
     @cached_property
     def gains(self) -> tuple[ChebyshevSeries, ...]:
-        return tuple(lagrange_interpolate(self.nodes, row) for row in self.gain_responses)
+        nodes = self.system.spectrum.representatives
+        return tuple(lagrange_interpolate(nodes, row) for row in self.gain_responses)
 
 
 def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiSequence:
@@ -227,38 +235,25 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
 
 @dataclass(frozen=True, eq=False)
 class FilterResult(Sequence[KalmanState]):
-    """Estimates of steps 0..M and the error and gain responses, as arrays.
-
-    Row k of ``estimates`` (shape (M + 1, n)) is step k, row 0 the initial
-    estimate 0; row k-1 of ``error_responses`` and ``gain_responses`` (shape
-    (M, d)) is step k.  All arrays are read-only.  As a read-only sequence
-    of ``KalmanState`` of length M + 1, ``result[k]`` builds step k's state
-    on demand and a slice returns a list of states.
+    """Estimates of steps 0..M: row k of the read-only (M + 1, n)
+    ``estimates`` is step k, row 0 the initial estimate 0.  The gain and
+    error responses are read from the ``RiccatiSequence``.  As a read-only
+    sequence of ``KalmanState`` of length M + 1, ``result[k]`` builds step
+    k's state on demand and a slice returns a list of states.
     """
 
     estimates: np.ndarray
-    initial_response: np.ndarray
-    error_responses: np.ndarray
-    gain_responses: np.ndarray
 
     def __post_init__(self) -> None:
-        for values in (self.estimates, self.initial_response, self.error_responses, self.gain_responses):
-            values.flags.writeable = False
+        self.estimates.flags.writeable = False
 
     def __len__(self) -> int:
         return self.estimates.shape[0]
 
     def __getitem__(self, index) -> KalmanState | list[KalmanState]:
         if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = operator.index(index)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError(f"step {index} out of range for {len(self)} states")
-        if k == 0:
-            return KalmanState(0, self.estimates[0], self.initial_response, None)
-        return KalmanState(k, self.estimates[k], self.error_responses[k - 1], self.gain_responses[k - 1])
+            return [KalmanState(row) for row in self.estimates[index]]
+        return KalmanState(self.estimates[operator.index(index)])
 
 
 def run_filter(
@@ -275,12 +270,13 @@ def run_filter(
 
         x~ <- a_k x~ + g_k (z~_k - b_k a_k x~) = carry_k x~ + drive_k,
 
-    where carry_k = a_k (1 - g_k b_k) is formed at the distinct eigenvalues
-    for all steps and expanded once, as g_k is, and drive_k = g_k z~_k.  The
-    drives are written into the rows of the eigenbasis estimates and the
-    loop adds carry_k x~_{k-1} to row k in place.  The estimates are moved
-    back once.  The dense matrix recursion is not run here;
-    ``verify.matrix_riccati_path`` keeps it as the oracle.
+    where drive_k = g_k z~_k.  carry_k = a_k (1 - g_k b_k) and g_k at the
+    eigenindices are not formed here: they are ``riccati.filter_rows``,
+    formed once per sequence, and are read up to step m.  The drives are
+    written into the rows of the eigenbasis estimates and the loop adds
+    carry_k x~_{k-1} to row k in place.  The estimates are moved back once.
+    The dense matrix recursion is not run here; ``verify.matrix_riccati_path``
+    keeps it as the oracle.
 
     The prior is the system's: x^_0 = 0 and p_0 = h_0.  A precomputed
     ``riccati`` sequence (which is data-independent) may be reused across
@@ -302,23 +298,17 @@ def run_filter(
     elif riccati.gain_responses.shape[0] < m:
         raise ValueError("precomputed riccati sequence is shorter than the observations")
 
-    g = riccati.gain_responses[:m]
-    carry = sys.spectrum.expand(sys.state_responses[:m] * (1.0 - g * sys.observed_responses[:m]))
+    carry, gain = riccati.filter_rows
     estimates = np.zeros((m + 1, sys.n))
     # a non-finite estimate is named below, once, rather than warned about per operation
     with np.errstate(over="ignore", invalid="ignore"):
         rotated = sys.spectrum.to_spectral(obs)
-        rotated *= sys.spectrum.expand(g)
+        rotated *= gain[:m]
         previous = estimates[0]
-        for carry_k, x_k in zip(carry, rotated):
+        for carry_k, x_k in zip(carry[:m], rotated):
             x_k += carry_k * previous
             previous = x_k
         estimates[1:] = sys.spectrum.from_spectral(rotated)
     if not np.isfinite(estimates).all():
         require_finite_steps(estimates, "Kalman estimate", first_step=0)
-    return FilterResult(
-        estimates=estimates,
-        initial_response=riccati.initial_response,
-        error_responses=riccati.error_responses[:m],
-        gain_responses=riccati.gain_responses[:m],
-    )
+    return FilterResult(estimates)

@@ -42,13 +42,18 @@ class StationaryModel:
         values.flags.writeable = False
         return values
 
+    @cached_property
     def clamped_group_variances(self) -> np.ndarray:
-        """Group variances with tiny negative values clamped to zero.
+        """Group variances with tiny negative values clamped to zero, read-only
+        and checked once per model.
 
         Raises:
-            NotPositiveSemidefiniteError: as ``require_psd``.
+            NotPositiveSemidefiniteError: as ``require_psd``, on every read,
+                since a failed check caches nothing.
         """
-        return np.maximum(require_psd(self.group_variances, "covariance polynomial"), 0.0)
+        values = np.maximum(require_psd(self.group_variances, "covariance polynomial"), 0.0)
+        values.flags.writeable = False
+        return values
 
 
 def require_psd(values: np.ndarray, what: str) -> np.ndarray:
@@ -63,7 +68,7 @@ def require_psd(values: np.ndarray, what: str) -> np.ndarray:
 def sqrt_filter(model: StationaryModel) -> ChebyshevSeries:
     """Chebyshev interpolant taking the value sqrt(variance) at every distinct
     eigenvalue: the polynomial channel that colours white noise into the model."""
-    variances = model.clamped_group_variances()
+    variances = model.clamped_group_variances
     return lagrange_interpolate(model.spectrum.representatives, np.sqrt(variances))
 
 
@@ -78,7 +83,7 @@ def sample(
     spectrum = model.spectrum
     shape = (spectrum.n,) if size is None else (spectrum.n, size)
     noise = rng.standard_normal(shape)
-    scale = spectrum.expand(np.sqrt(model.clamped_group_variances()))
+    scale = spectrum.expand(np.sqrt(model.clamped_group_variances))
     # transposed so each signal lies along the last axis, and back
     return spectrum.from_spectral(scale * spectrum.to_spectral(noise.T)).T
 
@@ -95,7 +100,7 @@ def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> n
     n = spectrum.n
     if x.shape != (n,):
         raise ValueError(f"signal shape {x.shape} does not match graph order {n}")
-    variances = spectrum.expand(model.clamped_group_variances())
+    variances = spectrum.expand(model.clamped_group_variances)
     spectral = spectrum.to_spectral(x)
     noise = np.empty(n)
     nonzero = variances > 0.0

@@ -440,7 +440,7 @@ def simulation_step_gaps(sys: DynamicalSystem, trajectory) -> list[float]:
     vertex-space recursion from the previous simulated state, both driven by
     the rows of the re-drawn noise block."""
     noise = generator(child_sequence(trajectory.seed, 0)).standard_normal((2 * sys.horizon + 1, sys.n))
-    scale = sys.spectrum.expand(np.sqrt(sys.initial_model.clamped_group_variances()))
+    scale = sys.spectrum.expand(np.sqrt(sys.initial_model.clamped_group_variances))
     gaps = [_relative_gap(trajectory.states[0], sys.spectrum.operator(scale) @ noise[0])]
     for k in range(1, sys.horizon + 1):
         state = apply_filter(sys.state_poly(k), sys.shift, trajectory.states[k - 1])
@@ -521,7 +521,7 @@ def _gain_optimality(rng, delta: float = 1e-3) -> tuple[bool, str]:
     for _ in range(5):
         sys = random_system(rng, n_max=10, steps=10)
         riccati = kalman_mod.riccati_sequence(sys)
-        p_values = riccati.initial_response
+        p_values = sys.initial_model.group_variances
         for k in range(1, sys.horizon + 1):
             a = sys.state_responses[sys.response_row(k)]
             b = sys.observation_responses[sys.response_row(k)]

@@ -45,7 +45,7 @@ def _dense_trajectory(sys, seed):
     """States and observations of the vertex-space recursion (Horner on the
     shift) driven by the rows of the re-drawn noise block."""
     noise = _noise_block(sys, seed)
-    states = [response_matrix(sys, np.sqrt(sys.initial_model.clamped_group_variances())) @ noise[0]]
+    states = [response_matrix(sys, np.sqrt(sys.initial_model.clamped_group_variances)) @ noise[0]]
     observations = []
     for k in range(1, sys.horizon + 1):
         x = apply_filter(sys.state_poly(k), sys.shift, states[-1]) + sys.state_sigma(k) * noise[2 * k - 1]
@@ -61,7 +61,7 @@ def _eigenbasis_trajectory(sys, seed):
     u = sys.spectrum.eigenvectors
     expand = sys.spectrum.expand
     noise = _noise_block(sys, seed) @ u
-    x0 = expand(np.sqrt(sys.initial_model.clamped_group_variances())) * noise[0]
+    x0 = expand(np.sqrt(sys.initial_model.clamped_group_variances)) * noise[0]
     a = np.broadcast_to(expand(sys.state_responses[:m]), (m, sys.n))
     states = plain_recursion(x0, a, np.asarray(sys.state_noise)[:m, None] * noise[1::2])
     observations = expand(sys.observation_responses[:m]) * states[1:]

@@ -1,3 +1,4 @@
+import dataclasses
 from collections.abc import Sequence
 
 import numpy as np
@@ -10,6 +11,7 @@ from graphkalman import (
     NumericalFailureError,
     Polynomial,
     SingularGainError,
+    SpectralDecomposition,
     build_shift,
     cycle_graph,
     eigendecompose,
@@ -63,10 +65,6 @@ def _eigenbasis_estimates(sys, observations, riccati):
     return np.vstack([np.zeros(sys.n), rotated[1:] @ u.T])
 
 
-def _estimates(states):
-    return np.array([state.estimate for state in states[1:]])
-
-
 def _worst_step_gap(estimates, reference):
     gaps = np.linalg.norm(estimates - reference, axis=1) / np.linalg.norm(reference, axis=1)
     return float(np.max(gaps))
@@ -77,8 +75,8 @@ class TestPredictUpdate:
 
     def test_zero_estimate_predicts_zero(self):
         sys = _paper_like_system(horizon=3)
-        states = run_filter(sys, np.zeros((3, 30)))
-        np.testing.assert_array_equal(_estimates(states), np.zeros((3, 30)))
+        estimates = run_filter(sys, np.zeros((3, 30))).estimates
+        np.testing.assert_array_equal(estimates[1:], np.zeros((3, 30)))
 
     def test_identity_dynamics_keeps_estimate(self):
         # a = b = 1 and z_k = xhat_1 from step 2 on: the innovation vanishes there
@@ -86,8 +84,8 @@ class TestPredictUpdate:
         sys = DynamicalSystem.from_constant(eigendecompose(shift), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 4)
         z1 = generator(60).standard_normal((1, 5))
         x1 = run_filter(sys, z1).estimates[1]
-        states = run_filter(sys, np.vstack([z1, np.tile(x1, (3, 1))]))
-        np.testing.assert_allclose(_estimates(states), np.tile(x1, (4, 1)), atol=1e-12)
+        estimates = run_filter(sys, np.vstack([z1, np.tile(x1, (3, 1))])).estimates
+        np.testing.assert_allclose(estimates[1:], np.tile(x1, (4, 1)), atol=1e-12)
 
     def test_predict_matches_dense_oracle(self):
         # b_2 = b_3 = 0 make the gains of steps 2 and 3 vanish, so those
@@ -99,20 +97,20 @@ class TestPredictUpdate:
             sigmas=[0.3] * 3,
             sigma_tildes=[0.5] * 3,
         )
-        states = run_filter(sys, generator(62).standard_normal((3, 30)))
-        np.testing.assert_array_equal(states.gain_responses[1:], 0.0)
-        dense = (sys.shift.matrix / 4.0) @ states[1].estimate
+        np.testing.assert_array_equal(riccati_sequence(sys).gain_responses[1:], 0.0)
+        estimates = run_filter(sys, generator(62).standard_normal((3, 30))).estimates
+        dense = (sys.shift.matrix / 4.0) @ estimates[1]
         assert np.linalg.norm(dense) > 0.1
-        np.testing.assert_allclose(states[2].estimate, dense, atol=1e-12)
-        np.testing.assert_allclose(states[3].estimate, (sys.shift.matrix / 4.0) @ dense, atol=1e-12)
+        np.testing.assert_allclose(estimates[2], dense, atol=1e-12)
+        np.testing.assert_allclose(estimates[3], (sys.shift.matrix / 4.0) @ dense, atol=1e-12)
 
     def test_update_zero_gain_keeps_prediction(self):
         # no process noise and a certain start: the predicted variance and the
         # gain are zero, so the estimate keeps the prediction a x^_0 = 0 exactly
         sys = _paper_like_system(horizon=1, sigma=0.0)
-        states = run_filter(sys, generator(64).standard_normal((1, 30)))
-        np.testing.assert_array_equal(states[1].gain_response, 0.0)
-        np.testing.assert_array_equal(states[1].estimate, 0.0)
+        np.testing.assert_array_equal(riccati_sequence(sys).gain_responses[0], 0.0)
+        estimates = run_filter(sys, generator(64).standard_normal((1, 30))).estimates
+        np.testing.assert_array_equal(estimates[1], 0.0)
 
     def test_update_unit_gain_unit_observation_returns_observation(self):
         # b = 1 with zero observation noise gives the unit gain
@@ -121,15 +119,15 @@ class TestPredictUpdate:
             eigendecompose(shift), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 0.0, 4
         )
         z = generator(65).standard_normal((4, 5))
-        states = run_filter(sys, z)
-        np.testing.assert_allclose(_estimates(states), z, atol=1e-12)
+        estimates = run_filter(sys, z).estimates
+        np.testing.assert_allclose(estimates[1:], z, atol=1e-12)
 
     def test_update_matches_dense_oracle(self):
         sys = _paper_like_system(horizon=5)
         z = generator(68).standard_normal((5, 30))
-        states = run_filter(sys, z)
+        estimates = run_filter(sys, z).estimates
         expected = _dense_filter(sys, z)
-        assert _worst_step_gap(_estimates(states), expected) <= 1e-10
+        assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
 
 def _one_step(c4, p_prev, state_poly, observation_poly, sigma, sigma_tilde):
@@ -270,13 +268,11 @@ class TestMatrixRecursion:
 class TestRunFilter:
     def test_empty_observations_returns_initial_state(self):
         sys = _paper_like_system(horizon=5)
-        states = run_filter(sys, np.zeros((0, 30)))
-        assert len(states) == 1
-        assert states[0].step == 0
-        np.testing.assert_array_equal(states[0].estimate, np.zeros(30))
-        assert states[0].gain_response is None
-        h0 = eval_filter(sys.initial_covariance, sys.spectrum)
-        np.testing.assert_array_equal(response_matrix(sys, states[0].error_response), h0)
+        estimates = run_filter(sys, np.zeros((0, 30))).estimates
+        np.testing.assert_array_equal(estimates, np.zeros((1, 30)))
+        riccati = riccati_sequence(sys, steps=0)
+        assert riccati.gain_responses.shape == riccati.error_responses.shape == (0, sys.spectrum.count)
+        assert [rows.shape for rows in riccati.filter_rows] == [(0, 30), (0, 30)]
 
     def test_overflowing_estimate_names_its_first_step(self):
         # zero observation noise gives the gain 1/b = 1e3; step 2's observation
@@ -299,30 +295,32 @@ class TestRunFilter:
             eigendecompose(shift), Polynomial((0.0, 0.25)), Polynomial((1.0,)), 0.4, 0.0, 8
         )
         trajectory = simulate(sys, 31337)
-        states = run_filter(sys, trajectory.observations)
+        estimates = run_filter(sys, trajectory.observations).estimates
         for k in range(1, 9):
-            error = np.linalg.norm(states[k].estimate - trajectory.states[k])
+            error = np.linalg.norm(estimates[k] - trajectory.states[k])
             assert error <= 1e-9 * max(1.0, np.linalg.norm(trajectory.states[k]))
 
     def test_random_system_matches_dense_filter(self):
         sys = random_system(generator(69), n_max=8, steps=10)
         trajectory = simulate(sys, 7)
-        states = run_filter(sys, trajectory.observations)
+        riccati = riccati_sequence(sys)
         dense_gains, dense_errors = matrix_riccati_path(sys, 10)
-        for state, gain, error in zip(states[1:], dense_gains, dense_errors):
-            spectral_error = response_matrix(sys, state.error_response)
-            spectral_gain_matrix = response_matrix(sys, state.gain_response)
-            assert np.linalg.norm(spectral_error - error) <= 1e-9 * max(1.0, np.linalg.norm(error))
+        for spectral_gain, spectral_error, gain, error in zip(
+            riccati.gain_responses, riccati.error_responses, dense_gains, dense_errors
+        ):
+            spectral_error_matrix = response_matrix(sys, spectral_error)
+            spectral_gain_matrix = response_matrix(sys, spectral_gain)
+            assert np.linalg.norm(spectral_error_matrix - error) <= 1e-9 * max(1.0, np.linalg.norm(error))
             assert np.linalg.norm(spectral_gain_matrix - gain) <= 1e-9 * max(1.0, np.linalg.norm(gain))
+        estimates = run_filter(sys, trajectory.observations).estimates
         expected = _dense_filter(sys, trajectory.observations)
-        assert _worst_step_gap(_estimates(states), expected) <= 1e-10
+        assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
     def test_cycle120_matches_dense_filter(self):
         # degree-60 monomial gains applied by Horner overflowed to NaN here
         sys = _paper_like_system(horizon=100, n=120)
         trajectory = simulate(sys, 120)
-        states = run_filter(sys, trajectory.observations)
-        estimates = _estimates(states)
+        estimates = run_filter(sys, trajectory.observations).estimates[1:]
         assert np.all(np.isfinite(estimates))
         expected = _dense_filter(sys, trajectory.observations)
         assert _worst_step_gap(estimates, expected) <= 1e-10
@@ -333,8 +331,7 @@ class TestRunFilter:
         trajectory = simulate(sys, 11)
         direct = run_filter(sys, trajectory.observations)
         reused = run_filter(sys, trajectory.observations, riccati=riccati)
-        for a, b in zip(direct, reused):
-            np.testing.assert_array_equal(a.estimate, b.estimate)
+        np.testing.assert_array_equal(direct.estimates, reused.estimates)
 
     def test_riccati_of_another_system_rejected(self):
         # with the same spectrum and another sigma the gains would be wrong, silently
@@ -346,6 +343,14 @@ class TestRunFilter:
         for other in (same_spectrum, _paper_like_system(horizon=10, n=12)):
             with pytest.raises(ValueError, match="belongs to another system"):
                 run_filter(sys, observations, riccati=riccati_sequence(other))
+
+    def test_shorter_riccati_rejected(self):
+        sys = _paper_like_system(horizon=10)
+        observations = simulate(sys, 11).observations
+        short = riccati_sequence(sys, steps=9)
+        with pytest.raises(ValueError, match="shorter than the observations"):
+            run_filter(sys, observations, riccati=short)
+        run_filter(sys, observations[:9], riccati=short)
 
     def test_too_many_observations_rejected(self):
         sys = _paper_like_system(horizon=3)
@@ -364,12 +369,12 @@ class TestRunFilter:
         # error is stationary
         sys = random_system(generator(70), n_max=8, steps=5, zero_initial=False)
         trajectory = simulate(sys, 70)
-        states = run_filter(sys, trajectory.observations)
+        estimates = run_filter(sys, trajectory.observations).estimates
         h0 = eval_filter(sys.initial_covariance, sys.spectrum)
-        initial = response_matrix(sys, states[0].error_response)
+        initial = response_matrix(sys, sys.initial_model.group_variances)
         np.testing.assert_allclose(initial, h0, atol=1e-12)
         expected = _dense_filter(sys, trajectory.observations)
-        assert _worst_step_gap(_estimates(states), expected) <= 1e-10
+        assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
     def test_step_error_is_labelled(self, c4):
         _, _, spectrum = c4
@@ -405,15 +410,18 @@ class TestFilterResult:
         observations = simulate(sys, 76).observations
         return run_filter(sys, observations)
 
+    @staticmethod
+    def _rows(states):
+        return [state.estimate.tobytes() for state in states]
+
     def test_is_a_sequence_of_m_plus_one_states(self, filtered):
         assert isinstance(filtered, FilterResult) and isinstance(filtered, Sequence)
         assert len(filtered) == 5
         assert filtered.estimates.shape == (5, 30)
-        assert filtered.error_responses.shape == filtered.gain_responses.shape == (4, 16)  # C_30: 16 distinct eigenvalues
-        assert [state.step for state in filtered] == [0, 1, 2, 3, 4]
+        assert self._rows(filtered) == [row.tobytes() for row in filtered.estimates]
 
     def test_negative_indices_count_from_the_end(self, filtered):
-        assert filtered[-1].step == 4 and filtered[-5].step == 0
+        assert self._rows([filtered[-1], filtered[-5]]) == self._rows([filtered[4], filtered[0]])
         np.testing.assert_array_equal(filtered[-2].estimate, filtered[3].estimate)
 
     def test_index_past_either_end_raises(self, filtered):
@@ -424,29 +432,58 @@ class TestFilterResult:
     def test_slices_return_lists_of_states(self, filtered):
         tail = filtered[1:]
         assert isinstance(tail, list) and all(isinstance(state, KalmanState) for state in tail)
-        assert [state.step for state in tail] == [1, 2, 3, 4]
-        assert [state.step for state in filtered[::-2]] == [4, 2, 0]
+        assert self._rows(tail) == self._rows(filtered[k] for k in (1, 2, 3, 4))
+        assert self._rows(filtered[::-2]) == self._rows(filtered[k] for k in (4, 2, 0))
         assert filtered[7:] == []
 
     def test_step_fields_are_rows_of_the_arrays(self, filtered):
-        initial = filtered[0]
-        assert initial.gain_response is None
-        np.testing.assert_array_equal(initial.estimate, filtered.estimates[0])
-        np.testing.assert_array_equal(initial.error_response, filtered.initial_response)
-        for k in range(1, 5):
+        for k in range(5):
             state = filtered[k]
             np.testing.assert_array_equal(state.estimate, filtered.estimates[k])
-            np.testing.assert_array_equal(state.error_response, filtered.error_responses[k - 1])
-            np.testing.assert_array_equal(state.gain_response, filtered.gain_responses[k - 1])
+        np.testing.assert_array_equal(filtered[0].estimate, 0.0)
 
     def test_arrays_are_read_only(self, filtered):
-        for name in ("estimates", "initial_response", "error_responses", "gain_responses"):
-            values = getattr(filtered, name)
-            assert not values.flags.writeable, name
-            with pytest.raises(ValueError):
-                values[0] = 1.0
+        assert not filtered.estimates.flags.writeable
+        with pytest.raises(ValueError):
+            filtered.estimates[0] = 1.0
         with pytest.raises(ValueError):
             filtered[2].estimate[0] = 1.0
+
+
+class TestFilterRows:
+    def test_rows_are_formed_once_per_sequence(self, monkeypatch):
+        sys = _paper_like_system(horizon=10)
+        riccati = riccati_sequence(sys)
+        observations = simulate(sys, 11).observations
+        first = run_filter(sys, observations, riccati=riccati)
+        expand = SpectralDecomposition.expand
+        calls = []
+
+        def counted(self, values):
+            calls.append(np.shape(values))
+            return expand(self, values)
+
+        monkeypatch.setattr(SpectralDecomposition, "expand", counted)
+        second = run_filter(sys, observations[:6], riccati=riccati)
+        assert calls == []
+        assert second.estimates.tobytes() == first.estimates[:7].tobytes()
+        assert tuple(field.name for field in dataclasses.fields(FilterResult)) == ("estimates",)
+        assert tuple(field.name for field in dataclasses.fields(KalmanState)) == ("estimate",)
+
+    def test_rows_are_the_expanded_carry_and_gain(self):
+        sys = time_varying_cycle_system(10, 6)
+        riccati = riccati_sequence(sys, steps=4)
+        carry, gain = riccati.filter_rows
+        assert riccati.filter_rows[0] is carry and riccati.filter_rows[1] is gain
+        assert carry.shape == gain.shape == (4, 10)
+        assert riccati.gain_responses.shape == riccati.error_responses.shape == (4, sys.spectrum.count)
+        expand = sys.spectrum.expand
+        np.testing.assert_array_equal(gain, expand(riccati.gain_responses))
+        a, b = expand(sys.state_responses[:4]), expand(sys.observed_responses[:4])
+        np.testing.assert_array_equal(carry, a * (1.0 - gain * b))
+        for values in (carry, gain):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
 
 
 class TestInterpolatedGains:
@@ -454,7 +491,7 @@ class TestInterpolatedGains:
     def test_gains_keep_their_node_values(self, n):
         riccati = riccati_sequence(_paper_like_system(horizon=100, n=n))
         for gain, row in zip(riccati.gains, riccati.gain_responses):
-            assert np.max(np.abs(gain(riccati.nodes) - row)) <= 1e-7 * np.max(np.abs(row))
+            assert np.max(np.abs(gain(riccati.system.spectrum.representatives) - row)) <= 1e-7 * np.max(np.abs(row))
 
 
 class TestTimeVarying:
@@ -483,9 +520,9 @@ class TestTimeVarying:
             assert error_gap <= 1e-9 * max(1.0, np.linalg.norm(dense_error))
 
         trajectory = simulate(sys, 72)
-        states = run_filter(sys, trajectory.observations)
+        estimates = run_filter(sys, trajectory.observations).estimates
         expected = _dense_filter(sys, trajectory.observations)
-        assert _worst_step_gap(_estimates(states), expected) <= 1e-10
+        assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
         cov = eval_filter(sys.initial_covariance, sys.spectrum)
         for k, response in enumerate(covariance_responses(sys)):

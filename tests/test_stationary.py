@@ -168,6 +168,25 @@ class TestWhiten:
             whiten(np.zeros(4), StationaryModel(Polynomial((0.0, -1.0)), spectrum), generator(9))
 
 
+class TestClampedVariances:
+    def test_clamped_once_per_model(self, c4):
+        _, _, spectrum = c4
+        model = StationaryModel(Polynomial((-1e-12, 0.25)), spectrum)
+        first = model.clamped_group_variances
+        assert model.clamped_group_variances is first
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, np.maximum(model.group_variances, 0.0))
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+
+    def test_non_psd_model_raises_on_every_read(self, c4):
+        _, _, spectrum = c4
+        model = StationaryModel(Polynomial((0.0, -1.0)), spectrum)
+        for _ in range(2):
+            with pytest.raises(NotPositiveSemidefiniteError):
+                model.clamped_group_variances
+
+
 class TestFitCovariancePoly:
     def test_exact_member_recovered(self, c4, c120):
         h = Polynomial((0.5, 0.25, 0.1))
