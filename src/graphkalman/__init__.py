@@ -28,7 +28,6 @@ from .errors import (
     DegenerateTrajectoryError,
     GraphKalmanError,
     InvalidShiftError,
-    NotAllPassError,
     NotPositiveSemidefiniteError,
     NumericalFailureError,
     SingularGainError,
@@ -72,7 +71,6 @@ __all__ = [
     "KalmanState",
     "LoewnerComparison",
     "MembershipResult",
-    "NotAllPassError",
     "NotPositiveSemidefiniteError",
     "NumericalFailureError",
     "Polynomial",

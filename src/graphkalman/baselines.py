@@ -2,7 +2,9 @@
 
 Static inverse filtering inverts the system's ``observed_responses``, the
 array the Kalman recursion reads, step by step (Moore-Penrose style: blind
-frequencies, where it is 0, are zeroed); the zero estimator returns the
+frequencies, where it is 0, are zeroed); its error covariance follows that
+estimate, sigma_tilde_k^2 / b_k^2 where the frequency is observed and the
+state covariance h_k where it is blind.  The zero estimator returns the
 signal mean and inherits the state covariance as its error.  Error
 covariances come back as responses at the distinct eigenvalues, shape (d,),
 and ``spectral_loewner_less`` compares two such arrays.
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicalSystem, covariance_responses, require_finite_steps
-from .errors import NotAllPassError
 from .spectral import SpectralDecomposition
 
 LOEWNER_TOL_SCALE = 1e-12
@@ -102,18 +103,18 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
 
 
 def inverse_error_covariance(sys: DynamicalSystem, k: int) -> np.ndarray:
-    """Error covariance of inverse filtering at step k for an all-pass
-    observation: sigma_tilde_k^2 / b_k(mu)^2 at the distinct eigenvalues mu,
-    shape (d,); ``NotAllPassError`` where step k's ``observed_responses`` is 0."""
+    """Error covariance of ``inverse_estimate`` at step k, at the distinct
+    eigenvalues mu, shape (d,): sigma_tilde_k^2 / b_k(mu)^2 where step k's
+    ``observed_responses`` b_k is nonzero, and the state covariance
+    h_k(mu) where it is 0, since the estimate there is 0."""
     responses = sys.observed_responses[sys.response_row(k)]
-    if np.any(responses == 0.0):
-        raise NotAllPassError(
-            f"observation filter of step {k} vanishes at a distinct eigenvalue; inverse error covariance undefined"
-        )
-    return sys.observation_sigma(k) ** 2 / responses**2
+    h_k = covariance_responses(sys)[k]
+    return np.divide(sys.observation_sigma(k) ** 2, responses**2, out=h_k, where=responses != 0.0)
 
 
 def zero_estimate(sys: DynamicalSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The zero-signal estimator and its error covariance, the state
-    covariance h_k at the distinct eigenvalues."""
-    return np.zeros(sys.n), covariance_responses(sys, upto=k)[k]
+    covariance h_k at the distinct eigenvalues, for k in 0..M."""
+    if not 0 <= k <= sys.horizon:
+        raise ValueError(f"step {k} out of range 0..{sys.horizon}")
+    return np.zeros(sys.n), covariance_responses(sys)[k]

@@ -8,8 +8,9 @@ evaluates a_k and b_k once, at the distinct eigenvalues, into read-only
 (T, d) response arrays (T = 1 when time-invariant, else the horizon), which
 the simulation, covariance and Kalman recursions read; none of them applies
 a polynomial to a vertex signal.  Every check on a system is made when it
-is constructed.  x_0 has mean 0 and covariance h_0 (evaluated once at the
-distinct eigenvalues), the filter's prior.  Its
+is constructed.  x_0 has mean 0 and covariance h_0, evaluated once at the
+distinct eigenvalues and clamped at 0: the one prior that the simulation,
+the state covariance and the Riccati recursion start from.  Its
 ``observed_responses``, b_k set to 0.0 where ``filters.passband`` calls a
 frequency blind, is what every estimator reads; ``simulate`` reads the raw
 b_k, since the channel is physical.
@@ -21,7 +22,7 @@ from its own stream: row 0 drives the initial state, row 2k-1 the process
 noise and row 2k the observation noise of step k.  The (T, 2M + 1, n)
 blocks are rotated into the eigenbasis by one stacked product, every
 frequency runs its own scalar recursion (the scaled process noise is
-written into the state rows and each step adds a_k times the previous
+written into the state rows and ``propagate`` adds a_k times the previous
 state in place, one Python step per time step for all T trials), and
 states and observations are rotated back once.  A stacked product rounds
 each trial as a product of its own rows would, so trial t of a stack is
@@ -31,9 +32,10 @@ first such step.
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
-as one scalar update per distinct eigenvalue and returns the responses; no
-covariance is turned back into monomial coefficients here.  The user's a_k,
-b_k and h_0 are the only polynomials, and they are inputs.
+over the whole horizon, one scalar update per distinct eigenvalue; no
+covariance is turned back into monomial coefficients here.  It, ``simulate``
+and ``kalman.run_filter`` share one in-place loop, ``propagate``.  The
+user's a_k, b_k and h_0 are the only polynomials, and they are inputs.
 """
 from __future__ import annotations
 
@@ -215,30 +217,34 @@ class Trajectory:
         return self.observations.shape[-2]
 
 
-def covariance_responses(sys: DynamicalSystem, upto: int | None = None) -> np.ndarray:
-    """State covariances h_0..h_upto at the distinct eigenvalues, one row per step.
+def covariance_responses(sys: DynamicalSystem) -> np.ndarray:
+    """State covariances h_0..h_M at the distinct eigenvalues, one row per step.
 
-    Runs h_k(mu) = a_k(mu)^2 h_{k-1}(mu) + sigma_k^2 on the values at the
-    distinct eigenvalues mu (default: up to the full horizon).
+    Row 0 is h_0 as ``simulate`` draws x_0 (``clamped_group_variances``), and
+    rows 1..M run h_k(mu) = sigma_k^2 + a_k(mu)^2 h_{k-1}(mu) on the values
+    at the distinct eigenvalues mu, through ``propagate``.
 
     Raises:
         NumericalFailureError: naming the first step whose response is not finite.
     """
-    if upto is None:
-        upto = sys.horizon
-    if not 0 <= upto <= sys.horizon:
-        raise ValueError(f"upto {upto} out of range 0..{sys.horizon}")
-    state_squared = sys.state_responses**2
-    sigma_squared = [sigma**2 for sigma in sys.state_noise]
-    invariant = sys.time_invariant
-    out = np.empty((upto + 1, sys.spectrum.count))
-    out[0] = sys.initial_model.group_variances
+    out = np.empty((sys.horizon + 1, sys.spectrum.count))
+    out[0] = sys.initial_model.clamped_group_variances
+    out[1:] = np.array([sigma**2 for sigma in sys.state_noise])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, upto + 1):
-            row = 0 if invariant else k - 1
-            out[k] = state_squared[row] * out[k - 1] + sigma_squared[row]
+        propagate(out, sys.state_responses**2)
     require_finite_steps(out, "state covariance response", first_step=0)
     return out
+
+
+def propagate(rows: np.ndarray, carries: np.ndarray) -> None:
+    """rows[k] += carries[k-1] * rows[k-1] in place for k >= 1: row 0 holds
+    the start, rows 1.. the drives.  A single carry row serves every step (a
+    time-invariant system), and carries past the last row are not read.
+    Overflow is left to each caller, which names its first non-finite step."""
+    previous = rows[0]
+    for carry, row in zip(repeat(carries[0], len(rows) - 1) if len(carries) == 1 else carries, rows[1:]):
+        row += carry * previous
+        previous = row
 
 
 def require_finite_steps(values: np.ndarray, what: str, first_step: int) -> None:
@@ -267,7 +273,7 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         z~_k = b_k x~_k + sigma_tilde_k e~_{2k},
 
     and states and observations are rotated back once (``from_spectral``).  The
-    rows x~_k are first filled with sigma_k e~_{2k-1}, and the loop adds
+    rows x~_k are first filled with sigma_k e~_{2k-1}, and ``propagate`` adds
     a_k x~_{k-1} to each in place, one Python step per time step for all
     trials at once.  Each z~_k is formed in the place of e~_{2k}.
 
@@ -293,10 +299,7 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
     # a_k at each step's full (T, n) shape keeps numpy on its fast loop
     a = np.repeat(expand(sys.state_responses)[:, None], trials, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        previous = x_tilde[0]
-        for a_k, x_k in zip(repeat(a[0], m) if sys.time_invariant else a, x_tilde[1:]):
-            x_k += a_k * previous
-            previous = x_k
+        propagate(x_tilde, a)
         # z~_k = sigma_tilde_k e~_{2k} + b_k x~_k, formed in the rows of e~_{2k}
         z_tilde = e_tilde[2::2]
         z_tilde *= np.asarray(sys.observation_noise)[:, None, None]

@@ -21,9 +21,5 @@ class SingularGainError(GraphKalmanError, ArithmeticError):
     """Zero observation noise at a blind frequency leaves the gain undefined."""
 
 
-class NotAllPassError(GraphKalmanError, ValueError):
-    """An observation filter vanishes at a distinct eigenvalue."""
-
-
 class DegenerateTrajectoryError(GraphKalmanError, ValueError):
     """Every step of a trajectory has numerically zero state energy."""

@@ -48,6 +48,7 @@ NOISE_BLOCK_BUDGET = 256 * 1024
 METRIC_FLOOR = -12.0
 DEFAULT_CLIP = 0.5
 DEFAULT_GRID = tuple(round(0.05 * i, 10) for i in range(21))
+GRID_LIMIT = 10**6
 
 _HEATMAP_KEY = 0
 _TRACE_KEY = 1
@@ -159,7 +160,7 @@ def _reject_unknown_keys(payload, known: set[str], what: str) -> None:
 
 
 def _resolve_grid(spec) -> tuple[float, ...]:
-    """Accept either an explicit list of values or {"start","stop","step"}."""
+    """An explicit list of values, or {"start","stop","step"} of at most ``GRID_LIMIT`` values."""
     if isinstance(spec, dict):
         _reject_unknown_keys(spec, {"start", "stop", "step"}, "grid")
         missing = {"start", "stop", "step"} - set(spec)
@@ -169,6 +170,8 @@ def _resolve_grid(spec) -> tuple[float, ...]:
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if count > GRID_LIMIT:
+            raise ValueError(f"grid object expands to {count} values, more than {GRID_LIMIT}")
         return tuple(round(start + i * step, 10) for i in range(count))
     return tuple(_json_numbers(spec))
 

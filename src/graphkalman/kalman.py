@@ -10,23 +10,25 @@ eigenvalues:
 
 The recursion and the filter are carried on these frequency responses and
 read a and b as rows of the system's response arrays, evaluated once per
-system.  The prior is the system's: x^_0 = 0, p_0 = h_0, the stationary
-initialization (x_0 is zero-mean).
-``riccati_sequence`` returns the gain and error responses as (steps, d)
-arrays, or raises ``NumericalFailureError`` at the first step where one is
-not finite.  For a time-invariant system a step's only changing input is
-p_{k-1}, so once a step returns p_k bitwise equal to p_{k-1} every later
-step would return the same rows: the recursion stops at that exact fixed
-point and copies them forward, bit for bit what the full loop gives.  A
-step that returns p_k bitwise equal to p_{k-2} starts an exact 2-cycle,
-and the remaining rows are filled with period 2 the same way.
+system.  The prior is the system's: x^_0 = 0, p_0 = h_0 clamped at 0, the
+array ``simulate`` draws x_0 from and ``covariance_responses`` starts at
+(x_0 is zero-mean).  ``riccati_sequence`` always runs the system's whole
+horizon M and returns the gain and error responses as (M, d) arrays, or
+raises ``NumericalFailureError`` at the first step where one is not finite.
+For a time-invariant system a step's only changing input is p_{k-1}, so
+once a step returns p_k bitwise equal to p_{k-1} every later step would
+return the same rows: the recursion stops at that exact fixed point and
+copies them forward, bit for bit what the full loop gives.  A step that
+returns p_k bitwise equal to p_{k-2} starts an exact 2-cycle, and the
+remaining rows are filled with period 2 the same way.
 A ``RiccatiSequence`` owns every data-independent array the filter reads:
 the gain and error responses and, formed once per sequence, the per-step
 carry and gain rows at the eigenindices (``filter_rows``).  Filtering moves
 the observations into the eigenbasis once, updates every frequency on its
-own, adding each step's carry times the previous estimate to that step's
-drive in place, and moves the estimates back once.  ``run_filter`` returns
-a ``FilterResult``, the estimates as one (M + 1, n) array (also readable as
+own through ``dynamics.propagate``, the in-place loop the simulation and
+the state covariance also run, and moves the estimates back once; a prefix
+of the observations reads a prefix of the rows.  ``run_filter`` returns
+a ``FilterResult``, the m + 1 estimates as one (m + 1, n) array (readable as
 a sequence of ``KalmanState`` built on demand); an estimate that is not
 finite raises ``NumericalFailureError`` naming its first step.
 The one edge back to a polynomial of the shift is ``RiccatiSequence.gains``,
@@ -46,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, require_finite_steps
+from .dynamics import DynamicalSystem, propagate, require_finite_steps
 from .errors import NumericalFailureError, SingularGainError
 from .polynomials import ChebyshevSeries, lagrange_interpolate
 
@@ -129,8 +131,9 @@ class RiccatiSequence:
     """Gain and error responses of ``system`` at its distinct eigenvalues:
     the one owner of the filter's data-independent arrays.
 
-    Row k-1 of ``gain_responses`` and ``error_responses`` holds step k;
-    p_0 is the system's h_0 (``system.initial_model.group_variances``).
+    Row k-1 of ``gain_responses`` and ``error_responses`` holds step k of
+    the system's whole horizon; p_0 is the system's h_0 as ``simulate`` draws
+    x_0 (``system.initial_model.clamped_group_variances``).
     ``filter_rows`` expands them into the filter's per-step rows, and
     ``gains`` interpolates the gain rows, one ``ChebyshevSeries`` per step
     on the span of the distinct eigenvalues; both are made on first access.
@@ -142,12 +145,11 @@ class RiccatiSequence:
 
     @cached_property
     def filter_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(carry, gain): read-only (steps, n) arrays whose row k-1 holds
+        """(carry, gain): read-only (M, n) arrays whose row k-1 holds
         carry_k = a_k (1 - g_k b_k) and g_k of step k at the eigenindices,
         with b_k the system's ``observed_responses``."""
         sys, g = self.system, self.gain_responses
-        steps = g.shape[0]
-        carry = sys.spectrum.expand(sys.state_responses[:steps] * (1.0 - g * sys.observed_responses[:steps]))
+        carry = sys.spectrum.expand(sys.state_responses * (1.0 - g * sys.observed_responses))
         gain = sys.spectrum.expand(g)
         for values in (carry, gain):
             values.flags.writeable = False
@@ -159,17 +161,17 @@ class RiccatiSequence:
         return tuple(lagrange_interpolate(nodes, row) for row in self.gain_responses)
 
 
-def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiSequence:
-    """Run the error/gain recursion for ``steps`` steps (default: the horizon).
+def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
+    """Run the error/gain recursion over the system's whole horizon M.
 
-    The prior p_0 is the system's h_0 at the distinct eigenvalues, the
-    stationary initialization.  Each step is one scalar update per distinct
-    eigenvalue; the responses of all steps come back as ``(steps, d)``
-    arrays.  It reads the system's ``observed_responses``, 0 at the blind
-    frequencies, so the gain there is 0 and, with zero observation noise at
-    an uncertain frequency, ``SingularGainError`` is raised.  A
-    response that overflows (an unstable blind frequency) raises
-    ``NumericalFailureError`` naming its first step.
+    The prior p_0 is the system's h_0 at the distinct eigenvalues, clamped at
+    0 as ``simulate`` and ``covariance_responses`` read it, the stationary
+    initialization.  Each step is one scalar update per distinct eigenvalue;
+    the responses of all steps come back as ``(M, d)`` arrays.  It reads the
+    system's ``observed_responses``, 0 at the blind frequencies, so the gain
+    there is 0 and, with zero observation noise at an uncertain frequency,
+    ``SingularGainError`` is raised.  A response that overflows (an unstable
+    blind frequency) raises ``NumericalFailureError`` naming its first step.
 
     For a time-invariant system, step k reads p_{k-1} and rows that never
     change.  So when step k returns p_k bitwise equal to p_{k-1}, the
@@ -186,12 +188,8 @@ def riccati_sequence(sys: DynamicalSystem, steps: int | None = None) -> RiccatiS
     rows, with b^2 computed once per system, and allocates nothing when
     sigma_tilde > 0.
     """
-    if steps is None:
-        steps = sys.horizon
-    if not 0 <= steps <= sys.horizon:
-        raise ValueError(f"steps {steps} out of range 0..{sys.horizon}")
-    d = sys.spectrum.count
-    initial = sys.initial_model.group_variances
+    steps, d = sys.horizon, sys.spectrum.count
+    initial = sys.initial_model.clamped_group_variances
     observation = sys.observed_responses
     observation_squared = observation**2
     state_squared = sys.state_responses**2
@@ -272,16 +270,16 @@ def run_filter(
 
     where drive_k = g_k z~_k.  carry_k = a_k (1 - g_k b_k) and g_k at the
     eigenindices are not formed here: they are ``riccati.filter_rows``,
-    formed once per sequence, and are read up to step m.  The drives are
-    written into the rows of the eigenbasis estimates and the loop adds
-    carry_k x~_{k-1} to row k in place.  The estimates are moved back once.
-    The dense matrix recursion is not run here; ``verify.matrix_riccati_path``
-    keeps it as the oracle.
+    formed once per sequence over the whole horizon; the first m are read.
+    The drives are written into rows 1..m of the estimates (row 0 is
+    x~_0 = 0), ``propagate`` adds carry_k x~_{k-1} to row k in place, and
+    the estimates are moved back once.  The dense matrix recursion is not
+    run here; ``verify.matrix_riccati_path`` keeps it as the oracle.
 
-    The prior is the system's: x^_0 = 0 and p_0 = h_0.  A precomputed
-    ``riccati`` sequence (which is data-independent) may be reused across
-    trajectories of the system it was computed for; one computed for any
-    other system raises ``ValueError``.
+    The prior is the system's: x^_0 = 0 and p_0 = h_0.  Without ``riccati``
+    the sequence of ``sys`` is computed; a precomputed one (it is
+    data-independent) may be reused across trajectories of its system, and
+    one computed for any other system raises ``ValueError``.
 
     Raises:
         NumericalFailureError: naming the first step whose estimate is not
@@ -292,23 +290,17 @@ def run_filter(
         raise ValueError(f"observations have shape {obs.shape}, expected (m, {sys.n}) with m <= {sys.horizon}")
     m = obs.shape[0]
     if riccati is None:
-        riccati = riccati_sequence(sys, steps=m)
+        riccati = riccati_sequence(sys)
     elif riccati.system is not sys:
         raise ValueError("precomputed riccati sequence belongs to another system")
-    elif riccati.gain_responses.shape[0] < m:
-        raise ValueError("precomputed riccati sequence is shorter than the observations")
 
     carry, gain = riccati.filter_rows
     estimates = np.zeros((m + 1, sys.n))
     # a non-finite estimate is named below, once, rather than warned about per operation
     with np.errstate(over="ignore", invalid="ignore"):
-        rotated = sys.spectrum.to_spectral(obs)
-        rotated *= gain[:m]
-        previous = estimates[0]
-        for carry_k, x_k in zip(carry[:m], rotated):
-            x_k += carry_k * previous
-            previous = x_k
-        estimates[1:] = sys.spectrum.from_spectral(rotated)
+        np.multiply(sys.spectrum.to_spectral(obs), gain[:m], out=estimates[1:])
+        propagate(estimates, carry)
+        estimates[1:] = sys.spectrum.from_spectral(estimates[1:])
     if not np.isfinite(estimates).all():
         require_finite_steps(estimates, "Kalman estimate", first_step=0)
     return FilterResult(estimates)

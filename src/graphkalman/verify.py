@@ -521,7 +521,7 @@ def _gain_optimality(rng, delta: float = 1e-3) -> tuple[bool, str]:
     for _ in range(5):
         sys = random_system(rng, n_max=10, steps=10)
         riccati = kalman_mod.riccati_sequence(sys)
-        p_values = sys.initial_model.group_variances
+        p_values = sys.initial_model.clamped_group_variances
         for k in range(1, sys.horizon + 1):
             a = sys.state_responses[sys.response_row(k)]
             b = sys.observation_responses[sys.response_row(k)]

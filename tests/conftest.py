@@ -19,7 +19,8 @@ from graphkalman.dynamics import require_finite_steps
 
 def plain_recursion(x0, carry, drive):
     """Rows x_0 = x0 and x_k = c_k x_{k-1} + d_k, each a new array: the
-    reference for the in-place loops of ``simulate`` and ``run_filter``."""
+    reference for ``dynamics.propagate`` as ``simulate``, ``run_filter`` and
+    ``covariance_responses`` run it."""
     rows = [x0]
     for c, d in zip(carry, drive):
         rows.append(c * rows[-1] + d)
@@ -35,7 +36,7 @@ def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     gains = np.empty((steps, sys.spectrum.count))
     errors = np.empty((steps, sys.spectrum.count))
     scratch = np.empty(sys.spectrum.count)
-    p_values = sys.initial_model.group_variances
+    p_values = sys.initial_model.clamped_group_variances
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             row = sys.response_row(k)

@@ -6,7 +6,6 @@ import pytest
 import graphkalman
 from graphkalman import (
     DynamicalSystem,
-    NotAllPassError,
     Polynomial,
     build_shift,
     covariance_responses,
@@ -147,10 +146,15 @@ class TestBlindFrequencies:
         assert np.count_nonzero(blind) == 2  # eigenvalue 2 has multiplicity 2
         np.testing.assert_allclose(coefficients, expected, rtol=0.0, atol=1e-12)
 
-    def test_inverse_error_covariance_is_refused_exactly_at_blind_steps(self, sys):
-        with pytest.raises(NotAllPassError, match="step 1"):
-            inverse_error_covariance(sys, 1)
-        np.testing.assert_array_equal(inverse_error_covariance(sys, 2), 0.25 / sys.observed_responses[1] ** 2)
+    def test_inverse_error_covariance_is_h_k_at_blind_frequencies(self, sys):
+        # the inverse estimate is 0 there, so its error is the state itself
+        hs = covariance_responses(sys)
+        observed = sys.observed_responses
+        blind = observed[0] == 0.0
+        first = inverse_error_covariance(sys, 1)
+        np.testing.assert_array_equal(first[blind], hs[1][blind])
+        np.testing.assert_array_equal(first[~blind], 0.25 / observed[0][~blind] ** 2)
+        np.testing.assert_array_equal(inverse_error_covariance(sys, 2), 0.25 / observed[1] ** 2)
 
 
 def test_only_the_system_decides_the_blind_frequencies():
@@ -180,10 +184,17 @@ class TestInverseErrorCovariance:
         expected = 0.25 / (1.0 - mu / 2.0) ** 2
         np.testing.assert_allclose(responses, expected, rtol=1e-9)
 
-    def test_not_all_pass_rejected(self, c4):
+    def test_blind_frequency_reads_the_state_covariance(self, c4):
+        # 1 - t/2 vanishes at eigenvalue 2 of C_4, where h_1 = a^2 h_0 + sigma^2 = 1
         _, _, spectrum = c4
-        with pytest.raises(NotAllPassError):
-            inverse_error_covariance(_observing_system(spectrum, Polynomial((1.0, -0.5)), 0.5), 1)
+        sys = _observing_system(spectrum, Polynomial((1.0, -0.5)), 0.5)
+        responses = inverse_error_covariance(sys, 1)
+        observed = sys.observed_responses[0]
+        blind = observed == 0.0
+        assert np.count_nonzero(blind) == 1
+        np.testing.assert_array_equal(responses[blind], 1.0)
+        np.testing.assert_array_equal(responses[blind], covariance_responses(sys)[1][blind])
+        np.testing.assert_array_equal(responses[~blind], 0.25 / observed[~blind] ** 2)
 
     def test_time_varying_steps(self):
         # on C_30 every b_k = 1 - 0.1 k t of the first 8 steps passes everywhere
@@ -195,6 +206,14 @@ class TestInverseErrorCovariance:
 
 
 class TestZeroEstimate:
+    def test_step_range_checked(self, c4):
+        sys = _observing_system(c4[2], Polynomial((1.0,)), horizon=3)
+        for k in (0, 3):
+            assert zero_estimate(sys, k)[1].shape == (sys.spectrum.count,)
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match=r"step .* out of range 0\.\.3"):
+                zero_estimate(sys, k)
+
     def test_estimate_is_zero_signal(self):
         sys = random_system(generator(84), n_max=8, steps=6)
         estimate, _ = zero_estimate(sys, 3)

@@ -1,9 +1,11 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphkalman
 from graphkalman import (
     DynamicalSystem,
     Graph,
@@ -247,11 +249,21 @@ class TestCovarianceRecursion:
         expected = 0.09 * (1.0 + (lam / 4.0) ** 2 + (lam / 4.0) ** 4)
         np.testing.assert_allclose(hs[3], expected, atol=1e-12)
 
-    def test_upto_range_checked(self):
-        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
-        assert covariance_responses(sys, upto=2).shape == (3, 3)
-        with pytest.raises(ValueError):
-            covariance_responses(sys, upto=4)
+    @pytest.mark.parametrize(
+        "make_system",
+        [
+            lambda: _cycle_system(6, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 12, h0=Polynomial((0.5, 0.1))),
+            lambda: time_varying_cycle_system(10, 10),
+        ],
+        ids=["time-invariant", "time-varying"],
+    )
+    def test_in_place_loop_matches_plain_recursion_bit_for_bit(self, make_system):
+        sys = make_system()
+        shape = (sys.horizon, sys.spectrum.count)
+        carry = np.broadcast_to(sys.state_responses**2, shape)
+        drive = np.broadcast_to(np.array([sigma**2 for sigma in sys.state_noise])[:, None], shape)
+        expected = plain_recursion(sys.initial_model.clamped_group_variances, carry, drive)
+        assert covariance_responses(sys).tobytes() == expected.tobytes()
 
     def test_overflowing_covariance_raises_at_its_first_step(self):
         # a = 3: h_k = (9^k - 1) / 8 passes the float64 range at step 324
@@ -270,6 +282,14 @@ class TestCovarianceRecursion:
                 cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
                 gap = np.linalg.norm(cov - response_matrix(sys, hs[k]))
                 assert gap <= 1e-8
+
+
+def test_one_first_order_loop():
+    # propagate is the one in-place recursion; the state covariance, simulate
+    # and run_filter call it rather than writing the loop again
+    package = Path(graphkalman.__file__).parent
+    counts = {p.name: p.read_text().count("* previous") for p in package.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {"dynamics.py": 1}
 
 
 class TestSimulate:

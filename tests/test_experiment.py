@@ -335,6 +335,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(text)
 
+    def test_grid_object_beyond_the_limit_rejected(self):
+        # parse only: a grid object is counted before its values are built
+        limit = experiment.GRID_LIMIT
+        too_many = json.dumps({"sigma_grid": {"start": 0, "stop": limit, "step": 1}})
+        with pytest.raises(ValueError, match=f"'sigma_grid'.* {limit + 1} values"):
+            ExperimentConfig.from_json(too_many)
+
     def test_largest_shift_within_numpy_size_limit_accepted(self):
         # parse only, as above; 3037000499 ** 2 is just below 2 ** 63 - 1
         assert ExperimentConfig.from_json('{"n": 3037000499}').n == 3037000499

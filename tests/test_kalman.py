@@ -187,13 +187,30 @@ class TestSpectralRecursion:
     def test_overflowing_blind_frequency_raises_at_its_first_step(self):
         # C_8 has the eigenvalue 2, where b = 1 - t/2 is blind; with a = 3 its
         # error grows as 9^k and leaves the float64 range at step 324
-        shift = build_shift(cycle_graph(8), "laplacian")
-        sys = DynamicalSystem.from_constant(
-            eigendecompose(shift), Polynomial.constant(3.0), Polynomial((1.0, -0.5)), 1.0, 1.0, 400
-        )
-        assert np.isfinite(riccati_sequence(sys, steps=323).error_responses).all()
+        spectrum = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
+
+        def system(horizon):
+            return DynamicalSystem.from_constant(
+                spectrum, Polynomial.constant(3.0), Polynomial((1.0, -0.5)), 1.0, 1.0, horizon
+            )
+
+        assert np.isfinite(riccati_sequence(system(323)).error_responses).all()
         with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
-            riccati_sequence(sys)
+            riccati_sequence(system(400))
+
+    def test_recursions_start_from_the_clamped_prior(self):
+        # h_0 = -1e-12 + t passes the PSD tolerance but reads -1e-12 at
+        # eigenvalue 0, where simulate draws x_0 with variance 0: the state
+        # there stays exactly 0, and so must its covariance and error
+        sys = DynamicalSystem.from_constant(
+            eigendecompose(build_shift(cycle_graph(8), "laplacian")), Polynomial.constant(1.0),
+            Polynomial.constant(1.0), 0.0, 1.0, 6, initial_covariance=Polynomial((-1e-12, 1.0)),
+        )
+        model = sys.initial_model
+        assert model.group_variances.min() < 0.0
+        np.testing.assert_array_equal(covariance_responses(sys)[0], model.clamped_group_variances)
+        riccati = riccati_sequence(sys)
+        assert (riccati.error_responses >= 0.0).all() and (riccati.gain_responses >= 0.0).all()
 
     def test_noise_whose_square_underflows_is_zero_noise(self):
         # the step reads sigma_tilde^2, which is 0.0 for sigma_tilde = 1e-170: a
@@ -270,7 +287,7 @@ class TestRunFilter:
         sys = _paper_like_system(horizon=5)
         estimates = run_filter(sys, np.zeros((0, 30))).estimates
         np.testing.assert_array_equal(estimates, np.zeros((1, 30)))
-        riccati = riccati_sequence(sys, steps=0)
+        riccati = riccati_sequence(_paper_like_system(horizon=0))
         assert riccati.gain_responses.shape == riccati.error_responses.shape == (0, sys.spectrum.count)
         assert [rows.shape for rows in riccati.filter_rows] == [(0, 30), (0, 30)]
 
@@ -343,14 +360,6 @@ class TestRunFilter:
         for other in (same_spectrum, _paper_like_system(horizon=10, n=12)):
             with pytest.raises(ValueError, match="belongs to another system"):
                 run_filter(sys, observations, riccati=riccati_sequence(other))
-
-    def test_shorter_riccati_rejected(self):
-        sys = _paper_like_system(horizon=10)
-        observations = simulate(sys, 11).observations
-        short = riccati_sequence(sys, steps=9)
-        with pytest.raises(ValueError, match="shorter than the observations"):
-            run_filter(sys, observations, riccati=short)
-        run_filter(sys, observations[:9], riccati=short)
 
     def test_too_many_observations_rejected(self):
         sys = _paper_like_system(horizon=3)
@@ -471,15 +480,15 @@ class TestFilterRows:
         assert tuple(field.name for field in dataclasses.fields(KalmanState)) == ("estimate",)
 
     def test_rows_are_the_expanded_carry_and_gain(self):
-        sys = time_varying_cycle_system(10, 6)
-        riccati = riccati_sequence(sys, steps=4)
+        sys = time_varying_cycle_system(10, 4)
+        riccati = riccati_sequence(sys)
         carry, gain = riccati.filter_rows
         assert riccati.filter_rows[0] is carry and riccati.filter_rows[1] is gain
         assert carry.shape == gain.shape == (4, 10)
         assert riccati.gain_responses.shape == riccati.error_responses.shape == (4, sys.spectrum.count)
         expand = sys.spectrum.expand
         np.testing.assert_array_equal(gain, expand(riccati.gain_responses))
-        a, b = expand(sys.state_responses[:4]), expand(sys.observed_responses[:4])
+        a, b = expand(sys.state_responses), expand(sys.observed_responses)
         np.testing.assert_array_equal(carry, a * (1.0 - gain * b))
         for values in (carry, gain):
             with pytest.raises(ValueError):
