@@ -15,7 +15,6 @@ from .baselines import (
     inverse_estimate,
     loewner_less,
     spectral_loewner_less,
-    zero_estimate,
 )
 from .dynamics import (
     DynamicalSystem,
@@ -107,5 +106,4 @@ __all__ = [
     "trajectory_to_csv",
     "validate_shift",
     "whiten",
-    "zero_estimate",
 ]

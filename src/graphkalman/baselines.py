@@ -1,13 +1,15 @@
 """Baseline estimators and Loewner-order comparisons.
 
+Every error covariance the paper compares is a polynomial of the shift and
+comes back as one (M, d) array of responses at the distinct eigenvalues,
+row k - 1 for step k, as ``RiccatiSequence.error_responses`` holds Kalman's.
 Static inverse filtering inverts the system's ``observed_responses``, the
-array the Kalman recursion reads, step by step (Moore-Penrose style: blind
-frequencies, where it is 0, are zeroed); its error covariance follows that
-estimate, sigma_tilde_k^2 / b_k^2 where the frequency is observed and the
-state covariance h_k where it is blind.  The zero estimator returns the
-signal mean and inherits the state covariance as its error.  Error
-covariances come back as responses at the distinct eigenvalues, shape (d,),
-and ``spectral_loewner_less`` compares two such arrays.
+array the Kalman recursion reads (Moore-Penrose style: blind frequencies,
+where it is 0, are zeroed); its error is sigma_tilde_k^2 / b_k^2 where a
+frequency is observed and the state covariance h_k where it is blind.  The
+zero-signal strategy needs no code: its estimate is ``np.zeros(n)`` and its
+error covariance is ``covariance_responses(sys)[1:]``.
+``spectral_loewner_less`` compares two rows of such arrays.
 """
 from __future__ import annotations
 
@@ -102,19 +104,17 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
     return estimates
 
 
-def inverse_error_covariance(sys: DynamicalSystem, k: int) -> np.ndarray:
-    """Error covariance of ``inverse_estimate`` at step k, at the distinct
-    eigenvalues mu, shape (d,): sigma_tilde_k^2 / b_k(mu)^2 where step k's
-    ``observed_responses`` b_k is nonzero, and the state covariance
-    h_k(mu) where it is 0, since the estimate there is 0."""
-    responses = sys.observed_responses[sys.response_row(k)]
-    h_k = covariance_responses(sys)[k]
-    return np.divide(sys.observation_sigma(k) ** 2, responses**2, out=h_k, where=responses != 0.0)
+def inverse_error_covariance(sys: DynamicalSystem) -> np.ndarray:
+    """Error covariances of ``inverse_estimate`` at steps 1..M, at the
+    distinct eigenvalues mu, shape (M, d), row k - 1 for step k:
+    sigma_tilde_k^2 / b_k(mu)^2 where ``observed_responses`` b_k is nonzero,
+    and the state covariance h_k(mu) where it is 0, since the estimate there
+    is 0.
 
-
-def zero_estimate(sys: DynamicalSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The zero-signal estimator and its error covariance, the state
-    covariance h_k at the distinct eigenvalues, for k in 0..M."""
-    if not 0 <= k <= sys.horizon:
-        raise ValueError(f"step {k} out of range 0..{sys.horizon}")
-    return np.zeros(sys.n), covariance_responses(sys)[k]
+    Raises:
+        NumericalFailureError: naming the first step whose state covariance
+            is not finite, as ``covariance_responses`` does.
+    """
+    responses = sys.observed_responses
+    noise = np.asarray(sys.observation_noise)[:, None] ** 2
+    return np.divide(noise, responses**2, out=covariance_responses(sys)[1:], where=responses != 0.0)

@@ -97,8 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  A config that cannot be loaded (a ``ValueError`` or
-    ``OSError``) is reported as one stderr line and exit status 2, before the
-    command starts; a ``GraphKalmanError`` as one stderr line and exit status 1."""
+    ``OSError``, before the command starts) or an ``--out`` that cannot be made
+    or written (an ``OSError``, once the results are computed) is reported as
+    one stderr line and exit status 2; a ``GraphKalmanError`` as one and 1."""
     args = build_parser().parse_args(argv)
     if "config" in vars(args):
         try:
@@ -111,6 +112,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphKalmanError as exc:
         print(f"graphkalman: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"graphkalman: out: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 """Undirected weighted graphs and symmetric graph shifts built from them.
 
-Vertices are numbered 1..n in every public interface (edge lists, JSON,
-CSV output); arrays are indexed 0..n-1 internally.
+Vertices are numbered 1..n in every public interface (edge lists, CSV
+output); arrays are indexed 0..n-1 internally.
 """
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -104,18 +103,6 @@ class Graph:
             w[j - 1, i - 1] = wij
         w.flags.writeable = False
         return w
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "edges": [[i, j, w] for (i, j), w in zip(self.edges, self.weights)],
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "Graph":
-        payload = json.loads(text)
-        return Graph.from_edges(payload["n"], payload["edges"])
 
 
 @dataclass(frozen=True, eq=False)

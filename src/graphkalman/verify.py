@@ -2,9 +2,11 @@
 
 Each check runs a deterministic sweep at the documented tolerance and
 reports pass/fail with the worst observed value.  Covariance, gain and
-baseline results are compared as responses at the distinct eigenvalues;
-``response_matrix`` builds their dense form for the matrix-side checks.
-The random-sweep generators here are also reused by the test suite.
+baseline results are compared as whole-horizon arrays of responses at the
+distinct eigenvalues; ``response_matrix`` builds their dense form, and the
+dense oracles (``matrix_*_path``, ``joint_error_covariances``) run the whole
+horizon from h_0 as n x n matrices.  The test suite reuses the oracles and
+the random-sweep generators.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .baselines import (
     inverse_error_covariance,
     loewner_less,
     spectral_loewner_less,
-    zero_estimate,
 )
 from .dynamics import DynamicalSystem, covariance_responses, simulate
 from .experiment import ExperimentConfig, run_heatmap, write_heatmap_csv
@@ -135,13 +136,27 @@ def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
     return sys.spectrum.operator(sys.spectrum.expand(responses))
 
 
-def matrix_riccati_path(sys: DynamicalSystem, steps: int):
-    """Dense-recursion gains and error covariances from the system's h_0,
-    independent of the spectral path."""
+def matrix_covariance_path(sys: DynamicalSystem) -> list[np.ndarray]:
+    """Dense state covariances H_0..H_M, item k for step k, from the system's
+    h_0 by H_k = A_k H_{k-1} A_k^T + sigma_k^2 I, independent of the
+    spectral path."""
+    cov = eval_filter(sys.initial_covariance, sys.spectrum)
+    covariances = [cov]
+    for k in range(1, sys.horizon + 1):
+        a = eval_filter(sys.state_poly(k), sys.spectrum)
+        cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
+        cov = 0.5 * (cov + cov.T)
+        covariances.append(cov)
+    return covariances
+
+
+def matrix_riccati_path(sys: DynamicalSystem):
+    """Dense-recursion gains and error covariances of steps 1..M, item k - 1
+    for step k, from the system's h_0, independent of the spectral path."""
     p = eval_filter(sys.initial_covariance, sys.spectrum)
     gains = []
     errors = []
-    for k in range(1, steps + 1):
+    for k in range(1, sys.horizon + 1):
         a = eval_filter(sys.state_poly(k), sys.spectrum)
         b = eval_filter(sys.observation_poly(k), sys.spectrum)
         gain, p = kalman_mod.matrix_riccati_step(p, a, b, sys.state_sigma(k), sys.observation_sigma(k))
@@ -150,19 +165,18 @@ def matrix_riccati_path(sys: DynamicalSystem, steps: int):
     return gains, errors
 
 
-def joint_error_covariances(sys: DynamicalSystem, riccati, steps: int):
+def joint_error_covariances(sys: DynamicalSystem, riccati):
     """Exact covariances of (state, estimate) under the filter recursion.
 
-    Yields per step k the pair (cov(xhat_k - x_k), cov(xhat_k)) computed by
-    dense linear propagation of the joint covariance, with xhat_0 = 0.
+    Item k - 1 is step k's pair (cov(xhat_k - x_k), cov(xhat_k)), by dense
+    linear propagation of the joint covariance from h_0 and xhat_0 = 0.
     """
     n = sys.n
-    h0 = eval_filter(sys.initial_covariance, sys.spectrum)
     joint = np.zeros((2 * n, 2 * n))
-    joint[:n, :n] = h0
+    joint[:n, :n] = eval_filter(sys.initial_covariance, sys.spectrum)
     eye = np.eye(n)
     out = []
-    for k in range(1, steps + 1):
+    for k in range(1, sys.horizon + 1):
         a = eval_filter(sys.state_poly(k), sys.spectrum)
         b = eval_filter(sys.observation_poly(k), sys.spectrum)
         gain = response_matrix(sys, riccati.gain_responses[k - 1])
@@ -455,14 +469,8 @@ def check_dynamics() -> list[CheckResult]:
     worst_cov = 0.0
     for _ in range(10):
         sys = random_system(rng, n_max=10, steps=20)
-        hs = covariance_responses(sys)
-        cov = response_matrix(sys, hs[0])
-        for k in range(1, 21):
-            a = eval_filter(sys.state_poly(k), sys.spectrum)
-            cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
-            cov = 0.5 * (cov + cov.T)
-            gap = np.linalg.norm(cov - response_matrix(sys, hs[k]))
-            worst_cov = max(worst_cov, float(gap))
+        for h_k, dense in zip(covariance_responses(sys)[1:], matrix_covariance_path(sys)[1:]):
+            worst_cov = max(worst_cov, float(np.linalg.norm(dense - response_matrix(sys, h_k))))
     sys = random_system(generator(506), n_max=8, steps=12, zero_initial=False)
     trajectory = simulate(sys, 987)
     worst_stream = max(simulation_step_gaps(sys, trajectory))
@@ -479,7 +487,7 @@ def check_kalman() -> list[CheckResult]:
     for _ in range(15):
         sys = random_system(rng, n_max=12, steps=50)
         riccati = kalman_mod.riccati_sequence(sys)
-        dense_gains, dense_errors = matrix_riccati_path(sys, sys.horizon)
+        dense_gains, dense_errors = matrix_riccati_path(sys)
         for k in range(sys.horizon):
             p_spec = response_matrix(sys, riccati.error_responses[k])
             g_spec = response_matrix(sys, riccati.gain_responses[k])
@@ -497,7 +505,7 @@ def check_kalman() -> list[CheckResult]:
     for _ in range(6):
         sys = random_system(rng2, n_max=10, steps=20)
         riccati = kalman_mod.riccati_sequence(sys)
-        joint = joint_error_covariances(sys, riccati, sys.horizon)
+        joint = joint_error_covariances(sys, riccati)
         for k, (err_cov, est_cov) in enumerate(joint, start=1):
             gap = np.linalg.norm(err_cov - response_matrix(sys, riccati.error_responses[k - 1]))
             worst_stationarity = max(worst_stationarity, float(gap))
@@ -572,13 +580,13 @@ def check_baselines() -> list[CheckResult]:
     worst_margin = math.inf
     for _ in range(50):
         sys = random_system(rng, n_max=12, steps=20, all_pass=True)
-        riccati = kalman_mod.riccati_sequence(sys)
-        hs = covariance_responses(sys)
-        for k in range(1, sys.horizon + 1):
-            p = riccati.error_responses[k - 1]
-            inverse = inverse_error_covariance(sys, k)
+        errors = kalman_mod.riccati_sequence(sys).error_responses
+        inverses = inverse_error_covariance(sys)
+        # the zero-signal strategy's error covariance is the state covariance
+        states = covariance_responses(sys)[1:]
+        for p, inverse, state in zip(errors, inverses, states):
             p_mat = response_matrix(sys, p)
-            for right, tracker in ((inverse, "inverse"), (hs[k], "zero")):
+            for right, tracker in ((inverse, "inverse"), (state, "zero")):
                 matrix_cmp = loewner_less(p_mat, response_matrix(sys, right))
                 spectral_cmp = spectral_loewner_less(p, right, sys.spectrum)
                 scalar_strict = bool(np.all(right - p > spectral_cmp.tol))
@@ -592,9 +600,6 @@ def check_baselines() -> list[CheckResult]:
                 ) != scalar_strict:
                     agree_ok = False
                 worst_margin = min(worst_margin, matrix_cmp.min_eigenvalue)
-        zero_signal, _ = zero_estimate(sys, sys.horizon)
-        if np.any(zero_signal != 0.0):
-            zero_ok = False
     detail = f"smallest Loewner margin {worst_margin:.3e}"
     return [
         CheckResult("baselines", "kalman-strictly-beats-inverse", inverse_ok, detail),

@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import graphkalman
 from graphkalman import (
     DynamicalSystem,
+    NumericalFailureError,
     Polynomial,
     build_shift,
     covariance_responses,
@@ -18,11 +20,16 @@ from graphkalman import (
     riccati_sequence,
     simulate,
     spectral_loewner_less,
-    zero_estimate,
 )
 from graphkalman.filters import BLIND_TOL_SCALE
 from graphkalman.seeding import generator
-from graphkalman.verify import random_system, response_matrix
+from graphkalman.verify import (
+    joint_error_covariances,
+    matrix_covariance_path,
+    matrix_riccati_path,
+    random_system,
+    response_matrix,
+)
 
 from conftest import time_varying_cycle_system
 
@@ -30,6 +37,26 @@ from conftest import time_varying_cycle_system
 def _observing_system(spectrum, b, sigma_tilde=1.0, horizon=1):
     """A time-invariant system that observes through ``b`` with noise ``sigma_tilde``."""
     return DynamicalSystem.from_constant(spectrum, Polynomial((1.0,)), b, 1.0, sigma_tilde, horizon)
+
+
+def _blind_step_system():
+    # b_1 = 1 - t/2 leaves 2.2e-16, not 0, at C_8's computed eigenvalue 2,
+    # which the passband calls blind; b_2 = 1 - 0.4 t passes everywhere
+    return DynamicalSystem.from_sequences(
+        eigendecompose(build_shift(cycle_graph(8), "laplacian")),
+        state_polys=[Polynomial((0.0, 0.25))] * 2,
+        observation_polys=[Polynomial((1.0, -0.5)), Polynomial((1.0, -0.4))],
+        sigmas=[0.3, 0.3],
+        sigma_tildes=[0.5, 0.5],
+    )
+
+
+def test_error_covariances_and_dense_oracles_run_the_whole_horizon():
+    # one length: no step or prefix argument to set
+    for function in (inverse_error_covariance, covariance_responses, matrix_covariance_path, matrix_riccati_path):
+        assert list(inspect.signature(function).parameters) == ["sys"], function.__name__
+    assert list(inspect.signature(joint_error_covariances).parameters) == ["sys", "riccati"]
+    assert "zero_estimate" not in graphkalman.__all__
 
 
 class TestInverseEstimate:
@@ -116,15 +143,7 @@ class TestBlindFrequencies:
 
     @pytest.fixture(scope="class")
     def sys(self):
-        # b_1 = 1 - t/2 leaves 2.2e-16, not 0, at C_8's computed eigenvalue 2,
-        # which the passband calls blind; b_2 = 1 - 0.4 t passes everywhere
-        return DynamicalSystem.from_sequences(
-            eigendecompose(build_shift(cycle_graph(8), "laplacian")),
-            state_polys=[Polynomial((0.0, 0.25))] * 2,
-            observation_polys=[Polynomial((1.0, -0.5)), Polynomial((1.0, -0.4))],
-            sigmas=[0.3, 0.3],
-            sigma_tildes=[0.5, 0.5],
-        )
+        return _blind_step_system()
 
     def test_observed_responses_zero_the_blind_frequency_only(self, sys):
         raw, observed = sys.observation_responses, sys.observed_responses
@@ -151,10 +170,10 @@ class TestBlindFrequencies:
         hs = covariance_responses(sys)
         observed = sys.observed_responses
         blind = observed[0] == 0.0
-        first = inverse_error_covariance(sys, 1)
+        first, second = inverse_error_covariance(sys)
         np.testing.assert_array_equal(first[blind], hs[1][blind])
         np.testing.assert_array_equal(first[~blind], 0.25 / observed[0][~blind] ** 2)
-        np.testing.assert_array_equal(inverse_error_covariance(sys, 2), 0.25 / observed[1] ** 2)
+        np.testing.assert_array_equal(second, 0.25 / observed[1] ** 2)
 
 
 def test_only_the_system_decides_the_blind_frequencies():
@@ -168,18 +187,18 @@ def test_only_the_system_decides_the_blind_frequencies():
 class TestInverseErrorCovariance:
     def test_unit_observation(self, c4):
         _, _, spectrum = c4
-        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial((1.0,)), 0.7), 1)
-        assert responses.shape == (spectrum.count,)
+        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial((1.0,)), 0.7, horizon=3))
+        assert responses.shape == (3, spectrum.count)
         np.testing.assert_allclose(responses, 0.49, atol=1e-12)
 
     def test_constant_two(self, c4):
         _, _, spectrum = c4
-        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial.constant(2.0), 1.0), 1)
+        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial.constant(2.0), 1.0))
         np.testing.assert_allclose(responses, 0.25, atol=1e-12)
 
     def test_values_on_cycle30(self, c30):
         _, _, spectrum = c30
-        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial((1.0, -0.5)), 0.5), 1)
+        (responses,) = inverse_error_covariance(_observing_system(spectrum, Polynomial((1.0, -0.5)), 0.5))
         mu = spectrum.representatives
         expected = 0.25 / (1.0 - mu / 2.0) ** 2
         np.testing.assert_allclose(responses, expected, rtol=1e-9)
@@ -188,7 +207,7 @@ class TestInverseErrorCovariance:
         # 1 - t/2 vanishes at eigenvalue 2 of C_4, where h_1 = a^2 h_0 + sigma^2 = 1
         _, _, spectrum = c4
         sys = _observing_system(spectrum, Polynomial((1.0, -0.5)), 0.5)
-        responses = inverse_error_covariance(sys, 1)
+        (responses,) = inverse_error_covariance(sys)
         observed = sys.observed_responses[0]
         blind = observed == 0.0
         assert np.count_nonzero(blind) == 1
@@ -200,31 +219,56 @@ class TestInverseErrorCovariance:
         # on C_30 every b_k = 1 - 0.1 k t of the first 8 steps passes everywhere
         sys = time_varying_cycle_system(30, 8)
         mu = sys.spectrum.representatives
+        responses = inverse_error_covariance(sys)
+        assert responses.shape == (8, sys.spectrum.count)
         for k in range(1, sys.horizon + 1):
             expected = sys.observation_sigma(k) ** 2 / sys.observation_poly(k)(mu) ** 2
-            np.testing.assert_array_equal(inverse_error_covariance(sys, k), expected)
+            np.testing.assert_array_equal(responses[k - 1], expected)
+
+    @pytest.mark.parametrize(
+        "make_system",
+        [lambda: time_varying_cycle_system(12, 8), _blind_step_system],
+        ids=["time-varying", "blind-step"],
+    )
+    def test_rows_are_the_per_step_formula_bit_for_bit(self, make_system):
+        # both systems have a blind step: b_5 = 1 - t/2 on C_12, b_1 on C_8
+        sys = make_system()
+        responses = inverse_error_covariance(sys)
+        hs = covariance_responses(sys)
+        assert responses.shape == (sys.horizon, sys.spectrum.count)
+        assert np.any(sys.observed_responses == 0.0)
+        for k in range(1, sys.horizon + 1):
+            b = sys.observed_responses[sys.response_row(k)]
+            with np.errstate(divide="ignore"):
+                expected = np.where(b != 0.0, sys.observation_sigma(k) ** 2 / b**2, hs[k])
+            assert responses[k - 1].tobytes() == expected.tobytes(), f"step {k}"
+
+    def test_overflowing_state_covariance_raises_at_its_first_step(self):
+        # a = 3: h_k = (9^k - 1) / 8 passes the float64 range at step 324; the
+        # observation passes everywhere, yet no row is returned, as none is
+        # by covariance_responses
+        sys = DynamicalSystem.from_constant(
+            eigendecompose(build_shift(cycle_graph(8), "laplacian")),
+            Polynomial.constant(3.0),
+            Polynomial((1.0, 0.1)),
+            1.0,
+            1.0,
+            400,
+        )
+        with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
+            inverse_error_covariance(sys)
 
 
 class TestZeroEstimate:
-    def test_step_range_checked(self, c4):
-        sys = _observing_system(c4[2], Polynomial((1.0,)), horizon=3)
-        for k in (0, 3):
-            assert zero_estimate(sys, k)[1].shape == (sys.spectrum.count,)
-        for k in (-1, 4):
-            with pytest.raises(ValueError, match=r"step .* out of range 0\.\.3"):
-                zero_estimate(sys, k)
-
-    def test_estimate_is_zero_signal(self):
-        sys = random_system(generator(84), n_max=8, steps=6)
-        estimate, _ = zero_estimate(sys, 3)
-        np.testing.assert_array_equal(estimate, np.zeros(sys.n))
+    """The zero-signal strategy estimates 0, so its error covariance is the
+    state covariance, ``covariance_responses``."""
 
     def test_first_step_error_covariance(self, c4):
         _, _, spectrum = c4
         sys = DynamicalSystem.from_constant(
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0,)), 0.4, 1.0, 3
         )
-        _, h1 = zero_estimate(sys, 1)
+        h1 = covariance_responses(sys)[1]
         np.testing.assert_allclose(h1, 0.16, atol=1e-12)
 
     def test_hundred_step_geometric_sum_oracle(self, c30):
@@ -232,7 +276,7 @@ class TestZeroEstimate:
         sys = DynamicalSystem.from_constant(
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
         )
-        _, h100 = zero_estimate(sys, 100)
+        h100 = covariance_responses(sys)[100]
         lam = sys.spectrum.eigenvalues
         ratios = (lam / 4.0) ** 2
         expected = 0.09 * np.array([np.sum(r ** np.arange(100)) for r in ratios])
@@ -265,12 +309,12 @@ class TestLoewner:
         sys = DynamicalSystem.from_constant(
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 25
         )
-        riccati = riccati_sequence(sys)
-        inverse = inverse_error_covariance(sys, 1)
-        inverse_matrix = response_matrix(sys, inverse)
-        for k in range(1, 26):
-            p_matrix = response_matrix(sys, riccati.error_responses[k - 1])
-            assert loewner_less(p_matrix, inverse_matrix).verdict == "strict"
+        errors = riccati_sequence(sys).error_responses
+        inverses = inverse_error_covariance(sys)
+        assert errors.shape == inverses.shape == (25, spectrum.count)
+        for k, (p, inverse) in enumerate(zip(errors, inverses), start=1):
+            verdict = loewner_less(response_matrix(sys, p), response_matrix(sys, inverse)).verdict
+            assert verdict == "strict", f"step {k}"
 
     def test_matrix_and_spectral_verdicts_agree(self):
         rng = generator(85)
@@ -309,12 +353,6 @@ class TestCycle120Responses:
         ratios = (sys.spectrum.representatives / 4.0) ** 2
         return 0.09 * np.array([np.sum(r ** np.arange(k)) for r in ratios])
 
-    def test_zero_estimate_meets_geometric_sum(self, sys):
-        estimate, h100 = zero_estimate(sys, 100)
-        np.testing.assert_array_equal(estimate, np.zeros(120))
-        assert np.all(np.isfinite(h100))
-        np.testing.assert_allclose(h100, self._geometric_sum(sys, 100), rtol=1e-12)
-
     def test_covariance_responses_meet_geometric_sum(self, sys):
         hs = covariance_responses(sys)
         assert hs.shape == (101, sys.spectrum.count) and np.all(np.isfinite(hs))
@@ -323,7 +361,7 @@ class TestCycle120Responses:
 
     def test_inverse_error_covariance_meets_closed_form(self, sys):
         b = Polynomial((1.0, -0.2))
-        responses = inverse_error_covariance(_observing_system(sys.spectrum, b, 0.5), 1)
+        (responses,) = inverse_error_covariance(_observing_system(sys.spectrum, b, 0.5))
         mu = sys.spectrum.representatives
         assert np.all(np.isfinite(responses))
         np.testing.assert_allclose(responses, 0.25 / (1.0 - 0.2 * mu) ** 2, rtol=1e-12)

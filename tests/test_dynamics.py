@@ -24,7 +24,7 @@ from graphkalman import (
 )
 from graphkalman.dynamics import Trajectory
 from graphkalman.seeding import as_seed_sequence, child_sequence, generator
-from graphkalman.verify import random_system, response_matrix, simulation_step_gaps
+from graphkalman.verify import matrix_covariance_path, random_system, response_matrix, simulation_step_gaps
 
 from conftest import plain_recursion, time_varying_cycle_system
 
@@ -110,7 +110,7 @@ class TestConstruction:
     @pytest.mark.parametrize("path", PATHS)
     def test_non_psd_initial_covariance_rejected_on_every_path(self, path):
         # 1 - t is -3 at eigenvalue 4 of the C_8 Laplacian; built, such a system
-        # would hand covariance_responses and zero_estimate negative variances
+        # would hand covariance_responses and the Riccati recursion negative variances
         spectrum = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
         with pytest.raises(NotPositiveSemidefiniteError, match="initial covariance"):
             _build(path, spectrum, 2, (0.3, 0.3), (0.5, 0.5), h0=Polynomial((1.0, -1.0)))
@@ -275,12 +275,8 @@ class TestCovarianceRecursion:
         rng = generator(58)
         for _ in range(8):
             sys = random_system(rng, n_max=10, steps=20)
-            hs = covariance_responses(sys)
-            cov = response_matrix(sys, hs[0])
-            for k in range(1, sys.horizon + 1):
-                a = eval_filter(sys.state_poly(k), sys.spectrum)
-                cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
-                gap = np.linalg.norm(cov - response_matrix(sys, hs[k]))
+            for response, cov in zip(covariance_responses(sys), matrix_covariance_path(sys), strict=True):
+                gap = np.linalg.norm(cov - response_matrix(sys, response))
                 assert gap <= 1e-8
 
 

@@ -460,6 +460,21 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("below_file", [False, True], ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["simulate", "trace", "heatmap"])
+    def test_unusable_out_is_one_stderr_line(self, tmp_path, capsys, command, below_file):
+        # an existing file, or a path under one, cannot be made a directory
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if below_file else taken
+        assert main([command, "--config", _config_file(tmp_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("graphkalman: out: ")
+        assert str(out) in captured.err
+        assert captured.err.count("\n") == 1
+        assert taken.read_text() == "kept\n"
+
     @pytest.mark.parametrize(
         ("payload", "message"),
         [({"n": 2.5}, "n must be an integer, got 2.5"), (None, "No such file or directory")],

@@ -25,7 +25,7 @@ from graphkalman import kalman as kalman_mod
 from graphkalman.dynamics import covariance_responses
 from graphkalman.experiment import DEFAULT_GRID
 from graphkalman.seeding import generator
-from graphkalman.verify import matrix_riccati_path, random_system, response_matrix
+from graphkalman.verify import matrix_covariance_path, matrix_riccati_path, random_system, response_matrix
 
 from conftest import full_riccati_sequence, plain_recursion, time_varying_cycle_system
 
@@ -40,7 +40,7 @@ def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30):
 
 def _dense_filter(sys, observations):
     """Dense Kalman estimates from x^_0 = 0 driven by the gains of verify.matrix_riccati_path."""
-    gains, _ = matrix_riccati_path(sys, len(observations))
+    gains, _ = matrix_riccati_path(sys)
     x = np.zeros(sys.n)
     out = []
     for k, (gain, z) in enumerate(zip(gains, observations), start=1):
@@ -274,7 +274,7 @@ class TestMatrixRecursion:
     def test_reference_system_dual_form(self):
         sys = _paper_like_system(horizon=20)
         riccati = riccati_sequence(sys)
-        dense_gains, dense_errors = matrix_riccati_path(sys, 20)
+        dense_gains, dense_errors = matrix_riccati_path(sys)
         for k in range(20):
             p_spec = response_matrix(sys, riccati.error_responses[k])
             g_spec = response_matrix(sys, riccati.gain_responses[k])
@@ -321,7 +321,7 @@ class TestRunFilter:
         sys = random_system(generator(69), n_max=8, steps=10)
         trajectory = simulate(sys, 7)
         riccati = riccati_sequence(sys)
-        dense_gains, dense_errors = matrix_riccati_path(sys, 10)
+        dense_gains, dense_errors = matrix_riccati_path(sys)
         for spectral_gain, spectral_error, gain, error in zip(
             riccati.gain_responses, riccati.error_responses, dense_gains, dense_errors
         ):
@@ -519,7 +519,7 @@ class TestTimeVarying:
         assert not sys.state_responses.flags.writeable
 
         riccati = riccati_sequence(sys)
-        dense_gains, dense_errors = matrix_riccati_path(sys, 5)
+        dense_gains, dense_errors = matrix_riccati_path(sys)
         for gain, error, dense_gain, dense_error in zip(
             riccati.gain_responses, riccati.error_responses, dense_gains, dense_errors
         ):
@@ -533,11 +533,7 @@ class TestTimeVarying:
         expected = _dense_filter(sys, trajectory.observations)
         assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
-        cov = eval_filter(sys.initial_covariance, sys.spectrum)
-        for k, response in enumerate(covariance_responses(sys)):
-            if k:
-                a = eval_filter(sys.state_poly(k), sys.spectrum)
-                cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
+        for response, cov in zip(covariance_responses(sys), matrix_covariance_path(sys), strict=True):
             gap = np.linalg.norm(response_matrix(sys, response) - cov)
             assert gap <= 1e-10 * np.linalg.norm(cov)
 
@@ -675,7 +671,7 @@ class TestDualFormMutation:
 
         monkeypatch.setattr(kalman_mod, "_scalar_riccati", flipped)
         riccati = riccati_sequence(sys)
-        _, dense_errors = matrix_riccati_path(sys, 10)
+        _, dense_errors = matrix_riccati_path(sys)
         gaps = [
             np.linalg.norm(response_matrix(sys, response) - dense) / max(1.0, np.linalg.norm(dense))
             for response, dense in zip(riccati.error_responses, dense_errors)
