@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +25,15 @@ def _load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     return ExperimentConfig.from_file(path)
+
+
+def _check_outdir(path: str) -> None:
+    """Refuse, creating nothing, an ``--out`` that ``_ensure_outdir`` could
+    not make: one that exists and is not a directory, or whose nearest
+    existing ancestor is not one."""
+    out = Path(path)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def _ensure_outdir(path: str) -> Path:
@@ -97,9 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  A config that cannot be loaded (a ``ValueError`` or
-    ``OSError``, before the command starts) or an ``--out`` that cannot be made
-    or written (an ``OSError``, once the results are computed) is reported as
-    one stderr line and exit status 2; a ``GraphKalmanError`` as one and 1."""
+    ``OSError``) or an ``--out`` that cannot be a directory, both found before
+    the command starts, or an ``--out`` that cannot be made or written (an
+    ``OSError``, once the results are computed) is reported as one stderr
+    line and exit status 2; a ``GraphKalmanError`` as one and 1."""
     args = build_parser().parse_args(argv)
     if "config" in vars(args):
         try:
@@ -108,6 +120,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"graphkalman: config: {exc}", file=sys.stderr)
             return 2
     try:
+        if "out" in vars(args):
+            _check_outdir(args.out)
         return args.func(args)
     except GraphKalmanError as exc:
         print(f"graphkalman: {type(exc).__name__}: {exc}", file=sys.stderr)

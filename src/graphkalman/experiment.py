@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,6 +50,11 @@ METRIC_FLOOR = -12.0
 DEFAULT_CLIP = 0.5
 DEFAULT_GRID = tuple(round(0.05 * i, 10) for i in range(21))
 GRID_LIMIT = 10**6
+# A run holds at least this many dense n x n float64 arrays at once (W, the
+# Laplacian, U and the closed form's temporaries: 743 MB measured at
+# n = 4,000) and one (2m + 1) x n noise block
+DENSE_ARRAYS = 6
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 _HEATMAP_KEY = 0
 _TRACE_KEY = 1
@@ -87,13 +93,14 @@ class ExperimentConfig:
             raise ValueError("n must be >= 3 for a cycle graph")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        # a run builds the n x n shift and (2m + 1) x n noise blocks; beyond
-        # numpy's size limit they cannot exist, and cycle_graph would spin first
-        limit = np.iinfo(np.intp).max
-        if self.n * self.n > limit:
-            raise ValueError(f"n is too large: the n x n shift exceeds numpy's limit of {limit} elements")
-        if (2 * self.m + 1) * self.n > limit:
-            raise ValueError(f"m is too large: the (2m + 1) x n noise block exceeds numpy's limit of {limit} elements")
+        # refused before the run: it would end in a MemoryError or an OOM kill,
+        # and past numpy's size limit cycle_graph would spin first
+        dense = DENSE_ARRAYS * 8 * self.n**2
+        memory = f"the {PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
+        if dense > PHYSICAL_MEMORY:
+            raise ValueError(f"n is too large: the run's n x n arrays need more than {memory}")
+        if dense + 8 * (2 * self.m + 1) * self.n > PHYSICAL_MEMORY:
+            raise ValueError(f"m is too large: the run's arrays and (2m + 1) x n noise block need more than {memory}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:

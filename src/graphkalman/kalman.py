@@ -15,12 +15,13 @@ array ``simulate`` draws x_0 from and ``covariance_responses`` starts at
 (x_0 is zero-mean).  ``riccati_sequence`` always runs the system's whole
 horizon M and returns the gain and error responses as (M, d) arrays, or
 raises ``NumericalFailureError`` at the first step where one is not finite.
-For a time-invariant system a step's only changing input is p_{k-1}, so
-once a step returns p_k bitwise equal to p_{k-1} every later step would
-return the same rows: the recursion stops at that exact fixed point and
-copies them forward, bit for bit what the full loop gives.  A step that
-returns p_k bitwise equal to p_{k-2} starts an exact 2-cycle, and the
-remaining rows are filled with period 2 the same way.
+Its recursion carries one state, the error variance p; the predicted
+variances and the gains are read off the finished error sequence as whole
+(M, d) arrays.  For a time-invariant system a step's only changing input
+is p_{k-1}, so once a step returns p_k bitwise equal to p_{k-2} every later
+step repeats the step two before it: the remaining rows are filled with
+period 2, bit for bit what the full loop gives (an exact fixed point is
+the case p_{k-1} = p_k).
 A ``RiccatiSequence`` owns every data-independent array the filter reads:
 the gain and error responses and, formed once per sequence, the per-step
 carry and gain rows at the eigenindices (``filter_rows``).  Filtering moves
@@ -62,47 +63,6 @@ class KalmanState:
     with ROADMAP items 1 and 2."""
 
     estimate: np.ndarray
-
-
-def _scalar_riccati(
-    p_values: np.ndarray,
-    a_squared: np.ndarray,
-    b_values: np.ndarray,
-    sigma_squared: float,
-    sigma_tilde_squared: float,
-    b_squared: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-eigenvalue gain and updated error variance from the squared state
-    response and noise levels; ``b_values`` is zero at the blind frequencies
-    and ``b_squared`` is ``b_values**2``, computed once per system.
-
-    The update is written into ``out`` = (gain row, error row, scratch row),
-    and the gain and error rows are returned; nothing is allocated when
-    sigma_tilde^2 > 0.
-    """
-    gains, errors, denom = out
-    if sigma_tilde_squared > 0:
-        # the predicted variance pe is held in the error row until its last use
-        predicted = np.multiply(a_squared, p_values, out=errors)
-        predicted += sigma_squared
-        np.multiply(b_squared, predicted, out=denom)
-        denom += sigma_tilde_squared
-        np.multiply(predicted, b_values, out=gains)
-        gains /= denom
-        np.multiply(predicted, sigma_tilde_squared, out=errors)
-        errors /= denom
-        return gains, errors
-    predicted = a_squared * p_values + sigma_squared
-    blind = b_values == 0.0
-    if np.any(blind & (predicted > 0.0)):
-        raise SingularGainError(
-            "zero observation noise with a vanishing observation response at an uncertain frequency"
-        )
-    safe = np.where(blind, 1.0, b_values)
-    gains[...] = np.where(blind, 0.0, 1.0 / safe)
-    errors[...] = 0.0
-    return gains, errors
 
 
 def matrix_riccati_step(p_prev, a, b, sigma: float, sigma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,65 +126,69 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
 
     The prior p_0 is the system's h_0 at the distinct eigenvalues, clamped at
     0 as ``simulate`` and ``covariance_responses`` read it, the stationary
-    initialization.  Each step is one scalar update per distinct eigenvalue;
+    initialization.  The recursion carries the error variance alone, one
+    scalar update per distinct eigenvalue; the predicted variances, the gains
+    and the zero-noise check are then read off the whole error sequence, and
     the responses of all steps come back as ``(M, d)`` arrays.  It reads the
     system's ``observed_responses``, 0 at the blind frequencies, so the gain
     there is 0 and, with zero observation noise at an uncertain frequency,
-    ``SingularGainError`` is raised.  A response that overflows (an unstable
-    blind frequency) raises ``NumericalFailureError`` naming its first step.
+    ``SingularGainError`` names the first such step.  A response that
+    overflows (an unstable blind frequency) raises ``NumericalFailureError``
+    naming its first step.
 
     For a time-invariant system, step k reads p_{k-1} and rows that never
-    change.  So when step k returns p_k bitwise equal to p_{k-1}, the
-    recursion has reached an exact floating-point fixed point: every later
-    step would return step k's gain and error rows again, and they are
-    copied into the remaining rows instead of computed.  When step k
-    returns p_k bitwise equal to p_{k-2} instead, step k+1 reads step k-1's
-    inputs, so the recursion has entered an exact 2-cycle: every later step
-    repeats the step two before it, and the remaining rows alternate
-    between steps k-1 and k.  A copied step could not raise, since its
-    inputs are those of a step that passed, and a non-finite row stays
-    non-finite, so the first non-finite step named is the same.
-    Time-varying systems run every step.  Each step writes into its output
-    rows, with b^2 computed once per system, and allocates nothing when
-    sigma_tilde > 0.
+    change.  So when step k returns p_k bitwise equal to p_{k-2} (p_0
+    included), every later step repeats the step two before it: the
+    remaining error rows alternate between p_{k-1} and p_k, bit for bit what
+    the full loop gives, and are filled instead of computed.  An exact fixed
+    point p_k = p_{k-1} is the same rule one step later.  A filled row could
+    not raise, since its inputs are those of a computed row, and a
+    non-finite row stays non-finite, so the first step named is the same.
+    Time-varying systems run every step.
     """
     steps, d = sys.horizon, sys.spectrum.count
-    initial = sys.initial_model.clamped_group_variances
     observation = sys.observed_responses
     observation_squared = observation**2
     state_squared = sys.state_responses**2
     sigma_squared = [sigma**2 for sigma in sys.state_noise]
     sigma_tilde_squared = [sigma_tilde**2 for sigma_tilde in sys.observation_noise]
     invariant = sys.time_invariant
-    gains = np.empty((steps, d))
-    errors = np.empty((steps, d))
-    scratch = np.empty(d)
-    # the bytes of p_{k-1} and p_{k-2}: a step that repeats one of them repeats forever
-    p_values = initial
-    seen = (initial.tobytes(), None)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # row k holds p_k, row 0 the prior
+    variances = np.empty((steps + 1, d))
+    variances[0] = sys.initial_model.clamped_group_variances
+    pe = np.empty(d)
+    denom = np.empty(d)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, steps + 1):
             row = 0 if invariant else k - 1
-            try:
-                _, p_k = _scalar_riccati(
-                    p_values, state_squared[row], observation[row], sigma_squared[row], sigma_tilde_squared[row],
-                    b_squared=observation_squared[row], out=(gains[k - 1], errors[k - 1], scratch),
-                )
-            except SingularGainError as exc:
-                raise SingularGainError(f"step {k}: {exc}") from exc
-            if invariant:
-                key = p_k.tobytes()
-                if key == seen[0]:
-                    gains[k:] = gains[k - 1]
-                    errors[k:] = errors[k - 1]
-                    break
-                if key == seen[1]:
-                    for values in (gains, errors):
-                        values[k::2] = values[k - 2]
-                        values[k + 1 :: 2] = values[k - 1]
-                    break
-                seen = (key, seen[0])
-            p_values = p_k
+            noise_k = sigma_tilde_squared[row]
+            if noise_k > 0:
+                np.multiply(state_squared[row], variances[k - 1], out=pe)
+                pe += sigma_squared[row]
+                np.multiply(observation_squared[row], pe, out=denom)
+                denom += noise_k
+                np.multiply(pe, noise_k, out=variances[k])
+                variances[k] /= denom
+            else:
+                variances[k] = 0.0
+            if invariant and k >= 2 and variances[k].tobytes() == variances[k - 2].tobytes():
+                variances[k + 1 :: 2] = variances[k - 1]
+                variances[k + 2 :: 2] = variances[k]
+                break
+
+        # every step's predicted variance, gain and zero-noise check, from the error rows
+        noise = np.array(sigma_tilde_squared)[:, None]
+        predicted = state_squared * variances[:-1] + np.array(sigma_squared)[:, None]
+        singular = ((noise == 0.0) & (observation == 0.0) & (predicted > 0.0)).any(axis=1)
+        if singular.any():
+            raise SingularGainError(
+                f"step {int(np.argmax(singular)) + 1}: zero observation noise with a vanishing"
+                " observation response at an uncertain frequency"
+            )
+        gains = predicted * observation / (observation_squared * predicted + noise)
+        inverse = np.divide(1.0, observation, out=np.zeros_like(observation), where=observation != 0.0)
+        gains = np.where(noise == 0.0, inverse, gains)
+    errors = variances[1:]
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
     for values in (gains, errors):
         values.flags.writeable = False

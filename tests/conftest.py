@@ -13,7 +13,6 @@ from graphkalman import (
     cycle_graph,
     eigendecompose,
 )
-from graphkalman import kalman
 from graphkalman.dynamics import require_finite_steps
 
 
@@ -28,30 +27,35 @@ def plain_recursion(x0, carry, drive):
 
 
 def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
-    """The Riccati recursion over the whole horizon, one ``_scalar_riccati``
-    call per step read through the system's per-step accessors, with no
-    early exit: the reference for ``riccati_sequence``'s fixed-point fill."""
-    steps = sys.horizon
-    observation = sys.observed_responses
-    gains = np.empty((steps, sys.spectrum.count))
-    errors = np.empty((steps, sys.spectrum.count))
-    scratch = np.empty(sys.spectrum.count)
-    p_values = sys.initial_model.clamped_group_variances
+    """The textbook Riccati recursion over the whole horizon, read through
+    the system's per-step accessors, with no early exit: predict, gain,
+    update at every step, and with zero observation noise the gain 1/b (0 at
+    a blind frequency) and error 0.  The reference for ``riccati_sequence``,
+    which shares no step code with it."""
+    steps, d = sys.horizon, sys.spectrum.count
+    gains = np.empty((steps, d))
+    errors = np.empty((steps, d))
+    p = sys.initial_model.clamped_group_variances
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
-            row = sys.response_row(k)
-            try:
-                _, p_values = kalman._scalar_riccati(
-                    p_values,
-                    sys.state_responses[row] ** 2,
-                    observation[row],
-                    sys.state_sigma(k) ** 2,
-                    sys.observation_sigma(k) ** 2,
-                    observation[row] ** 2,
-                    (gains[k - 1], errors[k - 1], scratch),
-                )
-            except SingularGainError as exc:
-                raise SingularGainError(f"step {k}: {exc}") from exc
+            a = sys.state_responses[sys.response_row(k)]
+            b = sys.observed_responses[sys.response_row(k)]
+            sigma_tilde_squared = sys.observation_sigma(k) ** 2
+            predicted = a**2 * p + sys.state_sigma(k) ** 2
+            if sigma_tilde_squared > 0:
+                innovation = b**2 * predicted + sigma_tilde_squared
+                gains[k - 1] = predicted * b / innovation
+                errors[k - 1] = predicted * sigma_tilde_squared / innovation
+            else:
+                if np.any((b == 0.0) & (predicted > 0.0)):
+                    raise SingularGainError(
+                        f"step {k}: zero observation noise with a vanishing observation response"
+                        " at an uncertain frequency"
+                    )
+                for i in range(d):
+                    gains[k - 1, i] = 0.0 if b[i] == 0.0 else 1.0 / b[i]
+                errors[k - 1] = 0.0
+            p = errors[k - 1]
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
     return RiccatiSequence(system=sys, gain_responses=gains, error_responses=errors)
 

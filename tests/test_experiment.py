@@ -28,7 +28,7 @@ from graphkalman import (
     simulate,
 )
 from graphkalman.cli import main
-from graphkalman import experiment, kalman
+from graphkalman import cli, experiment, kalman
 from graphkalman.experiment import METRIC_FLOOR, TraceSpec, trace_trajectory
 from graphkalman.seeding import generator
 from graphkalman.verify import random_polynomial, random_shift
@@ -327,11 +327,13 @@ class TestConfig:
             ('{"n": 1' + '0' * 400 + '}', "n is too large"),
             ('{"n": 3037000500}', "n is too large"),
             ('{"m": 1' + '0' * 400 + '}', "m is too large"),
+            ('{"n": 1000000}', "n is too large"),
         ],
-        ids=["n-400-digits", "n-squared-past-intp", "m-400-digits"],
+        ids=["n-400-digits", "n-squared-past-intp", "m-400-digits", "n-past-physical-memory"],
     )
     def test_run_beyond_numpy_size_limit_rejected(self, text, message):
-        # parse only: a run on such a config would spin in cycle_graph, never raising
+        # parse only: a run on such a config would spin in cycle_graph or
+        # exhaust the machine's memory, never raising a named error
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(text)
 
@@ -342,9 +344,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"'sigma_grid'.* {limit + 1} values"):
             ExperimentConfig.from_json(too_many)
 
-    def test_largest_shift_within_numpy_size_limit_accepted(self):
-        # parse only, as above; 3037000499 ** 2 is just below 2 ** 63 - 1
-        assert ExperimentConfig.from_json('{"n": 3037000499}').n == 3037000499
+    def test_largest_run_within_physical_memory_accepted(self, monkeypatch):
+        # parse only, with the memory set to exactly what n = 4,000, m = 100 needs
+        memory = experiment.DENSE_ARRAYS * 8 * 4000**2 + 8 * 201 * 4000
+        monkeypatch.setattr(experiment, "PHYSICAL_MEMORY", memory)
+        assert ExperimentConfig(n=4000, m=100).n == 4000
+        for n, m in ((4001, 100), (4000, 101)):
+            with pytest.raises(ValueError, match="is too large: .* physical memory"):
+                ExperimentConfig(n=n, m=m)
 
     def test_unknown_trace_keys_rejected(self):
         with pytest.raises(ValueError, match=r"unknown trace keys: \['sigma_tlde', 'vertx'\]"):
@@ -462,8 +469,14 @@ class TestCli:
 
     @pytest.mark.parametrize("below_file", [False, True], ids=["a-file", "below-a-file"])
     @pytest.mark.parametrize("command", ["simulate", "trace", "heatmap"])
-    def test_unusable_out_is_one_stderr_line(self, tmp_path, capsys, command, below_file):
-        # an existing file, or a path under one, cannot be made a directory
+    def test_unusable_out_is_one_stderr_line(self, tmp_path, capsys, monkeypatch, command, below_file):
+        # an existing file, or a path under one, cannot be made a directory,
+        # and it is refused before any result is computed
+        def refused(*args, **kwargs):
+            raise AssertionError("the command ran before its --out was checked")
+
+        for name in ("run_heatmap", "run_trace", "trace_trajectory"):
+            monkeypatch.setattr(cli, name, refused)
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
         out = taken / "sub" if below_file else taken

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -602,6 +603,50 @@ class TestFixedPoint:
         sys = time_varying_cycle_system(30, 8)
         assert _same_bits(riccati_sequence(sys), full_riccati_sequence(sys))
 
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    @pytest.mark.parametrize("h0", [None, Polynomial((0.4, 0.2))], ids=["zero-prior", "prior"])
+    @pytest.mark.parametrize("sigma, sigma_tilde", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.3, 0.5)])
+    def test_short_horizons_match_the_full_recursion(self, c30, horizon, h0, sigma, sigma_tilde):
+        # the repeat test first reads p_{k-2} at step 2, p_0 included
+        sys = DynamicalSystem.from_constant(
+            c30[2], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, horizon, h0
+        )
+        assert _same_bits(riccati_sequence(sys), full_riccati_sequence(sys))
+
+    def test_prior_at_its_fixed_point_matches_the_full_recursion(self, c4):
+        # a = 1/2, b = 1, sigma^2 = 7/8, sigma_tilde = 1: p = 1/2 is the exact fixed point
+        sys = DynamicalSystem.from_constant(
+            c4[2], Polynomial.constant(0.5), Polynomial.constant(1.0), math.sqrt(0.875), 1.0, 6,
+            initial_covariance=Polynomial.constant(0.5),
+        )
+        riccati = riccati_sequence(sys)
+        assert riccati.error_responses[0].tobytes() == sys.initial_model.clamped_group_variances.tobytes()
+        assert _same_bits(riccati, full_riccati_sequence(sys))
+
+    @pytest.mark.parametrize(
+        "sigma_tildes",
+        [[0.0] * 7, [0.5, 0.0, 0.0, 0.3, 0.0, 0.7, 0.7], [0.0, 0.4, 0.4, 0.0, 0.4, 0.0, 0.0]],
+        ids=["invariant", "zero-then-positive", "positive-then-zero"],
+    )
+    @pytest.mark.parametrize("n", [30, 4])
+    def test_zero_observation_noise_steps_match_the_full_recursion(self, n, sigma_tildes):
+        # C_4 has the blind eigenvalue 2, kept certain by sigma = 0 and h_0 = 0;
+        # C_30 has none, so its state noise and prior are free
+        spectrum = eigendecompose(build_shift(cycle_graph(n), "laplacian"))
+        sigma, h0 = (0.0, None) if n == 4 else (0.3, Polynomial((0.5, 0.1)))
+        if len(set(sigma_tildes)) == 1:
+            sys = DynamicalSystem.from_constant(
+                spectrum, Polynomial((0.2, 0.1)), Polynomial((1.0, -0.5)), sigma, sigma_tildes[0], 7, h0
+            )
+        else:
+            sys = DynamicalSystem.from_sequences(
+                spectrum, [Polynomial((0.2, 0.1))] * 7, [Polynomial((1.0, -0.5))] * 7, [sigma] * 7, sigma_tildes, h0
+            )
+        reference = full_riccati_sequence(sys)
+        assert _same_bits(riccati_sequence(sys), reference)
+        if n == 4:
+            assert (reference.gain_responses[np.array(sigma_tildes) == 0.0] == [1.0, 0.0, -1.0]).all()
+
     def test_rows_after_the_fixed_point_are_copies(self, c30):
         sys = DynamicalSystem.from_constant(
             c30[2], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.5, 0.5, 100
@@ -660,17 +705,23 @@ class TestFixedPoint:
         assert str(fast.value) == str(reference.value)
 
 
+def _negate_errors(monkeypatch):
+    """Patch ``kalman.riccati_sequence`` to return its sequence with the
+    error responses negated, a sign error in the error update."""
+    original = kalman_mod.riccati_sequence
+
+    def flipped(sys):
+        riccati = original(sys)
+        return dataclasses.replace(riccati, error_responses=-riccati.error_responses)
+
+    monkeypatch.setattr(kalman_mod, "riccati_sequence", flipped)
+
+
 class TestDualFormMutation:
     def test_sign_error_breaks_dual_form(self, monkeypatch):
         sys = random_system(generator(71), n_max=8, steps=10)
-        original = kalman_mod._scalar_riccati
-
-        def flipped(*args, **kwargs):
-            gains, errors = original(*args, **kwargs)
-            return gains, -errors  # sign error in the error-update numerator
-
-        monkeypatch.setattr(kalman_mod, "_scalar_riccati", flipped)
-        riccati = riccati_sequence(sys)
+        _negate_errors(monkeypatch)
+        riccati = kalman_mod.riccati_sequence(sys)
         _, dense_errors = matrix_riccati_path(sys)
         gaps = [
             np.linalg.norm(response_matrix(sys, response) - dense) / max(1.0, np.linalg.norm(dense))
@@ -681,13 +732,7 @@ class TestDualFormMutation:
     def test_sign_error_fails_verify_invariant(self, monkeypatch):
         from graphkalman.verify import run_checks
 
-        original = kalman_mod._scalar_riccati
-
-        def flipped(*args, **kwargs):
-            gains, errors = original(*args, **kwargs)
-            return gains, -errors
-
-        monkeypatch.setattr(kalman_mod, "_scalar_riccati", flipped)
+        _negate_errors(monkeypatch)
         results = run_checks(["kalman"])
         dual = [r for r in results if r.name == "dual-form-equivalence"]
         assert dual and not dual[0].passed
