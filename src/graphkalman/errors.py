@@ -6,7 +6,8 @@ class GraphKalmanError(Exception):
 
 
 class InvalidShiftError(GraphKalmanError, ValueError):
-    """A custom shift matrix is asymmetric or violates the graph's sparsity."""
+    """A shift matrix is not finite (a custom entry, or a degree sum that
+    overflows), is asymmetric, or violates the graph's sparsity."""
 
 
 class NumericalFailureError(GraphKalmanError, ArithmeticError):

@@ -144,8 +144,8 @@ class ExperimentConfig:
             "n": self.n,
             "m": self.m,
             "trials": self.trials,
-            "a": self.state_poly.to_list(),
-            "b": self.observation_poly.to_list(),
+            "a": list(self.state_poly.coeffs),
+            "b": list(self.observation_poly.coeffs),
             "sigma_grid": list(self.sigma_grid),
             "sigma_tilde_grid": list(self.sigma_tilde_grid),
             "seed": self.seed,
@@ -206,8 +206,8 @@ def _trace_spec(spec) -> TraceSpec:
 # checks the integers itself, with a ValueError naming the key.
 _JSON_FIELDS = {
     **{key: (key, lambda value: value) for key in ("n", "m", "trials", "seed")},
-    "a": ("state_poly", lambda value: Polynomial.from_coeffs(_json_numbers(value))),
-    "b": ("observation_poly", lambda value: Polynomial.from_coeffs(_json_numbers(value))),
+    "a": ("state_poly", lambda value: Polynomial(_json_numbers(value))),
+    "b": ("observation_poly", lambda value: Polynomial(_json_numbers(value))),
     "sigma_grid": ("sigma_grid", _resolve_grid),
     "sigma_tilde_grid": ("sigma_tilde_grid", _resolve_grid),
     "clip": ("clip", _json_number),
@@ -228,11 +228,14 @@ def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> floa
     each is exactly ``np.mean`` of its ratios.
 
     Raises:
+        ValueError: if ``clip`` is not finite or not above ``METRIC_FLOOR``.
         NumericalFailureError: if a step's truth or error energy is NaN or
             infinite, in any trial.
         DegenerateTrajectoryError: if every step of a single trajectory is
             below the energy guard; such a trial in a stack is NaN instead.
     """
+    if not (math.isfinite(clip) and clip > METRIC_FLOOR):
+        raise ValueError(f"clip must be finite and > {METRIC_FLOOR}")
     estimates = np.asarray(estimates, dtype=float)
     truths = np.asarray(truths, dtype=float)
     if estimates.shape != truths.shape or truths.ndim not in (2, 3):

@@ -25,10 +25,6 @@ def require_integral(value, name: str) -> int:
     return int(value)
 
 
-def _normalize_edge(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph without self-loops.
@@ -76,7 +72,7 @@ class Graph:
             else:
                 raise ValueError(f"edge item {item!r} must have 2 or 3 entries")
             i, j = require_integral(i, "vertex id"), require_integral(j, "vertex id")
-            normalized.append(_normalize_edge(i, j))
+            normalized.append((i, j) if i < j else (j, i))
             weights.append(float(w))
         order = sorted(range(len(normalized)), key=lambda k: normalized[k])
         return Graph(
@@ -86,30 +82,26 @@ class Graph:
         )
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        return _normalize_edge(i, j) in self.edge_set
-
-    @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric adjacency matrix W (read-only)."""
         w = np.zeros((self.n, self.n))
-        for (i, j), wij in zip(self.edges, self.weights):
-            w[i - 1, j - 1] = wij
-            w[j - 1, i - 1] = wij
+        rows, cols = _edge_index(self)
+        w[rows, cols] = w[cols, rows] = self.weights
         w.flags.writeable = False
         return w
+
+
+def _edge_index(graph: Graph) -> np.ndarray:
+    """Zero-based (row, column) index arrays of the graph's edges, row < column."""
+    return np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T - 1
 
 
 @dataclass(frozen=True, eq=False)
 class GraphShift:
     """Symmetric shift of a graph: adjacency W, degree D or Laplacian D - W,
-    derived from the graph, or a ``"custom"`` matrix that ``validate_shift``
-    accepts.  The matrix is a read-only copy."""
+    derived from the graph, or a ``"custom"`` matrix.  A matrix of any kind
+    that ``validate_shift`` refuses (a derived one only when a degree sum
+    overflows) raises InvalidShiftError.  The matrix is a read-only copy."""
 
     graph: Graph
     kind: str
@@ -122,15 +114,17 @@ class GraphShift:
             if self.matrix is None:
                 raise ValueError("custom shift requires an explicit matrix")
             mat = np.array(self.matrix, dtype=float)
-            if not validate_shift(self.graph, mat):
-                raise InvalidShiftError("custom shift is asymmetric or has off-diagonal entries outside edges")
         elif self.matrix is not None:
             raise ValueError(f"matrix argument only valid for kind='custom', got {self.kind!r}")
         else:
             w = self.graph.weight_matrix
-            mat = np.array(w) if self.kind == "adjacency" else np.diag(w.sum(axis=1))
+            # a degree sum that overflows is infinite, and validate_shift refuses it
+            with np.errstate(over="ignore"):
+                mat = np.array(w) if self.kind == "adjacency" else np.diag(w.sum(axis=1))
             if self.kind == "laplacian":
                 mat = mat - w
+        if not validate_shift(self.graph, mat):
+            raise InvalidShiftError(f"{self.kind} shift is not finite, asymmetric, or nonzero off the diagonal outside edges")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -148,21 +142,18 @@ def cycle_graph(n: int) -> Graph:
 
 
 def validate_shift(graph: Graph, matrix: np.ndarray) -> bool:
-    """Check that ``matrix`` is symmetric with off-diagonal support only on edges."""
+    """Whether ``matrix`` is finite, exactly symmetric and zero off the diagonal
+    outside the graph's edges (a zero-weight edge is still an edge); a matrix
+    that is not n x n raises ValueError."""
     mat = np.asarray(matrix, dtype=float)
     if mat.shape != (graph.n, graph.n):
         raise ValueError(
             f"shift matrix shape {mat.shape} does not match graph order {graph.n}"
         )
-    if not np.array_equal(mat, mat.T):
-        return False
-    rows, cols = np.nonzero(mat)
-    for r, c in zip(rows, cols):
-        if r == c:
-            continue
-        if not graph.has_edge(r + 1, c + 1):
-            return False
-    return True
+    support = np.eye(graph.n, dtype=bool)
+    rows, cols = _edge_index(graph)
+    support[rows, cols] = support[cols, rows] = True
+    return bool(np.isfinite(mat).all() and np.array_equal(mat, mat.T) and (support | (mat == 0.0)).all())
 
 
 def build_shift(graph: Graph, kind: str, matrix: np.ndarray | None = None) -> GraphShift:

@@ -2,9 +2,10 @@
 
 ``Polynomial`` is an input type.  It holds the ascending monomial
 coefficients of what a user writes (the state and observation filters a
-and b, the prior h_0), their JSON form and their evaluation, and no
-arithmetic: filters of one shift add and compose by adding and multiplying
-their frequency responses, so the responses carry the algebra.
+and b, the prior h_0), whose list is their JSON form, and their
+evaluation, and no arithmetic: filters of one shift add and compose by
+adding and multiplying their frequency responses, so the responses carry
+the algebra.
 ``ChebyshevSeries`` holds Chebyshev coefficients on an interval.  It is what
 ``lagrange_interpolate`` returns: the one way from values at distinct
 eigenvalues back to a polynomial of the shift.  On the interval spanned by
@@ -15,7 +16,7 @@ points), where the monomial one is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -38,7 +39,8 @@ def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
 class Polynomial:
     """h(t) = coeffs[0] + coeffs[1]*t + ... + coeffs[L]*t^L.
 
-    An input type: coefficients, degree, evaluation and JSON.  Sums and
+    An input type: coefficients (``list(p.coeffs)`` is the JSON form), degree
+    and evaluation.  The constructor floats and trims any sequence.  Sums and
     products of filters are taken on their values h(lambda), not here.
     """
 
@@ -64,13 +66,6 @@ class Polynomial:
 
     def __call__(self, t):
         return npoly.polyval(t, self.coeffs)
-
-    def to_list(self) -> list[float]:
-        return list(self.coeffs)
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[float]) -> "Polynomial":
-        return Polynomial(tuple(float(c) for c in coeffs))
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,8 @@ class SpectralDecomposition:
 def eigendecompose(shift: GraphShift) -> SpectralDecomposition:
     """Orthogonal eigendecomposition of a symmetric graph shift: the closed
     form for the cycle Laplacian (see the module docstring), ``eigh`` for
-    any other shift."""
+    any other shift.  ``eigh`` failing to converge, or returning a non-finite
+    eigenpair (entries near the float64 limit), raises NumericalFailureError."""
     if shift.kind == "laplacian" and shift.n >= 3 and shift.graph == cycle_graph(shift.n):
         eigenvalues, vectors = _cycle_laplacian_eigenpairs(shift.n)
     else:
@@ -138,6 +139,8 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    if not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all()):
+        raise NumericalFailureError("eigendecomposition is not finite")
     # sign convention: first component exceeding a relative threshold is positive
     n = eigenvalues.size
     threshold = 1e-12 * np.max(np.abs(vectors), axis=0)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError
+from .errors import NotPositiveSemidefiniteError, NumericalFailureError
 from .filters import eval_filter
 from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
 from .spectral import SpectralDecomposition
@@ -37,8 +37,13 @@ class StationaryModel:
 
     @cached_property
     def group_variances(self) -> np.ndarray:
-        """Raw variances at the distinct-eigenvalue representatives."""
-        values = self.covariance_poly(self.spectrum.representatives)
+        """Raw variances at the distinct-eigenvalue representatives, read-only;
+        one that is not finite raises NumericalFailureError on every read."""
+        # a value that overflows is infinite, and the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.covariance_poly(self.spectrum.representatives)
+        if not np.isfinite(values).all():
+            raise NumericalFailureError("covariance polynomial is not finite at a distinct eigenvalue")
         values.flags.writeable = False
         return values
 

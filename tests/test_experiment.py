@@ -197,6 +197,14 @@ class TestMetric:
         with pytest.raises(NumericalFailureError, match="not finite"):
             relative_error_metric(arrays["estimates"], arrays["truths"])
 
+    @pytest.mark.parametrize("clip", [math.nan, math.inf, -math.inf, METRIC_FLOOR, -20.0])
+    def test_clip_not_finite_or_not_above_the_floor_rejected(self, clip):
+        # a NaN clip turned clipping off and -inf returned -inf, below the floor
+        truths = generator(82).standard_normal((2, 6, 5))
+        for estimates, states in ((truths[0] + 0.1, truths[0]), (truths + 0.1, truths)):
+            with pytest.raises(ValueError, match=f"clip must be finite and > {METRIC_FLOOR}"):
+                relative_error_metric(estimates, states, clip)
+
     def test_all_nan_truths_are_a_failure_not_a_degenerate_trajectory(self):
         truths = np.full((4, 5), math.nan)
         with pytest.raises(NumericalFailureError):

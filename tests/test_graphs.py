@@ -2,13 +2,29 @@ import numpy as np
 import pytest
 
 from graphkalman import Graph, GraphShift, InvalidShiftError, build_shift, cycle_graph, validate_shift
+from graphkalman.seeding import generator
+from graphkalman.verify import random_graph
+
+
+def entry_walk(graph, matrix):
+    """The entry-by-entry check ``validate_shift`` made before it worked on
+    arrays: symmetric, and every nonzero off-diagonal entry on an edge."""
+    mat = np.asarray(matrix, dtype=float)
+    if not np.array_equal(mat, mat.T):
+        return False
+    edges = set(graph.edges)
+    rows, cols = np.nonzero(mat)
+    for r, c in zip(rows, cols):
+        if r != c and (min(r, c) + 1, max(r, c) + 1) not in edges:
+            return False
+    return True
 
 
 class TestCycleGraph:
     def test_c4_edges_and_weights(self):
         g = cycle_graph(4)
         assert g.n == 4
-        assert g.edge_set == {(1, 2), (2, 3), (3, 4), (1, 4)}
+        assert set(g.edges) == {(1, 2), (2, 3), (3, 4), (1, 4)}
         assert all(w == 1.0 for w in g.weights)
 
     def test_c30_counts(self):
@@ -102,6 +118,26 @@ class TestBuildShift:
         with pytest.raises(InvalidShiftError):
             build_shift(g, "custom", matrix=bad)
 
+    @pytest.mark.parametrize(
+        "entries", [[(2, 2)], [(0, 1), (1, 0)], [(3, 3), (0, 0)]], ids=["diagonal", "edge-pair", "two-diagonal"]
+    )
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_custom_non_finite_entry_rejected(self, entries, value):
+        # an infinite diagonal gave an all-NaN spectrum grouped as one eigenvalue
+        mat = build_shift(cycle_graph(8), "laplacian").matrix.copy()
+        for entry in entries:
+            mat[entry] = value
+        with pytest.raises(InvalidShiftError, match="custom shift is not finite"):
+            build_shift(cycle_graph(8), "custom", matrix=mat)
+
+    def test_overflowing_degree_rejected(self):
+        # every weight is finite, but the degree of vertex 2 overflows to inf
+        g = Graph.from_edges(3, [(1, 2, 1.5e308), (2, 3, 1.5e308)])
+        assert np.all(np.isfinite(build_shift(g, "adjacency").matrix))
+        for kind in ("degree", "laplacian"):
+            with pytest.raises(InvalidShiftError, match=f"{kind} shift is not finite"):
+                build_shift(g, kind)
+
     def test_custom_accepts_diagonal_perturbation(self):
         g = cycle_graph(4)
         mat = build_shift(g, "laplacian").matrix + np.diag([1.0, 0.0, -2.0, 0.5])
@@ -165,6 +201,43 @@ class TestValidateShift:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             validate_shift(cycle_graph(4), np.eye(5))
+
+    def test_array_check_matches_the_entry_walk(self):
+        rng = generator(27)
+        verdicts = {}
+        for case in range(240):
+            n = int(rng.integers(5, 13))
+            graph = random_graph(rng, n)
+            rows, cols = (np.array(ends) - 1 for ends in zip(*graph.edges))
+            mat = np.diag(rng.uniform(-2.0, 2.0, n))
+            mat[rows, cols] = mat[cols, rows] = rng.uniform(-1.5, 1.5, rows.size)
+            kind = ("support", "off-edge", "asymmetric", "zero-weight-edge", "diagonal", "infinite")[case % 6]
+            if kind == "off-edge":
+                r, c = np.argwhere(np.triu(mat == 0.0, 1))[int(rng.integers(0, n * (n - 1) // 2 - rows.size))]
+                mat[r, c] = mat[c, r] = rng.uniform(0.5, 1.0)
+            elif kind == "asymmetric":
+                k = int(rng.integers(0, rows.size))
+                mat[rows[k], cols[k]] += 0.25
+            elif kind == "zero-weight-edge":
+                k = int(rng.integers(0, rows.size))
+                weights = list(graph.weights)
+                weights[k] = 0.0
+                graph = Graph(n, graph.edges, tuple(weights))
+                assert graph.weight_matrix[rows[k], cols[k]] == 0.0 and mat[rows[k], cols[k]] != 0.0
+            elif kind == "diagonal":
+                mat[np.diag_indices(n)] += rng.uniform(-1.0, 1.0, n)
+            elif kind == "infinite":
+                k = int(rng.integers(0, rows.size + n))
+                index = (rows[k], cols[k]) if k < rows.size else (k - rows.size,) * 2
+                mat[index] = mat[index[::-1]] = np.inf
+            expected = entry_walk(graph, mat)
+            assert validate_shift(graph, mat) is (expected and kind != "infinite")
+            verdicts.setdefault(kind, set()).add(expected)
+        # the walk accepts exactly the cases built on the graph's support
+        assert verdicts == {
+            "support": {True}, "off-edge": {False}, "asymmetric": {False},
+            "zero-weight-edge": {True}, "diagonal": {True}, "infinite": {True},
+        }
 
     def test_roundtrip_with_build_shift(self):
         g = cycle_graph(6)

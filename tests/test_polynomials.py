@@ -35,7 +35,7 @@ class TestCanonicalForm:
     def test_constructors(self):
         assert Polynomial.zero().coeffs == (0.0,)
         assert Polynomial.constant(3.5).coeffs == (3.5,)
-        assert Polynomial.from_coeffs([0, 1]).coeffs == (0.0, 1.0)
+        assert Polynomial([0, 1]).coeffs == (0.0, 1.0)
 
 
 class TestEvaluation:
@@ -183,5 +183,5 @@ class TestSpectrumInterpolation:
 class TestSerialization:
     def test_coefficient_list_roundtrip(self):
         f = Polynomial((0.0, 0.25))
-        assert f.to_list() == [0.0, 0.25]
-        assert Polynomial.from_coeffs(f.to_list()) == f
+        assert list(f.coeffs) == [0.0, 0.25]
+        assert Polynomial(list(f.coeffs)) == f

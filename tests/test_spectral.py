@@ -7,6 +7,7 @@ import pytest
 import graphkalman
 from graphkalman import (
     Graph,
+    NumericalFailureError,
     Polynomial,
     SpectralDecomposition,
     build_shift,
@@ -33,6 +34,14 @@ class TestEigendecompose:
         shift = build_shift(g, "custom", matrix=np.eye(5))
         decomposition = eigendecompose(shift)
         np.testing.assert_allclose(decomposition.eigenvalues, 1.0, atol=0)
+
+    def test_non_finite_spectrum_of_a_finite_shift_refused(self):
+        # every entry is finite, so validate_shift accepts it; eigh returned
+        # eigenvalues from -inf to +inf
+        g = cycle_graph(8)
+        shift = build_shift(g, "custom", matrix=np.where(g.weight_matrix > 0.0, 1e308, 0.0))
+        with pytest.raises(NumericalFailureError, match="eigendecomposition is not finite"):
+            eigendecompose(shift)
 
     def test_c30_range_and_absent_value(self, c30):
         _, _, decomposition = c30

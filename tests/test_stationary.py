@@ -3,7 +3,9 @@ import pytest
 import scipy.stats
 
 from graphkalman import (
+    DynamicalSystem,
     NotPositiveSemidefiniteError,
+    NumericalFailureError,
     Polynomial,
     StationaryModel,
     apply_filter,
@@ -178,6 +180,25 @@ class TestClampedVariances:
         np.testing.assert_array_equal(first, np.maximum(model.group_variances, 0.0))
         with pytest.raises(ValueError):
             first[0] = 1.0
+
+    def test_non_finite_variance_raises_on_every_use(self):
+        # h_0 = 1e308 + 1e308 t overflows at every eigenvalue of C_8 but 0;
+        # sample returned non-finite draws with no error
+        spectrum = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
+        model = StationaryModel(Polynomial((1e308, 1e308)), spectrum)
+        rng = generator(10)
+        uses = [
+            lambda: model.group_variances,
+            lambda: sample(model, rng),
+            lambda: whiten(np.ones(8), model, rng),
+            lambda: sqrt_filter(model),
+            lambda: DynamicalSystem.from_constant(
+                spectrum, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 5, initial_covariance=model.covariance_poly
+            ),
+        ]
+        for use in uses:
+            with pytest.raises(NumericalFailureError, match="not finite at a distinct eigenvalue"):
+                use()
 
     def test_non_psd_model_raises_on_every_read(self, c4):
         _, _, spectrum = c4
