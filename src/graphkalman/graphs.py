@@ -1,14 +1,20 @@
 """Undirected weighted graphs and symmetric graph shifts built from them.
 
 Vertices are numbered 1..n in every public interface (edge lists, CSV
-output); arrays are indexed 0..n-1 internally.
+output); arrays are indexed 0..n-1 internally.  A ``Graph`` has one
+canonical form, which its constructor makes and checks whichever path built
+it (``Graph.from_edges``, ``cycle_graph`` or a direct call): each edge
+(i, j) has i < j, the edges are sorted, and the weights are floats parallel
+to them.  So two graphs with the same weighted edges are equal, however
+their edges were ordered or oriented.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,14 +31,28 @@ def require_integral(value, name: str) -> int:
     return int(value)
 
 
+def _floats(values: Sequence, accept: Callable[[type], bool]) -> np.ndarray:
+    """``values`` as a float array, NaN in place of each value whose type ``accept`` refuses."""
+    if all(map(accept, set(map(type, values)))):
+        return np.array(values, dtype=float)
+    return np.array([float(v) if accept(type(v)) else np.nan for v in values])
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph without self-loops.
+    """Undirected weighted graph without self-loops, in its one canonical form.
+
+    The constructor makes the form and checks it, with array operations: each
+    vertex id must be integral by ``require_integral``'s rule (the first one
+    that is not, in input order, raises its ValueError), each pair is oriented
+    i < j and the pairs are sorted.  The first edge in that order that lies
+    outside 1..n, is a self-loop, repeats an earlier pair or has a weight that
+    is not a finite number >= 0 raises ValueError naming it.
 
     Attributes:
-        n: Number of vertices (>= 2).
-        edges: Normalized edge tuples (i, j) with 1 <= i < j <= n.
-        weights: Nonnegative edge weights, parallel to ``edges``.
+        n: Number of vertices (>= 2), an int; 12.0 reads as 12.
+        edges: Edge tuples (i, j) with 1 <= i < j <= n, sorted.
+        weights: Nonnegative finite float weights, parallel to ``edges``.
     """
 
     n: int
@@ -40,60 +60,52 @@ class Graph:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        n = require_integral(self.n, "graph order")
+        if n < 2:
             raise ValueError(f"graph order must be an integer >= 2, got {self.n!r}")
-        if len(self.edges) != len(self.weights):
-            raise ValueError("edges and weights must have equal length")
-        seen: set[tuple[int, int]] = set()
-        for (i, j), w in zip(self.edges, self.weights):
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) out of range 1..{self.n}")
-            if i == j:
-                raise ValueError(f"self-loop ({i},{j}) not allowed")
-            if i > j:
-                raise ValueError(f"edge ({i},{j}) not normalized (need i < j)")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-            if not np.isfinite(w) or w < 0:
-                raise ValueError(f"edge ({i},{j}) has invalid weight {w!r}")
+        if len(self.edges) != len(self.weights) or set(map(len, self.edges)) - {2}:
+            raise ValueError("edges must be (i, j) pairs, as many as the weights")
+        flat = list(chain.from_iterable(self.edges))
+        ids = _floats(flat, lambda t: t is not bool and issubclass(t, (numbers.Integral, float)))
+        integral = np.isfinite(ids) & (ids == np.floor(ids))
+        if not integral.all():
+            require_integral(flat[int(np.argmax(~integral))], "vertex id")
+        pairs = np.sort(ids.reshape(len(self.edges), 2), axis=1)
+        order = np.lexsort(pairs.T[::-1])
+        (lo, hi), weights = pairs[order].T, _floats(self.weights, lambda t: issubclass(t, numbers.Real))[order]
+        repeated = (lo == np.roll(lo, 1)) & (hi == np.roll(hi, 1)) & (np.arange(lo.size) > 0)
+        faults = np.stack(((lo < 1) | (hi > n), lo == hi, repeated, ~(np.isfinite(weights) & (weights >= 0))), axis=1)
+        if faults.any():
+            k, fault = np.unravel_index(np.argmax(faults), faults.shape)  # the first faulty edge, its first fault
+            i, j, w = int(lo[k]), int(hi[k]), self.weights[order[k]]
+            shown = float(w) if isinstance(w, numbers.Real) else w
+            raise ValueError((f"edge ({i},{j}) out of range 1..{n}", f"self-loop ({i},{j}) not allowed",
+                              f"duplicate edge ({i},{j})", f"edge ({i},{j}) has invalid weight {shown!r}")[fault])
+        index = np.array((lo, hi), dtype=np.intp) - 1
+        index.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(zip(*(index + 1).tolist())))
+        object.__setattr__(self, "weights", tuple(weights.tolist()))
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[float]]) -> "Graph":
-        """Build a graph from ``(i, j)`` or ``(i, j, weight)`` items (weight defaults to 1)."""
-        normalized: list[tuple[int, int]] = []
-        weights: list[float] = []
-        for item in edges:
-            if len(item) == 2:
-                i, j = item
-                w = 1.0
-            elif len(item) == 3:
-                i, j, w = item
-            else:
+        """Build a graph from ``(i, j)`` or ``(i, j, weight)`` items (weight defaults to 1),
+        in any order and orientation."""
+        items = list(edges)
+        for item in items:
+            if len(item) not in (2, 3):
                 raise ValueError(f"edge item {item!r} must have 2 or 3 entries")
-            i, j = require_integral(i, "vertex id"), require_integral(j, "vertex id")
-            normalized.append((i, j) if i < j else (j, i))
-            weights.append(float(w))
-        order = sorted(range(len(normalized)), key=lambda k: normalized[k])
-        return Graph(
-            n=require_integral(n, "graph order"),
-            edges=tuple(normalized[k] for k in order),
-            weights=tuple(weights[k] for k in order),
-        )
+        return Graph(n, [item[:2] for item in items], [item[2] if len(item) == 3 else 1.0 for item in items])
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric adjacency matrix W (read-only)."""
         w = np.zeros((self.n, self.n))
-        rows, cols = _edge_index(self)
+        rows, cols = self._index
         w[rows, cols] = w[cols, rows] = self.weights
         w.flags.writeable = False
         return w
-
-
-def _edge_index(graph: Graph) -> np.ndarray:
-    """Zero-based (row, column) index arrays of the graph's edges, row < column."""
-    return np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +146,11 @@ class GraphShift:
 
 
 def cycle_graph(n: int) -> Graph:
-    """Unweighted cycle graph C_n (n >= 3)."""
-    if not isinstance(n, (int, np.integer)) or n < 3:
+    """Unweighted cycle graph C_n (n >= 3; an integral float such as 3.0 reads as 3)."""
+    n = require_integral(n, "graph order")
+    if n < 3:
         raise ValueError(f"cycle graph needs n >= 3, got {n!r}")
-    edges = [(k, k + 1) for k in range(1, n)] + [(1, n)]
-    return Graph.from_edges(n, edges)
+    return Graph(n, [(k, k % n + 1) for k in range(1, n + 1)], (1.0,) * n)
 
 
 def validate_shift(graph: Graph, matrix: np.ndarray) -> bool:
@@ -151,7 +163,7 @@ def validate_shift(graph: Graph, matrix: np.ndarray) -> bool:
             f"shift matrix shape {mat.shape} does not match graph order {graph.n}"
         )
     support = np.eye(graph.n, dtype=bool)
-    rows, cols = _edge_index(graph)
+    rows, cols = graph._index
     support[rows, cols] = support[cols, rows] = True
     return bool(np.isfinite(mat).all() and np.array_equal(mat, mat.T) and (support | (mat == 0.0)).all())
 

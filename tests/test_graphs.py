@@ -1,8 +1,16 @@
+import ast
+import inspect
+import re
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from graphkalman import Graph, GraphShift, InvalidShiftError, build_shift, cycle_graph, validate_shift
+from graphkalman import Graph, GraphShift, InvalidShiftError, build_shift, cycle_graph, graphs, validate_shift
+from graphkalman.graphs import require_integral
 from graphkalman.seeding import generator
+from graphkalman.spectral import _cycle_laplacian_eigenpairs, eigendecompose
 from graphkalman.verify import random_graph
 
 
@@ -20,6 +28,90 @@ def entry_walk(graph, matrix):
     return True
 
 
+def edge_loop(n, items):
+    """``Graph.from_edges`` as it was before the constructor made the canonical
+    form: each item oriented and its ids read by ``require_integral`` in input
+    order, a Python key sort, then the per-edge loop with its ``seen`` set.
+    Returns the accepted (edges, weights) or the refusal's message."""
+    try:
+        normalized, weights = [], []
+        for item in items:
+            i, j, w = item if len(item) == 3 else (*item, 1.0)
+            i, j = require_integral(i, "vertex id"), require_integral(j, "vertex id")
+            normalized.append((i, j) if i < j else (j, i))
+            weights.append(float(w))
+        order = sorted(range(len(normalized)), key=lambda k: normalized[k])
+        edges, weights = tuple(normalized[k] for k in order), tuple(weights[k] for k in order)
+        seen = set()
+        for (i, j), w in zip(edges, weights):
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
+            if i == j:
+                raise ValueError(f"self-loop ({i},{j}) not allowed")
+            if (i, j) in seen:
+                raise ValueError(f"duplicate edge ({i},{j})")
+            seen.add((i, j))
+            if not np.isfinite(w) or w < 0:
+                raise ValueError(f"edge ({i},{j}) has invalid weight {w!r}")
+    except ValueError as error:
+        return str(error)
+    return edges, weights
+
+
+# each fault, and the messages it gets when it is the only one; a duplicate
+# with a NaN weight is named by whichever copy comes first in input order
+EDGE_FAULTS = {
+    "valid": None,
+    "out-of-range": "out of range",
+    "non-integral": "vertex id must be an integer, got ",
+    "boolean": "vertex id must be an integer, got ",
+    "self-loop": "self-loop",
+    "duplicate": "duplicate edge",
+    "reversed-duplicate": "duplicate edge",
+    "nan-duplicate": "duplicate edge|has invalid weight nan",
+    "negative": "has invalid weight -",
+    "nan": "has invalid weight nan",
+    "infinite": "has invalid weight inf",
+}
+
+
+def spelled_edges(rng, n):
+    """A random graph's edges as ``from_edges`` items, in random order and
+    orientation, with ids spelled as int, integral float or numpy int, and
+    weights as float, int or left out."""
+    graph = random_graph(rng, n)
+    items = []
+    for (i, j), w in zip(graph.edges, graph.weights):
+        i, j = (i, j) if rng.random() < 0.5 else (j, i)
+        spelling = int(rng.integers(0, 4))
+        if spelling == 1:
+            i, j = float(i), float(j)
+        elif spelling == 2:
+            i, j = np.int64(i), np.int64(j)
+        w = w if rng.random() < 0.8 else int(rng.integers(0, 3))
+        items.append((i, j) if spelling == 3 else (i, j, w))
+    return [items[k] for k in rng.permutation(len(items))]
+
+
+def add_fault(rng, items, n, fault):
+    k = int(rng.integers(0, len(items)))
+    i, j, *w = items[k]
+    if fault == "out-of-range":
+        items[k] = (rng.choice([0, -2, n + 1, n + 3]).item(), j, *w)
+    elif fault == "non-integral":
+        items[k] = (i, rng.choice([j + 0.5, np.nan, np.inf]).item(), *w)
+    elif fault == "boolean":
+        items[k] = (bool(rng.integers(0, 2)), j, *w)
+    elif fault == "self-loop":
+        items[k] = (i, i, *w)
+    elif fault.endswith("duplicate"):
+        copy = (j, i) if fault == "reversed-duplicate" else (i, j)
+        weight = np.nan if fault == "nan-duplicate" else float(rng.uniform(0.2, 1.5))
+        items.insert(int(rng.integers(0, len(items) + 1)), (*copy, weight))
+    elif fault != "valid":
+        items[k] = (i, j, {"negative": -float(rng.uniform(0.1, 2.0)), "nan": np.nan, "infinite": np.inf}[fault])
+
+
 class TestCycleGraph:
     def test_c4_edges_and_weights(self):
         g = cycle_graph(4)
@@ -35,6 +127,28 @@ class TestCycleGraph:
     def test_degenerate_order_rejected(self):
         with pytest.raises(ValueError):
             cycle_graph(2)
+
+    def test_integral_float_order(self):
+        # 3.0 was refused as "cycle graph needs n >= 3, got 3.0", while Graph.from_edges took it
+        graph = cycle_graph(3.0)
+        assert graph == cycle_graph(3) and type(graph.n) is int
+        with pytest.raises(ValueError, match="graph order must be an integer, got 3.5"):
+            cycle_graph(3.5)
+
+    @pytest.mark.parametrize("n", [4, 5, 30])
+    def test_shuffled_cycle_is_the_cycle_graph(self, n):
+        # the constructor took a cycle's oriented pairs in any order, and
+        # eigendecompose then sent it to eigh (eigenvalues off by up to 7.5e-16 on C_4)
+        rng = generator(n)
+        pairs = [(k, k % n + 1) if rng.random() < 0.5 else (k % n + 1, k) for k in range(1, n + 1)]
+        pairs = tuple(pairs[k] for k in rng.permutation(n))
+        assert pairs != cycle_graph(n).edges
+        graph = Graph(n, pairs, (1,) * n)
+        assert graph == cycle_graph(n)
+        spectrum = eigendecompose(build_shift(graph, "laplacian"))
+        eigenvalues, vectors = _cycle_laplacian_eigenpairs(n)
+        np.testing.assert_array_equal(spectrum.eigenvalues, eigenvalues)
+        np.testing.assert_array_equal(spectrum.eigenvectors, vectors)
 
     def test_every_vertex_has_degree_two(self):
         g = cycle_graph(7)
@@ -74,6 +188,50 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="vertex id must be an integer, got 1.5"):
             Graph.from_edges(3, [(1.5, 2.9)])
         assert Graph.from_edges(4, [(1.0, 2.0, 0.5)]).edges == ((1, 2),)
+        # the constructor took these, and its weight matrix truncated 1.5 to vertex 1
+        for pair, shown in [((1.5, 2), "1.5"), ((True, 2), "True")]:
+            with pytest.raises(ValueError, match=f"vertex id must be an integer, got {shown}"):
+                Graph(3, (pair,), (1.0,))
+
+    @pytest.mark.parametrize("edges", [((1, 2, 3), (3,)), ((1, 2, 3), (2, 3)), ((1, 2),)])
+    def test_edges_must_be_pairs_one_per_weight(self, edges):
+        # the flat id array must not pair a triple's last id with the next edge's
+        with pytest.raises(ValueError, match=re.escape("edges must be (i, j) pairs, as many as the weights")):
+            Graph(3, edges, (1.0,) * 2)
+
+    @pytest.mark.parametrize("weight", [None, "x"])
+    def test_non_numeric_weight_rejected(self, weight):
+        # numpy's TypeError escaped the constructor
+        with pytest.raises(ValueError, match=re.escape(f"edge (1,2) has invalid weight {weight!r}")):
+            Graph(3, ((1, 2),), (weight,))
+
+    def test_array_checks_match_the_edge_loop(self):
+        rng = generator(28)
+        messages = {}
+        for case in range(264):
+            n = int(rng.integers(3, 10))
+            items = spelled_edges(rng, n)
+            fault = list(EDGE_FAULTS)[case % len(EDGE_FAULTS)]
+            add_fault(rng, items, n, fault)
+            single = fault == "valid" or rng.random() < 0.7
+            if not single:
+                add_fault(rng, items, n, list(EDGE_FAULTS)[int(rng.integers(1, len(EDGE_FAULTS)))])
+            expected = edge_loop(n, items)
+            try:
+                graph = Graph.from_edges(n, items)
+            except ValueError as error:
+                assert str(error) == expected
+            else:
+                assert repr((graph.edges, graph.weights)) == repr(expected)
+            if single:
+                messages.setdefault(fault, set()).add(expected if isinstance(expected, str) else None)
+        # every fault is refused, and alone it is named by its own message
+        assert messages["valid"] == {None}
+        for fault, pattern in EDGE_FAULTS.items():
+            if pattern is not None:
+                assert messages[fault] and all(re.search(pattern, message) for message in messages[fault]), fault
+        # the order of two equal pairs is kept, so either copy of a duplicate can be named
+        assert len({message.split()[0] for message in messages["nan-duplicate"]}) == 2
 
     def test_weight_matrix_is_symmetric_and_readonly(self):
         g = Graph.from_edges(4, [(1, 2, 0.3), (2, 4, 1.7)])
@@ -81,6 +239,14 @@ class TestGraphValidation:
         np.testing.assert_array_equal(w, w.T)
         with pytest.raises(ValueError):
             w[0, 0] = 1.0
+
+
+def test_graph_is_checked_without_an_edge_loop():
+    # the constructor makes and checks the canonical form with array operations,
+    # and the graph keeps the zero-based index arrays the shift code reads
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Graph.__post_init__)))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert "_edge_index" not in Path(graphs.__file__).read_text()
 
 
 class TestBuildShift:
