@@ -113,8 +113,12 @@ def inverse_error_covariance(sys: DynamicalSystem) -> np.ndarray:
 
     Raises:
         NumericalFailureError: naming the first step whose state covariance
-            is not finite, as ``covariance_responses`` does.
+            is not finite, as ``covariance_responses`` does, or whose error
+            covariance is not, as when sigma_tilde_k^2 overflows.
     """
     responses = sys.observed_responses
-    noise = np.asarray(sys.observation_noise)[:, None] ** 2
-    return np.divide(noise, responses**2, out=covariance_responses(sys)[1:], where=responses != 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        noise = np.square(sys.observation_noise)[:, None]
+        errors = np.divide(noise, responses**2, out=covariance_responses(sys)[1:], where=responses != 0.0)
+    require_finite_steps(errors, "inverse error covariance", first_step=1)
+    return errors

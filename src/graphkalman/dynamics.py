@@ -229,8 +229,8 @@ def covariance_responses(sys: DynamicalSystem) -> np.ndarray:
     """
     out = np.empty((sys.horizon + 1, sys.spectrum.count))
     out[0] = sys.initial_model.clamped_group_variances
-    out[1:] = np.array([sigma**2 for sigma in sys.state_noise])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
+        out[1:] = np.square(sys.state_noise)[:, None]
         propagate(out, sys.state_responses**2)
     require_finite_steps(out, "state covariance response", first_step=0)
     return out

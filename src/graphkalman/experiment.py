@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from .baselines import inverse_estimate
 from .dynamics import DynamicalSystem, Trajectory, simulate, write_text
 from .errors import DegenerateTrajectoryError, NumericalFailureError, SingularGainError
-from .graphs import build_shift, cycle_graph, require_integral
+from .graphs import build_shift, cycle_graph, require_integral, require_real
 from .kalman import riccati_sequence, run_filter
 from .polynomials import Polynomial
 from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
@@ -60,18 +59,59 @@ _HEATMAP_KEY = 0
 _TRACE_KEY = 1
 
 
+def _noise_level(value, name: str) -> float:
+    """``value`` as a float if it is a real number, finite and >= 0; else ValueError naming ``name``."""
+    level = require_real(value, name)
+    if not 0 <= level < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {level!r}")
+    return level
+
+
 @dataclass(frozen=True)
 class TraceSpec:
-    """Noise point and vertex for the trajectory/energy trace."""
+    """Noise point and vertex for the trajectory/energy trace.
+
+    The constructor stores sigma and sigma_tilde as floats, each a real
+    number (not a boolean), finite and >= 0, and the vertex as an int by
+    ``require_integral``'s rule; any other value raises ValueError naming
+    it.  Whether the vertex lies in 1..n is the config's check.
+    """
 
     sigma: float = 0.3
     sigma_tilde: float = 0.5
     vertex: int = 8
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma", _noise_level(self.sigma, "trace sigma"))
+        object.__setattr__(self, "sigma_tilde", _noise_level(self.sigma_tilde, "trace sigma_tilde"))
+        object.__setattr__(self, "vertex", require_integral(self.vertex, "trace vertex"))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration of the cycle-graph study (defaults reproduce the reference setup)."""
+    """Configuration of the cycle-graph study (defaults reproduce the reference setup).
+
+    The constructor is the one place a config is made canonical and checked,
+    however it is built (directly, by ``from_dict`` or by ``replace``).  It
+    applies one rule per field, the rules ``from_dict`` applies per JSON key
+    (``_JSON_FIELDS``), and a value a rule refuses raises ValueError that
+    names it:
+
+    - n, m, trials and seed are ints by ``require_integral``'s rule;
+    - a grid is a nonempty tuple of floats, each a real number (not a
+      boolean), finite and >= 0, made from a list, tuple or 1-D array (not a
+      string) or from a JSON grid object {"start", "stop", "step"} of
+      numbers by the same rule and at most ``GRID_LIMIT`` values;
+    - clip is a float, from a real number that is not a boolean;
+    - state_poly and observation_poly are ``Polynomial``s, made from a
+      sequence of numbers by ``Polynomial``'s own rule;
+    - trace is a ``TraceSpec``, made from a JSON object by ``TraceSpec``'s.
+
+    Then come the checks across fields or against the machine: n >= 3, the
+    run's arrays within physical memory, m and trials >= 1, seed >= 0, clip
+    finite and above ``METRIC_FLOOR``, and the trace vertex in 1..n.  So a
+    config equals, and hashes as, the one its ``to_dict`` JSON loads to.
+    """
 
     n: int = 30
     m: int = 100
@@ -85,10 +125,8 @@ class ExperimentConfig:
     trace: TraceSpec = TraceSpec()
 
     def __post_init__(self) -> None:
-        for name in ("n", "m", "trials", "seed"):
-            object.__setattr__(self, name, require_integral(getattr(self, name), name))
-        vertex = require_integral(self.trace.vertex, "trace vertex")
-        object.__setattr__(self, "trace", replace(self.trace, vertex=vertex))
+        for field, rule in _JSON_FIELDS.values():
+            object.__setattr__(self, field, rule(getattr(self, field), field))
         if self.n < 3:
             raise ValueError("n must be >= 3 for a cycle graph")
         if self.m < 1:
@@ -105,14 +143,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name, grid in (("sigma_grid", self.sigma_grid), ("sigma_tilde_grid", self.sigma_tilde_grid)):
-            if len(grid) == 0:
-                raise ValueError(f"{name} must be nonempty")
-            if any(v < 0 or not np.isfinite(v) for v in grid):
-                raise ValueError(f"{name} values must be finite and >= 0")
-        for name, value in (("sigma", self.trace.sigma), ("sigma_tilde", self.trace.sigma_tilde)):
-            if value < 0 or not np.isfinite(value):
-                raise ValueError(f"trace {name} must be finite and >= 0, got {value!r}")
         if not (math.isfinite(self.clip) and self.clip > METRIC_FLOOR):
             raise ValueError(f"clip must be finite and > {METRIC_FLOOR}")
         if not 1 <= self.trace.vertex <= self.n:
@@ -120,13 +150,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
-        """Config from parsed JSON; a key of the wrong type or shape raises ``ValueError`` naming it."""
+        """Config from parsed JSON; each key's rule runs first, so a value of the
+        wrong type or shape raises ``ValueError`` naming the key."""
         _reject_unknown_keys(payload, set(_JSON_FIELDS), "config")
         kwargs = {}
         for key, value in payload.items():
-            field, parse = _JSON_FIELDS[key]
+            field, rule = _JSON_FIELDS[key]
             try:
-                kwargs[field] = parse(value)
+                kwargs[field] = rule(value, field)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
         return ExperimentConfig(**kwargs)
@@ -150,11 +181,7 @@ class ExperimentConfig:
             "sigma_tilde_grid": list(self.sigma_tilde_grid),
             "seed": self.seed,
             "clip": self.clip,
-            "trace": {
-                "sigma": self.trace.sigma,
-                "sigma_tilde": self.trace.sigma_tilde,
-                "vertex": self.trace.vertex,
-            },
+            "trace": asdict(self.trace),
         }
 
 
@@ -166,51 +193,51 @@ def _reject_unknown_keys(payload, known: set[str], what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def _resolve_grid(spec) -> tuple[float, ...]:
-    """An explicit list of values, or {"start","stop","step"} of at most ``GRID_LIMIT`` values."""
+def _grid(spec, name: str) -> tuple[float, ...]:
+    """Noise levels from a list, tuple or 1-D array of them, or from
+    {"start","stop","step"} of at most ``GRID_LIMIT`` values."""
     if isinstance(spec, dict):
         _reject_unknown_keys(spec, {"start", "stop", "step"}, "grid")
         missing = {"start", "stop", "step"} - set(spec)
         if missing:
             raise ValueError(f"grid object lacks {sorted(missing)}")
-        start, stop, step = (_json_number(spec[key], f"grid {key}") for key in ("start", "stop", "step"))
+        # a start or stop below 0 would give a negative value or none
+        start, stop, step = (_noise_level(spec[key], f"{name} {key}") for key in ("start", "stop", "step"))
         if step <= 0:
-            raise ValueError("grid step must be positive")
+            raise ValueError(f"{name} step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count > GRID_LIMIT:
             raise ValueError(f"grid object expands to {count} values, more than {GRID_LIMIT}")
-        return tuple(round(start + i * step, 10) for i in range(count))
-    return tuple(_json_numbers(spec))
+        spec = [round(start + i * step, 10) for i in range(count)]
+    elif not (isinstance(spec, (list, tuple)) or (isinstance(spec, np.ndarray) and spec.ndim == 1)):
+        raise ValueError(f"{name} must be a list of numbers or a grid object, got {spec!r}")
+    grid = tuple(_noise_level(value, f"{name} value") for value in spec)
+    if not grid:
+        raise ValueError(f"{name} must be nonempty")
+    return grid
 
 
-def _json_number(value, name: str = "value") -> float:
-    """``value`` as a float if JSON spelled it as a number; a string or boolean raises ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+def _trace_spec(spec, name: str) -> TraceSpec:
+    if isinstance(spec, TraceSpec):
+        return spec
+    _reject_unknown_keys(spec, {"sigma", "sigma_tilde", "vertex"}, name)
+    return TraceSpec(**spec)
 
 
-def _json_numbers(value) -> list[float]:
-    """``value`` as a list of numbers; a string would otherwise be read as a list of its characters."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"expected a list, got {value!r}")
-    return [_json_number(v) for v in value]
+def _polynomial(value, name: str) -> Polynomial:
+    return value if isinstance(value, Polynomial) else Polynomial(value)
 
 
-def _trace_spec(spec) -> TraceSpec:
-    _reject_unknown_keys(spec, {"sigma", "sigma_tilde", "vertex"}, "trace")
-    return TraceSpec(**{key: value if key == "vertex" else _json_number(value, key) for key, value in spec.items()})
-
-
-# JSON key -> (ExperimentConfig field, parser of the JSON value); ExperimentConfig
-# checks the integers itself, with a ValueError naming the key.
+# JSON key -> (ExperimentConfig field, its rule): rule(value, field) gives the
+# field's canonical value or raises ValueError (OverflowError for an integer
+# beyond the float range), and gives a canonical value back unchanged
 _JSON_FIELDS = {
-    **{key: (key, lambda value: value) for key in ("n", "m", "trials", "seed")},
-    "a": ("state_poly", lambda value: Polynomial(_json_numbers(value))),
-    "b": ("observation_poly", lambda value: Polynomial(_json_numbers(value))),
-    "sigma_grid": ("sigma_grid", _resolve_grid),
-    "sigma_tilde_grid": ("sigma_tilde_grid", _resolve_grid),
-    "clip": ("clip", _json_number),
+    **{key: (key, require_integral) for key in ("n", "m", "trials", "seed")},
+    "a": ("state_poly", _polynomial),
+    "b": ("observation_poly", _polynomial),
+    "sigma_grid": ("sigma_grid", _grid),
+    "sigma_tilde_grid": ("sigma_tilde_grid", _grid),
+    "clip": ("clip", require_real),
     "trace": ("trace", _trace_spec),
 }
 

@@ -31,6 +31,13 @@ def require_integral(value, name: str) -> int:
     return int(value)
 
 
+def require_real(value, name: str) -> float:
+    """``value`` as a float if it is a real number; anything else (a string, a boolean, None) raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _floats(values: Sequence, accept: Callable[[type], bool]) -> np.ndarray:
     """``values`` as a float array, NaN in place of each value whose type ``accept`` refuses."""
     if all(map(accept, set(map(type, values)))):
@@ -165,7 +172,8 @@ def validate_shift(graph: Graph, matrix: np.ndarray) -> bool:
     support = np.eye(graph.n, dtype=bool)
     rows, cols = graph._index
     support[rows, cols] = support[cols, rows] = True
-    return bool(np.isfinite(mat).all() and np.array_equal(mat, mat.T) and (support | (mat == 0.0)).all())
+    # zero outside the support, the matrix is symmetric there, so symmetry is read at the edge pairs alone
+    return bool(np.isfinite(mat).all() and (support | (mat == 0.0)).all() and np.array_equal(mat[rows, cols], mat[cols, rows]))
 
 
 def build_shift(graph: Graph, kind: str, matrix: np.ndarray | None = None) -> GraphShift:

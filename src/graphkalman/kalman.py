@@ -150,8 +150,6 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     observation = sys.observed_responses
     observation_squared = observation**2
     state_squared = sys.state_responses**2
-    sigma_squared = [sigma**2 for sigma in sys.state_noise]
-    sigma_tilde_squared = [sigma_tilde**2 for sigma_tilde in sys.observation_noise]
     invariant = sys.time_invariant
     # row k holds p_k, row 0 the prior
     variances = np.empty((steps + 1, d))
@@ -159,6 +157,9 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     pe = np.empty(d)
     denom = np.empty(d)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a noise level whose square overflows is infinite, and the finite check names its step
+        sigma_squared = np.square(sys.state_noise).tolist()
+        sigma_tilde_squared = np.square(sys.observation_noise).tolist()
         for k in range(1, steps + 1):
             row = 0 if invariant else k - 1
             noise_k = sigma_tilde_squared[row]

@@ -23,16 +23,17 @@ from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalFailureError
+from .graphs import require_real
 
 
 def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
-    # canonical form: drop exact trailing zeros, keep at least the constant term
-    out = [float(c) for c in coeffs]
+    # canonical form: floats, exact trailing zeros dropped, at least the constant term
+    if isinstance(coeffs, (str, bytes)) or not np.iterable(coeffs):
+        raise ValueError(f"coefficients must be a sequence of numbers, got {coeffs!r}")
+    out = [require_real(c, "coefficient") for c in coeffs]
     while len(out) > 1 and out[-1] == 0.0:
         out.pop()
-    if not out:
-        out = [0.0]
-    return tuple(out)
+    return tuple(out) or (0.0,)
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,13 @@ class Polynomial:
     """h(t) = coeffs[0] + coeffs[1]*t + ... + coeffs[L]*t^L.
 
     An input type: coefficients (``list(p.coeffs)`` is the JSON form), degree
-    and evaluation.  The constructor floats and trims any sequence.  Sums and
-    products of filters are taken on their values h(lambda), not here.
+    and evaluation.  Sums and products of filters are taken on their values
+    h(lambda), not here.
+
+    The constructor makes the one canonical form from a list, tuple or 1-D
+    array: a tuple of floats without exact trailing zeros, ``(0.0,)`` when
+    none is left.  A string, a scalar, a coefficient that is not a real number
+    (a string, a boolean, None) or one that is not finite raises ValueError.
     """
 
     coeffs: tuple[float, ...] = (0.0,)

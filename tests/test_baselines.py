@@ -258,6 +258,26 @@ class TestInverseErrorCovariance:
         with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
             inverse_error_covariance(sys)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma, sigma_tilde", [(1e200, 0.5), (0.3, 1e200)], ids=["sigma", "sigma-tilde"])
+    def test_noise_level_whose_square_overflows_fails_at_step_one(self, sigma, sigma_tilde):
+        # 1e200 squared leaves the float64 range: no bare OverflowError, no inf
+        # behind a warning, but the step named by each function that reads it
+        sys = DynamicalSystem.from_constant(
+            eigendecompose(build_shift(cycle_graph(12), "laplacian")),
+            Polynomial((0.0, 0.25)),
+            Polynomial((1.0, -0.5)),
+            sigma,
+            sigma_tilde,
+            5,
+        )
+        for call in (riccati_sequence, inverse_error_covariance, covariance_responses):
+            if call is covariance_responses and sigma < 1.0:
+                assert np.isfinite(call(sys)).all()  # it reads no observation noise
+                continue
+            with pytest.raises(NumericalFailureError, match="not finite from step 1 on"):
+                call(sys)
+
 
 class TestZeroEstimate:
     """The zero-signal strategy estimates 0, so its error covariance is the

@@ -430,6 +430,72 @@ class TestConfig:
         config = ExperimentConfig.from_dict({"sigma_grid": {"start": 0.0, "stop": 0.3, "step": 0.1}})
         assert config.sigma_grid == (0.0, 0.1, 0.2, 0.3)
 
+    def test_non_finite_grid_object_rejected(self):
+        for key in ("start", "stop", "step"):
+            grid = {"start": 0.0, "stop": 1.0, "step": 0.5, key: math.nan}
+            with pytest.raises(ValueError, match=f"'sigma_grid': sigma_grid {key} must be finite and >= 0, got nan"):
+                ExperimentConfig.from_dict({"sigma_grid": grid})
+
+
+# The value cases of the JSON table above, given in Python: the same rule
+# refuses each with a ValueError naming the field
+PYTHON_SPELLINGS = {
+    "clip-string": (lambda: ExperimentConfig(clip="0.7"), "clip must be a number"),
+    "clip-boolean": (lambda: ExperimentConfig(clip=True), "clip must be a number, got True"),
+    "clip-list": (lambda: ExperimentConfig(clip=[1]), "clip must be a number"),
+    "grid-scalar": (lambda: ExperimentConfig(sigma_grid=0.5), "sigma_grid must be a list"),
+    "grid-string": (lambda: ExperimentConfig(sigma_grid="05"), "sigma_grid must be a list"),
+    "grid-2d-array": (lambda: ExperimentConfig(sigma_grid=np.array([[0.5]])), "sigma_grid must be a list"),
+    "grid-value-string": (lambda: ExperimentConfig(sigma_grid=[0.1, "0.2"]), "sigma_grid value must be a number"),
+    "grid-value-boolean": (lambda: ExperimentConfig(sigma_tilde_grid=[True]), "sigma_tilde_grid value must be a number"),
+    "grid-empty": (lambda: ExperimentConfig(sigma_grid=np.array([])), "sigma_grid must be nonempty"),
+    "trace-sigma-string": (lambda: TraceSpec(sigma="0.3"), "trace sigma must be a number"),
+    "trace-sigma-boolean": (lambda: TraceSpec(sigma=True), "trace sigma must be a number"),
+    "trace-sigma-tilde-boolean": (lambda: TraceSpec(sigma_tilde=True), "trace sigma_tilde must be a number"),
+    "trace-sigma-null": (lambda: TraceSpec(sigma=None), "trace sigma must be a number"),
+    "trace-not-a-spec": (lambda: ExperimentConfig(trace=5), "trace must be a JSON object"),
+    "a-string": (lambda: Polynomial("12"), "coefficients must be a sequence of numbers, got '12'"),
+    "a-value-string": (lambda: Polynomial([0.0, "0.25"]), "coefficient must be a number"),
+    "a-value-boolean": (lambda: Polynomial([True]), "coefficient must be a number, got True"),
+    "a-scalar": (lambda: ExperimentConfig(state_poly=3), "coefficients must be a sequence of numbers"),
+}
+
+# Python spellings a config accepts, each with its JSON twin
+ACCEPTED = {
+    "list-grid": ({"sigma_grid": [0.0, 0.5]}, {"sigma_grid": [0.0, 0.5]}),
+    "int-and-numpy-values": (
+        {"sigma_grid": (0, np.float64(0.5)), "clip": 1, "trace": TraceSpec(sigma=np.float64(0.3), sigma_tilde=1)},
+        {"sigma_grid": [0.0, 0.5], "clip": 1.0, "trace": {"sigma": 0.3, "sigma_tilde": 1.0}},
+    ),
+    "array-grid": ({"sigma_tilde_grid": np.array([0.25, 0.5])}, {"sigma_tilde_grid": [0.25, 0.5]}),
+    "coefficient-tuple": (
+        {"state_poly": (0.0, 0.25), "observation_poly": [1, -0.5]},
+        {"a": [0.0, 0.25], "b": [1.0, -0.5]},
+    ),
+}
+
+
+class TestPythonJsonParity:
+    @pytest.mark.parametrize("build, message", PYTHON_SPELLINGS.values(), ids=PYTHON_SPELLINGS.keys())
+    def test_refused_as_in_json(self, build, message):
+        # never a TypeError or AttributeError, which would not say which field
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("kwargs, payload", ACCEPTED.values(), ids=ACCEPTED.keys())
+    def test_accepted_spelling_equals_its_json_twin(self, kwargs, payload):
+        config, twin = ExperimentConfig(**kwargs), ExperimentConfig.from_dict(payload)
+        assert config == twin and hash(config) == hash(twin)
+        assert json.dumps(config.to_dict()) == json.dumps(twin.to_dict())
+        assert ExperimentConfig.from_json(json.dumps(config.to_dict())) == config
+        assert all(type(v) is float for v in (*config.sigma_grid, *config.sigma_tilde_grid, config.clip))
+
+    def test_a_tuple_filter_runs(self):
+        # a tuple used to be kept, and run_heatmap called it
+        config = ExperimentConfig(n=6, m=3, trials=1, sigma_grid=(0.5,), sigma_tilde_grid=(0.5,),
+                                  state_poly=(0.0, 0.25), trace=TraceSpec(vertex=1))
+        assert np.isfinite(run_heatmap(config).kalman).all()
+
 
 class TestCli:
     def test_heatmap_writes_tables_and_svgs(self, tmp_path):
@@ -473,6 +539,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("graphkalman: NumericalFailureError: simulated trajectory is not finite")
         assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_noise_level_whose_square_overflows_is_one_stderr_line(self, tmp_path, capsys):
+        payload = dict(CLI_CONFIG, sigma_grid=[1e200])
+        out = tmp_path / "out"
+        assert main(["heatmap", "--config", _config_file(tmp_path, payload), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "graphkalman: NumericalFailureError: Riccati gain or error response is not finite from step 1 on\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("below_file", [False, True], ids=["a-file", "below-a-file"])

@@ -28,6 +28,16 @@ def entry_walk(graph, matrix):
     return True
 
 
+def full_transpose_check(graph, matrix):
+    """``validate_shift`` as it was before it read symmetry at the edge pairs
+    alone: the whole matrix against its transpose."""
+    mat = np.asarray(matrix, dtype=float)
+    support = np.eye(graph.n, dtype=bool)
+    rows, cols = graph._index
+    support[rows, cols] = support[cols, rows] = True
+    return bool(np.isfinite(mat).all() and np.array_equal(mat, mat.T) and (support | (mat == 0.0)).all())
+
+
 def edge_loop(n, items):
     """``Graph.from_edges`` as it was before the constructor made the canonical
     form: each item oriented and its ids read by ``require_integral`` in input
@@ -404,6 +414,40 @@ class TestValidateShift:
             "support": {True}, "off-edge": {False}, "asymmetric": {False},
             "zero-weight-edge": {True}, "diagonal": {True}, "infinite": {True},
         }
+
+    def test_edge_pair_symmetry_matches_the_full_transpose(self):
+        rng = generator(29)
+        kinds = ("support", "perturbed", "one-sided", "off-support", "transposed", "nan", "infinite", "negative-zero")
+        verdicts = {}
+        for case in range(256):
+            n = int(rng.integers(4, 13))
+            graph = random_graph(rng, n)
+            rows, cols = graph._index
+            mat = np.diag(rng.uniform(-2.0, 2.0, n))
+            mat[rows, cols] = mat[cols, rows] = rng.uniform(-1.5, 1.5, rows.size)
+            kind = kinds[case % len(kinds)]
+            k = int(rng.integers(0, rows.size))
+            free = np.argwhere(~np.eye(n, dtype=bool) & (mat == 0.0))
+            r, c = free[int(rng.integers(0, len(free)))] if len(free) else (rows[k], cols[k])
+            if kind == "perturbed":
+                mat[rows[k], cols[k]] = np.nextafter(mat[rows[k], cols[k]], np.inf)
+            elif kind == "one-sided":
+                mat[r, c] = rng.uniform(0.5, 1.0)
+            elif kind == "off-support":
+                mat[r, c] = mat[c, r] = rng.uniform(0.5, 1.0)
+            elif kind == "transposed":
+                mat[cols[k], rows[k]] = 0.0
+            elif kind in ("nan", "infinite"):
+                mat[rows[k], cols[k]] = np.nan if kind == "nan" else np.inf
+            elif kind == "negative-zero":
+                mat[rows[k], cols[k]], mat[cols[k], rows[k]] = 0.0, -0.0
+            expected = full_transpose_check(graph, mat)
+            assert validate_shift(graph, mat) is expected, (case, kind)
+            verdicts.setdefault(kind, set()).add(expected)
+        # a graph with no free entry turns the off-support kinds into edge edits
+        assert verdicts["support"] == verdicts["negative-zero"] == {True}
+        assert all(verdicts[kind] == {False} for kind in ("perturbed", "transposed", "nan", "infinite"))
+        assert False in verdicts["one-sided"] and False in verdicts["off-support"]
 
     def test_roundtrip_with_build_shift(self):
         g = cycle_graph(6)

@@ -31,3 +31,14 @@ def test_import_loads_no_scipy():
     assert Path(report["file"]).resolve().is_relative_to(SRC)
     assert report["scipy"] == []
     assert report["exact"] == []
+
+
+def test_import_loads_neither_the_cli_nor_verify():
+    # compiling verify.py alone costs each fresh process without a bytecode
+    # cache about 12 ms, and a library import needs neither module
+    probe = "import json, sys, graphkalman; print(json.dumps(sorted(name for name in sys.modules if name.startswith('graphkalman.'))))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout)
+    assert "graphkalman.experiment" in loaded
+    assert "graphkalman.cli" not in loaded and "graphkalman.verify" not in loaded
