@@ -114,7 +114,7 @@ def inverse_error_covariance(sys: DynamicalSystem) -> np.ndarray:
     Raises:
         NumericalFailureError: naming the first step whose state covariance
             is not finite, as ``covariance_responses`` does, or whose error
-            covariance is not, as when sigma_tilde_k^2 overflows.
+            covariance is not, as when sigma_tilde_k^2 / b_k^2 overflows.
     """
     responses = sys.observed_responses
     with np.errstate(over="ignore", divide="ignore"):

@@ -3,14 +3,17 @@
 States evolve as x_k = a_k(S) x_{k-1} + sigma_k e_k and are observed through
 z_k = b_k(S) x_k + sigma_tilde_k e~_k with independent standard white noises.
 A ``DynamicalSystem`` is built on one ``SpectralDecomposition``, which
-carries the shift, its eigenbasis and its distinct eigenvalues, and
-evaluates a_k and b_k once, at the distinct eigenvalues, into read-only
-(T, d) response arrays (T = 1 when time-invariant, else the horizon), which
-the simulation, covariance and Kalman recursions read; none of them applies
-a polynomial to a vertex signal.  Every check on a system is made when it
-is constructed.  x_0 has mean 0 and covariance h_0, evaluated once at the
-distinct eigenvalues and clamped at 0: the one prior that the simulation,
-the state covariance and the Riccati recursion start from.  Its
+carries the shift, its eigenbasis and its distinct eigenvalues.  Its
+constructor lays out the per-step inputs once, one entry per step (a single
+given entry is repeated over the horizon M), and makes every check on it,
+one rule (``require_noise_level``) for every noise level.  a_k and b_k are
+evaluated at the distinct eigenvalues into read-only (M, d) response
+arrays, row k - 1 for step k, which the simulation, covariance and Kalman
+recursions read; none of them applies a polynomial to a vertex signal, and
+none asks which step an entry serves.  x_0 has mean 0 and covariance h_0,
+evaluated once at the distinct eigenvalues and clamped at 0: the one prior
+that the simulation, the state covariance and the Riccati recursion start
+from.  Its
 ``observed_responses``, b_k set to 0.0 where ``filters.passband`` calls a
 frequency blind, is what every estimator reads; ``simulate`` reads the raw
 b_k, since the channel is physical.
@@ -39,33 +42,55 @@ user's a_k, b_k and h_0 are the only polynomials, and they are inputs.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalFailureError
 from .filters import passband
-from .graphs import GraphShift, require_integral
+from .graphs import GraphShift, require_integral, require_real
 from .polynomials import Polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
 from .spectral import SpectralDecomposition
 from .stationary import StationaryModel, require_psd
 
 
+def require_noise_level(value, name: str) -> float:
+    """``value`` as a float if it is a real number (not a boolean), finite and
+    >= 0, whose square is finite and, unless the level is 0, nonzero; else
+    ValueError naming ``name``.  The one rule for every sigma and sigma_tilde:
+    the recursions read the squares, so 1e200 (square inf) and 1e-200
+    (square 0, read as no noise) are refused."""
+    level = require_real(value, name)
+    if not 0 <= level < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {level!r}")
+    if level and not 0 < level * level < math.inf:
+        raise ValueError(f"{name} must be 0 or have a finite nonzero square, got {level!r}")
+    return level
+
+
+def _uniform(entries: tuple) -> bool:
+    """Whether every entry equals the first (a C-level comparison, identity first)."""
+    return entries[:1] * len(entries) == entries
+
+
 @dataclass(frozen=True, eq=False)
 class DynamicalSystem:
     """Per-step polynomials and noise levels over one spectrum.
 
-    The spectrum carries the shift (``shift`` is read from it).  The four
-    per-step tuples share one length: 1 for a time-invariant system, else
-    the horizon.  Per-step accessors serve both layouts, and
-    ``response_row(k)`` is the entry that holds step k.  ``__post_init__`` makes every check, so each way of
-    building a system accepts the same inputs; noise levels may be zero,
-    h_0 may not be negative at a distinct eigenvalue (``require_psd``).
+    The spectrum carries the shift (``shift`` is read from it).  The
+    constructor is the one place that lays out the per-step inputs: each of
+    the four per-step tuples holds one entry per step, entry k - 1 for step
+    k, and a single given entry is repeated over the horizon.  It also makes
+    every check, so each way of building a system accepts the same inputs:
+    every noise level by ``require_noise_level``'s rule (0 is allowed), and
+    h_0 not negative at a distinct eigenvalue (``require_psd``).  The
+    response arrays are (M, d), row k - 1 for step k, and a system is
+    ``time_invariant`` when every step has the first step's inputs.
     """
 
     spectrum: SpectralDecomposition
@@ -77,15 +102,21 @@ class DynamicalSystem:
     initial_covariance: Polynomial
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", require_integral(self.horizon, "horizon"))
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        lengths = {len(self.state_polys), len(self.observation_polys), len(self.state_noise), len(self.observation_noise)}
-        if len(lengths) != 1 or not lengths <= {1, self.horizon}:
-            raise ValueError(f"per-step polynomials and noise levels must share one length, 1 or {self.horizon}")
-        for sigma in (*self.state_noise, *self.observation_noise):
-            if not np.isfinite(sigma) or sigma < 0:
-                raise ValueError(f"noise level {sigma!r} must be finite and >= 0")
+        horizon = require_integral(self.horizon, "horizon")
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        entries = {
+            "state_polys": tuple(self.state_polys),
+            "observation_polys": tuple(self.observation_polys),
+            "state_noise": tuple(require_noise_level(s, "state noise level") for s in self.state_noise),
+            "observation_noise": tuple(require_noise_level(s, "observation noise level") for s in self.observation_noise),
+        }
+        lengths = set(map(len, entries.values()))
+        if len(lengths) != 1 or not lengths <= {1, horizon}:
+            raise ValueError(f"per-step polynomials and noise levels must share one length, 1 or {horizon}")
+        object.__setattr__(self, "horizon", horizon)
+        for field, values in entries.items():
+            object.__setattr__(self, field, values * horizon if len(values) == 1 else values)
         require_psd(self.initial_model.group_variances, "initial covariance")
 
     @classmethod
@@ -102,7 +133,7 @@ class DynamicalSystem:
         """Time-invariant system; h_0 defaults to zero."""
         return cls(
             spectrum, horizon=horizon, state_polys=(state_poly,), observation_polys=(observation_poly,),
-            state_noise=(float(sigma),), observation_noise=(float(sigma_tilde),),
+            state_noise=(sigma,), observation_noise=(sigma_tilde,),
             initial_covariance=initial_covariance or Polynomial.zero(),
         )
 
@@ -118,15 +149,15 @@ class DynamicalSystem:
     ) -> "DynamicalSystem":
         """One entry per step, as many as state polynomials; h_0 defaults to zero."""
         return cls(
-            spectrum, horizon=len(state_polys), state_polys=tuple(state_polys),
-            observation_polys=tuple(observation_polys), state_noise=tuple(float(s) for s in sigmas),
-            observation_noise=tuple(float(s) for s in sigma_tildes),
+            spectrum, horizon=len(state_polys), state_polys=state_polys, observation_polys=observation_polys,
+            state_noise=sigmas, observation_noise=sigma_tildes,
             initial_covariance=initial_covariance or Polynomial.zero(),
         )
 
     @property
     def time_invariant(self) -> bool:
-        return len(self.state_polys) == 1
+        """Whether every step has the first step's polynomials and noise levels."""
+        return all(map(_uniform, (self.state_polys, self.observation_polys, self.state_noise, self.observation_noise)))
 
     @property
     def shift(self) -> GraphShift:
@@ -142,12 +173,12 @@ class DynamicalSystem:
 
     @cached_property
     def state_responses(self) -> np.ndarray:
-        """a_k at the distinct eigenvalues, shape (T, d); step k is row ``response_row(k)``."""
+        """a_k at the distinct eigenvalues, read-only (M, d), row k - 1 for step k."""
         return self._responses(self.state_polys)
 
     @cached_property
     def observation_responses(self) -> np.ndarray:
-        """b_k at the distinct eigenvalues, shape (T, d); step k is row ``response_row(k)``."""
+        """b_k at the distinct eigenvalues, read-only (M, d), row k - 1 for step k."""
         return self._responses(self.observation_polys)
 
     @cached_property
@@ -160,28 +191,13 @@ class DynamicalSystem:
         return values
 
     def _responses(self, polys: tuple[Polynomial, ...]) -> np.ndarray:
+        # a polynomial every step shares is evaluated once and its row repeated
         mu = self.spectrum.representatives
-        values = np.array([poly(mu) for poly in polys]).reshape(len(polys), mu.size)
+        uniform = _uniform(polys)
+        rows = np.array([poly(mu) for poly in (polys[:1] if uniform else polys)]).reshape(-1, mu.size)
+        values = np.repeat(rows, len(polys), axis=0) if uniform else rows
         values.flags.writeable = False
         return values
-
-    def response_row(self, k: int) -> int:
-        """Index of step k in the per-step tuples and response arrays."""
-        if not 1 <= k <= self.horizon:
-            raise ValueError(f"step {k} out of range 1..{self.horizon}")
-        return 0 if self.time_invariant else k - 1
-
-    def state_poly(self, k: int) -> Polynomial:
-        return self.state_polys[self.response_row(k)]
-
-    def observation_poly(self, k: int) -> Polynomial:
-        return self.observation_polys[self.response_row(k)]
-
-    def state_sigma(self, k: int) -> float:
-        return self.state_noise[self.response_row(k)]
-
-    def observation_sigma(self, k: int) -> float:
-        return self.observation_noise[self.response_row(k)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,11 +254,11 @@ def covariance_responses(sys: DynamicalSystem) -> np.ndarray:
 
 def propagate(rows: np.ndarray, carries: np.ndarray) -> None:
     """rows[k] += carries[k-1] * rows[k-1] in place for k >= 1: row 0 holds
-    the start, rows 1.. the drives.  A single carry row serves every step (a
-    time-invariant system), and carries past the last row are not read.
-    Overflow is left to each caller, which names its first non-finite step."""
+    the start, rows 1.. the drives, and carries past the last row are not
+    read.  Overflow is left to each caller, which names its first non-finite
+    step."""
     previous = rows[0]
-    for carry, row in zip(repeat(carries[0], len(rows) - 1) if len(carries) == 1 else carries, rows[1:]):
+    for carry, row in zip(carries, rows[1:]):
         row += carry * previous
         previous = row
 

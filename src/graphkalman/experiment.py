@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import inverse_estimate
-from .dynamics import DynamicalSystem, Trajectory, simulate, write_text
+from .dynamics import DynamicalSystem, Trajectory, require_noise_level, simulate, write_text
 from .errors import DegenerateTrajectoryError, NumericalFailureError, SingularGainError
 from .graphs import build_shift, cycle_graph, require_integral, require_real
 from .kalman import riccati_sequence, run_filter
@@ -59,22 +59,15 @@ _HEATMAP_KEY = 0
 _TRACE_KEY = 1
 
 
-def _noise_level(value, name: str) -> float:
-    """``value`` as a float if it is a real number, finite and >= 0; else ValueError naming ``name``."""
-    level = require_real(value, name)
-    if not 0 <= level < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {level!r}")
-    return level
-
-
 @dataclass(frozen=True)
 class TraceSpec:
     """Noise point and vertex for the trajectory/energy trace.
 
-    The constructor stores sigma and sigma_tilde as floats, each a real
-    number (not a boolean), finite and >= 0, and the vertex as an int by
-    ``require_integral``'s rule; any other value raises ValueError naming
-    it.  Whether the vertex lies in 1..n is the config's check.
+    The constructor stores sigma and sigma_tilde as floats by
+    ``dynamics.require_noise_level``'s rule, the one a system applies, and
+    the vertex as an int by ``require_integral``'s; any other value raises
+    ValueError naming it.  Whether the vertex lies in 1..n is the config's
+    check.
     """
 
     sigma: float = 0.3
@@ -82,8 +75,8 @@ class TraceSpec:
     vertex: int = 8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", _noise_level(self.sigma, "trace sigma"))
-        object.__setattr__(self, "sigma_tilde", _noise_level(self.sigma_tilde, "trace sigma_tilde"))
+        object.__setattr__(self, "sigma", require_noise_level(self.sigma, "trace sigma"))
+        object.__setattr__(self, "sigma_tilde", require_noise_level(self.sigma_tilde, "trace sigma_tilde"))
         object.__setattr__(self, "vertex", require_integral(self.vertex, "trace vertex"))
 
 
@@ -98,10 +91,10 @@ class ExperimentConfig:
     names it:
 
     - n, m, trials and seed are ints by ``require_integral``'s rule;
-    - a grid is a nonempty tuple of floats, each a real number (not a
-      boolean), finite and >= 0, made from a list, tuple or 1-D array (not a
-      string) or from a JSON grid object {"start", "stop", "step"} of
-      numbers by the same rule and at most ``GRID_LIMIT`` values;
+    - a grid is a nonempty tuple of floats, each a noise level by
+      ``dynamics.require_noise_level``'s rule, made from a list, tuple or
+      1-D array (not a string) or from a JSON grid object {"start", "stop",
+      "step"} of numbers by the same rule and at most ``GRID_LIMIT`` values;
     - clip is a float, from a real number that is not a boolean;
     - state_poly and observation_poly are ``Polynomial``s, made from a
       sequence of numbers by ``Polynomial``'s own rule;
@@ -158,7 +151,7 @@ class ExperimentConfig:
             field, rule = _JSON_FIELDS[key]
             try:
                 kwargs[field] = rule(value, field)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
         return ExperimentConfig(**kwargs)
 
@@ -202,16 +195,17 @@ def _grid(spec, name: str) -> tuple[float, ...]:
         if missing:
             raise ValueError(f"grid object lacks {sorted(missing)}")
         # a start or stop below 0 would give a negative value or none
-        start, stop, step = (_noise_level(spec[key], f"{name} {key}") for key in ("start", "stop", "step"))
+        start, stop, step = (require_noise_level(spec[key], f"{name} {key}") for key in ("start", "stop", "step"))
         if step <= 0:
             raise ValueError(f"{name} step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        # a float until it is bounded: a span beyond the float range counts inf values
+        count = np.floor((stop - start) / step + 1e-9) + 1
         if count > GRID_LIMIT:
-            raise ValueError(f"grid object expands to {count} values, more than {GRID_LIMIT}")
-        spec = [round(start + i * step, 10) for i in range(count)]
+            raise ValueError(f"grid object expands to {count:.0f} values, more than {GRID_LIMIT}")
+        spec = [round(start + i * step, 10) for i in range(int(count))]
     elif not (isinstance(spec, (list, tuple)) or (isinstance(spec, np.ndarray) and spec.ndim == 1)):
         raise ValueError(f"{name} must be a list of numbers or a grid object, got {spec!r}")
-    grid = tuple(_noise_level(value, f"{name} value") for value in spec)
+    grid = tuple(require_noise_level(value, f"{name} value") for value in spec)
     if not grid:
         raise ValueError(f"{name} must be nonempty")
     return grid
@@ -229,8 +223,8 @@ def _polynomial(value, name: str) -> Polynomial:
 
 
 # JSON key -> (ExperimentConfig field, its rule): rule(value, field) gives the
-# field's canonical value or raises ValueError (OverflowError for an integer
-# beyond the float range), and gives a canonical value back unchanged
+# field's canonical value or raises ValueError, and gives a canonical value
+# back unchanged
 _JSON_FIELDS = {
     **{key: (key, require_integral) for key in ("n", "m", "trials", "seed")},
     "a": ("state_poly", _polynomial),

@@ -32,10 +32,14 @@ def require_integral(value, name: str) -> int:
 
 
 def require_real(value, name: str) -> float:
-    """``value`` as a float if it is a real number; anything else (a string, a boolean, None) raises ValueError."""
+    """``value`` as a float if it is a real number within the float range;
+    anything else (a string, a boolean, None, 10**400) raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the float range, got {value!r}") from None
 
 
 def _floats(values: Sequence, accept: Callable[[type], bool]) -> np.ndarray:

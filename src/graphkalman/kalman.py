@@ -9,19 +9,20 @@ eigenvalues:
     updated    pi = sigma_tilde^2 * pe / (b^2 pe + sigma_tilde^2)
 
 The recursion and the filter are carried on these frequency responses and
-read a and b as rows of the system's response arrays, evaluated once per
-system.  The prior is the system's: x^_0 = 0, p_0 = h_0 clamped at 0, the
-array ``simulate`` draws x_0 from and ``covariance_responses`` starts at
-(x_0 is zero-mean).  ``riccati_sequence`` always runs the system's whole
-horizon M and returns the gain and error responses as (M, d) arrays, or
-raises ``NumericalFailureError`` at the first step where one is not finite.
+read a and b of step k as row k - 1 of the system's (M, d) response arrays,
+evaluated once per system.  The prior is the system's: x^_0 = 0, p_0 = h_0
+clamped at 0, the array ``simulate`` draws x_0 from and
+``covariance_responses`` starts at (x_0 is zero-mean).  ``riccati_sequence``
+always runs the system's whole horizon M and returns the gain and error
+responses as (M, d) arrays, or raises ``NumericalFailureError`` at the first
+step where one is not finite.
 Its recursion carries one state, the error variance p; the predicted
 variances and the gains are read off the finished error sequence as whole
-(M, d) arrays.  For a time-invariant system a step's only changing input
-is p_{k-1}, so once a step returns p_k bitwise equal to p_{k-2} every later
-step repeats the step two before it: the remaining rows are filled with
-period 2, bit for bit what the full loop gives (an exact fixed point is
-the case p_{k-1} = p_k).
+(M, d) arrays.  For a time-invariant system (every step has the first
+step's inputs) a step's only changing input is p_{k-1}, so once a step
+returns p_k bitwise equal to p_{k-2} every later step repeats the step two
+before it: the remaining rows are filled with period 2, bit for bit what
+the full loop gives (an exact fixed point is the case p_{k-1} = p_k).
 A ``RiccatiSequence`` owns every data-independent array the filter reads:
 the gain and error responses and, formed once per sequence, the per-step
 carry and gain rows at the eigenindices (``filter_rows``).  Filtering moves
@@ -136,8 +137,8 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     overflows (an unstable blind frequency) raises ``NumericalFailureError``
     naming its first step.
 
-    For a time-invariant system, step k reads p_{k-1} and rows that never
-    change.  So when step k returns p_k bitwise equal to p_{k-2} (p_0
+    For a time-invariant system, step k reads p_{k-1} and inputs that
+    never change.  So when step k returns p_k bitwise equal to p_{k-2} (p_0
     included), every later step repeats the step two before it: the
     remaining error rows alternate between p_{k-1} and p_k, bit for bit what
     the full loop gives, and are filled instead of computed.  An exact fixed
@@ -156,17 +157,15 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     variances[0] = sys.initial_model.clamped_group_variances
     pe = np.empty(d)
     denom = np.empty(d)
+    # finite by the system's noise-level rule, and nonzero unless the level is 0
+    sigma_squared = np.square(sys.state_noise)
+    sigma_tilde_squared = np.square(sys.observation_noise)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # a noise level whose square overflows is infinite, and the finite check names its step
-        sigma_squared = np.square(sys.state_noise).tolist()
-        sigma_tilde_squared = np.square(sys.observation_noise).tolist()
-        for k in range(1, steps + 1):
-            row = 0 if invariant else k - 1
-            noise_k = sigma_tilde_squared[row]
+        for k, sigma_k, noise_k in zip(range(1, steps + 1), sigma_squared.tolist(), sigma_tilde_squared.tolist()):
             if noise_k > 0:
-                np.multiply(state_squared[row], variances[k - 1], out=pe)
-                pe += sigma_squared[row]
-                np.multiply(observation_squared[row], pe, out=denom)
+                np.multiply(state_squared[k - 1], variances[k - 1], out=pe)
+                pe += sigma_k
+                np.multiply(observation_squared[k - 1], pe, out=denom)
                 denom += noise_k
                 np.multiply(pe, noise_k, out=variances[k])
                 variances[k] /= denom
@@ -178,8 +177,8 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
                 break
 
         # every step's predicted variance, gain and zero-noise check, from the error rows
-        noise = np.array(sigma_tilde_squared)[:, None]
-        predicted = state_squared * variances[:-1] + np.array(sigma_squared)[:, None]
+        noise = sigma_tilde_squared[:, None]
+        predicted = state_squared * variances[:-1] + sigma_squared[:, None]
         singular = ((noise == 0.0) & (observation == 0.0) & (predicted > 0.0)).any(axis=1)
         if singular.any():
             raise SingularGainError(

@@ -131,6 +131,13 @@ def random_system(
     )
 
 
+def _steps(sys: DynamicalSystem):
+    """(a_k, b_k, sigma_k, sigma_tilde_k) of steps 1..M.  The dense oracles
+    evaluate each step's polynomials themselves, which keeps them independent
+    of the spectral path's eigenvalue grouping."""
+    return zip(sys.state_polys, sys.observation_polys, sys.state_noise, sys.observation_noise)
+
+
 def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
     """Dense U diag(r) U^T of responses r at the system's distinct eigenvalues."""
     return sys.spectrum.operator(sys.spectrum.expand(responses))
@@ -142,9 +149,9 @@ def matrix_covariance_path(sys: DynamicalSystem) -> list[np.ndarray]:
     spectral path."""
     cov = eval_filter(sys.initial_covariance, sys.spectrum)
     covariances = [cov]
-    for k in range(1, sys.horizon + 1):
-        a = eval_filter(sys.state_poly(k), sys.spectrum)
-        cov = a @ cov @ a.T + sys.state_sigma(k) ** 2 * np.eye(sys.n)
+    for state_poly, sigma in zip(sys.state_polys, sys.state_noise):
+        a = eval_filter(state_poly, sys.spectrum)
+        cov = a @ cov @ a.T + sigma**2 * np.eye(sys.n)
         cov = 0.5 * (cov + cov.T)
         covariances.append(cov)
     return covariances
@@ -156,10 +163,10 @@ def matrix_riccati_path(sys: DynamicalSystem):
     p = eval_filter(sys.initial_covariance, sys.spectrum)
     gains = []
     errors = []
-    for k in range(1, sys.horizon + 1):
-        a = eval_filter(sys.state_poly(k), sys.spectrum)
-        b = eval_filter(sys.observation_poly(k), sys.spectrum)
-        gain, p = kalman_mod.matrix_riccati_step(p, a, b, sys.state_sigma(k), sys.observation_sigma(k))
+    for state_poly, observation_poly, sigma, sigma_tilde in _steps(sys):
+        a = eval_filter(state_poly, sys.spectrum)
+        b = eval_filter(observation_poly, sys.spectrum)
+        gain, p = kalman_mod.matrix_riccati_step(p, a, b, sigma, sigma_tilde)
         gains.append(gain)
         errors.append(p)
     return gains, errors
@@ -176,12 +183,10 @@ def joint_error_covariances(sys: DynamicalSystem, riccati):
     joint[:n, :n] = eval_filter(sys.initial_covariance, sys.spectrum)
     eye = np.eye(n)
     out = []
-    for k in range(1, sys.horizon + 1):
-        a = eval_filter(sys.state_poly(k), sys.spectrum)
-        b = eval_filter(sys.observation_poly(k), sys.spectrum)
-        gain = response_matrix(sys, riccati.gain_responses[k - 1])
-        sigma = sys.state_sigma(k)
-        sigma_tilde = sys.observation_sigma(k)
+    for (state_poly, observation_poly, sigma, sigma_tilde), gain_row in zip(_steps(sys), riccati.gain_responses):
+        a = eval_filter(state_poly, sys.spectrum)
+        b = eval_filter(observation_poly, sys.spectrum)
+        gain = response_matrix(sys, gain_row)
         kb = gain @ b
         transition = np.block([[a, np.zeros((n, n))], [kb @ a, (eye - kb) @ a]])
         noise = np.block(
@@ -456,11 +461,11 @@ def simulation_step_gaps(sys: DynamicalSystem, trajectory) -> list[float]:
     noise = generator(child_sequence(trajectory.seed, 0)).standard_normal((2 * sys.horizon + 1, sys.n))
     scale = sys.spectrum.expand(np.sqrt(sys.initial_model.clamped_group_variances))
     gaps = [_relative_gap(trajectory.states[0], sys.spectrum.operator(scale) @ noise[0])]
-    for k in range(1, sys.horizon + 1):
-        state = apply_filter(sys.state_poly(k), sys.shift, trajectory.states[k - 1])
-        gaps.append(_relative_gap(trajectory.states[k], state + sys.state_sigma(k) * noise[2 * k - 1]))
-        read = apply_filter(sys.observation_poly(k), sys.shift, trajectory.states[k])
-        gaps.append(_relative_gap(trajectory.observations[k - 1], read + sys.observation_sigma(k) * noise[2 * k]))
+    for k, (state_poly, observation_poly, sigma, sigma_tilde) in enumerate(_steps(sys), start=1):
+        state = apply_filter(state_poly, sys.shift, trajectory.states[k - 1])
+        gaps.append(_relative_gap(trajectory.states[k], state + sigma * noise[2 * k - 1]))
+        read = apply_filter(observation_poly, sys.shift, trajectory.states[k])
+        gaps.append(_relative_gap(trajectory.observations[k - 1], read + sigma_tilde * noise[2 * k]))
     return gaps
 
 
@@ -530,12 +535,9 @@ def _gain_optimality(rng, delta: float = 1e-3) -> tuple[bool, str]:
         sys = random_system(rng, n_max=10, steps=10)
         riccati = kalman_mod.riccati_sequence(sys)
         p_values = sys.initial_model.clamped_group_variances
-        for k in range(1, sys.horizon + 1):
-            a = sys.state_responses[sys.response_row(k)]
-            b = sys.observation_responses[sys.response_row(k)]
-            sigma, sigma_tilde = sys.state_sigma(k), sys.observation_sigma(k)
+        steps = zip(sys.state_responses, sys.observation_responses, sys.state_noise, sys.observation_noise)
+        for (a, b, sigma, sigma_tilde), gains, errors in zip(steps, riccati.gain_responses, riccati.error_responses):
             predicted = a**2 * p_values + sigma**2
-            gains = riccati.gain_responses[k - 1]
 
             def freq_mse(gamma, j):
                 return (1 - gamma * b[j]) ** 2 * predicted[j] + gamma**2 * sigma_tilde**2
@@ -545,7 +547,7 @@ def _gain_optimality(rng, delta: float = 1e-3) -> tuple[bool, str]:
                 for sign in (+1.0, -1.0):
                     decrease = base - freq_mse(gains[j] + sign * delta, j)
                     worst = max(worst, float(decrease))
-            p_values = riccati.error_responses[k - 1]
+            p_values = errors
     ok = worst <= 1e-12
     return ok, f"largest one-step MSE decrease under perturbation {worst:.3e}"
 
@@ -556,12 +558,12 @@ def _mse_identity(rng, trials: int = 10_000) -> tuple[bool, str]:
     n = sys.n
     x = sample(sys.initial_model, rng, size=trials)
     xhat = np.zeros((n, trials))
-    for k in range(1, sys.horizon + 1):
-        a = eval_filter(sys.state_poly(k), sys.spectrum)
-        b = eval_filter(sys.observation_poly(k), sys.spectrum)
-        gain = response_matrix(sys, riccati.gain_responses[k - 1])
-        x = a @ x + sys.state_sigma(k) * rng.standard_normal((n, trials))
-        z = b @ x + sys.observation_sigma(k) * rng.standard_normal((n, trials))
+    for (state_poly, observation_poly, sigma, sigma_tilde), gain_row in zip(_steps(sys), riccati.gain_responses):
+        a = eval_filter(state_poly, sys.spectrum)
+        b = eval_filter(observation_poly, sys.spectrum)
+        gain = response_matrix(sys, gain_row)
+        x = a @ x + sigma * rng.standard_normal((n, trials))
+        z = b @ x + sigma_tilde * rng.standard_normal((n, trials))
         pred = a @ xhat
         xhat = pred + gain @ (z - b @ pred)
     squared_errors = np.sum((xhat - x) ** 2, axis=0)

@@ -27,8 +27,8 @@ def plain_recursion(x0, carry, drive):
 
 
 def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
-    """The textbook Riccati recursion over the whole horizon, read through
-    the system's per-step accessors, with no early exit: predict, gain,
+    """The textbook Riccati recursion over the whole horizon, reading step
+    k's entry k - 1 of each per-step input, with no early exit: predict, gain,
     update at every step, and with zero observation noise the gain 1/b (0 at
     a blind frequency) and error 0.  The reference for ``riccati_sequence``,
     which shares no step code with it."""
@@ -38,10 +38,10 @@ def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     p = sys.initial_model.clamped_group_variances
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
-            a = sys.state_responses[sys.response_row(k)]
-            b = sys.observed_responses[sys.response_row(k)]
-            sigma_tilde_squared = sys.observation_sigma(k) ** 2
-            predicted = a**2 * p + sys.state_sigma(k) ** 2
+            a = sys.state_responses[k - 1]
+            b = sys.observed_responses[k - 1]
+            sigma_tilde_squared = sys.observation_noise[k - 1] ** 2
+            predicted = a**2 * p + sys.state_noise[k - 1] ** 2
             if sigma_tilde_squared > 0:
                 innovation = b**2 * predicted + sigma_tilde_squared
                 gains[k - 1] = predicted * b / innovation

@@ -131,7 +131,7 @@ class TestInverseEstimate:
         estimates = inverse_estimate(sys, observations)
         assert estimates.shape == observations.shape
         for k in range(1, sys.horizon + 1):
-            b = eval_filter(sys.observation_poly(k), sys.spectrum)
+            b = eval_filter(sys.observation_polys[k - 1], sys.spectrum)
             expected = np.linalg.pinv(b, rcond=BLIND_TOL_SCALE) @ observations[k - 1]
             gap = np.linalg.norm(estimates[k - 1] - expected) / np.linalg.norm(expected)
             assert gap <= 1e-12, f"step {k}: relative gap {gap:.3e}"
@@ -222,7 +222,7 @@ class TestInverseErrorCovariance:
         responses = inverse_error_covariance(sys)
         assert responses.shape == (8, sys.spectrum.count)
         for k in range(1, sys.horizon + 1):
-            expected = sys.observation_sigma(k) ** 2 / sys.observation_poly(k)(mu) ** 2
+            expected = sys.observation_noise[k - 1] ** 2 / sys.observation_polys[k - 1](mu) ** 2
             np.testing.assert_array_equal(responses[k - 1], expected)
 
     @pytest.mark.parametrize(
@@ -238,9 +238,9 @@ class TestInverseErrorCovariance:
         assert responses.shape == (sys.horizon, sys.spectrum.count)
         assert np.any(sys.observed_responses == 0.0)
         for k in range(1, sys.horizon + 1):
-            b = sys.observed_responses[sys.response_row(k)]
+            b = sys.observed_responses[k - 1]
             with np.errstate(divide="ignore"):
-                expected = np.where(b != 0.0, sys.observation_sigma(k) ** 2 / b**2, hs[k])
+                expected = np.where(b != 0.0, sys.observation_noise[k - 1] ** 2 / b**2, hs[k])
             assert responses[k - 1].tobytes() == expected.tobytes(), f"step {k}"
 
     def test_overflowing_state_covariance_raises_at_its_first_step(self):
@@ -258,25 +258,20 @@ class TestInverseErrorCovariance:
         with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
             inverse_error_covariance(sys)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("sigma, sigma_tilde", [(1e200, 0.5), (0.3, 1e200)], ids=["sigma", "sigma-tilde"])
-    def test_noise_level_whose_square_overflows_fails_at_step_one(self, sigma, sigma_tilde):
-        # 1e200 squared leaves the float64 range: no bare OverflowError, no inf
-        # behind a warning, but the step named by each function that reads it
-        sys = DynamicalSystem.from_constant(
-            eigendecompose(build_shift(cycle_graph(12), "laplacian")),
-            Polynomial((0.0, 0.25)),
-            Polynomial((1.0, -0.5)),
-            sigma,
-            sigma_tilde,
-            5,
-        )
-        for call in (riccati_sequence, inverse_error_covariance, covariance_responses):
-            if call is covariance_responses and sigma < 1.0:
-                assert np.isfinite(call(sys)).all()  # it reads no observation noise
-                continue
-            with pytest.raises(NumericalFailureError, match="not finite from step 1 on"):
-                call(sys)
+    def test_noise_level_whose_square_overflows_is_refused(self):
+        # 1e200 squared leaves the float64 range, so no system is made on any
+        # path and no recursion reads an infinite noise variance
+        spectrum = eigendecompose(build_shift(cycle_graph(12), "laplacian"))
+        a, b = Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5))
+        for sigma, sigma_tilde, which in ((1e200, 0.5, "state"), (0.3, 1e200, "observation")):
+            builds = (
+                lambda: DynamicalSystem(spectrum, 5, (a,), (b,), (sigma,), (sigma_tilde,), Polynomial.zero()),
+                lambda: DynamicalSystem.from_constant(spectrum, a, b, sigma, sigma_tilde, 5),
+                lambda: DynamicalSystem.from_sequences(spectrum, [a] * 5, [b] * 5, [sigma] * 5, [sigma_tilde] * 5),
+            )
+            for build in builds:
+                with pytest.raises(ValueError, match=rf"^{which} noise level must be 0 or have a finite nonzero square, got 1e\+200$"):
+                    build()
 
 
 class TestZeroEstimate:

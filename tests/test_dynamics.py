@@ -1,5 +1,7 @@
+import inspect
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,9 @@ from graphkalman import (
     simulate,
     trajectory_to_csv,
 )
+from graphkalman import kalman
 from graphkalman.dynamics import Trajectory
+from graphkalman.experiment import ExperimentConfig, TraceSpec
 from graphkalman.seeding import as_seed_sequence, child_sequence, generator
 from graphkalman.verify import matrix_covariance_path, random_system, response_matrix, simulation_step_gaps
 
@@ -50,9 +54,10 @@ def _dense_trajectory(sys, seed):
     states = [response_matrix(sys, np.sqrt(sys.initial_model.clamped_group_variances)) @ noise[0]]
     observations = []
     for k in range(1, sys.horizon + 1):
-        x = apply_filter(sys.state_poly(k), sys.shift, states[-1]) + sys.state_sigma(k) * noise[2 * k - 1]
+        x = apply_filter(sys.state_polys[k - 1], sys.shift, states[-1]) + sys.state_noise[k - 1] * noise[2 * k - 1]
         states.append(x)
-        observations.append(apply_filter(sys.observation_poly(k), sys.shift, x) + sys.observation_sigma(k) * noise[2 * k])
+        read = apply_filter(sys.observation_polys[k - 1], sys.shift, x)
+        observations.append(read + sys.observation_noise[k - 1] * noise[2 * k])
     return np.array(states), np.array(observations).reshape(sys.horizon, sys.n)
 
 
@@ -64,10 +69,9 @@ def _eigenbasis_trajectory(sys, seed):
     expand = sys.spectrum.expand
     noise = _noise_block(sys, seed) @ u
     x0 = expand(np.sqrt(sys.initial_model.clamped_group_variances)) * noise[0]
-    a = np.broadcast_to(expand(sys.state_responses[:m]), (m, sys.n))
-    states = plain_recursion(x0, a, np.asarray(sys.state_noise)[:m, None] * noise[1::2])
-    observations = expand(sys.observation_responses[:m]) * states[1:]
-    observations += np.asarray(sys.observation_noise)[:m, None] * noise[2::2]
+    states = plain_recursion(x0, expand(sys.state_responses), np.asarray(sys.state_noise)[:, None] * noise[1::2])
+    observations = expand(sys.observation_responses) * states[1:]
+    observations += np.asarray(sys.observation_noise)[:, None] * noise[2::2]
     return states @ u.T, observations @ u.T
 
 
@@ -78,6 +82,15 @@ def _worst_relative_gap(values, expected):
 
 PATHS = ("constructor", "from_constant", "from_sequences")
 
+# noise level -> message: what every path refuses as sigma or sigma_tilde,
+# and what the config refuses in a grid or the trace
+REFUSED_NOISE_LEVELS = {
+    "boolean": (True, "must be a number, got True"),
+    "string": ("0.5", "must be a number, got '0.5'"),
+    "square-overflows": (1e200, r"must be 0 or have a finite nonzero square, got 1e\+200"),
+    "square-underflows": (1e-200, "must be 0 or have a finite nonzero square, got 1e-200"),
+}
+
 # case -> (horizon, sigmas, sigma_tildes, the paths that can express it, message):
 # from_constant has one entry per tuple, from_sequences counts its horizon
 INVALID_SYSTEMS = {
@@ -85,6 +98,14 @@ INVALID_SYSTEMS = {
     "negative-noise": (3, (-0.1, 1.0, 1.0), (1.0, 1.0, 1.0), PATHS, "must be finite and >= 0"),
     "nan-noise": (3, (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), PATHS, "must be finite and >= 0"),
     "mismatched-lengths": (3, (1.0, 1.0, 1.0), (1.0, 1.0), ("constructor", "from_sequences"), "share one length"),
+    **{
+        f"{case}-sigma": (3, (level, 1.0, 1.0), (1.0, 1.0, 1.0), PATHS, f"^state noise level {message}")
+        for case, (level, message) in REFUSED_NOISE_LEVELS.items()
+    },
+    **{
+        f"{case}-sigma-tilde": (3, (1.0, 1.0, 1.0), (level, 1.0, 1.0), PATHS, f"^observation noise level {message}")
+        for case, (level, message) in REFUSED_NOISE_LEVELS.items()
+    },
 }
 
 
@@ -107,6 +128,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             _build(path, c4[2], horizon, sigmas, sigma_tildes)
 
+    @pytest.mark.parametrize("level, message", REFUSED_NOISE_LEVELS.values(), ids=REFUSED_NOISE_LEVELS.keys())
+    def test_config_refuses_the_noise_levels_a_system_refuses(self, level, message):
+        builds = (
+            lambda: ExperimentConfig(sigma_grid=[level]),
+            lambda: ExperimentConfig(sigma_tilde_grid=(0.5, level)),
+            lambda: TraceSpec(sigma=level),
+            lambda: TraceSpec(sigma_tilde=level),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_every_path_lays_out_one_entry_per_step(self, c4, path):
+        sys = _build(path, c4[2], 3, (0.5,) * 3, (np.float64(0.25),) * 3)
+        entries = (sys.state_polys, sys.observation_polys, sys.state_noise, sys.observation_noise)
+        assert all(type(values) is tuple and len(values) == 3 for values in entries)
+        assert all(type(sigma) is float for sigma in (*sys.state_noise, *sys.observation_noise))
+        assert sys.time_invariant
+        for responses in (sys.state_responses, sys.observation_responses, sys.observed_responses):
+            assert responses.shape == (3, c4[2].count) and not responses.flags.writeable
+
     @pytest.mark.parametrize("path", PATHS)
     def test_non_psd_initial_covariance_rejected_on_every_path(self, path):
         # 1 - t is -3 at eigenvalue 4 of the C_8 Laplacian; built, such a system
@@ -119,22 +162,15 @@ class TestConstruction:
     def test_zero_noise_builds_on_every_path(self, c4, path):
         sys = _build(path, c4[2], 3, (0.0,) * 3, (0.0,) * 3)
         assert sys.horizon == 3
-        assert sys.state_sigma(3) == sys.observation_sigma(3) == 0.0
+        assert sys.state_noise == sys.observation_noise == (0.0,) * 3
 
     def test_zero_noise_reference_mode(self):
         sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 0.0, 0.0, 5)
-        assert sys.state_sigma(1) == 0.0
+        assert sys.state_noise[0] == 0.0
 
     def test_negative_noise_always_rejected(self):
         with pytest.raises(ValueError):
             _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), -0.1, 1.0, 5)
-
-    def test_step_accessors_range_checked(self):
-        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            sys.state_poly(0)
-        with pytest.raises(ValueError):
-            sys.observation_sigma(4)
 
     def test_time_varying_accessors(self):
         shift = build_shift(cycle_graph(4), "laplacian")
@@ -146,8 +182,8 @@ class TestConstruction:
             sigma_tildes=[0.5, 0.5],
         )
         assert sys.horizon == 2
-        assert sys.state_poly(2) == Polynomial((0.0, 1.0))
-        assert sys.state_sigma(2) == 2.0
+        assert sys.state_polys[1] == Polynomial((0.0, 1.0))
+        assert sys.state_noise[1] == 2.0
 
     def test_system_model_and_membership_share_one_spectrum_on_path6(self):
         # the shift, eigenbasis and eigenvalue groups all come from one handle,
@@ -193,11 +229,6 @@ class TestStepState:
         trajectory = simulate(sys, 53)
         dense = trajectory.states[:-1] @ (shift.matrix / 4.0).T + 0.3 * noise[1::2]
         np.testing.assert_allclose(trajectory.states[1:], dense, rtol=0.0, atol=1e-12)
-
-    def test_out_of_range_step(self):
-        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            sys.response_row(4)
 
 
 class TestObserve:
@@ -278,6 +309,19 @@ class TestCovarianceRecursion:
             for response, cov in zip(covariance_responses(sys), matrix_covariance_path(sys), strict=True):
                 gap = np.linalg.norm(cov - response_matrix(sys, response))
                 assert gap <= 1e-8
+
+
+def test_one_per_step_layout():
+    # the constructor lays out one entry per step, so no reader maps a step
+    # to an entry, and only the Riccati recursion's stop asks whether every
+    # step has the first step's inputs
+    package = Path(graphkalman.__file__).parent
+    sources = {p.name: p.read_text() for p in package.glob("*.py")}
+    retired = re.compile(r"response_row|\b(state|observation)_(poly|sigma)\(|itertools import [^\n]*\brepeat\b|itertools\.repeat")
+    assert [name for name, text in sources.items() if retired.search(text)] == []
+    readers = {name: text.count(".time_invariant") for name, text in sources.items() if ".time_invariant" in text}
+    assert readers == {"kalman.py": 1}
+    assert ".time_invariant" in inspect.getsource(kalman.riccati_sequence)
 
 
 def test_one_first_order_loop():

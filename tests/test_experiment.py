@@ -430,6 +430,28 @@ class TestConfig:
         config = ExperimentConfig.from_dict({"sigma_grid": {"start": 0.0, "stop": 0.3, "step": 0.1}})
         assert config.sigma_grid == (0.0, 0.1, 0.2, 0.3)
 
+    @pytest.mark.parametrize(
+        "field, key, value, message",
+        [
+            ("clip", "clip", 10**400, "clip must be within the float range"),
+            ("sigma_grid", "sigma_grid", [10**400], "sigma_grid value must be within the float range"),
+            (
+                "sigma_grid",
+                "sigma_grid",
+                {"start": 0, "stop": 1e150, "step": 1e-160},
+                "grid object expands to inf values, more than 1000000",
+            ),
+        ],
+        ids=["clip-int", "grid-value-int", "grid-span"],
+    )
+    def test_value_beyond_the_float_range_rejected(self, field, key, value, message):
+        # never an OverflowError: the same ValueError, saying what is wrong, in
+        # Python and through from_dict
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^config key '{key}': {message}"):
+            ExperimentConfig.from_json(json.dumps({key: value}))
+
     def test_non_finite_grid_object_rejected(self):
         for key in ("start", "stop", "step"):
             grid = {"start": 0.0, "stop": 1.0, "step": 0.5, key: math.nan}
@@ -544,10 +566,13 @@ class TestCli:
     def test_noise_level_whose_square_overflows_is_one_stderr_line(self, tmp_path, capsys):
         payload = dict(CLI_CONFIG, sigma_grid=[1e200])
         out = tmp_path / "out"
-        assert main(["heatmap", "--config", _config_file(tmp_path, payload), "--out", str(out)]) == 1
+        assert main(["heatmap", "--config", _config_file(tmp_path, payload), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "graphkalman: NumericalFailureError: Riccati gain or error response is not finite from step 1 on\n"
+        assert captured.err == (
+            "graphkalman: config: config key 'sigma_grid': sigma_grid value must be 0 or have a finite"
+            " nonzero square, got 1e+200\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("below_file", [False, True], ids=["a-file", "below-a-file"])

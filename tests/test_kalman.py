@@ -45,8 +45,8 @@ def _dense_filter(sys, observations):
     x = np.zeros(sys.n)
     out = []
     for k, (gain, z) in enumerate(zip(gains, observations), start=1):
-        a = eval_filter(sys.state_poly(k), sys.spectrum)
-        b = eval_filter(sys.observation_poly(k), sys.spectrum)
+        a = eval_filter(sys.state_polys[k - 1], sys.spectrum)
+        b = eval_filter(sys.observation_polys[k - 1], sys.spectrum)
         predicted = a @ x
         x = predicted + gain @ (z - b @ predicted)
         out.append(x)
@@ -213,16 +213,13 @@ class TestSpectralRecursion:
         riccati = riccati_sequence(sys)
         assert (riccati.error_responses >= 0.0).all() and (riccati.gain_responses >= 0.0).all()
 
-    def test_noise_whose_square_underflows_is_zero_noise(self):
-        # the step reads sigma_tilde^2, which is 0.0 for sigma_tilde = 1e-170: a
-        # blind frequency then has no gain, as at sigma_tilde = 0, instead of a
-        # 0/0 gain; elsewhere the gain is 1/b, bit for bit
-        with pytest.raises(SingularGainError, match="step 1"):
-            riccati_sequence(_paper_like_system(horizon=5, sigma_tilde=1e-170, n=12))
-        tiny = riccati_sequence(_paper_like_system(horizon=5, sigma_tilde=1e-170))
-        zero = riccati_sequence(_paper_like_system(horizon=5, sigma_tilde=0.0))
-        assert tiny.gain_responses.tobytes() == zero.gain_responses.tobytes()
-        np.testing.assert_array_equal(tiny.error_responses, 0.0)
+    def test_noise_whose_square_underflows_is_refused(self):
+        # the step reads sigma_tilde^2, which is 0.0 for sigma_tilde = 1e-170, as
+        # at sigma_tilde = 0 (SingularGainError at C_12's blind frequency, gain
+        # 1/b on C_30): such a positive level is refused where the system is made
+        for n in (12, 30):
+            with pytest.raises(ValueError, match="^observation noise level must be 0 or have a finite nonzero square"):
+                _paper_like_system(horizon=5, sigma_tilde=1e-170, n=n)
 
     def test_near_blind_frequency_gets_zero_gain_at_tiny_noise(self):
         # b(mu) = 2.2e-16 with sigma_tilde = 1e-17 would give a 4.5e15 gain;
@@ -602,6 +599,32 @@ class TestFixedPoint:
     def test_time_varying_system_matches_the_full_recursion(self):
         sys = time_varying_cycle_system(30, 8)
         assert _same_bits(riccati_sequence(sys), full_riccati_sequence(sys))
+
+    def test_invariance_is_read_from_the_values(self, c30, monkeypatch):
+        # 100 equal entries, each its own object, make a time-invariant system
+        # that takes the stop; one step's sigma_tilde changed makes one that runs
+        # every step.  Each is bit for bit the full loop.  The stop is seen as
+        # fewer calls of np.multiply, which each computed step makes
+        spectrum, b = c30[2], Polynomial((1.0, -0.5))
+        constant = DynamicalSystem.from_constant(spectrum, Polynomial((0.0, 0.25)), b, 0.5, 0.5, 100)
+        polys = [Polynomial((0.0, 0.25)) for _ in range(100)]
+        sigma_tildes = [0.5] * 100
+        equal = DynamicalSystem.from_sequences(spectrum, polys, [b] * 100, [0.5] * 100, sigma_tildes)
+        sigma_tildes[49] = 0.6
+        varied = DynamicalSystem.from_sequences(spectrum, polys, [b] * 100, [0.5] * 100, sigma_tildes)
+        assert constant.time_invariant and equal.time_invariant and not varied.time_invariant
+        multiply, calls = np.multiply, []
+        monkeypatch.setattr(np, "multiply", lambda *args, **kwargs: calls.append(1) or multiply(*args, **kwargs))
+        counts, sequences = [], []
+        for sys in (equal, varied):
+            calls.clear()
+            sequences.append(riccati_sequence(sys))
+            counts.append(len(calls))
+        monkeypatch.undo()
+        assert counts[0] < counts[1] // 2
+        assert _same_bits(sequences[0], riccati_sequence(constant))
+        assert _same_bits(sequences[0], full_riccati_sequence(equal))
+        assert _same_bits(sequences[1], full_riccati_sequence(varied))
 
     @pytest.mark.parametrize("horizon", [1, 2, 3])
     @pytest.mark.parametrize("h0", [None, Polynomial((0.4, 0.2))], ids=["zero-prior", "prior"])
