@@ -24,7 +24,6 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .errors import (
-    DegenerateTrajectoryError,
     GraphKalmanError,
     InvalidShiftError,
     NotPositiveSemidefiniteError,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChebyshevSeries",
-    "DegenerateTrajectoryError",
     "DynamicalSystem",
     "ExperimentConfig",
     "FilterResult",

@@ -75,11 +75,10 @@ def spectral_loewner_less(left: np.ndarray, right: np.ndarray, spectrum: Spectra
 
 
 def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
-    """Static inverse-filtering estimates of observation rows z_1..z_m: z_k
-    divided by row k of ``observed_responses`` in the eigenbasis, zero where that is 0.
-
-    ``observations`` is one (m, n) trajectory or a (T, m, n) stack of them;
-    the estimates have its shape, and trial t is what its rows alone give.
+    """Static inverse-filtering estimates of a (T, m, n) stack of observation
+    rows z_1..z_m: z_k divided by row k of ``observed_responses`` in the
+    eigenbasis, zero where that is 0.  The estimates have the stack's shape,
+    and trial t is what its rows give as a stack of one.
 
     Raises:
         NumericalFailureError: naming the first step at which an estimate of
@@ -87,20 +86,15 @@ def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
             large that its inverse overflows).
     """
     obs = np.asarray(observations, dtype=float)
-    if obs.ndim not in (2, 3) or obs.shape[-1] != sys.n or obs.shape[-2] > sys.horizon:
-        raise ValueError(
-            f"observations have shape {obs.shape}, expected (m, {sys.n}) or (T, m, {sys.n}) with m <= {sys.horizon}"
-        )
-    responses = sys.observed_responses[: obs.shape[-2]]
+    if obs.ndim != 3 or obs.shape[2] != sys.n or obs.shape[1] > sys.horizon:
+        raise ValueError(f"observations have shape {obs.shape}, expected (T, m, {sys.n}) with m <= {sys.horizon}")
+    responses = sys.observed_responses[: obs.shape[1]]
     inverted = np.divide(1.0, responses, out=np.zeros_like(responses), where=responses != 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         rotated = sys.spectrum.to_spectral(obs)
         rotated *= sys.spectrum.expand(inverted)
         estimates = sys.spectrum.from_spectral(rotated)
-    if not np.isfinite(estimates).all():
-        # row k of the rearranged array holds step k + 1 of every trial
-        steps = np.moveaxis(estimates, -2, 0).reshape(estimates.shape[-2], -1)
-        require_finite_steps(steps, "inverse-filtering estimate", first_step=1)
+    require_finite_steps(estimates, "inverse-filtering estimate", first_step=1)
     return estimates
 
 

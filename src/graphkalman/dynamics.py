@@ -6,7 +6,8 @@ A ``DynamicalSystem`` is built on one ``SpectralDecomposition``, which
 carries the shift, its eigenbasis and its distinct eigenvalues.  Its
 constructor lays out the per-step inputs once, one entry per step (a single
 given entry is repeated over the horizon M), and makes every check on it,
-one rule (``require_noise_level``) for every noise level.  a_k and b_k are
+one rule (``polynomials.require_polynomial``) for every polynomial and one
+(``require_noise_level``) for every noise level.  a_k and b_k are
 evaluated at the distinct eigenvalues into read-only (M, d) response
 arrays, row k - 1 for step k, which the simulation, covariance and Kalman
 recursions read; none of them applies a polynomial to a vertex signal, and
@@ -18,20 +19,20 @@ from.  Its
 frequency blind, is what every estimator reads; ``simulate`` reads the raw
 b_k, since the channel is physical.
 
-``simulate`` runs one trajectory, or a stack of T trajectories with one
-seed each; a single trajectory is the T = 1 case of the same code.  Each
-trajectory draws one vertex-space white-noise block of shape (2M + 1, n)
-from its own stream: row 0 drives the initial state, row 2k-1 the process
-noise and row 2k the observation noise of step k.  The (T, 2M + 1, n)
-blocks are rotated into the eigenbasis by one stacked product, every
-frequency runs its own scalar recursion (the scaled process noise is
-written into the state rows and ``propagate`` adds a_k times the previous
-state in place, one Python step per time step for all T trials), and
-states and observations are rotated back once.  A stacked product rounds
-each trial as a product of its own rows would, so trial t of a stack is
-bit for bit the trajectory its seed gives alone.  A stack with a state or
-observation that is not finite raises ``NumericalFailureError`` naming the
-first such step.
+``simulate`` runs a stack of T trajectories, one seed each, held as
+(T, M + 1, n) states and (T, M, n) observations.  Each trajectory draws
+one vertex-space white-noise block of shape (2M + 1, n) from its own
+stream: row 0 drives the initial state, row 2k-1 the process noise and row
+2k the observation noise of step k.  The (T, 2M + 1, n) blocks are rotated
+into the eigenbasis by one stacked product, every frequency runs its own
+scalar recursion (the scaled process noise is written into the state rows
+and ``propagate`` adds a_k times the previous state in place, one Python
+step per time step for all T trials), and states and observations are
+rotated back once.  A stacked product rounds each trial as a product of
+its own rows would, so trial t of a stack is bit for bit the trajectory
+its seed gives in a stack of one.  A stack with a state or observation
+that is not finite raises ``NumericalFailureError`` naming the first such
+step.
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import NumericalFailureError
 from .filters import passband
 from .graphs import GraphShift, require_integral, require_real
-from .polynomials import Polynomial
+from .polynomials import Polynomial, require_polynomial
 from .seeding import as_seed_sequence, child_sequence, generator
 from .spectral import SpectralDecomposition
 from .stationary import StationaryModel, require_psd
@@ -61,15 +62,19 @@ from .stationary import StationaryModel, require_psd
 
 def require_noise_level(value, name: str) -> float:
     """``value`` as a float if it is a real number (not a boolean), finite and
-    >= 0, whose square is finite and, unless the level is 0, nonzero; else
-    ValueError naming ``name``.  The one rule for every sigma and sigma_tilde:
-    the recursions read the squares, so 1e200 (square inf) and 1e-200
-    (square 0, read as no noise) are refused."""
+    >= 0, whose square is finite and, unless the level is 0, at least the
+    smallest normal float, ``np.finfo(float).tiny``; else ValueError naming
+    ``name``.  The one rule for every sigma and sigma_tilde: the recursions
+    read the squares, so 1e200 (square inf), 1e-200 (square 0, read as no
+    noise) and 1e-158 (a subnormal square, which the Riccati update rounds
+    to a few digits) are refused.  The smallest positive level accepted is
+    about 1.4917e-154."""
     level = require_real(value, name)
     if not 0 <= level < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {level!r}")
-    if level and not 0 < level * level < math.inf:
-        raise ValueError(f"{name} must be 0 or have a finite nonzero square, got {level!r}")
+    tiny = np.finfo(float).tiny
+    if level and not tiny <= level * level < math.inf:
+        raise ValueError(f"{name} must be 0 or have a finite square of at least {tiny:.4g}, got {level!r}")
     return level
 
 
@@ -87,10 +92,12 @@ class DynamicalSystem:
     the four per-step tuples holds one entry per step, entry k - 1 for step
     k, and a single given entry is repeated over the horizon.  It also makes
     every check, so each way of building a system accepts the same inputs:
-    every noise level by ``require_noise_level``'s rule (0 is allowed), and
-    h_0 not negative at a distinct eigenvalue (``require_psd``).  The
-    response arrays are (M, d), row k - 1 for step k, and a system is
-    ``time_invariant`` when every step has the first step's inputs.
+    every polynomial, h_0 included, by ``require_polynomial``'s rule (a
+    sequence of numbers becomes a ``Polynomial``), every noise level by
+    ``require_noise_level``'s (0 is allowed), and h_0 not negative at a
+    distinct eigenvalue (``require_psd``).  The response arrays are (M, d),
+    row k - 1 for step k, and a system is ``time_invariant`` when every
+    step has the first step's inputs.
     """
 
     spectrum: SpectralDecomposition
@@ -106,8 +113,8 @@ class DynamicalSystem:
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         entries = {
-            "state_polys": tuple(self.state_polys),
-            "observation_polys": tuple(self.observation_polys),
+            "state_polys": tuple(require_polynomial(p, "state polynomial") for p in self.state_polys),
+            "observation_polys": tuple(require_polynomial(p, "observation polynomial") for p in self.observation_polys),
             "state_noise": tuple(require_noise_level(s, "state noise level") for s in self.state_noise),
             "observation_noise": tuple(require_noise_level(s, "observation noise level") for s in self.observation_noise),
         }
@@ -115,6 +122,7 @@ class DynamicalSystem:
         if len(lengths) != 1 or not lengths <= {1, horizon}:
             raise ValueError(f"per-step polynomials and noise levels must share one length, 1 or {horizon}")
         object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "initial_covariance", require_polynomial(self.initial_covariance, "initial covariance"))
         for field, values in entries.items():
             object.__setattr__(self, field, values * horizon if len(values) == 1 else values)
         require_psd(self.initial_model.group_variances, "initial covariance")
@@ -202,27 +210,22 @@ class DynamicalSystem:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated states x_0..x_M and observations z_1..z_M, as rows.
-
-    One trajectory holds (M + 1, n) states, (M, n) observations and its
-    seed.  A stack of T trajectories holds (T, M + 1, n) states, (T, M, n)
-    observations and a tuple of T seeds; ``states[t]`` is trial t.
+    """Simulated states x_0..x_M and observations z_1..z_M of T trials, as rows:
+    (T, M + 1, n) states, (T, M, n) observations and a tuple of T seeds;
+    ``states[t]`` is trial t.
     """
 
     states: np.ndarray
     observations: np.ndarray
-    seed: np.random.SeedSequence | tuple[np.random.SeedSequence, ...]
+    seed: tuple[np.random.SeedSequence, ...]
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=float)
         observations = np.asarray(self.observations, dtype=float)
-        if (
-            states.ndim not in (2, 3)
-            or states.ndim != observations.ndim
-            or states.shape[:-2] != observations.shape[:-2]
-            or states.shape[-2] != observations.shape[-2] + 1
-        ):
-            raise ValueError("states must have exactly one more row than observations, in as many trials")
+        if states.ndim != 3 or observations.shape != (states.shape[0], states.shape[1] - 1, states.shape[2]):
+            raise ValueError(
+                f"states and observations must be (T, M + 1, n) and (T, M, n), got {states.shape} and {observations.shape}"
+            )
         states.flags.writeable = False
         observations.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -230,7 +233,7 @@ class Trajectory:
 
     @property
     def horizon(self) -> int:
-        return self.observations.shape[-2]
+        return self.observations.shape[1]
 
 
 def covariance_responses(sys: DynamicalSystem) -> np.ndarray:
@@ -264,26 +267,26 @@ def propagate(rows: np.ndarray, carries: np.ndarray) -> None:
 
 
 def require_finite_steps(values: np.ndarray, what: str, first_step: int) -> None:
-    """Raise ``NumericalFailureError`` naming the first step whose row of
-    ``values`` holds a NaN or infinity; row i is step ``first_step + i``."""
-    finite = np.isfinite(values).all(axis=1)
+    """Raise ``NumericalFailureError`` naming the first step at which
+    ``values`` holds a NaN or infinity.  Steps run along axis -2, row i
+    being step ``first_step + i``, under any leading trial axes."""
+    finite = np.isfinite(values).all(axis=(*range(values.ndim - 2), -1))
     if not finite.all():
         step = first_step + int(np.argmin(finite))
         raise NumericalFailureError(f"{what} is not finite from step {step} on")
 
 
 def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
-    """Trajectories of the system, deterministic given their seeds.
+    """A stack of T trajectories of the system, deterministic given their seeds.
 
-    ``seeds`` is one seed, which gives one (M + 1, n) trajectory, or a
-    sequence (list, tuple, range or 1-D array) of T seeds, which gives a
-    stack of T trajectories, trial t the one that seed t alone gives.  A
-    1-D array is a stack, as a list is, not one seed's entropy.  Each trial's
-    stream, child key 0 of its seed, draws a vertex-space standard
-    white-noise block E of shape (2M + 1, n): row 0 drives the initial
-    state, row 2k-1 the process noise and row 2k the observation noise of
-    step k.  In the eigenbasis (E~ = ``to_spectral(E)``, one stacked product,
-    so each trial is rounded as on its own) each frequency runs
+    ``seeds`` is a list, tuple, range or 1-D array of T seeds (anything else
+    raises ValueError), and trial t of the stack is the one that seed t
+    gives in a stack of one.  Each trial's stream, child key 0 of its seed,
+    draws a vertex-space standard white-noise block E of shape (2M + 1, n):
+    row 0 drives the initial state, row 2k-1 the process noise and row 2k
+    the observation noise of step k.  In the eigenbasis (E~ =
+    ``to_spectral(E)``, one stacked product, so each trial is rounded as on
+    its own) each frequency runs
 
         x~_0 = sqrt(h_0) e~_0,   x~_k = a_k x~_{k-1} + sigma_k e~_{2k-1},
         z~_k = b_k x~_k + sigma_tilde_k e~_{2k},
@@ -297,8 +300,11 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         NumericalFailureError: naming the first step at which a state or an
             observation of any trial is not finite (an unstable a_k overflows).
     """
-    stacked = isinstance(seeds, Sequence) or (isinstance(seeds, np.ndarray) and seeds.ndim == 1)
-    sequences = tuple(as_seed_sequence(seed) for seed in (seeds if stacked else (seeds,)))
+    if not (isinstance(seeds, (list, tuple, range)) or (isinstance(seeds, np.ndarray) and seeds.ndim == 1)):
+        raise ValueError(
+            f"seeds must be a list, tuple, range or 1-D array, one per trial of a (T, M + 1, n) stack, got {seeds!r}"
+        )
+    sequences = tuple(as_seed_sequence(seed) for seed in seeds)
     trials, n, m = len(sequences), sys.n, sys.horizon
     noise = np.empty((trials, 2 * m + 1, n))
     for t, ss in enumerate(sequences):
@@ -323,12 +329,10 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         states = sys.spectrum.from_spectral(x_tilde.swapaxes(0, 1))
         observations = sys.spectrum.from_spectral(z_tilde.swapaxes(0, 1))
     if not (np.isfinite(states).all() and np.isfinite(observations).all()):
-        # row k: step k's states and observations (none at step 0) of every trial
+        # row k of each trial: step k's state and observation (none at step 0)
         steps = np.concatenate((states, np.insert(observations, 0, 0.0, axis=1)), axis=2)
-        require_finite_steps(steps.swapaxes(0, 1).reshape(m + 1, -1), "simulated trajectory", first_step=0)
-    if stacked:
-        return Trajectory(states=states, observations=observations, seed=sequences)
-    return Trajectory(states=states[0], observations=observations[0], seed=sequences[0])
+        require_finite_steps(steps, "simulated trajectory", first_step=0)
+    return Trajectory(states=states, observations=observations, seed=sequences)
 
 
 def write_text(target, text: str) -> None:
@@ -340,16 +344,18 @@ def write_text(target, text: str) -> None:
 
 
 def trajectory_to_csv(trajectory: Trajectory, target) -> None:
-    """Write rows (k, vertex, x, z) of one trajectory; the k=0 rows carry no observation."""
-    if trajectory.states.ndim != 2:
-        raise ValueError("trajectory_to_csv writes one trajectory, not a stack")
+    """Write rows (k, vertex, x, z) of a stack of one trial; the k=0 rows carry
+    no observation.  A stack of any other T raises ValueError."""
+    if trajectory.states.shape[0] != 1:
+        raise ValueError(f"trajectory_to_csv writes a stack of one trial, got {trajectory.states.shape[0]}")
+    states, observations = trajectory.states[0], trajectory.observations[0]
     lines = ["k,vertex,x,z"]
-    n = trajectory.states.shape[1]
+    n = states.shape[1]
     for vertex in range(1, n + 1):
-        lines.append(f"0,{vertex},{float(trajectory.states[0, vertex - 1])!r},")
+        lines.append(f"0,{vertex},{float(states[0, vertex - 1])!r},")
     for k in range(1, trajectory.horizon + 1):
         for vertex in range(1, n + 1):
-            x = float(trajectory.states[k, vertex - 1])
-            z = float(trajectory.observations[k - 1, vertex - 1])
+            x = float(states[k, vertex - 1])
+            z = float(observations[k - 1, vertex - 1])
             lines.append(f"{k},{vertex},{x!r},{z!r}")
     write_text(target, "\n".join(lines) + "\n")

@@ -20,7 +20,3 @@ class NotPositiveSemidefiniteError(GraphKalmanError, ValueError):
 
 class SingularGainError(GraphKalmanError, ArithmeticError):
     """Zero observation noise at a blind frequency leaves the gain undefined."""
-
-
-class DegenerateTrajectoryError(GraphKalmanError, ValueError):
-    """Every step of a trajectory has numerically zero state energy."""

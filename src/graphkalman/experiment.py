@@ -17,7 +17,7 @@ runs the Kalman filter there too (see ``kalman``); one ``inverse_estimate``
 call, which inverts the system's own observation responses for the whole
 block; and one ``relative_error_metric`` call per estimator, which scores
 the block.  No polynomial is evaluated per trial.  Each layer computes
-trial t of a block bit for bit as it would that trial alone, so the tables
+trial t of a block bit for bit as it would in a block of one, so the tables
 do not depend on the block size.  The dense matrix recursion is only the
 oracle in ``verify``.  Cells run one after another in a plain loop, with no
 worker pool, and each trial is seeded from its cell and trial index alone,
@@ -35,10 +35,10 @@ import numpy as np
 
 from .baselines import inverse_estimate
 from .dynamics import DynamicalSystem, Trajectory, require_noise_level, simulate, write_text
-from .errors import DegenerateTrajectoryError, NumericalFailureError, SingularGainError
+from .errors import NumericalFailureError, SingularGainError
 from .graphs import build_shift, cycle_graph, require_integral, require_real
 from .kalman import riccati_sequence, run_filter
-from .polynomials import Polynomial
+from .polynomials import Polynomial, require_polynomial
 from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
 
 ENERGY_GUARD = 1e-24
@@ -97,7 +97,8 @@ class ExperimentConfig:
       "step"} of numbers by the same rule and at most ``GRID_LIMIT`` values;
     - clip is a float, from a real number that is not a boolean;
     - state_poly and observation_poly are ``Polynomial``s, made from a
-      sequence of numbers by ``Polynomial``'s own rule;
+      sequence of numbers by ``polynomials.require_polynomial``'s rule, the
+      one a system applies;
     - trace is a ``TraceSpec``, made from a JSON object by ``TraceSpec``'s.
 
     Then come the checks across fields or against the machine: n >= 3, the
@@ -198,7 +199,7 @@ def _grid(spec, name: str) -> tuple[float, ...]:
         start, stop, step = (require_noise_level(spec[key], f"{name} {key}") for key in ("start", "stop", "step"))
         if step <= 0:
             raise ValueError(f"{name} step must be positive")
-        # a float until it is bounded: a span beyond the float range counts inf values
+        # floored as a float: a stop below start gives no value, and the count is bounded before int()
         count = np.floor((stop - start) / step + 1e-9) + 1
         if count > GRID_LIMIT:
             raise ValueError(f"grid object expands to {count:.0f} values, more than {GRID_LIMIT}")
@@ -218,17 +219,13 @@ def _trace_spec(spec, name: str) -> TraceSpec:
     return TraceSpec(**spec)
 
 
-def _polynomial(value, name: str) -> Polynomial:
-    return value if isinstance(value, Polynomial) else Polynomial(value)
-
-
 # JSON key -> (ExperimentConfig field, its rule): rule(value, field) gives the
 # field's canonical value or raises ValueError, and gives a canonical value
 # back unchanged
 _JSON_FIELDS = {
     **{key: (key, require_integral) for key in ("n", "m", "trials", "seed")},
-    "a": ("state_poly", _polynomial),
-    "b": ("observation_poly", _polynomial),
+    "a": ("state_poly", require_polynomial),
+    "b": ("observation_poly", require_polynomial),
     "sigma_grid": ("sigma_grid", _grid),
     "sigma_tilde_grid": ("sigma_tilde_grid", _grid),
     "clip": ("clip", require_real),
@@ -236,31 +233,29 @@ _JSON_FIELDS = {
 }
 
 
-def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> float | np.ndarray:
-    """Clipped log average relative error over the steps of one trajectory,
-    or of each trajectory in a stack.
+def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> np.ndarray:
+    """Clipped log average relative error over the steps of each trajectory
+    of a stack.
 
-    ``estimates`` and ``truths`` are (m, n) rows of one trajectory, which
-    gives a float, or (T, m, n) stacks, which give T values, trial t the
-    value its rows alone give.  Steps with truth energy below the guard are
-    dropped; a perfect reconstruction bottoms out at the metric floor
-    instead of -inf.  The means of all trials are one masked sum over the
-    kept steps divided by their count, so when every step passes the guard
-    each is exactly ``np.mean`` of its ratios.
+    ``estimates`` and ``truths`` are (T, m, n) stacks, which give T values,
+    trial t the value its rows give as a stack of one.  Steps with truth
+    energy below the guard are dropped, and a trial with no step left is
+    NaN; a perfect reconstruction bottoms out at the metric floor instead
+    of -inf.  The means of all trials are one masked sum over the kept
+    steps divided by their count, so when every step passes the guard each
+    is exactly ``np.mean`` of its ratios.
 
     Raises:
         ValueError: if ``clip`` is not finite or not above ``METRIC_FLOOR``.
         NumericalFailureError: if a step's truth or error energy is NaN or
             infinite, in any trial.
-        DegenerateTrajectoryError: if every step of a single trajectory is
-            below the energy guard; such a trial in a stack is NaN instead.
     """
     if not (math.isfinite(clip) and clip > METRIC_FLOOR):
         raise ValueError(f"clip must be finite and > {METRIC_FLOOR}")
     estimates = np.asarray(estimates, dtype=float)
     truths = np.asarray(truths, dtype=float)
-    if estimates.shape != truths.shape or truths.ndim not in (2, 3):
-        raise ValueError(f"expected equal (m, n) or (T, m, n) shapes, got {estimates.shape} vs {truths.shape}")
+    if estimates.shape != truths.shape or truths.ndim != 3:
+        raise ValueError(f"expected equal (T, m, n) shapes, got {estimates.shape} vs {truths.shape}")
     # an energy that overflows is infinite, and the check below names it
     with np.errstate(over="ignore"):
         truth_energy = np.sum(truths**2, axis=-1)
@@ -274,12 +269,7 @@ def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> floa
     # a trajectory with no kept step divides 0 by 0: its mean is NaN
     with np.errstate(invalid="ignore"):
         mean_ratios = np.sum(ratios, axis=-1) / np.count_nonzero(keep, axis=-1)
-    values = [_clipped_log(ratio, clip) for ratio in np.atleast_1d(mean_ratios).tolist()]
-    if truths.ndim == 3:
-        return np.array(values)
-    if math.isnan(values[0]):
-        raise DegenerateTrajectoryError("all steps have numerically zero state energy")
-    return values[0]
+    return np.array([_clipped_log(ratio, clip) for ratio in mean_ratios.tolist()])
 
 
 def _clipped_log(mean_ratio: float, clip: float) -> float:
@@ -429,21 +419,20 @@ class TraceResult:
     vertex_inverse: np.ndarray
 
 
-def _trace_point(config: ExperimentConfig) -> tuple[DynamicalSystem, np.random.SeedSequence]:
-    """The trace point's system and the seed of its one simulation."""
+def _trace_point(config: ExperimentConfig) -> tuple[DynamicalSystem, list[np.random.SeedSequence]]:
+    """The trace point's system and the one seed of its stack of one trial."""
     sys = _cell_system(config, _cycle_spectrum(config), config.trace.sigma, config.trace.sigma_tilde)
-    return sys, np.random.SeedSequence(config.seed, spawn_key=(_TRACE_KEY, 0))
+    return sys, [np.random.SeedSequence(config.seed, spawn_key=(_TRACE_KEY, 0))]
 
 
 def trace_trajectory(config: ExperimentConfig) -> Trajectory:
-    """The raw trajectory underlying the trace at (sigma*, sigma_tilde*)."""
+    """The raw trajectory underlying the trace at (sigma*, sigma_tilde*), a stack of one trial."""
     return simulate(*_trace_point(config))
 
 
 def run_trace(config: ExperimentConfig) -> TraceResult:
     """One simulation at the trace point with both reconstructions tabulated per step."""
-    sys, seed = _trace_point(config)
-    truths, kalman_estimates, inverse_estimates = (stack[0] for stack in _trials(sys, [seed]))
+    truths, kalman_estimates, inverse_estimates = (stack[0] for stack in _trials(*_trace_point(config)))
     v = config.trace.vertex - 1
     return TraceResult(
         steps=np.arange(1, config.m + 1),

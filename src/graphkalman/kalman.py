@@ -225,6 +225,9 @@ def run_filter(
 ) -> FilterResult:
     """Filter observation rows z_1..z_m, an (m, n) array with m <= the horizon
     (any other shape raises ``ValueError``); returns the estimates for k = 0..m.
+    Unlike ``simulate`` and ``inverse_estimate``, it takes one trajectory per
+    call, not a (T, m, n) stack: perfbench's filter capture reads its
+    results trial by trial, until ROADMAP items 1 and 2.
 
     The filter runs in the shift's eigenbasis.  The observations are moved
     there once (``to_spectral``), and with the state, observed and gain

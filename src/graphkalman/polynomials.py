@@ -74,6 +74,19 @@ class Polynomial:
         return npoly.polyval(t, self.coeffs)
 
 
+def require_polynomial(value, name: str) -> Polynomial:
+    """``value`` if it is a ``Polynomial``, else the ``Polynomial`` its
+    constructor makes from ``value``; ValueError naming ``name`` if the
+    constructor refuses it.  The one rule for a config's a and b and a
+    system's a_k, b_k and h_0."""
+    if isinstance(value, Polynomial):
+        return value
+    try:
+        return Polynomial(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ChebyshevSeries:
     """g(t) = coeffs[0] T_0(u) + ... + coeffs[K] T_K(u) on ``domain`` = (lo, hi),

@@ -455,17 +455,20 @@ def _relative_gap(value: np.ndarray, expected: np.ndarray) -> float:
 
 
 def simulation_step_gaps(sys: DynamicalSystem, trajectory) -> list[float]:
-    """Relative gap of x_0 to U diag(sqrt h_0) U^T e_0 and of every step to the
-    vertex-space recursion from the previous simulated state, both driven by
-    the rows of the re-drawn noise block."""
-    noise = generator(child_sequence(trajectory.seed, 0)).standard_normal((2 * sys.horizon + 1, sys.n))
+    """Relative gap, in every trial of the stack, of x_0 to U diag(sqrt h_0)
+    U^T e_0 and of every step to the vertex-space recursion from the
+    previous simulated state, both driven by the rows of the noise block
+    re-drawn from the trial's seed."""
     scale = sys.spectrum.expand(np.sqrt(sys.initial_model.clamped_group_variances))
-    gaps = [_relative_gap(trajectory.states[0], sys.spectrum.operator(scale) @ noise[0])]
-    for k, (state_poly, observation_poly, sigma, sigma_tilde) in enumerate(_steps(sys), start=1):
-        state = apply_filter(state_poly, sys.shift, trajectory.states[k - 1])
-        gaps.append(_relative_gap(trajectory.states[k], state + sigma * noise[2 * k - 1]))
-        read = apply_filter(observation_poly, sys.shift, trajectory.states[k])
-        gaps.append(_relative_gap(trajectory.observations[k - 1], read + sigma_tilde * noise[2 * k]))
+    gaps = []
+    for seed, states, observations in zip(trajectory.seed, trajectory.states, trajectory.observations):
+        noise = generator(child_sequence(seed, 0)).standard_normal((2 * sys.horizon + 1, sys.n))
+        gaps.append(_relative_gap(states[0], sys.spectrum.operator(scale) @ noise[0]))
+        for k, (state_poly, observation_poly, sigma, sigma_tilde) in enumerate(_steps(sys), start=1):
+            state = apply_filter(state_poly, sys.shift, states[k - 1])
+            gaps.append(_relative_gap(states[k], state + sigma * noise[2 * k - 1]))
+            read = apply_filter(observation_poly, sys.shift, states[k])
+            gaps.append(_relative_gap(observations[k - 1], read + sigma_tilde * noise[2 * k]))
     return gaps
 
 
@@ -477,7 +480,7 @@ def check_dynamics() -> list[CheckResult]:
         for h_k, dense in zip(covariance_responses(sys)[1:], matrix_covariance_path(sys)[1:]):
             worst_cov = max(worst_cov, float(np.linalg.norm(dense - response_matrix(sys, h_k))))
     sys = random_system(generator(506), n_max=8, steps=12, zero_initial=False)
-    trajectory = simulate(sys, 987)
+    trajectory = simulate(sys, [987])
     worst_stream = max(simulation_step_gaps(sys, trajectory))
     return [
         CheckResult("dynamics", "covariance-recursion-matches-matrix", worst_cov <= 1e-8, f"worst gap {worst_cov:.3e}"),

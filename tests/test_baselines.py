@@ -64,13 +64,13 @@ class TestInverseEstimate:
         _, _, spectrum = c4
         z = generator(80).standard_normal(4)
         sys = _observing_system(spectrum, Polynomial((1.0,)))
-        np.testing.assert_allclose(inverse_estimate(sys, z[None])[0], z, atol=1e-12)
+        np.testing.assert_allclose(inverse_estimate(sys, z[None, None])[0, 0], z, atol=1e-12)
 
     def test_zero_observation_returns_zero(self, c4):
         _, _, spectrum = c4
         z = generator(81).standard_normal(4)
         sys = _observing_system(spectrum, Polynomial.zero())
-        np.testing.assert_array_equal(inverse_estimate(sys, z[None])[0], np.zeros(4))
+        np.testing.assert_array_equal(inverse_estimate(sys, z[None, None])[0, 0], np.zeros(4))
 
     def test_singular_response_zeroes_that_eigenplane(self, c4):
         # 1 - t/2 vanishes at eigenvalue 2 of the cycle-4 Laplacian, so the
@@ -78,7 +78,7 @@ class TestInverseEstimate:
         _, _, spectrum = c4
         b = Polynomial((1.0, -0.5))
         z = generator(82).standard_normal(4)
-        estimate = inverse_estimate(_observing_system(spectrum, b), z[None])[0]
+        estimate = inverse_estimate(_observing_system(spectrum, b), z[None, None])[0, 0]
         u = spectrum.eigenvectors
         coefficients = u.T @ estimate
         raw = u.T @ z
@@ -91,8 +91,8 @@ class TestInverseEstimate:
         _, _, spectrum = c4
         z = generator(83).standard_normal((4, 5))
         sys = _observing_system(spectrum, Polynomial((1.0, 0.25)), horizon=5)
-        batched = inverse_estimate(sys, z.T).T
-        single = inverse_estimate(sys, z[:, 2][None])[0]
+        batched = inverse_estimate(sys, z.T[None])[0].T
+        single = inverse_estimate(sys, z[:, 2][None, None])[0, 0]
         np.testing.assert_allclose(batched[:, 2], single, atol=1e-14)
 
     @pytest.mark.parametrize(
@@ -106,17 +106,17 @@ class TestInverseEstimate:
         stacked = inverse_estimate(sys, observations)
         assert stacked.shape == observations.shape
         for t, rows in enumerate(observations):
-            assert stacked[t].tobytes() == inverse_estimate(sys, rows).tobytes()
+            assert stacked[t].tobytes() == inverse_estimate(sys, rows[None])[0].tobytes()
 
     def test_wrong_length_rejected(self, c4):
         _, _, spectrum = c4
         with pytest.raises(ValueError):
-            inverse_estimate(_observing_system(spectrum, Polynomial((1.0,))), np.zeros((1, 5)))
+            inverse_estimate(_observing_system(spectrum, Polynomial((1.0,))), np.zeros((1, 1, 5)))
 
     @pytest.mark.parametrize(
         "shape",
-        [(4, 4), (4,), (2, 4, 4), (1, 1, 2, 4)],
-        ids=["beyond-horizon", "one-dimensional", "stack-beyond-horizon", "four-dimensional"],
+        [(1, 4, 4), (4,), (3, 4), (2, 4, 4), (1, 1, 2, 4)],
+        ids=["beyond-horizon", "one-dimensional", "one-trajectory", "stack-beyond-horizon", "four-dimensional"],
     )
     def test_observations_must_fit_the_system(self, c4, shape):
         sys = _observing_system(c4[2], Polynomial((1.0,)), horizon=3)
@@ -127,9 +127,10 @@ class TestInverseEstimate:
         # b_5 = 1 - t/2 is blind at eigenvalue 2 of C_12, so step 5 drops that
         # eigenplane; pinv at the passband's relative cutoff drops the same
         sys = time_varying_cycle_system(12, 8)
-        observations = simulate(sys, 86).observations
+        observations = simulate(sys, [86]).observations
         estimates = inverse_estimate(sys, observations)
         assert estimates.shape == observations.shape
+        observations, estimates = observations[0], estimates[0]
         for k in range(1, sys.horizon + 1):
             b = eval_filter(sys.observation_polys[k - 1], sys.spectrum)
             expected = np.linalg.pinv(b, rcond=BLIND_TOL_SCALE) @ observations[k - 1]
@@ -158,7 +159,7 @@ class TestBlindFrequencies:
 
     def test_inverse_estimate_drops_exactly_those_eigenplanes(self, sys):
         z = generator(95).standard_normal((2, 8))
-        coefficients = sys.spectrum.to_spectral(inverse_estimate(sys, z))
+        coefficients = sys.spectrum.to_spectral(inverse_estimate(sys, z[None])[0])
         blind = sys.spectrum.expand(sys.observed_responses) == 0.0
         expected = sys.spectrum.to_spectral(z) / sys.spectrum.expand(sys.observation_responses)
         expected[blind] = 0.0
@@ -270,7 +271,7 @@ class TestInverseErrorCovariance:
                 lambda: DynamicalSystem.from_sequences(spectrum, [a] * 5, [b] * 5, [sigma] * 5, [sigma_tilde] * 5),
             )
             for build in builds:
-                with pytest.raises(ValueError, match=rf"^{which} noise level must be 0 or have a finite nonzero square, got 1e\+200$"):
+                with pytest.raises(ValueError, match=rf"^{which} noise level must be 0 or have a finite square of at least 2\.225e-308, got 1e\+200$"):
                     build()
 
 

@@ -20,12 +20,14 @@ from graphkalman import (
     cycle_graph,
     eigendecompose,
     eval_filter,
+    inverse_estimate,
     is_polynomial_filter,
+    relative_error_metric,
     simulate,
     trajectory_to_csv,
 )
 from graphkalman import kalman
-from graphkalman.dynamics import Trajectory
+from graphkalman.dynamics import Trajectory, require_finite_steps
 from graphkalman.experiment import ExperimentConfig, TraceSpec
 from graphkalman.seeding import as_seed_sequence, child_sequence, generator
 from graphkalman.verify import matrix_covariance_path, random_system, response_matrix, simulation_step_gaps
@@ -87,8 +89,9 @@ PATHS = ("constructor", "from_constant", "from_sequences")
 REFUSED_NOISE_LEVELS = {
     "boolean": (True, "must be a number, got True"),
     "string": ("0.5", "must be a number, got '0.5'"),
-    "square-overflows": (1e200, r"must be 0 or have a finite nonzero square, got 1e\+200"),
-    "square-underflows": (1e-200, "must be 0 or have a finite nonzero square, got 1e-200"),
+    "square-overflows": (1e200, r"must be 0 or have a finite square of at least 2\.225e-308, got 1e\+200"),
+    "square-underflows": (1e-200, r"must be 0 or have a finite square of at least 2\.225e-308, got 1e-200"),
+    "square-subnormal": (1e-158, r"must be 0 or have a finite square of at least 2\.225e-308, got 1e-158"),
 }
 
 # case -> (horizon, sigmas, sigma_tildes, the paths that can express it, message):
@@ -150,6 +153,30 @@ class TestConstruction:
         for responses in (sys.state_responses, sys.observation_responses, sys.observed_responses):
             assert responses.shape == (3, c4[2].count) and not responses.flags.writeable
 
+    def test_polynomial_inputs_are_made_by_the_polynomial_rule(self):
+        # a sequence of numbers is made a Polynomial, as the config makes a and b
+        spectrum = eigendecompose(build_shift(cycle_graph(12), "laplacian"))
+        one = Polynomial((1.0,))
+        given = DynamicalSystem(spectrum, 3, ((0.0, 0.25),), (one,), (0.3,), (0.5,), Polynomial.zero())
+        made = DynamicalSystem(spectrum, 3, (Polynomial((0.0, 0.25)),), (one,), (0.3,), (0.5,), Polynomial.zero())
+        assert given.state_polys == (Polynomial((0.0, 0.25)),) * 3 and given.time_invariant
+        for name in ("state_responses", "observation_responses", "observed_responses"):
+            assert getattr(given, name).tobytes() == getattr(made, name).tobytes()
+        assert kalman.riccati_sequence(given).error_responses.tobytes() == kalman.riccati_sequence(made).error_responses.tobytes()
+        sys = DynamicalSystem.from_constant(spectrum, one, one, 0.3, 0.5, 3, initial_covariance=(0.5,))
+        assert sys.initial_covariance == Polynomial((0.5,))
+
+    @pytest.mark.parametrize("field", ["state polynomial", "observation polynomial", "initial covariance"])
+    def test_polynomial_input_the_rule_refuses_names_its_field(self, c4, field):
+        one = Polynomial((1.0,))
+        polys = {"state polynomial": one, "observation polynomial": one, "initial covariance": Polynomial.zero()}
+        polys[field] = "12"
+        with pytest.raises(ValueError, match=f"^{field}: coefficients must be a sequence of numbers, got '12'$"):
+            DynamicalSystem(
+                c4[2], 2, (polys["state polynomial"],), (polys["observation polynomial"],), (0.3,), (0.5,),
+                polys["initial covariance"],
+            )
+
     @pytest.mark.parametrize("path", PATHS)
     def test_non_psd_initial_covariance_rejected_on_every_path(self, path):
         # 1 - t is -3 at eigenvalue 4 of the C_8 Laplacian; built, such a system
@@ -200,7 +227,7 @@ class TestConstruction:
         assert is_polynomial_filter(0.25 * sys.shift.matrix, spectrum).is_member
         cycle = build_shift(cycle_graph(6), "laplacian")
         assert not is_polynomial_filter(cycle.matrix, spectrum).is_member
-        assert max(simulation_step_gaps(sys, simulate(sys, 11))) <= 1e-12
+        assert max(simulation_step_gaps(sys, simulate(sys, [11]))) <= 1e-12
 
 
 class TestStepState:
@@ -209,16 +236,16 @@ class TestStepState:
     def test_zero_dynamics_is_pure_noise(self):
         sys = _cycle_system(4, Polynomial.zero(), Polynomial((1.0,)), 1.0, 1.0, 3, h0=Polynomial((1.0,)))
         noise = _noise_block(sys, 50)
-        trajectory = simulate(sys, 50)
-        np.testing.assert_allclose(trajectory.states[1:], noise[1::2], rtol=0.0, atol=1e-14)
+        trajectory = simulate(sys, [50])
+        np.testing.assert_allclose(trajectory.states[0, 1:], noise[1::2], rtol=0.0, atol=1e-14)
 
     def test_identity_dynamics_zero_noise_keeps_state(self):
         sys = _cycle_system(
             4, Polynomial((1.0,)), Polynomial((1.0,)), 0.0, 0.0, 3, h0=Polynomial((1.0, 0.5))
         )
-        trajectory = simulate(sys, 51)
-        assert np.linalg.norm(trajectory.states[0]) > 0.0
-        np.testing.assert_array_equal(trajectory.states, np.tile(trajectory.states[0], (4, 1)))
+        states = simulate(sys, [51]).states[0]
+        assert np.linalg.norm(states[0]) > 0.0
+        np.testing.assert_array_equal(states, np.tile(states[0], (4, 1)))
 
     def test_dense_oracle_on_cycle30(self, c30):
         _, shift, spectrum = c30
@@ -226,9 +253,9 @@ class TestStepState:
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
         )
         noise = _noise_block(sys, 53)
-        trajectory = simulate(sys, 53)
-        dense = trajectory.states[:-1] @ (shift.matrix / 4.0).T + 0.3 * noise[1::2]
-        np.testing.assert_allclose(trajectory.states[1:], dense, rtol=0.0, atol=1e-12)
+        states = simulate(sys, [53]).states[0]
+        dense = states[:-1] @ (shift.matrix / 4.0).T + 0.3 * noise[1::2]
+        np.testing.assert_allclose(states[1:], dense, rtol=0.0, atol=1e-12)
 
 
 class TestObserve:
@@ -236,14 +263,14 @@ class TestObserve:
 
     def test_identity_observation_zero_noise(self):
         sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 0.0, 3)
-        trajectory = simulate(sys, 54)
-        np.testing.assert_allclose(trajectory.observations, trajectory.states[1:], rtol=0.0, atol=1e-14)
+        trajectory = simulate(sys, [54])
+        np.testing.assert_allclose(trajectory.observations, trajectory.states[:, 1:], rtol=0.0, atol=1e-14)
 
     def test_zero_observation_is_pure_noise(self):
         sys = _cycle_system(4, Polynomial((1.0,)), Polynomial.zero(), 1.0, 2.0, 3)
         noise = _noise_block(sys, 55)
-        trajectory = simulate(sys, 55)
-        np.testing.assert_allclose(trajectory.observations, 2.0 * noise[2::2], rtol=0.0, atol=1e-14)
+        trajectory = simulate(sys, [55])
+        np.testing.assert_allclose(trajectory.observations[0], 2.0 * noise[2::2], rtol=0.0, atol=1e-14)
 
     def test_observation_matrix_is_half_adjacency(self, c30):
         # b(t) = 1 - t/2 on the cycle Laplacian realizes W/2
@@ -257,9 +284,9 @@ class TestObserve:
             spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
         )
         noise = _noise_block(sys, 57)
-        trajectory = simulate(sys, 57)
-        dense = trajectory.states[1:] @ (graph.weight_matrix / 2.0).T + 0.5 * noise[2::2]
-        np.testing.assert_allclose(trajectory.observations, dense, rtol=0.0, atol=1e-12)
+        trajectory = simulate(sys, [57])
+        dense = trajectory.states[0, 1:] @ (graph.weight_matrix / 2.0).T + 0.5 * noise[2::2]
+        np.testing.assert_allclose(trajectory.observations[0], dense, rtol=0.0, atol=1e-12)
 
 
 class TestCovarianceRecursion:
@@ -332,23 +359,66 @@ def test_one_first_order_loop():
     assert {name: count for name, count in counts.items() if count} == {"dynamics.py": 1}
 
 
+def test_one_trajectory_shape():
+    # simulate, Trajectory, inverse_estimate and relative_error_metric take
+    # (T, ., n) stacks only, so no code branches on a single trajectory
+    package = Path(graphkalman.__file__).parent
+    retired = re.compile(r"ndim not in \(2, 3\)|\bstacked\s*[=:]")
+    assert [p.name for p in package.glob("*.py") if retired.search(p.read_text())] == []
+
+
+# case -> (call on a 4-vertex system and (3, 4) rows of one trajectory, message)
+ONE_TRAJECTORY_CALLS = {
+    "simulate-bare-seed": (
+        lambda sys, rows: simulate(sys, 7),
+        r"list, tuple, range or 1-D array, one per trial of a \(T, M \+ 1, n\) stack, got 7$",
+    ),
+    "trajectory-2d": (
+        lambda sys, rows: Trajectory(states=np.zeros((4, 4)), observations=rows, seed=(as_seed_sequence(7),)),
+        r"must be \(T, M \+ 1, n\) and \(T, M, n\), got \(4, 4\) and \(3, 4\)$",
+    ),
+    "inverse-2d": (lambda sys, rows: inverse_estimate(sys, rows), r"shape \(3, 4\), expected \(T, m, 4\)"),
+    "metric-2d": (lambda sys, rows: relative_error_metric(rows, rows), r"expected equal \(T, m, n\) shapes"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_TRAJECTORY_CALLS)
+def test_a_single_trajectory_is_refused(case):
+    call, message = ONE_TRAJECTORY_CALLS[case]
+    sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
+    with pytest.raises(ValueError, match=message):
+        call(sys, np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("first_step", [0, 1])
+def test_first_bad_step_is_named_across_trials(first_step):
+    # only trial 2 of the stack goes non-finite, from row 3 on; trials 0 and 1
+    # are finite throughout
+    values = np.ones((3, 6, 4))
+    values[2, 3:, 1] = np.inf
+    values[2, 4, 0] = np.nan
+    with pytest.raises(NumericalFailureError, match=f"^x is not finite from step {first_step + 3} on$"):
+        require_finite_steps(values, "x", first_step=first_step)
+    require_finite_steps(values[:2], "x", first_step=first_step)
+
+
 class TestSimulate:
     def test_zero_horizon(self):
         sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 0)
-        trajectory = simulate(sys, 1)
-        assert trajectory.states.shape == (1, 4)
-        assert trajectory.observations.shape == (0, 4)
+        trajectory = simulate(sys, [1])
+        assert trajectory.states.shape == (1, 1, 4)
+        assert trajectory.observations.shape == (1, 0, 4)
 
     def test_all_zero_reference_mode(self):
         sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 0.0, 0.0, 5)
-        trajectory = simulate(sys, 2)
+        trajectory = simulate(sys, [2])
         np.testing.assert_array_equal(trajectory.states, 0.0)
         np.testing.assert_array_equal(trajectory.observations, 0.0)
 
     def test_deterministic_given_seed(self):
         sys = _cycle_system(6, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 12)
-        t1 = simulate(sys, 99)
-        t2 = simulate(sys, 99)
+        t1 = simulate(sys, [99])
+        t2 = simulate(sys, [99])
         np.testing.assert_array_equal(t1.states, t2.states)
         np.testing.assert_array_equal(t1.observations, t2.observations)
 
@@ -356,23 +426,23 @@ class TestSimulate:
         # one block per trajectory; rounding happens in the eigenbasis, so
         # each step matches its vertex-space form to 1e-12, not bit for bit
         sys = random_system(generator(59), n_max=8, steps=10, zero_initial=False)
-        trajectory = simulate(sys, 4242)
+        trajectory = simulate(sys, [4242, 4243])
         assert max(simulation_step_gaps(sys, trajectory)) <= 1e-12
 
     def test_cycle120_matches_dense_recursion(self):
         sys = _cycle_system(120, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100)
-        trajectory = simulate(sys, 120)
+        trajectory = simulate(sys, [120])
         states, observations = _dense_trajectory(sys, 120)
-        assert _worst_relative_gap(trajectory.states[1:], states[1:]) <= 1e-12
-        assert _worst_relative_gap(trajectory.observations, observations) <= 1e-12
+        assert _worst_relative_gap(trajectory.states[0, 1:], states[1:]) <= 1e-12
+        assert _worst_relative_gap(trajectory.observations[0], observations) <= 1e-12
 
     def test_time_varying_system_matches_dense_recursion(self):
         sys = time_varying_cycle_system(10, 10)
         assert not sys.time_invariant
-        trajectory = simulate(sys, 61)
+        trajectory = simulate(sys, [61])
         states, observations = _dense_trajectory(sys, 61)
-        assert _worst_relative_gap(trajectory.states, states) <= 1e-12
-        assert _worst_relative_gap(trajectory.observations, observations) <= 1e-12
+        assert _worst_relative_gap(trajectory.states[0], states) <= 1e-12
+        assert _worst_relative_gap(trajectory.observations[0], observations) <= 1e-12
 
     @pytest.mark.parametrize(
         "make_system",
@@ -385,10 +455,10 @@ class TestSimulate:
     )
     def test_in_place_loop_matches_plain_recursion_bit_for_bit(self, make_system):
         sys = make_system()
-        trajectory = simulate(sys, 57)
+        trajectory = simulate(sys, [57])
         states, observations = _eigenbasis_trajectory(sys, 57)
-        np.testing.assert_array_equal(trajectory.states, states)
-        np.testing.assert_array_equal(trajectory.observations, observations)
+        np.testing.assert_array_equal(trajectory.states[0], states)
+        np.testing.assert_array_equal(trajectory.observations[0], observations)
 
     def test_per_step_state_energy_tracks_covariance_trace(self, c30):
         # Monte-Carlo over 30 trials at the default configuration
@@ -398,11 +468,8 @@ class TestSimulate:
         )
         hs = covariance_responses(sys)
         trials = 30
-        energies = []
-        for t in range(trials):
-            trajectory = simulate(sys, np.random.SeedSequence(60, spawn_key=(t,)))
-            energies.append([np.sum(trajectory.states[k] ** 2) for k in (10, 50, 100)])
-        energies = np.array(energies)
+        trajectory = simulate(sys, [np.random.SeedSequence(60, spawn_key=(t,)) for t in range(trials)])
+        energies = np.sum(trajectory.states[:, (10, 50, 100)] ** 2, axis=2)
         for column, k in enumerate((10, 50, 100)):
             expected = float(np.sum(sys.spectrum.expand(hs[k])))
             observed = energies[:, column]
@@ -432,20 +499,20 @@ class TestStackedSimulate:
         assert stack.horizon == sys.horizon
         assert stack.seed == tuple(seeds)
         for t, seed in enumerate(seeds):
-            single = simulate(sys, seed)
-            assert stack.states[t].tobytes() == single.states.tobytes()
-            assert stack.observations[t].tobytes() == single.observations.tobytes()
+            single = simulate(sys, [seed])
+            assert stack.states[t].tobytes() == single.states[0].tobytes()
+            assert stack.observations[t].tobytes() == single.observations[0].tobytes()
 
     def test_nonzero_initial_covariance_drives_the_first_state(self):
         sys = random_system(generator(58), n_max=8, steps=12, zero_initial=False)
         assert np.any(sys.initial_model.group_variances > 0)
         assert np.any(simulate(sys, [1, 2]).states[:, 0] != 0.0)
 
-    def test_a_single_seed_gives_one_trajectory(self):
+    def test_a_stack_of_one_holds_its_seed_in_a_tuple(self):
         sys = _cycle_system(6, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 12)
-        trajectory = simulate(sys, 99)
-        assert trajectory.states.shape == (13, 6)
-        assert isinstance(trajectory.seed, np.random.SeedSequence) and trajectory.seed.entropy == 99
+        trajectory = simulate(sys, [99])
+        assert trajectory.states.shape == (1, 13, 6)
+        assert isinstance(trajectory.seed, tuple) and [seed.entropy for seed in trajectory.seed] == [99]
 
     def test_an_array_of_seeds_is_a_stack(self):
         # numpy would take a 1-D array as one seed's entropy; simulate takes it as a list
@@ -456,10 +523,10 @@ class TestStackedSimulate:
         assert from_array.observations.tobytes() == from_list.observations.tobytes()
 
     def test_stack_shapes_must_agree(self):
-        with pytest.raises(ValueError, match="one more row"):
+        with pytest.raises(ValueError, match=r"must be \(T, M \+ 1, n\) and \(T, M, n\)"):
             Trajectory(states=np.zeros((2, 4, 3)), observations=np.zeros((3, 3, 3)), seed=())
 
-    @pytest.mark.parametrize("seeds", [7, [7, 8, 9]], ids=["one", "stack"])
+    @pytest.mark.parametrize("seeds", [[7], [7, 8, 9]], ids=["one", "stack"])
     def test_overflowing_trajectory_raises_at_its_first_step(self, seeds):
         # a = 1e200: x~_2 = 1e200 x~_1 + e~ is finite, x~_3 ~ 1e400 x~_1 is not
         sys = _cycle_system(6, Polynomial.constant(1e200), Polynomial((1.0,)), 1.0, 1.0, 5)
@@ -470,7 +537,7 @@ class TestStackedSimulate:
 class TestCsvExport:
     def test_header_and_row_count(self):
         sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
-        trajectory = simulate(sys, 7)
+        trajectory = simulate(sys, [7])
         buffer = io.StringIO()
         trajectory_to_csv(trajectory, buffer)
         lines = buffer.getvalue().strip().split("\n")
@@ -483,6 +550,12 @@ class TestCsvExport:
         buffers = []
         for _ in range(2):
             buffer = io.StringIO()
-            trajectory_to_csv(simulate(sys, 7), buffer)
+            trajectory_to_csv(simulate(sys, [7]), buffer)
             buffers.append(buffer.getvalue())
         assert buffers[0] == buffers[1]
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_only_a_stack_of_one_is_written(self, trials):
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
+        with pytest.raises(ValueError, match=f"writes a stack of one trial, got {trials}$"):
+            trajectory_to_csv(simulate(sys, list(range(trials))), io.StringIO())

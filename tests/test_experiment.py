@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkalman import (
-    DegenerateTrajectoryError,
     DynamicalSystem,
     ExperimentConfig,
     NumericalFailureError,
@@ -143,15 +142,14 @@ def _single_trial_tables(config):
                 continue
             metrics = {"kalman": [], "inverse": []}
             for trial in range(config.trials):
-                trajectory = simulate(sys, np.random.SeedSequence(config.seed, spawn_key=(0, i, j, trial)))
-                truths, z = trajectory.states[1:], trajectory.observations
+                trajectory = simulate(sys, [np.random.SeedSequence(config.seed, spawn_key=(0, i, j, trial))])
+                truths, z = trajectory.states[:, 1:], trajectory.observations
                 estimates = {
-                    "kalman": run_filter(sys, z, riccati=riccati).estimates[1:],
+                    "kalman": run_filter(sys, z[0], riccati=riccati).estimates[None, 1:],
                     "inverse": inverse_estimate(sys, z),
                 }
-                try:
-                    values = {key: relative_error_metric(estimates[key], truths, config.clip) for key in metrics}
-                except DegenerateTrajectoryError:
+                values = {key: relative_error_metric(estimates[key], truths, config.clip)[0] for key in metrics}
+                if any(math.isnan(value) for value in values.values()):
                     tables["flagged"][i, j] = True
                     continue
                 for key, value in values.items():
@@ -184,16 +182,17 @@ class TestTrialBlocks:
 
 class TestMetric:
     def test_finite_inputs_give_a_finite_metric(self):
-        truths = generator(80).standard_normal((6, 5))
-        assert math.isfinite(relative_error_metric(truths + 0.1, truths))
+        truths = generator(80).standard_normal((1, 6, 5))
+        values = relative_error_metric(truths + 0.1, truths)
+        assert values.shape == (1,) and math.isfinite(values[0])
 
     @pytest.mark.parametrize("which", ["estimates", "truths"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_step_raises(self, which, value):
         # a NaN estimate must not become a nan metric, nor a NaN truth step be dropped as low-energy
-        truths = generator(81).standard_normal((6, 5))
+        truths = generator(81).standard_normal((1, 6, 5))
         arrays = {"estimates": truths + 0.1, "truths": truths.copy()}
-        arrays[which][3, 2] = value
+        arrays[which][0, 3, 2] = value
         with pytest.raises(NumericalFailureError, match="not finite"):
             relative_error_metric(arrays["estimates"], arrays["truths"])
 
@@ -201,16 +200,15 @@ class TestMetric:
     def test_clip_not_finite_or_not_above_the_floor_rejected(self, clip):
         # a NaN clip turned clipping off and -inf returned -inf, below the floor
         truths = generator(82).standard_normal((2, 6, 5))
-        for estimates, states in ((truths[0] + 0.1, truths[0]), (truths + 0.1, truths)):
-            with pytest.raises(ValueError, match=f"clip must be finite and > {METRIC_FLOOR}"):
-                relative_error_metric(estimates, states, clip)
+        with pytest.raises(ValueError, match=f"clip must be finite and > {METRIC_FLOOR}"):
+            relative_error_metric(truths + 0.1, truths, clip)
 
     def test_all_nan_truths_are_a_failure_not_a_degenerate_trajectory(self):
-        truths = np.full((4, 5), math.nan)
+        truths = np.full((1, 4, 5), math.nan)
         with pytest.raises(NumericalFailureError):
-            relative_error_metric(np.zeros((4, 5)), truths)
-        with pytest.raises(DegenerateTrajectoryError):
-            relative_error_metric(np.zeros((4, 5)), np.zeros((4, 5)))
+            relative_error_metric(np.zeros((1, 4, 5)), truths)
+        # a trajectory with no step above the energy guard is NaN
+        assert math.isnan(relative_error_metric(np.zeros((1, 4, 5)), np.zeros((1, 4, 5)))[0])
 
 
 class TestStackedMetric:
@@ -230,18 +228,18 @@ class TestStackedMetric:
         estimates, truths = self._stack()
         values = relative_error_metric(estimates, truths, clip=0.2)
         assert values.shape == (4,)
-        for t in (0, 1, 3):
-            assert values[t] == relative_error_metric(estimates[t], truths[t], clip=0.2)
+        for t in range(4):
+            alone = relative_error_metric(estimates[t : t + 1], truths[t : t + 1], clip=0.2)
+            assert alone.tobytes() == values[t : t + 1].tobytes()
         assert values[3] == METRIC_FLOOR
+        # the degenerate trial is NaN, in the stack and as a stack of one
         assert math.isnan(values[2])
-        with pytest.raises(DegenerateTrajectoryError):
-            relative_error_metric(estimates[2], truths[2])
 
     def test_a_stack_whose_steps_all_pass_the_guard_equals_its_trials(self):
         truths = generator(91).standard_normal((3, 7, 5))
         estimates = truths + 0.3
         values = relative_error_metric(estimates, truths)
-        assert [float(v) for v in values] == [relative_error_metric(e, t) for e, t in zip(estimates, truths)]
+        assert [float(v) for v in values] == [relative_error_metric(e[None], t[None])[0] for e, t in zip(estimates, truths)]
 
     def test_each_value_is_the_mean_ratio_of_its_kept_steps(self):
         estimates, truths = self._stack()
@@ -271,7 +269,9 @@ class TestTrace:
     def test_trace_tabulates_the_trace_trajectory(self):
         config = ExperimentConfig(n=12, m=15, seed=5)
         result = run_trace(config)
-        truths = trace_trajectory(config).states[1:]
+        trajectory = trace_trajectory(config)
+        assert trajectory.states.shape == (1, 16, 12)
+        truths = trajectory.states[0, 1:]
         np.testing.assert_array_equal(result.steps, np.arange(1, 16))
         np.testing.assert_array_equal(result.energy_true, np.linalg.norm(truths, axis=1))
         np.testing.assert_array_equal(result.vertex_true, truths[:, config.trace.vertex - 1])
@@ -439,7 +439,7 @@ class TestConfig:
                 "sigma_grid",
                 "sigma_grid",
                 {"start": 0, "stop": 1e150, "step": 1e-160},
-                "grid object expands to inf values, more than 1000000",
+                r"sigma_grid step must be 0 or have a finite square of at least 2\.225e-308, got 1e-160",
             ),
         ],
         ids=["clip-int", "grid-value-int", "grid-span"],
@@ -571,7 +571,7 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             "graphkalman: config: config key 'sigma_grid': sigma_grid value must be 0 or have a finite"
-            " nonzero square, got 1e+200\n"
+            " square of at least 2.225e-308, got 1e+200\n"
         )
         assert not out.exists()
 

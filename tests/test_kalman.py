@@ -218,8 +218,23 @@ class TestSpectralRecursion:
         # at sigma_tilde = 0 (SingularGainError at C_12's blind frequency, gain
         # 1/b on C_30): such a positive level is refused where the system is made
         for n in (12, 30):
-            with pytest.raises(ValueError, match="^observation noise level must be 0 or have a finite nonzero square"):
+            with pytest.raises(ValueError, match="^observation noise level must be 0 or have a finite square of at least"):
                 _paper_like_system(horizon=5, sigma_tilde=1e-170, n=n)
+
+    def test_smallest_accepted_noise_keeps_the_blind_update_exact(self):
+        # at C_12's blind eigenvalue 2, p = pe sigma_tilde^2 / (b^2 pe + sigma_tilde^2)
+        # is pe = 0.09 at step 1; a subnormal sigma_tilde^2 rounded it to 0.1 at
+        # sigma_tilde = 1e-161, and the rule now refuses every such level
+        tiny = np.finfo(float).tiny
+        smallest = math.sqrt(tiny)
+        assert smallest * smallest >= tiny and math.nextafter(smallest, 0.0) ** 2 < tiny
+        with pytest.raises(ValueError, match="observation noise level"):
+            _paper_like_system(horizon=5, sigma_tilde=math.nextafter(smallest, 0.0), n=12)
+        sys = _paper_like_system(horizon=5, sigma_tilde=smallest, n=12)
+        blind = int(np.argmin(np.abs(sys.spectrum.representatives - 2.0)))
+        assert sys.observed_responses[0, blind] == 0.0
+        error = riccati_sequence(sys).error_responses[0, blind]
+        assert abs(error - 0.09) <= 2e-15 * 0.09
 
     def test_near_blind_frequency_gets_zero_gain_at_tiny_noise(self):
         # b(mu) = 2.2e-16 with sigma_tilde = 1e-17 would give a 4.5e15 gain;
@@ -309,15 +324,15 @@ class TestRunFilter:
         sys = DynamicalSystem.from_constant(
             eigendecompose(shift), Polynomial((0.0, 0.25)), Polynomial((1.0,)), 0.4, 0.0, 8
         )
-        trajectory = simulate(sys, 31337)
-        estimates = run_filter(sys, trajectory.observations).estimates
+        trajectory = simulate(sys, [31337])
+        estimates = run_filter(sys, trajectory.observations[0]).estimates
         for k in range(1, 9):
-            error = np.linalg.norm(estimates[k] - trajectory.states[k])
-            assert error <= 1e-9 * max(1.0, np.linalg.norm(trajectory.states[k]))
+            error = np.linalg.norm(estimates[k] - trajectory.states[0, k])
+            assert error <= 1e-9 * max(1.0, np.linalg.norm(trajectory.states[0, k]))
 
     def test_random_system_matches_dense_filter(self):
         sys = random_system(generator(69), n_max=8, steps=10)
-        trajectory = simulate(sys, 7)
+        trajectory = simulate(sys, [7])
         riccati = riccati_sequence(sys)
         dense_gains, dense_errors = matrix_riccati_path(sys)
         for spectral_gain, spectral_error, gain, error in zip(
@@ -327,31 +342,31 @@ class TestRunFilter:
             spectral_gain_matrix = response_matrix(sys, spectral_gain)
             assert np.linalg.norm(spectral_error_matrix - error) <= 1e-9 * max(1.0, np.linalg.norm(error))
             assert np.linalg.norm(spectral_gain_matrix - gain) <= 1e-9 * max(1.0, np.linalg.norm(gain))
-        estimates = run_filter(sys, trajectory.observations).estimates
-        expected = _dense_filter(sys, trajectory.observations)
+        estimates = run_filter(sys, trajectory.observations[0]).estimates
+        expected = _dense_filter(sys, trajectory.observations[0])
         assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
     def test_cycle120_matches_dense_filter(self):
         # degree-60 monomial gains applied by Horner overflowed to NaN here
         sys = _paper_like_system(horizon=100, n=120)
-        trajectory = simulate(sys, 120)
-        estimates = run_filter(sys, trajectory.observations).estimates[1:]
+        trajectory = simulate(sys, [120])
+        estimates = run_filter(sys, trajectory.observations[0]).estimates[1:]
         assert np.all(np.isfinite(estimates))
-        expected = _dense_filter(sys, trajectory.observations)
+        expected = _dense_filter(sys, trajectory.observations[0])
         assert _worst_step_gap(estimates, expected) <= 1e-10
 
     def test_precomputed_riccati_reused(self):
         sys = _paper_like_system(horizon=10)
         riccati = riccati_sequence(sys)
-        trajectory = simulate(sys, 11)
-        direct = run_filter(sys, trajectory.observations)
-        reused = run_filter(sys, trajectory.observations, riccati=riccati)
+        trajectory = simulate(sys, [11])
+        direct = run_filter(sys, trajectory.observations[0])
+        reused = run_filter(sys, trajectory.observations[0], riccati=riccati)
         np.testing.assert_array_equal(direct.estimates, reused.estimates)
 
     def test_riccati_of_another_system_rejected(self):
         # with the same spectrum and another sigma the gains would be wrong, silently
         sys = _paper_like_system(horizon=10)
-        observations = simulate(sys, 11).observations
+        observations = simulate(sys, [11]).observations[0]
         same_spectrum = DynamicalSystem.from_constant(
             sys.spectrum, sys.state_polys[0], sys.observation_polys[0], 0.6, 0.5, 10
         )
@@ -375,12 +390,12 @@ class TestRunFilter:
         # p_0 defaults to the state covariance polynomial so the initial
         # error is stationary
         sys = random_system(generator(70), n_max=8, steps=5, zero_initial=False)
-        trajectory = simulate(sys, 70)
-        estimates = run_filter(sys, trajectory.observations).estimates
+        trajectory = simulate(sys, [70])
+        estimates = run_filter(sys, trajectory.observations[0]).estimates
         h0 = eval_filter(sys.initial_covariance, sys.spectrum)
         initial = response_matrix(sys, sys.initial_model.group_variances)
         np.testing.assert_allclose(initial, h0, atol=1e-12)
-        expected = _dense_filter(sys, trajectory.observations)
+        expected = _dense_filter(sys, trajectory.observations[0])
         assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
     def test_step_error_is_labelled(self, c4):
@@ -404,7 +419,7 @@ class TestInPlaceLoop:
     @pytest.mark.parametrize("m", [0, 1, 10])
     def test_matches_plain_recursion_bit_for_bit(self, make_system, m):
         sys = make_system()
-        observations = simulate(sys, 74).observations[:m]
+        observations = simulate(sys, [74]).observations[0, :m]
         riccati = riccati_sequence(sys)
         result = run_filter(sys, observations, riccati=riccati)
         np.testing.assert_array_equal(result.estimates, _eigenbasis_estimates(sys, observations, riccati))
@@ -414,7 +429,7 @@ class TestFilterResult:
     @pytest.fixture(scope="class")
     def filtered(self):
         sys = _paper_like_system(horizon=4)
-        observations = simulate(sys, 76).observations
+        observations = simulate(sys, [76]).observations[0]
         return run_filter(sys, observations)
 
     @staticmethod
@@ -461,7 +476,7 @@ class TestFilterRows:
     def test_rows_are_formed_once_per_sequence(self, monkeypatch):
         sys = _paper_like_system(horizon=10)
         riccati = riccati_sequence(sys)
-        observations = simulate(sys, 11).observations
+        observations = simulate(sys, [11]).observations[0]
         first = run_filter(sys, observations, riccati=riccati)
         expand = SpectralDecomposition.expand
         calls = []
@@ -526,9 +541,9 @@ class TestTimeVarying:
             assert gain_gap <= 1e-9 * max(1.0, np.linalg.norm(dense_gain))
             assert error_gap <= 1e-9 * max(1.0, np.linalg.norm(dense_error))
 
-        trajectory = simulate(sys, 72)
-        estimates = run_filter(sys, trajectory.observations).estimates
-        expected = _dense_filter(sys, trajectory.observations)
+        trajectory = simulate(sys, [72])
+        estimates = run_filter(sys, trajectory.observations[0]).estimates
+        expected = _dense_filter(sys, trajectory.observations[0])
         assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
         for response, cov in zip(covariance_responses(sys), matrix_covariance_path(sys), strict=True):

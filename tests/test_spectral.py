@@ -238,7 +238,7 @@ class TestCycleLaplacianClosedForm:
         elif entry == "run_trace":
             assert np.all(np.isfinite(result.energy_kalman))
         else:
-            assert result.states.shape == (21, 12)
+            assert result.states.shape == (1, 21, 12)
 
     @pytest.mark.parametrize(
         "shift",
