@@ -21,7 +21,6 @@ from .dynamics import (
     Trajectory,
     covariance_responses,
     simulate,
-    trajectory_to_csv,
 )
 from .errors import (
     GraphKalmanError,
@@ -38,6 +37,7 @@ from .experiment import (
     relative_error_metric,
     run_heatmap,
     run_trace,
+    trajectory_to_csv,
 )
 from .filters import MembershipResult, apply_filter, eval_filter, is_polynomial_filter
 from .graphs import Graph, GraphShift, build_shift, cycle_graph, validate_shift

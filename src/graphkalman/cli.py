@@ -7,13 +7,13 @@ import os
 import sys
 from pathlib import Path
 
-from .dynamics import trajectory_to_csv
 from .errors import GraphKalmanError
 from .experiment import (
     ExperimentConfig,
     run_heatmap,
     run_trace,
     trace_trajectory,
+    trajectory_to_csv,
     write_heatmap_csv,
     write_heatmap_svg,
     write_trace_csvs,
@@ -109,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  A config that cannot be loaded (a ``ValueError`` or
     ``OSError``) or an ``--out`` that cannot be a directory, both found before
-    the command starts, or an ``--out`` that cannot be made or written (an
-    ``OSError``, once the results are computed) is reported as one stderr
-    line and exit status 2; a ``GraphKalmanError`` as one and 1."""
+    the command starts, a config value the command refuses (a ``ValueError``,
+    such as a trace vertex beyond n), or an ``--out`` that cannot be made or
+    written (an ``OSError``, once the results are computed) is reported as
+    one stderr line and exit status 2; a ``GraphKalmanError`` as one and 1."""
     args = build_parser().parse_args(argv)
     if "config" in vars(args):
         try:
@@ -126,6 +127,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphKalmanError as exc:
         print(f"graphkalman: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"graphkalman: config: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"graphkalman: out: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -334,28 +333,3 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         require_finite_steps(steps, "simulated trajectory", first_step=0)
     return Trajectory(states=states, observations=observations, seed=sequences)
 
-
-def write_text(target, text: str) -> None:
-    """Write ``text`` to a path, or to a stream with a ``write`` method."""
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
-
-
-def trajectory_to_csv(trajectory: Trajectory, target) -> None:
-    """Write rows (k, vertex, x, z) of a stack of one trial; the k=0 rows carry
-    no observation.  A stack of any other T raises ValueError."""
-    if trajectory.states.shape[0] != 1:
-        raise ValueError(f"trajectory_to_csv writes a stack of one trial, got {trajectory.states.shape[0]}")
-    states, observations = trajectory.states[0], trajectory.observations[0]
-    lines = ["k,vertex,x,z"]
-    n = states.shape[1]
-    for vertex in range(1, n + 1):
-        lines.append(f"0,{vertex},{float(states[0, vertex - 1])!r},")
-    for k in range(1, trajectory.horizon + 1):
-        for vertex in range(1, n + 1):
-            x = float(states[k, vertex - 1])
-            z = float(observations[k - 1, vertex - 1])
-            lines.append(f"{k},{vertex},{x!r},{z!r}")
-    write_text(target, "\n".join(lines) + "\n")

@@ -22,6 +22,17 @@ do not depend on the block size.  The dense matrix recursion is only the
 oracle in ``verify``.  Cells run one after another in a plain loop, with no
 worker pool, and each trial is seeded from its cell and trial index alone,
 so results are reproducible bit-for-bit for a fixed configuration.
+
+Every table the CLI writes goes through one row writer, ``_write_csv``, to a
+path or a stream: a header line, then one line per row, each ending in a
+newline, with an integer written as an integer, a real as
+``repr(float(x))`` (which reads back bit for bit, NaN and -0.0 included)
+and a missing value as an empty field.  The tables are each estimator's
+heatmap (``write_heatmap_csv``: sigma, sigma_tilde, value, n_trials,
+flagged), the trace's energies and vertex values (``write_trace_csvs``: k
+and the truth, Kalman and inverse values) and the raw trajectory
+(``trajectory_to_csv``: k, vertex, x, z, with no z at k = 0).
+``write_heatmap_svg`` draws a heatmap.  No other module writes files.
 """
 from __future__ import annotations
 
@@ -34,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import inverse_estimate
-from .dynamics import DynamicalSystem, Trajectory, require_noise_level, simulate, write_text
+from .dynamics import DynamicalSystem, Trajectory, require_noise_level, simulate
 from .errors import NumericalFailureError, SingularGainError
 from .graphs import build_shift, cycle_graph, require_integral, require_real
 from .kalman import riccati_sequence, run_filter
@@ -57,6 +68,8 @@ PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 _HEATMAP_KEY = 0
 _TRACE_KEY = 1
+# the values a CSV writes as integers
+_INTEGERS = (int, np.integer, np.bool_)
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,9 @@ class TraceSpec:
     The constructor stores sigma and sigma_tilde as floats by
     ``dynamics.require_noise_level``'s rule, the one a system applies, and
     the vertex as an int by ``require_integral``'s; any other value raises
-    ValueError naming it.  Whether the vertex lies in 1..n is the config's
-    check.
+    ValueError naming it.  Whether the vertex lies in 1..n is checked where
+    it is read, by ``run_trace``, so a heatmap or a simulation on a cycle
+    shorter than the vertex runs.
     """
 
     sigma: float = 0.3
@@ -102,9 +116,10 @@ class ExperimentConfig:
     - trace is a ``TraceSpec``, made from a JSON object by ``TraceSpec``'s.
 
     Then come the checks across fields or against the machine: n >= 3, the
-    run's arrays within physical memory, m and trials >= 1, seed >= 0, clip
-    finite and above ``METRIC_FLOOR``, and the trace vertex in 1..n.  So a
-    config equals, and hashes as, the one its ``to_dict`` JSON loads to.
+    run's arrays within physical memory, m and trials >= 1, seed >= 0, and
+    clip finite and above ``METRIC_FLOOR``.  The trace vertex is checked
+    against n only by ``run_trace``.  So a config equals, and hashes as, the
+    one its ``to_dict`` JSON loads to.
     """
 
     n: int = 30
@@ -139,8 +154,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.clip) and self.clip > METRIC_FLOOR):
             raise ValueError(f"clip must be finite and > {METRIC_FLOOR}")
-        if not 1 <= self.trace.vertex <= self.n:
-            raise ValueError(f"trace vertex {self.trace.vertex} out of range 1..{self.n}")
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
@@ -431,7 +444,13 @@ def trace_trajectory(config: ExperimentConfig) -> Trajectory:
 
 
 def run_trace(config: ExperimentConfig) -> TraceResult:
-    """One simulation at the trace point with both reconstructions tabulated per step."""
+    """One simulation at the trace point with both reconstructions tabulated per step.
+
+    Raises:
+        ValueError: if the trace vertex is not in 1..n, before anything runs.
+    """
+    if not 1 <= config.trace.vertex <= config.n:
+        raise ValueError(f"trace vertex {config.trace.vertex} out of range 1..{config.n}")
     truths, kalman_estimates, inverse_estimates = (stack[0] for stack in _trials(*_trace_point(config)))
     v = config.trace.vertex - 1
     return TraceResult(
@@ -446,41 +465,61 @@ def run_trace(config: ExperimentConfig) -> TraceResult:
     )
 
 
-def _format(value: float) -> str:
-    return repr(float(value))
+def write_text(target, text: str) -> None:
+    """Write ``text`` to a path, or to a stream with a ``write`` method."""
+    if isinstance(target, (str, Path)):
+        Path(target).write_text(text)
+    else:
+        target.write(text)
+
+
+def _write_csv(target, header: str, rows) -> None:
+    """Write ``header`` and one line per row to ``target`` by the one row rule:
+    an integer (a bool included) as an integer, None as an empty field, any
+    other value as ``repr(float(value))``, and "\\n" after every line."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(
+            "" if value is None else str(int(value)) if isinstance(value, _INTEGERS) else repr(float(value))
+            for value in row
+        ))
+    write_text(target, "\n".join(lines) + "\n")
 
 
 def write_heatmap_csv(result: HeatmapResult, which: str, target) -> None:
     """Write one estimator's heatmap table (rows ordered sigma-major)."""
     values = {"kalman": result.kalman, "inverse": result.inverse}[which]
-    lines = ["sigma,sigma_tilde,value,n_trials,flagged"]
-    for i, sigma in enumerate(result.sigma_grid):
-        for j, sigma_tilde in enumerate(result.sigma_tilde_grid):
-            lines.append(
-                f"{_format(sigma)},{_format(sigma_tilde)},{_format(values[i, j])},"
-                f"{int(result.n_trials[i, j])},{int(result.flagged[i, j])}"
-            )
-    write_text(target, "\n".join(lines) + "\n")
+    _write_csv(target, "sigma,sigma_tilde,value,n_trials,flagged", (
+        (sigma, sigma_tilde, values[i, j], result.n_trials[i, j], result.flagged[i, j])
+        for i, sigma in enumerate(result.sigma_grid)
+        for j, sigma_tilde in enumerate(result.sigma_tilde_grid)
+    ))
 
 
 def write_trace_csvs(result: TraceResult, outdir) -> tuple[Path, Path]:
+    """Write the energy and vertex tables, one row per step, into ``outdir``;
+    returns their paths."""
     outdir = Path(outdir)
-    energy_path = outdir / "energy.csv"
-    vertex_path = outdir / "vertex.csv"
-    energy_lines = ["k,e_true,e_kalman,e_inverse"]
-    vertex_lines = ["k,x_true,x_kalman,x_inverse"]
-    for idx, k in enumerate(result.steps):
-        energy_lines.append(
-            f"{int(k)},{_format(result.energy_true[idx])},"
-            f"{_format(result.energy_kalman[idx])},{_format(result.energy_inverse[idx])}"
-        )
-        vertex_lines.append(
-            f"{int(k)},{_format(result.vertex_true[idx])},"
-            f"{_format(result.vertex_kalman[idx])},{_format(result.vertex_inverse[idx])}"
-        )
-    energy_path.write_text("\n".join(energy_lines) + "\n")
-    vertex_path.write_text("\n".join(vertex_lines) + "\n")
+    energy_path, vertex_path = outdir / "energy.csv", outdir / "vertex.csv"
+    _write_csv(energy_path, "k,e_true,e_kalman,e_inverse",
+               zip(result.steps, result.energy_true, result.energy_kalman, result.energy_inverse))
+    _write_csv(vertex_path, "k,x_true,x_kalman,x_inverse",
+               zip(result.steps, result.vertex_true, result.vertex_kalman, result.vertex_inverse))
     return energy_path, vertex_path
+
+
+def trajectory_to_csv(trajectory: Trajectory, target) -> None:
+    """Write rows (k, vertex, x, z) of a stack of one trial; the k=0 rows carry
+    no observation.  A stack of any other T raises ValueError."""
+    if trajectory.states.shape[0] != 1:
+        raise ValueError(f"trajectory_to_csv writes a stack of one trial, got {trajectory.states.shape[0]}")
+    states = trajectory.states[0]
+    observations = [(None,) * states.shape[1], *trajectory.observations[0]]
+    _write_csv(target, "k,vertex,x,z", (
+        (k, vertex, x, z)
+        for k, (xs, zs) in enumerate(zip(states, observations))
+        for vertex, (x, z) in enumerate(zip(xs, zs), 1)
+    ))
 
 
 def _ramp_color(fraction: float) -> str:

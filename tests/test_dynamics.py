@@ -1,5 +1,4 @@
 import inspect
-import io
 import math
 import re
 from pathlib import Path
@@ -24,7 +23,6 @@ from graphkalman import (
     is_polynomial_filter,
     relative_error_metric,
     simulate,
-    trajectory_to_csv,
 )
 from graphkalman import kalman
 from graphkalman.dynamics import Trajectory, require_finite_steps
@@ -533,29 +531,3 @@ class TestStackedSimulate:
         with pytest.raises(NumericalFailureError, match="simulated trajectory is not finite from step 3 on"):
             simulate(sys, seeds)
 
-
-class TestCsvExport:
-    def test_header_and_row_count(self):
-        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
-        trajectory = simulate(sys, [7])
-        buffer = io.StringIO()
-        trajectory_to_csv(trajectory, buffer)
-        lines = buffer.getvalue().strip().split("\n")
-        assert lines[0] == "k,vertex,x,z"
-        assert len(lines) == 1 + 4 * (3 + 1)
-        assert lines[1].startswith("0,1,") and lines[1].endswith(",")
-
-    def test_deterministic_bytes(self):
-        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
-        buffers = []
-        for _ in range(2):
-            buffer = io.StringIO()
-            trajectory_to_csv(simulate(sys, [7]), buffer)
-            buffers.append(buffer.getvalue())
-        assert buffers[0] == buffers[1]
-
-    @pytest.mark.parametrize("trials", [0, 2])
-    def test_only_a_stack_of_one_is_written(self, trials):
-        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 3)
-        with pytest.raises(ValueError, match=f"writes a stack of one trial, got {trials}$"):
-            trajectory_to_csv(simulate(sys, list(range(trials))), io.StringIO())

@@ -1,15 +1,20 @@
 """The cycle-graph experiment and the command-line interface on tiny configurations."""
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphkalman
 from graphkalman import (
     DynamicalSystem,
     ExperimentConfig,
@@ -25,10 +30,17 @@ from graphkalman import (
     run_heatmap,
     run_trace,
     simulate,
+    trajectory_to_csv,
 )
 from graphkalman.cli import main
 from graphkalman import cli, experiment, kalman
-from graphkalman.experiment import METRIC_FLOOR, TraceSpec, trace_trajectory
+from graphkalman.experiment import (
+    METRIC_FLOOR,
+    TraceSpec,
+    trace_trajectory,
+    write_heatmap_csv,
+    write_trace_csvs,
+)
 from graphkalman.seeding import generator
 from graphkalman.verify import random_polynomial, random_shift
 
@@ -52,6 +64,13 @@ def _config_file(tmp_path, payload=CLI_CONFIG):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _c4_system():
+    return DynamicalSystem.from_constant(
+        eigendecompose(build_shift(cycle_graph(4), "laplacian")),
+        Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, horizon=3,
+    )
 
 
 def _csv_rows(path):
@@ -515,8 +534,104 @@ class TestPythonJsonParity:
     def test_a_tuple_filter_runs(self):
         # a tuple used to be kept, and run_heatmap called it
         config = ExperimentConfig(n=6, m=3, trials=1, sigma_grid=(0.5,), sigma_tilde_grid=(0.5,),
-                                  state_poly=(0.0, 0.25), trace=TraceSpec(vertex=1))
+                                  state_poly=(0.0, 0.25))
         assert np.isfinite(run_heatmap(config).kalman).all()
+
+
+class TestCsvExport:
+    def test_header_and_row_count(self):
+        trajectory = simulate(_c4_system(), [7])
+        buffer = io.StringIO()
+        trajectory_to_csv(trajectory, buffer)
+        lines = buffer.getvalue().strip().split("\n")
+        assert lines[0] == "k,vertex,x,z"
+        assert len(lines) == 1 + 4 * (3 + 1)
+        assert lines[1].startswith("0,1,") and lines[1].endswith(",")
+
+    def test_deterministic_bytes(self):
+        buffers = []
+        for _ in range(2):
+            buffer = io.StringIO()
+            trajectory_to_csv(simulate(_c4_system(), [7]), buffer)
+            buffers.append(buffer.getvalue())
+        assert buffers[0] == buffers[1]
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_only_a_stack_of_one_is_written(self, trials):
+        with pytest.raises(ValueError, match=f"writes a stack of one trial, got {trials}$"):
+            trajectory_to_csv(simulate(_c4_system(), list(range(trials))), io.StringIO())
+
+
+def _written_both_ways(write, path):
+    """The text ``write(target)`` writes, once to ``path`` and once to a
+    stream, checked to be the same bytes."""
+    write(path)
+    stream = io.StringIO()
+    write(stream)
+    assert path.read_bytes() == stream.getvalue().encode()
+    return stream.getvalue()
+
+
+def _read_csv(text):
+    header, *rows = csv.reader(io.StringIO(text))
+    return header, rows
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+class TestCsvValues:
+    # every real field reads back to the result's value bit for bit (float.hex
+    # tells NaN and -0.0 apart), and every count and flag to its integer
+
+    @pytest.mark.parametrize("which", ["kalman", "inverse"])
+    def test_heatmap_values_survive_the_file(self, tiny_heatmap, tmp_path, which):
+        values = getattr(tiny_heatmap, which).copy()
+        values[0, 1] = -0.0
+        assert np.isnan(values).any()
+        result = dataclasses.replace(tiny_heatmap, **{which: values})
+        text = _written_both_ways(lambda target: write_heatmap_csv(result, which, target), tmp_path / "heatmap.csv")
+        header, rows = _read_csv(text)
+        assert header == ["sigma", "sigma_tilde", "value", "n_trials", "flagged"]
+        cells = list(np.ndindex(values.shape))
+        assert len(rows) == len(cells)
+        for row, (i, j) in zip(rows, cells):
+            assert _hex(row[:3]) == _hex((result.sigma_grid[i], result.sigma_tilde_grid[j], values[i, j]))
+            assert [int(row[3]), int(row[4])] == [result.n_trials[i, j], int(result.flagged[i, j])]
+
+    @pytest.mark.parametrize("table", ["energy", "vertex"])
+    def test_trace_values_survive_the_file(self, tmp_path, table):
+        result = run_trace(ExperimentConfig(**CLI_CONFIG))
+        write_trace_csvs(result, tmp_path)
+        _, rows = _read_csv((tmp_path / f"{table}.csv").read_text())
+        columns = np.column_stack([getattr(result, f"{table}_{which}") for which in ("true", "kalman", "inverse")])
+        assert [int(row[0]) for row in rows] == result.steps.tolist()
+        assert [_hex(row[1:]) for row in rows] == [_hex(values) for values in columns]
+
+    def test_trajectory_values_survive_the_file(self, tmp_path):
+        trajectory = trace_trajectory(ExperimentConfig(**CLI_CONFIG))
+        text = _written_both_ways(lambda target: trajectory_to_csv(trajectory, target), tmp_path / "trajectory.csv")
+        header, rows = _read_csv(text)
+        assert header == ["k", "vertex", "x", "z"]
+        _, steps, n = trajectory.states.shape
+        assert [(int(row[0]), int(row[1])) for row in rows] == [(k, v) for k in range(steps) for v in range(1, n + 1)]
+        for k, vertex, x, z in rows:
+            k, v = int(k), int(vertex) - 1
+            assert _hex([x]) == _hex([trajectory.states[0, k, v]])
+            if k == 0:
+                assert z == ""
+            else:
+                assert _hex([z]) == _hex([trajectory.observations[0, k - 1, v]])
+
+
+def test_only_the_experiment_writes_files():
+    # every table and SVG goes through experiment.write_text; the numerics write nothing
+    package = Path(graphkalman.__file__).parent
+    writers = sorted(
+        p.name for p in package.glob("*.py") if any(call in p.read_text() for call in ("write_text(", "open(", ".write("))
+    )
+    assert writers == ["experiment.py"]
 
 
 class TestCli:
@@ -546,6 +661,20 @@ class TestCli:
         states = [float(row[2]) for row in rows]
         observations = [float(row[3]) for row in rows[10:]]
         assert np.all(np.isfinite(states)) and np.all(np.isfinite(observations))
+
+    @pytest.mark.parametrize("command", ["heatmap", "simulate"])
+    def test_a_cycle_shorter_than_the_trace_vertex_runs(self, tmp_path, command):
+        # neither command reads the trace vertex, 8 by default
+        payload = {"n": 6, "m": 3, "trials": 1, "sigma_grid": [0.5], "sigma_tilde_grid": [0.5]}
+        assert main([command, "--config", _config_file(tmp_path, payload), "--out", str(tmp_path / "out")]) == 0
+
+    def test_trace_vertex_beyond_n_is_one_stderr_line_and_no_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["trace", "--config", _config_file(tmp_path, {"n": 6}), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "graphkalman: config: trace vertex 8 out of range 1..6\n"
+        assert not out.exists()
 
     def test_verify_single_module(self, capsys):
         assert main(["verify", "--filter", "graph_core"]) == 0
