@@ -4,9 +4,12 @@ States evolve as x_k = a_k(S) x_{k-1} + sigma_k e_k and are observed through
 z_k = b_k(S) x_k + sigma_tilde_k e~_k with independent standard white noises.
 A ``DynamicalSystem`` is built on one ``SpectralDecomposition``, which
 carries the shift, its eigenbasis and its distinct eigenvalues.  Its
-constructor lays out the per-step inputs once, one entry per step (a single
-given entry is repeated over the horizon M), and makes every check on it,
-one rule (``polynomials.require_polynomial``) for every polynomial and one
+constructor is the one way to build a system:
+``DynamicalSystem(spectrum, M, (a,), (b,), (sigma,), (sigma_tilde,))`` is
+time-invariant, and a time-varying system passes M entries in each tuple
+(a single given entry is repeated over the horizon M).  It lays out the
+per-step inputs once and makes every check on them, one rule
+(``polynomials.require_polynomial``) for every polynomial and one
 (``require_noise_level``) for every noise level.  a_k and b_k are
 evaluated at the distinct eigenvalues into read-only (M, d) response
 arrays, row k - 1 for step k, which the simulation, covariance and Kalman
@@ -14,7 +17,7 @@ recursions read; none of them applies a polynomial to a vertex signal, and
 none asks which step an entry serves.  x_0 has mean 0 and covariance h_0,
 evaluated once at the distinct eigenvalues and clamped at 0: the one prior
 that the simulation, the state covariance and the Riccati recursion start
-from.  Its
+from; h_0 is the zero polynomial unless given.  Its
 ``observed_responses``, b_k set to 0.0 where ``filters.passband`` calls a
 frequency blind, is what every estimator reads; ``simulate`` reads the raw
 b_k, since the channel is physical.
@@ -44,7 +47,6 @@ user's a_k, b_k and h_0 are the only polynomials, and they are inputs.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,17 +88,19 @@ def _uniform(entries: tuple) -> bool:
 class DynamicalSystem:
     """Per-step polynomials and noise levels over one spectrum.
 
-    The spectrum carries the shift (``shift`` is read from it).  The
-    constructor is the one place that lays out the per-step inputs: each of
-    the four per-step tuples holds one entry per step, entry k - 1 for step
-    k, and a single given entry is repeated over the horizon.  It also makes
-    every check, so each way of building a system accepts the same inputs:
-    every polynomial, h_0 included, by ``require_polynomial``'s rule (a
-    sequence of numbers becomes a ``Polynomial``), every noise level by
-    ``require_noise_level``'s (0 is allowed), and h_0 not negative at a
-    distinct eigenvalue (``require_psd``).  The response arrays are (M, d),
-    row k - 1 for step k, and a system is ``time_invariant`` when every
-    step has the first step's inputs.
+    The spectrum carries the shift (``shift`` is read from it), and ``n``
+    is its eigenvalue count.  The constructor is the one way to build a
+    system and the one place that lays out the per-step inputs: each of the
+    four per-step tuples holds one entry per step, entry k - 1 for step k,
+    and a single given entry is repeated over the horizon.  h_0
+    (``initial_covariance``) defaults to the zero polynomial.  The
+    constructor also makes every check: every polynomial, h_0 included, by
+    ``require_polynomial``'s rule (a sequence of numbers becomes a
+    ``Polynomial``), every noise level by ``require_noise_level``'s (0 is
+    allowed), and h_0 not negative at a distinct eigenvalue
+    (``require_psd``).  The response arrays are (M, d), row k - 1 for step
+    k, and a system is ``time_invariant`` when every step has the first
+    step's inputs.
     """
 
     spectrum: SpectralDecomposition
@@ -105,7 +109,7 @@ class DynamicalSystem:
     observation_polys: tuple[Polynomial, ...]
     state_noise: tuple[float, ...]
     observation_noise: tuple[float, ...]
-    initial_covariance: Polynomial
+    initial_covariance: Polynomial = Polynomial()
 
     def __post_init__(self) -> None:
         horizon = require_integral(self.horizon, "horizon")
@@ -126,41 +130,6 @@ class DynamicalSystem:
             object.__setattr__(self, field, values * horizon if len(values) == 1 else values)
         require_psd(self.initial_model.group_variances, "initial covariance")
 
-    @classmethod
-    def from_constant(
-        cls,
-        spectrum: SpectralDecomposition,
-        state_poly: Polynomial,
-        observation_poly: Polynomial,
-        sigma: float,
-        sigma_tilde: float,
-        horizon: int,
-        initial_covariance: Polynomial | None = None,
-    ) -> "DynamicalSystem":
-        """Time-invariant system; h_0 defaults to zero."""
-        return cls(
-            spectrum, horizon=horizon, state_polys=(state_poly,), observation_polys=(observation_poly,),
-            state_noise=(sigma,), observation_noise=(sigma_tilde,),
-            initial_covariance=initial_covariance or Polynomial.zero(),
-        )
-
-    @classmethod
-    def from_sequences(
-        cls,
-        spectrum: SpectralDecomposition,
-        state_polys: Sequence[Polynomial],
-        observation_polys: Sequence[Polynomial],
-        sigmas: Sequence[float],
-        sigma_tildes: Sequence[float],
-        initial_covariance: Polynomial | None = None,
-    ) -> "DynamicalSystem":
-        """One entry per step, as many as state polynomials; h_0 defaults to zero."""
-        return cls(
-            spectrum, horizon=len(state_polys), state_polys=state_polys, observation_polys=observation_polys,
-            state_noise=sigmas, observation_noise=sigma_tildes,
-            initial_covariance=initial_covariance or Polynomial.zero(),
-        )
-
     @property
     def time_invariant(self) -> bool:
         """Whether every step has the first step's polynomials and noise levels."""
@@ -172,7 +141,7 @@ class DynamicalSystem:
 
     @property
     def n(self) -> int:
-        return self.shift.n
+        return self.spectrum.n
 
     @cached_property
     def initial_model(self) -> StationaryModel:

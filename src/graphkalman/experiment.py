@@ -313,13 +313,8 @@ def _cycle_spectrum(config: ExperimentConfig) -> SpectralDecomposition:
 
 
 def _cell_system(config, spectrum: SpectralDecomposition, sigma: float, sigma_tilde: float) -> DynamicalSystem:
-    return DynamicalSystem.from_constant(
-        spectrum,
-        config.state_poly,
-        config.observation_poly,
-        sigma,
-        sigma_tilde,
-        horizon=config.m,
+    return DynamicalSystem(
+        spectrum, config.m, (config.state_poly,), (config.observation_poly,), (sigma,), (sigma_tilde,)
     )
 
 

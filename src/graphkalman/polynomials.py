@@ -46,8 +46,10 @@ class Polynomial:
 
     The constructor makes the one canonical form from a list, tuple or 1-D
     array: a tuple of floats without exact trailing zeros, ``(0.0,)`` when
-    none is left.  A string, a scalar, a coefficient that is not a real number
-    (a string, a boolean, None) or one that is not finite raises ValueError.
+    none is left, so ``Polynomial()`` is the zero polynomial and
+    ``Polynomial((v,))`` the constant v.  A string, a scalar, a coefficient
+    that is not a real number (a string, a boolean, None) or one that is not
+    finite raises ValueError.
     """
 
     coeffs: tuple[float, ...] = (0.0,)
@@ -57,14 +59,6 @@ class Polynomial:
         if not all(np.isfinite(c) for c in trimmed):
             raise ValueError(f"non-finite coefficient in {trimmed!r}")
         object.__setattr__(self, "coeffs", trimmed)
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls((0.0,))
-
-    @classmethod
-    def constant(cls, value: float) -> "Polynomial":
-        return cls((float(value),))
 
     @property
     def degree(self) -> int:

@@ -79,7 +79,7 @@ def _scaled_poly(rng, eigenvalues, max_degree: int, target: float) -> Polynomial
         if peak > 1e-9:
             scale = target / peak
             return Polynomial(tuple(scale * c for c in poly.coeffs))
-    return Polynomial.constant(target)
+    return Polynomial((target,))
 
 
 def _all_pass_poly(rng, representatives, max_degree: int, floor: float = 0.05) -> Polynomial:
@@ -87,7 +87,7 @@ def _all_pass_poly(rng, representatives, max_degree: int, floor: float = 0.05) -
         poly = _scaled_poly(rng, representatives, max_degree, float(rng.uniform(0.5, 1.5)))
         if float(np.min(np.abs(np.atleast_1d(poly(representatives))))) > floor:
             return poly
-    return Polynomial.constant(float(rng.uniform(0.5, 1.5)))
+    return Polynomial((float(rng.uniform(0.5, 1.5)),))
 
 
 def random_psd_poly(rng: np.random.Generator) -> Polynomial:
@@ -119,16 +119,10 @@ def random_system(
         b = _scaled_poly(rng, lam, 3, float(rng.uniform(0.3, 1.5)))
     if zero_initial is None:
         zero_initial = bool(rng.random() < 0.5)
-    h0 = Polynomial.zero() if zero_initial else random_psd_poly(rng)
-    return DynamicalSystem.from_constant(
-        spectrum,
-        a,
-        b,
-        sigma=float(rng.uniform(0.1, 2.0)),
-        sigma_tilde=float(rng.uniform(0.1, 2.0)),
-        horizon=steps,
-        initial_covariance=h0,
-    )
+    h0 = Polynomial() if zero_initial else random_psd_poly(rng)
+    sigma = float(rng.uniform(0.1, 2.0))
+    sigma_tilde = float(rng.uniform(0.1, 2.0))
+    return DynamicalSystem(spectrum, steps, (a,), (b,), (sigma,), (sigma_tilde,), h0)
 
 
 def _steps(sys: DynamicalSystem):

@@ -63,13 +63,14 @@ def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
 def time_varying_cycle_system(n: int, steps: int) -> DynamicalSystem:
     """A C_n Laplacian system whose polynomials and noise levels change every step."""
     ks = range(1, steps + 1)
-    return DynamicalSystem.from_sequences(
+    return DynamicalSystem(
         eigendecompose(build_shift(cycle_graph(n), "laplacian")),
-        state_polys=[Polynomial((0.9 - 0.05 * k, 0.02 * k)) for k in ks],
-        observation_polys=[Polynomial((1.0, -0.1 * k)) for k in ks],
-        sigmas=[0.1 * k for k in ks],
-        sigma_tildes=[1.2 - 0.1 * k for k in ks],
-        initial_covariance=Polynomial((0.5, 0.1)),
+        steps,
+        tuple(Polynomial((0.9 - 0.05 * k, 0.02 * k)) for k in ks),
+        tuple(Polynomial((1.0, -0.1 * k)) for k in ks),
+        tuple(0.1 * k for k in ks),
+        tuple(1.2 - 0.1 * k for k in ks),
+        Polynomial((0.5, 0.1)),
     )
 
 

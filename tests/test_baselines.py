@@ -36,18 +36,19 @@ from conftest import time_varying_cycle_system
 
 def _observing_system(spectrum, b, sigma_tilde=1.0, horizon=1):
     """A time-invariant system that observes through ``b`` with noise ``sigma_tilde``."""
-    return DynamicalSystem.from_constant(spectrum, Polynomial((1.0,)), b, 1.0, sigma_tilde, horizon)
+    return DynamicalSystem(spectrum, horizon, (Polynomial((1.0,)),), (b,), (1.0,), (sigma_tilde,))
 
 
 def _blind_step_system():
     # b_1 = 1 - t/2 leaves 2.2e-16, not 0, at C_8's computed eigenvalue 2,
     # which the passband calls blind; b_2 = 1 - 0.4 t passes everywhere
-    return DynamicalSystem.from_sequences(
+    return DynamicalSystem(
         eigendecompose(build_shift(cycle_graph(8), "laplacian")),
-        state_polys=[Polynomial((0.0, 0.25))] * 2,
-        observation_polys=[Polynomial((1.0, -0.5)), Polynomial((1.0, -0.4))],
-        sigmas=[0.3, 0.3],
-        sigma_tildes=[0.5, 0.5],
+        2,
+        (Polynomial((0.0, 0.25)),) * 2,
+        (Polynomial((1.0, -0.5)), Polynomial((1.0, -0.4))),
+        (0.3, 0.3),
+        (0.5, 0.5),
     )
 
 
@@ -69,7 +70,7 @@ class TestInverseEstimate:
     def test_zero_observation_returns_zero(self, c4):
         _, _, spectrum = c4
         z = generator(81).standard_normal(4)
-        sys = _observing_system(spectrum, Polynomial.zero())
+        sys = _observing_system(spectrum, Polynomial())
         np.testing.assert_array_equal(inverse_estimate(sys, z[None, None])[0, 0], np.zeros(4))
 
     def test_singular_response_zeroes_that_eigenplane(self, c4):
@@ -194,7 +195,7 @@ class TestInverseErrorCovariance:
 
     def test_constant_two(self, c4):
         _, _, spectrum = c4
-        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial.constant(2.0), 1.0))
+        responses = inverse_error_covariance(_observing_system(spectrum, Polynomial((2.0,)), 1.0))
         np.testing.assert_allclose(responses, 0.25, atol=1e-12)
 
     def test_values_on_cycle30(self, c30):
@@ -248,27 +249,26 @@ class TestInverseErrorCovariance:
         # a = 3: h_k = (9^k - 1) / 8 passes the float64 range at step 324; the
         # observation passes everywhere, yet no row is returned, as none is
         # by covariance_responses
-        sys = DynamicalSystem.from_constant(
+        sys = DynamicalSystem(
             eigendecompose(build_shift(cycle_graph(8), "laplacian")),
-            Polynomial.constant(3.0),
-            Polynomial((1.0, 0.1)),
-            1.0,
-            1.0,
             400,
+            (Polynomial((3.0,)),),
+            (Polynomial((1.0, 0.1)),),
+            (1.0,),
+            (1.0,),
         )
         with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
             inverse_error_covariance(sys)
 
     def test_noise_level_whose_square_overflows_is_refused(self):
-        # 1e200 squared leaves the float64 range, so no system is made on any
-        # path and no recursion reads an infinite noise variance
+        # 1e200 squared leaves the float64 range, so no system is made from
+        # one entry or one per step, and no recursion reads an infinite noise variance
         spectrum = eigendecompose(build_shift(cycle_graph(12), "laplacian"))
         a, b = Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5))
         for sigma, sigma_tilde, which in ((1e200, 0.5, "state"), (0.3, 1e200, "observation")):
             builds = (
-                lambda: DynamicalSystem(spectrum, 5, (a,), (b,), (sigma,), (sigma_tilde,), Polynomial.zero()),
-                lambda: DynamicalSystem.from_constant(spectrum, a, b, sigma, sigma_tilde, 5),
-                lambda: DynamicalSystem.from_sequences(spectrum, [a] * 5, [b] * 5, [sigma] * 5, [sigma_tilde] * 5),
+                lambda: DynamicalSystem(spectrum, 5, (a,), (b,), (sigma,), (sigma_tilde,)),
+                lambda: DynamicalSystem(spectrum, 5, (a,) * 5, (b,) * 5, (sigma,) * 5, (sigma_tilde,) * 5),
             )
             for build in builds:
                 with pytest.raises(ValueError, match=rf"^{which} noise level must be 0 or have a finite square of at least 2\.225e-308, got 1e\+200$"):
@@ -281,16 +281,14 @@ class TestZeroEstimate:
 
     def test_first_step_error_covariance(self, c4):
         _, _, spectrum = c4
-        sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0,)), 0.4, 1.0, 3
-        )
+        sys = DynamicalSystem(spectrum, 3, (Polynomial((0.0, 0.25)),), (Polynomial((1.0,)),), (0.4,), (1.0,))
         h1 = covariance_responses(sys)[1]
         np.testing.assert_allclose(h1, 0.16, atol=1e-12)
 
     def test_hundred_step_geometric_sum_oracle(self, c30):
         _, _, spectrum = c30
-        sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
+        sys = DynamicalSystem(
+            spectrum, 100, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,),
         )
         h100 = covariance_responses(sys)[100]
         lam = sys.spectrum.eigenvalues
@@ -322,9 +320,7 @@ class TestLoewner:
     def test_reference_system_strict_at_every_step(self, c30):
         # per-eigenvalue inequality: updated error * b^2 < observation noise^2
         _, _, spectrum = c30
-        sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 25
-        )
+        sys = DynamicalSystem(spectrum, 25, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,))
         errors = riccati_sequence(sys).error_responses
         inverses = inverse_error_covariance(sys)
         assert errors.shape == inverses.shape == (25, spectrum.count)
@@ -360,8 +356,8 @@ class TestCycle120Responses:
     @pytest.fixture(scope="class")
     def sys(self):
         shift = build_shift(cycle_graph(120), "laplacian")
-        return DynamicalSystem.from_constant(
-            eigendecompose(shift), Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
+        return DynamicalSystem(
+            eigendecompose(shift), 100, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,),
         )
 
     @staticmethod

@@ -33,12 +33,9 @@ from graphkalman.verify import matrix_covariance_path, random_system, response_m
 from conftest import plain_recursion, time_varying_cycle_system
 
 
-def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=None):
+def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=Polynomial()):
     shift = build_shift(cycle_graph(n), "laplacian")
-    return DynamicalSystem.from_constant(
-        eigendecompose(shift), a, b, sigma, sigma_tilde, horizon,
-        initial_covariance=h0,
-    )
+    return DynamicalSystem(eigendecompose(shift), horizon, (a,), (b,), (sigma,), (sigma_tilde,), h0)
 
 
 def _noise_block(sys, seed):
@@ -80,9 +77,7 @@ def _worst_relative_gap(values, expected):
     return float(np.max(gaps))
 
 
-PATHS = ("constructor", "from_constant", "from_sequences")
-
-# noise level -> message: what every path refuses as sigma or sigma_tilde,
+# noise level -> message: what a system refuses as sigma or sigma_tilde,
 # and what the config refuses in a grid or the trace
 REFUSED_NOISE_LEVELS = {
     "boolean": (True, "must be a number, got True"),
@@ -92,42 +87,35 @@ REFUSED_NOISE_LEVELS = {
     "square-subnormal": (1e-158, r"must be 0 or have a finite square of at least 2\.225e-308, got 1e-158"),
 }
 
-# case -> (horizon, sigmas, sigma_tildes, the paths that can express it, message):
-# from_constant has one entry per tuple, from_sequences counts its horizon
+# case -> (horizon, sigmas, sigma_tildes, message)
 INVALID_SYSTEMS = {
-    "horizon-2.5": (2.5, (1.0,), (1.0,), ("constructor", "from_constant"), "horizon must be an integer"),
-    "negative-noise": (3, (-0.1, 1.0, 1.0), (1.0, 1.0, 1.0), PATHS, "must be finite and >= 0"),
-    "nan-noise": (3, (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), PATHS, "must be finite and >= 0"),
-    "mismatched-lengths": (3, (1.0, 1.0, 1.0), (1.0, 1.0), ("constructor", "from_sequences"), "share one length"),
+    "horizon-2.5": (2.5, (1.0,), (1.0,), "horizon must be an integer"),
+    "negative-noise": (3, (-0.1, 1.0, 1.0), (1.0, 1.0, 1.0), "must be finite and >= 0"),
+    "nan-noise": (3, (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), "must be finite and >= 0"),
+    "mismatched-lengths": (3, (1.0, 1.0, 1.0), (1.0, 1.0), "share one length"),
     **{
-        f"{case}-sigma": (3, (level, 1.0, 1.0), (1.0, 1.0, 1.0), PATHS, f"^state noise level {message}")
+        f"{case}-sigma": (3, (level, 1.0, 1.0), (1.0, 1.0, 1.0), f"^state noise level {message}")
         for case, (level, message) in REFUSED_NOISE_LEVELS.items()
     },
     **{
-        f"{case}-sigma-tilde": (3, (1.0, 1.0, 1.0), (level, 1.0, 1.0), PATHS, f"^observation noise level {message}")
+        f"{case}-sigma-tilde": (3, (1.0, 1.0, 1.0), (level, 1.0, 1.0), f"^observation noise level {message}")
         for case, (level, message) in REFUSED_NOISE_LEVELS.items()
     },
 }
 
 
-def _build(path, spectrum, horizon, sigmas, sigma_tildes, h0=Polynomial.zero()):
-    """A system with a = b = 1, the given per-step noise and h_0, built along ``path``."""
+def _build(spectrum, horizon, sigmas, sigma_tildes, h0=Polynomial()):
+    """A system with a = b = 1 and the given per-step noise and h_0."""
     polys = (Polynomial((1.0,)),) * len(sigmas)
-    if path == "constructor":
-        return DynamicalSystem(spectrum, horizon, polys, polys, sigmas, sigma_tildes, h0)
-    if path == "from_constant":
-        return DynamicalSystem.from_constant(spectrum, polys[0], polys[0], sigmas[0], sigma_tildes[0], horizon, h0)
-    return DynamicalSystem.from_sequences(spectrum, polys, polys, sigmas, sigma_tildes, h0)
+    return DynamicalSystem(spectrum, horizon, polys, polys, sigmas, sigma_tildes, h0)
 
 
 class TestConstruction:
-    @pytest.mark.parametrize(
-        "path, case", [(path, case) for case, (*_, paths, _) in INVALID_SYSTEMS.items() for path in paths]
-    )
-    def test_every_path_rejects_the_same_inputs(self, c4, path, case):
-        horizon, sigmas, sigma_tildes, _, message = INVALID_SYSTEMS[case]
+    @pytest.mark.parametrize("case", INVALID_SYSTEMS)
+    def test_invalid_inputs_are_refused(self, c4, case):
+        horizon, sigmas, sigma_tildes, message = INVALID_SYSTEMS[case]
         with pytest.raises(ValueError, match=message):
-            _build(path, c4[2], horizon, sigmas, sigma_tildes)
+            _build(c4[2], horizon, sigmas, sigma_tildes)
 
     @pytest.mark.parametrize("level, message", REFUSED_NOISE_LEVELS.values(), ids=REFUSED_NOISE_LEVELS.keys())
     def test_config_refuses_the_noise_levels_a_system_refuses(self, level, message):
@@ -141,9 +129,8 @@ class TestConstruction:
             with pytest.raises(ValueError, match=message):
                 build()
 
-    @pytest.mark.parametrize("path", PATHS)
-    def test_every_path_lays_out_one_entry_per_step(self, c4, path):
-        sys = _build(path, c4[2], 3, (0.5,) * 3, (np.float64(0.25),) * 3)
+    def test_one_entry_per_step_is_laid_out(self, c4):
+        sys = _build(c4[2], 3, (0.5,) * 3, (np.float64(0.25),) * 3)
         entries = (sys.state_polys, sys.observation_polys, sys.state_noise, sys.observation_noise)
         assert all(type(values) is tuple and len(values) == 3 for values in entries)
         assert all(type(sigma) is float for sigma in (*sys.state_noise, *sys.observation_noise))
@@ -155,19 +142,19 @@ class TestConstruction:
         # a sequence of numbers is made a Polynomial, as the config makes a and b
         spectrum = eigendecompose(build_shift(cycle_graph(12), "laplacian"))
         one = Polynomial((1.0,))
-        given = DynamicalSystem(spectrum, 3, ((0.0, 0.25),), (one,), (0.3,), (0.5,), Polynomial.zero())
-        made = DynamicalSystem(spectrum, 3, (Polynomial((0.0, 0.25)),), (one,), (0.3,), (0.5,), Polynomial.zero())
+        given = DynamicalSystem(spectrum, 3, ((0.0, 0.25),), (one,), (0.3,), (0.5,), Polynomial())
+        made = DynamicalSystem(spectrum, 3, (Polynomial((0.0, 0.25)),), (one,), (0.3,), (0.5,), Polynomial())
         assert given.state_polys == (Polynomial((0.0, 0.25)),) * 3 and given.time_invariant
         for name in ("state_responses", "observation_responses", "observed_responses"):
             assert getattr(given, name).tobytes() == getattr(made, name).tobytes()
         assert kalman.riccati_sequence(given).error_responses.tobytes() == kalman.riccati_sequence(made).error_responses.tobytes()
-        sys = DynamicalSystem.from_constant(spectrum, one, one, 0.3, 0.5, 3, initial_covariance=(0.5,))
+        sys = DynamicalSystem(spectrum, 3, (one,), (one,), (0.3,), (0.5,), (0.5,))
         assert sys.initial_covariance == Polynomial((0.5,))
 
     @pytest.mark.parametrize("field", ["state polynomial", "observation polynomial", "initial covariance"])
     def test_polynomial_input_the_rule_refuses_names_its_field(self, c4, field):
         one = Polynomial((1.0,))
-        polys = {"state polynomial": one, "observation polynomial": one, "initial covariance": Polynomial.zero()}
+        polys = {"state polynomial": one, "observation polynomial": one, "initial covariance": Polynomial()}
         polys[field] = "12"
         with pytest.raises(ValueError, match=f"^{field}: coefficients must be a sequence of numbers, got '12'$"):
             DynamicalSystem(
@@ -175,19 +162,30 @@ class TestConstruction:
                 polys["initial covariance"],
             )
 
-    @pytest.mark.parametrize("path", PATHS)
-    def test_non_psd_initial_covariance_rejected_on_every_path(self, path):
+    def test_non_psd_initial_covariance_rejected(self):
         # 1 - t is -3 at eigenvalue 4 of the C_8 Laplacian; built, such a system
         # would hand covariance_responses and the Riccati recursion negative variances
         spectrum = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
         with pytest.raises(NotPositiveSemidefiniteError, match="initial covariance"):
-            _build(path, spectrum, 2, (0.3, 0.3), (0.5, 0.5), h0=Polynomial((1.0, -1.0)))
+            _build(spectrum, 2, (0.3, 0.3), (0.5, 0.5), h0=Polynomial((1.0, -1.0)))
 
-    @pytest.mark.parametrize("path", PATHS)
-    def test_zero_noise_builds_on_every_path(self, c4, path):
-        sys = _build(path, c4[2], 3, (0.0,) * 3, (0.0,) * 3)
+    def test_zero_noise_builds(self, c4):
+        sys = _build(c4[2], 3, (0.0,) * 3, (0.0,) * 3)
         assert sys.horizon == 3
         assert sys.state_noise == sys.observation_noise == (0.0,) * 3
+
+    def test_prior_defaults_to_the_zero_polynomial(self, c30):
+        inputs = (c30[2], 6, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,))
+        default, explicit = DynamicalSystem(*inputs), DynamicalSystem(*inputs, Polynomial((0.0,)))
+        assert default.initial_covariance == explicit.initial_covariance == Polynomial()
+        for name in ("state_responses", "observed_responses"):
+            assert getattr(default, name).tobytes() == getattr(explicit, name).tobytes()
+        riccati = kalman.riccati_sequence(default), kalman.riccati_sequence(explicit)
+        for name in ("gain_responses", "error_responses"):
+            assert getattr(riccati[0], name).tobytes() == getattr(riccati[1], name).tobytes()
+        stacks = simulate(default, [1, 2]), simulate(explicit, [1, 2])
+        for name in ("states", "observations"):
+            assert getattr(stacks[0], name).tobytes() == getattr(stacks[1], name).tobytes()
 
     def test_zero_noise_reference_mode(self):
         sys = _cycle_system(4, Polynomial((1.0,)), Polynomial((1.0,)), 0.0, 0.0, 5)
@@ -199,12 +197,13 @@ class TestConstruction:
 
     def test_time_varying_accessors(self):
         shift = build_shift(cycle_graph(4), "laplacian")
-        sys = DynamicalSystem.from_sequences(
+        sys = DynamicalSystem(
             eigendecompose(shift),
-            state_polys=[Polynomial((1.0,)), Polynomial((0.0, 1.0))],
-            observation_polys=[Polynomial((1.0,)), Polynomial((1.0,))],
-            sigmas=[1.0, 2.0],
-            sigma_tildes=[0.5, 0.5],
+            2,
+            (Polynomial((1.0,)), Polynomial((0.0, 1.0))),
+            (Polynomial((1.0,)), Polynomial((1.0,))),
+            (1.0, 2.0),
+            (0.5, 0.5),
         )
         assert sys.horizon == 2
         assert sys.state_polys[1] == Polynomial((0.0, 1.0))
@@ -215,9 +214,8 @@ class TestConstruction:
         # so a C_6 shift can no longer be paired with a P_6 eigenbasis
         path = build_shift(Graph.from_edges(6, [(k, k + 1) for k in range(1, 6)]), "laplacian")
         spectrum = eigendecompose(path)
-        sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 20,
-            initial_covariance=Polynomial((0.5, 0.1)),
+        sys = DynamicalSystem(
+            spectrum, 20, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,), Polynomial((0.5, 0.1))
         )
         model = sys.initial_model
         assert sys.spectrum is spectrum and sys.shift is path
@@ -232,7 +230,7 @@ class TestStepState:
     """State transitions of ``simulate``, against the re-drawn noise rows."""
 
     def test_zero_dynamics_is_pure_noise(self):
-        sys = _cycle_system(4, Polynomial.zero(), Polynomial((1.0,)), 1.0, 1.0, 3, h0=Polynomial((1.0,)))
+        sys = _cycle_system(4, Polynomial(), Polynomial((1.0,)), 1.0, 1.0, 3, h0=Polynomial((1.0,)))
         noise = _noise_block(sys, 50)
         trajectory = simulate(sys, [50])
         np.testing.assert_allclose(trajectory.states[0, 1:], noise[1::2], rtol=0.0, atol=1e-14)
@@ -247,9 +245,7 @@ class TestStepState:
 
     def test_dense_oracle_on_cycle30(self, c30):
         _, shift, spectrum = c30
-        sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
-        )
+        sys = DynamicalSystem(spectrum, 10, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,))
         noise = _noise_block(sys, 53)
         states = simulate(sys, [53]).states[0]
         dense = states[:-1] @ (shift.matrix / 4.0).T + 0.3 * noise[1::2]
@@ -265,7 +261,7 @@ class TestObserve:
         np.testing.assert_allclose(trajectory.observations, trajectory.states[:, 1:], rtol=0.0, atol=1e-14)
 
     def test_zero_observation_is_pure_noise(self):
-        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial.zero(), 1.0, 2.0, 3)
+        sys = _cycle_system(4, Polynomial((1.0,)), Polynomial(), 1.0, 2.0, 3)
         noise = _noise_block(sys, 55)
         trajectory = simulate(sys, [55])
         np.testing.assert_allclose(trajectory.observations[0], 2.0 * noise[2::2], rtol=0.0, atol=1e-14)
@@ -278,9 +274,7 @@ class TestObserve:
 
     def test_dense_oracle(self, c30):
         graph, shift, spectrum = c30
-        sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 10
-        )
+        sys = DynamicalSystem(spectrum, 10, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,))
         noise = _noise_block(sys, 57)
         trajectory = simulate(sys, [57])
         dense = trajectory.states[0, 1:] @ (graph.weight_matrix / 2.0).T + 0.5 * noise[2::2]
@@ -294,7 +288,7 @@ class TestCovarianceRecursion:
         np.testing.assert_allclose(h1, 1.0, atol=1e-12)
 
     def test_zero_dynamics_keeps_noise_floor(self):
-        sys = _cycle_system(4, Polynomial.zero(), Polynomial((1.0,)), 0.5, 1.0, 1, h0=Polynomial((0.7,)))
+        sys = _cycle_system(4, Polynomial(), Polynomial((1.0,)), 0.5, 1.0, 1, h0=Polynomial((0.7,)))
         h = covariance_responses(sys)[1]
         np.testing.assert_allclose(h, 0.25, atol=1e-12)
 
@@ -323,7 +317,7 @@ class TestCovarianceRecursion:
 
     def test_overflowing_covariance_raises_at_its_first_step(self):
         # a = 3: h_k = (9^k - 1) / 8 passes the float64 range at step 324
-        sys = _cycle_system(8, Polynomial.constant(3.0), Polynomial((1.0, -0.5)), 1.0, 1.0, 400)
+        sys = _cycle_system(8, Polynomial((3.0,)), Polynomial((1.0, -0.5)), 1.0, 1.0, 400)
         with pytest.raises(NumericalFailureError, match="not finite from step 324 on"):
             covariance_responses(sys)
 
@@ -461,9 +455,7 @@ class TestSimulate:
     def test_per_step_state_energy_tracks_covariance_trace(self, c30):
         # Monte-Carlo over 30 trials at the default configuration
         _, _, spectrum = c30
-        sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, 100
-        )
+        sys = DynamicalSystem(spectrum, 100, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,))
         hs = covariance_responses(sys)
         trials = 30
         trajectory = simulate(sys, [np.random.SeedSequence(60, spawn_key=(t,)) for t in range(trials)])
@@ -527,7 +519,7 @@ class TestStackedSimulate:
     @pytest.mark.parametrize("seeds", [[7], [7, 8, 9]], ids=["one", "stack"])
     def test_overflowing_trajectory_raises_at_its_first_step(self, seeds):
         # a = 1e200: x~_2 = 1e200 x~_1 + e~ is finite, x~_3 ~ 1e400 x~_1 is not
-        sys = _cycle_system(6, Polynomial.constant(1e200), Polynomial((1.0,)), 1.0, 1.0, 5)
+        sys = _cycle_system(6, Polynomial((1e200,)), Polynomial((1.0,)), 1.0, 1.0, 5)
         with pytest.raises(NumericalFailureError, match="simulated trajectory is not finite from step 3 on"):
             simulate(sys, seeds)
 

@@ -67,10 +67,8 @@ def _config_file(tmp_path, payload=CLI_CONFIG):
 
 
 def _c4_system():
-    return DynamicalSystem.from_constant(
-        eigendecompose(build_shift(cycle_graph(4), "laplacian")),
-        Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, horizon=3,
-    )
+    one = Polynomial((1.0,))
+    return DynamicalSystem(eigendecompose(build_shift(cycle_graph(4), "laplacian")), 3, (one,), (one,), (1.0,), (1.0,))
 
 
 def _csv_rows(path):
@@ -419,9 +417,9 @@ class TestConfig:
             (lambda: ExperimentConfig(n=12, trials=True), "trials must be an integer, got True"),
             (lambda: ExperimentConfig(n=12, trace=TraceSpec(vertex=8.5)), "trace vertex must be an integer, got 8.5"),
             (
-                lambda: DynamicalSystem.from_constant(
+                lambda: DynamicalSystem(
                     eigendecompose(build_shift(cycle_graph(12), "laplacian")),
-                    Polynomial((1.0,)), Polynomial((1.0,)), 0.3, 0.5, horizon=2.5,
+                    2.5, (Polynomial((1.0,)),), (Polynomial((1.0,)),), (0.3,), (0.5,),
                 ),
                 "horizon must be an integer, got 2.5",
             ),
@@ -748,13 +746,13 @@ class TestNonFiniteRuns:
     def test_random_system_is_finite_or_fails_by_name(self, seed, n, log_scale, m):
         # the heatmap's block path on a random system whose a is scaled by 1e-3 to 1e3
         rng = generator(seed)
-        sys = DynamicalSystem.from_constant(
+        sys = DynamicalSystem(
             eigendecompose(random_shift(rng, n)),
-            Polynomial(tuple(10.0**log_scale * c for c in random_polynomial(rng, 3).coeffs)),
-            random_polynomial(rng, 3),
-            sigma=float(rng.uniform(0.1, 2.0)),
-            sigma_tilde=float(rng.uniform(0.1, 2.0)),
-            horizon=m,
+            m,
+            (Polynomial(tuple(10.0**log_scale * c for c in random_polynomial(rng, 3).coeffs)),),
+            (random_polynomial(rng, 3),),
+            (float(rng.uniform(0.1, 2.0)),),
+            (float(rng.uniform(0.1, 2.0)),),
         )
         seeds = [np.random.SeedSequence(seed, spawn_key=(t,)) for t in range(3)]
         with warnings.catch_warnings():
@@ -769,9 +767,9 @@ class TestNonFiniteRuns:
     def test_non_finite_observations_are_named_by_both_estimators(self, bad):
         # a caller's observation row at step 3 that is not finite, or whose
         # rotation into the eigenbasis overflows
-        sys = DynamicalSystem.from_constant(
+        sys = DynamicalSystem(
             eigendecompose(build_shift(cycle_graph(6), "laplacian")),
-            Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.3, 0.5, horizon=5,
+            5, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,),
         )
         observations = np.ones((5, 6))
         observations[2] = bad

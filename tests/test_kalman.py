@@ -33,9 +33,8 @@ from conftest import full_riccati_sequence, plain_recursion, time_varying_cycle_
 
 def _paper_like_system(horizon=20, sigma=0.3, sigma_tilde=0.5, n=30):
     shift = build_shift(cycle_graph(n), "laplacian")
-    return DynamicalSystem.from_constant(
-        eigendecompose(shift), Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)),
-        sigma, sigma_tilde, horizon,
+    return DynamicalSystem(
+        eigendecompose(shift), horizon, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (sigma,), (sigma_tilde,)
     )
 
 
@@ -82,7 +81,9 @@ class TestPredictUpdate:
     def test_identity_dynamics_keeps_estimate(self):
         # a = b = 1 and z_k = xhat_1 from step 2 on: the innovation vanishes there
         shift = build_shift(cycle_graph(5), "laplacian")
-        sys = DynamicalSystem.from_constant(eigendecompose(shift), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 4)
+        sys = DynamicalSystem(
+            eigendecompose(shift), 4, (Polynomial((1.0,)),), (Polynomial((1.0,)),), (1.0,), (1.0,),
+        )
         z1 = generator(60).standard_normal((1, 5))
         x1 = run_filter(sys, z1).estimates[1]
         estimates = run_filter(sys, np.vstack([z1, np.tile(x1, (3, 1))])).estimates
@@ -91,12 +92,13 @@ class TestPredictUpdate:
     def test_predict_matches_dense_oracle(self):
         # b_2 = b_3 = 0 make the gains of steps 2 and 3 vanish, so those
         # estimates are the predictions a x^_{k-1} alone
-        sys = DynamicalSystem.from_sequences(
+        sys = DynamicalSystem(
             eigendecompose(build_shift(cycle_graph(30), "laplacian")),
-            state_polys=[Polynomial((0.0, 0.25))] * 3,
-            observation_polys=[Polynomial((1.0,)), Polynomial.zero(), Polynomial.zero()],
-            sigmas=[0.3] * 3,
-            sigma_tildes=[0.5] * 3,
+            3,
+            (Polynomial((0.0, 0.25)),) * 3,
+            (Polynomial((1.0,)), Polynomial(), Polynomial()),
+            (0.3,) * 3,
+            (0.5,) * 3,
         )
         np.testing.assert_array_equal(riccati_sequence(sys).gain_responses[1:], 0.0)
         estimates = run_filter(sys, generator(62).standard_normal((3, 30))).estimates
@@ -116,8 +118,8 @@ class TestPredictUpdate:
     def test_update_unit_gain_unit_observation_returns_observation(self):
         # b = 1 with zero observation noise gives the unit gain
         shift = build_shift(cycle_graph(5), "laplacian")
-        sys = DynamicalSystem.from_constant(
-            eigendecompose(shift), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 0.0, 4
+        sys = DynamicalSystem(
+            eigendecompose(shift), 4, (Polynomial((1.0,)),), (Polynomial((1.0,)),), (1.0,), (0.0,),
         )
         z = generator(65).standard_normal((4, 5))
         estimates = run_filter(sys, z).estimates
@@ -134,28 +136,26 @@ class TestPredictUpdate:
 def _one_step(c4, p_prev, state_poly, observation_poly, sigma, sigma_tilde):
     """Gain and updated error responses of one Riccati step on C_4 from p_prev."""
     _, _, spectrum = c4
-    sys = DynamicalSystem.from_constant(
-        spectrum, state_poly, observation_poly, sigma, sigma_tilde, 1, initial_covariance=p_prev,
-    )
+    sys = DynamicalSystem(spectrum, 1, (state_poly,), (observation_poly,), (sigma,), (sigma_tilde,), p_prev)
     riccati = riccati_sequence(sys)
     return riccati.gain_responses[0], riccati.error_responses[0]
 
 
 class TestSpectralRecursion:
     def test_unit_system_gain_is_half(self, c4):
-        g, _ = _one_step(c4, Polynomial.zero(), Polynomial((0.3, -0.2)), Polynomial((1.0,)), 1.0, 1.0)
+        g, _ = _one_step(c4, Polynomial(), Polynomial((0.3, -0.2)), Polynomial((1.0,)), 1.0, 1.0)
         np.testing.assert_allclose(g, 0.5, atol=1e-12)
 
     def test_blind_observation_zero_gain(self, c4):
-        g, _ = _one_step(c4, Polynomial((1.0,)), Polynomial((1.0,)), Polynomial.zero(), 1.0, 1.0)
+        g, _ = _one_step(c4, Polynomial((1.0,)), Polynomial((1.0,)), Polynomial(), 1.0, 1.0)
         np.testing.assert_array_equal(g, 0.0)
 
     def test_large_observation_noise_shrinks_gain(self, c4):
-        g, _ = _one_step(c4, Polynomial.zero(), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1e3)
+        g, _ = _one_step(c4, Polynomial(), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1e3)
         np.testing.assert_allclose(g, 1.0 / (1.0 + 1e6), rtol=1e-12)
 
     def test_unit_system_error_is_half(self, c4):
-        _, p = _one_step(c4, Polynomial.zero(), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0)
+        _, p = _one_step(c4, Polynomial(), Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0)
         np.testing.assert_allclose(p, 0.5, atol=1e-12)
 
     def test_perfect_observation_error_vanishes(self, c4):
@@ -164,8 +164,8 @@ class TestSpectralRecursion:
 
     def test_zero_dynamics_error_ignores_previous(self, c4):
         b = Polynomial((0.5, 0.1))
-        _, p_a = _one_step(c4, Polynomial.zero(), Polynomial.zero(), b, 0.7, 0.9)
-        _, p_b = _one_step(c4, Polynomial.constant(5.0), Polynomial.zero(), b, 0.7, 0.9)
+        _, p_a = _one_step(c4, Polynomial(), Polynomial(), b, 0.7, 0.9)
+        _, p_b = _one_step(c4, Polynomial((5.0,)), Polynomial(), b, 0.7, 0.9)
         np.testing.assert_allclose(p_a, p_b, atol=1e-12)
         b_values = b(c4[2].representatives)
         expected = 0.9**2 * 0.7**2 / (0.7**2 * b_values**2 + 0.9**2)
@@ -175,7 +175,7 @@ class TestSpectralRecursion:
         # 1 - t/2 vanishes at eigenvalue 2; with positive predicted variance
         # and zero observation noise the gain is undefined there
         with pytest.raises(SingularGainError):
-            _one_step(c4, Polynomial.zero(), Polynomial((1.0,)), Polynomial((1.0, -0.5)), 0.3, 0.0)
+            _one_step(c4, Polynomial(), Polynomial((1.0,)), Polynomial((1.0, -0.5)), 0.3, 0.0)
 
     @pytest.mark.parametrize("n", [12, 20])
     def test_near_blind_frequency_raises(self, n):
@@ -191,8 +191,8 @@ class TestSpectralRecursion:
         spectrum = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
 
         def system(horizon):
-            return DynamicalSystem.from_constant(
-                spectrum, Polynomial.constant(3.0), Polynomial((1.0, -0.5)), 1.0, 1.0, horizon
+            return DynamicalSystem(
+                spectrum, horizon, (Polynomial((3.0,)),), (Polynomial((1.0, -0.5)),), (1.0,), (1.0,),
             )
 
         assert np.isfinite(riccati_sequence(system(323)).error_responses).all()
@@ -203,9 +203,9 @@ class TestSpectralRecursion:
         # h_0 = -1e-12 + t passes the PSD tolerance but reads -1e-12 at
         # eigenvalue 0, where simulate draws x_0 with variance 0: the state
         # there stays exactly 0, and so must its covariance and error
-        sys = DynamicalSystem.from_constant(
-            eigendecompose(build_shift(cycle_graph(8), "laplacian")), Polynomial.constant(1.0),
-            Polynomial.constant(1.0), 0.0, 1.0, 6, initial_covariance=Polynomial((-1e-12, 1.0)),
+        sys = DynamicalSystem(
+            eigendecompose(build_shift(cycle_graph(8), "laplacian")),
+            6, (Polynomial((1.0,)),), (Polynomial((1.0,)),), (0.0,), (1.0,), Polynomial((-1e-12, 1.0)),
         )
         model = sys.initial_model
         assert model.group_variances.min() < 0.0
@@ -309,8 +309,8 @@ class TestRunFilter:
         # and its rotation into the eigenbasis (2e306) are finite, but its
         # estimate leaves the float range
         shift = build_shift(cycle_graph(4), "laplacian")
-        sys = DynamicalSystem.from_constant(
-            eigendecompose(shift), Polynomial.constant(0.5), Polynomial.constant(1e-3), 1.0, 0.0, 4
+        sys = DynamicalSystem(
+            eigendecompose(shift), 4, (Polynomial((0.5,)),), (Polynomial((1e-3,)),), (1.0,), (0.0,),
         )
         observations = np.ones((4, 4))
         observations[1] = 1e306
@@ -321,8 +321,8 @@ class TestRunFilter:
         # invertible unit observation with zero noise: the estimate locks
         # onto the true state after one step
         shift = build_shift(cycle_graph(6), "laplacian")
-        sys = DynamicalSystem.from_constant(
-            eigendecompose(shift), Polynomial((0.0, 0.25)), Polynomial((1.0,)), 0.4, 0.0, 8
+        sys = DynamicalSystem(
+            eigendecompose(shift), 8, (Polynomial((0.0, 0.25)),), (Polynomial((1.0,)),), (0.4,), (0.0,),
         )
         trajectory = simulate(sys, [31337])
         estimates = run_filter(sys, trajectory.observations[0]).estimates
@@ -367,8 +367,8 @@ class TestRunFilter:
         # with the same spectrum and another sigma the gains would be wrong, silently
         sys = _paper_like_system(horizon=10)
         observations = simulate(sys, [11]).observations[0]
-        same_spectrum = DynamicalSystem.from_constant(
-            sys.spectrum, sys.state_polys[0], sys.observation_polys[0], 0.6, 0.5, 10
+        same_spectrum = DynamicalSystem(
+            sys.spectrum, 10, (sys.state_polys[0],), (sys.observation_polys[0],), (0.6,), (0.5,),
         )
         for other in (same_spectrum, _paper_like_system(horizon=10, n=12)):
             with pytest.raises(ValueError, match="belongs to another system"):
@@ -400,9 +400,7 @@ class TestRunFilter:
 
     def test_step_error_is_labelled(self, c4):
         _, _, spectrum = c4
-        sys = DynamicalSystem.from_constant(
-            spectrum, Polynomial((1.0,)), Polynomial((1.0, -0.5)), 0.3, 0.0, 4
-        )
+        sys = DynamicalSystem(spectrum, 4, (Polynomial((1.0,)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.0,))
         with pytest.raises(SingularGainError, match="step 1"):
             run_filter(sys, np.zeros((4, 4)))
 
@@ -520,13 +518,14 @@ class TestTimeVarying:
     def test_responses_filter_and_covariance_match_dense(self):
         shift = build_shift(cycle_graph(10), "laplacian")
         steps = range(1, 6)
-        sys = DynamicalSystem.from_sequences(
+        sys = DynamicalSystem(
             eigendecompose(shift),
-            state_polys=[Polynomial((0.5, 0.1 * k)) for k in steps],
-            observation_polys=[Polynomial((1.0, -0.2 * k)) for k in steps],
-            sigmas=[0.2 * k for k in steps],
-            sigma_tildes=[1.2 - 0.2 * k for k in steps],
-            initial_covariance=Polynomial((0.5, 0.1)),
+            len(steps),
+            tuple(Polynomial((0.5, 0.1 * k)) for k in steps),
+            tuple(Polynomial((1.0, -0.2 * k)) for k in steps),
+            tuple(0.2 * k for k in steps),
+            tuple(1.2 - 0.2 * k for k in steps),
+            Polynomial((0.5, 0.1)),
         )
         assert sys.state_responses.shape == sys.observation_responses.shape == (5, sys.spectrum.count)
         assert not sys.state_responses.flags.writeable
@@ -602,8 +601,8 @@ class TestFixedPoint:
         repeats = 0
         for sigma in grid:
             for sigma_tilde in grid:
-                sys = DynamicalSystem.from_constant(
-                    spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, 100
+                sys = DynamicalSystem(
+                    spectrum, 100, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (sigma,), (sigma_tilde,)
                 )
                 reference = full_riccati_sequence(sys)
                 assert _same_bits(riccati_sequence(sys), reference), (sigma, sigma_tilde)
@@ -621,12 +620,12 @@ class TestFixedPoint:
         # every step.  Each is bit for bit the full loop.  The stop is seen as
         # fewer calls of np.multiply, which each computed step makes
         spectrum, b = c30[2], Polynomial((1.0, -0.5))
-        constant = DynamicalSystem.from_constant(spectrum, Polynomial((0.0, 0.25)), b, 0.5, 0.5, 100)
+        constant = DynamicalSystem(spectrum, 100, (Polynomial((0.0, 0.25)),), (b,), (0.5,), (0.5,))
         polys = [Polynomial((0.0, 0.25)) for _ in range(100)]
         sigma_tildes = [0.5] * 100
-        equal = DynamicalSystem.from_sequences(spectrum, polys, [b] * 100, [0.5] * 100, sigma_tildes)
+        equal = DynamicalSystem(spectrum, 100, polys, [b] * 100, [0.5] * 100, sigma_tildes)
         sigma_tildes[49] = 0.6
-        varied = DynamicalSystem.from_sequences(spectrum, polys, [b] * 100, [0.5] * 100, sigma_tildes)
+        varied = DynamicalSystem(spectrum, 100, polys, [b] * 100, [0.5] * 100, sigma_tildes)
         assert constant.time_invariant and equal.time_invariant and not varied.time_invariant
         multiply, calls = np.multiply, []
         monkeypatch.setattr(np, "multiply", lambda *args, **kwargs: calls.append(1) or multiply(*args, **kwargs))
@@ -642,20 +641,19 @@ class TestFixedPoint:
         assert _same_bits(sequences[1], full_riccati_sequence(varied))
 
     @pytest.mark.parametrize("horizon", [1, 2, 3])
-    @pytest.mark.parametrize("h0", [None, Polynomial((0.4, 0.2))], ids=["zero-prior", "prior"])
+    @pytest.mark.parametrize("h0", [Polynomial(), Polynomial((0.4, 0.2))], ids=["zero-prior", "prior"])
     @pytest.mark.parametrize("sigma, sigma_tilde", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.3, 0.5)])
     def test_short_horizons_match_the_full_recursion(self, c30, horizon, h0, sigma, sigma_tilde):
         # the repeat test first reads p_{k-2} at step 2, p_0 included
-        sys = DynamicalSystem.from_constant(
-            c30[2], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, horizon, h0
+        sys = DynamicalSystem(
+            c30[2], horizon, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (sigma,), (sigma_tilde,), h0,
         )
         assert _same_bits(riccati_sequence(sys), full_riccati_sequence(sys))
 
     def test_prior_at_its_fixed_point_matches_the_full_recursion(self, c4):
         # a = 1/2, b = 1, sigma^2 = 7/8, sigma_tilde = 1: p = 1/2 is the exact fixed point
-        sys = DynamicalSystem.from_constant(
-            c4[2], Polynomial.constant(0.5), Polynomial.constant(1.0), math.sqrt(0.875), 1.0, 6,
-            initial_covariance=Polynomial.constant(0.5),
+        sys = DynamicalSystem(
+            c4[2], 6, (Polynomial((0.5,)),), (Polynomial((1.0,)),), (math.sqrt(0.875),), (1.0,), Polynomial((0.5,))
         )
         riccati = riccati_sequence(sys)
         assert riccati.error_responses[0].tobytes() == sys.initial_model.clamped_group_variances.tobytes()
@@ -671,24 +669,17 @@ class TestFixedPoint:
         # C_4 has the blind eigenvalue 2, kept certain by sigma = 0 and h_0 = 0;
         # C_30 has none, so its state noise and prior are free
         spectrum = eigendecompose(build_shift(cycle_graph(n), "laplacian"))
-        sigma, h0 = (0.0, None) if n == 4 else (0.3, Polynomial((0.5, 0.1)))
-        if len(set(sigma_tildes)) == 1:
-            sys = DynamicalSystem.from_constant(
-                spectrum, Polynomial((0.2, 0.1)), Polynomial((1.0, -0.5)), sigma, sigma_tildes[0], 7, h0
-            )
-        else:
-            sys = DynamicalSystem.from_sequences(
-                spectrum, [Polynomial((0.2, 0.1))] * 7, [Polynomial((1.0, -0.5))] * 7, [sigma] * 7, sigma_tildes, h0
-            )
+        sigma, h0 = (0.0, Polynomial()) if n == 4 else (0.3, Polynomial((0.5, 0.1)))
+        sys = DynamicalSystem(
+            spectrum, 7, (Polynomial((0.2, 0.1)),) * 7, (Polynomial((1.0, -0.5)),) * 7, (sigma,) * 7, sigma_tildes, h0,
+        )
         reference = full_riccati_sequence(sys)
         assert _same_bits(riccati_sequence(sys), reference)
         if n == 4:
             assert (reference.gain_responses[np.array(sigma_tildes) == 0.0] == [1.0, 0.0, -1.0]).all()
 
     def test_rows_after_the_fixed_point_are_copies(self, c30):
-        sys = DynamicalSystem.from_constant(
-            c30[2], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), 0.5, 0.5, 100
-        )
+        sys = DynamicalSystem(c30[2], 100, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.5,), (0.5,))
         riccati = riccati_sequence(sys)
         k = _first_repeat(riccati.error_responses)
         assert k is not None and k < 100
@@ -698,8 +689,8 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("sigma, sigma_tilde", _TWO_CYCLE_CELLS)
     def test_two_cycle_cells_match_the_full_recursion(self, _c30_eigh_spectrum, sigma, sigma_tilde):
-        sys = DynamicalSystem.from_constant(
-            _c30_eigh_spectrum, Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, 100
+        sys = DynamicalSystem(
+            _c30_eigh_spectrum, 100, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (sigma,), (sigma_tilde,)
         )
         reference = full_riccati_sequence(sys)
         k = _first_two_cycle(reference.error_responses)
@@ -716,8 +707,8 @@ class TestFixedPoint:
         cells = 0
         for sigma in _SWEEP_GRID:
             for sigma_tilde in _SWEEP_GRID:
-                sys = DynamicalSystem.from_constant(
-                    c30[2], Polynomial((0.0, 0.25)), Polynomial((1.0, -0.5)), sigma, sigma_tilde, 100
+                sys = DynamicalSystem(
+                    c30[2], 100, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (sigma,), (sigma_tilde,),
                 )
                 reference = full_riccati_sequence(sys)
                 k = _first_two_cycle(reference.error_responses)
@@ -733,8 +724,8 @@ class TestFixedPoint:
     def test_singular_gain_names_the_same_step(self, c4):
         # C_4 has the eigenvalue 2, where b = 1 - t/2 is blind; the state noise
         # first makes it uncertain at step 3
-        sys = DynamicalSystem.from_sequences(
-            c4[2], [Polynomial.constant(0.5)] * 4, [Polynomial((1.0, -0.5))] * 4, [0.0, 0.0, 0.3, 0.3], [0.0] * 4
+        sys = DynamicalSystem(
+            c4[2], 4, (Polynomial((0.5,)),) * 4, (Polynomial((1.0, -0.5)),) * 4, (0.0, 0.0, 0.3, 0.3), (0.0,) * 4
         )
         with pytest.raises(SingularGainError) as reference:
             full_riccati_sequence(sys)

@@ -25,7 +25,7 @@ class TestCanonicalForm:
     def test_zero_polynomial(self):
         p = Polynomial((0.0, 0.0, 0.0))
         assert p.coeffs == (0.0,)
-        assert p == Polynomial.zero()
+        assert p == Polynomial()
         assert p.degree == 0
 
     def test_non_finite_rejected(self):
@@ -33,8 +33,8 @@ class TestCanonicalForm:
             Polynomial((1.0, float("nan")))
 
     def test_constructors(self):
-        assert Polynomial.zero().coeffs == (0.0,)
-        assert Polynomial.constant(3.5).coeffs == (3.5,)
+        assert Polynomial().coeffs == (0.0,)
+        assert Polynomial((3.5,)).coeffs == (3.5,)
         assert Polynomial([0, 1]).coeffs == (0.0, 1.0)
 
 

@@ -75,7 +75,7 @@ class TestSqrtFilter:
 class TestSample:
     def test_zero_covariance_gives_zero_signal(self, c4):
         _, _, spectrum = c4
-        x = sample(StationaryModel(Polynomial.zero(), spectrum), generator(1))
+        x = sample(StationaryModel(Polynomial(), spectrum), generator(1))
         np.testing.assert_array_equal(x, np.zeros(4))
 
     def test_unit_covariance_is_white(self, c4):
@@ -133,7 +133,7 @@ class TestWhiten:
 
     def test_zero_covariance_gives_fresh_noise(self, c4):
         _, _, spectrum = c4
-        model = StationaryModel(Polynomial.zero(), spectrum)
+        model = StationaryModel(Polynomial(), spectrum)
         x = np.full(4, 3.0)
         e = whiten(x, model, generator(7))
         # all frequencies are null: the output is the rotation of fresh draws
@@ -192,8 +192,8 @@ class TestClampedVariances:
             lambda: sample(model, rng),
             lambda: whiten(np.ones(8), model, rng),
             lambda: sqrt_filter(model),
-            lambda: DynamicalSystem.from_constant(
-                spectrum, Polynomial((1.0,)), Polynomial((1.0,)), 1.0, 1.0, 5, initial_covariance=model.covariance_poly
+            lambda: DynamicalSystem(
+                spectrum, 5, (Polynomial((1.0,)),), (Polynomial((1.0,)),), (1.0,), (1.0,), model.covariance_poly,
             ),
         ]
         for use in uses:
