@@ -87,35 +87,46 @@ REFUSED_NOISE_LEVELS = {
     "square-subnormal": (1e-158, r"must be 0 or have a finite square of at least 2\.225e-308, got 1e-158"),
 }
 
-# case -> (horizon, sigmas, sigma_tildes, message)
+# the constructor's three input layouts: one entry per tuple, repeated over the
+# horizon; one equal entry per step; one entry per step with a_k changing step
+# to step, the time-varying system (its responses are evaluated row by row)
+LAYOUTS = ("repeated", "per-step", "varying")
+
+# case -> (horizon, sigmas, sigma_tildes, the layouts that can express it, message):
+# a repeated layout keeps the first entry of each tuple
 INVALID_SYSTEMS = {
-    "horizon-2.5": (2.5, (1.0,), (1.0,), "horizon must be an integer"),
-    "negative-noise": (3, (-0.1, 1.0, 1.0), (1.0, 1.0, 1.0), "must be finite and >= 0"),
-    "nan-noise": (3, (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), "must be finite and >= 0"),
-    "mismatched-lengths": (3, (1.0, 1.0, 1.0), (1.0, 1.0), "share one length"),
+    "horizon-2.5": (2.5, (1.0,) * 3, (1.0,) * 3, LAYOUTS, "horizon must be an integer"),
+    "negative-noise": (3, (-0.1, 1.0, 1.0), (1.0, 1.0, 1.0), LAYOUTS, "must be finite and >= 0"),
+    "nan-noise": (3, (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), LAYOUTS, "must be finite and >= 0"),
+    "mismatched-lengths": (3, (1.0, 1.0, 1.0), (1.0, 1.0), ("per-step", "varying"), "share one length"),
     **{
-        f"{case}-sigma": (3, (level, 1.0, 1.0), (1.0, 1.0, 1.0), f"^state noise level {message}")
+        f"{case}-sigma": (3, (level, 1.0, 1.0), (1.0, 1.0, 1.0), LAYOUTS, f"^state noise level {message}")
         for case, (level, message) in REFUSED_NOISE_LEVELS.items()
     },
     **{
-        f"{case}-sigma-tilde": (3, (1.0, 1.0, 1.0), (level, 1.0, 1.0), f"^observation noise level {message}")
+        f"{case}-sigma-tilde": (3, (1.0, 1.0, 1.0), (level, 1.0, 1.0), LAYOUTS, f"^observation noise level {message}")
         for case, (level, message) in REFUSED_NOISE_LEVELS.items()
     },
 }
 
 
-def _build(spectrum, horizon, sigmas, sigma_tildes, h0=Polynomial()):
-    """A system with a = b = 1 and the given per-step noise and h_0."""
-    polys = (Polynomial((1.0,)),) * len(sigmas)
-    return DynamicalSystem(spectrum, horizon, polys, polys, sigmas, sigma_tildes, h0)
+def _build(layout, spectrum, horizon, sigmas, sigma_tildes, h0=Polynomial()):
+    """A system with b = 1, the given per-step noise and h_0, laid out as ``layout``:
+    a = 1, or a_k = 2^(1-k) on the varying layout."""
+    steps = 1 if layout == "repeated" else len(sigmas)
+    state_polys = tuple(Polynomial((0.5**k if layout == "varying" else 1.0,)) for k in range(steps))
+    observation_polys = (Polynomial((1.0,)),) * steps
+    return DynamicalSystem(spectrum, horizon, state_polys, observation_polys, sigmas[:steps], sigma_tildes[:steps], h0)
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("case", INVALID_SYSTEMS)
-    def test_invalid_inputs_are_refused(self, c4, case):
-        horizon, sigmas, sigma_tildes, message = INVALID_SYSTEMS[case]
+    @pytest.mark.parametrize(
+        "layout, case", [(layout, case) for case, (*_, layouts, _) in INVALID_SYSTEMS.items() for layout in layouts]
+    )
+    def test_every_layout_rejects_the_same_inputs(self, c4, layout, case):
+        horizon, sigmas, sigma_tildes, _, message = INVALID_SYSTEMS[case]
         with pytest.raises(ValueError, match=message):
-            _build(c4[2], horizon, sigmas, sigma_tildes)
+            _build(layout, c4[2], horizon, sigmas, sigma_tildes)
 
     @pytest.mark.parametrize("level, message", REFUSED_NOISE_LEVELS.values(), ids=REFUSED_NOISE_LEVELS.keys())
     def test_config_refuses_the_noise_levels_a_system_refuses(self, level, message):
@@ -129,12 +140,14 @@ class TestConstruction:
             with pytest.raises(ValueError, match=message):
                 build()
 
-    def test_one_entry_per_step_is_laid_out(self, c4):
-        sys = _build(c4[2], 3, (0.5,) * 3, (np.float64(0.25),) * 3)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_layout_lays_out_one_entry_per_step(self, c4, layout):
+        sys = _build(layout, c4[2], 3, (0.5,) * 3, (np.float64(0.25),) * 3)
         entries = (sys.state_polys, sys.observation_polys, sys.state_noise, sys.observation_noise)
         assert all(type(values) is tuple and len(values) == 3 for values in entries)
         assert all(type(sigma) is float for sigma in (*sys.state_noise, *sys.observation_noise))
-        assert sys.time_invariant
+        assert sys.time_invariant == (layout != "varying")
+        assert sys.state_responses[:, 0].tolist() == ([1.0, 0.5, 0.25] if layout == "varying" else [1.0] * 3)
         for responses in (sys.state_responses, sys.observation_responses, sys.observed_responses):
             assert responses.shape == (3, c4[2].count) and not responses.flags.writeable
 
@@ -162,15 +175,17 @@ class TestConstruction:
                 polys["initial covariance"],
             )
 
-    def test_non_psd_initial_covariance_rejected(self):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_non_psd_initial_covariance_rejected_on_every_layout(self, layout):
         # 1 - t is -3 at eigenvalue 4 of the C_8 Laplacian; built, such a system
         # would hand covariance_responses and the Riccati recursion negative variances
         spectrum = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
         with pytest.raises(NotPositiveSemidefiniteError, match="initial covariance"):
-            _build(spectrum, 2, (0.3, 0.3), (0.5, 0.5), h0=Polynomial((1.0, -1.0)))
+            _build(layout, spectrum, 2, (0.3, 0.3), (0.5, 0.5), h0=Polynomial((1.0, -1.0)))
 
-    def test_zero_noise_builds(self, c4):
-        sys = _build(c4[2], 3, (0.0,) * 3, (0.0,) * 3)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_zero_noise_builds_on_every_layout(self, c4, layout):
+        sys = _build(layout, c4[2], 3, (0.0,) * 3, (0.0,) * 3)
         assert sys.horizon == 3
         assert sys.state_noise == sys.observation_noise == (0.0,) * 3
 
