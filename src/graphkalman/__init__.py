@@ -27,7 +27,6 @@ from .errors import (
     InvalidShiftError,
     NotPositiveSemidefiniteError,
     NumericalFailureError,
-    SingularGainError,
 )
 from .experiment import (
     ExperimentConfig,
@@ -72,7 +71,6 @@ __all__ = [
     "NumericalFailureError",
     "Polynomial",
     "RiccatiSequence",
-    "SingularGainError",
     "SpectralDecomposition",
     "StationaryModel",
     "TraceResult",

@@ -6,9 +6,9 @@ row k - 1 for step k, as ``RiccatiSequence.error_responses`` holds Kalman's.
 Static inverse filtering inverts the system's ``observed_responses``, the
 array the Kalman recursion reads (Moore-Penrose style: blind frequencies,
 where it is 0, are zeroed); its error is sigma_tilde_k^2 / b_k^2 where a
-frequency is observed and the state covariance h_k where it is blind.  The
+frequency is observed and h_k where it is blind, as Kalman's is (gain 0).  The
 zero-signal strategy needs no code: its estimate is ``np.zeros(n)`` and its
-error covariance is ``covariance_responses(sys)[1:]``.
+error covariance is ``covariance_responses(sys)``.
 ``spectral_loewner_less`` compares two rows of such arrays.
 """
 from __future__ import annotations
@@ -113,6 +113,6 @@ def inverse_error_covariance(sys: DynamicalSystem) -> np.ndarray:
     responses = sys.observed_responses
     with np.errstate(over="ignore", divide="ignore"):
         noise = np.square(sys.observation_noise)[:, None]
-        errors = np.divide(noise, responses**2, out=covariance_responses(sys)[1:], where=responses != 0.0)
+        errors = np.divide(noise, responses**2, out=covariance_responses(sys), where=responses != 0.0)
     require_finite_steps(errors, "inverse error covariance", first_step=1)
     return errors

@@ -13,14 +13,15 @@ per-step inputs once and makes every check on them, one rule
 (``require_noise_level``) for every noise level.  a_k and b_k are
 evaluated at the distinct eigenvalues into read-only (M, d) response
 arrays, row k - 1 for step k, which the simulation, covariance and Kalman
-recursions read; none of them applies a polynomial to a vertex signal, and
+recursions read (one that is not finite is refused, naming its polynomial
+and first step); none of them applies a polynomial to a vertex signal, and
 none asks which step an entry serves.  x_0 has mean 0 and covariance h_0,
 evaluated once at the distinct eigenvalues and clamped at 0: the one prior
 that the simulation, the state covariance and the Riccati recursion start
 from; h_0 is the zero polynomial unless given.  Its
 ``observed_responses``, b_k set to 0.0 where ``filters.passband`` calls a
-frequency blind, is what every estimator reads; ``simulate`` reads the raw
-b_k, since the channel is physical.
+frequency blind, is what every estimator reads, each with gain 0 there;
+``simulate`` reads the raw b_k, since the channel is physical.
 
 ``simulate`` runs a stack of T trajectories, one seed each, held as
 (T, M + 1, n) states and (T, M, n) observations.  Each trajectory draws
@@ -39,7 +40,7 @@ step.
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
-over the whole horizon, one scalar update per distinct eigenvalue; no
+over steps 1..M, one scalar update per distinct eigenvalue; no
 covariance is turned back into monomial coefficients here.  It, ``simulate``
 and ``kalman.run_filter`` share one in-place loop, ``propagate``.  The
 user's a_k, b_k and h_0 are the only polynomials, and they are inputs.
@@ -99,8 +100,8 @@ class DynamicalSystem:
     ``Polynomial``), every noise level by ``require_noise_level``'s (0 is
     allowed), and h_0 not negative at a distinct eigenvalue
     (``require_psd``).  The response arrays are (M, d), row k - 1 for step
-    k, and a system is ``time_invariant`` when every step has the first
-    step's inputs.
+    k, evaluated here (one not finite raises ``NumericalFailureError``), and
+    a system is ``time_invariant`` when every step has the first step's inputs.
     """
 
     spectrum: SpectralDecomposition
@@ -129,6 +130,7 @@ class DynamicalSystem:
         for field, values in entries.items():
             object.__setattr__(self, field, values * horizon if len(values) == 1 else values)
         require_psd(self.initial_model.group_variances, "initial covariance")
+        _ = self.state_responses, self.observation_responses  # refused here if not finite
 
     @property
     def time_invariant(self) -> bool:
@@ -150,12 +152,12 @@ class DynamicalSystem:
     @cached_property
     def state_responses(self) -> np.ndarray:
         """a_k at the distinct eigenvalues, read-only (M, d), row k - 1 for step k."""
-        return self._responses(self.state_polys)
+        return self._responses(self.state_polys, "state polynomial")
 
     @cached_property
     def observation_responses(self) -> np.ndarray:
         """b_k at the distinct eigenvalues, read-only (M, d), row k - 1 for step k."""
-        return self._responses(self.observation_polys)
+        return self._responses(self.observation_polys, "observation polynomial")
 
     @cached_property
     def observed_responses(self) -> np.ndarray:
@@ -166,11 +168,13 @@ class DynamicalSystem:
         values.flags.writeable = False
         return values
 
-    def _responses(self, polys: tuple[Polynomial, ...]) -> np.ndarray:
+    def _responses(self, polys: tuple[Polynomial, ...], what: str) -> np.ndarray:
         # a polynomial every step shares is evaluated once and its row repeated
         mu = self.spectrum.representatives
         uniform = _uniform(polys)
-        rows = np.array([poly(mu) for poly in (polys[:1] if uniform else polys)]).reshape(-1, mu.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.array([poly(mu) for poly in (polys[:1] if uniform else polys)]).reshape(-1, mu.size)
+        require_finite_steps(rows, f"{what} response", first_step=1)
         values = np.repeat(rows, len(polys), axis=0) if uniform else rows
         values.flags.writeable = False
         return values
@@ -205,11 +209,9 @@ class Trajectory:
 
 
 def covariance_responses(sys: DynamicalSystem) -> np.ndarray:
-    """State covariances h_0..h_M at the distinct eigenvalues, one row per step.
-
-    Row 0 is h_0 as ``simulate`` draws x_0 (``clamped_group_variances``), and
-    rows 1..M run h_k(mu) = sigma_k^2 + a_k(mu)^2 h_{k-1}(mu) on the values
-    at the distinct eigenvalues mu, through ``propagate``.
+    """State covariances h_1..h_M at the distinct eigenvalues mu, (M, d), row
+    k - 1 for step k: h_k(mu) = sigma_k^2 + a_k(mu)^2 h_{k-1}(mu) through
+    ``propagate``, from h_0 as ``simulate`` draws x_0 (``clamped_group_variances``).
 
     Raises:
         NumericalFailureError: naming the first step whose response is not finite.
@@ -219,8 +221,8 @@ def covariance_responses(sys: DynamicalSystem) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         out[1:] = np.square(sys.state_noise)[:, None]
         propagate(out, sys.state_responses**2)
-    require_finite_steps(out, "state covariance response", first_step=0)
-    return out
+    require_finite_steps(out[1:], "state covariance response", first_step=1)
+    return out[1:]
 
 
 def propagate(rows: np.ndarray, carries: np.ndarray) -> None:

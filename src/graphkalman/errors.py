@@ -16,7 +16,3 @@ class NumericalFailureError(GraphKalmanError, ArithmeticError):
 
 class NotPositiveSemidefiniteError(GraphKalmanError, ValueError):
     """A covariance polynomial has a negative frequency variance."""
-
-
-class SingularGainError(GraphKalmanError, ArithmeticError):
-    """Zero observation noise at a blind frequency leaves the gain undefined."""

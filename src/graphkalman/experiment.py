@@ -5,8 +5,8 @@ the Laplacian shift, comparing the Kalman filter against static inverse
 filtering.  That shift's eigenpairs are known in closed form (the real DFT
 basis, see ``spectral``), so a run calls no eigensolver.  A cell's system
 starts from x_0 = 0 (h_0 = 0), which is also its filter's prior; zero noise
-levels need no switch, and a cell they leave without a gain or with a zero
-trajectory is flagged.
+levels need no switch, as every cell has a Kalman gain (0 at a blind
+frequency), and a cell is flagged only when a trial is degenerate.
 A heatmap cell runs its trials in blocks of ``_trials_per_block``, as many
 as ``NOISE_BLOCK_BUDGET`` bytes of noise blocks hold, and the trace runs one
 trial as a block of one.  A block is one ``simulate`` call, which draws
@@ -46,7 +46,7 @@ import numpy as np
 
 from .baselines import inverse_estimate
 from .dynamics import DynamicalSystem, Trajectory, require_noise_level, simulate
-from .errors import NumericalFailureError, SingularGainError
+from .errors import NumericalFailureError
 from .graphs import build_shift, cycle_graph, require_integral, require_real
 from .kalman import riccati_sequence, run_filter
 from .polynomials import Polynomial, require_polynomial
@@ -119,7 +119,8 @@ class ExperimentConfig:
     run's arrays within physical memory, m and trials >= 1, seed >= 0, and
     clip finite and above ``METRIC_FLOOR``.  The trace vertex is checked
     against n only by ``run_trace``.  So a config equals, and hashes as, the
-    one its ``to_dict`` JSON loads to.
+    one its ``to_dict`` JSON loads to.  Every grid value, 0 included, gives a
+    cell a Kalman gain (0 at a blind frequency); only a degenerate trial flags it.
     """
 
     n: int = 30
@@ -344,15 +345,12 @@ def _trials_per_block(config) -> int:
 
 def _run_cell(config, spectrum: SpectralDecomposition, i: int, j: int):
     """Both estimators' metrics over the cell's trials, and whether the cell
-    is flagged: a degenerate trial, or no Kalman gain (``SingularGainError``).
-    The trials run in blocks of ``_trials_per_block`` stacked trials."""
+    is flagged: only a degenerate trial flags it, as every noise level has a
+    Kalman gain.  The trials run in blocks of ``_trials_per_block``."""
     sys = _cell_system(config, spectrum, config.sigma_grid[i], config.sigma_tilde_grid[j])
+    riccati = riccati_sequence(sys)
     kalman_metrics: list[float] = []
     inverse_metrics: list[float] = []
-    try:
-        riccati = riccati_sequence(sys)
-    except SingularGainError:
-        return kalman_metrics, inverse_metrics, True
     per_block = _trials_per_block(config)
     degenerate = False
     for start in range(0, config.trials, per_block):
@@ -381,9 +379,8 @@ def run_heatmap(config: ExperimentConfig) -> HeatmapResult:
     """Average both estimators' metrics over independent trials per grid cell.
 
     Cells with a degenerate trajectory (zero state energy, e.g. sigma = 0
-    with a zero initial state) or without a Kalman gain (zero observation
-    noise at a blind frequency) are flagged rather than failing; a cell with
-    no trial left stays NaN.
+    with a zero initial state) are flagged rather than failing; a cell with
+    no trial left stays NaN.  A blind frequency's gain is 0 at any noise level.
     """
     spectrum = _cycle_spectrum(config)
     ns, nt = len(config.sigma_grid), len(config.sigma_tilde_grid)

@@ -8,6 +8,10 @@ eigenvalues:
     gain       gamma = pe * b / (b^2 pe + sigma_tilde^2)
     updated    pi = sigma_tilde^2 * pe / (b^2 pe + sigma_tilde^2)
 
+With sigma_tilde = 0 the update is its limit, gain 1/b and error 0, except at
+a blind frequency (``observed_responses`` 0): there the gain is 0 and the error
+pe at any sigma_tilde, so a filter that sees nothing predicts and estimates 0.
+
 The recursion and the filter are carried on these frequency responses and
 read a and b of step k as row k - 1 of the system's (M, d) response arrays,
 evaluated once per system.  The prior is the system's: x^_0 = 0, p_0 = h_0
@@ -35,9 +39,7 @@ a sequence of ``KalmanState`` built on demand); an estimate that is not
 finite raises ``NumericalFailureError`` naming its first step.
 The one edge back to a polynomial of the shift is ``RiccatiSequence.gains``,
 Chebyshev interpolants made on request (``NumericalFailureError`` where an
-interpolant cannot keep its node values).  A frequency is blind, with gain
-0, where the system's ``observed_responses`` is 0; with zero observation noise
-an uncertain blind frequency raises ``SingularGainError``.  The dense matrix
+interpolant cannot keep its node values).  The dense matrix
 Riccati step below, ``matrix_riccati_step``, drives ``verify.matrix_riccati_path``,
 the oracle that the spectral path is checked against; it uses numpy only.
 """
@@ -51,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import DynamicalSystem, propagate, require_finite_steps
-from .errors import NumericalFailureError, SingularGainError
+from .errors import NumericalFailureError
 from .polynomials import ChebyshevSeries, lagrange_interpolate
 
 INNOVATION_CONDITION_LIMIT = 1e14
@@ -70,7 +72,7 @@ def matrix_riccati_step(p_prev, a, b, sigma: float, sigma_tilde: float) -> tuple
     """One dense Riccati step from the predicted P = A P_prev A^T + sigma^2 I:
     the gain K = P B^T S^-1 with S = B P B^T + sigma_tilde^2 I, one dense
     solve after the SPD and condition check on S, and the updated error
-    covariance (I - K B) P."""
+    covariance (I - K B) P.  A sigma_tilde > 0 oracle: at sigma_tilde = 0 a blind frequency makes S singular."""
     p_prev, a, b = (np.asarray(x, dtype=float) for x in (p_prev, a, b))
     eye = np.eye(a.shape[0])
     predicted = a @ p_prev @ a.T + sigma**2 * eye
@@ -128,14 +130,11 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     The prior p_0 is the system's h_0 at the distinct eigenvalues, clamped at
     0 as ``simulate`` and ``covariance_responses`` read it, the stationary
     initialization.  The recursion carries the error variance alone, one
-    scalar update per distinct eigenvalue; the predicted variances, the gains
-    and the zero-noise check are then read off the whole error sequence, and
-    the responses of all steps come back as ``(M, d)`` arrays.  It reads the
-    system's ``observed_responses``, 0 at the blind frequencies, so the gain
-    there is 0 and, with zero observation noise at an uncertain frequency,
-    ``SingularGainError`` names the first such step.  A response that
-    overflows (an unstable blind frequency) raises ``NumericalFailureError``
-    naming its first step.
+    scalar update per distinct eigenvalue (its limit at zero observation
+    noise, see above); the predicted variances and the gains are then read
+    off the whole error sequence, and the responses of all steps come back
+    as ``(M, d)`` arrays.  A response that overflows (an unstable blind
+    frequency) raises ``NumericalFailureError`` naming its first step.
 
     For a time-invariant system, step k reads p_{k-1} and inputs that
     never change.  So when step k returns p_k bitwise equal to p_{k-2} (p_0
@@ -162,29 +161,25 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     sigma_tilde_squared = np.square(sys.observation_noise)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, sigma_k, noise_k in zip(range(1, steps + 1), sigma_squared.tolist(), sigma_tilde_squared.tolist()):
+            np.multiply(state_squared[k - 1], variances[k - 1], out=pe)
+            pe += sigma_k
             if noise_k > 0:
-                np.multiply(state_squared[k - 1], variances[k - 1], out=pe)
-                pe += sigma_k
                 np.multiply(observation_squared[k - 1], pe, out=denom)
                 denom += noise_k
                 np.multiply(pe, noise_k, out=variances[k])
                 variances[k] /= denom
             else:
+                # a noise-free step sees an observed frequency exactly and predicts a blind one
                 variances[k] = 0.0
+                np.copyto(variances[k], pe, where=observation[k - 1] == 0.0)
             if invariant and k >= 2 and variances[k].tobytes() == variances[k - 2].tobytes():
                 variances[k + 1 :: 2] = variances[k - 1]
                 variances[k + 2 :: 2] = variances[k]
                 break
 
-        # every step's predicted variance, gain and zero-noise check, from the error rows
+        # every step's predicted variance and gain, from the error rows
         noise = sigma_tilde_squared[:, None]
         predicted = state_squared * variances[:-1] + sigma_squared[:, None]
-        singular = ((noise == 0.0) & (observation == 0.0) & (predicted > 0.0)).any(axis=1)
-        if singular.any():
-            raise SingularGainError(
-                f"step {int(np.argmax(singular)) + 1}: zero observation noise with a vanishing"
-                " observation response at an uncertain frequency"
-            )
         gains = predicted * observation / (observation_squared * predicted + noise)
         inverse = np.divide(1.0, observation, out=np.zeros_like(observation), where=observation != 0.0)
         gains = np.where(noise == 0.0, inverse, gains)
@@ -240,8 +235,9 @@ def run_filter(
     formed once per sequence over the whole horizon; the first m are read.
     The drives are written into rows 1..m of the estimates (row 0 is
     x~_0 = 0), ``propagate`` adds carry_k x~_{k-1} to row k in place, and
-    the estimates are moved back once.  The dense matrix recursion is not
-    run here; ``verify.matrix_riccati_path`` keeps it as the oracle.
+    the estimates are moved back once.  g_k is 0 at a blind frequency, so
+    the estimate there is 0.  The dense matrix recursion is not run here;
+    ``verify.matrix_riccati_path`` keeps it as the oracle.
 
     The prior is the system's: x^_0 = 0 and p_0 = h_0.  Without ``riccati``
     the sequence of ``sys`` is computed; a precomputed one (it is

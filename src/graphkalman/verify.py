@@ -138,11 +138,11 @@ def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
 
 
 def matrix_covariance_path(sys: DynamicalSystem) -> list[np.ndarray]:
-    """Dense state covariances H_0..H_M, item k for step k, from the system's
-    h_0 by H_k = A_k H_{k-1} A_k^T + sigma_k^2 I, independent of the
+    """Dense state covariances H_1..H_M, item k - 1 for step k, from the
+    system's h_0 by H_k = A_k H_{k-1} A_k^T + sigma_k^2 I, independent of the
     spectral path."""
     cov = eval_filter(sys.initial_covariance, sys.spectrum)
-    covariances = [cov]
+    covariances = []
     for state_poly, sigma in zip(sys.state_polys, sys.state_noise):
         a = eval_filter(state_poly, sys.spectrum)
         cov = a @ cov @ a.T + sigma**2 * np.eye(sys.n)
@@ -471,7 +471,7 @@ def check_dynamics() -> list[CheckResult]:
     worst_cov = 0.0
     for _ in range(10):
         sys = random_system(rng, n_max=10, steps=20)
-        for h_k, dense in zip(covariance_responses(sys)[1:], matrix_covariance_path(sys)[1:]):
+        for h_k, dense in zip(covariance_responses(sys), matrix_covariance_path(sys)):
             worst_cov = max(worst_cov, float(np.linalg.norm(dense - response_matrix(sys, h_k))))
     sys = random_system(generator(506), n_max=8, steps=12, zero_initial=False)
     trajectory = simulate(sys, [987])
@@ -582,7 +582,7 @@ def check_baselines() -> list[CheckResult]:
         errors = kalman_mod.riccati_sequence(sys).error_responses
         inverses = inverse_error_covariance(sys)
         # the zero-signal strategy's error covariance is the state covariance
-        states = covariance_responses(sys)[1:]
+        states = covariance_responses(sys)
         for p, inverse, state in zip(errors, inverses, states):
             p_mat = response_matrix(sys, p)
             for right, tracker in ((inverse, "inverse"), (state, "zero")):

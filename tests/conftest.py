@@ -8,7 +8,6 @@ from graphkalman import (
     DynamicalSystem,
     Polynomial,
     RiccatiSequence,
-    SingularGainError,
     build_shift,
     cycle_graph,
     eigendecompose,
@@ -29,8 +28,9 @@ def plain_recursion(x0, carry, drive):
 def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
     """The textbook Riccati recursion over the whole horizon, reading step
     k's entry k - 1 of each per-step input, with no early exit: predict, gain,
-    update at every step, and with zero observation noise the gain 1/b (0 at
-    a blind frequency) and error 0.  The reference for ``riccati_sequence``,
+    update at every step, and with zero observation noise the gain 1/b and
+    error 0 where b is nonzero, and at a blind frequency gain 0 and the
+    predicted variance as error.  The reference for ``riccati_sequence``,
     which shares no step code with it."""
     steps, d = sys.horizon, sys.spectrum.count
     gains = np.empty((steps, d))
@@ -47,14 +47,11 @@ def full_riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
                 gains[k - 1] = predicted * b / innovation
                 errors[k - 1] = predicted * sigma_tilde_squared / innovation
             else:
-                if np.any((b == 0.0) & (predicted > 0.0)):
-                    raise SingularGainError(
-                        f"step {k}: zero observation noise with a vanishing observation response"
-                        " at an uncertain frequency"
-                    )
                 for i in range(d):
-                    gains[k - 1, i] = 0.0 if b[i] == 0.0 else 1.0 / b[i]
-                errors[k - 1] = 0.0
+                    if b[i] == 0.0:
+                        gains[k - 1, i], errors[k - 1, i] = 0.0, predicted[i]
+                    else:
+                        gains[k - 1, i], errors[k - 1, i] = 1.0 / b[i], 0.0
             p = errors[k - 1]
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
     return RiccatiSequence(system=sys, gain_responses=gains, error_responses=errors)

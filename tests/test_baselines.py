@@ -173,7 +173,7 @@ class TestBlindFrequencies:
         observed = sys.observed_responses
         blind = observed[0] == 0.0
         first, second = inverse_error_covariance(sys)
-        np.testing.assert_array_equal(first[blind], hs[1][blind])
+        np.testing.assert_array_equal(first[blind], hs[0][blind])
         np.testing.assert_array_equal(first[~blind], 0.25 / observed[0][~blind] ** 2)
         np.testing.assert_array_equal(second, 0.25 / observed[1] ** 2)
 
@@ -214,7 +214,7 @@ class TestInverseErrorCovariance:
         blind = observed == 0.0
         assert np.count_nonzero(blind) == 1
         np.testing.assert_array_equal(responses[blind], 1.0)
-        np.testing.assert_array_equal(responses[blind], covariance_responses(sys)[1][blind])
+        np.testing.assert_array_equal(responses[blind], covariance_responses(sys)[0][blind])
         np.testing.assert_array_equal(responses[~blind], 0.25 / observed[~blind] ** 2)
 
     def test_time_varying_steps(self):
@@ -242,7 +242,7 @@ class TestInverseErrorCovariance:
         for k in range(1, sys.horizon + 1):
             b = sys.observed_responses[k - 1]
             with np.errstate(divide="ignore"):
-                expected = np.where(b != 0.0, sys.observation_noise[k - 1] ** 2 / b**2, hs[k])
+                expected = np.where(b != 0.0, sys.observation_noise[k - 1] ** 2 / b**2, hs[k - 1])
             assert responses[k - 1].tobytes() == expected.tobytes(), f"step {k}"
 
     def test_overflowing_state_covariance_raises_at_its_first_step(self):
@@ -282,7 +282,7 @@ class TestZeroEstimate:
     def test_first_step_error_covariance(self, c4):
         _, _, spectrum = c4
         sys = DynamicalSystem(spectrum, 3, (Polynomial((0.0, 0.25)),), (Polynomial((1.0,)),), (0.4,), (1.0,))
-        h1 = covariance_responses(sys)[1]
+        h1 = covariance_responses(sys)[0]
         np.testing.assert_allclose(h1, 0.16, atol=1e-12)
 
     def test_hundred_step_geometric_sum_oracle(self, c30):
@@ -290,7 +290,7 @@ class TestZeroEstimate:
         sys = DynamicalSystem(
             spectrum, 100, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.5,),
         )
-        h100 = covariance_responses(sys)[100]
+        h100 = covariance_responses(sys)[99]
         lam = sys.spectrum.eigenvalues
         ratios = (lam / 4.0) ** 2
         expected = 0.09 * np.array([np.sum(r ** np.arange(100)) for r in ratios])
@@ -336,7 +336,7 @@ class TestLoewner:
             hs = covariance_responses(sys)
             for k in (1, sys.horizon):
                 left = riccati.error_responses[k - 1]
-                right = hs[k]
+                right = hs[k - 1]
                 matrix_cmp = loewner_less(response_matrix(sys, left), response_matrix(sys, right))
                 spectral_cmp = spectral_loewner_less(left, right, sys.spectrum)
                 assert matrix_cmp.verdict == spectral_cmp.verdict
@@ -367,9 +367,9 @@ class TestCycle120Responses:
 
     def test_covariance_responses_meet_geometric_sum(self, sys):
         hs = covariance_responses(sys)
-        assert hs.shape == (101, sys.spectrum.count) and np.all(np.isfinite(hs))
+        assert hs.shape == (100, sys.spectrum.count) and np.all(np.isfinite(hs))
         for k in (1, 10, 100):
-            np.testing.assert_allclose(hs[k], self._geometric_sum(sys, k), rtol=1e-12)
+            np.testing.assert_allclose(hs[k - 1], self._geometric_sum(sys, k), rtol=1e-12)
 
     def test_inverse_error_covariance_meets_closed_form(self, sys):
         b = Polynomial((1.0, -0.2))

@@ -175,6 +175,21 @@ class TestConstruction:
                 polys["initial covariance"],
             )
 
+    @pytest.mark.parametrize("field", ["state polynomial", "observation polynomial"])
+    def test_response_that_overflows_is_refused_naming_its_step(self, field):
+        # t^520 on the C_8 Laplacian is 3.4e156 and 2.0e277 at two eigenvalues
+        # and inf at 4; accepted, passband called every frequency blind, and the
+        # estimators estimated 0 everywhere.  Refused for one entry at step 1,
+        # and for one entry per step at the first step that overflows
+        spectrum = eigendecompose(build_shift(cycle_graph(8), "laplacian"))
+        one, power = Polynomial((1.0,)), Polynomial((0.0,) * 520 + (1.0,))
+        for steps, first in (((power,), 1), ((one, power, one), 2)):
+            polys = {"state polynomial": (one,) * len(steps), "observation polynomial": (one,) * len(steps)}
+            polys[field] = steps
+            noise = (0.3,) * len(steps)
+            with pytest.raises(NumericalFailureError, match=f"^{field} response is not finite from step {first} on$"):
+                DynamicalSystem(spectrum, 3, polys["state polynomial"], polys["observation polynomial"], noise, noise)
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_non_psd_initial_covariance_rejected_on_every_layout(self, layout):
         # 1 - t is -3 at eigenvalue 4 of the C_8 Laplacian; built, such a system
@@ -299,12 +314,12 @@ class TestObserve:
 class TestCovarianceRecursion:
     def test_first_step_from_zero(self):
         sys = _cycle_system(4, Polynomial((0.2, 0.4)), Polynomial((1.0,)), 1.0, 1.0, 1)
-        h1 = covariance_responses(sys)[1]
+        h1 = covariance_responses(sys)[0]
         np.testing.assert_allclose(h1, 1.0, atol=1e-12)
 
     def test_zero_dynamics_keeps_noise_floor(self):
         sys = _cycle_system(4, Polynomial(), Polynomial((1.0,)), 0.5, 1.0, 1, h0=Polynomial((0.7,)))
-        h = covariance_responses(sys)[1]
+        h = covariance_responses(sys)[0]
         np.testing.assert_allclose(h, 0.25, atol=1e-12)
 
     def test_three_step_geometric_sum_oracle(self):
@@ -312,7 +327,7 @@ class TestCovarianceRecursion:
         hs = covariance_responses(sys)
         lam = np.array([0.0, 2.0, 4.0])
         expected = 0.09 * (1.0 + (lam / 4.0) ** 2 + (lam / 4.0) ** 4)
-        np.testing.assert_allclose(hs[3], expected, atol=1e-12)
+        np.testing.assert_allclose(hs[2], expected, atol=1e-12)
 
     @pytest.mark.parametrize(
         "make_system",
@@ -328,7 +343,8 @@ class TestCovarianceRecursion:
         carry = np.broadcast_to(sys.state_responses**2, shape)
         drive = np.broadcast_to(np.array([sigma**2 for sigma in sys.state_noise])[:, None], shape)
         expected = plain_recursion(sys.initial_model.clamped_group_variances, carry, drive)
-        assert covariance_responses(sys).tobytes() == expected.tobytes()
+        # h_0 is the prior, not returned: row k - 1 holds step k
+        assert covariance_responses(sys).tobytes() == expected[1:].tobytes()
 
     def test_overflowing_covariance_raises_at_its_first_step(self):
         # a = 3: h_k = (9^k - 1) / 8 passes the float64 range at step 324
@@ -476,7 +492,7 @@ class TestSimulate:
         trajectory = simulate(sys, [np.random.SeedSequence(60, spawn_key=(t,)) for t in range(trials)])
         energies = np.sum(trajectory.states[:, (10, 50, 100)] ** 2, axis=2)
         for column, k in enumerate((10, 50, 100)):
-            expected = float(np.sum(sys.spectrum.expand(hs[k])))
+            expected = float(np.sum(sys.spectrum.expand(hs[k - 1])))
             observed = energies[:, column]
             stderr = np.std(observed, ddof=1) / np.sqrt(trials)
             assert abs(np.mean(observed) - expected) <= 3.0 * stderr

@@ -20,7 +20,6 @@ from graphkalman import (
     ExperimentConfig,
     NumericalFailureError,
     Polynomial,
-    SingularGainError,
     build_shift,
     cycle_graph,
     eigendecompose,
@@ -88,14 +87,25 @@ class TestHeatmap:
     def test_exact_inversion_column_reads_the_metric_floor(self, tiny_heatmap):
         assert tiny_heatmap.kalman[1, 0] == METRIC_FLOOR
 
-    def test_cell_without_a_gain_is_flagged_and_the_rest_filled(self):
+    def test_zero_noise_cell_at_a_blind_frequency_is_filled(self):
         # on C_12 the observation response 1 - t/2 is blind at eigenvalue 2,
-        # so sigma_tilde = 0 has no Kalman gain; only that cell is left out
+        # where at sigma_tilde = 0 the Kalman gain is 0, as inverse
+        # filtering's is; no cell is left out
         result = run_heatmap(ExperimentConfig(n=12, m=20, trials=5, seed=1, sigma_grid=(0.3,), sigma_tilde_grid=(0.0, 0.5)))
-        np.testing.assert_array_equal(result.flagged, [[True, False]])
-        np.testing.assert_array_equal(result.n_trials, [[0, 5]])
-        assert np.isnan(result.kalman[0, 0]) and np.isnan(result.inverse[0, 0])
-        assert np.isfinite(result.kalman[0, 1]) and np.isfinite(result.inverse[0, 1])
+        np.testing.assert_array_equal(result.flagged, [[False, False]])
+        np.testing.assert_array_equal(result.n_trials, [[5, 5]])
+        assert np.isfinite(result.kalman).all() and np.isfinite(result.inverse).all()
+
+    def test_cells_are_flagged_exactly_where_sigma_is_zero(self):
+        # a C_12 grid with a sigma_tilde = 0 column: only the degenerate
+        # sigma = 0 trials flag a cell, as perfbench's table check asks
+        config = ExperimentConfig(
+            n=12, m=20, trials=3, sigma_grid=(0.0, 0.3, 0.6), sigma_tilde_grid=(0.0, 0.4), seed=5
+        )
+        result = run_heatmap(config)
+        np.testing.assert_array_equal(result.flagged, [[True, True], [False, False], [False, False]])
+        np.testing.assert_array_equal(result.n_trials, [[0, 0], [3, 3], [3, 3]])
+        assert np.isfinite(result.kalman[1:]).all() and np.isfinite(result.inverse[1:]).all()
 
 
     def test_shift_is_decomposed_once_per_heatmap(self, monkeypatch):
@@ -127,9 +137,10 @@ class TestHeatmap:
         assert len(built) == 1
 
     def test_tables_match_the_full_riccati_recursion(self, monkeypatch):
-        # C_12 has the blind eigenvalue 2, so the sigma_tilde = 0 column has
-        # flagged cells; sigma = 0 gives degenerate trials; 9 of the 12 other
-        # cells reach their exact fixed point within the 40 steps
+        # C_12 has the blind eigenvalue 2, where the sigma_tilde = 0 column's
+        # gain is 0 and its error the prediction; sigma = 0 gives degenerate
+        # trials, the only flagged cells; 9 of the 12 other cells reach their
+        # exact fixed point within the 40 steps
         grid = (0.0, 0.2, 0.5, 1.0)
         config = ExperimentConfig(n=12, m=40, trials=2, sigma_grid=grid, sigma_tilde_grid=grid, seed=5)
         fast = run_heatmap(config)
@@ -137,7 +148,8 @@ class TestHeatmap:
         reference = run_heatmap(config)
         for field in ("kalman", "inverse", "kalman_sem", "inverse_sem", "n_trials", "flagged"):
             assert getattr(fast, field).tobytes() == getattr(reference, field).tobytes(), field
-        assert fast.flagged.any() and np.isfinite(fast.kalman).any()
+        assert fast.flagged[0].all() and not fast.flagged[1:].any()
+        assert np.isfinite(fast.kalman[1:]).all()
 
 
 def _single_trial_tables(config):
@@ -152,11 +164,7 @@ def _single_trial_tables(config):
     for i, sigma in enumerate(config.sigma_grid):
         for j, sigma_tilde in enumerate(config.sigma_tilde_grid):
             sys = experiment._cell_system(config, spectrum, sigma, sigma_tilde)
-            try:
-                riccati = kalman.riccati_sequence(sys)
-            except SingularGainError:
-                tables["flagged"][i, j] = True
-                continue
+            riccati = kalman.riccati_sequence(sys)
             metrics = {"kalman": [], "inverse": []}
             for trial in range(config.trials):
                 trajectory = simulate(sys, [np.random.SeedSequence(config.seed, spawn_key=(0, i, j, trial))])

@@ -11,12 +11,12 @@ from graphkalman import (
     KalmanState,
     NumericalFailureError,
     Polynomial,
-    SingularGainError,
     SpectralDecomposition,
     build_shift,
     cycle_graph,
     eigendecompose,
     eval_filter,
+    inverse_error_covariance,
     matrix_riccati_step,
     riccati_sequence,
     run_filter,
@@ -171,19 +171,32 @@ class TestSpectralRecursion:
         expected = 0.9**2 * 0.7**2 / (0.7**2 * b_values**2 + 0.9**2)
         np.testing.assert_allclose(p_a, expected, atol=1e-12)
 
-    def test_singular_gain_raised_at_blind_uncertain_frequency(self, c4):
-        # 1 - t/2 vanishes at eigenvalue 2; with positive predicted variance
-        # and zero observation noise the gain is undefined there
-        with pytest.raises(SingularGainError):
-            _one_step(c4, Polynomial(), Polynomial((1.0,)), Polynomial((1.0, -0.5)), 0.3, 0.0)
+    def test_blind_uncertain_frequency_predicts_at_zero_noise(self, c4):
+        # 1 - t/2 vanishes at eigenvalue 2, where the predicted variance is
+        # 0.09; with zero observation noise the gain there is 0 and the error
+        # the predicted variance, and elsewhere the gain is 1/b and the error 0
+        sys = DynamicalSystem(c4[2], 1, (Polynomial((1.0,)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.0,))
+        riccati = riccati_sequence(sys)
+        g, p, b = riccati.gain_responses[0], riccati.error_responses[0], sys.observed_responses[0]
+        blind = b == 0.0
+        assert np.count_nonzero(blind) == 1
+        np.testing.assert_array_equal(g[blind], 0.0)
+        np.testing.assert_array_equal(p[blind], 0.3**2)
+        np.testing.assert_array_equal(g[~blind], 1.0 / b[~blind])
+        np.testing.assert_array_equal(p[~blind], 0.0)
 
     @pytest.mark.parametrize("n", [12, 20])
-    def test_near_blind_frequency_raises(self, n):
+    def test_near_blind_frequency_predicts_at_zero_noise(self, n):
         # the computed eigenvalue next to 2 leaves 1 - t/2 at 2.2e-16, not 0;
-        # relative to max|b| that frequency is blind all the same
+        # relative to max|b| that frequency is blind all the same: its gain is
+        # 0, not 1/b = 4.5e15, and its error is the state covariance
         sys = _paper_like_system(horizon=5, sigma_tilde=0.0, n=n)
-        with pytest.raises(SingularGainError, match="step 1"):
-            riccati_sequence(sys)
+        riccati = riccati_sequence(sys)
+        blind = sys.observed_responses[0] == 0.0
+        assert np.count_nonzero(blind) == 1 and sys.observation_responses[0, blind] != 0.0
+        np.testing.assert_array_equal(riccati.gain_responses[:, blind], 0.0)
+        assert riccati.error_responses[:, blind].tobytes() == covariance_responses(sys)[:, blind].tobytes()
+        np.testing.assert_array_equal(riccati.error_responses[:, ~blind], 0.0)
 
     def test_overflowing_blind_frequency_raises_at_its_first_step(self):
         # C_8 has the eigenvalue 2, where b = 1 - t/2 is blind; with a = 3 its
@@ -209,14 +222,15 @@ class TestSpectralRecursion:
         )
         model = sys.initial_model
         assert model.group_variances.min() < 0.0
+        # with a = 1 and sigma = 0, h_1 is h_0 as simulate draws it
         np.testing.assert_array_equal(covariance_responses(sys)[0], model.clamped_group_variances)
         riccati = riccati_sequence(sys)
         assert (riccati.error_responses >= 0.0).all() and (riccati.gain_responses >= 0.0).all()
 
     def test_noise_whose_square_underflows_is_refused(self):
         # the step reads sigma_tilde^2, which is 0.0 for sigma_tilde = 1e-170, as
-        # at sigma_tilde = 0 (SingularGainError at C_12's blind frequency, gain
-        # 1/b on C_30): such a positive level is refused where the system is made
+        # at sigma_tilde = 0 (error 0 at every observed frequency, gain 1/b):
+        # such a positive level is refused where the system is made
         for n in (12, 30):
             with pytest.raises(ValueError, match="^observation noise level must be 0 or have a finite square of at least"):
                 _paper_like_system(horizon=5, sigma_tilde=1e-170, n=n)
@@ -246,6 +260,56 @@ class TestSpectralRecursion:
         np.testing.assert_array_equal(riccati.gain_responses[:, blind], 0.0)
         assert np.all(np.abs(riccati.gain_responses) <= 1.0 / np.min(np.abs(sys.observation_responses[0][~blind])))
         np.testing.assert_allclose(riccati.error_responses[0, blind], 0.3**2, rtol=1e-15)
+
+
+class TestBlindFrequencyRule:
+    """At a blind frequency every estimator's gain is 0 and its estimate 0, so
+    the Kalman, inverse-filtering and zero-signal errors there are all the
+    state covariance h_k: bit for bit with zero observation noise, where the
+    Kalman error is the prediction itself, and within rounding otherwise."""
+
+    @pytest.mark.parametrize("sigma_tilde", [0.0, 0.4])
+    @pytest.mark.parametrize("h0", [Polynomial(), Polynomial((0.5, 0.1))], ids=["h0=0", "h0=0.5+0.1t"])
+    @pytest.mark.parametrize("n", [8, 12, 20, 120])
+    def test_three_error_arrays_agree_at_the_blind_frequency(self, n, h0, sigma_tilde):
+        # 1 - t/2 is blind at the Laplacian eigenvalue 2 of C_n, n a multiple of 4
+        sys = DynamicalSystem(
+            eigendecompose(build_shift(cycle_graph(n), "laplacian")),
+            60, (Polynomial((0.0, 0.25)),), (Polynomial((1.0, -0.5)),), (0.3,), (sigma_tilde,), h0,
+        )
+        blind = sys.observed_responses[0] == 0.0
+        assert np.count_nonzero(blind) == 1
+        riccati = riccati_sequence(sys)
+        np.testing.assert_array_equal(riccati.gain_responses[:, blind], 0.0)
+        kalman = riccati.error_responses[:, blind]
+        states = covariance_responses(sys)[:, blind]
+        inverse = inverse_error_covariance(sys)[:, blind]
+        assert inverse.tobytes() == states.tobytes()
+        if sigma_tilde == 0.0:
+            assert kalman.tobytes() == states.tobytes()
+        else:
+            assert np.all(np.abs(kalman - states) <= 2 * np.finfo(float).eps * states)
+
+    def test_dropout_step_predicts(self):
+        # ROADMAP item 11's schedule: b_k = 0 at every 4th step, with zero
+        # observation noise; a dropout step sees nothing, so its gain is 0 at
+        # every frequency and its error the prediction a^2 p + sigma^2
+        spectrum = eigendecompose(build_shift(cycle_graph(12), "laplacian"))
+        b = [Polynomial() if k % 4 == 0 else Polynomial((1.0, -0.5)) for k in range(1, 21)]
+        sys = DynamicalSystem(spectrum, 20, (Polynomial((0.0, 0.25)),) * 20, b, (0.3,) * 20, (0.0,) * 20)
+        riccati = riccati_sequence(sys)
+        assert _same_bits(riccati, full_riccati_sequence(sys))
+        gains, errors = riccati.gain_responses, riccati.error_responses
+        carry, gain = riccati.filter_rows
+        for k in range(4, 21, 4):
+            assert (sys.observed_responses[k - 1] == 0.0).all()
+            assert (gains[k - 1] == 0.0).all()
+            predicted = sys.state_responses[k - 1] ** 2 * errors[k - 2] + 0.3**2
+            assert errors[k - 1].tobytes() == predicted.tobytes(), f"step {k}"
+            assert (gain[k - 1] == 0.0).all()
+            assert carry[k - 1].tobytes() == spectrum.expand(sys.state_responses[k - 1]).tobytes()
+        # an observed step with zero noise leaves error only at the blind eigenvalue 2
+        assert np.count_nonzero(errors[0]) == 1
 
 
 class TestMatrixRecursion:
@@ -283,6 +347,19 @@ class TestMatrixRecursion:
     def test_singular_innovation_rejected(self):
         with pytest.raises(NumericalFailureError):
             matrix_riccati_step(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3)), 0.0, 0.0)
+
+    def test_dense_oracle_refuses_the_zero_noise_blind_step(self, c4):
+        # the dense step is an oracle for sigma_tilde > 0: at sigma_tilde = 0 the
+        # blind eigenvalue 2 of C_4 leaves its innovation singular, where the
+        # spectral step gives gain 0; no verify system has sigma_tilde = 0
+        spectrum = c4[2]
+        a, b = eval_filter(Polynomial((1.0,)), spectrum), eval_filter(Polynomial((1.0, -0.5)), spectrum)
+        with pytest.raises(NumericalFailureError, match="innovation matrix numerically singular"):
+            matrix_riccati_step(np.zeros((4, 4)), a, b, 0.3, 0.0)
+        sys = DynamicalSystem(spectrum, 1, (Polynomial((1.0,)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.0,))
+        assert (riccati_sequence(sys).gain_responses[sys.observed_responses == 0.0] == 0.0).all()
+        rng = generator(75)
+        assert all(min(random_system(rng, n_max=6, steps=2).observation_noise) > 0.0 for _ in range(20))
 
     def test_reference_system_dual_form(self):
         sys = _paper_like_system(horizon=20)
@@ -399,9 +476,12 @@ class TestRunFilter:
         assert _worst_step_gap(estimates[1:], expected) <= 1e-10
 
     def test_step_error_is_labelled(self, c4):
+        # with zero observation noise the blind eigenvalue 2 of C_4 predicts,
+        # and with a = 3 its error grows as 9^k and leaves the float64 range
+        # at step 324: the filter's own recursion names that step
         _, _, spectrum = c4
-        sys = DynamicalSystem(spectrum, 4, (Polynomial((1.0,)),), (Polynomial((1.0, -0.5)),), (0.3,), (0.0,))
-        with pytest.raises(SingularGainError, match="step 1"):
+        sys = DynamicalSystem(spectrum, 400, (Polynomial((3.0,)),), (Polynomial((1.0, -0.5)),), (1.0,), (0.0,))
+        with pytest.raises(NumericalFailureError, match="^Riccati gain or error response is not finite from step 324 on$"):
             run_filter(sys, np.zeros((4, 4)))
 
 
@@ -721,17 +801,19 @@ class TestFixedPoint:
                     assert all(values[r].tobytes() == values[r - 2].tobytes() for r in range(k, 100))
         assert cells >= 1
 
-    def test_singular_gain_names_the_same_step(self, c4):
+    def test_zero_noise_blind_prediction_matches_the_full_recursion(self, c4):
         # C_4 has the eigenvalue 2, where b = 1 - t/2 is blind; the state noise
-        # first makes it uncertain at step 3
+        # first makes it uncertain at step 3, from where its error is the
+        # prediction 0.25 p + 0.09 and every other error is 0
         sys = DynamicalSystem(
             c4[2], 4, (Polynomial((0.5,)),) * 4, (Polynomial((1.0, -0.5)),) * 4, (0.0, 0.0, 0.3, 0.3), (0.0,) * 4
         )
-        with pytest.raises(SingularGainError) as reference:
-            full_riccati_sequence(sys)
-        with pytest.raises(SingularGainError, match="step 3") as fast:
-            riccati_sequence(sys)
-        assert str(fast.value) == str(reference.value)
+        riccati = riccati_sequence(sys)
+        assert _same_bits(riccati, full_riccati_sequence(sys))
+        blind = sys.observed_responses[0] == 0.0
+        assert riccati.error_responses[:, blind].ravel().tolist() == [0.0, 0.0, 0.09, 0.25 * 0.09 + 0.09]
+        np.testing.assert_array_equal(riccati.error_responses[:, ~blind], 0.0)
+        np.testing.assert_array_equal(riccati.gain_responses[:, blind], 0.0)
 
 
 def _negate_errors(monkeypatch):
