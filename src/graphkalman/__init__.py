@@ -5,17 +5,10 @@ handle (the eigendecomposition of a shift with its distinct-eigenvalue
 grouping, which every system, model and filter reads), polynomial filters carried
 as their values at the distinct eigenvalues (and interpolated back in the
 Chebyshev basis), stationary signal generation/whitening, polynomial
-state-space dynamics, the graph Kalman filter in spectral and matrix form,
-baseline estimators, and a reproducible cycle-graph experiment CLI.
+state-space dynamics, the graph Kalman filter and its baseline, static inverse
+filtering, in the eigenbasis, and a reproducible cycle-graph experiment CLI.
 """
 
-from .baselines import (
-    LoewnerComparison,
-    inverse_error_covariance,
-    inverse_estimate,
-    loewner_less,
-    spectral_loewner_less,
-)
 from .dynamics import (
     DynamicalSystem,
     Trajectory,
@@ -38,13 +31,22 @@ from .experiment import (
     run_trace,
     trajectory_to_csv,
 )
-from .filters import MembershipResult, apply_filter, eval_filter, is_polynomial_filter
+from .filters import (
+    LoewnerComparison,
+    MembershipResult,
+    apply_filter,
+    eval_filter,
+    is_polynomial_filter,
+    loewner_less,
+    spectral_loewner_less,
+)
 from .graphs import Graph, GraphShift, build_shift, cycle_graph, validate_shift
 from .kalman import (
     FilterResult,
     KalmanState,
     RiccatiSequence,
-    matrix_riccati_step,
+    inverse_error_covariance,
+    inverse_estimate,
     riccati_sequence,
     run_filter,
 )
@@ -89,7 +91,6 @@ __all__ = [
     "is_polynomial_filter",
     "lagrange_interpolate",
     "loewner_less",
-    "matrix_riccati_step",
     "relative_error_metric",
     "riccati_sequence",
     "run_filter",

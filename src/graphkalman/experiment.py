@@ -44,11 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import inverse_estimate
 from .dynamics import DynamicalSystem, Trajectory, require_noise_level, simulate
 from .errors import NumericalFailureError
 from .graphs import build_shift, cycle_graph, require_integral, require_real
-from .kalman import riccati_sequence, run_filter
+from .kalman import inverse_estimate, riccati_sequence, run_filter
 from .polynomials import Polynomial, require_polynomial
 from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
 

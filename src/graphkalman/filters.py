@@ -1,6 +1,10 @@
-"""Polynomial graph filters: spectral evaluation, spatial application, membership test."""
+"""Polynomial graph filters: spectral evaluation, spatial application,
+membership test, and the Loewner order of two filters, as dense matrices
+(``loewner_less``) or as responses at the distinct eigenvalues, one row of an
+(M, d) error array (``spectral_loewner_less``)."""
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -11,6 +15,11 @@ from .spectral import SpectralDecomposition
 
 MEMBERSHIP_TOL_SCALE = 1e-6
 BLIND_TOL_SCALE = 1e-10
+LOEWNER_TOL_SCALE = 1e-12
+
+VERDICT_STRICT = "strict"
+VERDICT_NON_STRICT = "non-strict"
+VERDICT_FAILS = "fails"
 
 
 def eval_filter(poly: Polynomial | ChebyshevSeries, spectrum: SpectralDecomposition) -> np.ndarray:
@@ -89,3 +98,50 @@ def is_polynomial_filter(matrix: np.ndarray, spectrum: SpectralDecomposition) ->
         return MembershipResult(False, None)
     witness = lagrange_interpolate(spectrum.representatives, group_values)
     return MembershipResult(True, witness)
+
+
+@dataclass(frozen=True, eq=False)
+class LoewnerComparison:
+    """Outcome of testing left < right in the Loewner order."""
+
+    min_eigenvalue: float
+    tol: float
+    verdict: str
+
+
+def _verdict(min_eigenvalue: float, tol: float) -> str:
+    if min_eigenvalue > tol:
+        return VERDICT_STRICT
+    if min_eigenvalue >= -tol:
+        return VERDICT_NON_STRICT
+    return VERDICT_FAILS
+
+
+def loewner_less(left: np.ndarray, right: np.ndarray) -> LoewnerComparison:
+    """Strict Loewner comparison of symmetric matrices via the difference
+    spectrum, within ``LOEWNER_TOL_SCALE * ||right||_F``."""
+    left = np.asarray(left, dtype=float)
+    right = np.asarray(right, dtype=float)
+    if left.shape != right.shape or left.ndim != 2 or left.shape[0] != left.shape[1]:
+        raise ValueError(f"operands must be equal square matrices, got {left.shape} vs {right.shape}")
+    for name, mat in (("left", left), ("right", right)):
+        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(mat))):
+            raise ValueError(f"{name} operand is not symmetric")
+    tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(right))
+    diff = right - left
+    diff = 0.5 * (diff + diff.T)
+    min_eigenvalue = float(np.linalg.eigvalsh(diff)[0])
+    return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=tol, verdict=_verdict(min_eigenvalue, tol))
+
+
+def spectral_loewner_less(left: np.ndarray, right: np.ndarray, spectrum: SpectralDecomposition) -> LoewnerComparison:
+    """Loewner comparison of two filters from their responses at the distinct
+    eigenvalues, within ``LOEWNER_TOL_SCALE`` times the right filter's norm."""
+    left = np.asarray(left, dtype=float)
+    right = np.asarray(right, dtype=float)
+    for name, values in (("left", left), ("right", right)):
+        if values.shape != (spectrum.count,):
+            raise ValueError(f"{name} responses have shape {values.shape}, expected ({spectrum.count},)")
+    tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(spectrum.expand(right)))
+    min_eigenvalue = float(np.min(right - left))
+    return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=tol, verdict=_verdict(min_eigenvalue, tol))

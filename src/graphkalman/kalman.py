@@ -1,4 +1,4 @@
-"""Graph Kalman filter in the eigenbasis of the shift.
+"""Graph Kalman filter and static inverse filtering in the eigenbasis of the shift.
 
 On a symmetric shift the gain and error covariance stay polynomials of the
 shift, so each step reduces to independent scalar updates at the distinct
@@ -39,9 +39,14 @@ a sequence of ``KalmanState`` built on demand); an estimate that is not
 finite raises ``NumericalFailureError`` naming its first step.
 The one edge back to a polynomial of the shift is ``RiccatiSequence.gains``,
 Chebyshev interpolants made on request (``NumericalFailureError`` where an
-interpolant cannot keep its node values).  The dense matrix
-Riccati step below, ``matrix_riccati_step``, drives ``verify.matrix_riccati_path``,
-the oracle that the spectral path is checked against; it uses numpy only.
+interpolant cannot keep its node values).
+
+Static inverse filtering, the paper's baseline, is the gain's sigma_tilde -> 0
+limit applied without memory: ``inverse_estimate`` scales each z~_k alone by
+``_inverse_gains`` (1/b, 0 where ``observed_responses`` is 0), the gain rows of
+a noise-free Riccati step, and ``inverse_error_covariance`` is its (M, d) error.
+The zero estimate needs no code: its error is ``covariance_responses(sys)``.
+The dense Riccati step is ``verify``'s oracle.
 """
 from __future__ import annotations
 
@@ -52,11 +57,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DynamicalSystem, propagate, require_finite_steps
-from .errors import NumericalFailureError
+from .dynamics import DynamicalSystem, covariance_responses, propagate, require_finite_steps
 from .polynomials import ChebyshevSeries, lagrange_interpolate
-
-INNOVATION_CONDITION_LIMIT = 1e14
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,27 +68,6 @@ class KalmanState:
     with ROADMAP items 1 and 2."""
 
     estimate: np.ndarray
-
-
-def matrix_riccati_step(p_prev, a, b, sigma: float, sigma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
-    """One dense Riccati step from the predicted P = A P_prev A^T + sigma^2 I:
-    the gain K = P B^T S^-1 with S = B P B^T + sigma_tilde^2 I, one dense
-    solve after the SPD and condition check on S, and the updated error
-    covariance (I - K B) P.  A sigma_tilde > 0 oracle: at sigma_tilde = 0 a blind frequency makes S singular."""
-    p_prev, a, b = (np.asarray(x, dtype=float) for x in (p_prev, a, b))
-    eye = np.eye(a.shape[0])
-    predicted = a @ p_prev @ a.T + sigma**2 * eye
-    predicted = 0.5 * (predicted + predicted.T)
-    innovation = b @ predicted @ b.T + sigma_tilde**2 * eye
-    innovation = 0.5 * (innovation + innovation.T)
-    eigenvalues = np.linalg.eigvalsh(innovation)
-    if eigenvalues[0] <= 0 or eigenvalues[-1] / eigenvalues[0] > INNOVATION_CONDITION_LIMIT:
-        raise NumericalFailureError(
-            f"innovation matrix numerically singular (condition beyond {INNOVATION_CONDITION_LIMIT:g})"
-        )
-    gain = np.linalg.solve(innovation, b @ predicted).T
-    updated = (eye - gain @ b) @ predicted
-    return gain, 0.5 * (updated + updated.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +103,12 @@ class RiccatiSequence:
     def gains(self) -> tuple[ChebyshevSeries, ...]:
         nodes = self.system.spectrum.representatives
         return tuple(lagrange_interpolate(nodes, row) for row in self.gain_responses)
+
+
+def _inverse_gains(observed: np.ndarray) -> np.ndarray:
+    """1/b of ``observed_responses`` rows b, 0 where b is 0: the Kalman gain
+    at sigma_tilde = 0 and the inverse filter's gain at any sigma_tilde."""
+    return np.divide(1.0, observed, out=np.zeros_like(observed), where=observed != 0.0)
 
 
 def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
@@ -181,13 +168,55 @@ def riccati_sequence(sys: DynamicalSystem) -> RiccatiSequence:
         noise = sigma_tilde_squared[:, None]
         predicted = state_squared * variances[:-1] + sigma_squared[:, None]
         gains = predicted * observation / (observation_squared * predicted + noise)
-        inverse = np.divide(1.0, observation, out=np.zeros_like(observation), where=observation != 0.0)
-        gains = np.where(noise == 0.0, inverse, gains)
+        gains = np.where(noise == 0.0, _inverse_gains(observation), gains)
     errors = variances[1:]
     require_finite_steps(np.hstack((gains, errors)), "Riccati gain or error response", first_step=1)
     for values in (gains, errors):
         values.flags.writeable = False
     return RiccatiSequence(system=sys, gain_responses=gains, error_responses=errors)
+
+
+def inverse_estimate(sys: DynamicalSystem, observations) -> np.ndarray:
+    """Static inverse-filtering estimates of a (T, m, n) stack of observation
+    rows z_1..z_m: z_k times step k's ``_inverse_gains`` in the eigenbasis,
+    with no memory of earlier steps.  The estimates have the stack's shape,
+    and trial t is what its rows give as a stack of one.
+
+    Raises:
+        NumericalFailureError: naming the first step at which an estimate of
+            any trial is not finite (a non-finite observation, or one so
+            large that its inverse overflows).
+    """
+    obs = np.asarray(observations, dtype=float)
+    if obs.ndim != 3 or obs.shape[2] != sys.n or obs.shape[1] > sys.horizon:
+        raise ValueError(f"observations have shape {obs.shape}, expected (T, m, {sys.n}) with m <= {sys.horizon}")
+    inverted = _inverse_gains(sys.observed_responses[: obs.shape[1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotated = sys.spectrum.to_spectral(obs)
+        rotated *= sys.spectrum.expand(inverted)
+        estimates = sys.spectrum.from_spectral(rotated)
+    require_finite_steps(estimates, "inverse-filtering estimate", first_step=1)
+    return estimates
+
+
+def inverse_error_covariance(sys: DynamicalSystem) -> np.ndarray:
+    """Error covariances of ``inverse_estimate`` at steps 1..M, at the
+    distinct eigenvalues mu, shape (M, d), row k - 1 for step k:
+    sigma_tilde_k^2 / b_k(mu)^2 where ``observed_responses`` b_k is nonzero,
+    and the state covariance h_k(mu) where it is 0, since the estimate there
+    is 0.
+
+    Raises:
+        NumericalFailureError: naming the first step whose state covariance
+            is not finite, as ``covariance_responses`` does, or whose error
+            covariance is not, as when sigma_tilde_k^2 / b_k^2 overflows.
+    """
+    responses = sys.observed_responses
+    with np.errstate(over="ignore", divide="ignore"):
+        noise = np.square(sys.observation_noise)[:, None]
+        errors = np.divide(noise, responses**2, out=covariance_responses(sys), where=responses != 0.0)
+    require_finite_steps(errors, "inverse error covariance", first_step=1)
+    return errors
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,8 @@ reports pass/fail with the worst observed value.  Covariance, gain and
 baseline results are compared as whole-horizon arrays of responses at the
 distinct eigenvalues; ``response_matrix`` builds their dense form, and the
 dense oracles (``matrix_*_path``, ``joint_error_covariances``) run the whole
-horizon from h_0 as n x n matrices.  The test suite reuses the oracles and
+horizon from h_0 as n x n matrices, ``matrix_riccati_path`` by the dense
+Riccati step ``matrix_riccati_step``.  The test suite reuses the oracles and
 the random-sweep generators.
 """
 from __future__ import annotations
@@ -18,20 +19,24 @@ from typing import Callable
 import numpy as np
 
 from . import kalman as kalman_mod
-from .baselines import (
+from .dynamics import DynamicalSystem, covariance_responses, simulate
+from .errors import NumericalFailureError
+from .experiment import ExperimentConfig, run_heatmap, write_heatmap_csv
+from .filters import (
     VERDICT_STRICT,
-    inverse_error_covariance,
+    apply_filter,
+    eval_filter,
+    is_polynomial_filter,
     loewner_less,
     spectral_loewner_less,
 )
-from .dynamics import DynamicalSystem, covariance_responses, simulate
-from .experiment import ExperimentConfig, run_heatmap, write_heatmap_csv
-from .filters import apply_filter, eval_filter, is_polynomial_filter
 from .graphs import Graph, build_shift, cycle_graph, validate_shift
 from .polynomials import Polynomial, lagrange_interpolate
 from .seeding import child_sequence, generator
 from .spectral import eigendecompose
 from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filter, whiten
+
+INNOVATION_CONDITION_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,27 @@ def matrix_covariance_path(sys: DynamicalSystem) -> list[np.ndarray]:
     return covariances
 
 
+def matrix_riccati_step(p_prev, a, b, sigma: float, sigma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
+    """One dense Riccati step from the predicted P = A P_prev A^T + sigma^2 I:
+    the gain K = P B^T S^-1 with S = B P B^T + sigma_tilde^2 I, one dense
+    solve after the SPD and condition check on S, and the updated error
+    covariance (I - K B) P.  A sigma_tilde > 0 oracle: at sigma_tilde = 0 a blind frequency makes S singular."""
+    p_prev, a, b = (np.asarray(x, dtype=float) for x in (p_prev, a, b))
+    eye = np.eye(a.shape[0])
+    predicted = a @ p_prev @ a.T + sigma**2 * eye
+    predicted = 0.5 * (predicted + predicted.T)
+    innovation = b @ predicted @ b.T + sigma_tilde**2 * eye
+    innovation = 0.5 * (innovation + innovation.T)
+    eigenvalues = np.linalg.eigvalsh(innovation)
+    if eigenvalues[0] <= 0 or eigenvalues[-1] / eigenvalues[0] > INNOVATION_CONDITION_LIMIT:
+        raise NumericalFailureError(
+            f"innovation matrix numerically singular (condition beyond {INNOVATION_CONDITION_LIMIT:g})"
+        )
+    gain = np.linalg.solve(innovation, b @ predicted).T
+    updated = (eye - gain @ b) @ predicted
+    return gain, 0.5 * (updated + updated.T)
+
+
 def matrix_riccati_path(sys: DynamicalSystem):
     """Dense-recursion gains and error covariances of steps 1..M, item k - 1
     for step k, from the system's h_0, independent of the spectral path."""
@@ -160,7 +186,7 @@ def matrix_riccati_path(sys: DynamicalSystem):
     for state_poly, observation_poly, sigma, sigma_tilde in _steps(sys):
         a = eval_filter(state_poly, sys.spectrum)
         b = eval_filter(observation_poly, sys.spectrum)
-        gain, p = kalman_mod.matrix_riccati_step(p, a, b, sigma, sigma_tilde)
+        gain, p = matrix_riccati_step(p, a, b, sigma, sigma_tilde)
         gains.append(gain)
         errors.append(p)
     return gains, errors
@@ -580,7 +606,7 @@ def check_baselines() -> list[CheckResult]:
     for _ in range(50):
         sys = random_system(rng, n_max=12, steps=20, all_pass=True)
         errors = kalman_mod.riccati_sequence(sys).error_responses
-        inverses = inverse_error_covariance(sys)
+        inverses = kalman_mod.inverse_error_covariance(sys)
         # the zero-signal strategy's error covariance is the state covariance
         states = covariance_responses(sys)
         for p, inverse, state in zip(errors, inverses, states):

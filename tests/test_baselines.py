@@ -18,6 +18,7 @@ from graphkalman import (
     inverse_estimate,
     loewner_less,
     riccati_sequence,
+    run_filter,
     simulate,
     spectral_loewner_less,
 )
@@ -184,6 +185,59 @@ def test_only_the_system_decides_the_blind_frequencies():
     package = Path(graphkalman.__file__).parent
     callers = sorted(p.name for p in package.glob("*.py") if "passband(" in p.read_text())
     assert callers == ["dynamics.py", "filters.py"]
+
+
+def test_one_inverse_gain_and_no_dense_kalman_code():
+    # kalman._inverse_gains forms 1/b for the noise-free Riccati step and the
+    # inverse filter alike; the dense Riccati step is verify's oracle
+    package = Path(graphkalman.__file__).parent
+    sources = {p.name: p.read_text() for p in package.glob("*.py")}
+    assert {name: text.count("np.divide(1.0") for name, text in sources.items() if "np.divide(1.0" in text} == {"kalman.py": 1}
+    assert "np.linalg" not in sources["kalman.py"]
+
+
+class TestInverseIsTheNoiseFreeGainWithoutMemory:
+    """Static inverse filtering applies the Kalman gain at sigma_tilde = 0,
+    ``riccati_sequence(twin).gain_responses``, to each observation alone."""
+
+    @staticmethod
+    def _system_and_twin(n, observation_polys):
+        # a = t/4, sigma = 0.3; the system at sigma_tilde = 0.5, its twin at 0
+        spectrum = eigendecompose(build_shift(cycle_graph(n), "laplacian"))
+        steps = len(observation_polys)
+        a = (Polynomial((0.0, 0.25)),) * steps
+        return tuple(
+            DynamicalSystem(spectrum, steps, a, observation_polys, (0.3,) * steps, (sigma_tilde,) * steps)
+            for sigma_tilde in (0.5, 0.0)
+        )
+
+    @staticmethod
+    def _twin_gain_applied(twin, z):
+        spectrum, gains = twin.spectrum, riccati_sequence(twin).gain_responses
+        return spectrum.from_spectral(spectrum.to_spectral(z) * spectrum.expand(gains[: z.shape[1]]))
+
+    @pytest.mark.parametrize("n", [8, 12, 30])
+    def test_inverse_estimate_is_the_noise_free_gain_bit_for_bit(self, n):
+        sys, twin = self._system_and_twin(n, (Polynomial((1.0, -0.5)),) * 6)
+        # 1 - t/2 is blind at eigenvalue 2 of C_8 and C_12; C_30 has no eigenvalue 2
+        assert np.any(sys.observed_responses == 0.0) == (n != 30)
+        z = simulate(sys, [1, 2, 3]).observations
+        assert inverse_estimate(sys, z).tobytes() == self._twin_gain_applied(twin, z).tobytes()
+
+    def test_at_a_dropout_the_inverse_estimate_is_zero_and_kalman_predicts(self):
+        # b_k = 0 at every 4th step: every frequency is blind there
+        b, dropout = Polynomial((1.0, -0.5)), Polynomial()
+        sys, twin = self._system_and_twin(12, tuple(dropout if k % 4 == 0 else b for k in range(1, 9)))
+        z = simulate(sys, [4]).observations
+        inverse = inverse_estimate(sys, z)
+        assert inverse.tobytes() == self._twin_gain_applied(twin, z).tobytes()
+        np.testing.assert_array_equal(inverse[0, 3], np.zeros(12))
+        # the recursive filter keeps its memory: gain 0 predicts a_4 x^_3
+        kalman = run_filter(twin, z[0]).estimates
+        spectrum = twin.spectrum
+        predicted = spectrum.expand(twin.state_responses[3]) * spectrum.to_spectral(kalman[3])
+        np.testing.assert_allclose(spectrum.to_spectral(kalman[4]), predicted, rtol=0.0, atol=1e-12)
+        assert np.linalg.norm(kalman[4]) == pytest.approx(2.39, abs=0.005)
 
 
 class TestInverseErrorCovariance:

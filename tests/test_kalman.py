@@ -17,7 +17,6 @@ from graphkalman import (
     eigendecompose,
     eval_filter,
     inverse_error_covariance,
-    matrix_riccati_step,
     riccati_sequence,
     run_filter,
     simulate,
@@ -26,7 +25,7 @@ from graphkalman import kalman as kalman_mod
 from graphkalman.dynamics import covariance_responses
 from graphkalman.experiment import DEFAULT_GRID
 from graphkalman.seeding import generator
-from graphkalman.verify import matrix_covariance_path, matrix_riccati_path, random_system, response_matrix
+from graphkalman.verify import matrix_covariance_path, matrix_riccati_path, matrix_riccati_step, random_system, response_matrix
 
 from conftest import full_riccati_sequence, plain_recursion, time_varying_cycle_system
 
