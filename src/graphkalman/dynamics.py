@@ -24,19 +24,21 @@ frequency blind, is what every estimator reads, each with gain 0 there;
 ``simulate`` reads the raw b_k, since the channel is physical.
 
 ``simulate`` runs a stack of T trajectories, one seed each, held as
-(T, M + 1, n) states and (T, M, n) observations.  Each trajectory draws
-one vertex-space white-noise block of shape (2M + 1, n) from its own
-stream: row 0 drives the initial state, row 2k-1 the process noise and row
-2k the observation noise of step k.  The (T, 2M + 1, n) blocks are rotated
-into the eigenbasis by one stacked product, every frequency runs its own
-scalar recursion (the scaled process noise is written into the state rows
-and ``propagate`` adds a_k times the previous state in place, one Python
-step per time step for all T trials), and states and observations are
-rotated back once.  A stacked product rounds each trial as a product of
-its own rows would, so trial t of a stack is bit for bit the trajectory
-its seed gives in a stack of one.  A stack with a state or observation
-that is not finite raises ``NumericalFailureError`` naming the first such
-step.
+(T, M + 1, n) states and (T, M, n) observations.  Each trajectory draws one
+vertex-space white-noise block of shape (2M + 1, n) from its own stream,
+child key 0 of its seed (``child_sequence``) drawn with numpy's
+``default_rng`` (``generator``; ``numpy.random`` is loaded on the first
+draw, not with the package): row 0 drives the initial state, row 2k-1 the
+process noise and row 2k the observation noise of step k.  The
+(T, 2M + 1, n) blocks are rotated into the eigenbasis by one stacked
+product, every frequency runs its own scalar recursion (the scaled
+process noise is written into the state rows and ``propagate`` adds a_k
+times the previous state in place, one Python step per time step for all
+T trials), and states and observations are rotated back once.  A stacked product rounds
+each trial as a product of its own rows would, so trial t of a stack is
+bit for bit the trajectory its seed gives in a stack of one.  A stack with
+a state or observation that is not finite raises ``NumericalFailureError``
+naming the first such step.
 
 The state covariance stays a polynomial of the shift and follows the closed
 recursion h_k = a_k^2 h_{k-1} + sigma_k^2.  ``covariance_responses`` runs it
@@ -57,7 +59,6 @@ from .errors import NumericalFailureError
 from .filters import passband
 from .graphs import GraphShift, require_integral, require_real
 from .polynomials import Polynomial, require_polynomial
-from .seeding import as_seed_sequence, child_sequence, generator
 from .spectral import SpectralDecomposition
 from .stationary import StationaryModel, require_psd
 
@@ -203,10 +204,6 @@ class Trajectory:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observations", observations)
 
-    @property
-    def horizon(self) -> int:
-        return self.observations.shape[1]
-
 
 def covariance_responses(sys: DynamicalSystem) -> np.ndarray:
     """State covariances h_1..h_M at the distinct eigenvalues mu, (M, d), row
@@ -246,6 +243,22 @@ def require_finite_steps(values: np.ndarray, what: str, first_step: int) -> None
         raise NumericalFailureError(f"{what} is not finite from step {step} on")
 
 
+def generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, the package's one way to draw.  A
+    function rather than an import, so ``numpy.random`` loads on the first
+    draw and not with the package."""
+    return np.random.default_rng(seed)
+
+
+def child_sequence(parent: np.random.SeedSequence, key: int) -> np.random.SeedSequence:
+    """Child ``key`` of ``parent``, derived by extending its spawn key.
+
+    Unlike ``parent.spawn``, this is stateless: the same key always yields
+    the same child, so any stream can be re-derived on its own.
+    """
+    return np.random.SeedSequence(entropy=parent.entropy, spawn_key=(*parent.spawn_key, int(key)))
+
+
 def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
     """A stack of T trajectories of the system, deterministic given their seeds.
 
@@ -274,7 +287,8 @@ def simulate(sys: DynamicalSystem, seeds) -> Trajectory:
         raise ValueError(
             f"seeds must be a list, tuple, range or 1-D array, one per trial of a (T, M + 1, n) stack, got {seeds!r}"
         )
-    sequences = tuple(as_seed_sequence(seed) for seed in seeds)
+    seed_sequence = np.random.SeedSequence
+    sequences = tuple(seed if isinstance(seed, seed_sequence) else seed_sequence(seed) for seed in seeds)
     trials, n, m = len(sequences), sys.n, sys.horizon
     noise = np.empty((trials, 2 * m + 1, n))
     for t, ss in enumerate(sequences):

@@ -2,6 +2,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng as generator
 import pytest
 
 import graphkalman
@@ -23,7 +24,6 @@ from graphkalman import (
     spectral_loewner_less,
 )
 from graphkalman.filters import BLIND_TOL_SCALE
-from graphkalman.seeding import generator
 from graphkalman.verify import (
     joint_error_covariances,
     matrix_covariance_path,

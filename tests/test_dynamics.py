@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng as generator
 import pytest
 
 import graphkalman
@@ -25,9 +26,8 @@ from graphkalman import (
     simulate,
 )
 from graphkalman import kalman
-from graphkalman.dynamics import Trajectory, require_finite_steps
+from graphkalman.dynamics import Trajectory, child_sequence, require_finite_steps
 from graphkalman.experiment import ExperimentConfig, TraceSpec
-from graphkalman.seeding import as_seed_sequence, child_sequence, generator
 from graphkalman.verify import matrix_covariance_path, random_system, response_matrix, simulation_step_gaps
 
 from conftest import plain_recursion, time_varying_cycle_system
@@ -41,7 +41,7 @@ def _cycle_system(n, a, b, sigma, sigma_tilde, horizon, h0=Polynomial()):
 def _noise_block(sys, seed):
     """The trajectory's white-noise block re-drawn from its seed: row 0 for
     x_0, row 2k-1 for the process and row 2k for the observation noise of step k."""
-    return generator(child_sequence(as_seed_sequence(seed), 0)).standard_normal((2 * sys.horizon + 1, sys.n))
+    return generator(child_sequence(np.random.SeedSequence(seed), 0)).standard_normal((2 * sys.horizon + 1, sys.n))
 
 
 def _dense_trajectory(sys, seed):
@@ -382,6 +382,14 @@ def test_one_first_order_loop():
     assert {name: count for name, count in counts.items() if count} == {"dynamics.py": 1}
 
 
+def test_one_way_to_draw():
+    # every stream is numpy's default_rng, through dynamics.generator or
+    # np.random.default_rng; no module builds a bit generator itself
+    package = Path(graphkalman.__file__).parent
+    built = re.compile(r"PCG64|np\.random\.Generator\(")
+    assert [p.name for p in package.glob("*.py") if built.search(p.read_text())] == []
+
+
 def test_one_trajectory_shape():
     # simulate, Trajectory, inverse_estimate and relative_error_metric take
     # (T, ., n) stacks only, so no code branches on a single trajectory
@@ -397,7 +405,7 @@ ONE_TRAJECTORY_CALLS = {
         r"list, tuple, range or 1-D array, one per trial of a \(T, M \+ 1, n\) stack, got 7$",
     ),
     "trajectory-2d": (
-        lambda sys, rows: Trajectory(states=np.zeros((4, 4)), observations=rows, seed=(as_seed_sequence(7),)),
+        lambda sys, rows: Trajectory(states=np.zeros((4, 4)), observations=rows, seed=(np.random.SeedSequence(7),)),
         r"must be \(T, M \+ 1, n\) and \(T, M, n\), got \(4, 4\) and \(3, 4\)$",
     ),
     "inverse-2d": (lambda sys, rows: inverse_estimate(sys, rows), r"shape \(3, 4\), expected \(T, m, 4\)"),
@@ -517,7 +525,7 @@ class TestStackedSimulate:
         stack = simulate(sys, seeds)
         assert stack.states.shape == (trials, sys.horizon + 1, sys.n)
         assert stack.observations.shape == (trials, sys.horizon, sys.n)
-        assert stack.horizon == sys.horizon
+        assert stack.observations.shape[1] == sys.horizon
         assert stack.seed == tuple(seeds)
         for t, seed in enumerate(seeds):
             single = simulate(sys, [seed])

@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng as generator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,6 @@ from graphkalman.experiment import (
     write_heatmap_csv,
     write_trace_csvs,
 )
-from graphkalman.seeding import generator
 from graphkalman.verify import random_polynomial, random_shift
 
 from conftest import full_riccati_sequence, time_varying_cycle_system

@@ -1,4 +1,5 @@
 import numpy as np
+from numpy.random import default_rng as generator
 import pytest
 
 from graphkalman import (
@@ -11,7 +12,6 @@ from graphkalman import (
     is_polynomial_filter,
     lagrange_interpolate,
 )
-from graphkalman.seeding import generator
 from graphkalman.verify import random_polynomial, random_shift
 
 

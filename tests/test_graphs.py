@@ -5,11 +5,11 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng as generator
 import pytest
 
 from graphkalman import Graph, GraphShift, InvalidShiftError, build_shift, cycle_graph, graphs, validate_shift
 from graphkalman.graphs import require_integral
-from graphkalman.seeding import generator
 from graphkalman.spectral import _cycle_laplacian_eigenpairs, eigendecompose
 from graphkalman.verify import random_graph
 

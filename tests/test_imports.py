@@ -34,11 +34,16 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_neither_the_cli_nor_verify():
-    # compiling verify.py alone costs each fresh process without a bytecode
-    # cache about 12 ms, and a library import needs neither module
-    probe = "import json, sys, graphkalman; print(json.dumps(sorted(name for name in sys.modules if name.startswith('graphkalman.'))))"
+    # each module loaded costs a fresh process without a bytecode cache its
+    # compile time (verify.py alone about 12 ms), and a library import needs
+    # neither the cli, verify nor numpy.random, which loads on the first draw
+    probe = (
+        "import json, sys, graphkalman; print(json.dumps(["
+        "'numpy.random' in sys.modules, sorted(name for name in sys.modules if name.startswith('graphkalman.'))]))"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(done.stdout)
-    assert "graphkalman.experiment" in loaded
-    assert "graphkalman.cli" not in loaded and "graphkalman.verify" not in loaded
+    random_loaded, loaded = json.loads(done.stdout)
+    assert not random_loaded
+    modules = ["dynamics", "errors", "experiment", "filters", "graphs", "kalman", "polynomials", "spectral", "stationary"]
+    assert loaded == [f"graphkalman.{name}" for name in modules]

@@ -3,6 +3,7 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.random import default_rng as generator
 import pytest
 
 from graphkalman import (
@@ -24,7 +25,6 @@ from graphkalman import (
 from graphkalman import kalman as kalman_mod
 from graphkalman.dynamics import covariance_responses
 from graphkalman.experiment import DEFAULT_GRID
-from graphkalman.seeding import generator
 from graphkalman.verify import matrix_covariance_path, matrix_riccati_path, matrix_riccati_step, random_system, response_matrix
 
 from conftest import full_riccati_sequence, plain_recursion, time_varying_cycle_system

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng as generator
 import pytest
 
 import graphkalman
@@ -16,7 +17,6 @@ from graphkalman import (
     eval_filter,
 )
 from graphkalman.verify import annihilation_residual, random_shift
-from graphkalman.seeding import generator
 
 from conftest import cycle_laplacian_eigenvalues
 

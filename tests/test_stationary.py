@@ -1,4 +1,5 @@
 import numpy as np
+from numpy.random import default_rng as generator
 import pytest
 import scipy.stats
 
@@ -18,7 +19,6 @@ from graphkalman import (
     sqrt_filter,
     whiten,
 )
-from graphkalman.seeding import generator
 from graphkalman.verify import random_polynomial, random_psd_poly, random_shift
 
 

@@ -3,9 +3,12 @@ invariants stated on eigenvalue values fail on a wrong grouping, closed
 form or interpolant."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from graphkalman import spectral, verify
+from graphkalman.filters import VERDICT_NON_STRICT, VERDICT_STRICT
 from graphkalman.verify import format_report, run_checks
 
 
@@ -82,3 +85,18 @@ def test_wrong_interpolant_fails_reduction_soundness(monkeypatch):
     results = run_checks(["poly_filter"])
     assert not _result(results, "reduction-soundness").passed
     assert _result(results, "spatial-spectral-agreement").passed
+
+
+def test_flipped_spectral_strictness_fails_verdict_agreement(monkeypatch):
+    original = verify.spectral_loewner_less
+
+    def flipped(left, right, spectrum):
+        comparison = original(left, right, spectrum)
+        verdict = VERDICT_NON_STRICT if comparison.verdict == VERDICT_STRICT else VERDICT_STRICT
+        return dataclasses.replace(comparison, verdict=verdict)
+
+    monkeypatch.setattr(verify, "spectral_loewner_less", flipped)
+    results = run_checks(["baselines"])
+    assert not _result(results, "matrix-and-spectral-verdicts-agree").passed
+    assert _result(results, "kalman-strictly-beats-inverse").passed
+    assert _result(results, "kalman-strictly-beats-zero").passed
