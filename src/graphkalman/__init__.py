@@ -4,8 +4,9 @@ The library covers graph construction and shift validation, one spectral
 handle (the eigendecomposition of a shift with its distinct-eigenvalue
 grouping, which every system, model and filter reads), polynomial filters carried
 as their values at the distinct eigenvalues (and interpolated back in the
-Chebyshev basis), stationary signal generation/whitening, polynomial
-state-space dynamics, the graph Kalman filter and its baseline, static inverse
+Chebyshev basis) with stationary signals among them, since a stationary
+covariance is a polynomial filter of the shift (colouring, whitening and
+fitting, all in ``filters``), polynomial state-space dynamics, the graph Kalman filter and its baseline, static inverse
 filtering, in the eigenbasis, and a reproducible cycle-graph experiment CLI.
 """
 
@@ -34,11 +35,16 @@ from .experiment import (
 from .filters import (
     LoewnerComparison,
     MembershipResult,
+    StationaryModel,
     apply_filter,
     eval_filter,
+    fit_covariance_poly,
     is_polynomial_filter,
     loewner_less,
+    sample,
     spectral_loewner_less,
+    sqrt_filter,
+    whiten,
 )
 from .graphs import Graph, GraphShift, build_shift, cycle_graph, validate_shift
 from .kalman import (
@@ -52,7 +58,6 @@ from .kalman import (
 )
 from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
 from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
-from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filter, whiten
 
 __version__ = "0.1.0"
 

@@ -56,11 +56,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalFailureError
-from .filters import passband
+from .filters import StationaryModel, passband, require_psd
 from .graphs import GraphShift, require_integral, require_real
 from .polynomials import Polynomial, require_polynomial
 from .spectral import SpectralDecomposition
-from .stationary import StationaryModel, require_psd
 
 
 def require_noise_level(value, name: str) -> float:

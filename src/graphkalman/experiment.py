@@ -178,18 +178,8 @@ class ExperimentConfig:
         return ExperimentConfig.from_json(Path(path).read_text())
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "a": list(self.state_poly.coeffs),
-            "b": list(self.observation_poly.coeffs),
-            "sigma_grid": list(self.sigma_grid),
-            "sigma_tilde_grid": list(self.sigma_tilde_grid),
-            "seed": self.seed,
-            "clip": self.clip,
-            "trace": asdict(self.trace),
-        }
+        """The JSON form: one key per ``_JSON_FIELDS`` entry, in its order."""
+        return {key: _json_value(getattr(self, field)) for key, (field, _) in _JSON_FIELDS.items()}
 
 
 def _reject_unknown_keys(payload, known: set[str], what: str) -> None:
@@ -232,15 +222,26 @@ def _trace_spec(spec, name: str) -> TraceSpec:
     return TraceSpec(**spec)
 
 
+def _json_value(value):
+    """A canonical field value's JSON form: a polynomial's coefficients or a
+    grid as a list, the trace spec as an object, a number as itself."""
+    if isinstance(value, TraceSpec):
+        return asdict(value)
+    if isinstance(value, Polynomial):
+        value = value.coeffs
+    return list(value) if isinstance(value, tuple) else value
+
+
 # JSON key -> (ExperimentConfig field, its rule): rule(value, field) gives the
 # field's canonical value or raises ValueError, and gives a canonical value
 # back unchanged
 _JSON_FIELDS = {
-    **{key: (key, require_integral) for key in ("n", "m", "trials", "seed")},
+    **{key: (key, require_integral) for key in ("n", "m", "trials")},
     "a": ("state_poly", require_polynomial),
     "b": ("observation_poly", require_polynomial),
     "sigma_grid": ("sigma_grid", _grid),
     "sigma_tilde_grid": ("sigma_tilde_grid", _grid),
+    "seed": ("seed", require_integral),
     "clip": ("clip", require_real),
     "trace": ("trace", _trace_spec),
 }
@@ -477,9 +478,17 @@ def _write_csv(target, header: str, rows) -> None:
     write_text(target, "\n".join(lines) + "\n")
 
 
+def _estimator_values(result: HeatmapResult, which: str) -> np.ndarray:
+    """The heatmap of estimator ``which``, "kalman" or "inverse"; any other
+    name raises ValueError."""
+    if which not in ("kalman", "inverse"):
+        raise ValueError(f"unknown estimator {which!r}; choose 'kalman' or 'inverse'")
+    return getattr(result, which)
+
+
 def write_heatmap_csv(result: HeatmapResult, which: str, target) -> None:
     """Write one estimator's heatmap table (rows ordered sigma-major)."""
-    values = {"kalman": result.kalman, "inverse": result.inverse}[which]
+    values = _estimator_values(result, which)
     _write_csv(target, "sigma,sigma_tilde,value,n_trials,flagged", (
         (sigma, sigma_tilde, values[i, j], result.n_trials[i, j], result.flagged[i, j])
         for i, sigma in enumerate(result.sigma_grid)
@@ -523,7 +532,7 @@ def _ramp_color(fraction: float) -> str:
 
 def write_heatmap_svg(result: HeatmapResult, which: str, target) -> None:
     """Self-contained SVG heatmap with per-cell value labels."""
-    values = {"kalman": result.kalman, "inverse": result.inverse}[which]
+    values = _estimator_values(result, which)
     cell = 42
     margin = 70
     ns, nt = values.shape

@@ -1,14 +1,39 @@
-"""Polynomial graph filters: spectral evaluation, spatial application,
-membership test, and the Loewner order of two filters, as dense matrices
-(``loewner_less``) or as responses at the distinct eigenvalues, one row of an
-(M, d) error array (``spectral_loewner_less``)."""
+"""Polynomial graph filters, stationary signals among them.
+
+A zero-mean random signal is stationary when its covariance matrix is a
+polynomial filter of the graph shift: white noise passed through a
+polynomial channel.  So one module holds filters and stationary models:
+
+- ``eval_filter`` evaluates a filter as a dense matrix, ``apply_filter``
+  applies it with shift-vector products only, and ``passband`` tells which
+  frequencies a filter passes;
+- ``is_polynomial_filter`` tests whether a matrix is a filter, and
+  ``fit_covariance_poly`` fits one to a covariance matrix; both read a
+  matrix M the one way, as the diagonal of U^T M U averaged over each group
+  of equal eigenvalues;
+- ``loewner_less`` orders two filters as dense matrices and
+  ``spectral_loewner_less`` as responses at the distinct eigenvalues, one
+  row of an (M, d) error array; ``loewner_less`` and
+  ``fit_covariance_poly`` refuse an asymmetric matrix by one rule;
+- a ``StationaryModel`` pairs a covariance polynomial with one
+  ``SpectralDecomposition`` and evaluates it once, at the distinct
+  eigenvalues (``group_variances``, checked by ``require_psd``).  Colouring
+  (``sample``) scales white noise e in the eigenbasis, U diag(sqrt(h)) U^T e,
+  and whitening (``whiten``) inverts the nonzero responses there;
+  ``sqrt_filter`` interpolates the square-root responses only when the
+  polynomial is asked for.  It and the fit (``fit_covariance_poly``) are
+  ``ChebyshevSeries`` on the spectrum's span, which ``apply_filter``
+  applies.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NotPositiveSemidefiniteError, NumericalFailureError
 from .graphs import GraphShift
 from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
 from .spectral import SpectralDecomposition
@@ -16,6 +41,7 @@ from .spectral import SpectralDecomposition
 MEMBERSHIP_TOL_SCALE = 1e-6
 BLIND_TOL_SCALE = 1e-10
 LOEWNER_TOL_SCALE = 1e-12
+PSD_TOL_SCALE = 1e-10
 
 VERDICT_STRICT = "strict"
 VERDICT_NON_STRICT = "non-strict"
@@ -70,6 +96,14 @@ def passband(responses: np.ndarray) -> np.ndarray:
     return responses > BLIND_TOL_SCALE * np.max(responses, axis=-1, keepdims=True)
 
 
+def _filter_reading(m: np.ndarray, spectrum: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """How a matrix M reads as a filter: U^T M U (an (n, n) M, any other shape
+    raising ``ValueError``) and the means of its diagonal over each group of
+    equal eigenvalues, the responses at the distinct eigenvalues."""
+    c = spectrum.in_eigenbasis(m)
+    return c, spectrum.group_means(np.diag(c))
+
+
 class MembershipResult(NamedTuple):
     is_member: bool
     witness: ChebyshevSeries | None
@@ -86,13 +120,11 @@ def is_polynomial_filter(matrix: np.ndarray, spectrum: SpectralDecomposition) ->
     keep them).
     """
     m = np.asarray(matrix, dtype=float)
-    c = spectrum.in_eigenbasis(m)
+    c, group_values = _filter_reading(m, spectrum)
     tol = MEMBERSHIP_TOL_SCALE * np.linalg.norm(m)
-    diagonal = np.diag(c).copy()
-    off = c - np.diag(diagonal)
-    if np.max(np.abs(off)) > tol:
+    diagonal = np.diag(c)
+    if np.max(np.abs(c - np.diag(diagonal))) > tol:
         return MembershipResult(False, None)
-    group_values = spectrum.group_means(diagonal)
     spread = np.max(np.abs(diagonal - spectrum.expand(group_values)))
     if spread > tol:
         return MembershipResult(False, None)
@@ -117,6 +149,11 @@ def _verdict(min_eigenvalue: float, tol: float) -> str:
     return VERDICT_FAILS
 
 
+def _is_symmetric(m: np.ndarray) -> bool:
+    """Whether a square matrix equals its transpose within 1e-10 max(1, ||m||_F)."""
+    return np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(m)))
+
+
 def loewner_less(left: np.ndarray, right: np.ndarray) -> LoewnerComparison:
     """Strict Loewner comparison of symmetric matrices via the difference
     spectrum, within ``LOEWNER_TOL_SCALE * ||right||_F``."""
@@ -125,7 +162,7 @@ def loewner_less(left: np.ndarray, right: np.ndarray) -> LoewnerComparison:
     if left.shape != right.shape or left.ndim != 2 or left.shape[0] != left.shape[1]:
         raise ValueError(f"operands must be equal square matrices, got {left.shape} vs {right.shape}")
     for name, mat in (("left", left), ("right", right)):
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(mat))):
+        if not _is_symmetric(mat):
             raise ValueError(f"{name} operand is not symmetric")
     tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(right))
     diff = right - left
@@ -145,3 +182,107 @@ def spectral_loewner_less(left: np.ndarray, right: np.ndarray, spectrum: Spectra
     tol = LOEWNER_TOL_SCALE * float(np.linalg.norm(spectrum.expand(right)))
     min_eigenvalue = float(np.min(right - left))
     return LoewnerComparison(min_eigenvalue=min_eigenvalue, tol=tol, verdict=_verdict(min_eigenvalue, tol))
+
+
+@dataclass(frozen=True, eq=False)
+class StationaryModel:
+    """Covariance polynomial of a zero-mean stationary signal on the shift
+    that ``spectrum`` decomposes."""
+
+    covariance_poly: Polynomial
+    spectrum: SpectralDecomposition
+
+    @cached_property
+    def group_variances(self) -> np.ndarray:
+        """Raw variances at the distinct-eigenvalue representatives, read-only;
+        one that is not finite raises NumericalFailureError on every read."""
+        # a value that overflows is infinite, and the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.covariance_poly(self.spectrum.representatives)
+        if not np.isfinite(values).all():
+            raise NumericalFailureError("covariance polynomial is not finite at a distinct eigenvalue")
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def clamped_group_variances(self) -> np.ndarray:
+        """Group variances with tiny negative values clamped to zero, read-only
+        and checked once per model.
+
+        Raises:
+            NotPositiveSemidefiniteError: as ``require_psd``, on every read,
+                since a failed check caches nothing.
+        """
+        values = np.maximum(require_psd(self.group_variances, "covariance polynomial"), 0.0)
+        values.flags.writeable = False
+        return values
+
+
+def require_psd(values: np.ndarray, what: str) -> np.ndarray:
+    """Return frequency variances ``values`` unchanged unless one is below
+    ``-PSD_TOL_SCALE * max(values)``; then raise NotPositiveSemidefiniteError."""
+    worst = float(np.min(values))
+    if worst < -PSD_TOL_SCALE * max(float(np.max(values)), 0.0):
+        raise NotPositiveSemidefiniteError(f"{what} has negative frequency variance {worst:g}")
+    return values
+
+
+def sqrt_filter(model: StationaryModel) -> ChebyshevSeries:
+    """Chebyshev interpolant taking the value sqrt(variance) at every distinct
+    eigenvalue: the polynomial channel that colours white noise into the model."""
+    variances = model.clamped_group_variances
+    return lagrange_interpolate(model.spectrum.representatives, np.sqrt(variances))
+
+
+def sample(
+    model: StationaryModel, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Draw stationary signals by coloring standard white noise e in the
+    eigenbasis: U diag(sqrt(h(lambda))) U^T e.
+
+    Returns shape (n,) for ``size=None``, else (n, size), one signal per column.
+    """
+    spectrum = model.spectrum
+    shape = (spectrum.n,) if size is None else (spectrum.n, size)
+    noise = rng.standard_normal(shape)
+    scale = spectrum.expand(np.sqrt(model.clamped_group_variances))
+    # transposed so each signal lies along the last axis, and back
+    return spectrum.from_spectral(scale * spectrum.to_spectral(noise.T)).T
+
+
+def whiten(x: np.ndarray, model: StationaryModel, rng: np.random.Generator) -> np.ndarray:
+    """Recover white noise from a stationary signal.
+
+    Frequencies with nonzero variance are rescaled by the inverse square
+    root; null frequencies are filled with fresh standard normal draws, so
+    the result has identity covariance.
+    """
+    x = np.asarray(x, dtype=float)
+    spectrum = model.spectrum
+    n = spectrum.n
+    if x.shape != (n,):
+        raise ValueError(f"signal shape {x.shape} does not match graph order {n}")
+    variances = spectrum.expand(model.clamped_group_variances)
+    spectral = spectrum.to_spectral(x)
+    noise = np.empty(n)
+    nonzero = variances > 0.0
+    noise[nonzero] = spectral[nonzero] / np.sqrt(variances[nonzero])
+    noise[~nonzero] = rng.standard_normal(int(np.count_nonzero(~nonzero)))
+    return spectrum.from_spectral(noise)
+
+
+def fit_covariance_poly(matrix: np.ndarray, spectrum: SpectralDecomposition) -> tuple[ChebyshevSeries, float]:
+    """Least-squares fit of a covariance matrix by a polynomial of the shift.
+
+    Returns the fitted polynomial, a ``ChebyshevSeries`` of degree < number
+    of distinct eigenvalues, and the relative residual
+    ``||C - fit(S)||_F / max(1, ||C||_F)``.
+    """
+    c = np.asarray(matrix, dtype=float)
+    _, group_values = _filter_reading(c, spectrum)
+    if not _is_symmetric(c):
+        raise ValueError("covariance matrix must be symmetric")
+    poly = lagrange_interpolate(spectrum.representatives, group_values)
+    fitted = eval_filter(poly, spectrum)
+    residual = np.linalg.norm(c - fitted) / max(1.0, np.linalg.norm(c))
+    return poly, float(residual)

@@ -27,16 +27,20 @@ from .errors import NumericalFailureError
 from .experiment import ExperimentConfig, run_heatmap, write_heatmap_csv
 from .filters import (
     VERDICT_STRICT,
+    StationaryModel,
     apply_filter,
     eval_filter,
+    fit_covariance_poly,
     is_polynomial_filter,
     loewner_less,
+    sample,
     spectral_loewner_less,
+    sqrt_filter,
+    whiten,
 )
 from .graphs import Graph, build_shift, cycle_graph, validate_shift
 from .polynomials import Polynomial, lagrange_interpolate
 from .spectral import eigendecompose
-from .stationary import StationaryModel, fit_covariance_poly, sample, sqrt_filter, whiten
 
 INNOVATION_CONDITION_LIMIT = 1e14
 
@@ -132,11 +136,14 @@ def random_system(
     return DynamicalSystem(spectrum, steps, (a,), (b,), (sigma,), (sigma_tilde,), h0)
 
 
-def _steps(sys: DynamicalSystem):
-    """(a_k, b_k, sigma_k, sigma_tilde_k) of steps 1..M.  The dense oracles
-    evaluate each step's polynomials themselves, which keeps them independent
-    of the spectral path's eigenvalue grouping."""
-    return zip(sys.state_polys, sys.observation_polys, sys.state_noise, sys.observation_noise)
+def _dense_steps(sys: DynamicalSystem):
+    """Dense (A_k, B_k, sigma_k, sigma_tilde_k) of steps 1..M, A_k = a_k(S) and
+    B_k = b_k(S) by ``eval_filter``.  The dense oracles evaluate each step's
+    polynomials themselves, which keeps them independent of the spectral
+    path's eigenvalue grouping."""
+    steps = zip(sys.state_polys, sys.observation_polys, sys.state_noise, sys.observation_noise)
+    for state_poly, observation_poly, sigma, sigma_tilde in steps:
+        yield eval_filter(state_poly, sys.spectrum), eval_filter(observation_poly, sys.spectrum), sigma, sigma_tilde
 
 
 def response_matrix(sys: DynamicalSystem, responses: np.ndarray) -> np.ndarray:
@@ -150,8 +157,7 @@ def matrix_covariance_path(sys: DynamicalSystem) -> list[np.ndarray]:
     spectral path."""
     cov = eval_filter(sys.initial_covariance, sys.spectrum)
     covariances = []
-    for state_poly, sigma in zip(sys.state_polys, sys.state_noise):
-        a = eval_filter(state_poly, sys.spectrum)
+    for a, _, sigma, _ in _dense_steps(sys):
         cov = a @ cov @ a.T + sigma**2 * np.eye(sys.n)
         cov = 0.5 * (cov + cov.T)
         covariances.append(cov)
@@ -185,9 +191,7 @@ def matrix_riccati_path(sys: DynamicalSystem):
     p = eval_filter(sys.initial_covariance, sys.spectrum)
     gains = []
     errors = []
-    for state_poly, observation_poly, sigma, sigma_tilde in _steps(sys):
-        a = eval_filter(state_poly, sys.spectrum)
-        b = eval_filter(observation_poly, sys.spectrum)
+    for a, b, sigma, sigma_tilde in _dense_steps(sys):
         gain, p = matrix_riccati_step(p, a, b, sigma, sigma_tilde)
         gains.append(gain)
         errors.append(p)
@@ -205,9 +209,7 @@ def joint_error_covariances(sys: DynamicalSystem, riccati):
     joint[:n, :n] = eval_filter(sys.initial_covariance, sys.spectrum)
     eye = np.eye(n)
     out = []
-    for (state_poly, observation_poly, sigma, sigma_tilde), gain_row in zip(_steps(sys), riccati.gain_responses):
-        a = eval_filter(state_poly, sys.spectrum)
-        b = eval_filter(observation_poly, sys.spectrum)
+    for (a, b, sigma, sigma_tilde), gain_row in zip(_dense_steps(sys), riccati.gain_responses):
         gain = response_matrix(sys, gain_row)
         kb = gain @ b
         transition = np.block([[a, np.zeros((n, n))], [kb @ a, (eye - kb) @ a]])
@@ -272,7 +274,7 @@ def check_graph_core() -> list[CheckResult]:
         CheckResult(
             "graph_core",
             "laplacian-row-sums-zero",
-            worst_rowsum_int == 0.0 and worst_rowsum_rel <= 4 * np.finfo(float).eps,
+            worst_rowsum_int == 0.0 and worst_rowsum_rel <= 4 * math.ulp(1.0),
             f"integer-weight max {worst_rowsum_int:g}; float-weight relative max {worst_rowsum_rel:.2e}",
         )
     )
@@ -486,7 +488,8 @@ def simulation_step_gaps(sys: DynamicalSystem, trajectory) -> list[float]:
     for seed, states, observations in zip(trajectory.seed, trajectory.states, trajectory.observations):
         noise = np.random.default_rng(child_sequence(seed, 0)).standard_normal((2 * sys.horizon + 1, sys.n))
         gaps.append(_relative_gap(states[0], sys.spectrum.operator(scale) @ noise[0]))
-        for k, (state_poly, observation_poly, sigma, sigma_tilde) in enumerate(_steps(sys), start=1):
+        steps = zip(sys.state_polys, sys.observation_polys, sys.state_noise, sys.observation_noise)
+        for k, (state_poly, observation_poly, sigma, sigma_tilde) in enumerate(steps, start=1):
             state = apply_filter(state_poly, sys.shift, states[k - 1])
             gaps.append(_relative_gap(states[k], state + sigma * noise[2 * k - 1]))
             read = apply_filter(observation_poly, sys.shift, states[k])
@@ -583,9 +586,7 @@ def _mse_identity(rng, trials: int = 10_000) -> tuple[bool, str]:
     n = sys.n
     x = sample(sys.initial_model, rng, size=trials)
     xhat = np.zeros((n, trials))
-    for (state_poly, observation_poly, sigma, sigma_tilde), gain_row in zip(_steps(sys), riccati.gain_responses):
-        a = eval_filter(state_poly, sys.spectrum)
-        b = eval_filter(observation_poly, sys.spectrum)
+    for (a, b, sigma, sigma_tilde), gain_row in zip(_dense_steps(sys), riccati.gain_responses):
         gain = response_matrix(sys, gain_row)
         x = a @ x + sigma * rng.standard_normal((n, trials))
         z = b @ x + sigma_tilde * rng.standard_normal((n, trials))

@@ -39,6 +39,7 @@ from graphkalman.experiment import (
     TraceSpec,
     trace_trajectory,
     write_heatmap_csv,
+    write_heatmap_svg,
     write_trace_csvs,
 )
 from graphkalman.verify import random_polynomial, random_shift
@@ -354,6 +355,15 @@ class TestConfig:
         )
         assert ExperimentConfig.from_json(json.dumps(config.to_dict())) == config
 
+    def test_json_form_has_one_key_per_field_rule_in_its_order(self):
+        # to_dict reads experiment._JSON_FIELDS, so a key added there is written too
+        config = ExperimentConfig(n=12, m=7, trials=4, sigma_grid=(0.0, 0.4), sigma_tilde_grid=(0.2,), seed=77)
+        assert list(config.to_dict()) == list(experiment._JSON_FIELDS)
+        assert json.dumps(config.to_dict()) == (
+            '{"n": 12, "m": 7, "trials": 4, "a": [0.0, 0.25], "b": [1.0, -0.5], "sigma_grid": [0.0, 0.4], '
+            '"sigma_tilde_grid": [0.2], "seed": 77, "clip": 0.5, "trace": {"sigma": 0.3, "sigma_tilde": 0.5, "vertex": 8}}'
+        )
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -566,6 +576,12 @@ class TestCsvExport:
     def test_only_a_stack_of_one_is_written(self, trials):
         with pytest.raises(ValueError, match=f"writes a stack of one trial, got {trials}$"):
             trajectory_to_csv(simulate(_c4_system(), list(range(trials))), io.StringIO())
+
+    @pytest.mark.parametrize("write", [write_heatmap_csv, write_heatmap_svg])
+    def test_unknown_estimator_is_refused_naming_the_choices(self, tiny_heatmap, write):
+        # a bare KeyError would name only the unknown estimator
+        with pytest.raises(ValueError, match="unknown estimator 'zero'; choose 'kalman' or 'inverse'$"):
+            write(tiny_heatmap, "zero", io.StringIO())
 
 
 def _written_both_ways(write, path):

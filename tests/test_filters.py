@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 from numpy.random import default_rng as generator
 import pytest
 
+import graphkalman
 from graphkalman import (
     Polynomial,
     apply_filter,
@@ -166,3 +169,18 @@ class TestMembership:
             result = is_polynomial_filter(matrix, spectrum)
             rebuilt = eval_filter(result.witness, spectrum)
             assert np.linalg.norm(rebuilt - matrix) <= 1e-8 * max(1.0, np.linalg.norm(matrix))
+
+
+def test_one_symmetry_rule_and_one_filter_reading():
+    # filters._is_symmetric is the one symmetry test and filters._filter_reading
+    # the one reading of a matrix as a filter; verify checks U^T U itself
+    package = Path(graphkalman.__file__).parent
+    sources = {p.name: p.read_text() for p in package.glob("*.py")}
+
+    def counts(pattern):
+        return {name: text.count(pattern) for name, text in sources.items() if pattern in text}
+
+    assert counts("np.allclose(") == {"filters.py": 1}
+    readings = counts(".in_eigenbasis(")
+    assert readings.pop("filters.py") == 1
+    assert set(readings) <= {"verify.py"}

@@ -45,5 +45,5 @@ def test_import_loads_neither_the_cli_nor_verify():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     random_loaded, loaded = json.loads(done.stdout)
     assert not random_loaded
-    modules = ["dynamics", "errors", "experiment", "filters", "graphs", "kalman", "polynomials", "spectral", "stationary"]
+    modules = ["dynamics", "errors", "experiment", "filters", "graphs", "kalman", "polynomials", "spectral"]
     assert loaded == [f"graphkalman.{name}" for name in modules]

@@ -4,6 +4,7 @@ form or interpolant."""
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 
@@ -12,16 +13,25 @@ from graphkalman.filters import VERDICT_NON_STRICT, VERDICT_STRICT
 from graphkalman.verify import format_report, run_checks
 
 
+def _assert_plain_bools(results):
+    # a numpy bool would make json.dumps(dataclasses.asdict(result)) raise TypeError
+    assert [r.name for r in results if type(r.passed) is not bool] == []
+    for result in results:
+        json.dumps(dataclasses.asdict(result))
+
+
 def test_dynamics_kalman_and_baselines_invariants_pass():
     results = run_checks(["dynamics", "kalman", "baselines"])
     assert len(results) == 11
     assert all(result.passed for result in results), format_report(results)
+    _assert_plain_bools(results)
 
 
 def test_graph_spectral_filter_and_stationary_invariants_pass():
     results = run_checks(["graph_core", "spectral", "poly_filter", "stationary"])
     assert len(results) == 14
     assert all(result.passed for result in results), format_report(results)
+    _assert_plain_bools(results)
 
 
 def test_experiment_invariants_pass():
@@ -29,6 +39,7 @@ def test_experiment_invariants_pass():
     results = run_checks(["experiment"])
     assert len(results) == 3
     assert all(result.passed for result in results), format_report(results)
+    _assert_plain_bools(results)
 
 
 def _result(results, name):
