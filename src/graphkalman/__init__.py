@@ -3,10 +3,11 @@
 The library covers graph construction and shift validation, one spectral
 handle (the eigendecomposition of a shift with its distinct-eigenvalue
 grouping, which every system, model and filter reads), polynomial filters carried
-as their values at the distinct eigenvalues (and interpolated back in the
-Chebyshev basis) with stationary signals among them, since a stationary
-covariance is a polynomial filter of the shift (colouring, whitening and
-fitting, all in ``filters``), polynomial state-space dynamics, the graph Kalman filter and its baseline, static inverse
+as their values at the distinct eigenvalues (given in the monomial basis and
+interpolated back in the Chebyshev basis) with stationary signals among them,
+since a stationary covariance is a polynomial filter of the shift (both
+coefficient forms, colouring, whitening and fitting, all in ``filters``),
+polynomial state-space dynamics, the graph Kalman filter and its baseline, static inverse
 filtering, in the eigenbasis, and a reproducible cycle-graph experiment CLI.
 """
 
@@ -33,13 +34,16 @@ from .experiment import (
     trajectory_to_csv,
 )
 from .filters import (
+    ChebyshevSeries,
     LoewnerComparison,
     MembershipResult,
+    Polynomial,
     StationaryModel,
     apply_filter,
     eval_filter,
     fit_covariance_poly,
     is_polynomial_filter,
+    lagrange_interpolate,
     loewner_less,
     sample,
     spectral_loewner_less,
@@ -56,7 +60,6 @@ from .kalman import (
     riccati_sequence,
     run_filter,
 )
-from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
 from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ constructor is the one way to build a system:
 time-invariant, and a time-varying system passes M entries in each tuple
 (a single given entry is repeated over the horizon M).  It lays out the
 per-step inputs once and makes every check on them, one rule
-(``polynomials.require_polynomial``) for every polynomial and one
+(``filters.require_polynomial``) for every polynomial and one
 (``require_noise_level``) for every noise level.  a_k and b_k are
 evaluated at the distinct eigenvalues into read-only (M, d) response
 arrays, row k - 1 for step k, which the simulation, covariance and Kalman
@@ -56,9 +56,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalFailureError
-from .filters import StationaryModel, passband, require_psd
+from .filters import Polynomial, StationaryModel, passband, require_polynomial, require_psd
 from .graphs import GraphShift, require_integral, require_real
-from .polynomials import Polynomial, require_polynomial
 from .spectral import SpectralDecomposition
 
 

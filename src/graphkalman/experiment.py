@@ -46,9 +46,9 @@ import numpy as np
 
 from .dynamics import DynamicalSystem, Trajectory, require_noise_level, simulate
 from .errors import NumericalFailureError
+from .filters import Polynomial, require_polynomial
 from .graphs import build_shift, cycle_graph, require_integral, require_real
 from .kalman import inverse_estimate, riccati_sequence, run_filter
-from .polynomials import Polynomial, require_polynomial
 from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
 
 ENERGY_GUARD = 1e-24
@@ -108,18 +108,19 @@ class ExperimentConfig:
       ``dynamics.require_noise_level``'s rule, made from a list, tuple or
       1-D array (not a string) or from a JSON grid object {"start", "stop",
       "step"} of numbers by the same rule and at most ``GRID_LIMIT`` values;
-    - clip is a float, from a real number that is not a boolean;
+    - clip is a float by ``_clip``'s rule, the one the metric applies: a
+      real number that is not a boolean, finite and above ``METRIC_FLOOR``;
     - state_poly and observation_poly are ``Polynomial``s, made from a
-      sequence of numbers by ``polynomials.require_polynomial``'s rule, the
+      sequence of numbers by ``filters.require_polynomial``'s rule, the
       one a system applies;
     - trace is a ``TraceSpec``, made from a JSON object by ``TraceSpec``'s.
 
     Then come the checks across fields or against the machine: n >= 3, the
-    run's arrays within physical memory, m and trials >= 1, seed >= 0, and
-    clip finite and above ``METRIC_FLOOR``.  The trace vertex is checked
-    against n only by ``run_trace``.  So a config equals, and hashes as, the
-    one its ``to_dict`` JSON loads to.  Every grid value, 0 included, gives a
-    cell a Kalman gain (0 at a blind frequency); only a degenerate trial flags it.
+    run's arrays within physical memory, m and trials >= 1, and seed >= 0.
+    The trace vertex is checked against n only by ``run_trace``.  So a
+    config equals, and hashes as, the one its ``to_dict`` JSON loads to.
+    Every grid value, 0 included, gives a cell a Kalman gain (0 at a blind
+    frequency); only a degenerate trial flags it.
     """
 
     n: int = 30
@@ -152,8 +153,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.clip) and self.clip > METRIC_FLOOR):
-            raise ValueError(f"clip must be finite and > {METRIC_FLOOR}")
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
@@ -215,6 +214,15 @@ def _grid(spec, name: str) -> tuple[float, ...]:
     return grid
 
 
+def _clip(value, name: str) -> float:
+    """``value`` as a float by ``require_real``'s rule, finite and above
+    ``METRIC_FLOOR``; ValueError naming ``name`` otherwise."""
+    clip = require_real(value, name)
+    if not (math.isfinite(clip) and clip > METRIC_FLOOR):
+        raise ValueError(f"{name} must be finite and > {METRIC_FLOOR}")
+    return clip
+
+
 def _trace_spec(spec, name: str) -> TraceSpec:
     if isinstance(spec, TraceSpec):
         return spec
@@ -242,7 +250,7 @@ _JSON_FIELDS = {
     "sigma_grid": ("sigma_grid", _grid),
     "sigma_tilde_grid": ("sigma_tilde_grid", _grid),
     "seed": ("seed", require_integral),
-    "clip": ("clip", require_real),
+    "clip": ("clip", _clip),
     "trace": ("trace", _trace_spec),
 }
 
@@ -260,12 +268,12 @@ def relative_error_metric(estimates, truths, clip: float = DEFAULT_CLIP) -> np.n
     is exactly ``np.mean`` of its ratios.
 
     Raises:
-        ValueError: if ``clip`` is not finite or not above ``METRIC_FLOOR``.
+        ValueError: if ``clip`` is refused by the config's rule for it: not a
+            real number, a boolean, not finite or not above ``METRIC_FLOOR``.
         NumericalFailureError: if a step's truth or error energy is NaN or
             infinite, in any trial.
     """
-    if not (math.isfinite(clip) and clip > METRIC_FLOOR):
-        raise ValueError(f"clip must be finite and > {METRIC_FLOOR}")
+    clip = _clip(clip, "clip")
     estimates = np.asarray(estimates, dtype=float)
     truths = np.asarray(truths, dtype=float)
     if estimates.shape != truths.shape or truths.ndim != 3:

@@ -1,4 +1,24 @@
-"""Polynomial graph filters, stationary signals among them.
+"""Polynomial graph filters: their two coefficient forms, stationary signals
+among them.
+
+Every filter here is a polynomial of the graph shift, in one of two forms
+that take their coefficients by one rule (each a real number that is
+finite, at least one):
+
+- ``Polynomial`` is an input type.  It holds the ascending monomial
+  coefficients of what a user writes (the state and observation filters a
+  and b, the prior h_0), whose list is their JSON form, and their
+  evaluation, and no arithmetic: filters of one shift add and compose by
+  adding and multiplying their frequency responses, so the responses carry
+  the algebra.  ``require_polynomial`` is the one way to make one.
+- ``ChebyshevSeries`` holds Chebyshev coefficients on an interval.  It is
+  what ``lagrange_interpolate`` returns: the one way from values at distinct
+  eigenvalues back to a polynomial of the shift.  On the interval spanned by
+  the nodes, the Chebyshev-Vandermonde system of a graph spectrum is well
+  conditioned (the distinct eigenvalues of a cycle are Chebyshev-Lobatto
+  points), where the monomial one is not.  One map of the interval onto
+  [-1, 1] serves its evaluation, the interpolation and ``apply_filter``'s
+  Clenshaw recurrence on the shift.
 
 A zero-mean random signal is stationary when its covariance matrix is a
 polynomial filter of the graph shift: white noise passed through a
@@ -27,30 +47,189 @@ polynomial channel.  So one module holds filters and stationary models:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial import polynomial as npoly
 
 from .errors import NotPositiveSemidefiniteError, NumericalFailureError
-from .graphs import GraphShift
-from .polynomials import ChebyshevSeries, Polynomial, lagrange_interpolate
+from .graphs import GraphShift, require_real
 from .spectral import SpectralDecomposition
 
 MEMBERSHIP_TOL_SCALE = 1e-6
 BLIND_TOL_SCALE = 1e-10
 LOEWNER_TOL_SCALE = 1e-12
 PSD_TOL_SCALE = 1e-10
+TRIM_ULPS = 64
+NODE_RESIDUAL_TOL = 1e-7
 
 VERDICT_STRICT = "strict"
 VERDICT_NON_STRICT = "non-strict"
 VERDICT_FAILS = "fails"
 
 
+def _reals(values, what: str) -> tuple[float, ...]:
+    """``values`` as a nonempty tuple of finite floats, each made by
+    ``require_real``'s rule: the one rule for both forms' coefficients and a
+    series' domain.  A string, a scalar, an empty sequence or a value that
+    is refused or not finite raises ValueError naming ``what``."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise ValueError(f"{what}s must be a sequence of numbers, got {values!r}")
+    out = tuple(require_real(v, what) for v in values)
+    if not (out and all(map(math.isfinite, out))):
+        raise ValueError(f"{what}s must be finite and nonempty, got {out!r}")
+    return out
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """h(t) = coeffs[0] + coeffs[1]*t + ... + coeffs[L]*t^L.
+
+    An input type: coefficients (``list(p.coeffs)`` is the JSON form), degree
+    and evaluation.  Sums and products of filters are taken on their values
+    h(lambda), not here.
+
+    The constructor makes the one canonical form from a list, tuple or 1-D
+    array: a tuple of floats without exact trailing zeros, at least the
+    constant term, so ``Polynomial()`` is the zero polynomial and
+    ``Polynomial((v,))`` the constant v.  A string, a scalar, an empty
+    sequence, a coefficient that is not a real number (a string, a boolean,
+    None) or one that is not finite raises ValueError.
+    """
+
+    coeffs: tuple[float, ...] = (0.0,)
+
+    def __post_init__(self) -> None:
+        coeffs = list(_reals(self.coeffs, "coefficient"))
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, t):
+        return npoly.polyval(t, self.coeffs)
+
+
+def require_polynomial(value, name: str) -> Polynomial:
+    """``value`` if it is a ``Polynomial``, else the ``Polynomial`` its
+    constructor makes from ``value``; ValueError naming ``name`` if the
+    constructor refuses it.  The one rule for a config's a and b, a
+    system's a_k, b_k and h_0 and a stationary model's covariance."""
+    if isinstance(value, Polynomial):
+        return value
+    try:
+        return Polynomial(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class ChebyshevSeries:
+    """g(t) = coeffs[0] T_0(u) + ... + coeffs[K] T_K(u) on ``domain`` = (lo, hi),
+    where u = (2t - (lo + hi)) / (hi - lo) maps [lo, hi] onto [-1, 1].
+
+    Coefficients and domain ends are taken by ``Polynomial``'s coefficient
+    rule, and kept as given.  A one-point domain (lo == hi) carries a
+    constant only.
+    """
+
+    coeffs: tuple[float, ...]
+    domain: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        coeffs = _reals(self.coeffs, "coefficient")
+        lo, hi = _reals(self.domain, "domain end")
+        if not (lo < hi or (lo == hi and len(coeffs) == 1)):
+            raise ValueError(f"domain {(lo, hi)!r} must have lo < hi, or lo == hi for a constant")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "domain", (lo, hi))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, t):
+        lo, hi = self.domain
+        t = np.asarray(t, dtype=float)
+        unit = _to_unit(t, lo, hi) if hi > lo else 0.0 * t
+        return cheb.chebval(unit, self.coeffs)
+
+
+def lagrange_interpolate(nodes, values) -> ChebyshevSeries:
+    """Interpolating polynomial of degree < d through ``(nodes[j], values[j])``.
+
+    Solves the Chebyshev-Vandermonde system T_k(u_j) for the coefficients on
+    [min node, max node], with u_j the nodes mapped onto [-1, 1].  The
+    result reproduces the node values to max_j |g(x_j) - y_j| <= 1e-7 *
+    max|y| (``NODE_RESIDUAL_TOL``), and this is checked before it is
+    returned.  On a graph spectrum the system is well conditioned and the
+    residual is near the float64 rounding of the values; on nodes whose
+    system is ill conditioned the check may fail, and then it raises.
+
+    Trailing terms are dropped while their summed size sum |c_k| stays
+    within ``TRIM_ULPS * eps * max|y|``.  Since |T_k| <= 1 on the domain, the
+    dropped terms move no value on it by more than that; constant values
+    give a constant.
+
+    Raises:
+        ValueError: if two nodes coincide or an input is not finite.
+        NumericalFailureError: if the system is singular in float64, or the
+            interpolant misses its node values by more than that (also when
+            its coefficients overflow float64).
+    """
+    x = np.atleast_1d(np.asarray(nodes, dtype=float))
+    y = np.atleast_1d(np.asarray(values, dtype=float))
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("nodes and values must be one-dimensional and equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("nodes and values must be finite")
+    d = x.size
+    if d == 0:
+        raise ValueError("need at least one interpolation node")
+    if d == 1:
+        return ChebyshevSeries((y[0],), (x[0], x[0]))
+    diff = x[:, None] - x[None, :]
+    if np.any(diff[~np.eye(d, dtype=bool)] == 0.0):
+        raise ValueError("interpolation nodes must be pairwise distinct")
+
+    lo, hi = float(np.min(x)), float(np.max(x))
+    unit = _to_unit(x, lo, hi)
+    try:
+        coeffs = np.linalg.solve(cheb.chebvander(unit, d - 1), y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"Chebyshev-Vandermonde system on {d} nodes is singular") from exc
+    scale = float(np.max(np.abs(y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        within = np.cumsum(np.abs(coeffs[:0:-1])) <= TRIM_ULPS * np.finfo(float).eps * scale
+        keep = d - (within.size if within.all() else int(np.argmin(within)))
+        coeffs = coeffs[:keep]
+        # non-finite coefficients give a non-finite residual
+        residual = float(np.max(np.abs(cheb.chebval(unit, coeffs) - y)))
+    if not residual <= NODE_RESIDUAL_TOL * scale:
+        raise NumericalFailureError(
+            f"interpolant on {d} nodes misses its node values by {residual:.3g}"
+            f" (allowed {NODE_RESIDUAL_TOL:g} * max|y| = {NODE_RESIDUAL_TOL * scale:.3g})"
+        )
+    return ChebyshevSeries(tuple(coeffs), (lo, hi))
+
+
 def eval_filter(poly: Polynomial | ChebyshevSeries, spectrum: SpectralDecomposition) -> np.ndarray:
     """Dense filter matrix H = U diag(h(lambda)) U^T, symmetrised and read-only."""
     return spectrum.operator(poly(spectrum.eigenvalues))
+
+
+def _to_unit(t, lo: float, hi: float, identity=1.0):
+    """The Chebyshev map u = (2t - (lo + hi)) / (hi - lo) of [lo, hi] onto
+    [-1, 1].  On the shift, t is S v and ``identity`` the vector v, which
+    gives M v for the mapped shift M = (2S - (lo + hi) I) / (hi - lo)."""
+    return (2.0 * t - (lo + hi) * identity) / (hi - lo)
 
 
 def apply_filter(poly: Polynomial | ChebyshevSeries, shift: GraphShift, x: np.ndarray) -> np.ndarray:
@@ -64,12 +243,13 @@ def apply_filter(poly: Polynomial | ChebyshevSeries, shift: GraphShift, x: np.nd
 
     which is stable where the eigenvalues of S lie in [lo, hi], as they do
     for an interpolant through the shift's distinct eigenvalues.  Works on a
-    single signal of shape (n,) or a batch of columns of shape (n, m).
+    single signal of shape (n,) or a batch of columns of shape (n, m); a
+    signal of any other shape raises ValueError.
     """
     s = shift.matrix
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != shift.n:
-        raise ValueError(f"signal length {x.shape[0]} does not match graph order {shift.n}")
+    if x.ndim not in (1, 2) or x.shape[0] != shift.n:
+        raise ValueError(f"signal shape {x.shape} does not match graph order {shift.n}: expected (n,) or (n, m)")
     coeffs = poly.coeffs
     if isinstance(poly, Polynomial):
         acc = coeffs[-1] * x
@@ -79,14 +259,10 @@ def apply_filter(poly: Polynomial | ChebyshevSeries, shift: GraphShift, x: np.nd
     if poly.degree == 0:
         return coeffs[0] * x
     lo, hi = poly.domain
-
-    def mapped(v: np.ndarray) -> np.ndarray:
-        return (2.0 * (s @ v) - (lo + hi) * v) / (hi - lo)
-
     b1, b2 = coeffs[-1] * x, 0.0
     for c in coeffs[-2:0:-1]:
-        b1, b2 = c * x + 2.0 * mapped(b1) - b2, b1
-    return coeffs[0] * x + mapped(b1) - b2
+        b1, b2 = c * x + 2.0 * _to_unit(s @ b1, lo, hi, b1) - b2, b1
+    return coeffs[0] * x + _to_unit(s @ b1, lo, hi, b1) - b2
 
 
 def passband(responses: np.ndarray) -> np.ndarray:
@@ -187,10 +363,21 @@ def spectral_loewner_less(left: np.ndarray, right: np.ndarray, spectrum: Spectra
 @dataclass(frozen=True, eq=False)
 class StationaryModel:
     """Covariance polynomial of a zero-mean stationary signal on the shift
-    that ``spectrum`` decomposes."""
+    that ``spectrum`` decomposes.
 
-    covariance_poly: Polynomial
+    A ``ChebyshevSeries`` (a fitted covariance) is kept as it is; any other
+    covariance is made a ``Polynomial`` by ``require_polynomial``'s rule, so
+    a sequence of numbers is accepted and a value it refuses raises
+    ValueError when the model is built.
+    """
+
+    covariance_poly: Polynomial | ChebyshevSeries
     spectrum: SpectralDecomposition
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.covariance_poly, ChebyshevSeries):
+            poly = require_polynomial(self.covariance_poly, "covariance polynomial")
+            object.__setattr__(self, "covariance_poly", poly)
 
     @cached_property
     def group_variances(self) -> np.ndarray:

@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import DynamicalSystem, covariance_responses, propagate, require_finite_steps
-from .polynomials import ChebyshevSeries, lagrange_interpolate
+from .filters import ChebyshevSeries, lagrange_interpolate
 
 
 @dataclass(frozen=True, eq=False)

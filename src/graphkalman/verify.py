@@ -27,11 +27,13 @@ from .errors import NumericalFailureError
 from .experiment import ExperimentConfig, run_heatmap, write_heatmap_csv
 from .filters import (
     VERDICT_STRICT,
+    Polynomial,
     StationaryModel,
     apply_filter,
     eval_filter,
     fit_covariance_poly,
     is_polynomial_filter,
+    lagrange_interpolate,
     loewner_less,
     sample,
     spectral_loewner_less,
@@ -39,7 +41,6 @@ from .filters import (
     whiten,
 )
 from .graphs import Graph, build_shift, cycle_graph, validate_shift
-from .polynomials import Polynomial, lagrange_interpolate
 from .spectral import eigendecompose
 
 INNOVATION_CONDITION_LIMIT = 1e14
@@ -242,6 +243,20 @@ def _integer_weight_graph(rng, n: int) -> Graph:
     return Graph.from_edges(n, [(i, j, float(int(rng.integers(1, 5)))) for (i, j) in graph.edges])
 
 
+def _shift_mutants(graph: Graph, matrix: np.ndarray) -> list[np.ndarray]:
+    """Three copies of a valid shift matrix that ``validate_shift`` must
+    refuse: a nonzero symmetric pair off the graph's support (at a zero of W
+    off the diagonal, which every sample graph has, all its weights being
+    positive), one side of an edge pair moved, and a NaN entry."""
+    off_support, asymmetric, not_finite = (np.array(matrix) for _ in range(3))
+    i, j = np.argwhere(graph.weight_matrix + np.eye(graph.n) == 0.0)[0]
+    off_support[i, j] = off_support[j, i] = 1.0
+    i, j = graph.edges[0]
+    asymmetric[i - 1, j - 1] += 1.0
+    not_finite[0, 0] = np.nan
+    return [off_support, asymmetric, not_finite]
+
+
 def check_graph_core() -> list[CheckResult]:
     rng = np.random.default_rng(101)
     results = []
@@ -250,14 +265,12 @@ def check_graph_core() -> list[CheckResult]:
     worst_rowsum_rel = 0.0
     roundtrip_ok = True
     for graph in _sample_graphs(rng):
-        for kind in ("adjacency", "degree", "laplacian"):
-            shift = build_shift(graph, kind)
+        for kind in ("adjacency", "degree", "laplacian", "custom"):
+            shift = build_shift(graph, kind, matrix=np.eye(graph.n) if kind == "custom" else None)
             worst_asym = max(worst_asym, float(np.max(np.abs(shift.matrix - shift.matrix.T))))
-            if not validate_shift(graph, shift.matrix):
-                roundtrip_ok = False
-        custom = build_shift(graph, "custom", matrix=np.eye(graph.n))
-        if not validate_shift(graph, custom.matrix):
-            roundtrip_ok = False
+            # a built shift is accepted and each of its mutants refused
+            accepted = [validate_shift(graph, m) for m in (shift.matrix, *_shift_mutants(graph, shift.matrix))]
+            roundtrip_ok = roundtrip_ok and accepted == [True, False, False, False]
         lap = build_shift(graph, "laplacian").matrix
         degrees = np.abs(lap).sum(axis=1).max()
         worst_rowsum_rel = max(
@@ -527,10 +540,8 @@ def check_kalman() -> list[CheckResult]:
             p_gap = np.linalg.norm(p_spec - dense_errors[k]) / max(1.0, np.linalg.norm(dense_errors[k]))
             g_gap = np.linalg.norm(g_spec - dense_gains[k]) / max(1.0, np.linalg.norm(dense_gains[k]))
             worst_dual = max(worst_dual, float(p_gap), float(g_gap))
-            if not is_polynomial_filter(dense_gains[k], sys.spectrum).is_member:
-                membership_ok = False
-            if not is_polynomial_filter(dense_errors[k], sys.spectrum).is_member:
-                membership_ok = False
+            dense = (dense_gains[k], dense_errors[k])
+            membership_ok = membership_ok and all(is_polynomial_filter(m, sys.spectrum).is_member for m in dense)
 
     worst_stationarity = 0.0
     worst_fit = 0.0
@@ -602,8 +613,8 @@ def _mse_identity(rng, trials: int = 10_000) -> tuple[bool, str]:
 
 def check_baselines() -> list[CheckResult]:
     rng = np.random.default_rng(707)
-    inverse_ok = True
-    zero_ok = True
+    # whether the Kalman error covariance lies strictly below each tracker's at every step
+    beats = {"inverse": True, "zero": True}
     agree_ok = True
     worst_margin = math.inf
     for _ in range(50):
@@ -617,18 +628,14 @@ def check_baselines() -> list[CheckResult]:
             for right, tracker in ((inverse, "inverse"), (state, "zero")):
                 matrix_cmp = loewner_less(p_mat, response_matrix(sys, right))
                 spectral_cmp = spectral_loewner_less(p, right, sys.spectrum)
-                if matrix_cmp.verdict != VERDICT_STRICT:
-                    if tracker == "inverse":
-                        inverse_ok = False
-                    else:
-                        zero_ok = False
+                beats[tracker] = beats[tracker] and matrix_cmp.verdict == VERDICT_STRICT
                 if (matrix_cmp.verdict == VERDICT_STRICT) != (spectral_cmp.verdict == VERDICT_STRICT):
                     agree_ok = False
                 worst_margin = min(worst_margin, matrix_cmp.min_eigenvalue)
     detail = f"smallest Loewner margin {worst_margin:.3e}"
     return [
-        CheckResult("baselines", "kalman-strictly-beats-inverse", inverse_ok, detail),
-        CheckResult("baselines", "kalman-strictly-beats-zero", zero_ok, detail),
+        CheckResult("baselines", "kalman-strictly-beats-inverse", beats["inverse"], detail),
+        CheckResult("baselines", "kalman-strictly-beats-zero", beats["zero"], detail),
         CheckResult("baselines", "matrix-and-spectral-verdicts-agree", agree_ok, ""),
     ]
 

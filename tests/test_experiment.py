@@ -222,12 +222,25 @@ class TestMetric:
         with pytest.raises(NumericalFailureError, match="not finite"):
             relative_error_metric(arrays["estimates"], arrays["truths"])
 
-    @pytest.mark.parametrize("clip", [math.nan, math.inf, -math.inf, METRIC_FLOOR, -20.0])
-    def test_clip_not_finite_or_not_above_the_floor_rejected(self, clip):
-        # a NaN clip turned clipping off and -inf returned -inf, below the floor
+    @pytest.mark.parametrize(
+        "clip, message",
+        [(clip, f"clip must be finite and > {METRIC_FLOOR}") for clip in (math.nan, math.inf, -math.inf, METRIC_FLOOR, -20.0)]
+        + [
+            (True, "clip must be a number, got True"),
+            ("0.5", "clip must be a number, got '0.5'"),
+            (10**400, "clip must be within the float range"),
+        ],
+        ids=["nan", "inf", "-inf", "floor", "-20", "boolean", "string", "beyond-float"],
+    )
+    def test_clip_not_finite_or_not_above_the_floor_rejected(self, clip, message):
+        # a NaN clip turned clipping off and -inf returned -inf, below the floor;
+        # the metric takes clip by the config's rule, so a boolean, a string and
+        # an int beyond the float range are refused as the config refuses them
         truths = generator(82).standard_normal((2, 6, 5))
-        with pytest.raises(ValueError, match=f"clip must be finite and > {METRIC_FLOOR}"):
+        with pytest.raises(ValueError, match=message):
             relative_error_metric(truths + 0.1, truths, clip)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(clip=clip)
 
     def test_all_nan_truths_are_a_failure_not_a_degenerate_trajectory(self):
         truths = np.full((1, 4, 5), math.nan)
@@ -409,6 +422,11 @@ class TestConfig:
         # min(x, nan) is x, so a nan clip would be silently ignored
         with pytest.raises(ValueError, match="clip must be finite"):
             ExperimentConfig.from_dict({"n": 12, "trials": 3, "clip": float("nan")})
+
+    def test_clip_is_checked_by_its_rule_before_n(self):
+        # clip's rule runs with the other per-key rules, before the checks across fields
+        with pytest.raises(ValueError, match="clip must be finite"):
+            ExperimentConfig(n=2, clip=float("nan"))
 
     def test_clip_at_or_below_metric_floor_rejected(self):
         # a clip below the metric floor would be written into every cell

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,20 @@ class TestApplyFilter:
         _, shift, _ = c4
         with pytest.raises(ValueError):
             apply_filter(Polynomial((1.0,)), shift, np.ones(5))
+
+    @pytest.mark.parametrize("form", ["monomial", "chebyshev"])
+    @pytest.mark.parametrize(
+        "x", [3.0, np.ones(5), np.ones((4, 2, 1)), np.ones((5, 2)), np.ones((1, 4))],
+        ids=["0-d", "(5,)", "(4, 2, 1)", "(5, 2)", "(1, 4)"],
+    )
+    def test_signal_not_n_or_n_by_m_rejected(self, c4, form, x):
+        # a 0-d signal raised IndexError, and a 3-d one ran
+        _, shift, spectrum = c4
+        poly = Polynomial((1.0, 2.0))
+        if form == "chebyshev":
+            poly = lagrange_interpolate(spectrum.representatives, poly(spectrum.representatives))
+        with pytest.raises(ValueError, match=rf"signal shape {re.escape(str(np.shape(x)))} does not match graph order 4"):
+            apply_filter(poly, shift, x)
 
     def test_batch_columns(self, c4):
         _, shift, _ = c4
@@ -181,6 +196,9 @@ def test_one_symmetry_rule_and_one_filter_reading():
         return {name: text.count(pattern) for name, text in sources.items() if pattern in text}
 
     assert counts("np.allclose(") == {"filters.py": 1}
+    # filters._to_unit is the one map of [lo, hi] onto [-1, 1], for values and for the shift
+    maps = {name: len(re.findall(r"2\.0 \* .*/ \(hi - lo\)", text)) for name, text in sources.items()}
+    assert {name: count for name, count in maps.items() if count} == {"filters.py": 1}
     readings = counts(".in_eigenbasis(")
     assert readings.pop("filters.py") == 1
     assert set(readings) <= {"verify.py"}

@@ -1,12 +1,16 @@
 """The package imports numpy and the standard library only, and not the
-standard library's exact-arithmetic modules."""
+standard library's exact-arithmetic modules, and exports exactly its public
+names."""
 from __future__ import annotations
 
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import graphkalman
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,5 +49,16 @@ def test_import_loads_neither_the_cli_nor_verify():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     random_loaded, loaded = json.loads(done.stdout)
     assert not random_loaded
-    modules = ["dynamics", "errors", "experiment", "filters", "graphs", "kalman", "polynomials", "spectral"]
+    modules = ["dynamics", "errors", "experiment", "filters", "graphs", "kalman", "spectral"]
     assert loaded == [f"graphkalman.{name}" for name in modules]
+
+
+def test_exports_are_sorted_unique_and_exactly_the_public_names():
+    # a fold that moves a name between modules can leave an export stale or missing
+    exports = graphkalman.__all__
+    assert exports == sorted(set(exports))
+    public = {
+        name for name, value in vars(graphkalman).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(exports) == public

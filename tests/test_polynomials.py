@@ -38,6 +38,49 @@ class TestCanonicalForm:
         assert Polynomial([0, 1]).coeffs == (0.0, 1.0)
 
 
+# values both polynomial forms refuse, as coefficients and as a series' domain,
+# by one rule: each a real number by require_real's rule, finite, at least one;
+# a series read "1" and True as 1.0
+REFUSED_COEFFICIENTS = {
+    "string-value": (("1",), "coefficient must be a number, got '1'"),
+    "boolean-value": ((True,), "coefficient must be a number, got True"),
+    "none-value": ((None,), "coefficient must be a number, got None"),
+    "beyond-float": ((10**400,), "coefficient must be within the float range"),
+    "nan": ((1.0, float("nan")), r"coefficients must be finite and nonempty, got \(1.0, nan\)"),
+    "inf": ((float("inf"),), r"coefficients must be finite and nonempty, got \(inf,\)"),
+    "empty": ((), r"coefficients must be finite and nonempty, got \(\)"),
+    "string": ("12", "coefficients must be a sequence of numbers, got '12'"),
+    "scalar": (3.0, "coefficients must be a sequence of numbers, got 3.0"),
+}
+REFUSED_DOMAINS = {
+    "string-end": (("0", 1.0), "domain end must be a number, got '0'"),
+    "boolean-end": ((0.0, True), "domain end must be a number, got True"),
+    "nan-end": ((0.0, float("nan")), r"domain ends must be finite and nonempty, got \(0.0, nan\)"),
+    "string": ("01", "domain ends must be a sequence of numbers, got '01'"),
+    "scalar": (1.0, "domain ends must be a sequence of numbers, got 1.0"),
+}
+
+
+class TestOneCoefficientRule:
+    @pytest.mark.parametrize("coeffs, message", REFUSED_COEFFICIENTS.values(), ids=REFUSED_COEFFICIENTS.keys())
+    def test_both_forms_refuse_alike(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            Polynomial(coeffs)
+        with pytest.raises(ValueError, match=message):
+            ChebyshevSeries(coeffs, (0.0, 1.0))
+
+    @pytest.mark.parametrize("domain, message", REFUSED_DOMAINS.values(), ids=REFUSED_DOMAINS.keys())
+    def test_series_domain_by_the_same_rule(self, domain, message):
+        with pytest.raises(ValueError, match=message):
+            ChebyshevSeries((1.0,), domain)
+
+    def test_numpy_values_are_floats(self):
+        series = ChebyshevSeries(np.array([1.0, 2.0]), (np.float64(0.0), 1))
+        assert series.coeffs == (1.0, 2.0) and series.domain == (0.0, 1.0)
+        assert all(type(v) is float for v in (*series.coeffs, *series.domain))
+        assert Polynomial(np.array([1, 0])).coeffs == (1.0,)
+
+
 class TestEvaluation:
     def test_evaluation_scalar_and_array(self):
         f = Polynomial((1.0, 0.0, 1.0))  # 1 + t^2

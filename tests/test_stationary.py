@@ -170,6 +170,27 @@ class TestWhiten:
             whiten(np.zeros(4), StationaryModel(Polynomial((0.0, -1.0)), spectrum), generator(9))
 
 
+class TestCovarianceRule:
+    def test_sequence_is_made_a_polynomial(self, c4):
+        _, _, spectrum = c4
+        given, made = StationaryModel([1.0, 0.5], spectrum), StationaryModel(Polynomial((1.0, 0.5)), spectrum)
+        assert given.covariance_poly == made.covariance_poly
+        assert given.group_variances.tobytes() == made.group_variances.tobytes()
+
+    def test_value_the_rule_refuses_raises_when_built(self, c4):
+        # it used to raise TypeError: 'str' object is not callable, at the first read
+        _, _, spectrum = c4
+        with pytest.raises(ValueError, match="^covariance polynomial: coefficients must be a sequence of numbers"):
+            StationaryModel("x", spectrum)
+
+    def test_fitted_covariance_is_kept(self, c4):
+        _, _, spectrum = c4
+        fitted, _ = fit_covariance_poly(eval_filter(Polynomial((1.0, 0.5)), spectrum), spectrum)
+        model = StationaryModel(fitted, spectrum)
+        assert model.covariance_poly is fitted
+        np.testing.assert_allclose(model.group_variances, 1.0 + 0.5 * spectrum.representatives, atol=1e-12)
+
+
 class TestClampedVariances:
     def test_clamped_once_per_model(self, c4):
         _, _, spectrum = c4

@@ -7,6 +7,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from graphkalman import spectral, verify
 from graphkalman.filters import VERDICT_NON_STRICT, VERDICT_STRICT
@@ -44,6 +45,26 @@ def test_experiment_invariants_pass():
 
 def _result(results, name):
     return next(result for result in results if result.name == name)
+
+
+_VALIDATE = verify.validate_shift
+# validate_shift with one of its rules dropped, or all of them
+WEAK_VALIDATORS = {
+    "always-true": lambda graph, m: True,
+    "no-support-rule": lambda graph, m: bool(np.isfinite(m).all() and np.array_equal(m, m.T)),
+    "no-symmetry-rule": lambda graph, m: _VALIDATE(graph, 0.5 * (m + m.T)),
+    "no-finite-rule": lambda graph, m: _VALIDATE(graph, np.nan_to_num(m)),
+}
+
+
+@pytest.mark.parametrize("weak", WEAK_VALIDATORS.values(), ids=WEAK_VALIDATORS.keys())
+def test_weakened_validate_shift_fails_validate_accepts_built_shifts(monkeypatch, weak):
+    # a built shift has passed validate_shift in its constructor, so only the
+    # mutants it must refuse let this check fail
+    monkeypatch.setattr(verify, "validate_shift", weak)
+    results = run_checks(["graph_core"])
+    assert not _result(results, "validate-accepts-built-shifts").passed
+    assert _result(results, "shift-symmetry-exact").passed
 
 
 def _drop_middle_representative(spectrum):
