@@ -1,14 +1,22 @@
 """Stationary graph signals over symmetric shifts and graph Kalman filtering.
 
-The library covers graph construction and shift validation, one spectral
-handle (the eigendecomposition of a shift with its distinct-eigenvalue
-grouping, which every system, model and filter reads), polynomial filters carried
-as their values at the distinct eigenvalues (given in the monomial basis and
-interpolated back in the Chebyshev basis) with stationary signals among them,
-since a stationary covariance is a polynomial filter of the shift (both
-coefficient forms, colouring, whitening and fitting, all in ``filters``),
-polynomial state-space dynamics, the graph Kalman filter and its baseline, static inverse
-filtering, in the eigenbasis, and a reproducible cycle-graph experiment CLI.
+The library modules, each importing only those above it:
+
+- ``errors``: the package's named exceptions, the ``GraphKalmanError``
+  family.
+- ``graphs``: graphs, their symmetric shifts and each shift's spectrum,
+  the one handle for its eigenbasis.
+- ``filters``: polynomial filters as responses at the distinct
+  eigenvalues, stationary signals among them.
+- ``dynamics``: polynomial state-space systems and their simulation in the
+  eigenbasis.
+- ``kalman``: the graph Kalman filter and its baseline, static inverse
+  filtering, in the eigenbasis.
+- ``experiment``: the reproducible cycle-graph study, its config and its
+  CSV and SVG tables.
+
+``verify`` (the invariant suite) and ``cli`` (the command line) build on
+them and are not loaded by ``import graphkalman``.
 """
 
 from .dynamics import (
@@ -50,7 +58,8 @@ from .filters import (
     sqrt_filter,
     whiten,
 )
-from .graphs import Graph, GraphShift, build_shift, cycle_graph, validate_shift
+from .graphs import (Graph, GraphShift, SpectralDecomposition, build_shift, cycle_graph, distinct_eigenvalues,
+                     eigendecompose, validate_shift)
 from .kalman import (
     FilterResult,
     KalmanState,
@@ -60,7 +69,6 @@ from .kalman import (
     riccati_sequence,
     run_filter,
 )
-from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
 
 __version__ = "0.1.0"
 

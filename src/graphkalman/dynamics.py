@@ -57,8 +57,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .filters import Polynomial, StationaryModel, passband, require_polynomial, require_psd
-from .graphs import GraphShift, require_integral, require_real
-from .spectral import SpectralDecomposition
+from .graphs import GraphShift, SpectralDecomposition, require_integral, require_real
 
 
 def require_noise_level(value, name: str) -> float:

@@ -6,8 +6,9 @@ class GraphKalmanError(Exception):
 
 
 class InvalidShiftError(GraphKalmanError, ValueError):
-    """A shift matrix is not finite (a custom entry, or a degree sum that
-    overflows), is asymmetric, or violates the graph's sparsity."""
+    """A shift matrix is complex (a custom one), is not finite (a custom
+    entry, or a degree sum that overflows), is asymmetric, or violates the
+    graph's sparsity."""
 
 
 class NumericalFailureError(GraphKalmanError, ArithmeticError):

@@ -3,7 +3,7 @@
 The experiment runs the time-invariant system on the unweighted cycle with
 the Laplacian shift, comparing the Kalman filter against static inverse
 filtering.  That shift's eigenpairs are known in closed form (the real DFT
-basis, see ``spectral``), so a run calls no eigensolver.  A cell's system
+basis, see ``graphs``), so a run calls no eigensolver.  A cell's system
 starts from x_0 = 0 (h_0 = 0), which is also its filter's prior; zero noise
 levels need no switch, as every cell has a Kalman gain (0 at a blind
 frequency), and a cell is flagged only when a trial is degenerate.
@@ -47,9 +47,9 @@ import numpy as np
 from .dynamics import DynamicalSystem, Trajectory, require_noise_level, simulate
 from .errors import NumericalFailureError
 from .filters import Polynomial, require_polynomial
-from .graphs import build_shift, cycle_graph, require_integral, require_real
+from .graphs import (SpectralDecomposition, build_shift, cycle_graph, distinct_eigenvalues, eigendecompose,
+                     require_integral, require_real)
 from .kalman import inverse_estimate, riccati_sequence, run_filter
-from .spectral import SpectralDecomposition, distinct_eigenvalues, eigendecompose
 
 ENERGY_GUARD = 1e-24
 # Bytes of (2m + 1, n) trial noise blocks a heatmap cell simulates at once:

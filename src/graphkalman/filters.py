@@ -57,8 +57,7 @@ from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NotPositiveSemidefiniteError, NumericalFailureError
-from .graphs import GraphShift, require_real
-from .spectral import SpectralDecomposition
+from .graphs import GraphShift, SpectralDecomposition, require_real
 
 MEMBERSHIP_TOL_SCALE = 1e-6
 BLIND_TOL_SCALE = 1e-10

@@ -40,8 +40,7 @@ from .filters import (
     sqrt_filter,
     whiten,
 )
-from .graphs import Graph, build_shift, cycle_graph, validate_shift
-from .spectral import eigendecompose
+from .graphs import Graph, build_shift, cycle_graph, eigendecompose, validate_shift
 
 INNOVATION_CONDITION_LIMIT = 1e14
 
@@ -244,17 +243,18 @@ def _integer_weight_graph(rng, n: int) -> Graph:
 
 
 def _shift_mutants(graph: Graph, matrix: np.ndarray) -> list[np.ndarray]:
-    """Three copies of a valid shift matrix that ``validate_shift`` must
+    """Four copies of a valid shift matrix that ``validate_shift`` must
     refuse: a nonzero symmetric pair off the graph's support (at a zero of W
     off the diagonal, which every sample graph has, all its weights being
-    positive), one side of an edge pair moved, and a NaN entry."""
+    positive), one side of an edge pair moved, a NaN entry, and i added on
+    the diagonal (complex, but symmetric, finite and on the support)."""
     off_support, asymmetric, not_finite = (np.array(matrix) for _ in range(3))
     i, j = np.argwhere(graph.weight_matrix + np.eye(graph.n) == 0.0)[0]
     off_support[i, j] = off_support[j, i] = 1.0
     i, j = graph.edges[0]
     asymmetric[i - 1, j - 1] += 1.0
     not_finite[0, 0] = np.nan
-    return [off_support, asymmetric, not_finite]
+    return [off_support, asymmetric, not_finite, matrix + 1j * np.eye(graph.n)]
 
 
 def check_graph_core() -> list[CheckResult]:
@@ -270,7 +270,7 @@ def check_graph_core() -> list[CheckResult]:
             worst_asym = max(worst_asym, float(np.max(np.abs(shift.matrix - shift.matrix.T))))
             # a built shift is accepted and each of its mutants refused
             accepted = [validate_shift(graph, m) for m in (shift.matrix, *_shift_mutants(graph, shift.matrix))]
-            roundtrip_ok = roundtrip_ok and accepted == [True, False, False, False]
+            roundtrip_ok = roundtrip_ok and accepted == [True, False, False, False, False]
         lap = build_shift(graph, "laplacian").matrix
         degrees = np.abs(lap).sum(axis=1).max()
         worst_rowsum_rel = max(

@@ -9,8 +9,7 @@ from numpy.random import default_rng as generator
 import pytest
 
 from graphkalman import Graph, GraphShift, InvalidShiftError, build_shift, cycle_graph, graphs, validate_shift
-from graphkalman.graphs import require_integral
-from graphkalman.spectral import _cycle_laplacian_eigenpairs, eigendecompose
+from graphkalman.graphs import _cycle_laplacian_eigenpairs, eigendecompose, require_integral
 from graphkalman.verify import random_graph
 
 
@@ -203,11 +202,17 @@ class TestGraphValidation:
             with pytest.raises(ValueError, match=f"vertex id must be an integer, got {shown}"):
                 Graph(3, (pair,), (1.0,))
 
-    @pytest.mark.parametrize("edges", [((1, 2, 3), (3,)), ((1, 2, 3), (2, 3)), ((1, 2),)])
+    @pytest.mark.parametrize("edges", [((1, 2, 3), (3,)), ((1, 2, 3), (2, 3)), ((1, 2),), (1, 2)])
     def test_edges_must_be_pairs_one_per_weight(self, edges):
-        # the flat id array must not pair a triple's last id with the next edge's
+        # the flat id array must not pair a triple's last id with the next
+        # edge's; a bare id as an edge raised TypeError from len()
         with pytest.raises(ValueError, match=re.escape("edges must be (i, j) pairs, as many as the weights")):
             Graph(3, edges, (1.0,) * 2)
+
+    def test_edge_item_without_entries_rejected(self):
+        # a bare id raised TypeError from len()
+        with pytest.raises(ValueError, match=re.escape("edge item 1 must have 2 or 3 entries")):
+            Graph.from_edges(3, [1, 2])
 
     @pytest.mark.parametrize("weight", [None, "x"])
     def test_non_numeric_weight_rejected(self, weight):
@@ -293,6 +298,21 @@ class TestBuildShift:
         bad[0, 1] = 1.0
         with pytest.raises(InvalidShiftError):
             build_shift(g, "custom", matrix=bad)
+
+    def test_complex_custom_matrix_rejected_before_the_cast(self):
+        # a Hermitian L + iK whose real part is the C_4 Laplacian: the float
+        # cast dropped iK with only a ComplexWarning, and the shift was built
+        g = cycle_graph(4)
+        lap = build_shift(g, "laplacian").matrix
+        k = np.zeros((4, 4))
+        for i, j in g.edges:
+            k[i - 1, j - 1], k[j - 1, i - 1] = 1.0, -1.0
+        hermitian = lap + 1j * k
+        np.testing.assert_array_equal(hermitian, hermitian.conj().T)
+        assert validate_shift(g, hermitian) is False
+        with pytest.raises(InvalidShiftError, match="custom shift is not finite or real"):
+            build_shift(g, "custom", matrix=hermitian)
+        assert validate_shift(g, lap + 0j) is False
 
     @pytest.mark.parametrize(
         "entries", [[(2, 2)], [(0, 1), (1, 0)], [(3, 3), (0, 0)]], ids=["diagonal", "edge-pair", "two-diagonal"]

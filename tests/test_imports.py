@@ -3,6 +3,7 @@ standard library's exact-arithmetic modules, and exports exactly its public
 names."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -49,7 +50,7 @@ def test_import_loads_neither_the_cli_nor_verify():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     random_loaded, loaded = json.loads(done.stdout)
     assert not random_loaded
-    modules = ["dynamics", "errors", "experiment", "filters", "graphs", "kalman", "spectral"]
+    modules = ["dynamics", "errors", "experiment", "filters", "graphs", "kalman"]
     assert loaded == [f"graphkalman.{name}" for name in modules]
 
 
@@ -62,3 +63,27 @@ def test_exports_are_sorted_unique_and_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(exports) == public
+
+
+# each module builds on the ones before it; a fold moves names only backward
+LAYERS = ["errors", "graphs", "filters", "dynamics", "kalman", "experiment", "verify", "cli"]
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules ``path`` imports: ``from .x import ...`` is x, and
+    ``from . import x as y`` is x."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update([node.module] if node.module else [alias.name for alias in node.names])
+    return imported
+
+
+def test_modules_import_only_earlier_layers():
+    package = Path(graphkalman.__file__).parent
+    assert sorted(p.stem for p in package.glob("*.py")) == sorted(["__init__", *LAYERS])
+    later = {
+        name: sorted(_package_imports(package / f"{name}.py") - set(LAYERS[:rank]))
+        for rank, name in enumerate(LAYERS)
+    }
+    assert later == {name: [] for name in LAYERS}

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -118,21 +119,39 @@ class TestBasisMethods:
 
 
 def test_only_spectral_reads_the_eigenvectors():
-    # every other module changes basis through SpectralDecomposition's methods
+    # every other definition changes basis through SpectralDecomposition's
+    # methods; eigendecompose only hands U to the constructor
     package = Path(graphkalman.__file__).parent
-    readers = sorted(p.name for p in package.glob("*.py") if p.name != "spectral.py" and "eigenvectors" in p.read_text())
-    assert readers == []
+    places = set()
+    for path in package.glob("*.py"):
+        for definition in ast.parse(path.read_text()).body:
+            for node in ast.walk(definition):
+                names = (getattr(node, field, None) for field in ("id", "attr", "arg", "value"))
+                if "eigenvectors" in names:
+                    places.add((path.stem, getattr(definition, "name", type(definition).__name__)))
+    assert places == {("graphs", "SpectralDecomposition"), ("graphs", "eigendecompose")}
 
 
 def test_one_spectral_handle():
     # the eigendecomposition carries its grouping, so there is no second
     # spectral type to reach through; the grouping shim is called only where
     # the benchmark times it
-    assert not hasattr(graphkalman, "DistinctSpectrum") and not hasattr(graphkalman.spectral, "DistinctSpectrum")
+    assert not hasattr(graphkalman, "DistinctSpectrum") and not hasattr(graphkalman.graphs, "DistinctSpectrum")
     modules = sorted(Path(graphkalman.__file__).parent.glob("*.py"))
     assert [p.name for p in modules if re.search(r"\.decomposition\b", p.read_text())] == []
     callers = [p.name for p in modules if re.search(r"(?<!def )\bdistinct_eigenvalues\(", p.read_text())]
     assert callers == ["experiment.py"]
+
+
+@pytest.mark.parametrize(
+    "eigenvalues",
+    [np.array([3.0, 0.0, 1.0]), np.array([0.0, np.nan, 1.0]), np.array([[0.0, 1.0]]), np.array([]), [0.0, 1.0]],
+    ids=["unsorted", "nan", "2-d", "empty", "list"],
+)
+def test_eigenvalues_must_be_a_finite_ascending_array(eigenvalues):
+    # [3, 0, 1] was grouped as {3, 0} and {1}, with representatives (1.5, 1.0)
+    with pytest.raises(ValueError, match="eigenvalues must be a nonempty 1-D array, finite and ascending"):
+        SpectralDecomposition(shift=None, eigenvalues=eigenvalues, eigenvectors=None)
 
 
 class TestDistinctEigenvalues:

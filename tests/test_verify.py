@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from graphkalman import spectral, verify
+from graphkalman import graphs, verify
 from graphkalman.filters import VERDICT_NON_STRICT, VERDICT_STRICT
 from graphkalman.verify import format_report, run_checks
 
@@ -54,6 +54,7 @@ WEAK_VALIDATORS = {
     "no-support-rule": lambda graph, m: bool(np.isfinite(m).all() and np.array_equal(m, m.T)),
     "no-symmetry-rule": lambda graph, m: _VALIDATE(graph, 0.5 * (m + m.T)),
     "no-finite-rule": lambda graph, m: _VALIDATE(graph, np.nan_to_num(m)),
+    "no-real-rule": lambda graph, m: _VALIDATE(graph, np.real(m)),
 }
 
 
@@ -96,13 +97,13 @@ def test_dropped_representative_on_c120_fails_grouping_idempotent(monkeypatch):
 
 
 def test_perturbed_closed_form_fails_eigen_reconstruction(monkeypatch):
-    original = spectral._cycle_laplacian_eigenpairs
+    original = graphs._cycle_laplacian_eigenpairs
 
     def perturbed(n):
         eigenvalues, vectors = original(n)
         return eigenvalues * (1.0 + 1e-9), vectors
 
-    monkeypatch.setattr(spectral, "_cycle_laplacian_eigenpairs", perturbed)
+    monkeypatch.setattr(graphs, "_cycle_laplacian_eigenpairs", perturbed)
     # ||S - U L U^T|| stays within its 1e-8 bound; the gap to eigvalsh does not
     assert not _result(run_checks(["spectral"]), "eigen-reconstruction").passed
 
